@@ -122,7 +122,7 @@ impl BcState {
         // Seed bottom-up so most lowpoints settle in one pass.
         let mut order: Vec<usize> = (0..spec.num_vars()).collect();
         order.sort_unstable_by_key(|&x| std::cmp::Reverse(dfs.first(x as NodeId)));
-        let stats = engine.run(&spec, &mut low, order);
+        let stats = engine.run(&spec, &mut low, order.iter().copied());
         (low, engine, stats)
     }
 

@@ -20,11 +20,10 @@
 use crate::persist::{self, StateLoadError};
 use incgraph_core::engine::{Engine, RunStats};
 use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::par::ParEngine;
 use incgraph_core::scope::ScopeStats;
 use incgraph_core::spec::FixpointSpec;
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, CsrSnapshot, DynamicGraph, GraphView, NodeId, Weight};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Weight};
 
 /// Count type for degrees and triangle counts.
 pub type Count = u64;
@@ -46,22 +45,21 @@ pub(crate) fn sorted_intersect_count(a: &[(NodeId, Weight)], b: &[(NodeId, Weigh
     n
 }
 
-/// The LCC fixpoint specification over an undirected graph snapshot,
-/// generic over the storage layout (live adjacency, CSR, CSR + overlay).
+/// The LCC fixpoint specification over an undirected graph snapshot.
 /// Variable `2v` is `d_v`; variable `2v + 1` is `λ_v`.
-pub struct LccSpec<'g, G: GraphView = DynamicGraph> {
-    g: &'g G,
+pub struct LccSpec<'g> {
+    g: &'g DynamicGraph,
 }
 
-impl<'g, G: GraphView> LccSpec<'g, G> {
+impl<'g> LccSpec<'g> {
     /// Specification over `g`, which must be undirected.
-    pub fn new(g: &'g G) -> Self {
+    pub fn new(g: &'g DynamicGraph) -> Self {
         assert!(!g.is_directed(), "LCC is defined on undirected graphs");
         LccSpec { g }
     }
 }
 
-impl<G: GraphView> FixpointSpec for LccSpec<'_, G> {
+impl FixpointSpec for LccSpec<'_> {
     type Value = Count;
 
     fn num_vars(&self) -> usize {
@@ -154,8 +152,6 @@ fn edge_in_view(g: &DynamicGraph, keys: &[u64], present: &[bool], a: NodeId, b: 
 pub struct LccState {
     status: Status<Count>,
     engine: Engine,
-    threads: usize,
-    par: Option<ParEngine>,
     /// Flat scratch of the delta update path.
     scratch: LccScratch,
 }
@@ -171,75 +167,10 @@ impl LccState {
             LccState {
                 status,
                 engine,
-                threads: 1,
-                par: None,
                 scratch: LccScratch::default(),
             },
             stats,
         )
-    }
-
-    /// Runs batch `LCC_fp` with the sharded parallel engine over a flat
-    /// CSR snapshot of `g` (the triangle-counting scans benefit most from
-    /// the flat layout); subsequent updates keep using `threads` shards.
-    pub fn batch_par(g: &DynamicGraph, threads: usize) -> (Self, RunStats) {
-        let threads = threads.max(1);
-        let csr = CsrSnapshot::new(g);
-        let spec = LccSpec::new(&csr);
-        let mut status = Status::init(&spec, false);
-        let mut par = ParEngine::new(spec.num_vars(), threads);
-        let stats = par.run(&spec, &mut status, 0..spec.num_vars());
-        (
-            LccState {
-                status,
-                engine: Engine::new(g.node_count() * 2),
-                threads,
-                par: Some(par),
-                scratch: LccScratch::default(),
-            },
-            stats,
-        )
-    }
-
-    /// Sets the number of worker shards for subsequent fixpoint runs
-    /// (1 = the sequential engine).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Resumes the step function over `scope` on the configured engine:
-    /// the parallel engine when `threads > 1` or one is already attached
-    /// (inline bucket-queue at 1 shard), the sequential heap otherwise.
-    fn resume<G: GraphView>(&mut self, spec: &LccSpec<'_, G>, scope: &[usize]) -> RunStats {
-        if self.threads > 1 || self.par.is_some() {
-            let fresh = !matches!(&self.par,
-                Some(p) if p.num_vars() == spec.num_vars() && p.nthreads() == self.threads);
-            if fresh {
-                self.par = Some(ParEngine::new(spec.num_vars(), self.threads));
-            }
-            let par = self.par.as_mut().expect("just ensured");
-            par.set_work_budget(self.engine.work_budget());
-            let stats = par.run(spec, &mut self.status, scope.iter().copied());
-            if !stats.poisoned {
-                return stats;
-            }
-            // A shard panicked; nothing was written back. Degrade to the
-            // sequential engine permanently and resume from the same
-            // pre-run state (C2 gives the same fixpoint); `poisoned`
-            // survives in the merged stats.
-            self.par = None;
-            self.threads = 1;
-            let mut out = stats;
-            out.merge(
-                &self
-                    .engine
-                    .run(spec, &mut self.status, scope.iter().copied()),
-            );
-            out
-        } else {
-            self.engine
-                .run(spec, &mut self.status, scope.iter().copied())
-        }
     }
 
     /// Extends `out` with every *node* whose packed LCC value the last
@@ -254,9 +185,6 @@ impl LccState {
         // Engine paths use the 2-per-node variable layout (2v = degree,
         // 2v+1 = triangles); fold both back to the node.
         out.extend(self.engine.changed_vars().iter().map(|&x| x / 2));
-        if let Some(p) = &self.par {
-            out.extend(p.changed_vars().iter().map(|&x| x / 2));
-        }
     }
 
     /// Degree of `v` as maintained by the fixpoint.
@@ -508,17 +436,16 @@ impl LccState {
         scope.sort_unstable();
         scope.dedup();
         let scope_len = scope.len();
-        let run = self.resume(&spec, &scope);
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
         BoundednessReport::new(spec.num_vars(), scope_len, ScopeStats::default(), run)
     }
 
     /// Resident bytes of the algorithm's state (Fig. 8). No timestamps —
     /// IncLCC is deducible.
     pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes()
-            + self.engine.space_bytes()
-            + self.par.as_ref().map_or(0, |p| p.space_bytes())
-            + self.scratch.space_bytes()
+        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
     }
 
     /// Serializes the durable essence (`SaveState`): the interleaved
@@ -555,8 +482,6 @@ impl LccState {
         Ok(LccState {
             status,
             engine: Engine::new(expected),
-            threads: 1,
-            par: None,
             scratch: LccScratch::default(),
         })
     }
@@ -584,10 +509,8 @@ impl crate::IncrementalState for LccState {
     }
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let threads = self.threads;
         let (fresh, stats) = LccState::batch(g);
         *self = fresh;
-        self.threads = threads; // a fallback must not undo the thread config
         stats
     }
 
@@ -603,10 +526,6 @@ impl crate::IncrementalState for LccState {
         self.engine.set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        LccState::set_threads(self, threads);
-    }
-
     fn space_bytes(&self) -> usize {
         LccState::space_bytes(self)
     }
@@ -616,9 +535,7 @@ impl crate::IncrementalState for LccState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        let threads = self.threads;
         *self = LccState::restore(g, bytes)?;
-        self.threads = threads;
         Ok(())
     }
 }

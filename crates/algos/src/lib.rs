@@ -55,7 +55,7 @@ use incgraph_core::metrics::BoundednessReport;
 use incgraph_graph::{AppliedBatch, DynamicGraph};
 
 /// The uniform face of the seven incremental algorithm states, used by
-/// the hardened pipeline ([`update_guarded`]) to audit fixpoints and to
+/// the hardened pipeline ([`update_with`]) to audit fixpoints and to
 /// degrade to batch recomputation when an update stops being bounded.
 ///
 /// All methods take the **already updated** graph `G ⊕ ΔG`, like the
@@ -89,13 +89,8 @@ pub trait IncrementalState: Send + Sync {
 
     /// Cap the engine's distinct-variable work for subsequent updates;
     /// `None` removes the cap. States without an engine (DFS) ignore it
-    /// and rely on [`update_guarded`]'s post-run scope check instead.
+    /// and rely on [`update_with`]'s post-run scope check instead.
     fn set_work_budget(&mut self, budget: Option<u64>);
-
-    /// Number of worker shards for subsequent fixpoint runs (1 = the
-    /// sequential engine). Inherently sequential states (DFS, BC) keep
-    /// the default no-op and always run single-threaded.
-    fn set_threads(&mut self, _threads: usize) {}
 
     /// Resident bytes of the algorithm's state (Fig. 8).
     fn space_bytes(&self) -> usize;
@@ -110,9 +105,7 @@ pub trait IncrementalState: Send + Sync {
 
     /// Replaces this state's durable essence with a previously saved blob
     /// (`LoadState`), validated against `g`. No fixpoint is run — the
-    /// blob *is* the fixpoint; engines restart with fresh scratch and the
-    /// state runs sequentially until reconfigured (thread configuration is
-    /// preserved where the class supports it).
+    /// blob *is* the fixpoint; the engine restarts with fresh scratch.
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError>;
 }
 
@@ -140,22 +133,14 @@ pub fn restore_state(
 }
 
 /// Everything a guarded update run is configured by, in one value: the
-/// engine shard count, the degradation policy, and the optional fixpoint
-/// audit. This replaces the former spread of `set_threads` calls plus
-/// per-call `(&FallbackPolicy, Option<&FixpointAudit>)` argument pairs —
-/// one options struct travels from the session builder through every
-/// update.
+/// degradation policy, the optional fixpoint audit and micro-batch
+/// canonicalization — one options struct travels from the session
+/// builder through every update.
 ///
-/// `Copy`, so callers stash it by value (a [`Session`] does) and the
-/// defaults are the conservative pre-existing ones: leave the state's
-/// thread configuration untouched, default policy, no audit.
+/// `Copy`, so callers stash it by value (a [`Session`] does); the
+/// defaults are the conservative ones: default policy, no audit.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker shards for fixpoint resumes; `None` leaves the state's
-    /// current configuration untouched (the historical behavior of
-    /// [`update_guarded`], and what keeps a `batch_par`-built state on
-    /// its shards).
-    pub threads: Option<usize>,
     /// Degradation policy for the guarded run.
     pub policy: FallbackPolicy,
     /// Post-run fixpoint audit; `None` skips auditing.
@@ -172,7 +157,7 @@ pub struct ExecOptions {
 }
 
 /// The hardened update path: one incremental step under an
-/// [`ExecOptions`] bundle (policy + optional audit + thread override).
+/// [`ExecOptions`] bundle (policy + optional audit).
 ///
 /// 1. The policy's [`var_limit`](FallbackPolicy::var_limit) is installed
 ///    as the engine's mid-run work budget; a blown budget aborts the run
@@ -220,9 +205,6 @@ fn run_guarded<S: IncrementalState + ?Sized>(
     applied: &AppliedBatch,
     options: &ExecOptions,
 ) -> BoundednessReport {
-    if let Some(threads) = options.threads {
-        state.set_threads(threads);
-    }
     // Micro-batch canonicalization: collapse within-batch churn to its
     // net effect before the class update sees the ΔG. Only rebuilds the
     // batch when it could actually shrink (≥2 ops).
@@ -288,31 +270,6 @@ fn fallback_event(decision: &FallbackDecision) {
     }
 }
 
-/// The pre-[`ExecOptions`] guarded entry point, kept for one PR as a thin
-/// shim so existing callers (and the fuzz corpus replay, which must stay
-/// byte-identical) keep compiling unchanged. New code should call
-/// [`update_with`]; this forwards with `threads: None`, which is exactly
-/// the old behavior.
-pub fn update_guarded<S: IncrementalState + ?Sized>(
-    state: &mut S,
-    g: &DynamicGraph,
-    applied: &AppliedBatch,
-    policy: &FallbackPolicy,
-    audit: Option<&FixpointAudit>,
-) -> BoundednessReport {
-    update_with(
-        state,
-        g,
-        applied,
-        &ExecOptions {
-            threads: None,
-            policy: *policy,
-            audit: audit.copied(),
-            micro_batch: false,
-        },
-    )
-}
-
 #[cfg(test)]
 mod guarded_tests {
     use super::*;
@@ -356,11 +313,14 @@ mod guarded_tests {
         batch.insert(2, 10, 2).delete(5, 6);
         let applied = batch.apply(&mut g);
 
-        let policy = FallbackPolicy::default();
         let audit = FixpointAudit::full();
+        let audited = ExecOptions {
+            audit: Some(audit),
+            ..Default::default()
+        };
         let mut names = Vec::new();
         for state in &mut states {
-            let report = update_guarded(state.as_mut(), &g, &applied, &policy, Some(&audit));
+            let report = update_with(state.as_mut(), &g, &applied, &audited);
             assert!(
                 !report.fell_back(),
                 "{} fell back on a small clean update: {:?}",
@@ -390,8 +350,11 @@ mod guarded_tests {
         batch.delete(0, 1);
         let applied = batch.apply(&mut g);
 
-        let policy = FallbackPolicy::with_max_aff_fraction(0.1);
-        let report = update_guarded(&mut state, &g, &applied, &policy, None);
+        let options = ExecOptions {
+            policy: FallbackPolicy::with_max_aff_fraction(0.1),
+            ..Default::default()
+        };
+        let report = update_with(&mut state, &g, &applied, &options);
         let decision = report.fallback.expect("a near-total update must degrade");
         assert_eq!(decision.reason, FallbackReason::WorkExceeded);
         assert!(decision.observed > decision.limit);
@@ -424,9 +387,11 @@ mod guarded_tests {
         let applied = batch.apply(&mut g);
         assert!(applied.is_empty());
 
-        let policy = FallbackPolicy::default();
-        let audit = FixpointAudit::full();
-        let report = update_guarded(&mut state, &g, &applied, &policy, Some(&audit));
+        let options = ExecOptions {
+            audit: Some(FixpointAudit::full()),
+            ..Default::default()
+        };
+        let report = update_with(&mut state, &g, &applied, &options);
         let decision = report.fallback.expect("corruption must be caught");
         assert_eq!(decision.reason, FallbackReason::AuditFailed);
         assert_eq!(state.distance(5), 5, "recompute heals the poisoned value");
@@ -441,12 +406,16 @@ mod guarded_tests {
         batch.insert(14, 15, 1);
         let applied = batch.apply(&mut g);
 
-        let policy = FallbackPolicy {
-            on_audit_failure: AuditAction::Ignore,
+        let audit = FixpointAudit::full();
+        let options = ExecOptions {
+            policy: FallbackPolicy {
+                on_audit_failure: AuditAction::Ignore,
+                ..Default::default()
+            },
+            audit: Some(audit),
             ..Default::default()
         };
-        let audit = FixpointAudit::full();
-        let report = update_guarded(&mut state, &g, &applied, &policy, Some(&audit));
+        let report = update_with(&mut state, &g, &applied, &options);
         assert!(!report.fell_back());
         assert_eq!(state.distance(5), 0, "Ignore keeps the observed state");
         // The corruption is still *visible* to a caller who audits.
@@ -536,11 +505,14 @@ mod guarded_tests {
         batch.delete(0, 1);
         let applied = batch.apply(&mut g);
 
-        let policy = FallbackPolicy {
-            max_scope_size: 4,
+        let options = ExecOptions {
+            policy: FallbackPolicy {
+                max_scope_size: 4,
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let report = update_guarded(&mut state, &g, &applied, &policy, None);
+        let report = update_with(&mut state, &g, &applied, &options);
         let decision = report.fallback.expect("near-total replay must degrade");
         assert_eq!(decision.reason, FallbackReason::ScopeExceeded);
         let (fresh, _) = DfsState::batch(&g);

@@ -5,10 +5,9 @@
 //! model needs to resume after a restart: the stored query parameters
 //! (SSSP/Reach source, Sim pattern) plus the status `D^r` — values, and
 //! for the weakly deducible classes the timestamps and logical clock that
-//! linearize the contributor order `<_C`. Engine scratch (worklists,
-//! epoch arrays, parallel shards) is rebuildable and deliberately **not**
-//! serialized; a restored state starts on a fresh sequential engine with
-//! `threads = 1` until the caller reconfigures it.
+//! linearize the contributor order `<_C`. Engine scratch (worklist,
+//! epoch arrays) is rebuildable and deliberately **not** serialized; a
+//! restored state starts on a fresh engine.
 //!
 //! The encoding is a little-endian, length-prefixed byte stream with a
 //! magic word and an embedded class name, so blobs are self-describing

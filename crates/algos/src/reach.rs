@@ -18,28 +18,26 @@
 use crate::persist::{self, StateLoadError};
 use incgraph_core::engine::{Engine, RunStats};
 use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::par::ParEngine;
 use incgraph_core::scope::{bounded_scope_in, ContributorOracle, ScopeScratch};
 use incgraph_core::spec::{FixpointSpec, Relax};
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, CsrSnapshot, DynamicGraph, GraphView, NodeId};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
 
-/// The reachability fixpoint specification over a graph snapshot,
-/// generic over the storage layout (live adjacency, CSR, CSR + overlay).
-pub struct ReachSpec<'g, G: GraphView = DynamicGraph> {
-    g: &'g G,
+/// The reachability fixpoint specification over a graph snapshot.
+pub struct ReachSpec<'g> {
+    g: &'g DynamicGraph,
     source: NodeId,
 }
 
-impl<'g, G: GraphView> ReachSpec<'g, G> {
+impl<'g> ReachSpec<'g> {
     /// Specification for reachability from `source` in (directed) `g`.
-    pub fn new(g: &'g G, source: NodeId) -> Self {
+    pub fn new(g: &'g DynamicGraph, source: NodeId) -> Self {
         assert!((source as usize) < g.node_count(), "source out of range");
         ReachSpec { g, source }
     }
 }
 
-impl<G: GraphView> FixpointSpec for ReachSpec<'_, G> {
+impl FixpointSpec for ReachSpec<'_> {
     type Value = bool;
 
     fn num_vars(&self) -> usize {
@@ -117,8 +115,6 @@ pub struct ReachState {
     source: NodeId,
     status: Status<bool>,
     engine: Engine,
-    threads: usize,
-    par: Option<ParEngine>,
     /// Reusable arena for the scope function: epoch-reset bitmaps and
     /// high-water vectors make steady-state updates allocation-free.
     scratch: ScopeScratch,
@@ -135,99 +131,25 @@ impl ReachState {
             .iter()
             .map(|&(v, _)| v as usize)
             .collect();
-        let stats = engine.run(&spec, &mut status, scope);
+        let stats = engine.run(&spec, &mut status, scope.iter().copied());
         (
             ReachState {
                 source,
                 status,
                 engine,
-                threads: 1,
-                par: None,
                 scratch: ScopeScratch::new(),
             },
             stats,
         )
-    }
-
-    /// Runs the batch fixpoint with the sharded parallel engine over a
-    /// flat CSR snapshot of `g`; subsequent updates keep using `threads`
-    /// shards. Fixpoint values are identical to [`batch`](Self::batch).
-    pub fn batch_par(g: &DynamicGraph, source: NodeId, threads: usize) -> (Self, RunStats) {
-        let threads = threads.max(1);
-        let csr = CsrSnapshot::new(g);
-        let spec = ReachSpec::new(&csr, source);
-        let mut status = Status::init(&spec, true);
-        let mut par = ParEngine::new(spec.num_vars(), threads);
-        let scope: Vec<usize> = csr
-            .out_neighbors(source)
-            .iter()
-            .map(|&(v, _)| v as usize)
-            .collect();
-        let stats = par.run(&spec, &mut status, scope);
-        (
-            ReachState {
-                source,
-                status,
-                engine: Engine::new(g.node_count()),
-                threads,
-                par: Some(par),
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Sets the number of worker shards for subsequent fixpoint runs
-    /// (1 = the sequential engine).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Resumes the step function over `scope` on the configured engine:
-    /// the parallel engine when `threads > 1` or one is already attached
-    /// (inline bucket-queue at 1 shard), the sequential heap otherwise.
-    fn resume<G: GraphView>(&mut self, spec: &ReachSpec<'_, G>, scope: &[usize]) -> RunStats {
-        if self.threads > 1 || self.par.is_some() {
-            let fresh = !matches!(&self.par,
-                Some(p) if p.num_vars() == spec.num_vars() && p.nthreads() == self.threads);
-            if fresh {
-                self.par = Some(ParEngine::new(spec.num_vars(), self.threads));
-            }
-            let par = self.par.as_mut().expect("just ensured");
-            par.set_work_budget(self.engine.work_budget());
-            let stats = par.run(spec, &mut self.status, scope.iter().copied());
-            if !stats.poisoned {
-                return stats;
-            }
-            // A shard panicked; nothing was written back. Degrade to the
-            // sequential engine permanently and resume from the same
-            // pre-run state (C2 gives the same fixpoint); `poisoned`
-            // survives in the merged stats.
-            self.par = None;
-            self.threads = 1;
-            let mut out = stats;
-            out.merge(
-                &self
-                    .engine
-                    .run(spec, &mut self.status, scope.iter().copied()),
-            );
-            out
-        } else {
-            self.engine
-                .run(spec, &mut self.status, scope.iter().copied())
-        }
     }
 
     /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engines' changed-set
-    /// logs (always a superset of the truly changed variables; stale log
+    /// have changed: the initial scope `H⁰` plus the engine's changed-set
+    /// log (always a superset of the truly changed variables; stale log
     /// entries merely cost a value comparison).
     pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
         out.extend_from_slice(&self.scratch.scope);
         out.extend_from_slice(self.engine.changed_vars());
-        if let Some(p) = &self.par {
-            out.extend_from_slice(p.changed_vars());
-        }
     }
 
     /// Whether `v` is reachable from the source.
@@ -285,7 +207,9 @@ impl ReachState {
         let oracle = ReachOracle { g };
         let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
         let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self.resume(&spec, &scope);
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
         let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
         self.scratch.scope = scope;
         report
@@ -293,10 +217,7 @@ impl ReachState {
 
     /// Resident bytes (weakly deducible: bitmap + timestamps).
     pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes()
-            + self.engine.space_bytes()
-            + self.par.as_ref().map_or(0, |p| p.space_bytes())
-            + self.scratch.space_bytes()
+        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
     }
 
     /// Serializes the durable essence (`SaveState`): the source plus the
@@ -334,8 +255,6 @@ impl ReachState {
             source,
             status,
             engine: Engine::new(n),
-            threads: 1,
-            par: None,
             scratch: ScopeScratch::new(),
         })
     }
@@ -363,10 +282,8 @@ impl crate::IncrementalState for ReachState {
     }
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let threads = self.threads;
         let (fresh, stats) = ReachState::batch(g, self.source);
         *self = fresh;
-        self.threads = threads; // a fallback must not undo the thread config
         stats
     }
 
@@ -382,10 +299,6 @@ impl crate::IncrementalState for ReachState {
         self.engine.set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        ReachState::set_threads(self, threads);
-    }
-
     fn space_bytes(&self) -> usize {
         ReachState::space_bytes(self)
     }
@@ -395,9 +308,7 @@ impl crate::IncrementalState for ReachState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        let threads = self.threads;
         *self = ReachState::restore(g, bytes)?;
-        self.threads = threads;
         Ok(())
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! Every driver in the repo — the CLI, the differential oracle, the
 //! crash oracle, durable recovery — used to carry its own seven-way
-//! `match` over the class enum to pick the right `batch`/`batch_par`
-//! constructor and thread the policy/audit arguments through. This
-//! module centralizes that: [`QueryClass`] names the class,
-//! [`Session::builder`] collects the query parameters
-//! (source, pattern, threads) and the execution options
-//! ([`ExecOptions`]: policy, audit, shards), and [`Session::build`]
-//! produces a ready state holding its own options.
+//! `match` over the class enum to pick the right `batch` constructor
+//! and thread the policy/audit arguments through. This module
+//! centralizes that: [`QueryClass`] names the class,
+//! [`Session::builder`] collects the query parameters (source, pattern)
+//! and the execution options ([`ExecOptions`]: policy, audit), and
+//! [`Session::build`] produces a ready state holding its own options.
 //!
 //! A [`Session`] is itself an [`IncrementalState`] (by delegation to the
 //! concrete state), so everything that consumed
@@ -80,18 +79,12 @@ impl QueryClass {
         QueryClass::ALL.into_iter().find(|c| c.name() == name)
     }
 
-    /// Whether the class resumes through the sharded parallel engine
-    /// (DFS and BC are inherently sequential).
-    pub fn par_capable(self) -> bool {
-        !matches!(self, QueryClass::Dfs | QueryClass::Bc)
-    }
-
     /// Whether the class runs through the generic worklist engine, whose
     /// work accounting supports the strict `|AFF_diff| ≤ inspected`
     /// boundedness check (DFS/BC traverse outside the engine and report
     /// coarser counters).
     pub fn engine_backed(self) -> bool {
-        self.par_capable()
+        !matches!(self, QueryClass::Dfs | QueryClass::Bc)
     }
 
     /// Whether the class is only defined on undirected graphs (LCC's
@@ -166,7 +159,6 @@ pub struct SessionBuilder {
     class: QueryClass,
     source: Option<NodeId>,
     pattern: Option<Pattern>,
-    threads: usize,
     policy: FallbackPolicy,
     audit: Option<FixpointAudit>,
     micro_batch: bool,
@@ -187,15 +179,6 @@ impl SessionBuilder {
     /// [`SessionError::OptionNotApplicable`] otherwise.
     pub fn pattern(mut self, pattern: Pattern) -> Self {
         self.pattern = Some(pattern);
-        self
-    }
-
-    /// Worker shards. `> 1` on a [`par_capable`](QueryClass::par_capable)
-    /// class builds the initial fixpoint through the sharded parallel
-    /// engine and keeps resuming on that many shards; otherwise the
-    /// sequential engine runs (the default).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -244,44 +227,15 @@ impl SessionBuilder {
                 nodes: g.node_count(),
             });
         }
-        let par = self.threads > 1 && self.class.par_capable();
         let state = match self.class {
-            QueryClass::Sssp => {
-                if par {
-                    ClassState::Sssp(SsspState::batch_par(g, source, self.threads).0)
-                } else {
-                    ClassState::Sssp(SsspState::batch(g, source).0)
-                }
-            }
-            QueryClass::Cc => {
-                if par {
-                    ClassState::Cc(CcState::batch_par(g, self.threads).0)
-                } else {
-                    ClassState::Cc(CcState::batch(g).0)
-                }
-            }
+            QueryClass::Sssp => ClassState::Sssp(SsspState::batch(g, source).0),
+            QueryClass::Cc => ClassState::Cc(CcState::batch(g).0),
             QueryClass::Sim => {
                 let p = self.pattern.ok_or(SessionError::MissingPattern)?;
-                if par {
-                    ClassState::Sim(SimState::batch_par(g, p, self.threads).0)
-                } else {
-                    ClassState::Sim(SimState::batch(g, p).0)
-                }
+                ClassState::Sim(SimState::batch(g, p).0)
             }
-            QueryClass::Reach => {
-                if par {
-                    ClassState::Reach(ReachState::batch_par(g, source, self.threads).0)
-                } else {
-                    ClassState::Reach(ReachState::batch(g, source).0)
-                }
-            }
-            QueryClass::Lcc => {
-                if par {
-                    ClassState::Lcc(LccState::batch_par(g, self.threads).0)
-                } else {
-                    ClassState::Lcc(LccState::batch(g).0)
-                }
-            }
+            QueryClass::Reach => ClassState::Reach(ReachState::batch(g, source).0),
+            QueryClass::Lcc => ClassState::Lcc(LccState::batch(g).0),
             QueryClass::Dfs => ClassState::Dfs(DfsState::batch(g).0),
             QueryClass::Bc => ClassState::Bc(BcState::batch(g).0),
         };
@@ -289,10 +243,7 @@ impl SessionBuilder {
         let drained_len = snap.digest_len();
         Ok(Session {
             class: self.class,
-            // `batch_par` already configured the state's resume shards,
-            // so the options don't need to re-apply them on every update.
             exec: ExecOptions {
-                threads: None,
                 policy: self.policy,
                 audit: self.audit,
                 micro_batch: self.micro_batch,
@@ -433,13 +384,12 @@ pub struct Session {
 
 impl Session {
     /// Starts a builder for `class` with the defaults: no source, no
-    /// pattern, sequential, default policy, no audit.
+    /// pattern, default policy, no audit.
     pub fn builder(class: QueryClass) -> SessionBuilder {
         SessionBuilder {
             class,
             source: None,
             pattern: None,
-            threads: 1,
             policy: FallbackPolicy::default(),
             audit: None,
             micro_batch: false,
@@ -649,10 +599,6 @@ impl IncrementalState for Session {
         self.inner_mut().set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.inner_mut().set_threads(threads);
-    }
-
     fn space_bytes(&self) -> usize {
         self.inner().space_bytes()
     }
@@ -748,16 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_digest() {
-        let g = ring(16);
-        for class in QueryClass::ALL.into_iter().filter(|c| c.par_capable()) {
-            let seq = builder_for(class).build(&g).unwrap();
-            let par = builder_for(class).threads(2).build(&g).unwrap();
-            assert_eq!(seq.digest(&g), par.digest(&g), "{}", class.name());
-        }
-    }
-
-    #[test]
     fn guarded_update_through_the_session_stays_incremental() {
         let g0 = ring(16);
         let mut g = g0.clone();
@@ -849,24 +785,6 @@ mod tests {
                 class.name(),
                 tracked.delta
             );
-        }
-    }
-
-    /// Parallel shards must produce the same delta as the sequential
-    /// engine (the changed-set instrumentation covers both paths).
-    #[test]
-    fn parallel_update_produces_the_same_delta() {
-        let g0 = ring(16);
-        let mut g = g0.clone();
-        let mut batch = UpdateBatch::new();
-        batch.delete(3, 4).insert(0, 9, 1);
-        let applied = batch.apply(&mut g);
-        for class in QueryClass::ALL.into_iter().filter(|c| c.par_capable()) {
-            let mut seq = builder_for(class).build(&g0).unwrap();
-            let mut par = builder_for(class).threads(2).build(&g0).unwrap();
-            let d_seq = seq.update_guarded(&g, &applied).delta;
-            let d_par = par.update_guarded(&g, &applied).delta;
-            assert_eq!(d_seq, d_par, "{}", class.name());
         }
     }
 

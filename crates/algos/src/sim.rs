@@ -23,22 +23,20 @@
 use crate::persist::{self, StateLoadError};
 use incgraph_core::engine::{Engine, RunStats};
 use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::par::ParEngine;
 use incgraph_core::scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch};
 use incgraph_core::spec::FixpointSpec;
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, CsrSnapshot, DynamicGraph, GraphView, NodeId, Pattern};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Pattern};
 
-/// The Sim fixpoint specification over a graph + pattern snapshot,
-/// generic over the storage layout (live adjacency, CSR, CSR + overlay).
-pub struct SimSpec<'g, 'p, G: GraphView = DynamicGraph> {
-    g: &'g G,
+/// The Sim fixpoint specification over a graph + pattern snapshot.
+pub struct SimSpec<'g, 'p> {
+    g: &'g DynamicGraph,
     q: &'p Pattern,
 }
 
-impl<'g, 'p, G: GraphView> SimSpec<'g, 'p, G> {
+impl<'g, 'p> SimSpec<'g, 'p> {
     /// Specification for matching pattern `q` in (directed) graph `g`.
-    pub fn new(g: &'g G, q: &'p Pattern) -> Self {
+    pub fn new(g: &'g DynamicGraph, q: &'p Pattern) -> Self {
         assert!(q.node_count() > 0, "empty pattern");
         SimSpec { g, q }
     }
@@ -61,7 +59,7 @@ impl<'g, 'p, G: GraphView> SimSpec<'g, 'p, G> {
     }
 }
 
-impl<G: GraphView> FixpointSpec for SimSpec<'_, '_, G> {
+impl FixpointSpec for SimSpec<'_, '_> {
     type Value = bool;
 
     fn num_vars(&self) -> usize {
@@ -139,8 +137,6 @@ pub struct SimState {
     q: Pattern,
     status: Status<bool>,
     engine: Engine,
-    threads: usize,
-    par: Option<ParEngine>,
     /// Reusable arena for the scope function: epoch-reset bitmaps and
     /// high-water vectors make steady-state updates allocation-free.
     scratch: ScopeScratch,
@@ -155,96 +151,25 @@ impl SimState {
         // Only label-matching variables can violate σ initially; the rest
         // start false and stay false.
         let scope: Vec<usize> = (0..spec.num_vars()).filter(|&x| status.get(x)).collect();
-        let stats = engine.run(&spec, &mut status, scope);
+        let stats = engine.run(&spec, &mut status, scope.iter().copied());
         (
             SimState {
                 q,
                 status,
                 engine,
-                threads: 1,
-                par: None,
                 scratch: ScopeScratch::new(),
             },
             stats,
         )
-    }
-
-    /// Runs batch `Sim_fp` with the sharded parallel engine over a flat
-    /// CSR snapshot of `g`; subsequent updates keep using `threads`
-    /// shards. Fixpoint values are identical to [`batch`](Self::batch).
-    pub fn batch_par(g: &DynamicGraph, q: Pattern, threads: usize) -> (Self, RunStats) {
-        let threads = threads.max(1);
-        let csr = CsrSnapshot::new(g);
-        let spec = SimSpec::new(&csr, &q);
-        let mut status = Status::init(&spec, true);
-        let mut par = ParEngine::new(spec.num_vars(), threads);
-        let scope: Vec<usize> = (0..spec.num_vars()).filter(|&x| status.get(x)).collect();
-        let stats = par.run(&spec, &mut status, scope);
-        let num_vars = spec.num_vars();
-        (
-            SimState {
-                q,
-                status,
-                engine: Engine::new(num_vars),
-                threads,
-                par: Some(par),
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Sets the number of worker shards for subsequent fixpoint runs
-    /// (1 = the sequential engine).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Resumes the step function over `scope` on the configured engine:
-    /// the parallel engine when `threads > 1` or one is already attached
-    /// (inline bucket-queue at 1 shard), the sequential heap otherwise.
-    fn resume<G: GraphView>(&mut self, spec: &SimSpec<'_, '_, G>, scope: &[usize]) -> RunStats {
-        if self.threads > 1 || self.par.is_some() {
-            let fresh = !matches!(&self.par,
-                Some(p) if p.num_vars() == spec.num_vars() && p.nthreads() == self.threads);
-            if fresh {
-                self.par = Some(ParEngine::new(spec.num_vars(), self.threads));
-            }
-            let par = self.par.as_mut().expect("just ensured");
-            par.set_work_budget(self.engine.work_budget());
-            let stats = par.run(spec, &mut self.status, scope.iter().copied());
-            if !stats.poisoned {
-                return stats;
-            }
-            // A shard panicked; nothing was written back. Degrade to the
-            // sequential engine permanently and resume from the same
-            // pre-run state (C2 gives the same fixpoint); `poisoned`
-            // survives in the merged stats.
-            self.par = None;
-            self.threads = 1;
-            let mut out = stats;
-            out.merge(
-                &self
-                    .engine
-                    .run(spec, &mut self.status, scope.iter().copied()),
-            );
-            out
-        } else {
-            self.engine
-                .run(spec, &mut self.status, scope.iter().copied())
-        }
     }
 
     /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engines' changed-set
-    /// logs (always a superset of the truly changed variables; stale log
+    /// have changed: the initial scope `H⁰` plus the engine's changed-set
+    /// log (always a superset of the truly changed variables; stale log
     /// entries merely cost a value comparison).
     pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
         out.extend_from_slice(&self.scratch.scope);
         out.extend_from_slice(self.engine.changed_vars());
-        if let Some(p) = &self.par {
-            out.extend_from_slice(p.changed_vars());
-        }
     }
 
     /// The pattern being matched.
@@ -330,7 +255,9 @@ impl SimState {
         let oracle = SimOracle { spec: &spec };
         let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
         let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self.resume(&spec, &scope);
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
         let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
         self.scratch.scope = scope;
         report
@@ -363,7 +290,9 @@ impl SimState {
         self.scratch.touched.dedup();
         let stats = pe_reset_scope_in(&spec, &mut self.status, &mut self.scratch);
         let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self.resume(&spec, &scope);
+        let run = self
+            .engine
+            .run(&spec, &mut self.status, scope.iter().copied());
         let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
         self.scratch.scope = scope;
         report
@@ -372,10 +301,7 @@ impl SimState {
     /// Resident bytes of the algorithm's state (Fig. 8): the Boolean
     /// match matrix plus its timestamps plus the engine scratch.
     pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes()
-            + self.engine.space_bytes()
-            + self.par.as_ref().map_or(0, |p| p.space_bytes())
-            + self.scratch.space_bytes()
+        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
     }
 
     /// Serializes the durable essence (`SaveState`): the pattern plus the
@@ -447,8 +373,6 @@ impl SimState {
             q: Pattern::new(labels, &edges),
             status,
             engine: Engine::new(expected),
-            threads: 1,
-            par: None,
             scratch: ScopeScratch::new(),
         })
     }
@@ -480,10 +404,8 @@ impl crate::IncrementalState for SimState {
     }
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let threads = self.threads;
         let (fresh, stats) = SimState::batch(g, self.q.clone());
         *self = fresh;
-        self.threads = threads; // a fallback must not undo the thread config
         stats
     }
 
@@ -499,10 +421,6 @@ impl crate::IncrementalState for SimState {
         self.engine.set_work_budget(budget);
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        SimState::set_threads(self, threads);
-    }
-
     fn space_bytes(&self) -> usize {
         SimState::space_bytes(self)
     }
@@ -512,9 +430,7 @@ impl crate::IncrementalState for SimState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        let threads = self.threads;
         *self = SimState::restore(g, bytes)?;
-        self.threads = threads;
         Ok(())
     }
 }

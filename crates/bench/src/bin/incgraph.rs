@@ -218,9 +218,6 @@ struct Args {
     max_scope: usize,
     audit: bool,
     audit_stride: usize,
-    /// Thread counts. Per-class runs use exactly one; `bench` sweeps
-    /// the whole list, one suite (and one BENCH entry) per count.
-    threads: Vec<usize>,
     scale: f64,
     /// `bench` only: committed baseline JSON for the regression gate.
     check_against: Option<String>,
@@ -228,9 +225,8 @@ struct Args {
 
 const USAGE: &str = "usage: incgraph <sssp|cc|sim|dfs|lcc|bc|reach> --graph G.txt \
                      [--updates D.txt] [--directed] [--source N] [--seed S] [--out F] \
-                     [--threads N] [--max-aff-frac F] [--max-scope N] [--audit] \
-                     [--audit-stride K]\n\
-                     \u{20}      incgraph bench [--threads N[,N…]] [--scale F] [--out BENCH.json] \
+                     [--max-aff-frac F] [--max-scope N] [--audit] [--audit-stride K]\n\
+                     \u{20}      incgraph bench [--scale F] [--out BENCH.json] \
                      [--check-against BASELINE.json]\n\
                      \u{20}      incgraph fuzz [--seed S] [--cases N] [--budget-secs T] \
                      [--inject-fault skip-op|drop-deletes] [--crash] [--coalesce] [--dataflow] \
@@ -274,7 +270,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         max_scope: usize::MAX,
         audit: false,
         audit_stride: 1,
-        threads: vec![1],
         scale: 1.0,
         check_against: None,
     };
@@ -313,17 +308,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| usage("--max-scope needs a variable count"))?
             }
-            "--threads" => {
-                let list = it
-                    .next()
-                    .ok_or_else(|| usage("--threads needs an integer ≥ 1 (bench: N[,N…])"))?;
-                args.threads = list
-                    .split(',')
-                    .map(|v| v.trim().parse::<usize>().ok().filter(|&t| t >= 1))
-                    .collect::<Option<Vec<_>>>()
-                    .filter(|l| !l.is_empty())
-                    .ok_or_else(|| usage("--threads needs an integer ≥ 1 (bench: N[,N…])"))?;
-            }
             "--scale" => {
                 args.scale = it
                     .next()
@@ -352,9 +336,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     }
     if args.class.is_empty() || (args.graph.is_empty() && args.class != "bench") {
         return Err(CliError::Usage(USAGE.to_string()));
-    }
-    if args.class != "bench" && args.threads.len() > 1 {
-        return Err(usage("--threads N,N,… sweeps are bench-only"));
     }
     Ok(args)
 }
@@ -528,8 +509,8 @@ fn main() {
     }
 }
 
-/// `incgraph bench`: runs the parallel-engine suite, writes the
-/// machine-readable `BENCH_<date>.json` datapoint (see
+/// `incgraph bench`: runs the engine suite, writes the machine-readable
+/// `BENCH_<date>.json` datapoint (see
 /// [`incgraph_bench::parbench`]), then runs the instrumented per-phase
 /// pass ([`incgraph_bench::phasebench`]) and prints its breakdown
 /// table. The phase metrics are written as JSON-lines next to the
@@ -542,13 +523,12 @@ fn run_bench(args: &Args, registry: &Option<Arc<Registry>>) -> Result<(), CliErr
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or(5);
-    let mut sweep: Vec<(usize, Vec<parbench::ClassResult>)> = Vec::new();
-    for &threads in &args.threads {
-        eprintln!("parallel-engine bench: {threads} thread(s), {reps} sample(s) per point");
-        let results = parbench::run_suite(threads, args.scale, reps);
-        print!("{}", parbench::render_table(&results));
-        sweep.push((threads, results));
-    }
+    eprintln!(
+        "engine bench: scale {}, {reps} sample(s) per point",
+        args.scale
+    );
+    let results = parbench::run_suite(args.scale, reps);
+    print!("{}", parbench::render_table(&results));
     let date = parbench::today_utc();
     let path = args
         .out
@@ -559,19 +539,20 @@ fn run_bench(args: &Args, registry: &Option<Arc<Registry>>) -> Result<(), CliErr
         source: e,
     };
     ensure_parent(&path)?;
-    let json = parbench::to_json_sweep(&date, reps, &sweep);
+    let host = parbench::HostInfo::probe();
+    let json = parbench::to_json(&date, &host, args.scale, reps, &results);
     std::fs::write(&path, json).map_err(|e| out_err(&path, e))?;
     eprintln!("wrote {path}");
 
-    // Regression gate (the CI smoke job): the single-thread
-    // incremental/batch min-ratio against the committed baseline, with
-    // 25% headroom — see `parbench::regressions` for why ratios of mins.
+    // Regression gate (the CI smoke job): the incremental/batch min-ratio
+    // against the committed baseline, with 25% headroom — see
+    // `parbench::regressions` for why ratios of mins.
     if let Some(baseline_path) = &args.check_against {
         let baseline = std::fs::read_to_string(baseline_path).map_err(|e| CliError::Output {
             path: baseline_path.clone(),
             source: e,
         })?;
-        let bad = parbench::regressions(&baseline, &sweep[0].1, 0.25);
+        let bad = parbench::regressions(&baseline, &results, 0.25);
         if bad.is_empty() {
             eprintln!("bench-regression gate vs {baseline_path}: ok");
         } else {
@@ -596,8 +577,7 @@ fn run_bench(args: &Args, registry: &Option<Arc<Registry>>) -> Result<(), CliErr
             r
         }
     };
-    // The phase breakdown runs once, at the largest swept count.
-    phasebench::run_phases(args.threads.iter().copied().max().unwrap_or(1), args.scale);
+    phasebench::run_phases(args.scale);
     let snap = phase_registry.snapshot();
     if registry.is_none() {
         incgraph_obs::uninstall();
@@ -865,7 +845,7 @@ fn run_query(argv: &[String]) -> Result<(), CliError> {
     }
     let ctx = PlanContext {
         pattern: Some(random_pattern(&g, 4, 6, pattern_seed)),
-        threads: 0,
+        ..Default::default()
     };
     let view = eval_once(&plan, &g, &ctx)
         .map_err(|e| CliError::Usage(format!("bad plan ({PLAN_GRAMMAR}): {e}")))?;
@@ -1967,12 +1947,9 @@ fn dispatch(argv: &[String], obs: &ObsSetup) -> Result<(), CliError> {
     } else {
         None
     };
-    // One knob struct for the whole guarded pipeline: thread routing
-    // (incremental resumes go through the sharded parallel engine — a
-    // no-op for the inherently sequential DFS/BC), degradation policy,
-    // and auditing.
+    // One knob struct for the whole guarded pipeline: degradation
+    // policy and auditing.
     let exec = ExecOptions {
-        threads: Some(args.threads[0]),
         policy,
         audit,
         micro_batch: false,

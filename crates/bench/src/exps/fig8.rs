@@ -116,7 +116,7 @@ pub fn run(ctx: &mut Ctx) {
             let scope: Vec<usize> = (0..g.node_count() * q.node_count())
                 .filter(|&x| status.get(x))
                 .collect();
-            run_fixpoint(&spec, &mut status, scope);
+            run_fixpoint(&spec, &mut status, scope.iter().copied());
             let engine = incgraph_core::engine::Engine::new(g.node_count() * q.node_count());
             ctx.record(
                 EXP,

@@ -1,20 +1,15 @@
-//! Parallel-engine benchmark suite: per-class sequential vs parallel
-//! timings and the machine-readable `BENCH_<date>.json` report.
+//! Engine benchmark suite: per-class batch and incremental timings and
+//! the machine-readable `BENCH_<date>.json` report.
 //!
-//! The suite runs the five parallel-eligible classes (SSSP, CC, Reach,
-//! Sim, LCC) on their dataset stand-ins and measures four numbers each:
-//! sequential batch, parallel batch (`batch_par`: CSR snapshot + bucket
-//! queue + sharded worklists), sequential incremental, and parallel
-//! incremental (the same state with `set_threads` routing `resume`
-//! through [`incgraph_core::ParEngine`]). With `threads = 1` the parallel
-//! engine runs inline — no spawn, no barriers — so the speedup isolates
-//! the algorithmic wins (O(1) bucket queue instead of a binary heap,
-//! flat CSR scans instead of `Vec<Vec<_>>` rows); higher thread counts
-//! add sharding on top. Shared by `benches/bench_par.rs` and the
-//! `incgraph bench` subcommand.
+//! The suite runs the five engine-backed classes (SSSP, CC, Reach, Sim,
+//! LCC) on their dataset stand-ins and measures two numbers each: the
+//! batch fixpoint from scratch and the incremental resume over a 1 % ΔG,
+//! plus their ratio (what incrementalization buys). Shared by the
+//! `incgraph bench` subcommand and its regression gate.
 
 use crate::report::measure_stats;
-use incgraph_algos::{CcState, LccState, ReachState, SimState, SsspState};
+use incgraph_algos::{CcState, IncrementalState, LccState, ReachState, SimState, SsspState};
+use incgraph_graph::{AppliedBatch, DynamicGraph};
 use incgraph_workloads::{random_batch_pct, random_pattern, sample_sources, Dataset};
 use std::fmt::Write as _;
 
@@ -35,201 +30,122 @@ pub struct ClassResult {
     pub nodes: usize,
     /// Edge count of the benchmarked graph.
     pub edges: usize,
-    /// Sequential engine, batch fixpoint from scratch.
-    pub seq_batch_ns: f64,
-    /// Parallel engine, batch fixpoint from scratch.
-    pub par_batch_ns: f64,
-    /// Sequential engine, incremental resume over a 1% ΔG.
-    pub seq_inc_ns: f64,
-    /// Parallel engine, incremental resume over the same ΔG.
-    pub par_inc_ns: f64,
-    /// Fastest sequential batch sample (noise floor, see
-    /// [`measure_stats`]).
-    pub seq_batch_min_ns: f64,
-    /// Fastest sequential incremental sample — the bench-regression
-    /// gate metric: mins shed scheduler noise that inflates the means
-    /// of µs-scale measurements.
-    pub seq_inc_min_ns: f64,
-    /// Fastest parallel batch sample.
-    pub par_batch_min_ns: f64,
-    /// Fastest parallel incremental sample.
-    pub par_inc_min_ns: f64,
+    /// Batch fixpoint from scratch (mean).
+    pub batch_ns: f64,
+    /// Incremental resume over a 1% ΔG (mean).
+    pub inc_ns: f64,
+    /// Fastest batch sample (noise floor, see [`measure_stats`]).
+    pub batch_min_ns: f64,
+    /// Fastest incremental sample — the bench-regression gate metric:
+    /// mins shed scheduler noise that inflates the means of µs-scale
+    /// measurements.
+    pub inc_min_ns: f64,
 }
 
 impl ClassResult {
-    /// Sequential over parallel batch time (>1 means parallel is
-    /// faster). Computed from the fastest samples: scheduler hiccups
-    /// only ever add time, so a ratio of mins estimates the true engine
-    /// ratio while a ratio of means compounds the noise of both sides.
-    pub fn batch_speedup(&self) -> f64 {
-        self.seq_batch_min_ns / self.par_batch_min_ns
-    }
-
-    /// Sequential over parallel incremental time (ratio of mins, as for
-    /// [`batch_speedup`](Self::batch_speedup)).
+    /// Batch over incremental time (>1 means incrementalization pays).
+    /// Computed from the fastest samples: scheduler hiccups only ever
+    /// add time, so a ratio of mins estimates the true ratio while a
+    /// ratio of means compounds the noise of both sides.
     pub fn inc_speedup(&self) -> f64 {
-        self.seq_inc_min_ns / self.par_inc_min_ns
+        self.batch_min_ns / self.inc_min_ns
     }
 }
 
-/// Runs the five-class suite at the given thread count. `scale`
-/// multiplies the stand-in sizes (1.0 = the DESIGN.md base; Sim and LCC
-/// use a reduced slice of it to keep their heavier kernels in budget),
-/// `reps` is the repetition count per measurement (setup excluded).
-pub fn run_suite(threads: usize, scale: f64, reps: usize) -> Vec<ClassResult> {
-    let secs = |s: f64| s * 1e9;
+/// Measures one class: `batch` from scratch on the updated graph `g1`,
+/// and the incremental update of a fresh `batch(g0)` state over `applied`.
+fn measure_class<S: IncrementalState>(
+    class: &'static str,
+    dataset: Dataset,
+    g0: &DynamicGraph,
+    g1: &DynamicGraph,
+    applied: &AppliedBatch,
+    reps: usize,
+    batch: impl Fn(&DynamicGraph) -> S,
+) -> ClassResult {
+    let (batch_mean, batch_min) = measure_stats(
+        reps,
+        || (),
+        |_| {
+            std::hint::black_box(batch(g1));
+        },
+    );
+    let (inc_mean, inc_min) = measure_stats(
+        reps,
+        || batch(g0),
+        |s| {
+            s.update(g1, applied);
+        },
+    );
+    ClassResult {
+        class,
+        dataset: dataset.tag(),
+        nodes: g1.node_count(),
+        edges: g1.edge_count(),
+        batch_ns: batch_mean * 1e9,
+        inc_ns: inc_mean * 1e9,
+        batch_min_ns: batch_min * 1e9,
+        inc_min_ns: inc_min * 1e9,
+    }
+}
+
+/// Runs the five-class suite. `scale` multiplies the stand-in sizes
+/// (1.0 = the DESIGN.md base; Sim and LCC use a reduced slice of it to
+/// keep their heavier kernels in budget), `reps` is the repetition count
+/// per measurement (setup excluded).
+pub fn run_suite(scale: f64, reps: usize) -> Vec<ClassResult> {
+    let updated = |g0: &DynamicGraph, max_weight: u32, seed: u64| {
+        let mut g1 = g0.clone();
+        let applied = random_batch_pct(g0, DELTA_PCT, max_weight, seed).apply(&mut g1);
+        (g1, applied)
+    };
     let mut out = Vec::new();
 
     // SSSP on the LiveJournal stand-in (directed, weighted).
     {
         let g0 = Dataset::LiveJournal.graph(true, scale);
-        let delta = random_batch_pct(&g0, DELTA_PCT, MAX_WEIGHT, 42);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
+        let (g1, applied) = updated(&g0, MAX_WEIGHT, 42);
         let src = sample_sources(&g0, 1, 7)[0];
-        let (seq_batch, seq_batch_min) = measure_stats(
+        out.push(measure_class(
+            "sssp",
+            Dataset::LiveJournal,
+            &g0,
+            &g1,
+            &applied,
             reps,
-            || (),
-            |_| {
-                std::hint::black_box(SsspState::batch(&g1, src));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || SsspState::batch(&g0, src).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(SsspState::batch_par(&g1, src, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || SsspState::batch_par(&g0, src, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "sssp",
-            dataset: Dataset::LiveJournal.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
+            |g| SsspState::batch(g, src).0,
+        ));
     }
 
     // CC on the LiveJournal stand-in (undirected).
     {
         let g0 = Dataset::LiveJournal.graph(false, scale);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 43);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let (seq_batch, seq_batch_min) = measure_stats(
+        let (g1, applied) = updated(&g0, 1, 43);
+        out.push(measure_class(
+            "cc",
+            Dataset::LiveJournal,
+            &g0,
+            &g1,
+            &applied,
             reps,
-            || (),
-            |_| {
-                std::hint::black_box(CcState::batch(&g1));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || CcState::batch(&g0).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(CcState::batch_par(&g1, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || CcState::batch_par(&g0, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "cc",
-            dataset: Dataset::LiveJournal.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
+            |g| CcState::batch(g).0,
+        ));
     }
 
     // Reach on the DBPedia stand-in (directed).
     {
         let g0 = Dataset::DbPedia.graph(true, scale);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 44);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
+        let (g1, applied) = updated(&g0, 1, 44);
         let src = sample_sources(&g0, 1, 9)[0];
-        let (seq_batch, seq_batch_min) = measure_stats(
+        out.push(measure_class(
+            "reach",
+            Dataset::DbPedia,
+            &g0,
+            &g1,
+            &applied,
             reps,
-            || (),
-            |_| {
-                std::hint::black_box(ReachState::batch(&g1, src));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || ReachState::batch(&g0, src).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(ReachState::batch_par(&g1, src, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || ReachState::batch_par(&g0, src, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "reach",
-            dataset: Dataset::DbPedia.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
+            |g| ReachState::batch(g, src).0,
+        ));
     }
 
     // Sim on the DBPedia stand-in (directed, labeled; half scale — the
@@ -237,102 +153,32 @@ pub fn run_suite(threads: usize, scale: f64, reps: usize) -> Vec<ClassResult> {
     {
         let g0 = Dataset::DbPedia.graph(true, scale * 0.5);
         let q = random_pattern(&g0, 4, 6, 11);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 45);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let (seq_batch, seq_batch_min) = measure_stats(
+        let (g1, applied) = updated(&g0, 1, 45);
+        out.push(measure_class(
+            "sim",
+            Dataset::DbPedia,
+            &g0,
+            &g1,
+            &applied,
             reps,
-            || (),
-            |_| {
-                std::hint::black_box(SimState::batch(&g1, q.clone()));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || SimState::batch(&g0, q.clone()).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(SimState::batch_par(&g1, q.clone(), threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || SimState::batch_par(&g0, q.clone(), threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "sim",
-            dataset: Dataset::DbPedia.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
+            |g| SimState::batch(g, q.clone()).0,
+        ));
     }
 
     // LCC on the LiveJournal stand-in (undirected; quarter scale — the
     // triangle kernel is O(Σ deg²)).
     {
         let g0 = Dataset::LiveJournal.graph(false, scale * 0.25);
-        let delta = random_batch_pct(&g0, DELTA_PCT, 1, 46);
-        let mut g1 = g0.clone();
-        let applied = delta.apply(&mut g1);
-        let (seq_batch, seq_batch_min) = measure_stats(
+        let (g1, applied) = updated(&g0, 1, 46);
+        out.push(measure_class(
+            "lcc",
+            Dataset::LiveJournal,
+            &g0,
+            &g1,
+            &applied,
             reps,
-            || (),
-            |_| {
-                std::hint::black_box(LccState::batch(&g1));
-            },
-        );
-        let (seq_inc, seq_inc_min) = measure_stats(
-            reps,
-            || LccState::batch(&g0).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        let (par_batch, par_batch_min) = measure_stats(
-            reps,
-            || (),
-            |_| {
-                std::hint::black_box(LccState::batch_par(&g1, threads));
-            },
-        );
-        let (par_inc, par_inc_min) = measure_stats(
-            reps,
-            || LccState::batch_par(&g0, threads).0,
-            |s| {
-                s.update(&g1, &applied);
-            },
-        );
-        out.push(ClassResult {
-            class: "lcc",
-            dataset: Dataset::LiveJournal.tag(),
-            nodes: g1.node_count(),
-            edges: g1.edge_count(),
-            seq_batch_ns: secs(seq_batch),
-            par_batch_ns: secs(par_batch),
-            seq_inc_ns: secs(seq_inc),
-            par_inc_ns: secs(par_inc),
-            seq_batch_min_ns: secs(seq_batch_min),
-            seq_inc_min_ns: secs(seq_inc_min),
-            par_batch_min_ns: secs(par_batch_min),
-            par_inc_min_ns: secs(par_inc_min),
-        });
+            |g| LccState::batch(g).0,
+        ));
     }
 
     out
@@ -343,22 +189,19 @@ pub fn render_table(results: &[ClassResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13} {:>6} {:>13} {:>13} {:>6}",
-        "class", "data", "|V|", "|E|", "seq_batch", "par_batch", "x", "seq_inc", "par_inc", "x"
+        "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13} {:>10}",
+        "class", "data", "|V|", "|E|", "batch", "inc", "batch/inc"
     );
     for r in results {
         let _ = writeln!(
             out,
-            "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13} {:>5.2}x {:>13} {:>13} {:>5.2}x",
+            "{:<6} {:<4} {:>7} {:>8} {:>13} {:>13} {:>9.1}x",
             r.class,
             r.dataset,
             r.nodes,
             r.edges,
-            fmt_ns(r.seq_batch_ns),
-            fmt_ns(r.par_batch_ns),
-            r.batch_speedup(),
-            fmt_ns(r.seq_inc_ns),
-            fmt_ns(r.par_inc_ns),
+            fmt_ns(r.batch_ns),
+            fmt_ns(r.inc_ns),
             r.inc_speedup(),
         );
     }
@@ -378,8 +221,48 @@ pub(crate) fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// Where a datapoint was taken: a number is only comparable to another
+/// recorded on the same cores, compiler and commit.
+#[derive(Clone, Debug)]
+pub struct HostInfo {
+    /// `std::thread::available_parallelism` (0 if unknown).
+    pub cores: usize,
+    /// `rustc -V` of the toolchain on `PATH` at run time.
+    pub rustc: String,
+    /// `git describe --always --dirty` of the working directory: the
+    /// full commit hash, suffixed `-dirty` when the tree the binary was
+    /// presumably built from has uncommitted changes.
+    pub commit: String,
+}
+
+impl HostInfo {
+    /// Probes the host; fields that cannot be determined read `unknown`.
+    pub fn probe() -> Self {
+        let run = |cmd: &str, args: &[&str]| {
+            std::process::Command::new(cmd)
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+        };
+        HostInfo {
+            cores: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            rustc: run("rustc", &["-V"]),
+            commit: run("git", &["describe", "--always", "--dirty", "--abbrev=40"]),
+        }
+    }
+}
+
 /// Serializes the suite as the `BENCH_<date>.json` document.
-pub fn to_json(date: &str, threads: usize, reps: usize, results: &[ClassResult]) -> String {
+pub fn to_json(
+    date: &str,
+    host: &HostInfo,
+    scale: f64,
+    reps: usize,
+    results: &[ClassResult],
+) -> String {
     let num = |x: f64| {
         if x.is_finite() {
             format!("{x:.1}")
@@ -389,7 +272,10 @@ pub fn to_json(date: &str, threads: usize, reps: usize, results: &[ClassResult])
     };
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"date\": \"{date}\",");
-    let _ = writeln!(json, "  \"threads\": {threads},");
+    let _ = writeln!(json, "  \"commit\": \"{}\",", host.commit);
+    let _ = writeln!(json, "  \"rustc\": \"{}\",", host.rustc);
+    let _ = writeln!(json, "  \"available_parallelism\": {},", host.cores);
+    let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"samples\": {reps},");
     let _ = writeln!(json, "  \"delta_pct\": {DELTA_PCT},");
     json.push_str("  \"classes\": [");
@@ -400,91 +286,39 @@ pub fn to_json(date: &str, threads: usize, reps: usize, results: &[ClassResult])
         let _ = write!(
             json,
             "\n    {{ \"class\": \"{}\", \"dataset\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-             \"seq_batch_ns\": {}, \"par_batch_ns\": {}, \"batch_speedup\": {:.3}, \
-             \"seq_inc_ns\": {}, \"par_inc_ns\": {}, \"inc_speedup\": {:.3}, \
-             \"seq_batch_min_ns\": {}, \"seq_inc_min_ns\": {}, \
-             \"par_batch_min_ns\": {}, \"par_inc_min_ns\": {} }}",
+             \"batch_ns\": {}, \"inc_ns\": {}, \"batch_min_ns\": {}, \"inc_min_ns\": {}, \
+             \"inc_speedup\": {:.3} }}",
             r.class,
             r.dataset,
             r.nodes,
             r.edges,
-            num(r.seq_batch_ns),
-            num(r.par_batch_ns),
-            r.batch_speedup(),
-            num(r.seq_inc_ns),
-            num(r.par_inc_ns),
+            num(r.batch_ns),
+            num(r.inc_ns),
+            num(r.batch_min_ns),
+            num(r.inc_min_ns),
             r.inc_speedup(),
-            num(r.seq_batch_min_ns),
-            num(r.seq_inc_min_ns),
-            num(r.par_batch_min_ns),
-            num(r.par_inc_min_ns),
         );
     }
     json.push_str("\n  ]\n}\n");
     json
 }
 
-/// Serializes a multi-thread-count sweep as one JSON document with a
-/// `"sweep"` array holding one `{ threads, classes }` entry per count.
-/// Single-count runs keep the flat [`to_json`] shape for continuity
-/// with the historical `BENCH_<date>.json` files.
-pub fn to_json_sweep(date: &str, reps: usize, sweep: &[(usize, Vec<ClassResult>)]) -> String {
-    if let [(threads, results)] = sweep {
-        return to_json(date, *threads, reps, results);
-    }
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"date\": \"{date}\",");
-    let _ = writeln!(json, "  \"samples\": {reps},");
-    let _ = writeln!(json, "  \"delta_pct\": {DELTA_PCT},");
-    json.push_str("  \"sweep\": [");
-    for (i, (threads, results)) in sweep.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        // Reuse the flat per-count document, reindented as an element.
-        let inner = to_json(date, *threads, reps, results);
-        json.push('\n');
-        for (j, line) in inner.trim_end().lines().enumerate() {
-            if j > 0 {
-                json.push('\n');
-            }
-            json.push_str("    ");
-            json.push_str(line);
-        }
-    }
-    json.push_str("\n  ]\n}\n");
-    json
-}
-
 /// One baseline row the regression gate compares against:
-/// `(class, seq_inc_min_ns, seq_batch_min_ns)`.
+/// `(class, inc_min_ns, batch_min_ns)`.
 type BaselineRow = (String, f64, f64);
 
-/// Extracts the gate rows from a BENCH json document (flat or sweep
-/// form). Handwritten scan — the files are machine written one
-/// class-object per line, so no JSON dependency is needed. A class
-/// appearing under several thread counts keeps its *first* occurrence
-/// (the sweep writes ascending counts, so that is the single-thread
-/// row — the one the regression gate tracks). Pre-min documents fall
-/// back to the mean fields.
+/// Extracts the gate rows from a BENCH json document. Handwritten scan —
+/// the files are machine written one class-object per line, so no JSON
+/// dependency is needed.
 pub fn parse_baseline(json: &str) -> Vec<BaselineRow> {
-    let mut out: Vec<BaselineRow> = Vec::new();
-    for line in json.lines() {
-        let Some(cls) = field_str(line, "\"class\": \"") else {
-            continue;
-        };
-        let inc =
-            field_num(line, "\"seq_inc_min_ns\": ").or_else(|| field_num(line, "\"seq_inc_ns\": "));
-        let batch = field_num(line, "\"seq_batch_min_ns\": ")
-            .or_else(|| field_num(line, "\"seq_batch_ns\": "));
-        let (Some(inc), Some(batch)) = (inc, batch) else {
-            continue;
-        };
-        if !out.iter().any(|(c, _, _)| c == cls) {
-            out.push((cls.to_string(), inc, batch));
-        }
-    }
-    out
+    json.lines()
+        .filter_map(|line| {
+            let cls = field_str(line, "\"class\": \"")?;
+            let inc = field_num(line, "\"inc_min_ns\": ")?;
+            let batch = field_num(line, "\"batch_min_ns\": ")?;
+            Some((cls.to_string(), inc, batch))
+        })
+        .collect()
 }
 
 pub(crate) fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -503,10 +337,12 @@ pub(crate) fn field_num(line: &str, key: &str) -> Option<f64> {
         .ok()
 }
 
-/// Compares fresh single-thread results against a committed baseline
-/// document and returns one message per class whose incremental path
-/// regressed beyond `threshold` (0.25 = 25% slower). Classes absent
-/// from the baseline are ignored (new classes cannot fail the gate).
+/// Compares fresh results against a committed baseline document and
+/// returns one message per class whose incremental path regressed beyond
+/// `threshold` (0.25 = 25% slower). Classes absent from the baseline are
+/// ignored (new classes cannot fail the gate); a baseline with no rows at
+/// all is itself a failure, so a document in a format this parser does
+/// not read cannot pass vacuously.
 ///
 /// The compared metric is the *ratio* of the fastest incremental
 /// sample to the fastest batch sample, not raw nanoseconds: the batch
@@ -517,24 +353,27 @@ pub(crate) fn field_num(line: &str, key: &str) -> Option<f64> {
 /// inflated sample would otherwise dominate a µs-scale mean.
 pub fn regressions(baseline_json: &str, results: &[ClassResult], threshold: f64) -> Vec<String> {
     let baseline = parse_baseline(baseline_json);
+    if baseline.is_empty() {
+        return vec!["baseline has no `inc_min_ns`/`batch_min_ns` class rows".to_string()];
+    }
     let mut out = Vec::new();
     for r in results {
         let Some((_, base_inc, base_batch)) = baseline.iter().find(|(c, _, _)| c == r.class) else {
             continue;
         };
-        if *base_inc <= 0.0 || *base_batch <= 0.0 || r.seq_batch_min_ns <= 0.0 {
+        if *base_inc <= 0.0 || *base_batch <= 0.0 || r.batch_min_ns <= 0.0 {
             continue;
         }
         let base_ratio = base_inc / base_batch;
-        let ratio = r.seq_inc_min_ns / r.seq_batch_min_ns;
+        let ratio = r.inc_min_ns / r.batch_min_ns;
         if ratio > base_ratio * (1.0 + threshold) {
             out.push(format!(
-                "{}: seq_inc/seq_batch {:.5} (inc {} / batch {}) vs baseline {:.5} \
+                "{}: inc/batch {:.5} (inc {} / batch {}) vs baseline {:.5} \
                  (+{:.0}%, limit +{:.0}%)",
                 r.class,
                 ratio,
-                fmt_ns(r.seq_inc_min_ns),
-                fmt_ns(r.seq_batch_min_ns),
+                fmt_ns(r.inc_min_ns),
+                fmt_ns(r.batch_min_ns),
                 base_ratio,
                 (ratio / base_ratio - 1.0) * 100.0,
                 threshold * 100.0,
@@ -580,78 +419,57 @@ mod tests {
         assert_eq!(civil_from_days(20_671), (2026, 8, 6));
     }
 
-    #[test]
-    fn json_report_is_well_formed() {
-        let r = ClassResult {
-            class: "sssp",
-            dataset: "LJ",
-            nodes: 100,
-            edges: 400,
-            seq_batch_ns: 2000.0,
-            par_batch_ns: 1000.0,
-            seq_inc_ns: 300.0,
-            par_inc_ns: 200.0,
-            seq_batch_min_ns: 1900.0,
-            seq_inc_min_ns: 300.0,
-            par_batch_min_ns: 950.0,
-            par_inc_min_ns: 200.0,
-        };
-        let json = to_json("2026-08-06", 4, 5, std::slice::from_ref(&r));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"batch_speedup\": 2.000"));
-        assert!(json.contains("\"inc_speedup\": 1.500"));
-        assert!((r.batch_speedup() - 2.0).abs() < 1e-9);
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{json}");
-    }
-
-    fn sample_result(class: &'static str, seq_inc_ns: f64) -> ClassResult {
+    fn sample_result(class: &'static str, inc_ns: f64) -> ClassResult {
         ClassResult {
             class,
             dataset: "LJ",
             nodes: 100,
             edges: 400,
-            seq_batch_ns: 2000.0,
-            par_batch_ns: 1000.0,
-            seq_inc_ns,
-            par_inc_ns: seq_inc_ns / 2.0,
-            seq_batch_min_ns: 2000.0,
-            seq_inc_min_ns: seq_inc_ns,
-            par_batch_min_ns: 1000.0,
-            par_inc_min_ns: seq_inc_ns / 2.0,
+            batch_ns: 2100.0,
+            inc_ns,
+            batch_min_ns: 2000.0,
+            inc_min_ns: inc_ns,
+        }
+    }
+
+    fn sample_host() -> HostInfo {
+        HostInfo {
+            cores: 2,
+            rustc: "rustc 1.0.0".into(),
+            commit: "abc123".into(),
         }
     }
 
     #[test]
-    fn sweep_json_has_one_entry_per_thread_count_and_round_trips() {
-        let sweep = vec![
-            (1, vec![sample_result("sssp", 300.0)]),
-            (2, vec![sample_result("sssp", 200.0)]),
-            (4, vec![sample_result("sssp", 150.0)]),
-        ];
-        let json = to_json_sweep("2026-08-08", 5, &sweep);
-        assert_eq!(json.matches("\"threads\":").count(), 3, "{json}");
+    fn json_report_is_well_formed_and_round_trips_the_gate_rows() {
+        let r = sample_result("sssp", 500.0);
+        let json = to_json(
+            "2026-08-06",
+            &sample_host(),
+            12.5,
+            5,
+            std::slice::from_ref(&r),
+        );
+        assert!(json.contains("\"available_parallelism\": 2"));
+        assert!(json.contains("\"commit\": \"abc123\""));
+        assert!(json.contains("\"scale\": 12.5"));
+        assert!(json.contains("\"inc_speedup\": 4.000"));
+        // Balanced braces/brackets as a cheap well-formedness check.
         let opens = json.matches(['{', '[']).count();
         let closes = json.matches(['}', ']']).count();
         assert_eq!(opens, closes, "{json}");
-        // First occurrence wins: the single-thread row is the gate's.
         assert_eq!(
             parse_baseline(&json),
-            vec![("sssp".to_string(), 300.0, 2000.0)]
+            vec![("sssp".to_string(), 500.0, 2000.0)]
         );
-        // A single-count sweep keeps the historical flat shape.
-        let flat = to_json_sweep("2026-08-08", 5, &sweep[..1]);
-        assert!(flat.contains("\"classes\": ["), "{flat}");
-        assert!(!flat.contains("\"sweep\""), "{flat}");
     }
 
     #[test]
     fn regression_gate_trips_only_past_threshold() {
         let baseline = to_json(
             "2026-08-08",
-            1,
+            &sample_host(),
+            1.0,
             5,
             &[sample_result("sssp", 1000.0), sample_result("cc", 1000.0)],
         );
@@ -663,33 +481,17 @@ mod tests {
         let bad = regressions(&baseline, &fresh, 0.25);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].starts_with("cc:"), "{bad:?}");
-        // Pre-min baseline documents gate on the mean fields instead.
-        let legacy: String = baseline
-            .lines()
-            .map(|l| {
-                let cut = l.find(", \"seq_batch_min_ns\"").unwrap_or(l.len());
-                if cut < l.len() {
-                    format!(
-                        "{} }}{}\n",
-                        &l[..cut],
-                        if l.ends_with(',') { "," } else { "" }
-                    )
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        assert!(!legacy.contains("seq_inc_min_ns"), "{legacy}");
-        let bad = regressions(&legacy, &fresh, 0.25);
+        // A document the parser reads no rows from must not pass.
+        let bad = regressions("{ \"classes\": [] }", &fresh, 0.25);
         assert_eq!(bad.len(), 1, "{bad:?}");
     }
 
     #[test]
     fn suite_smoke_runs_tiny() {
-        let results = run_suite(2, 0.02, 1);
+        let results = run_suite(0.02, 1);
         assert_eq!(results.len(), 5);
         for r in &results {
-            assert!(r.seq_batch_ns > 0.0 && r.par_batch_ns > 0.0, "{r:?}");
+            assert!(r.batch_ns > 0.0 && r.inc_ns > 0.0, "{r:?}");
         }
     }
 }

@@ -39,7 +39,7 @@ const PHASES: [&str; 8] = [
 /// and recovery spans. Metrics land in the installed recorder; with the
 /// noop recorder this is just a slow no-op, so callers only invoke it
 /// when a registry is live.
-pub fn run_phases(threads: usize, scale: f64) {
+pub fn run_phases(scale: f64) {
     for (i, &class) in QueryClass::ALL.iter().enumerate() {
         // Attribute the batch build too — update_guarded scopes itself.
         let _cls = incgraph_obs::class_scope(class.name());
@@ -52,9 +52,7 @@ pub fn run_phases(threads: usize, scale: f64) {
         let directed = !class.requires_undirected();
         let g0 = Dataset::LiveJournal.graph(directed, class_scale);
         let src = sample_sources(&g0, 1, 7)[0];
-        let mut builder = Session::builder(class)
-            .threads(threads)
-            .audit(FixpointAudit::full());
+        let mut builder = Session::builder(class).audit(FixpointAudit::full());
         if class.source_rooted() {
             builder = builder.source(src);
         }
@@ -148,7 +146,7 @@ mod tests {
     fn phase_pass_covers_all_classes_and_storage() {
         let registry = Arc::new(Registry::new());
         incgraph_obs::install(registry.clone());
-        run_phases(2, 0.02);
+        run_phases(0.02);
         incgraph_obs::uninstall();
         let snap = registry.snapshot();
 

@@ -1,15 +1,14 @@
 //! Radix bucket queue for rank-ordered worklists.
 //!
-//! The sequential engine schedules with a `BinaryHeap`, paying `O(log n)`
-//! per push and pop plus a comparison-heavy pop path. Ranks, however, are
-//! a *performance hint*, not a correctness requirement — for C2
-//! (monotone and contracting) step functions the fixpoint is unique under any
-//! schedule (paper Lemma 2) — so a coarse delta-stepping style bucket
-//! queue is enough: ranks map to one of [`NUM_BUCKETS`] buckets by a
-//! configurable right shift, pushes append to the target bucket in O(1),
-//! and pops scan a cursor over the bucket array. Entries within a bucket
-//! come out FIFO, which keeps the schedule deterministic for a given push
-//! sequence — the property the parallel engine's stamp replay relies on.
+//! A binary heap pays `O(log n)` per push and pop plus a
+//! comparison-heavy pop path. Ranks, however, are a *performance hint*,
+//! not a correctness requirement — for C2 (monotone and contracting)
+//! step functions the fixpoint is unique under any schedule (paper
+//! Lemma 2) — so a coarse delta-stepping style bucket queue is enough:
+//! ranks map to one of [`NUM_BUCKETS`] buckets by a configurable right
+//! shift, pushes append to the target bucket in O(1), and pops scan a
+//! cursor over the bucket array. Entries within a bucket come out FIFO,
+//! which keeps the schedule deterministic for a given push sequence.
 //!
 //! Non-monotone rank sequences are legal (a CC label can drop below the
 //! current cursor); the cursor simply moves backward on such pushes.
@@ -26,7 +25,7 @@ const OCC_WORDS: usize = NUM_BUCKETS / 64;
 /// A monotone-cursor bucket queue mapping `rank >> shift` to a bucket.
 ///
 /// Popped prefixes of each bucket are tracked with a head index so a pop
-/// is O(1) amortized; a bucket's storage is reclaimed the moment its last
+/// is O(1) amortized; a bucket's storage is reused the moment its last
 /// entry is served. An occupancy bitmap (one bit per bucket) lets
 /// [`min_bucket`](Self::min_bucket) jump to the next non-empty bucket
 /// with a handful of `trailing_zeros` word scans instead of walking the
@@ -47,6 +46,8 @@ pub struct BucketQueue {
     /// Lowest bucket that may be non-empty.
     cursor: usize,
     len: usize,
+    /// Sum of the buckets' allocated capacities, in entries.
+    capacity: usize,
 }
 
 impl Default for BucketQueue {
@@ -71,6 +72,7 @@ impl BucketQueue {
             shift,
             cursor: NUM_BUCKETS,
             len: 0,
+            capacity: 0,
         }
     }
 
@@ -79,8 +81,8 @@ impl BucketQueue {
     /// run's seed ranks sit in a narrow absolute band — SSSP distances
     /// after a small ΔG are all ≈ their converged values — and a fixed
     /// `rank >> shift` collapses that band into a handful of buckets,
-    /// degrading the schedule toward FIFO and re-evaluating variables the
-    /// heap would have served exactly once. Centering the 1024 buckets on
+    /// degrading the schedule toward FIFO and re-evaluating variables an
+    /// exact order would have served once. Centering the 1024 buckets on
     /// the observed band restores near-exact ordering where it matters.
     /// Binning precision is a performance knob only; correctness never
     /// depends on it.
@@ -115,7 +117,10 @@ impl BucketQueue {
     #[inline]
     pub fn push(&mut self, rank: u64, var: usize) {
         let b = self.bucket_of(rank);
-        self.buckets[b].push((rank, var));
+        let bucket = &mut self.buckets[b];
+        let before = bucket.capacity();
+        bucket.push((rank, var));
+        self.capacity += bucket.capacity() - before;
         self.occ[b / 64] |= 1u64 << (b % 64);
         self.len += 1;
         if b < self.cursor {
@@ -154,17 +159,7 @@ impl BucketQueue {
     /// Pops the next `(rank, var)` in bucket order (FIFO within a bucket).
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, usize)> {
-        self.pop_at_most(NUM_BUCKETS - 1)
-    }
-
-    /// Pops the next entry whose bucket is `<= max_bucket`, or `None` if
-    /// every queued entry sits in a higher bucket. Used by the parallel
-    /// engine to bound a round to the globally minimal bucket.
-    pub fn pop_at_most(&mut self, max_bucket: usize) -> Option<(u64, usize)> {
         let b = self.min_bucket()?;
-        if b > max_bucket {
-            return None;
-        }
         let e = self.buckets[b][self.heads[b]];
         self.heads[b] += 1;
         self.len -= 1;
@@ -187,13 +182,25 @@ impl BucketQueue {
         self.len = 0;
     }
 
+    /// Entries of bucket storage currently allocated (queued or not).
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Drops all queued entries *and* frees the bucket storage — for a
+    /// queue whose high-water mark (a batch run seeding every variable)
+    /// is far above what the next runs will need.
+    pub fn release(&mut self) {
+        self.clear();
+        self.buckets.iter_mut().for_each(|b| *b = Vec::new());
+        self.capacity = 0;
+    }
+
     /// Heap bytes held by the bucket storage.
     pub fn space_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.buckets
-            .iter()
-            .map(|b| b.capacity() * size_of::<(u64, usize)>())
-            .sum::<usize>()
+        self.capacity * size_of::<(u64, usize)>()
             + self.buckets.capacity() * size_of::<Vec<(u64, usize)>>()
             + self.heads.capacity() * size_of::<usize>()
     }
@@ -251,14 +258,24 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_most_respects_bound() {
+    fn capacity_tracks_bucket_storage_and_release_frees_it() {
         let mut q = BucketQueue::new(0);
-        q.push(8, 1);
-        q.push(2, 2);
-        assert_eq!(q.pop_at_most(4), Some((2, 2)));
-        assert_eq!(q.pop_at_most(4), None, "bucket 8 is out of bound");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_at_most(8), Some((8, 1)));
+        assert_eq!(q.capacity(), 0);
+        for i in 0..100u64 {
+            q.push(i % 10, i as usize);
+        }
+        let held: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(q.capacity(), held);
+        assert!(held >= 100);
+        q.clear();
+        assert_eq!(q.capacity(), held, "clear keeps storage");
+        q.push(3, 7);
+        q.release();
+        assert!(q.is_empty());
+        assert_eq!(q.capacity(), 0);
+        assert!(q.buckets.iter().all(|b| b.capacity() == 0));
+        q.push(1, 42);
+        assert_eq!(q.pop(), Some((1, 42)));
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Micro-batch ΔG coalescing: merge many small applied batches into one
 //! canonical batch with the same net effect.
 //!
-//! The parallel engine only pays for itself when the affected area of a
-//! resume is large enough to amortize its round scaffolding, and the
-//! fixpoint + notification cost of the service's writer thread is per
-//! *batch*, not per unit update. [`Coalescer`] turns `N` pending ΔGs into
+//! The fixpoint + notification cost of the service's writer thread is
+//! per *batch*, not per unit update. [`Coalescer`] turns `N` pending ΔGs into
 //! one canonical ΔG whose combined affected area is their union:
 //! insert+delete of the same edge cancels outright, duplicate ops on one
 //! edge collapse to their net effect, and everything else is

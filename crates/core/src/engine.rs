@@ -1,27 +1,45 @@
-//! The step function `f_A`: a priority-worklist fixpoint driver.
+//! The step function `f_A`: a rank-bucketed worklist fixpoint driver.
 //!
 //! [`Engine::run`] implements one complete fixpoint computation: it pops
-//! the scope variable with the smallest rank, re-evaluates its update
-//! function, and on a change pushes the variable's dependents — exactly
-//! the paper's step-function loop, specialized by nothing but the
-//! [`FixpointSpec`] it is handed. Batch algorithms call it from
+//! a scope variable from the lowest non-empty rank bucket, re-evaluates
+//! its update function, and on a change pushes the variable's dependents
+//! — exactly the paper's step-function loop, specialized by nothing but
+//! the [`FixpointSpec`] it is handed. Batch algorithms call it from
 //! `(D⊥, H⁰)`; the deduced incremental algorithms call **the same
 //! function** from the `(D⁰, H⁰)` produced by an initial scope function,
 //! which is what makes them deducible.
+//!
+//! This is the only place that knows how the worklist is scheduled. For
+//! contracting + monotonic specs the fixpoint is unique under any
+//! schedule (paper Lemma 2, Church–Rosser), so rank order is a
+//! performance hint, not a correctness input: the worklist is a
+//! [`BucketQueue`] — O(1) push and pop, FIFO within a bucket — whose
+//! binning window is re-centered on every run's seed band so that narrow
+//! incremental scopes still pop in near-exact rank order.
 //!
 //! The engine's scratch arrays are epoch-versioned so that an incremental
 //! run touches memory proportional to the variables it actually visits,
 //! not to `|G|` — without that, the driver itself would break the
 //! relative-boundedness story the experiments measure.
 
+use crate::bucket::{BucketQueue, NUM_BUCKETS};
 use crate::spec::{FixpointSpec, Relax};
 use crate::status::Status;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Largest usable rank; `u64::MAX` is reserved as the "not enqueued"
 /// sentinel in the dedup table.
 const RANK_CAP: u64 = u64::MAX - 1;
+
+/// Minimum rank-window width for the per-run bucket binning (see the
+/// seeding in [`Engine::run`]): 4× the bucket count, i.e. bins are never
+/// finer than 4 ranks, and a degenerate seed band (all seeds at one
+/// rank) still leaves headroom for ranks produced during the run.
+const MIN_BAND: u64 = 4 * NUM_BUCKETS as u64 - 1;
+
+/// Worklist capacity (in entries) that is never released: below this,
+/// trimming would trade a few KB for realloc churn under a steady update
+/// stream whose scopes wander between buckets.
+const KEEP_ENTRIES: usize = 4 * NUM_BUCKETS;
 
 /// Pending-work bitmask per variable.
 const PEND_NONE: u8 = 0;
@@ -37,15 +55,15 @@ const PEND_EVAL: u8 = 2;
 pub struct RunStats {
     /// Worklist pops processed (stale entries excluded).
     pub pops: u64,
-    /// Update-function evaluations (= non-stale pops).
+    /// Update-function evaluations.
     pub evals: u64,
-    /// Evaluations that changed the variable's value.
+    /// Evaluations or relaxations that changed a variable's value.
     pub changes: u64,
     /// Dependent enqueue attempts.
     pub pushes: u64,
     /// Worklist entries discarded on pop because a lower-ranked or
     /// re-entrant push superseded them (lazy deletion). Pure scheduling
-    /// overhead: each stale pop is a heap/queue operation that did no
+    /// overhead: each stale pop is a queue operation that did no
     /// fixpoint work.
     pub stale_pops: u64,
     /// Input-variable reads performed by update functions.
@@ -57,12 +75,6 @@ pub struct RunStats {
     /// reaching a fixpoint. An aborted run leaves the status mid-fixpoint;
     /// the caller must recompute from scratch (see `FallbackPolicy`).
     pub aborted: bool,
-    /// Whether a parallel shard panicked during the run. A poisoned run
-    /// writes nothing back to the status; the caller degrades to the
-    /// sequential engine (see `crate::par::ParEngine`), whose completed
-    /// stats are merged on top so the flag survives as a record of the
-    /// degradation.
-    pub poisoned: bool,
 }
 
 impl RunStats {
@@ -77,7 +89,6 @@ impl RunStats {
         self.reads += other.reads;
         self.distinct_vars += other.distinct_vars;
         self.aborted |= other.aborted;
-        self.poisoned |= other.poisoned;
     }
 }
 
@@ -88,17 +99,17 @@ impl RunStats {
 /// repeated incremental runs cost only the work they inspect.
 #[derive(Clone, Debug)]
 pub struct Engine {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    queue: BucketQueue,
     /// Reusable dependent-collection buffer for the propagate loop.
     dep_buf: Vec<usize>,
-    /// Rank of the live outstanding heap entry per variable, valid only
-    /// when `epoch_of[x] == epoch`; `u64::MAX` = not enqueued.
+    /// Rank of the live queue entry per variable, valid only when
+    /// `mark[x] == epoch`; `u64::MAX` = not enqueued.
     best: Vec<u64>,
     /// What the live entry will do when popped (`PEND_*`), valid only
-    /// when `epoch_of[x] == epoch`.
+    /// when `mark[x] == epoch`.
     pend: Vec<u8>,
     /// Epoch in which `best[x]` / `pend[x]` / `seen[x]` were last written.
-    epoch_of: Vec<u32>,
+    mark: Vec<u32>,
     /// Whether the variable was inspected this run (for `distinct_vars`).
     seen: Vec<bool>,
     epoch: u32,
@@ -107,8 +118,6 @@ pub struct Engine {
     /// an incremental run that stops paying for itself is cut short
     /// mid-flight instead of grinding through an `|AFF| ≈ |Ψ|` scope.
     work_budget: Option<u64>,
-    /// Peak heap length of the current/last run, for capacity policy.
-    peak_heap: usize,
     /// Variables whose value changed during the last run, in application
     /// order (a variable may appear more than once). This is the engine's
     /// changed-set: the scope `H⁰` alone is *not* a safe candidate set for
@@ -120,15 +129,14 @@ impl Engine {
     /// Creates an engine for `num_vars` status variables.
     pub fn new(num_vars: usize) -> Self {
         Engine {
-            heap: BinaryHeap::new(),
+            queue: BucketQueue::new(0),
             dep_buf: Vec::new(),
             best: vec![u64::MAX; num_vars],
             pend: vec![PEND_NONE; num_vars],
-            epoch_of: vec![0; num_vars],
+            mark: vec![0; num_vars],
             seen: vec![false; num_vars],
             epoch: 0,
             work_budget: None,
-            peak_heap: 0,
             changed: Vec::new(),
         }
     }
@@ -150,29 +158,13 @@ impl Engine {
         self.work_budget = budget;
     }
 
-    /// The configured work budget, if any.
-    pub fn work_budget(&self) -> Option<u64> {
-        self.work_budget
-    }
-
-    /// Current capacity of the worklist heap (regression hook for the
-    /// shrink policy).
-    pub fn heap_capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// Number of variables this engine was sized for.
-    pub fn num_vars(&self) -> usize {
-        self.best.len()
-    }
-
     /// Heap bytes held by the engine's scratch structures.
     pub fn space_bytes(&self) -> usize {
-        self.heap.capacity() * std::mem::size_of::<Reverse<(u64, usize)>>()
+        self.queue.space_bytes()
             + self.dep_buf.capacity() * std::mem::size_of::<usize>()
             + self.best.capacity() * 8
             + self.pend.capacity()
-            + self.epoch_of.capacity() * 4
+            + self.mark.capacity() * 4
             + self.seen.capacity()
             + self.changed.capacity() * std::mem::size_of::<usize>()
     }
@@ -182,8 +174,15 @@ impl Engine {
     /// Every variable in `scope` is treated as potentially violating its
     /// logical statement `σ_x` and re-evaluated; changes propagate to
     /// dependents until the scope empties. Propagation prefers the spec's
-    /// single-input [`Relax`] fast path (the paper's Fig. 1 relaxation)
-    /// and falls back to full re-evaluation. Returns work counters.
+    /// single-input [`Relax`] fast path (the paper's Fig. 1 relaxation):
+    /// relaxations apply immediately and queue onward propagation, the
+    /// rest schedule full re-evaluations. Values *and* stamps land in
+    /// processing order, a valid linearization of the contributor order
+    /// `<_C`. Returns work counters.
+    ///
+    /// `scope` is walked twice (rank band, then seeding), hence the
+    /// `Clone` bound: pass a range or `slice.iter().copied()`, not an
+    /// owned `Vec`, whose iterator clones by copying the elements.
     ///
     /// In debug builds, each applied change is asserted to be contracting
     /// (`new ⪯ old`), the C2 precondition of Theorem 3.
@@ -191,7 +190,7 @@ impl Engine {
         &mut self,
         spec: &S,
         status: &mut Status<S::Value>,
-        scope: impl IntoIterator<Item = usize>,
+        scope: impl IntoIterator<Item = usize, IntoIter: Clone>,
     ) -> RunStats {
         assert_eq!(
             spec.num_vars(),
@@ -200,19 +199,56 @@ impl Engine {
         );
         let _span = incgraph_obs::span("engine.run");
         self.advance_epoch();
-        self.peak_heap = 0;
         self.changed.clear();
         let mut stats = RunStats::default();
 
-        let mut scope_len = 0usize;
-        for x in scope {
+        // Walk the scope once to learn the rank band before binning
+        // anything, then again to seed: incremental scopes sit in a narrow
+        // absolute band (converged SSSP distances, settled CC labels), and
+        // a binning window centered on that band keeps the bucket schedule
+        // near-exact instead of collapsing every seed into one coarse
+        // bucket. Two passes rather than a staging buffer: a batch run
+        // seeds every variable, and a copy of that scope would double the
+        // build's memory spike.
+        let scope = scope.into_iter();
+        // Sentinel-rank seeds (⊥ values awaiting their first eval) carry
+        // no band information and would stretch the window to the whole
+        // u64 range; they simply land in the overflow bucket.
+        let (mut lo, mut hi, mut scope_len) = (u64::MAX, 0u64, 0usize);
+        for x in scope.clone() {
+            let r = spec.rank(x, &status.get(x));
+            if r < RANK_CAP {
+                lo = lo.min(r);
+                hi = hi.max(r);
+            }
             scope_len += 1;
+        }
+        if scope_len > 0 {
+            let lo = if lo == u64::MAX { 0 } else { lo };
+            // Smallest shift that spreads the seed band across the bucket
+            // range, floored so the window never drops below MIN_BAND:
+            // ranks produced *during* the run routinely overshoot the
+            // seed band (batch SSSP grows distances from a single rank-0
+            // source), and a too-narrow window would dump them all into
+            // the overflow bucket. Ranks past the window still land
+            // there, which is legal — binning is a performance hint.
+            let span = (hi.saturating_sub(lo)).max(MIN_BAND);
+            let shift =
+                (u64::BITS - span.leading_zeros()).saturating_sub(NUM_BUCKETS.trailing_zeros());
+            self.queue.reconfigure(lo, shift);
+        }
+        for x in scope {
             let r = spec.rank(x, &status.get(x)).min(RANK_CAP);
             self.push(x, r, PEND_EVAL, &mut stats);
         }
 
-        while let Some(Reverse((r, x))) = self.heap.pop() {
-            if self.epoch_of[x] != self.epoch || self.best[x] != r || self.pend[x] == PEND_NONE {
+        let (epoch, budget) = (self.epoch, self.work_budget);
+        // Dependents are collected first: `dependents` borrows the
+        // spec/graph which the relax path also reads. The buffer is
+        // reused across pops and runs.
+        let mut deps = std::mem::take(&mut self.dep_buf);
+        while let Some((rank, x)) = self.queue.pop() {
+            if self.mark[x] != epoch || self.best[x] != rank || self.pend[x] == PEND_NONE {
                 stats.stale_pops += 1; // lazy-deleted entry: pure overhead
                 continue;
             }
@@ -223,21 +259,17 @@ impl Engine {
             if !self.seen[x] {
                 self.seen[x] = true;
                 stats.distinct_vars += 1;
-                if let Some(budget) = self.work_budget {
-                    if stats.distinct_vars > budget {
-                        // Budget blown: this run's affected area is too
-                        // large for incremental maintenance to pay off.
-                        // Drop the remaining work and report the abort;
-                        // the status is now mid-fixpoint and must be
-                        // rebuilt by a batch run.
-                        self.heap.clear();
-                        stats.aborted = true;
-                        break;
-                    }
+                if budget.is_some_and(|b| stats.distinct_vars > b) {
+                    // Budget blown: this run's affected area is too large
+                    // for incremental maintenance to pay off. Drop the
+                    // remaining work and report the abort; the status is
+                    // now mid-fixpoint and must be rebuilt by a batch run.
+                    self.queue.clear();
+                    stats.aborted = true;
+                    break;
                 }
             }
-
-            if kind & PEND_EVAL != 0 {
+            let vx = if kind & PEND_EVAL != 0 {
                 let cur = status.get(x);
                 let mut reads = 0u64;
                 let newv = spec.eval(x, &mut |y| {
@@ -254,105 +286,94 @@ impl Engine {
                     status.set(x, newv);
                     stats.changes += 1;
                     self.changed.push(x);
-                    self.propagate(spec, status, x, &newv, &mut stats);
+                    newv
                 } else if kind & PEND_PROP != 0 {
                     // The eval found σ_x already satisfied, but an earlier
                     // relaxation changed x's value and its propagation is
                     // still owed.
-                    self.propagate(spec, status, x, &cur, &mut stats);
+                    cur
+                } else {
+                    continue;
                 }
             } else {
                 // PEND_PROP: the value was applied by a relaxation; only
                 // the onward propagation is outstanding.
-                let v = status.get(x);
-                self.propagate(spec, status, x, &v, &mut stats);
-            }
-        }
-        // The heap is empty here. A one-off spike (a batch run, one huge
-        // update) should not pin its high-water mark forever, but under a
-        // steady update stream shrinking every run just forces realloc
-        // churn on the next one — so capacity is dropped only when it
-        // overshoots the run's actual peak by more than 4x.
-        if self.heap.capacity() > 4 * self.peak_heap.max(1) {
-            self.heap.shrink_to(self.peak_heap);
-        }
-        incgraph_obs::gauge("engine.seq.heap_peak", self.peak_heap as u64);
-        crate::trace::record("seq", 1, scope_len, &stats);
-        stats
-    }
-
-    /// Propagates the (already applied) new value of `x` to dependents:
-    /// relaxations apply immediately and queue onward propagation; the
-    /// rest schedule full re-evaluations.
-    fn propagate<S: FixpointSpec>(
-        &mut self,
-        spec: &S,
-        status: &mut Status<S::Value>,
-        x: usize,
-        vx: &S::Value,
-        stats: &mut RunStats,
-    ) {
-        // Collect dependents first: `dependents` borrows the spec/graph
-        // which the relax path also reads. The buffer is reused across
-        // calls to avoid allocation churn in the hot loop.
-        let mut deps = std::mem::take(&mut self.dep_buf);
-        deps.clear();
-        spec.dependents(x, &mut |z| deps.push(z));
-        for &z in &deps {
-            let zv = status.get(z);
-            stats.reads += 1;
-            match spec.relax(z, &zv, x, vx) {
-                Relax::Skip => {}
-                Relax::Set(cand) => {
-                    if cand != zv {
-                        debug_assert!(
-                            !spec.is_contracting() || spec.preceq(&cand, &zv),
-                            "non-contracting relax on var {z}: {zv:?} -> {cand:?}"
-                        );
-                        status.set(z, cand);
-                        stats.changes += 1;
-                        self.changed.push(z);
-                        let zr = spec.rank(z, &cand).min(RANK_CAP);
-                        self.push(z, zr, PEND_PROP, stats);
+                status.get(x)
+            };
+            deps.clear();
+            spec.dependents(x, &mut |z| deps.push(z));
+            for &z in &deps {
+                let zv = status.get(z);
+                stats.reads += 1;
+                match spec.relax(z, &zv, x, &vx) {
+                    Relax::Skip => {}
+                    Relax::Set(cand) => {
+                        if cand != zv {
+                            debug_assert!(
+                                !spec.is_contracting() || spec.preceq(&cand, &zv),
+                                "non-contracting relax on var {z}: {zv:?} -> {cand:?}"
+                            );
+                            status.set(z, cand);
+                            stats.changes += 1;
+                            self.changed.push(z);
+                            let zr = spec.rank(z, &cand).min(RANK_CAP);
+                            self.push(z, zr, PEND_PROP, &mut stats);
+                        }
                     }
-                }
-                Relax::Eval => {
-                    let zr = spec.push_rank(z, &zv, x, vx).min(RANK_CAP);
-                    self.push(z, zr, PEND_EVAL, stats);
+                    Relax::Eval => {
+                        let zr = spec.push_rank(z, &zv, x, &vx).min(RANK_CAP);
+                        self.push(z, zr, PEND_EVAL, &mut stats);
+                    }
                 }
             }
         }
         self.dep_buf = deps;
+
+        // The queue is empty here. A one-off spike should not pin its
+        // high-water mark, but under a steady update stream releasing
+        // every run just forces realloc churn on the next one. A
+        // full-scope run is a batch run by definition: its n-entry seeding
+        // goes now, not at the next run — a store registering several
+        // views would otherwise stack one spike per view until each saw
+        // its first update. Any other run drops capacity only when it
+        // overshoots what the run could have used (its push count) by
+        // more than 4x.
+        let keep = 4 * (stats.pushes as usize).max(KEEP_ENTRIES);
+        if scope_len == self.best.len() || self.queue.capacity() > keep {
+            self.queue.release();
+        }
+        crate::trace::record(scope_len, &stats);
+        stats
     }
 
+    /// Queues `x` with one live entry per variable, at rank `best[x]`. An
+    /// EVAL request subsumes a PROP request (re-evaluation both fixes the
+    /// value and propagates it), so kinds join upward; ranks join
+    /// downward, and a lowered rank supersedes the old entry (which then
+    /// fails the `best` check at pop).
+    #[inline]
     fn push(&mut self, x: usize, rank: u64, kind: u8, stats: &mut RunStats) {
         stats.pushes += 1;
-        if self.epoch_of[x] != self.epoch {
-            self.epoch_of[x] = self.epoch;
+        if self.mark[x] != self.epoch {
+            self.mark[x] = self.epoch;
             self.best[x] = u64::MAX;
             self.pend[x] = PEND_NONE;
             self.seen[x] = false;
         }
-        // One live entry per variable, at rank `best[x]`. An EVAL request
-        // subsumes a PROP request (re-evaluation both fixes the value and
-        // propagates it), so kinds join upward; ranks join downward, and
-        // a lowered rank supersedes the old entry (which then fails the
-        // `best` check at pop).
         self.pend[x] |= kind;
         if rank < self.best[x] {
             self.best[x] = rank;
-            self.heap.push(Reverse((rank, x)));
-            self.peak_heap = self.peak_heap.max(self.heap.len());
+            self.queue.push(rank, x);
         }
     }
 
     fn advance_epoch(&mut self) {
-        self.heap.clear();
+        if !self.queue.is_empty() {
+            self.queue.clear(); // leftovers of a run a panicking spec unwound
+        }
         if self.epoch == u32::MAX {
-            // Epoch wrap: hard-reset the versioned tables.
-            self.best.iter_mut().for_each(|b| *b = u64::MAX);
-            self.epoch_of.iter_mut().for_each(|e| *e = 0);
-            self.seen.iter_mut().for_each(|s| *s = false);
+            // Epoch wrap: hard-reset the version marks.
+            self.mark.iter_mut().for_each(|m| *m = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -365,7 +386,7 @@ impl Engine {
 pub fn run_fixpoint<S: FixpointSpec>(
     spec: &S,
     status: &mut Status<S::Value>,
-    scope: impl IntoIterator<Item = usize>,
+    scope: impl IntoIterator<Item = usize, IntoIter: Clone>,
 ) -> RunStats {
     Engine::new(spec.num_vars()).run(spec, status, scope)
 }
@@ -476,7 +497,11 @@ mod tests {
     #[test]
     fn rank_order_limits_rework_on_chain() {
         // 0-1-2-3-4-5 path: with value-ranked pops, each label drops to 0
-        // exactly once (Dijkstra-like single-settle behaviour).
+        // exactly once (Dijkstra-like single-settle behaviour). Ranks are
+        // spaced one bin (`(MIN_BAND + 1) / NUM_BUCKETS`) apart, the
+        // resolution at which bucket order is exact; closer ranks share a
+        // bucket and pop FIFO, which may re-settle a label.
+        const BIN: u64 = (MIN_BAND + 1) / NUM_BUCKETS as u64;
         struct Chain;
         impl FixpointSpec for Chain {
             type Value = u32;
@@ -508,10 +533,10 @@ mod tests {
                 a <= b
             }
             fn rank(&self, _x: usize, v: &u32) -> u64 {
-                *v as u64
+                *v as u64 * BIN
             }
             fn push_rank(&self, _z: usize, _zv: &u32, _t: usize, tv: &u32) -> u64 {
-                *tv as u64
+                *tv as u64 * BIN
             }
         }
         let spec = Chain;
@@ -577,26 +602,58 @@ mod tests {
         assert!(a.aborted, "abort is sticky across merges");
     }
 
+    /// A path `0-1-…-(n-1)` as a [`MiniCc`].
+    fn path(n: usize) -> MiniCc {
+        let mut adj = vec![Vec::new(); n];
+        for i in 1..n {
+            adj[i - 1].push(i);
+            adj[i].push(i - 1);
+        }
+        MiniCc { adj }
+    }
+
     #[test]
-    fn heap_capacity_stable_across_repeated_incremental_runs() {
-        // A big batch run sets a high-water mark; repeated small runs must
-        // not oscillate between shrink-to-zero and re-grow (the realloc
-        // churn the old unconditional shrink_to_fit caused).
-        let spec = MiniCc::new();
-        let mut engine = Engine::new(spec.num_vars());
+    fn batch_spike_is_released_and_steady_state_capacity_is_stable() {
+        // A batch run seeds every variable and must hand that high-water
+        // mark back before it returns (a standing query holds its engine
+        // for the life of the graph); repeated small runs must then
+        // neither shrink nor re-grow anything.
+        let n = 8 * KEEP_ENTRIES;
+        let spec = path(n);
+        let mut engine = Engine::new(n);
         let mut status = Status::init(&spec, false);
-        engine.run(&spec, &mut status, 0..6);
-        // First small run may release the one-off spike.
-        let mut s = Status::init(&spec, false);
-        engine.run(&spec, &mut s, [4usize]);
-        let settled = engine.heap_capacity();
+        let stats = engine.run(&spec, &mut status, 0..n);
+        assert!(stats.pushes as usize >= n, "batch seeds n entries");
+        assert_eq!(engine.queue.capacity(), 0, "batch spike still pinned");
+        engine.run(&spec, &mut status, [n - 1]); // grows the working set
+        let settled = engine.queue.capacity();
+        assert!(settled <= 4 * KEEP_ENTRIES, "{settled} entries");
         for _ in 0..10 {
-            let mut s = Status::init(&spec, false);
-            engine.run(&spec, &mut s, [4usize]);
+            engine.run(&spec, &mut status, [n - 1]);
             assert_eq!(
-                engine.heap_capacity(),
+                engine.queue.capacity(),
                 settled,
-                "steady-state runs must not churn heap capacity"
+                "steady-state runs must not churn queue capacity"
+            );
+        }
+    }
+
+    #[test]
+    fn stamps_follow_causal_order() {
+        // On a path seeded everywhere, every node's drop to label 0 is
+        // justified by its predecessor — stamps must strictly increase
+        // along the chain, which is what the contributor oracles of the
+        // weakly deducible classes read `<_C` from.
+        let n = 40;
+        let spec = path(n);
+        let mut status = Status::init(&spec, true);
+        run_fixpoint(&spec, &mut status, 0..n);
+        for i in 1..n {
+            assert_eq!(status.get(i), 0);
+            assert!(
+                status.stamp(i) > status.stamp(i - 1),
+                "stamp({i}) must follow stamp({})",
+                i - 1
             );
         }
     }

@@ -7,8 +7,8 @@
 //! million slots. [`VisitEpoch`] versions each slot with the epoch of its
 //! last insertion: clearing is one counter bump, membership is one `u32`
 //! compare, and the backing array is allocated once and reused across
-//! runs — the same trick the engine's scratch tables use, packaged so the
-//! scope functions and the parallel engine can share it.
+//! runs — the same trick the engine's scratch tables use, packaged for
+//! the scope functions.
 
 /// A reusable membership set over `0..len` with `O(1)` clearing.
 #[derive(Clone, Debug)]

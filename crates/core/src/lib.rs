@@ -18,7 +18,7 @@
 //! where the scope empties and the invariant `σ_A = ∧ σ_{x_i}` holds.
 //!
 //! In this crate the model is the [`spec::FixpointSpec`] trait and the
-//! step function is [`engine::run_fixpoint`]: a priority worklist that
+//! step function is [`engine::run_fixpoint`]: a rank-bucketed worklist that
 //! pops a variable, re-evaluates its update function, and on change pushes
 //! its dependents. Batch algorithms (`crates/algos`) are `FixpointSpec`
 //! instances run from `(D⊥, H⁰ = all possibly-violated vars)`.
@@ -55,7 +55,6 @@ pub mod epoch;
 pub mod fallback;
 pub mod lattice;
 pub mod metrics;
-pub mod par;
 pub mod scope;
 pub mod spec;
 pub mod status;
@@ -64,11 +63,10 @@ pub mod trace;
 pub use audit::{AuditMode, AuditReport, AuditViolation, FixpointAudit};
 pub use bucket::BucketQueue;
 pub use coalesce::{coalesce_batches, Coalescer};
-pub use engine::{run_fixpoint, RunStats};
+pub use engine::{run_fixpoint, Engine, RunStats};
 pub use epoch::VisitEpoch;
 pub use fallback::{AuditAction, FallbackDecision, FallbackPolicy, FallbackReason};
 pub use metrics::{BoundednessReport, SpaceUsage};
-pub use par::{PackedValue, ParEngine};
 pub use scope::{
     bounded_scope, bounded_scope_in, pe_reset_scope, pe_reset_scope_in, ContributorOracle,
     ScopeResult, ScopeScratch, ScopeStats,

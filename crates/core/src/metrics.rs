@@ -6,7 +6,7 @@
 //! is what the paper-facing APIs return and what the oracle asserts on.
 //! Cross-run aggregation is not done here: the same counters flow into
 //! the `incgraph-obs` registry at the seams that produce them (the
-//! engines' completion hook, the scope functions, the guarded update
+//! engine's completion hook, the scope functions, the guarded update
 //! path), so there is exactly one recording path and the registry is the
 //! single cross-run aggregate. [`BoundednessReport::record_obs`] is that
 //! seam for the per-update totals.

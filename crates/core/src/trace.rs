@@ -2,19 +2,16 @@
 //!
 //! When the differential fuzzing oracle (`incgraph-oracle`) reproduces a
 //! divergence, the *values* alone rarely explain it — the interesting
-//! question is what schedule the engines ran: how many variables each
-//! fixpoint resumed from, how much work each run did, and whether the
-//! sequential worklist or the sharded parallel engine produced it. This
-//! module is the hook the engines report through: tracing is off by
-//! default (one relaxed atomic load per fixpoint run), and when a
-//! harness turns it on via [`CaseTrace::start`], every
-//! [`Engine::run`](crate::engine::Engine::run) and
-//! [`ParEngine::run`](crate::par::ParEngine::run) appends a
-//! [`TraceEvent`] summarizing its schedule, which
-//! [`CaseTrace::finish`] collects for embedding into a replayable case
-//! file.
+//! question is what schedule the engine ran: how many variables each
+//! fixpoint resumed from and how much work each run did. This module is
+//! the hook the engine reports through: tracing is off by default (one
+//! relaxed atomic load per fixpoint run), and when a harness turns it on
+//! via [`CaseTrace::start`], every
+//! [`Engine::run`](crate::engine::Engine::run) appends a [`TraceEvent`]
+//! summarizing its schedule, which [`CaseTrace::finish`] collects for
+//! embedding into a replayable case file.
 //!
-//! The recorder is process-global (the engines are buried inside
+//! The recorder is process-global (each engine is buried inside
 //! algorithm states and threading a handle through every layer would
 //! distort the APIs the paper mandates); keep at most one trace active
 //! at a time.
@@ -24,14 +21,9 @@ use std::sync::Mutex;
 
 use crate::engine::RunStats;
 
-/// One fixpoint run as the engines saw it.
+/// One fixpoint run as the engine saw it.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
-    /// Which driver ran: `"seq"` ([`crate::engine::Engine`]) or `"par"`
-    /// ([`crate::par::ParEngine`]).
-    pub engine: &'static str,
-    /// Worker shards (always 1 for the sequential engine).
-    pub threads: usize,
     /// Variables seeded into the initial scope `H⁰`.
     pub scope: usize,
     /// Work counters of the run.
@@ -42,9 +34,7 @@ impl TraceEvent {
     /// Compact one-line rendering for case-file comments.
     pub fn summary(&self) -> String {
         format!(
-            "{}[t={}] scope={} pops={} evals={} changes={} distinct={}{}",
-            self.engine,
-            self.threads,
+            "engine scope={} pops={} evals={} changes={} distinct={}{}",
             self.scope,
             self.stats.pops,
             self.stats.evals,
@@ -58,7 +48,7 @@ impl TraceEvent {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
-/// Handle for collecting the engines' schedule summaries.
+/// Handle for collecting the engine's schedule summaries.
 pub struct CaseTrace;
 
 impl CaseTrace {
@@ -76,80 +66,52 @@ impl CaseTrace {
         std::mem::take(&mut *events)
     }
 
-    /// Whether a trace is active (the engines' fast-path check).
+    /// Whether a trace is active (the engine's fast-path check).
     #[inline]
     pub fn enabled() -> bool {
         ENABLED.load(Ordering::Relaxed)
     }
 }
 
-/// Appends an event if tracing is active. The engines call this once per
+/// Appends an event if tracing is active. The engine calls this once per
 /// completed run, never per pop, so the mutex is off every hot path.
 /// The observability registry taps the same seam: it wants exactly the
 /// per-run schedule summary this hook already sees.
-pub(crate) fn record(engine: &'static str, threads: usize, scope: usize, stats: &RunStats) {
+pub(crate) fn record(scope: usize, stats: &RunStats) {
     if incgraph_obs::enabled() {
-        forward_obs(engine, threads, scope, stats);
+        forward_obs(scope, stats);
     }
     if !CaseTrace::enabled() {
         return;
     }
     let mut events = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
     events.push(TraceEvent {
-        engine,
-        threads,
         scope,
         stats: *stats,
     });
 }
 
 /// Forwards one completed run's counters to the observability layer.
-/// Names are static per engine (`engine.seq.*` / `engine.par.*`) so
-/// recording allocates nothing; the ambient class label set by the
-/// guarded-update path attributes the run to its query class.
-fn forward_obs(engine: &'static str, threads: usize, scope: usize, stats: &RunStats) {
+/// Names are static so recording allocates nothing (the `engine.seq.*`
+/// family predates the single engine and is kept for metric consumers);
+/// the ambient class label set by the guarded-update path attributes the
+/// run to its query class.
+fn forward_obs(scope: usize, stats: &RunStats) {
     use incgraph_obs as obs;
-    let par = engine == "par";
-    let pick = |seq: &'static str, par_name: &'static str| if par { par_name } else { seq };
-    obs::counter(pick("engine.seq.runs", "engine.par.runs"), 1);
-    obs::counter(pick("engine.seq.pops", "engine.par.pops"), stats.pops);
-    obs::counter(pick("engine.seq.evals", "engine.par.evals"), stats.evals);
-    obs::counter(
-        pick("engine.seq.changes", "engine.par.changes"),
-        stats.changes,
-    );
-    obs::counter(pick("engine.seq.pushes", "engine.par.pushes"), stats.pushes);
-    obs::counter(
-        pick("engine.seq.stale_pops", "engine.par.stale_pops"),
-        stats.stale_pops,
-    );
-    obs::counter(pick("engine.seq.reads", "engine.par.reads"), stats.reads);
-    obs::counter(
-        pick("engine.seq.inspected", "engine.par.inspected"),
-        stats.distinct_vars,
-    );
+    obs::counter("engine.seq.runs", 1);
+    obs::counter("engine.seq.pops", stats.pops);
+    obs::counter("engine.seq.evals", stats.evals);
+    obs::counter("engine.seq.changes", stats.changes);
+    obs::counter("engine.seq.pushes", stats.pushes);
+    obs::counter("engine.seq.stale_pops", stats.stale_pops);
+    obs::counter("engine.seq.reads", stats.reads);
+    obs::counter("engine.seq.inspected", stats.distinct_vars);
     if stats.aborted {
-        obs::counter(pick("engine.seq.aborts", "engine.par.aborts"), 1);
+        obs::counter("engine.seq.aborts", 1);
     }
-    if stats.poisoned {
-        obs::counter(pick("engine.seq.poisoned", "engine.par.poisoned"), 1);
-    }
-    obs::gauge(
-        pick("engine.seq.threads", "engine.par.threads"),
-        threads as u64,
-    );
-    obs::observe(pick("engine.seq.scope", "engine.par.scope"), scope as u64);
-    obs::observe(
-        pick(
-            "engine.seq.inspected_per_run",
-            "engine.par.inspected_per_run",
-        ),
-        stats.distinct_vars,
-    );
-    obs::observe(
-        pick("engine.seq.changed_per_run", "engine.par.changed_per_run"),
-        stats.changes,
-    );
+    obs::observe("engine.seq.scope", scope as u64);
+    obs::observe("engine.seq.inspected_per_run", stats.distinct_vars);
+    obs::observe("engine.seq.changed_per_run", stats.changes);
 }
 
 #[cfg(test)]
@@ -195,20 +157,17 @@ mod tests {
     }
 
     #[test]
-    fn sequential_runs_are_recorded() {
+    fn runs_are_recorded() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         CaseTrace::start();
         let spec = Chain;
         let mut status = Status::init(&spec, false);
         run_fixpoint(&spec, &mut status, 0..4);
         let events = CaseTrace::finish();
-        let ours: Vec<_> = events
-            .iter()
-            .filter(|e| e.engine == "seq" && e.scope == 4)
-            .collect();
+        let ours: Vec<_> = events.iter().filter(|e| e.scope == 4).collect();
         assert!(!ours.is_empty(), "run not traced: {events:?}");
         assert!(ours[0].stats.pops >= 4);
-        assert!(ours[0].summary().contains("seq[t=1] scope=4"));
+        assert!(ours[0].summary().contains("engine scope=4"));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! * [`BucketQueue`] is checked against a brute-force reference model:
 //!   among all queued entries, a pop must serve the earliest-pushed entry
-//!   of the lowest bucket. That is exactly the FIFO-within-bucket
-//!   discipline the parallel engine's stamp replay relies on, so it must
-//!   hold under arbitrary interleavings of pushes and pops — including
-//!   pushes below the drained cursor and overflow ranks.
+//!   of the lowest bucket. That FIFO-within-bucket discipline is what
+//!   makes the engine's schedule deterministic, so it must hold under
+//!   arbitrary interleavings of pushes, pops, clears and storage
+//!   releases — including pushes below the drained cursor and overflow
+//!   ranks.
 //! * [`VisitEpoch`] is checked against a `HashSet` model across random
 //!   insert/contains/clear/grow schedules, including epochs pinned next
 //!   to `u32::MAX` so the wraparound hard-reset path runs.
@@ -49,16 +50,13 @@ impl RefQueue {
         ((rank >> self.shift) as usize).min(NUM_BUCKETS - 1)
     }
 
-    fn pop_at_most(&mut self, max_bucket: usize) -> Option<(u64, usize)> {
+    fn pop(&mut self) -> Option<(u64, usize)> {
         let best = self
             .entries
             .iter()
             .enumerate()
             .min_by_key(|(i, (r, _))| (self.bucket_of(*r), *i))
             .map(|(i, _)| i)?;
-        if self.bucket_of(self.entries[best].0) > max_bucket {
-            return None;
-        }
         Some(self.entries.remove(best))
     }
 }
@@ -121,17 +119,14 @@ fn bucket_queue_interleaved_ops_match_reference() {
                 5..=7 => {
                     assert_eq!(
                         q.pop(),
-                        model.pop_at_most(NUM_BUCKETS - 1),
+                        model.pop(),
                         "seed {seed} step {step}: pop diverged"
                     );
                 }
                 8 => {
-                    let bound = rng.below(NUM_BUCKETS as u64) as usize;
-                    assert_eq!(
-                        q.pop_at_most(bound),
-                        model.pop_at_most(bound),
-                        "seed {seed} step {step}: pop_at_most({bound}) diverged"
-                    );
+                    q.release();
+                    model.entries.clear();
+                    assert_eq!(q.capacity(), 0, "seed {seed} step {step}");
                 }
                 _ => {
                     q.clear();
@@ -142,7 +137,7 @@ fn bucket_queue_interleaved_ops_match_reference() {
         }
         // Final drain must agree entry-for-entry.
         loop {
-            let (got, want) = (q.pop(), model.pop_at_most(NUM_BUCKETS - 1));
+            let (got, want) = (q.pop(), model.pop());
             assert_eq!(got, want, "seed {seed}: final drain diverged");
             if got.is_none() {
                 break;

@@ -21,15 +21,16 @@ use incgraph_algos::{QueryClass, Session, SessionError};
 use incgraph_graph::{AppliedBatch, DynamicGraph, Pattern};
 use std::fmt;
 
-/// Ambient inputs a plan text cannot carry: the Sim pattern and the
-/// engine thread count for member sessions.
+/// Ambient inputs a plan text cannot carry: the Sim pattern.
 #[derive(Clone, Debug, Default)]
 pub struct PlanContext {
     /// Pattern for `sim` sources; building a plan that mentions `sim`
     /// without one fails with [`DataflowError::Session`]
     /// (`MissingPattern`).
     pub pattern: Option<Pattern>,
-    /// Engine threads for member sessions (0/1 = sequential).
+    /// Ignored: there is one fixpoint engine and it is single-threaded.
+    /// The field survives only because the frozen `benchmark/` package
+    /// names it in a struct literal (see ROADMAP's deletion ledger).
     pub threads: usize,
 }
 
@@ -94,7 +95,7 @@ impl DataflowSession {
             match src {
                 Source::Labels => uses_labels = true,
                 Source::Class { class, source } => {
-                    let mut b = Session::builder(class).threads(ctx.threads);
+                    let mut b = Session::builder(class);
                     if let Some(s) = source {
                         b = b.source(s);
                     }

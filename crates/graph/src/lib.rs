@@ -14,21 +14,15 @@
 //! Both directed and undirected graphs are supported by a single type;
 //! undirected edges are mirrored into both incident adjacency lists.
 
-pub mod csr;
 pub mod gen;
 pub mod ids;
 pub mod io;
-pub mod overlay;
 pub mod pattern;
 pub mod rng;
 pub mod store;
 pub mod update;
-pub mod view;
 
-pub use csr::CsrSnapshot;
 pub use ids::{Label, NodeId, Weight};
-pub use overlay::CsrOverlay;
 pub use pattern::Pattern;
 pub use store::DynamicGraph;
 pub use update::{AppliedBatch, AppliedOp, BatchError, Update, UpdateBatch};
-pub use view::GraphView;

@@ -1,19 +1,17 @@
 //! Differential fuzzing oracle for the incremental graph engine.
 //!
 //! The paper's central claims — the incremental algorithm `A_Δ` computes
-//! exactly the batch fixpoint (Theorems 1 & 3), parallel resumption is
-//! schedule-independent under C2, and the work is bounded by the affected
-//! area — are *differential* properties: each one equates two independent
-//! computations. This crate turns them into executable oracles and hunts
-//! for divergence with seeded random campaigns:
+//! exactly the batch fixpoint (Theorems 1 & 3) and the work is bounded by
+//! the affected area — are *differential* properties: each one equates
+//! two independent computations. This crate turns them into executable
+//! oracles and hunts for divergence with seeded random campaigns:
 //!
 //! * [`gencase`] expands one `u64` seed into a self-contained [`case::Case`]
 //!   (graph topology, labels, query parameters, and a long schedule of
 //!   effective `ΔG` batches);
 //! * [`runner`] drives a case through all seven query classes, checking
-//!   incremental-vs-batch value equality, sequential-vs-parallel equality
-//!   at the case's thread counts, and boundedness-accounting invariants
-//!   after every batch;
+//!   incremental-vs-batch value equality and boundedness-accounting
+//!   invariants after every batch;
 //! * [`crash`] sweeps kill-and-recover over a case's schedule at every
 //!   durability injection point, demanding the recovered world is
 //!   value-identical to an uninterrupted run (the determinism of the

@@ -770,42 +770,48 @@ fn handle_line(
         Command::Status => {
             let pending = shared.pending.load(Ordering::Relaxed);
             let sessions = shared.sessions().len();
-            match shared.store().as_ref() {
-                None => ctx.err(ErrCode::ShuttingDown, "store is gone"),
-                Some(store) => {
-                    let (graphs, queries) = store.counts();
-                    let phase = match shared.phase() {
-                        RUNNING => "running",
-                        DRAINING => "draining",
-                        _ => "killed",
-                    };
-                    let mut line = format!(
-                        "OK STATUS graphs={graphs} queries={queries} sessions={sessions} \
-                         pending={pending} degraded={} phase={phase}",
-                        store.is_degraded() as u8
-                    );
-                    if let Some(info) = shared
-                        .cfg
-                        .repl_graph
-                        .as_deref()
-                        .and_then(|g| store.repl_info(g))
-                    {
-                        line.push_str(&format!(
-                            " role={} epoch={} repl_seq={} repl_sinks={} repl_lag={}",
-                            shared.role().name(),
-                            info.epoch,
-                            info.last_seq,
-                            shared.repl_sinks.load(Ordering::Relaxed),
-                            shared.repl_lag.load(Ordering::Relaxed),
-                        ));
-                    }
-                    ctx.out.push_line(line);
-                }
+            // Read what the reply needs under the store lock, format and
+            // queue it after the guard is gone: the writer must not wait
+            // on string building.
+            let read = shared.store().as_ref().map(|store| {
+                let repl = shared
+                    .cfg
+                    .repl_graph
+                    .as_deref()
+                    .and_then(|g| store.repl_info(g));
+                (store.counts(), store.is_degraded(), repl)
+            });
+            let Some(((graphs, queries), degraded, repl)) = read else {
+                ctx.err(ErrCode::ShuttingDown, "store is gone");
+                return true;
+            };
+            let phase = match shared.phase() {
+                RUNNING => "running",
+                DRAINING => "draining",
+                _ => "killed",
+            };
+            let mut line = format!(
+                "OK STATUS graphs={graphs} queries={queries} sessions={sessions} \
+                 pending={pending} degraded={} phase={phase}",
+                degraded as u8
+            );
+            if let Some(info) = repl {
+                line.push_str(&format!(
+                    " role={} epoch={} repl_seq={} repl_sinks={} repl_lag={}",
+                    shared.role().name(),
+                    info.epoch,
+                    info.last_seq,
+                    shared.repl_sinks.load(Ordering::Relaxed),
+                    shared.repl_lag.load(Ordering::Relaxed),
+                ));
             }
+            ctx.out.push_line(line);
             true
         }
         Command::Query { qid } => {
-            match shared.store().as_ref().and_then(|s| s.query(ctx.sid, &qid)) {
+            // The `let` ends the read guard before the reply is formatted.
+            let found = shared.store().as_ref().and_then(|s| s.query(ctx.sid, &qid));
+            match found {
                 Some((digest, seq)) => {
                     let mut line = format!("RESULT {qid} {seq} {}", digest.len());
                     for v in &digest {
@@ -899,11 +905,11 @@ fn handle_line(
             },
         ),
         Command::Planq { qid } => {
-            match shared
+            let found = shared
                 .store()
                 .as_ref()
-                .and_then(|s| s.plan_view(ctx.sid, &qid))
-            {
+                .and_then(|s| s.plan_view(ctx.sid, &qid));
+            match found {
                 Some((rows, seq)) => {
                     ctx.out
                         .push_line(protocol::format_view_rows("VIEW", &qid, seq, &rows));

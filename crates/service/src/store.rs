@@ -436,7 +436,7 @@ impl Store {
         let _span = incgraph_obs::span("service.plan");
         let ctx = PlanContext {
             pattern: Some(random_pattern(g, 4, 6, pattern_seed)),
-            threads: 0,
+            ..Default::default()
         };
         let session = match DataflowSession::from_text(text, g, &ctx) {
             Ok(s) => s,
@@ -677,8 +677,9 @@ impl Store {
         for ((_, qid), q) in entry.queries.iter_mut() {
             let _cls = incgraph_obs::class_scope(q.class.name());
             // The session's typed delta replaces the historical
-            // digest-zip: same wire bytes, O(|Δoutput|) instead of
-            // O(|Ψ|) per query per commit.
+            // digest-zip: same wire bytes, and computing it is
+            // O(|Δoutput|). The mirror refresh at the end of this loop is
+            // still an O(|Ψ|) copy per changed view (ROADMAP item 1).
             let delta = q.session.update_guarded(g, applied).delta;
             if delta.resync.is_none() && delta.changes.is_empty() {
                 continue;
@@ -1042,7 +1043,7 @@ impl Store {
         for ((_, qid), p) in entry.plans.iter_mut() {
             let ctx = PlanContext {
                 pattern: Some(random_pattern(g, 4, 6, p.pattern_seed)),
-                threads: 0,
+                ..Default::default()
             };
             if let Ok(s) = DataflowSession::from_text(&p.text, g, &ctx) {
                 p.out
