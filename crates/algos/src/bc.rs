@@ -182,7 +182,7 @@ impl BcState {
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
         // Snapshot the DFS numbers that the low constants derive from.
         let n = g.node_count();
-        self.ensure_size(n);
+        self.ensure_size(g);
         let old_first: Vec<u32> = (0..n as NodeId).map(|v| self.dfs.first(v)).collect();
         let old_parent: Vec<NodeId> = (0..n as NodeId).map(|v| self.dfs.parent(v)).collect();
 
@@ -253,7 +253,11 @@ impl BcState {
         self.dfs.space_bytes() + self.low.space_bytes() + self.engine.space_bytes()
     }
 
-    fn ensure_size(&mut self, n: usize) {
+    fn ensure_size(&mut self, g: &DynamicGraph) {
+        // The DFS substrate grows first: the snapshot in `update` reads
+        // its (sentinel) numbers for the fresh nodes.
+        self.dfs.ensure_size(g);
+        let n = g.node_count();
         if n > self.low.len() {
             self.low.extend_to(n, |_| u32::MAX);
             self.engine = Engine::new(n);
@@ -265,7 +269,7 @@ impl BcState {
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = persist::header("bc");
         self.dfs.save_payload(&mut out);
-        persist::put_status(&mut out, &self.low, |v| v as u64);
+        persist::put_status(&mut out, &self.low);
         out
     }
 
@@ -280,10 +284,7 @@ impl BcState {
         let n = g.node_count();
         let mut r = persist::expect_header("bc", bytes)?;
         let dfs = DfsState::restore_payload(&mut r, n)?;
-        let low = persist::read_status(&mut r, |b| {
-            u32::try_from(b)
-                .map_err(|_| StateLoadError::Malformed(format!("lowpoint {b} exceeds u32")))
-        })?;
+        let low = persist::read_status(&mut r)?;
         r.finish()?;
         if low.len() != n {
             return Err(StateLoadError::SizeMismatch {
@@ -498,6 +499,23 @@ mod tests {
         assert_eq!(bc.articulation_points(&g), vec![1, 2]);
         let mut b = UpdateBatch::new();
         b.insert(3, 0, 1);
+        let applied = b.apply(&mut g);
+        bc.update(&g, &applied);
+        assert!(bc.articulation_points(&g).is_empty());
+        assert_matches_reference(&bc, &g);
+    }
+
+    #[test]
+    fn vertex_insertion_extends_state() {
+        // Regression: the pre-update snapshot read the DFS numbers of the
+        // fresh node before the DFS substrate had grown to it.
+        let mut g = DynamicGraph::new(false, 3);
+        g.insert_edge(0, 1, 1);
+        g.insert_edge(1, 2, 1);
+        let (mut bc, _) = BcState::batch(&g);
+        let v = g.add_node(0);
+        let mut b = UpdateBatch::new();
+        b.insert(2, v, 1).insert(v, 0, 1);
         let applied = b.apply(&mut g);
         bc.update(&g, &applied);
         assert!(bc.articulation_points(&g).is_empty());

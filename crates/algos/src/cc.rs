@@ -17,13 +17,13 @@
 //! Both strategies are exposed; the PE one backs the `abl-scope`/`abl-ts`
 //! ablations.
 
-use crate::persist::{self, StateLoadError};
-use incgraph_core::engine::{Engine, RunStats};
-use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch};
+use crate::deduced::{Deduced, Deducible};
+use crate::persist::{ByteReader, StateLoadError};
+use incgraph_core::engine::RunStats;
+use incgraph_core::scope::ContributorOracle;
 use incgraph_core::spec::{FixpointSpec, Relax};
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
+use incgraph_graph::{AppliedOp, DynamicGraph, NodeId};
 
 /// Component label type (a node id).
 pub type CompId = u32;
@@ -104,24 +104,7 @@ impl FixpointSpec for CcSpec<'_> {
 /// `x` — same old value, later stamp (for min-propagation every anchor is
 /// an equal-valued, earlier-settled neighbor), so `contributes_to(x)`
 /// pushes exactly those.
-struct CcOracle<'a> {
-    g: &'a DynamicGraph,
-}
-
-impl CcOracle<'_> {
-    fn neighbors(&self, v: usize, mut f: impl FnMut(usize)) {
-        for &(u, _) in self.g.out_neighbors(v as NodeId) {
-            f(u as usize);
-        }
-        if self.g.is_directed() {
-            for &(u, _) in self.g.in_neighbors(v as NodeId) {
-                f(u as usize);
-            }
-        }
-    }
-}
-
-impl ContributorOracle<CompId> for CcOracle<'_> {
+impl ContributorOracle<CompId> for CcSpec<'_> {
     fn order_key(&self, x: usize, status: &Status<CompId>) -> u64 {
         status.stamp(x)
     }
@@ -139,236 +122,105 @@ impl ContributorOracle<CompId> for CcOracle<'_> {
     }
 }
 
-/// CC state: previous fixpoint (with timestamps) plus the reusable engine.
-pub struct CcState {
-    status: Status<CompId>,
-    engine: Engine,
-    /// Reusable arena for the scope function: epoch-reset bitmaps and
-    /// high-water vectors make steady-state updates allocation-free.
-    scratch: ScopeScratch,
+/// The CC class definition: no query parameters.
+pub struct Cc;
+
+impl Deducible for Cc {
+    const NAME: &'static str = "cc";
+    /// Weakly deducible: `<_C` is the change order of the batch run.
+    const STAMPS: bool = true;
+    type Value = CompId;
+    type Spec<'a> = CcSpec<'a>;
+
+    fn spec<'a>(&'a self, g: &'a DynamicGraph) -> CcSpec<'a> {
+        CcSpec::new(g)
+    }
+
+    fn seeds<'a>(&'a self, g: &'a DynamicGraph) -> impl Iterator<Item = usize> + Clone + 'a {
+        0..g.node_count()
+    }
+
+    /// Endpoints of changed edges, filtered as in the paper's Example 5.
+    /// A deleted edge can only invalidate a label that was *witnessed*
+    /// across it: both endpoints carry the same old label and only the
+    /// one with the larger timestamp may be truly affected. An inserted
+    /// edge can only lower the endpoint with the larger old label.
+    /// Equal-label insertions and distinct-label deletions provably
+    /// change nothing.
+    #[inline]
+    fn touched(
+        &self,
+        _g: &DynamicGraph,
+        status: &Status<CompId>,
+        op: &AppliedOp,
+        out: &mut Vec<usize>,
+    ) {
+        let (a, b) = (op.src as usize, op.dst as usize);
+        let (va, vb) = (status.get(a), status.get(b));
+        if op.inserted {
+            match va.cmp(&vb) {
+                std::cmp::Ordering::Less => out.push(b),
+                std::cmp::Ordering::Greater => out.push(a),
+                std::cmp::Ordering::Equal => {}
+            }
+        } else if va == vb {
+            let e = if status.stamp(a) >= status.stamp(b) {
+                a
+            } else {
+                b
+            };
+            if status.get(e) != e as CompId {
+                out.push(e);
+            }
+        }
+    }
+
+    fn evolved(&self, _g: &DynamicGraph, op: &AppliedOp, out: &mut Vec<usize>) {
+        out.extend([op.src as usize, op.dst as usize]);
+    }
+
+    fn put_params(&self, _out: &mut Vec<u8>) {}
+
+    fn read_params(_r: &mut ByteReader<'_>) -> Result<Self, StateLoadError> {
+        Ok(Cc)
+    }
+
+    fn validate(&self, g: &DynamicGraph, status: &Status<CompId>) -> Result<(), StateLoadError> {
+        let n = g.node_count();
+        if status.values().iter().any(|&v| v as usize >= n) {
+            return Err(StateLoadError::Malformed("label beyond node range".into()));
+        }
+        Ok(())
+    }
 }
+
+/// CC state: `CC_fp` (the batch run) and the deduced `IncCC` of Example 5
+/// ([`Deduced::update`]). [`Deduced::update_pe_reset`] is Example 2's
+/// deducible-but-unbounded strategy, which floods the whole component.
+pub type CcState = Deduced<Cc>;
 
 impl CcState {
     /// Runs batch `CC_fp`.
     pub fn batch(g: &DynamicGraph) -> (Self, RunStats) {
-        let spec = CcSpec::new(g);
-        // Weakly deducible: timestamps on.
-        let mut status = Status::init(&spec, true);
-        let mut engine = Engine::new(spec.num_vars());
-        let stats = engine.run(&spec, &mut status, 0..spec.num_vars());
-        (
-            CcState {
-                status,
-                engine,
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engine's changed-set
-    /// log. Always a superset of the truly changed variables (the run
-    /// pushes dependents beyond `H⁰`, which the log captures; stale log
-    /// entries from earlier runs merely cost a value comparison).
-    pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.scratch.scope);
-        out.extend_from_slice(self.engine.changed_vars());
+        Deduced::new(Cc, g)
     }
 
     /// Component id (= minimum node id of the component) of every node.
     pub fn components(&self) -> &[CompId] {
-        self.status.values()
+        self.values()
     }
 
     /// Component id of one node.
     pub fn component(&self, v: NodeId) -> CompId {
-        self.status.get(v as usize)
+        self.value(v as usize)
     }
 
     /// Number of distinct components.
     pub fn component_count(&self) -> usize {
-        let mut ids: Vec<CompId> = self.status.values().to_vec();
+        let mut ids: Vec<CompId> = self.values().to_vec();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
-    }
-
-    /// `IncCC` (Example 5): timestamps determine `<_C`; the bounded scope
-    /// function of Fig. 4 adjusts the previous fixpoint, and the unchanged
-    /// step function is resumed.
-    pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        self.ensure_size(g);
-        let spec = CcSpec::new(g);
-        // Endpoints of changed edges, filtered as in the paper's
-        // Example 5. A deleted edge can only invalidate a label that was
-        // *witnessed* across it: both endpoints carry the same old label
-        // and only the one with the larger timestamp may be truly
-        // affected. An inserted edge can only lower the endpoint with the
-        // larger old label. Equal-label insertions and distinct-label
-        // deletions provably change nothing.
-        self.scratch.touched.clear();
-        for op in applied.ops() {
-            let (a, b) = (op.src as usize, op.dst as usize);
-            let (va, vb) = (self.status.get(a), self.status.get(b));
-            if op.inserted {
-                match va.cmp(&vb) {
-                    std::cmp::Ordering::Less => self.scratch.touched.push(b),
-                    std::cmp::Ordering::Greater => self.scratch.touched.push(a),
-                    std::cmp::Ordering::Equal => {}
-                }
-            } else if va == vb {
-                let e = if self.status.stamp(a) >= self.status.stamp(b) {
-                    a
-                } else {
-                    b
-                };
-                if self.status.get(e) != e as CompId {
-                    self.scratch.touched.push(e);
-                }
-            }
-        }
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-        // Weakly deducible: <_C comes from the live timestamps (h never
-        // restamps, so these are the previous run's); no snapshots.
-        let oracle = CcOracle { g };
-        let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
-    }
-
-    /// The deducible-but-unbounded strategy of Example 2 (Theorem 1):
-    /// flood PE variables and reset them, using no timestamps. Kept as the
-    /// ablation baseline contrasting Theorem 1 with Theorem 3.
-    pub fn update_pe_reset(
-        &mut self,
-        g: &DynamicGraph,
-        applied: &AppliedBatch,
-    ) -> BoundednessReport {
-        self.ensure_size(g);
-        let spec = CcSpec::new(g);
-        self.scratch.touched.clear();
-        self.scratch.touched.extend(
-            applied
-                .ops()
-                .iter()
-                .flat_map(|o| [o.src as usize, o.dst as usize]),
-        );
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-        let stats = pe_reset_scope_in(&spec, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
-    }
-
-    /// Resident bytes of the algorithm's state (Fig. 8). Includes the
-    /// timestamp array — the weakly-deducible overhead.
-    pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
-    }
-
-    /// Serializes the durable essence (`SaveState`): the label status
-    /// *with its timestamps* — `IncCC` derives `<_C` from them, so a
-    /// restore that dropped stamps would corrupt every later update.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut out = persist::header("cc");
-        persist::put_status(&mut out, &self.status, |v| v as u64);
-        out
-    }
-
-    /// Rebuilds a state from [`save_state`](Self::save_state) bytes
-    /// without running any fixpoint (`LoadState`).
-    pub fn restore(g: &DynamicGraph, bytes: &[u8]) -> Result<Self, StateLoadError> {
-        let mut r = persist::expect_header("cc", bytes)?;
-        let status = persist::read_status(&mut r, |b| {
-            u32::try_from(b)
-                .map_err(|_| StateLoadError::Malformed(format!("label {b} exceeds u32")))
-        })?;
-        r.finish()?;
-        let n = g.node_count();
-        if status.len() != n {
-            return Err(StateLoadError::SizeMismatch {
-                expected: n,
-                found: status.len(),
-            });
-        }
-        if !status.tracks_stamps() {
-            return Err(StateLoadError::Malformed(
-                "cc is weakly deducible and requires timestamps".into(),
-            ));
-        }
-        if status.values().iter().any(|&v| v as usize >= n) {
-            return Err(StateLoadError::Malformed("label beyond node range".into()));
-        }
-        Ok(CcState {
-            status,
-            engine: Engine::new(n),
-            scratch: ScopeScratch::new(),
-        })
-    }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        let n = g.node_count();
-        if n > self.status.len() {
-            self.status.extend_to(n, |i| i as CompId);
-            self.engine = Engine::new(n);
-        }
-    }
-}
-
-impl crate::IncrementalState for CcState {
-    fn name(&self) -> &'static str {
-        "cc"
-    }
-
-    fn total_vars(&self, g: &DynamicGraph) -> usize {
-        g.node_count()
-    }
-
-    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        CcState::update(self, g, applied)
-    }
-
-    fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let (fresh, stats) = CcState::batch(g);
-        *self = fresh;
-        stats
-    }
-
-    fn audit(
-        &self,
-        g: &DynamicGraph,
-        audit: &incgraph_core::audit::FixpointAudit,
-    ) -> incgraph_core::audit::AuditReport {
-        audit.run(&CcSpec::new(g), &self.status)
-    }
-
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.engine.set_work_budget(budget);
-    }
-
-    fn space_bytes(&self) -> usize {
-        CcState::space_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        CcState::save_state(self)
-    }
-
-    fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = CcState::restore(g, bytes)?;
-        Ok(())
     }
 }
 

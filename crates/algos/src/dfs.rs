@@ -350,7 +350,7 @@ impl DfsState {
         stats.distinct_vars += 1;
     }
 
-    fn ensure_size(&mut self, g: &DynamicGraph) {
+    pub(crate) fn ensure_size(&mut self, g: &DynamicGraph) {
         let n = g.node_count();
         if n > self.first.len() {
             // Fresh nodes get sentinel intervals past any real timestamp,

@@ -452,7 +452,7 @@ impl LccState {
     /// degree/triangle status. Deducible — no timestamps.
     pub fn save_state(&self) -> Vec<u8> {
         let mut out = persist::header("lcc");
-        persist::put_status(&mut out, &self.status, |c| c);
+        persist::put_status(&mut out, &self.status);
         out
     }
 
@@ -465,7 +465,7 @@ impl LccState {
             ));
         }
         let mut r = persist::expect_header("lcc", bytes)?;
-        let status = persist::read_status(&mut r, Ok)?;
+        let status = persist::read_status(&mut r)?;
         r.finish()?;
         let expected = g.node_count() * 2;
         if status.len() != expected {

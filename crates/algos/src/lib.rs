@@ -1,25 +1,32 @@
-//! The paper's five proof-of-concept query classes, each as a batch
+//! Seven query classes — the paper's five proof-of-concept classes, the
+//! sixth it names (BC) and one extension example (Reach) — each as a batch
 //! fixpoint algorithm plus its deduced incremental algorithm:
 //!
-//! | Query class | Batch (`A`) | Incremental (`A_Δ`) | Deducibility |
-//! |-------------|------------|---------------------|--------------|
-//! | [`sssp`] single-source shortest paths | Dijkstra as fixpoint (paper Fig. 1) | `IncSSSP` (paper Fig. 5) | deducible (order `<_C` from distance values) |
-//! | [`cc`] connected components | min-label propagation `CC_fp` (Ex. 2) | `IncCC` (Ex. 5) | weakly deducible (timestamps) |
-//! | [`sim`] graph simulation | `Sim_fp` \[HHK95\] (§5.1) | `IncSim` | weakly deducible (timestamps) |
-//! | [`dfs`] depth-first search | `DFS_fp` interval traversal (§5.2) | `IncDFS` | deducible (order from preorder numbers) |
-//! | [`lcc`] local clustering coefficient | `LCC_fp` (§5.3) | `IncLCC` | deducible (PE variables, no order needed) |
+//! | Query class | Batch (`A`) | Incremental (`A_Δ`) | Deducibility | State |
+//! |-------------|------------|---------------------|--------------|-------|
+//! | [`sssp`] single-source shortest paths | Dijkstra as fixpoint (paper Fig. 1) | `IncSSSP` (paper Fig. 5) | deducible (order `<_C` from distance values) | [`Deduced`] |
+//! | [`cc`] connected components | min-label propagation `CC_fp` (Ex. 2) | `IncCC` (Ex. 5) | weakly deducible (timestamps) | [`Deduced`] |
+//! | [`sim`] graph simulation | `Sim_fp` \[HHK95\] (§5.1) | `IncSim` | weakly deducible (timestamps) | [`Deduced`] |
+//! | [`reach`] single-source reachability | OR-propagation under the flipped order | `IncReach` | weakly deducible (timestamps) | [`Deduced`] |
+//! | [`lcc`] local clustering coefficient | `LCC_fp` (§5.3) | `IncLCC` | deducible (PE variables, no order needed) | own |
+//! | [`dfs`] depth-first search | `DFS_fp` interval traversal (§5.2) | `IncDFS` | deducible (order from preorder numbers) | own |
+//! | [`bc`] biconnectivity | lowpoint fixpoint over the DFS forest | `IncBC` (`IncDFS`, then a PE reset of the moved lowpoints) | deducible | own |
 //!
 //! Every incremental algorithm follows the same two-phase shape mandated
 //! by the paper: an **initial scope function** `h` adjusts the previous
 //! fixpoint to a feasible status and initial scope, then the **unchanged
-//! step function** of the batch algorithm is resumed. For SSSP, CC and Sim
-//! both phases are literally the generic `incgraph-core` machinery
-//! ([`incgraph_core::bounded_scope`] + [`incgraph_core::engine::Engine`]);
-//! LCC uses the PE-variable strategy of Theorem 1; DFS implements the same
-//! `h`-plus-resume pattern directly on the traversal representation (its
-//! update functions are not pure functions of an input set, so it does not
-//! fit the generic `FixpointSpec` — the paper likewise treats it as the
-//! stretch case of the framework).
+//! step function** of the batch algorithm is resumed. For SSSP, CC, Sim
+//! and Reach that sentence is one type: each class defines a
+//! [`Deducible`] (its spec, its order `<_C`, its evolved input sets) and
+//! [`deduced::Deduced`] assembles `A_Δ` from
+//! [`incgraph_core::bounded_scope_in`] + [`incgraph_core::engine::Engine`].
+//! LCC uses the PE-variable strategy of Theorem 1 and writes its status
+//! arithmetically; DFS implements the same `h`-plus-resume pattern
+//! directly on the traversal representation (its update functions are not
+//! pure functions of an input set, so it does not fit the generic
+//! `FixpointSpec` — the paper likewise treats it as the stretch case of
+//! the framework), and BC layers a lowpoint fixpoint over it. Those three
+//! keep their own state types.
 //!
 //! All `update` entry points take the **already updated** graph `G ⊕ ΔG`
 //! together with the [`incgraph_graph::AppliedBatch`] describing the
@@ -28,6 +35,7 @@
 
 pub mod bc;
 pub mod cc;
+pub mod deduced;
 pub mod dfs;
 pub mod lcc;
 pub mod output;
@@ -39,6 +47,7 @@ pub mod sssp;
 
 pub use bc::BcState;
 pub use cc::CcState;
+pub use deduced::{Deduced, Deducible};
 pub use dfs::DfsState;
 pub use lcc::LccState;
 pub use output::{NodeChange, OutputChange, OutputDelta, OutputSnapshot, TrackedUpdate};

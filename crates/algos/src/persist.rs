@@ -69,15 +69,17 @@ impl std::fmt::Display for StateLoadError {
 impl std::error::Error for StateLoadError {}
 
 /// Little-endian primitive writers.
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -91,8 +93,10 @@ pub(crate) fn header(name: &str) -> Vec<u8> {
     out
 }
 
-/// A bounds-checked little-endian reader over a state blob.
-pub(crate) struct ByteReader<'a> {
+/// A bounds-checked little-endian reader over a state blob. Public so
+/// that a [`Deducible`](crate::Deducible) class defined outside this
+/// crate can read its parameters back.
+pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -113,15 +117,18 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, StateLoadError> {
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, StateLoadError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, StateLoadError> {
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, StateLoadError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, StateLoadError> {
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, StateLoadError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -187,16 +194,57 @@ pub fn peek_class(bytes: &[u8]) -> Result<String, StateLoadError> {
         .to_string())
 }
 
+/// A status value and its one-word persisted (and digest) encoding.
+pub trait Word: Copy + PartialEq + std::fmt::Debug + Send + Sync {
+    /// The value as a `u64`.
+    fn enc(self) -> u64;
+
+    /// Inverse of [`enc`](Self::enc); bit patterns outside the value
+    /// domain are corruption.
+    fn dec(bits: u64) -> Result<Self, StateLoadError>;
+}
+
+impl Word for u64 {
+    fn enc(self) -> u64 {
+        self
+    }
+
+    fn dec(bits: u64) -> Result<u64, StateLoadError> {
+        Ok(bits)
+    }
+}
+
+impl Word for u32 {
+    fn enc(self) -> u64 {
+        self as u64
+    }
+
+    fn dec(bits: u64) -> Result<u32, StateLoadError> {
+        u32::try_from(bits)
+            .map_err(|_| StateLoadError::Malformed(format!("value {bits} exceeds u32")))
+    }
+}
+
+impl Word for bool {
+    fn enc(self) -> u64 {
+        self as u64
+    }
+
+    fn dec(bits: u64) -> Result<bool, StateLoadError> {
+        match bits {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(StateLoadError::Malformed(format!("boolean encoded as {b}"))),
+        }
+    }
+}
+
 /// Serializes a status: length, stamp flag, packed values, stamps, clock.
-pub(crate) fn put_status<V: Copy + PartialEq>(
-    out: &mut Vec<u8>,
-    s: &Status<V>,
-    enc: impl Fn(V) -> u64,
-) {
+pub(crate) fn put_status<V: Word>(out: &mut Vec<u8>, s: &Status<V>) {
     put_u64(out, s.len() as u64);
     put_u8(out, s.tracks_stamps() as u8);
     for x in 0..s.len() {
-        put_u64(out, enc(s.get(x)));
+        put_u64(out, s.get(x).enc());
     }
     if s.tracks_stamps() {
         for &st in s.stamps() {
@@ -206,12 +254,8 @@ pub(crate) fn put_status<V: Copy + PartialEq>(
     }
 }
 
-/// Deserializes a status written by [`put_status`]; `dec` rejects value
-/// encodings outside the class's domain.
-pub(crate) fn read_status<V: Copy + PartialEq>(
-    r: &mut ByteReader<'_>,
-    dec: impl Fn(u64) -> Result<V, StateLoadError>,
-) -> Result<Status<V>, StateLoadError> {
+/// Deserializes a status written by [`put_status`].
+pub(crate) fn read_status<V: Word>(r: &mut ByteReader<'_>) -> Result<Status<V>, StateLoadError> {
     let n = r.len(8)?;
     let tracked = match r.u8()? {
         0 => false,
@@ -220,7 +264,7 @@ pub(crate) fn read_status<V: Copy + PartialEq>(
     };
     let mut vals = Vec::with_capacity(n);
     for _ in 0..n {
-        vals.push(dec(r.u64()?)?);
+        vals.push(V::dec(r.u64()?)?);
     }
     let (stamps, clock) = if tracked {
         let mut stamps = Vec::with_capacity(n);
@@ -238,16 +282,6 @@ pub(crate) fn read_status<V: Copy + PartialEq>(
         (Vec::new(), 0)
     };
     Ok(Status::from_parts(vals, stamps, clock))
-}
-
-/// Decoder for Boolean statuses: any bit pattern other than 0/1 is
-/// corruption.
-pub(crate) fn dec_bool(bits: u64) -> Result<bool, StateLoadError> {
-    match bits {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(StateLoadError::Malformed(format!("boolean encoded as {b}"))),
-    }
 }
 
 #[cfg(test)]
@@ -283,18 +317,18 @@ mod tests {
     fn status_roundtrip_with_and_without_stamps() {
         let plain = Status::from_values(vec![3u64, 9, 1]);
         let mut out = Vec::new();
-        put_status(&mut out, &plain, |v| v);
+        put_status(&mut out, &plain);
         let mut r = ByteReader::new(&out);
-        let back = read_status::<u64>(&mut r, Ok).unwrap();
+        let back = read_status::<u64>(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.values(), plain.values());
         assert!(!back.tracks_stamps());
 
         let stamped = Status::from_parts(vec![true, false], vec![2, 0], 2);
         let mut out = Vec::new();
-        put_status(&mut out, &stamped, |v| v as u64);
+        put_status(&mut out, &stamped);
         let mut r = ByteReader::new(&out);
-        let back = read_status(&mut r, dec_bool).unwrap();
+        let back = read_status::<bool>(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.values(), stamped.values());
         assert_eq!(back.stamps(), stamped.stamps());

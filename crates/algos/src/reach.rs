@@ -1,6 +1,7 @@
 //! Single-source reachability: a worked example of **extending the
 //! framework to a new query class** (the paper's §8 future-work
-//! direction), included as the template users should copy.
+//! direction). A class is a [`FixpointSpec`], a [`ContributorOracle`] and
+//! a [`Deducible`] impl naming them; [`Deduced`] supplies the rest.
 //!
 //! Reachability looks like a least fixpoint "from below", which seems to
 //! clash with the framework's contracting model — the trick is choosing
@@ -15,13 +16,13 @@
 //! Like CC and Sim, `IncReach` is *weakly deducible*: the order `<_C` is
 //! the turn-`true` timestamp recorded by the batch run.
 
-use crate::persist::{self, StateLoadError};
-use incgraph_core::engine::{Engine, RunStats};
-use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::scope::{bounded_scope_in, ContributorOracle, ScopeScratch};
+use crate::deduced::{arcs, Deduced, Deducible};
+use crate::persist::{self, ByteReader, StateLoadError};
+use incgraph_core::engine::RunStats;
+use incgraph_core::scope::ContributorOracle;
 use incgraph_core::spec::{FixpointSpec, Relax};
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
+use incgraph_graph::{AppliedOp, DynamicGraph, NodeId};
 
 /// The reachability fixpoint specification over a graph snapshot.
 pub struct ReachSpec<'g> {
@@ -84,11 +85,7 @@ impl FixpointSpec for ReachSpec<'_> {
 
 /// `IncReach`'s contributor oracle: `<_C` by turn-`true` timestamp;
 /// still-unreached variables sort last.
-struct ReachOracle<'a> {
-    g: &'a DynamicGraph,
-}
-
-impl ContributorOracle<bool> for ReachOracle<'_> {
+impl ContributorOracle<bool> for ReachSpec<'_> {
     fn order_key(&self, x: usize, status: &Status<bool>) -> u64 {
         if status.get(x) {
             status.stamp(x)
@@ -109,207 +106,96 @@ impl ContributorOracle<bool> for ReachOracle<'_> {
     }
 }
 
-/// Reachability state: the previous fixpoint (with timestamps) plus the
-/// reusable engine.
-pub struct ReachState {
+/// The reachability class definition: the query parameter is the source.
+pub struct Reach {
     source: NodeId,
-    status: Status<bool>,
-    engine: Engine,
-    /// Reusable arena for the scope function: epoch-reset bitmaps and
-    /// high-water vectors make steady-state updates allocation-free.
-    scratch: ScopeScratch,
 }
+
+impl Deducible for Reach {
+    const NAME: &'static str = "reach";
+    /// Weakly deducible: `<_C` is the discovery order of the batch run.
+    const STAMPS: bool = true;
+    type Value = bool;
+    type Spec<'a> = ReachSpec<'a>;
+
+    fn spec<'a>(&'a self, g: &'a DynamicGraph) -> ReachSpec<'a> {
+        ReachSpec::new(g, self.source)
+    }
+
+    fn seeds<'a>(&'a self, g: &'a DynamicGraph) -> impl Iterator<Item = usize> + Clone + 'a {
+        g.out_neighbors(self.source)
+            .iter()
+            .map(|&(v, _)| v as usize)
+    }
+
+    /// Heads of changed edges (both endpoints on undirected graphs, where
+    /// the edge supports reachability in either direction), filtered: an
+    /// insertion matters only if it newly reaches its head; a deletion
+    /// only if the head was reached (its support may be gone).
+    #[inline]
+    fn touched(
+        &self,
+        g: &DynamicGraph,
+        status: &Status<bool>,
+        op: &AppliedOp,
+        out: &mut Vec<usize>,
+    ) {
+        for (tail, head) in arcs(g, op) {
+            let head_reached = status.get(head as usize);
+            let keep = if op.inserted {
+                status.get(tail as usize) && !head_reached
+            } else {
+                head_reached
+            };
+            if keep {
+                out.push(head as usize);
+            }
+        }
+    }
+
+    fn evolved(&self, g: &DynamicGraph, op: &AppliedOp, out: &mut Vec<usize>) {
+        out.extend(arcs(g, op).map(|(_, head)| head as usize));
+    }
+
+    fn put_params(&self, out: &mut Vec<u8>) {
+        persist::put_u32(out, self.source);
+    }
+
+    fn read_params(r: &mut ByteReader<'_>) -> Result<Self, StateLoadError> {
+        Ok(Reach { source: r.u32()? })
+    }
+
+    fn validate(&self, g: &DynamicGraph, _status: &Status<bool>) -> Result<(), StateLoadError> {
+        if (self.source as usize) >= g.node_count() {
+            return Err(StateLoadError::Malformed("source out of range".into()));
+        }
+        Ok(())
+    }
+}
+
+/// Reachability state: the batch run and the deduced `IncReach`
+/// ([`Deduced::update`]).
+pub type ReachState = Deduced<Reach>;
 
 impl ReachState {
     /// Runs the batch fixpoint from `source`.
     pub fn batch(g: &DynamicGraph, source: NodeId) -> (Self, RunStats) {
-        let spec = ReachSpec::new(g, source);
-        let mut status = Status::init(&spec, true);
-        let mut engine = Engine::new(spec.num_vars());
-        let scope: Vec<usize> = g
-            .out_neighbors(source)
-            .iter()
-            .map(|&(v, _)| v as usize)
-            .collect();
-        let stats = engine.run(&spec, &mut status, scope.iter().copied());
-        (
-            ReachState {
-                source,
-                status,
-                engine,
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engine's changed-set
-    /// log (always a superset of the truly changed variables; stale log
-    /// entries merely cost a value comparison).
-    pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.scratch.scope);
-        out.extend_from_slice(self.engine.changed_vars());
+        Deduced::new(Reach { source }, g)
     }
 
     /// Whether `v` is reachable from the source.
     pub fn reachable(&self, v: NodeId) -> bool {
-        self.status.get(v as usize)
+        self.value(v as usize)
     }
 
     /// The reachability bitmap.
     pub fn reached(&self) -> &[bool] {
-        self.status.values()
+        self.values()
     }
 
     /// Number of reachable vertices (including the source).
     pub fn reached_count(&self) -> usize {
-        self.status.values().iter().filter(|&&b| b).count()
-    }
-
-    /// `IncReach`: the bounded scope function over the discovery order,
-    /// then the unchanged step function.
-    pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        self.ensure_size(g);
-        let spec = ReachSpec::new(g, self.source);
-
-        // Heads of changed edges (both endpoints on undirected graphs,
-        // where the edge supports reachability in either direction),
-        // filtered: an insertion matters only if it newly reaches its
-        // head; a deletion only if the head was reached (its support may
-        // be gone).
-        self.scratch.touched.clear();
-        {
-            let status = &self.status;
-            let touched = &mut self.scratch.touched;
-            let mut consider = |tail: NodeId, head: NodeId, inserted: bool| {
-                let tail_reached = status.get(tail as usize);
-                let head_reached = status.get(head as usize);
-                let keep = if inserted {
-                    tail_reached && !head_reached
-                } else {
-                    head_reached
-                };
-                if keep {
-                    touched.push(head as usize);
-                }
-            };
-            for op in applied.ops() {
-                consider(op.src, op.dst, op.inserted);
-                if !g.is_directed() {
-                    consider(op.dst, op.src, op.inserted);
-                }
-            }
-        }
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-
-        let oracle = ReachOracle { g };
-        let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
-    }
-
-    /// Resident bytes (weakly deducible: bitmap + timestamps).
-    pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
-    }
-
-    /// Serializes the durable essence (`SaveState`): the source plus the
-    /// reachability status with its discovery-order timestamps.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut out = persist::header("reach");
-        persist::put_u32(&mut out, self.source);
-        persist::put_status(&mut out, &self.status, |b| b as u64);
-        out
-    }
-
-    /// Rebuilds a state from [`save_state`](Self::save_state) bytes
-    /// without running any fixpoint (`LoadState`).
-    pub fn restore(g: &DynamicGraph, bytes: &[u8]) -> Result<Self, StateLoadError> {
-        let mut r = persist::expect_header("reach", bytes)?;
-        let source = r.u32()?;
-        let status = persist::read_status(&mut r, persist::dec_bool)?;
-        r.finish()?;
-        let n = g.node_count();
-        if status.len() != n {
-            return Err(StateLoadError::SizeMismatch {
-                expected: n,
-                found: status.len(),
-            });
-        }
-        if !status.tracks_stamps() {
-            return Err(StateLoadError::Malformed(
-                "reach is weakly deducible and requires timestamps".into(),
-            ));
-        }
-        if (source as usize) >= n {
-            return Err(StateLoadError::Malformed("source out of range".into()));
-        }
-        Ok(ReachState {
-            source,
-            status,
-            engine: Engine::new(n),
-            scratch: ScopeScratch::new(),
-        })
-    }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        let n = g.node_count();
-        if n > self.status.len() {
-            self.status.extend_to(n, |_| false);
-            self.engine = Engine::new(n);
-        }
-    }
-}
-
-impl crate::IncrementalState for ReachState {
-    fn name(&self) -> &'static str {
-        "reach"
-    }
-
-    fn total_vars(&self, g: &DynamicGraph) -> usize {
-        g.node_count()
-    }
-
-    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        ReachState::update(self, g, applied)
-    }
-
-    fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let (fresh, stats) = ReachState::batch(g, self.source);
-        *self = fresh;
-        stats
-    }
-
-    fn audit(
-        &self,
-        g: &DynamicGraph,
-        audit: &incgraph_core::audit::FixpointAudit,
-    ) -> incgraph_core::audit::AuditReport {
-        audit.run(&ReachSpec::new(g, self.source), &self.status)
-    }
-
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.engine.set_work_budget(budget);
-    }
-
-    fn space_bytes(&self) -> usize {
-        ReachState::space_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        ReachState::save_state(self)
-    }
-
-    fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = ReachState::restore(g, bytes)?;
-        Ok(())
+        self.values().iter().filter(|&&b| b).count()
     }
 }
 

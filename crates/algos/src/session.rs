@@ -19,9 +19,10 @@
 //! (the canonical value digest the differential oracle compares).
 
 use crate::output::{NodeChange, OutputChange, OutputDelta, OutputSnapshot, TrackedUpdate};
+use crate::persist::Word;
 use crate::{
-    update_with, BcState, CcState, DfsState, ExecOptions, IncrementalState, LccState, ReachState,
-    SimState, SsspState, StateLoadError,
+    update_with, BcState, CcState, Deduced, Deducible, DfsState, ExecOptions, IncrementalState,
+    LccState, ReachState, SimState, SsspState, StateLoadError,
 };
 use incgraph_core::audit::{AuditReport, FixpointAudit};
 use incgraph_core::engine::RunStats;
@@ -276,31 +277,10 @@ enum ClassState {
 fn compute_snapshot(class: QueryClass, state: &ClassState, g: &DynamicGraph) -> OutputSnapshot {
     let n = g.node_count();
     match state {
-        ClassState::Sssp(s) => OutputSnapshot::new(class, n, 1, s.distances().to_vec(), vec![]),
-        ClassState::Cc(s) => OutputSnapshot::new(
-            class,
-            n,
-            1,
-            s.components().iter().map(|&c| c as u64).collect(),
-            vec![],
-        ),
-        ClassState::Sim(s) => {
-            let q = s.pattern().node_count();
-            let mut out = Vec::with_capacity(n * q);
-            for v in 0..n as NodeId {
-                for u in 0..q {
-                    out.push(s.matches(g, v, u) as u64);
-                }
-            }
-            OutputSnapshot::new(class, n, q, out, vec![])
-        }
-        ClassState::Reach(s) => OutputSnapshot::new(
-            class,
-            n,
-            1,
-            s.reached().iter().map(|&b| b as u64).collect(),
-            vec![],
-        ),
+        ClassState::Sssp(s) => deduced_snapshot(class, s, n),
+        ClassState::Cc(s) => deduced_snapshot(class, s, n),
+        ClassState::Sim(s) => deduced_snapshot(class, s, n),
+        ClassState::Reach(s) => deduced_snapshot(class, s, n),
         ClassState::Lcc(s) => OutputSnapshot::new(
             class,
             n,
@@ -334,18 +314,26 @@ fn compute_snapshot(class: QueryClass, state: &ClassState, g: &DynamicGraph) -> 
     }
 }
 
+/// The snapshot of a [`Deduced`] class: digest entry `i` is the encoded
+/// value of status variable `i`, `vars_per_node` entries per node.
+fn deduced_snapshot<C: Deducible>(class: QueryClass, s: &Deduced<C>, n: usize) -> OutputSnapshot {
+    let entries = s.values().iter().map(|v| v.enc()).collect();
+    OutputSnapshot::new(class, n, s.class().vars_per_node(), entries, vec![])
+}
+
+fn deduced_entry<C: Deducible>(s: &Deduced<C>, i: usize) -> u64 {
+    s.value(i).enc()
+}
+
 /// Recomputes one digest entry of an engine-backed class from its state.
 /// Only called on the candidate-restricted refresh path, which DFS and
 /// BC (full-rescan classes) never take.
-fn entry_value(state: &ClassState, g: &DynamicGraph, i: usize) -> u64 {
+fn entry_value(state: &ClassState, i: usize) -> u64 {
     match state {
-        ClassState::Sssp(s) => s.distances()[i],
-        ClassState::Cc(s) => s.components()[i] as u64,
-        ClassState::Sim(s) => {
-            let q = s.pattern().node_count();
-            s.matches(g, (i / q) as NodeId, i % q) as u64
-        }
-        ClassState::Reach(s) => s.reached()[i] as u64,
+        ClassState::Sssp(s) => deduced_entry(s, i),
+        ClassState::Cc(s) => deduced_entry(s, i),
+        ClassState::Sim(s) => deduced_entry(s, i),
+        ClassState::Reach(s) => deduced_entry(s, i),
         ClassState::Lcc(s) => {
             let v = i as NodeId;
             (s.degree(v) << 32) | (s.triangles(v) & 0xffff_ffff)
@@ -497,7 +485,7 @@ impl Session {
                 if i >= self.snap.entries().len() {
                     continue; // stale log entry beyond the current stream
                 }
-                let new = entry_value(&self.state, g, i);
+                let new = entry_value(&self.state, i);
                 let old = self.snap.entries()[i];
                 if new != old {
                     let v = (i / stride) as u32;

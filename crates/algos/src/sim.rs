@@ -20,13 +20,13 @@
 //! The union of all true variables at the fixpoint is the unique maximum
 //! simulation `Q(G)`.
 
-use crate::persist::{self, StateLoadError};
-use incgraph_core::engine::{Engine, RunStats};
-use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch};
+use crate::deduced::{arcs, Deduced, Deducible};
+use crate::persist::{self, ByteReader, StateLoadError};
+use incgraph_core::engine::RunStats;
+use incgraph_core::scope::ContributorOracle;
 use incgraph_core::spec::FixpointSpec;
 use incgraph_core::status::Status;
-use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Pattern};
+use incgraph_graph::{AppliedOp, DynamicGraph, NodeId, Pattern};
 
 /// The Sim fixpoint specification over a graph + pattern snapshot.
 pub struct SimSpec<'g, 'p> {
@@ -105,11 +105,7 @@ impl FixpointSpec for SimSpec<'_, '_> {
 
 /// `IncSim`'s contributor oracle: order `<_C` from turn-false timestamps;
 /// still-true variables sort last.
-struct SimOracle<'a> {
-    spec: &'a SimSpec<'a, 'a>,
-}
-
-impl ContributorOracle<bool> for SimOracle<'_> {
+impl ContributorOracle<bool> for SimSpec<'_, '_> {
     fn order_key(&self, x: usize, status: &Status<bool>) -> u64 {
         if status.get(x) {
             u64::MAX
@@ -121,7 +117,7 @@ impl ContributorOracle<bool> for SimOracle<'_> {
     fn contributes_to<P: FnMut(usize)>(&self, x: usize, status: &Status<bool>, push: &mut P) {
         // Pre-raise: x is false here; its fall time orders the anchors.
         let kx = status.stamp(x);
-        self.spec.dependents(x, &mut |z| {
+        self.dependents(x, &mut |z| {
             // Only false variables that fell *after* x can have relied on
             // x's falseness; true variables cannot be raised further.
             if !status.get(z) && status.stamp(z) > kx {
@@ -131,202 +127,104 @@ impl ContributorOracle<bool> for SimOracle<'_> {
     }
 }
 
-/// Sim state: the pattern, the previous fixpoint (with timestamps) and the
-/// reusable engine.
-pub struct SimState {
+/// The Sim class definition: the query parameter is the pattern `Q`.
+pub struct Sim {
     q: Pattern,
-    status: Status<bool>,
-    engine: Engine,
-    /// Reusable arena for the scope function: epoch-reset bitmaps and
-    /// high-water vectors make steady-state updates allocation-free.
-    scratch: ScopeScratch,
 }
 
-impl SimState {
-    /// Runs batch `Sim_fp`: computes the maximum simulation of `q` in `g`.
-    pub fn batch(g: &DynamicGraph, q: Pattern) -> (Self, RunStats) {
-        let spec = SimSpec::new(g, &q);
-        let mut status = Status::init(&spec, true);
-        let mut engine = Engine::new(spec.num_vars());
-        // Only label-matching variables can violate σ initially; the rest
-        // start false and stay false.
-        let scope: Vec<usize> = (0..spec.num_vars()).filter(|&x| status.get(x)).collect();
-        let stats = engine.run(&spec, &mut status, scope.iter().copied());
-        (
-            SimState {
-                q,
-                status,
-                engine,
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
+impl Deducible for Sim {
+    const NAME: &'static str = "sim";
+    /// Weakly deducible: `<_C` is the turn-false order of the batch run.
+    const STAMPS: bool = true;
+    type Value = bool;
+    type Spec<'a> = SimSpec<'a, 'a>;
+
+    fn spec<'a>(&'a self, g: &'a DynamicGraph) -> SimSpec<'a, 'a> {
+        SimSpec::new(g, &self.q)
     }
 
-    /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engine's changed-set
-    /// log (always a superset of the truly changed variables; stale log
-    /// entries merely cost a value comparison).
-    pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.scratch.scope);
-        out.extend_from_slice(self.engine.changed_vars());
+    fn vars_per_node(&self) -> usize {
+        self.q.node_count()
     }
 
-    /// The pattern being matched.
-    pub fn pattern(&self) -> &Pattern {
-        &self.q
-    }
-
-    /// Whether data node `v` matches pattern node `u`.
-    pub fn matches(&self, g: &DynamicGraph, v: NodeId, u: usize) -> bool {
-        let _ = g;
-        self.status.get(v as usize * self.q.node_count() + u)
-    }
-
-    /// The maximum simulation relation as `(v, u)` pairs.
-    pub fn relation(&self) -> Vec<(NodeId, usize)> {
-        let nq = self.q.node_count();
-        (0..self.status.len())
-            .filter(|&x| self.status.get(x))
-            .map(|x| ((x / nq) as NodeId, x % nq))
-            .collect()
-    }
-
-    /// Number of matching pairs `|Q(G)|`.
-    pub fn match_count(&self) -> usize {
-        (0..self.status.len())
-            .filter(|&x| self.status.get(x))
-            .count()
-    }
-
-    /// `IncSim`: bounded scope function over the timestamp order, then the
-    /// unchanged step function.
-    pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let nq = self.q.node_count();
-        self.ensure_size(g);
-        let q = self.q.clone();
-        let spec = SimSpec::new(g, &q);
-
-        // Evolved input sets: Y_{x[v,u]} ranges over out_nbr(v), so every
-        // changed edge (a, b) touches the tail's variables {x[a, u]} —
-        // and on undirected graphs both endpoints are tails. Most of
-        // those provably cannot change and are filtered out up front:
-        // a deletion only retracts matches (skip already-false vars), an
-        // insertion only adds them (skip already-true vars and label
-        // mismatches), and either way the edge is irrelevant to `x[a, u]`
-        // unless some pattern successor of `u` carries `b`'s label.
-        self.scratch.touched.clear();
-        {
-            let status = &self.status;
-            let touched = &mut self.scratch.touched;
-            let mut consider = |tail: NodeId, head: NodeId, inserted: bool| {
-                let head_label = g.label(head);
-                for u in 0..nq {
-                    if !q
-                        .out_neighbors(u)
-                        .iter()
-                        .any(|&u2| q.label(u2) == head_label)
-                    {
-                        continue;
-                    }
-                    let x = spec.var(tail, u);
-                    let cur = status.get(x);
-                    let keep = if inserted {
-                        !cur && g.label(tail) == q.label(u)
-                    } else {
-                        cur
-                    };
-                    if keep {
-                        touched.push(x);
-                    }
-                }
-            };
-            for op in applied.ops() {
-                consider(op.src, op.dst, op.inserted);
-                if !g.is_directed() {
-                    consider(op.dst, op.src, op.inserted);
-                }
-            }
+    /// Only label-matching variables can violate σ initially; the rest
+    /// start false and stay false.
+    fn seeds<'a>(&'a self, g: &'a DynamicGraph) -> impl Iterator<Item = usize> + Clone + 'a {
+        // Materialized: the engine walks the seeds twice, and a lazy
+        // label filter over all `|V|·|V_Q|` variables measurably slows
+        // the batch run.
+        let (q, nq) = (&self.q, self.q.node_count());
+        let mut seeds = Vec::new();
+        for v in 0..g.node_count() {
+            let label = g.label(v as NodeId);
+            seeds.extend((0..nq).filter(|&u| q.label(u) == label).map(|u| v * nq + u));
         }
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-
-        // Weakly deducible: <_C from the live timestamps; no snapshots.
-        let oracle = SimOracle { spec: &spec };
-        let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
+        seeds.into_iter()
     }
 
-    /// The Theorem 1 construction for Sim (ablation `abl-ts`): flood PE
-    /// variables backward through dependency edges, reset them to their
-    /// label-match value, and re-run — no timestamps consulted. Correct
-    /// but floods far beyond the anchor-bounded scope of
-    /// [`update`](Self::update).
-    pub fn update_pe_reset(
-        &mut self,
+    /// `Y_{x[v,u]}` ranges over out_nbr(v), so a changed edge (a, b)
+    /// touches the tail's variables {x[a, u]} — and on undirected graphs
+    /// both endpoints are tails. Most of those provably cannot change and
+    /// are filtered out up front: a deletion only retracts matches (skip
+    /// already-false vars), an insertion only adds them (skip already-true
+    /// vars and label mismatches), and either way the edge is irrelevant
+    /// to `x[a, u]` unless some pattern successor of `u` carries `b`'s
+    /// label.
+    #[inline]
+    fn touched(
+        &self,
         g: &DynamicGraph,
-        applied: &AppliedBatch,
-    ) -> BoundednessReport {
-        let nq = self.q.node_count();
-        self.ensure_size(g);
-        let q = self.q.clone();
-        let spec = SimSpec::new(g, &q);
-        self.scratch.touched.clear();
-        for op in applied.ops() {
-            for u in 0..nq {
-                self.scratch.touched.push(spec.var(op.src, u));
-                if !g.is_directed() {
-                    self.scratch.touched.push(spec.var(op.dst, u));
+        status: &Status<bool>,
+        op: &AppliedOp,
+        out: &mut Vec<usize>,
+    ) {
+        let (q, spec) = (&self.q, self.spec(g));
+        for (tail, head) in arcs(g, op) {
+            let head_label = g.label(head);
+            for u in 0..q.node_count() {
+                if !q
+                    .out_neighbors(u)
+                    .iter()
+                    .any(|&u2| q.label(u2) == head_label)
+                {
+                    continue;
+                }
+                let x = spec.var(tail, u);
+                let cur = status.get(x);
+                let keep = if op.inserted {
+                    !cur && g.label(tail) == q.label(u)
+                } else {
+                    cur
+                };
+                if keep {
+                    out.push(x);
                 }
             }
         }
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-        let stats = pe_reset_scope_in(&spec, &mut self.status, &mut self.scratch);
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
     }
 
-    /// Resident bytes of the algorithm's state (Fig. 8): the Boolean
-    /// match matrix plus its timestamps plus the engine scratch.
-    pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
+    fn evolved(&self, g: &DynamicGraph, op: &AppliedOp, out: &mut Vec<usize>) {
+        let spec = self.spec(g);
+        for (tail, _) in arcs(g, op) {
+            out.extend((0..spec.nq()).map(|u| spec.var(tail, u)));
+        }
     }
 
-    /// Serializes the durable essence (`SaveState`): the pattern plus the
-    /// match matrix with its turn-false timestamps.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut out = persist::header("sim");
+    fn put_params(&self, out: &mut Vec<u8>) {
         let nq = self.q.node_count();
-        persist::put_u32(&mut out, nq as u32);
+        persist::put_u32(out, nq as u32);
         for u in 0..nq {
-            persist::put_u32(&mut out, self.q.label(u));
+            persist::put_u32(out, self.q.label(u));
         }
         let edges: Vec<(usize, usize)> = self.q.edges().collect();
-        persist::put_u32(&mut out, edges.len() as u32);
+        persist::put_u32(out, edges.len() as u32);
         for (u, v) in edges {
-            persist::put_u32(&mut out, u as u32);
-            persist::put_u32(&mut out, v as u32);
+            persist::put_u32(out, u as u32);
+            persist::put_u32(out, v as u32);
         }
-        persist::put_status(&mut out, &self.status, |b| b as u64);
-        out
     }
 
-    /// Rebuilds a state from [`save_state`](Self::save_state) bytes
-    /// without running any fixpoint (`LoadState`).
-    pub fn restore(g: &DynamicGraph, bytes: &[u8]) -> Result<Self, StateLoadError> {
-        let mut r = persist::expect_header("sim", bytes)?;
+    fn read_params(r: &mut ByteReader<'_>) -> Result<Self, StateLoadError> {
         let nq = r.u32()? as usize;
         if nq == 0 {
             return Err(StateLoadError::Malformed("empty pattern".into()));
@@ -347,91 +245,57 @@ impl SimState {
             }
             edges.push((u, v));
         }
-        {
-            let mut sorted = edges.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != edges.len() {
-                return Err(StateLoadError::Malformed("duplicate pattern edge".into()));
-            }
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != edges.len() {
+            return Err(StateLoadError::Malformed("duplicate pattern edge".into()));
         }
-        let status = persist::read_status(&mut r, persist::dec_bool)?;
-        r.finish()?;
-        let expected = g.node_count() * nq;
-        if status.len() != expected {
-            return Err(StateLoadError::SizeMismatch {
-                expected,
-                found: status.len(),
-            });
-        }
-        if !status.tracks_stamps() {
-            return Err(StateLoadError::Malformed(
-                "sim is weakly deducible and requires timestamps".into(),
-            ));
-        }
-        Ok(SimState {
+        Ok(Sim {
             q: Pattern::new(labels, &edges),
-            status,
-            engine: Engine::new(expected),
-            scratch: ScopeScratch::new(),
         })
     }
 
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        let n = g.node_count() * self.q.node_count();
-        if n > self.status.len() {
-            let nq = self.q.node_count();
-            let q = self.q.clone();
-            let labels: Vec<_> = (0..g.node_count()).map(|v| g.label(v as NodeId)).collect();
-            self.status
-                .extend_to(n, |x| labels[x / nq] == q.label(x % nq));
-            self.engine = Engine::new(n);
-        }
+    fn validate(&self, _g: &DynamicGraph, _status: &Status<bool>) -> Result<(), StateLoadError> {
+        Ok(())
     }
 }
 
-impl crate::IncrementalState for SimState {
-    fn name(&self) -> &'static str {
-        "sim"
+/// Sim state: `Sim_fp` (the batch run) and the deduced `IncSim`
+/// ([`Deduced::update`]). [`Deduced::update_pe_reset`] is the Theorem 1
+/// construction behind ablation `abl-ts`: no timestamps consulted, and
+/// the flood goes far beyond the anchor-bounded scope.
+pub type SimState = Deduced<Sim>;
+
+impl SimState {
+    /// Runs batch `Sim_fp`: computes the maximum simulation of `q` in `g`.
+    pub fn batch(g: &DynamicGraph, q: Pattern) -> (Self, RunStats) {
+        Deduced::new(Sim { q }, g)
     }
 
-    fn total_vars(&self, g: &DynamicGraph) -> usize {
-        g.node_count() * self.q.node_count()
+    /// The pattern being matched.
+    pub fn pattern(&self) -> &Pattern {
+        &self.class().q
     }
 
-    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        SimState::update(self, g, applied)
+    /// Whether data node `v` matches pattern node `u`.
+    pub fn matches(&self, g: &DynamicGraph, v: NodeId, u: usize) -> bool {
+        let _ = g;
+        self.value(v as usize * self.pattern().node_count() + u)
     }
 
-    fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let (fresh, stats) = SimState::batch(g, self.q.clone());
-        *self = fresh;
-        stats
+    /// The maximum simulation relation as `(v, u)` pairs.
+    pub fn relation(&self) -> Vec<(NodeId, usize)> {
+        let nq = self.pattern().node_count();
+        (self.values().iter().enumerate())
+            .filter(|&(_, &m)| m)
+            .map(|(x, _)| ((x / nq) as NodeId, x % nq))
+            .collect()
     }
 
-    fn audit(
-        &self,
-        g: &DynamicGraph,
-        audit: &incgraph_core::audit::FixpointAudit,
-    ) -> incgraph_core::audit::AuditReport {
-        audit.run(&SimSpec::new(g, &self.q), &self.status)
-    }
-
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.engine.set_work_budget(budget);
-    }
-
-    fn space_bytes(&self) -> usize {
-        SimState::space_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        SimState::save_state(self)
-    }
-
-    fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = SimState::restore(g, bytes)?;
-        Ok(())
+    /// Number of matching pairs `|Q(G)|`.
+    pub fn match_count(&self) -> usize {
+        self.values().iter().filter(|&&m| m).count()
     }
 }
 
@@ -492,7 +356,7 @@ mod tests {
 
     fn assert_matches_reference(state: &SimState, g: &DynamicGraph) {
         let expect = sim_reference(g, state.pattern());
-        assert_eq!(state.status.values(), expect.as_slice());
+        assert_eq!(state.values(), expect.as_slice());
     }
 
     fn tri_pattern() -> Pattern {
@@ -589,7 +453,7 @@ mod tests {
             state.update(&g, &applied);
             let expect = sim_reference(&g, state.pattern());
             assert_eq!(
-                state.status.values(),
+                state.values(),
                 expect.as_slice(),
                 "divergence at round {round}"
             );
@@ -623,7 +487,7 @@ mod tests {
             state.update(&g, &applied);
             let expect = sim_reference(&g, state.pattern());
             assert_eq!(
-                state.status.values(),
+                state.values(),
                 expect.as_slice(),
                 "divergence at round {round}"
             );

@@ -16,14 +16,14 @@
 //! x_v}` (Example 3): the contributor oracle pushes only the tightly
 //! supported out-neighbors.
 
-use crate::persist::{self, StateLoadError};
-use incgraph_core::engine::{Engine, RunStats};
-use incgraph_core::metrics::BoundednessReport;
-use incgraph_core::scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch};
+use crate::deduced::{arcs, Deduced, Deducible};
+use crate::persist::{self, ByteReader, StateLoadError};
+use incgraph_core::engine::RunStats;
+use incgraph_core::scope::ContributorOracle;
 use incgraph_core::spec::{FixpointSpec, Relax};
 use incgraph_core::status::Status;
 use incgraph_graph::ids::{Dist, INF_DIST};
-use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
+use incgraph_graph::{AppliedOp, DynamicGraph, NodeId};
 
 /// The SSSP fixpoint specification over a graph snapshot.
 ///
@@ -115,11 +115,7 @@ impl FixpointSpec for SsspSpec<'_> {
 /// (`C_{x_v} = {x_u ∈ Y | x_u + L(u,v) = x_v}`): a raised variable `x`
 /// can only invalidate the out-neighbors whose old distance it *tightly*
 /// supported.
-struct SsspOracle<'a> {
-    g: &'a DynamicGraph,
-}
-
-impl ContributorOracle<Dist> for SsspOracle<'_> {
+impl ContributorOracle<Dist> for SsspSpec<'_> {
     fn order_key(&self, x: usize, status: &Status<Dist>) -> u64 {
         status.get(x)
     }
@@ -139,262 +135,105 @@ impl ContributorOracle<Dist> for SsspOracle<'_> {
     }
 }
 
-/// SSSP state: the previous fixpoint plus the reusable engine, i.e.
-/// everything `A_Δ` is allowed to keep between updates.
-pub struct SsspState {
+/// The SSSP class definition: the query parameter is the source.
+pub struct Sssp {
     source: NodeId,
-    status: Status<Dist>,
-    engine: Engine,
-    /// Reusable arena for the scope function: epoch-reset bitmaps and
-    /// high-water vectors make steady-state updates allocation-free.
-    scratch: ScopeScratch,
 }
+
+impl Deducible for Sssp {
+    const NAME: &'static str = "sssp";
+    /// Deducible: `<_C` is read off the distances; no timestamps.
+    const STAMPS: bool = false;
+    type Value = Dist;
+    type Spec<'a> = SsspSpec<'a>;
+
+    fn spec<'a>(&'a self, g: &'a DynamicGraph) -> SsspSpec<'a> {
+        SsspSpec::new(g, self.source)
+    }
+
+    /// Initially only the source's out-neighbors can violate σ.
+    fn seeds<'a>(&'a self, g: &'a DynamicGraph) -> impl Iterator<Item = usize> + Clone + 'a {
+        g.out_neighbors(self.source)
+            .iter()
+            .map(|&(v, _)| v as usize)
+    }
+
+    /// Heads of changed edges (both endpoints on undirected graphs, where
+    /// in_nbr = nbr). A head is kept only when its statement σ can
+    /// actually be violated: an inserted edge must *improve* on the stored
+    /// distance, and a deleted edge must have been *tight* (it supported
+    /// the stored distance). Anything else provably leaves f_x unchanged.
+    #[inline]
+    fn touched(
+        &self,
+        g: &DynamicGraph,
+        status: &Status<Dist>,
+        op: &AppliedOp,
+        out: &mut Vec<usize>,
+    ) {
+        for (tail, head) in arcs(g, op) {
+            let dt = status.get(tail as usize);
+            if dt == INF_DIST {
+                continue;
+            }
+            let (via, dh) = (dt + op.weight as Dist, status.get(head as usize));
+            let keep = if op.inserted { via < dh } else { via == dh };
+            if keep {
+                out.push(head as usize);
+            }
+        }
+    }
+
+    fn evolved(&self, g: &DynamicGraph, op: &AppliedOp, out: &mut Vec<usize>) {
+        out.extend(arcs(g, op).map(|(_, head)| head as usize));
+    }
+
+    /// The reset region must be re-reachable from its boundary: resume
+    /// from the region plus the source feeding into it.
+    fn pe_reset_seeds(&self, seeds: &mut Vec<usize>) {
+        seeds.push(self.source as usize);
+    }
+
+    fn put_params(&self, out: &mut Vec<u8>) {
+        persist::put_u32(out, self.source);
+    }
+
+    fn read_params(r: &mut ByteReader<'_>) -> Result<Self, StateLoadError> {
+        Ok(Sssp { source: r.u32()? })
+    }
+
+    fn validate(&self, g: &DynamicGraph, _status: &Status<Dist>) -> Result<(), StateLoadError> {
+        if (self.source as usize) >= g.node_count() {
+            return Err(StateLoadError::Malformed("source out of range".into()));
+        }
+        Ok(())
+    }
+}
+
+/// SSSP state: Dijkstra as a fixpoint (the batch run) and the deduced
+/// `IncSSSP` of paper Fig. 5 ([`Deduced::update`]).
+pub type SsspState = Deduced<Sssp>;
 
 impl SsspState {
     /// Runs batch Dijkstra (the fixpoint formulation) from `source`.
     pub fn batch(g: &DynamicGraph, source: NodeId) -> (Self, RunStats) {
-        let spec = SsspSpec::new(g, source);
-        // Deducible: no timestamps.
-        let mut status = Status::init(&spec, false);
-        let mut engine = Engine::new(spec.num_vars());
-        // Initially only the source's out-neighbors can violate σ.
-        let scope: Vec<usize> = g
-            .out_neighbors(source)
-            .iter()
-            .map(|&(v, _)| v as usize)
-            .collect();
-        let stats = engine.run(&spec, &mut status, scope.iter().copied());
-        (
-            SsspState {
-                source,
-                status,
-                engine,
-                scratch: ScopeScratch::new(),
-            },
-            stats,
-        )
-    }
-
-    /// Extends `out` with every status variable the last update *may*
-    /// have changed: the initial scope `H⁰` plus the engine's changed-set
-    /// log (always a superset of the truly changed variables; stale log
-    /// entries merely cost a value comparison).
-    pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.scratch.scope);
-        out.extend_from_slice(self.engine.changed_vars());
+        Deduced::new(Sssp { source }, g)
     }
 
     /// The query source.
     pub fn source(&self) -> NodeId {
-        self.source
+        self.class().source
     }
 
     /// Current shortest distance of every node ([`INF_DIST`] if
     /// unreachable).
     pub fn distances(&self) -> &[Dist] {
-        self.status.values()
+        self.values()
     }
 
     /// Distance of one node.
     pub fn distance(&self, v: NodeId) -> Dist {
-        self.status.get(v as usize)
-    }
-
-    /// `IncSSSP` (paper Fig. 5): given the already-updated graph
-    /// `G ⊕ ΔG` and the effective updates, adjusts the previous fixpoint
-    /// via the initial scope function `h` and resumes the unchanged step
-    /// function.
-    pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        self.ensure_size(g);
-        let spec = SsspSpec::new(g, self.source);
-
-        // Variables with evolved input sets: heads of changed edges (both
-        // endpoints on undirected graphs, where in_nbr = nbr). A head is
-        // kept only when its statement σ can actually be violated:
-        // an inserted edge must *improve* on the stored distance, and a
-        // deleted edge must have been *tight* (it supported the stored
-        // distance). Anything else provably leaves f_x unchanged.
-        self.scratch.touched.clear();
-        {
-            let status = &self.status;
-            let touched = &mut self.scratch.touched;
-            let mut consider = |tail: NodeId, head: NodeId, w: u64, inserted: bool| {
-                let dt = status.get(tail as usize);
-                if dt == INF_DIST {
-                    return;
-                }
-                let keep = if inserted {
-                    dt + w < status.get(head as usize)
-                } else {
-                    dt + w == status.get(head as usize)
-                };
-                if keep {
-                    touched.push(head as usize);
-                }
-            };
-            for op in applied.ops() {
-                consider(op.src, op.dst, op.weight as u64, op.inserted);
-                if !g.is_directed() {
-                    consider(op.dst, op.src, op.weight as u64, op.inserted);
-                }
-            }
-        }
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-
-        // Deducible: the order <_C is read off the (live) distance
-        // values themselves; no snapshot and no timestamps.
-        let oracle = SsspOracle { g };
-        let stats = bounded_scope_in(&spec, &oracle, &mut self.status, &mut self.scratch);
-        // Take H⁰ out of the scratch around the resume (the engine needs
-        // &mut self); the scope functions re-clear it on entry.
-        let scope = std::mem::take(&mut self.scratch.scope);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        let report = BoundednessReport::new(spec.num_vars(), scope.len(), stats, run);
-        self.scratch.scope = scope;
-        report
-    }
-
-    /// The Theorem 1 construction for SSSP (ablation `abl-scope`): flood
-    /// PE variables through dependency edges — i.e. everything reachable
-    /// from the touched nodes — reset them to `∞`, and re-run. Correct
-    /// but unbounded: contrast with [`update`](Self::update).
-    pub fn update_pe_reset(
-        &mut self,
-        g: &DynamicGraph,
-        applied: &AppliedBatch,
-    ) -> BoundednessReport {
-        self.ensure_size(g);
-        let spec = SsspSpec::new(g, self.source);
-        self.scratch.touched.clear();
-        for op in applied.ops() {
-            self.scratch.touched.push(op.dst as usize);
-            if !g.is_directed() {
-                self.scratch.touched.push(op.src as usize);
-            }
-        }
-        self.scratch.touched.sort_unstable();
-        self.scratch.touched.dedup();
-        let stats = pe_reset_scope_in(&spec, &mut self.status, &mut self.scratch);
-        // The reset region must be re-reachable from its boundary: seed
-        // the engine with the region plus the sources feeding into it.
-        let scope_len = self.scratch.scope.len();
-        let mut seeds = std::mem::take(&mut self.scratch.scope);
-        seeds.push(self.source as usize);
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, seeds.iter().copied());
-        seeds.pop();
-        self.scratch.scope = seeds;
-        BoundednessReport::new(spec.num_vars(), scope_len, stats, run)
-    }
-
-    /// Resident bytes of the algorithm's state (Fig. 8 space experiment).
-    pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
-    }
-
-    /// Serializes the durable essence of the state (`SaveState`): the
-    /// source plus the distance status. See [`crate::persist`].
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut out = persist::header("sssp");
-        persist::put_u32(&mut out, self.source);
-        persist::put_status(&mut out, &self.status, |d| d);
-        out
-    }
-
-    /// Rebuilds a state from [`save_state`](Self::save_state) bytes
-    /// without running any fixpoint (`LoadState`): the blob *is* the
-    /// fixpoint. The engine starts fresh.
-    pub fn restore(g: &DynamicGraph, bytes: &[u8]) -> Result<Self, StateLoadError> {
-        let mut r = persist::expect_header("sssp", bytes)?;
-        let source = r.u32()?;
-        let status = persist::read_status(&mut r, Ok)?;
-        r.finish()?;
-        if status.len() != g.node_count() {
-            return Err(StateLoadError::SizeMismatch {
-                expected: g.node_count(),
-                found: status.len(),
-            });
-        }
-        if status.tracks_stamps() {
-            return Err(StateLoadError::Malformed(
-                "sssp is deducible and stores no timestamps".into(),
-            ));
-        }
-        if (source as usize) >= g.node_count() {
-            return Err(StateLoadError::Malformed("source out of range".into()));
-        }
-        Ok(SsspState {
-            source,
-            status,
-            engine: Engine::new(g.node_count()),
-            scratch: ScopeScratch::new(),
-        })
-    }
-
-    /// Extends the state when nodes were added to the graph (vertex
-    /// insertions are edge updates plus fresh `⊥` variables, §4).
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        let n = g.node_count();
-        if n > self.status.len() {
-            self.status.extend_to(n, |_| INF_DIST);
-            self.engine = Engine::new(n);
-        }
-    }
-
-    /// Test hook: corrupt one stored distance without restamping, to
-    /// exercise the audit/fallback machinery.
-    #[cfg(test)]
-    pub(crate) fn poison(&mut self, v: NodeId, d: Dist) {
-        self.status.set_unstamped(v as usize, d);
-    }
-}
-
-impl crate::IncrementalState for SsspState {
-    fn name(&self) -> &'static str {
-        "sssp"
-    }
-
-    fn total_vars(&self, g: &DynamicGraph) -> usize {
-        g.node_count()
-    }
-
-    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        SsspState::update(self, g, applied)
-    }
-
-    fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let (fresh, stats) = SsspState::batch(g, self.source);
-        *self = fresh;
-        stats
-    }
-
-    fn audit(
-        &self,
-        g: &DynamicGraph,
-        audit: &incgraph_core::audit::FixpointAudit,
-    ) -> incgraph_core::audit::AuditReport {
-        audit.run(&SsspSpec::new(g, self.source), &self.status)
-    }
-
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.engine.set_work_budget(budget);
-    }
-
-    fn space_bytes(&self) -> usize {
-        SsspState::space_bytes(self)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        SsspState::save_state(self)
-    }
-
-    fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = SsspState::restore(g, bytes)?;
-        Ok(())
+        self.value(v as usize)
     }
 }
 

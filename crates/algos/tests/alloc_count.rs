@@ -18,39 +18,46 @@
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-use incgraph_algos::{CcState, SsspState};
-use incgraph_graph::{DynamicGraph, UpdateBatch};
+use incgraph_algos::{CcState, Deduced, Deducible, ReachState, SimState, SsspState};
+use incgraph_graph::{DynamicGraph, Pattern, UpdateBatch};
 
 /// Counts heap acquisitions (`alloc`, `alloc_zeroed`, `realloc`) while
 /// armed. Frees are not counted: releasing memory is cheap and the
 /// claim under test is "no new heap memory per steady-state update".
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so the tests (one thread each under the default harness)
+// cannot pollute each other's counts. `const` initializers: no lazy
+// init and no destructor, hence no allocation from inside the allocator.
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    if ARMED.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A shrinking realloc releases memory (the scratch buffers'
         // 4× overshoot policy); only growth acquires heap.
-        if new_size > layout.size() && ARMED.load(Relaxed) {
-            ALLOCS.fetch_add(1, Relaxed);
+        if new_size > layout.size() {
+            note_alloc();
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -66,11 +73,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs `f` with the counter armed and returns how many heap
 /// acquisitions it performed.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Relaxed);
-    ARMED.store(true, Relaxed);
+    ALLOCS.set(0);
+    ARMED.set(true);
     f();
-    ARMED.store(false, Relaxed);
-    ALLOCS.load(Relaxed)
+    ARMED.set(false);
+    ALLOCS.get()
 }
 
 /// Undirected ring of `n` nodes (unit weights) with `(i, i + n/2)`
@@ -106,10 +113,9 @@ const N: usize = 64;
 const WARMUP_ROUNDS: usize = 16;
 const MEASURE_ROUNDS: usize = 8;
 
-#[test]
-fn sssp_steady_state_update_is_allocation_free() {
-    let mut g = chord_ring(N);
-    let (mut state, _) = SsspState::batch(&g, 0);
+/// The body every class shares: warm the scratch structures up, then a
+/// steady-state `Deduced::update` must not touch the heap.
+fn steady_state_is_allocation_free<C: Deducible>(mut g: DynamicGraph, mut state: Deduced<C>) {
     for round in 0..WARMUP_ROUNDS {
         let applied = churn_round(&mut g, round);
         state.update(&g, &applied);
@@ -120,28 +126,46 @@ fn sssp_steady_state_update_is_allocation_free() {
             state.update(&g, &applied);
         });
         assert_eq!(
-            allocs, 0,
-            "sssp steady-state update allocated {allocs} times in round {round}"
+            allocs,
+            0,
+            "{} steady-state update allocated {allocs} times in round {round}",
+            C::NAME
         );
     }
 }
 
 #[test]
+fn sssp_steady_state_update_is_allocation_free() {
+    let g = chord_ring(N);
+    let (state, _) = SsspState::batch(&g, 0);
+    steady_state_is_allocation_free(g, state);
+}
+
+#[test]
 fn cc_steady_state_update_is_allocation_free() {
+    let g = chord_ring(N);
+    let (state, _) = CcState::batch(&g);
+    steady_state_is_allocation_free(g, state);
+}
+
+#[test]
+fn reach_steady_state_update_is_allocation_free() {
+    let g = chord_ring(N);
+    let (state, _) = ReachState::batch(&g, 0);
+    steady_state_is_allocation_free(g, state);
+}
+
+/// Fails at fda8e74: `SimState::update` cloned its `Pattern` (three
+/// `Vec`s plus `2·|V_Q|` inner ones) on every call.
+#[test]
+fn sim_steady_state_update_is_allocation_free() {
+    // A cyclic pattern over the ring's alternating labels, so the churned
+    // edge (16, 17) retracts and restores matches around it every round.
     let mut g = chord_ring(N);
-    let (mut state, _) = CcState::batch(&g);
-    for round in 0..WARMUP_ROUNDS {
-        let applied = churn_round(&mut g, round);
-        state.update(&g, &applied);
+    for v in 0..N as u32 {
+        g.set_label(v, v % 2);
     }
-    for round in WARMUP_ROUNDS..WARMUP_ROUNDS + MEASURE_ROUNDS {
-        let applied = churn_round(&mut g, round);
-        let allocs = count_allocs(|| {
-            state.update(&g, &applied);
-        });
-        assert_eq!(
-            allocs, 0,
-            "cc steady-state update allocated {allocs} times in round {round}"
-        );
-    }
+    let q = Pattern::new(vec![0, 1], &[(0, 1), (1, 0)]);
+    let (state, _) = SimState::batch(&g, q);
+    steady_state_is_allocation_free(g, state);
 }

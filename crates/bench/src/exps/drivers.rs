@@ -1,12 +1,13 @@
-//! Shared measurement drivers: each query class gets one "suite" that
-//! times the batch algorithm, the deduced incremental algorithm, its
-//! unit-at-a-time variant, and the class's fine-tuned competitor on the
-//! same `(graph, ΔG)` instance.
+//! Shared measurement drivers: one "suite" times the batch algorithm, the
+//! deduced incremental algorithm, its unit-at-a-time variant, and the
+//! class's fine-tuned competitor on the same `(graph, ΔG)` instance; the
+//! per-class entry points differ only in the state constructor and the
+//! competitor they hand it.
 
 use crate::report::measure;
-use incgraph_algos::{CcState, DfsState, LccState, SimState, SsspState};
-use incgraph_baselines::{DynCc, DynDfs, DynDij, DynLcc, IncMatch, RrSssp};
-use incgraph_graph::{DynamicGraph, NodeId, Pattern, UpdateBatch};
+use incgraph_algos::{CcState, DfsState, IncrementalState, LccState, SimState, SsspState};
+use incgraph_baselines::{DynCc, DynDfs, DynDij, DynLcc, IncMatch};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Pattern, UpdateBatch};
 
 /// Wall-clock seconds for the four contenders on one instance.
 #[derive(Clone, Copy, Debug)]
@@ -21,294 +22,141 @@ pub struct Timings {
     pub competitor: f64,
 }
 
-/// Applies `batch` to a copy of `g0`, returning the updated graph.
-pub fn updated(g0: &DynamicGraph, batch: &UpdateBatch) -> DynamicGraph {
-    let mut g = g0.clone();
-    batch.apply(&mut g);
-    g
-}
-
-/// Times a unit-at-a-time replay: the state evolves across the whole
-/// batch (graph application included — it is inherent to the method).
-fn unit_replay<S>(
+/// Replays `batch` unit by unit over a copy of `g0`, handing each
+/// effective unit update and the graph it produced to `step` (graph
+/// application included — it is inherent to the method).
+fn replay_units(
     g0: &DynamicGraph,
     batch: &UpdateBatch,
-    mut state: S,
-    mut step: impl FnMut(&mut S, &DynamicGraph, &incgraph_graph::AppliedBatch),
-) -> f64 {
+    mut step: impl FnMut(&DynamicGraph, &AppliedBatch),
+) {
     let mut g = g0.clone();
-    let t = std::time::Instant::now();
     for unit in batch.as_units() {
         let applied = unit.apply(&mut g);
         if !applied.is_empty() {
-            step(&mut state, &g, &applied);
+            step(&g, &applied);
         }
     }
-    t.elapsed().as_secs_f64()
+}
+
+/// Times the four contenders of one class. `build` runs the batch
+/// algorithm; the competitor is a fresh `competitor()` per repetition
+/// (setup, untimed) advanced by `advance`, which receives the updated
+/// graph and the effective `ΔG` for competitors that take the batch at
+/// once.
+pub fn suite<S: IncrementalState, C>(
+    reps: usize,
+    g0: &DynamicGraph,
+    batch: &UpdateBatch,
+    build: impl Fn(&DynamicGraph) -> S,
+    competitor: impl FnMut() -> C,
+    mut advance: impl FnMut(&mut C, &DynamicGraph, &AppliedBatch),
+) -> Timings {
+    let mut g1 = g0.clone();
+    let applied = batch.apply(&mut g1);
+    Timings {
+        batch: measure(
+            reps,
+            || (),
+            |_| {
+                std::hint::black_box(build(&g1));
+            },
+        ),
+        inc: measure(
+            reps,
+            || build(g0),
+            |state| {
+                state.update(&g1, &applied);
+            },
+        ),
+        inc_n: measure(
+            reps,
+            || build(g0),
+            |state| {
+                replay_units(g0, batch, |g, a| {
+                    state.update(g, a);
+                })
+            },
+        ),
+        competitor: measure(reps, competitor, |c| advance(c, &g1, &applied)),
+    }
 }
 
 /// SSSP: Dijkstra / IncSSSP / IncSSSP_n / DynDij.
 pub fn sssp_suite(reps: usize, g0: &DynamicGraph, batch: &UpdateBatch, src: NodeId) -> Timings {
-    let g1 = updated(g0, batch);
-    let batch_t = measure(
+    suite(
         reps,
-        || (),
-        |_| {
-            std::hint::black_box(SsspState::batch(&g1, src));
-        },
-    );
-    let inc = measure(
-        reps,
-        || {
-            let (state, _) = SsspState::batch(g0, src);
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.update(g, applied);
-        },
-    );
-    let inc_n = measure(
-        reps,
-        || Some(SsspState::batch(g0, src).0),
-        |state| {
-            let s = state.take().expect("fresh state per rep");
-            let _ = unit_replay(g0, batch, s, |s, g, a| {
-                s.update(g, a);
-            });
-        },
-    );
-    let competitor = measure(
-        reps,
-        || {
-            let state = DynDij::new(g0, src);
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.apply_batch(g, applied);
-        },
-    );
-    Timings {
-        batch: batch_t,
-        inc,
-        inc_n,
-        competitor,
-    }
+        g0,
+        batch,
+        |g| SsspState::batch(g, src).0,
+        || DynDij::new(g0, src),
+        |dyn_dij, g1, applied| dyn_dij.apply_batch(g1, applied),
+    )
 }
 
 /// CC: CC_fp / IncCC / IncCC_n / DynCC.
 pub fn cc_suite(reps: usize, g0: &DynamicGraph, batch: &UpdateBatch) -> Timings {
-    let g1 = updated(g0, batch);
-    let batch_t = measure(
-        reps,
-        || (),
-        |_| {
-            std::hint::black_box(CcState::batch(&g1));
-        },
-    );
-    let inc = measure(
-        reps,
-        || {
-            let (state, _) = CcState::batch(g0);
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.update(g, applied);
-        },
-    );
-    let inc_n = measure(
-        reps,
-        || Some(CcState::batch(g0).0),
-        |state| {
-            let s = state.take().expect("fresh state per rep");
-            let _ = unit_replay(g0, batch, s, |s, g, a| {
-                s.update(g, a);
-            });
-        },
-    );
     // DynCC processes unit updates one by one by construction; computing
     // the component labelling afterwards is part of answering the query.
-    let competitor = measure(
+    suite(
         reps,
+        g0,
+        batch,
+        |g| CcState::batch(g).0,
         || DynCc::new(g0),
-        |state| {
-            let mut g = g0.clone();
-            for unit in batch.as_units() {
-                let applied = unit.apply(&mut g);
-                state.apply_batch(&applied);
-            }
-            std::hint::black_box(state.components());
+        |dyn_cc, _, _| {
+            replay_units(g0, batch, |_, a| dyn_cc.apply_batch(a));
+            std::hint::black_box(dyn_cc.components());
         },
-    );
-    Timings {
-        batch: batch_t,
-        inc,
-        inc_n,
-        competitor,
-    }
+    )
 }
 
 /// Sim: Sim_fp / IncSim / IncSim_n / IncMatch.
 pub fn sim_suite(reps: usize, g0: &DynamicGraph, batch: &UpdateBatch, q: &Pattern) -> Timings {
-    let g1 = updated(g0, batch);
-    let batch_t = measure(
+    suite(
         reps,
-        || (),
-        |_| {
-            std::hint::black_box(SimState::batch(&g1, q.clone()));
-        },
-    );
-    let inc = measure(
-        reps,
-        || {
-            let (state, _) = SimState::batch(g0, q.clone());
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.update(g, applied);
-        },
-    );
-    let inc_n = measure(
-        reps,
-        || Some(SimState::batch(g0, q.clone()).0),
-        |state| {
-            let s = state.take().expect("fresh state per rep");
-            let _ = unit_replay(g0, batch, s, |s, g, a| {
-                s.update(g, a);
-            });
-        },
-    );
-    let competitor = measure(
-        reps,
-        || {
-            let state = IncMatch::new(g0, q.clone());
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.apply_batch(g, applied);
-        },
-    );
-    Timings {
-        batch: batch_t,
-        inc,
-        inc_n,
-        competitor,
-    }
+        g0,
+        batch,
+        |g| SimState::batch(g, q.clone()).0,
+        || IncMatch::new(g0, q.clone()),
+        |inc_match, g1, applied| inc_match.apply_batch(g1, applied),
+    )
 }
 
 /// DFS: DFS_fp / IncDFS / IncDFS_n / DynDFS.
 pub fn dfs_suite(reps: usize, g0: &DynamicGraph, batch: &UpdateBatch) -> Timings {
-    let g1 = updated(g0, batch);
-    let batch_t = measure(
+    suite(
         reps,
-        || (),
-        |_| {
-            std::hint::black_box(DfsState::batch(&g1));
-        },
-    );
-    let inc = measure(
-        reps,
-        || {
-            let (state, _) = DfsState::batch(g0);
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.update(g, applied);
-        },
-    );
-    let inc_n = measure(
-        reps,
-        || Some(DfsState::batch(g0).0),
-        |state| {
-            let s = state.take().expect("fresh state per rep");
-            let _ = unit_replay(g0, batch, s, |s, g, a| {
-                s.update(g, a);
-            });
-        },
-    );
-    let competitor = measure(
-        reps,
+        g0,
+        batch,
+        |g| DfsState::batch(g).0,
         || DynDfs::new(g0),
-        |state| {
-            let mut g = g0.clone();
-            for unit in batch.as_units() {
-                let applied = unit.apply(&mut g);
-                for op in applied.ops() {
-                    state.apply_unit(&g, op.inserted, op.src, op.dst);
+        |dyn_dfs, _, _| {
+            replay_units(g0, batch, |g, a| {
+                for op in a.ops() {
+                    dyn_dfs.apply_unit(g, op.inserted, op.src, op.dst);
                 }
-            }
+            })
         },
-    );
-    Timings {
-        batch: batch_t,
-        inc,
-        inc_n,
-        competitor,
-    }
+    )
 }
 
 /// LCC: LCC_fp / IncLCC / IncLCC_n / DynLCC.
 pub fn lcc_suite(reps: usize, g0: &DynamicGraph, batch: &UpdateBatch) -> Timings {
-    let g1 = updated(g0, batch);
-    let batch_t = measure(
+    suite(
         reps,
-        || (),
-        |_| {
-            std::hint::black_box(LccState::batch(&g1));
-        },
-    );
-    let inc = measure(
-        reps,
-        || {
-            let (state, _) = LccState::batch(g0);
-            let mut g = g0.clone();
-            let applied = batch.apply(&mut g);
-            (state, g, applied)
-        },
-        |(state, g, applied)| {
-            state.update(g, applied);
-        },
-    );
-    let inc_n = measure(
-        reps,
-        || Some(LccState::batch(g0).0),
-        |state| {
-            let s = state.take().expect("fresh state per rep");
-            let _ = unit_replay(g0, batch, s, |s, g, a| {
-                s.update(g, a);
-            });
-        },
-    );
-    let competitor = measure(
-        reps,
+        g0,
+        batch,
+        |g| LccState::batch(g).0,
         || DynLcc::new(g0),
-        |state| {
-            let mut g = g0.clone();
-            for unit in batch.as_units() {
-                let applied = unit.apply(&mut g);
-                for op in applied.ops() {
-                    state.apply_unit(&g, op.inserted, op.src, op.dst, op.weight);
+        |dyn_lcc, _, _| {
+            replay_units(g0, batch, |g, a| {
+                for op in a.ops() {
+                    dyn_lcc.apply_unit(g, op.inserted, op.src, op.dst, op.weight);
                 }
-            }
+            })
         },
-    );
-    Timings {
-        batch: batch_t,
-        inc,
-        inc_n,
-        competitor,
-    }
+    )
 }
 
 /// Per-unit averages over a stream of unit updates, with the state and
@@ -321,26 +169,20 @@ pub struct UnitSuite {
     pub competitor: f64,
 }
 
-/// Generic per-unit driver.
-pub fn unit_avg<S>(
+/// Average seconds `step` takes per effective unit update of `batch`
+/// (graph application untimed).
+fn unit_avg(
     g0: &DynamicGraph,
     batch: &UpdateBatch,
-    mut state: S,
-    mut step: impl FnMut(&mut S, &DynamicGraph, &incgraph_graph::AppliedBatch),
+    mut step: impl FnMut(&DynamicGraph, &AppliedBatch),
 ) -> f64 {
-    let mut g = g0.clone();
-    let mut total = 0.0;
-    let mut units = 0usize;
-    for unit in batch.as_units() {
-        let applied = unit.apply(&mut g);
-        if applied.is_empty() {
-            continue;
-        }
+    let (mut total, mut units) = (0.0, 0usize);
+    replay_units(g0, batch, |g, applied| {
         let t = std::time::Instant::now();
-        step(&mut state, &g, &applied);
+        step(g, applied);
         total += t.elapsed().as_secs_f64();
         units += 1;
-    }
+    });
     if units == 0 {
         0.0
     } else {
@@ -348,63 +190,19 @@ pub fn unit_avg<S>(
     }
 }
 
-/// Exp-1 unit averages for SSSP (IncSSSP vs RR).
-pub fn sssp_units(g0: &DynamicGraph, batch: &UpdateBatch, src: NodeId) -> UnitSuite {
-    let inc = unit_avg(g0, batch, SsspState::batch(g0, src).0, |s, g, a| {
-        s.update(g, a);
-    });
-    let competitor = unit_avg(g0, batch, RrSssp::new(g0, src), |s, g, a| {
-        for op in a.ops() {
-            s.apply_unit(g, op.inserted, op.src, op.dst, op.weight);
-        }
-    });
-    UnitSuite { inc, competitor }
-}
-
-/// Exp-1 unit averages for CC (IncCC vs DynCC).
-pub fn cc_units(g0: &DynamicGraph, batch: &UpdateBatch) -> UnitSuite {
-    let inc = unit_avg(g0, batch, CcState::batch(g0).0, |s, g, a| {
-        s.update(g, a);
-    });
-    let competitor = unit_avg(g0, batch, DynCc::new(g0), |s, _g, a| {
-        s.apply_batch(a);
-    });
-    UnitSuite { inc, competitor }
-}
-
-/// Exp-1 unit averages for Sim (IncSim vs IncMatch).
-pub fn sim_units(g0: &DynamicGraph, batch: &UpdateBatch, q: &Pattern) -> UnitSuite {
-    let inc = unit_avg(g0, batch, SimState::batch(g0, q.clone()).0, |s, g, a| {
-        s.update(g, a);
-    });
-    let competitor = unit_avg(g0, batch, IncMatch::new(g0, q.clone()), |s, g, a| {
-        s.apply_batch(g, a);
-    });
-    UnitSuite { inc, competitor }
-}
-
-/// Exp-1 unit averages for DFS (IncDFS vs DynDFS).
-pub fn dfs_units(g0: &DynamicGraph, batch: &UpdateBatch) -> UnitSuite {
-    let inc = unit_avg(g0, batch, DfsState::batch(g0).0, |s, g, a| {
-        s.update(g, a);
-    });
-    let competitor = unit_avg(g0, batch, DynDfs::new(g0), |s, g, a| {
-        for op in a.ops() {
-            s.apply_unit(g, op.inserted, op.src, op.dst);
-        }
-    });
-    UnitSuite { inc, competitor }
-}
-
-/// Exp-1 unit averages for LCC (IncLCC vs DynLCC).
-pub fn lcc_units(g0: &DynamicGraph, batch: &UpdateBatch) -> UnitSuite {
-    let inc = unit_avg(g0, batch, LccState::batch(g0).0, |s, g, a| {
-        s.update(g, a);
-    });
-    let competitor = unit_avg(g0, batch, DynLcc::new(g0), |s, g, a| {
-        for op in a.ops() {
-            s.apply_unit(g, op.inserted, op.src, op.dst, op.weight);
-        }
-    });
-    UnitSuite { inc, competitor }
+/// Exp-1 unit averages of one class: the deduced algorithm of `state`
+/// against `competitor`, advanced per unit update by `advance`.
+pub fn units<S: IncrementalState, C>(
+    g0: &DynamicGraph,
+    batch: &UpdateBatch,
+    mut state: S,
+    mut competitor: C,
+    mut advance: impl FnMut(&mut C, &DynamicGraph, &AppliedBatch),
+) -> UnitSuite {
+    UnitSuite {
+        inc: unit_avg(g0, batch, |g, a| {
+            state.update(g, a);
+        }),
+        competitor: unit_avg(g0, batch, |g, a| advance(&mut competitor, g, a)),
+    }
 }

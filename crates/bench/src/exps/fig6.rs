@@ -5,6 +5,7 @@
 use super::drivers;
 use crate::report::Ctx;
 use incgraph_algos::{CcState, DfsState, LccState, SimState, SsspState};
+use incgraph_baselines::{DynCc, DynDfs, DynLcc, IncMatch, RrSssp};
 use incgraph_workloads::datasets::MAX_WEIGHT;
 use incgraph_workloads::{random_batch, random_pattern, sample_sources, Dataset};
 
@@ -29,32 +30,55 @@ pub fn run(ctx: &mut Ctx, insertions: bool) {
         // SSSP: IncSSSP vs RR.
         let batch = random_batch(&gd, count, frac, MAX_WEIGHT, seed);
         let src = sample_sources(&gd, 1, seed)[0];
-        let t = drivers::sssp_units(&gd, &batch, src);
+        let rr = RrSssp::new(&gd, src);
+        let (state, _) = SsspState::batch(&gd, src);
+        let t = drivers::units(&gd, &batch, state, rr, |rr, g, a| {
+            for op in a.ops() {
+                rr.apply_unit(g, op.inserted, op.src, op.dst, op.weight);
+            }
+        });
         ctx.record(exp, "IncSSSP", tag, 0.0, t.inc, "s/unit");
         ctx.record(exp, "RR", tag, 0.0, t.competitor, "s/unit");
 
         // CC: IncCC vs DynCC.
         let batch = random_batch(&gu, count, frac, 1, seed ^ 1);
-        let t = drivers::cc_units(&gu, &batch);
+        let (state, _) = CcState::batch(&gu);
+        let t = drivers::units(&gu, &batch, state, DynCc::new(&gu), |dyn_cc, _, a| {
+            dyn_cc.apply_batch(a)
+        });
         ctx.record(exp, "IncCC", tag, 0.0, t.inc, "s/unit");
         ctx.record(exp, "DynCC", tag, 0.0, t.competitor, "s/unit");
 
         // Sim: IncSim vs IncMatch.
         let q = random_pattern(&gd, 4, 6, seed ^ 2);
         let batch = random_batch(&gd, count, frac, MAX_WEIGHT, seed ^ 3);
-        let t = drivers::sim_units(&gd, &batch, &q);
+        let inc_match = IncMatch::new(&gd, q.clone());
+        let (state, _) = SimState::batch(&gd, q);
+        let t = drivers::units(&gd, &batch, state, inc_match, |inc_match, g, a| {
+            inc_match.apply_batch(g, a)
+        });
         ctx.record(exp, "IncSim", tag, 0.0, t.inc, "s/unit");
         ctx.record(exp, "IncMatch", tag, 0.0, t.competitor, "s/unit");
 
         // DFS: IncDFS vs DynDFS.
         let batch = random_batch(&gd, count, frac, MAX_WEIGHT, seed ^ 4);
-        let t = drivers::dfs_units(&gd, &batch);
+        let (state, _) = DfsState::batch(&gd);
+        let t = drivers::units(&gd, &batch, state, DynDfs::new(&gd), |dyn_dfs, g, a| {
+            for op in a.ops() {
+                dyn_dfs.apply_unit(g, op.inserted, op.src, op.dst);
+            }
+        });
         ctx.record(exp, "IncDFS", tag, 0.0, t.inc, "s/unit");
         ctx.record(exp, "DynDFS", tag, 0.0, t.competitor, "s/unit");
 
         // LCC: IncLCC vs DynLCC.
         let batch = random_batch(&gu, count, frac, 1, seed ^ 5);
-        let t = drivers::lcc_units(&gu, &batch);
+        let (state, _) = LccState::batch(&gu);
+        let t = drivers::units(&gu, &batch, state, DynLcc::new(&gu), |dyn_lcc, g, a| {
+            for op in a.ops() {
+                dyn_lcc.apply_unit(g, op.inserted, op.src, op.dst, op.weight);
+            }
+        });
         ctx.record(exp, "IncLCC", tag, 0.0, t.inc, "s/unit");
         ctx.record(exp, "DynLCC", tag, 0.0, t.competitor, "s/unit");
     }

@@ -31,13 +31,13 @@
 //! [`engine::run_fixpoint`] is simply resumed — so deducibility (same
 //! logic and data structures) holds *by construction*. Two strategies:
 //!
-//! * [`scope::bounded_scope`] — the paper's Fig. 4: processes potentially
+//! * [`scope::bounded_scope_in`] — the paper's Fig. 4: processes potentially
 //!   infeasible variables in the contributor topological order `<_C`
 //!   (provided by a [`scope::ContributorOracle`]), rebuilding feasible
 //!   input sets and raising infeasible values. Requires the algorithm to
 //!   be *contracting and monotonic* (condition C2); yields relative
 //!   boundedness (`H⁰ ⊆ AFF`, condition C1 / Theorem 3).
-//! * [`scope::pe_reset_scope`] — the brute-force Theorem 1 construction:
+//! * [`scope::pe_reset_scope_in`] — the brute-force Theorem 1 construction:
 //!   flood the *potentially affected* (PE) variables through dependency
 //!   edges and reset them to `⊥`. Always correct, not bounded (kept both
 //!   as the LCC strategy, where no flooding occurs, and as the `abl-scope`
@@ -67,10 +67,7 @@ pub use engine::{run_fixpoint, Engine, RunStats};
 pub use epoch::VisitEpoch;
 pub use fallback::{AuditAction, FallbackDecision, FallbackPolicy, FallbackReason};
 pub use metrics::{BoundednessReport, SpaceUsage};
-pub use scope::{
-    bounded_scope, bounded_scope_in, pe_reset_scope, pe_reset_scope_in, ContributorOracle,
-    ScopeResult, ScopeScratch, ScopeStats,
-};
+pub use scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch, ScopeStats};
 pub use spec::FixpointSpec;
 pub use status::Status;
 pub use trace::{CaseTrace, TraceEvent};

@@ -11,8 +11,8 @@
 //!   batches, generators).
 //! * [`core`] — the paper's contribution: the fixpoint model
 //!   ([`core::FixpointSpec`], [`core::engine::Engine`]) and the
-//!   incrementalization machinery ([`core::bounded_scope`] — Fig. 4;
-//!   [`core::pe_reset_scope`] — Theorem 1).
+//!   incrementalization machinery ([`core::bounded_scope_in`] — Fig. 4;
+//!   [`core::pe_reset_scope_in`] — Theorem 1).
 //! * [`algos`] — the five proof-of-concept query classes (SSSP, CC,
 //!   Sim, DFS, LCC), each as a batch algorithm plus its deduced
 //!   incremental algorithm, together with two extension classes: BC
