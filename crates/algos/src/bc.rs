@@ -24,18 +24,28 @@
 //! forest fresh) with a Theorem 1 PE-phase for `low`: the variables whose
 //! *constants* changed (DFS numbers, adjacency) are reset to `⊥` together
 //! with their new-tree ancestor chains, and the unchanged step function
-//! re-lowers them — bottom-up, children before parents, by ranking on the
-//! (negated) preorder number.
+//! re-lowers them — bottom-up, children before parents: a variable's
+//! rank, as a seed and as a pushed dependent alike, is `2n − first` (entry
+//! timestamps are `< 2n`), and the scope is handed to the engine
+//! deepest-first, so within one rank bucket (FIFO) a child still pops
+//! before its parent. The PE scope is closed under tree ancestors, hence a
+//! changed child's parent is always a queued seed of higher rank: each
+//! scope variable is evaluated exactly once.
+//!
+//! The PE seeds come from the changed-node list `IncDFS` records as it
+//! re-enters nodes (no before/after snapshot of the forest); the scope
+//! set is an epoch bitmap and the scope and closure stack are kept
+//! between updates, so a steady-state update allocates nothing.
 
 use crate::dfs::{DfsState, ROOT};
 use crate::persist::{self, StateLoadError};
 use incgraph_core::engine::{Engine, RunStats};
-use incgraph_core::metrics::BoundednessReport;
+use incgraph_core::epoch::VisitEpoch;
+use incgraph_core::metrics::{vec_bytes, BoundednessReport};
 use incgraph_core::scope::ScopeStats;
 use incgraph_core::spec::FixpointSpec;
 use incgraph_core::status::Status;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
-use std::collections::HashSet;
 
 /// The lowpoint fixpoint specification over a graph + DFS-forest snapshot.
 pub struct LowSpec<'a> {
@@ -48,6 +58,11 @@ impl<'a> LowSpec<'a> {
     pub fn new(g: &'a DynamicGraph, dfs: &'a DfsState) -> Self {
         assert!(!g.is_directed(), "BC is defined on undirected graphs");
         LowSpec { g, dfs }
+    }
+
+    /// Children before parents: deeper preorder numbers rank lower.
+    fn depth_rank(&self, x: usize) -> u64 {
+        (2 * self.g.node_count() as u64).saturating_sub(self.dfs.first(x as NodeId) as u64)
     }
 }
 
@@ -89,13 +104,12 @@ impl FixpointSpec for LowSpec<'_> {
         a <= b
     }
 
-    fn rank(&self, _x: usize, _v: &u32) -> u64 {
-        0
+    fn rank(&self, x: usize, _v: &u32) -> u64 {
+        self.depth_rank(x)
     }
 
     fn push_rank(&self, z: usize, _zv: &u32, _t: usize, _tv: &u32) -> u64 {
-        // Children before parents: deeper preorder numbers pop first.
-        u64::MAX - 1 - self.dfs.first(z as NodeId) as u64
+        self.depth_rank(z)
     }
 }
 
@@ -104,6 +118,12 @@ pub struct BcState {
     dfs: DfsState,
     low: Status<u32>,
     engine: Engine,
+    /// Membership of the current PE scope.
+    pe: VisitEpoch,
+    /// The PE scope, in discovery order until sorted deepest-first.
+    scope: Vec<usize>,
+    /// Worklist of the upward (ancestor) closure.
+    stack: Vec<usize>,
 }
 
 impl BcState {
@@ -112,14 +132,27 @@ impl BcState {
         let (dfs, mut stats) = DfsState::batch(g);
         let (low, engine, low_stats) = Self::low_from_scratch(g, &dfs);
         stats.merge(&low_stats);
-        (BcState { dfs, low, engine }, stats)
+        (BcState::assemble(dfs, low, engine), stats)
+    }
+
+    /// A state over the given layers with empty PE scratch.
+    fn assemble(dfs: DfsState, low: Status<u32>, engine: Engine) -> Self {
+        let pe = VisitEpoch::new(low.len());
+        BcState {
+            dfs,
+            low,
+            engine,
+            pe,
+            scope: Vec::new(),
+            stack: Vec::new(),
+        }
     }
 
     fn low_from_scratch(g: &DynamicGraph, dfs: &DfsState) -> (Status<u32>, Engine, RunStats) {
         let spec = LowSpec::new(g, dfs);
         let mut low = Status::init(&spec, false);
         let mut engine = Engine::new(spec.num_vars());
-        // Seed bottom-up so most lowpoints settle in one pass.
+        // Seed bottom-up so every lowpoint settles in one evaluation.
         let mut order: Vec<usize> = (0..spec.num_vars()).collect();
         order.sort_unstable_by_key(|&x| std::cmp::Reverse(dfs.first(x as NodeId)));
         let stats = engine.run(&spec, &mut low, order.iter().copied());
@@ -180,41 +213,40 @@ impl BcState {
     /// lowpoints of the affected region (PE reset over the new-tree
     /// ancestor closure).
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        // Snapshot the DFS numbers that the low constants derive from.
         let n = g.node_count();
         self.ensure_size(g);
-        let old_first: Vec<u32> = (0..n as NodeId).map(|v| self.dfs.first(v)).collect();
-        let old_parent: Vec<NodeId> = (0..n as NodeId).map(|v| self.dfs.parent(v)).collect();
-
         let dfs_report = self.dfs.update(g, applied);
+        let (scope_stats, mut run) = self.relower(g, applied);
+        run.merge(&dfs_report.run_stats);
+        let scope_len = self.scope.len().max(dfs_report.scope_size);
+        // The variable universe spans both layers: n interval variables
+        // (DFS) plus n lowpoint variables.
+        BoundednessReport::new(2 * n, scope_len, scope_stats, run)
+    }
 
+    /// The lowpoint half of [`update`](Self::update), run after `IncDFS`
+    /// refreshed the forest: builds the PE scope into `self.scope`,
+    /// resets it to `⊥` and resumes the step function on it.
+    fn relower(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> (ScopeStats, RunStats) {
+        let n = g.node_count();
         // PE seeds: nodes whose DFS assignment changed (their constants
         // moved), their neighbors (who read those constants), and the
         // endpoints of ΔG (whose back-edge sets changed).
-        let mut pe: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<usize> = Vec::new();
-        let seed = |x: usize, pe: &mut HashSet<usize>, stack: &mut Vec<usize>| {
+        let (pe, scope, stack) = (&mut self.pe, &mut self.scope, &mut self.stack);
+        pe.clear();
+        scope.clear();
+        let mut seed = |x: usize| {
             if pe.insert(x) {
+                scope.push(x);
                 stack.push(x);
             }
         };
-        for v in 0..n {
-            if self.dfs.first(v as NodeId) != old_first[v]
-                || self.dfs.parent(v as NodeId) != old_parent[v]
-            {
-                seed(v, &mut pe, &mut stack);
-                for &(w, _) in g.out_neighbors(v as NodeId) {
-                    seed(w as usize, &mut pe, &mut stack);
-                }
-            }
-        }
-        for op in applied.ops() {
-            for e in [op.src, op.dst] {
-                if (e as usize) < n {
-                    seed(e as usize, &mut pe, &mut stack);
-                    for &(w, _) in g.out_neighbors(e) {
-                        seed(w as usize, &mut pe, &mut stack);
-                    }
+        let ends = applied.ops().iter().flat_map(|op| [op.src, op.dst]);
+        for v in self.dfs.changed().iter().copied().chain(ends) {
+            if (v as usize) < n {
+                seed(v as usize);
+                for &(w, _) in g.out_neighbors(v) {
+                    seed(w as usize);
                 }
             }
         }
@@ -226,41 +258,42 @@ impl BcState {
             scope_stats.pops += 1;
             let p = self.dfs.parent(x as NodeId);
             if p != ROOT && pe.insert(p as usize) {
+                scope.push(p as usize);
                 stack.push(p as usize);
             }
         }
 
         let spec = LowSpec::new(g, &self.dfs);
-        let mut scope: Vec<usize> = pe.into_iter().collect();
-        scope.sort_unstable();
-        for &x in &scope {
+        // Deepest-first: see the module docs.
+        scope.sort_unstable_by_key(|&x| std::cmp::Reverse(self.dfs.first(x as NodeId)));
+        for &x in scope.iter() {
             let bot = spec.bottom(x);
             if self.low.get(x) != bot {
                 self.low.set_unstamped(x, bot);
                 scope_stats.raised += 1;
             }
         }
-        let mut run = self.engine.run(&spec, &mut self.low, scope.iter().copied());
-        run.merge(&dfs_report.run_stats);
-        let scope_len = scope.len().max(dfs_report.scope_size);
-        // The variable universe spans both layers: n interval variables
-        // (DFS) plus n lowpoint variables.
-        BoundednessReport::new(2 * n, scope_len, scope_stats, run)
+        let run = self.engine.run(&spec, &mut self.low, scope.iter().copied());
+        (scope_stats, run)
     }
 
     /// Resident bytes (no timestamps: BC is deducible).
     pub fn space_bytes(&self) -> usize {
-        self.dfs.space_bytes() + self.low.space_bytes() + self.engine.space_bytes()
+        self.dfs.space_bytes()
+            + self.low.space_bytes()
+            + self.engine.space_bytes()
+            + self.pe.space_bytes()
+            + vec_bytes(&self.scope)
+            + vec_bytes(&self.stack)
     }
 
     fn ensure_size(&mut self, g: &DynamicGraph) {
-        // The DFS substrate grows first: the snapshot in `update` reads
-        // its (sentinel) numbers for the fresh nodes.
         self.dfs.ensure_size(g);
         let n = g.node_count();
         if n > self.low.len() {
             self.low.extend_to(n, |_| u32::MAX);
             self.engine = Engine::new(n);
+            self.pe.grow_to(n);
         }
     }
 
@@ -297,11 +330,7 @@ impl BcState {
                 "bc is deducible and stores no timestamps".into(),
             ));
         }
-        Ok(BcState {
-            dfs,
-            low,
-            engine: Engine::new(n),
-        })
+        Ok(BcState::assemble(dfs, low, Engine::new(n)))
     }
 }
 
@@ -373,6 +402,7 @@ impl crate::IncrementalState for BcState {
 mod tests {
     use super::*;
     use incgraph_graph::UpdateBatch;
+    use std::collections::HashSet;
 
     /// Reference: recursive Tarjan articulation points / bridges.
     fn reference(g: &DynamicGraph) -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
@@ -597,6 +627,47 @@ mod tests {
             let (fresh, _) = BcState::batch(&g);
             for v in 0..40u32 {
                 assert_eq!(bc.low(v), fresh.low(v), "low_{v} diverged at round {round}");
+            }
+        }
+    }
+
+    /// The schedule the module docs promise: ranked by depth and seeded
+    /// deepest-first, a lowpoint run evaluates each scope variable once —
+    /// no re-evaluation, no superseded queue entry — on scopes wide
+    /// enough that many variables share a rank bucket.
+    #[test]
+    fn lowpoint_run_evaluates_each_scope_variable_exactly_once() {
+        use incgraph_graph::rng::SplitMix64;
+        for (n, m, seed) in [(300usize, 700usize, 3u64), (3000, 6500, 4)] {
+            let mut g = incgraph_graph::gen::uniform(n, m, false, 1, 1, seed);
+            let (mut bc, _) = BcState::batch(&g);
+            let (_, _, scratch_run) = BcState::low_from_scratch(&g, &bc.dfs);
+            assert_eq!(scratch_run.evals, n as u64, "batch lowpoints, n={n}");
+            let mut rng = SplitMix64::seed_from_u64(seed ^ 0xBC);
+            for round in 0..25 {
+                let mut batch = UpdateBatch::new();
+                for _ in 0..4 {
+                    let u = rng.gen_range(0..n as u64) as NodeId;
+                    let v = rng.gen_range(0..n as u64) as NodeId;
+                    if u == v {
+                        continue;
+                    }
+                    if rng.gen_bool(0.5) {
+                        batch.insert(u, v, 1);
+                    } else {
+                        batch.delete(u, v);
+                    }
+                }
+                let applied = batch.apply(&mut g);
+                bc.dfs.update(&g, &applied);
+                let (_, run) = bc.relower(&g, &applied);
+                assert_eq!(
+                    (run.evals, run.stale_pops),
+                    (bc.scope.len() as u64, 0),
+                    "n={n} round {round}"
+                );
+                let (fresh, _) = BcState::batch(&g);
+                assert_eq!(bc.low.values(), fresh.low.values(), "n={n} round {round}");
             }
         }
     }

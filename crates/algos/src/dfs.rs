@@ -24,6 +24,16 @@
 //! exactly the behaviour the paper reports (IncDFS wins for small `ΔG`
 //! and loses to batch beyond ~4%).
 //!
+//! The replay takes no snapshot of the old run. Every decision that
+//! consults it — "was `w` inside a skipped subtree", "is this entry
+//! identical", "does `v` close at its old time" — is made about a node
+//! the current replay has not yet (re-)entered, or at the moment it
+//! closes, so the live `first`/`last`/`parent` arrays still hold the old
+//! run's values exactly where they are read. The affected-subtree set is
+//! an epoch bitmap and the skip list and stack are kept between updates,
+//! so a steady-state update allocates nothing and pays only for the
+//! nodes it re-enters.
+//!
 //! DFS's update functions are not pure functions of a static input set
 //! (a node's interval depends on how many timestamps its earlier siblings
 //! consumed), so this module implements the step function directly rather
@@ -31,10 +41,10 @@
 //! structure and the accounting are the same.
 
 use incgraph_core::engine::RunStats;
-use incgraph_core::metrics::BoundednessReport;
+use incgraph_core::epoch::VisitEpoch;
+use incgraph_core::metrics::{vec_bytes, BoundednessReport};
 use incgraph_core::scope::ScopeStats;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
-use std::collections::HashSet;
 
 /// Parent sentinel for roots of the DFS forest (children of the virtual
 /// root `r`).
@@ -46,24 +56,43 @@ pub struct DfsState {
     first: Vec<u32>,
     last: Vec<u32>,
     parent: Vec<NodeId>,
-    /// Epoch-versioned visited marks for incremental replays.
-    visited_mark: Vec<u32>,
-    epoch: u32,
+    /// Nodes (re-)entered by the current replay.
+    visited: VisitEpoch,
+    /// `h`'s output: nodes on the old-tree ancestor chain of a structural
+    /// op's endpoint — a subtree rooted at one may replay differently.
+    aff_sub: VisitEpoch,
+    /// Nodes whose `first` or `parent` the last [`update`](Self::update)
+    /// changed, in entry order (BC's lowpoint constants moved there).
+    changed: Vec<NodeId>,
+    /// Sorted, disjoint old-time intervals of the subtrees the current
+    /// replay skipped.
+    skipped: Vec<(u32, u32)>,
+    /// The replay's explicit stack of (node, next-out-neighbor index).
+    stack: Vec<(NodeId, usize)>,
 }
 
 impl DfsState {
     /// Runs batch `DFS_fp` on `g`.
     pub fn batch(g: &DynamicGraph) -> (Self, RunStats) {
         let n = g.node_count();
-        let mut state = DfsState {
-            first: vec![0; n],
-            last: vec![0; n],
-            parent: vec![ROOT; n],
-            visited_mark: vec![0; n],
-            epoch: 0,
-        };
-        let stats = state.traverse(g, &HashSet::new(), false);
+        let mut state = DfsState::with_labelling(vec![0; n], vec![0; n], vec![ROOT; n]);
+        let stats = state.traverse(g, false);
         (state, stats)
+    }
+
+    /// A state over the given labelling with empty replay scratch.
+    fn with_labelling(first: Vec<u32>, last: Vec<u32>, parent: Vec<NodeId>) -> Self {
+        let n = first.len();
+        DfsState {
+            first,
+            last,
+            parent,
+            visited: VisitEpoch::new(n),
+            aff_sub: VisitEpoch::new(n),
+            changed: Vec::new(),
+            skipped: Vec::new(),
+            stack: Vec::new(),
+        }
     }
 
     /// Entry (preorder) timestamp of `v`.
@@ -90,6 +119,12 @@ impl DfsState {
             .collect()
     }
 
+    /// Nodes whose entry timestamp or parent the last
+    /// [`update`](Self::update) changed (empty after an inert update).
+    pub(crate) fn changed(&self) -> &[NodeId] {
+        &self.changed
+    }
+
     /// Whether `u` is an ancestor of `v` in the DFS tree (interval
     /// nesting; a node is its own ancestor).
     pub fn is_ancestor(&self, u: NodeId, v: NodeId) -> bool {
@@ -101,6 +136,7 @@ impl DfsState {
     /// the traversal with identical-subtree skipping.
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
         self.ensure_size(g);
+        self.changed.clear();
         let mut scope_stats = ScopeStats::default();
 
         // h phase: classify each op against the old traversal. An op is
@@ -111,17 +147,19 @@ impl DfsState {
         // skipped anyway). Structural ops mark the old-tree ancestor
         // chains of both endpoints: any subtree containing one may replay
         // differently.
-        let mut aff_sub: HashSet<NodeId> = HashSet::new();
+        let (first, last, parent) = (&self.first, &self.last, &self.parent);
+        let aff_sub = &mut self.aff_sub;
+        aff_sub.clear();
         {
-            let mut mark_chain = |state: &Self, v: NodeId| {
+            let mut mark_chain = |v: NodeId| {
                 let mut cur = v;
                 loop {
                     scope_stats.pops += 1;
-                    if !aff_sub.insert(cur) {
+                    if !aff_sub.insert(cur as usize) {
                         break;
                     }
                     scope_stats.raised += 1;
-                    let p = state.parent[cur as usize];
+                    let p = parent[cur as usize];
                     if p == ROOT {
                         break;
                     }
@@ -133,9 +171,9 @@ impl DfsState {
             // before the branch that already leads to v. The scan walks
             // the sorted adjacency, so with c = the child of u whose
             // subtree contains v: structural iff v < c in id order.
-            let insert_structural = |state: &Self, u: NodeId, v: NodeId| -> bool {
-                let (fu, lu) = (state.first[u as usize], state.last[u as usize]);
-                let fv = state.first[v as usize];
+            let insert_structural = |u: NodeId, v: NodeId| -> bool {
+                let (fu, lu) = (first[u as usize], last[u as usize]);
+                let fv = first[v as usize];
                 if fv < fu {
                     return false; // back/cross to an earlier node: inert
                 }
@@ -144,9 +182,7 @@ impl DfsState {
                 }
                 // Descendant: locate the branch child.
                 for &(c, _) in g.out_neighbors(u) {
-                    if state.parent[c as usize] == u
-                        && state.first[c as usize] <= fv
-                        && fv <= state.last[c as usize]
+                    if parent[c as usize] == u && first[c as usize] <= fv && fv <= last[c as usize]
                     {
                         return v < c;
                     }
@@ -156,37 +192,41 @@ impl DfsState {
             for op in applied.ops() {
                 let (u, v) = (op.src, op.dst);
                 let structural = if op.inserted {
-                    insert_structural(self, u, v)
-                        || (!g.is_directed() && insert_structural(self, v, u))
+                    insert_structural(u, v) || (!g.is_directed() && insert_structural(v, u))
                 } else {
-                    self.parent[v as usize] == u
-                        || (!g.is_directed() && self.parent[u as usize] == v)
+                    parent[v as usize] == u || (!g.is_directed() && parent[u as usize] == v)
                 };
                 if structural {
-                    mark_chain(self, u);
-                    mark_chain(self, v);
+                    mark_chain(u);
+                    mark_chain(v);
                 }
             }
         }
-        let scope_size = aff_sub.len();
+        let scope_size = aff_sub.count();
 
         // Every op inert ⇒ the replay is provably identical; skip the
-        // traversal (and its old-state snapshot) entirely. This is what
-        // makes the common unit update — a back/cross insertion or a
-        // non-tree deletion — effectively free.
-        if aff_sub.is_empty() {
+        // traversal entirely. This is what makes the common unit update —
+        // a back/cross insertion or a non-tree deletion — effectively
+        // free.
+        if scope_size == 0 {
             return BoundednessReport::new(g.node_count(), 0, scope_stats, RunStats::default());
         }
 
-        let run = self.traverse(g, &aff_sub, true);
+        let run = self.traverse(g, true);
         BoundednessReport::new(g.node_count(), scope_size, scope_stats, run)
     }
 
     /// Resident bytes of the algorithm's state (Fig. 8). No timestamps
     /// beyond the intervals themselves — IncDFS is deducible.
     pub fn space_bytes(&self) -> usize {
-        (self.first.capacity() + self.last.capacity() + self.visited_mark.capacity()) * 4
-            + self.parent.capacity() * std::mem::size_of::<NodeId>()
+        vec_bytes(&self.first)
+            + vec_bytes(&self.last)
+            + vec_bytes(&self.parent)
+            + self.visited.space_bytes()
+            + self.aff_sub.space_bytes()
+            + vec_bytes(&self.changed)
+            + vec_bytes(&self.skipped)
+            + vec_bytes(&self.stack)
     }
 
     /// Audit helper shared with BC: compare this forest against the
@@ -234,30 +274,21 @@ impl DfsState {
     }
 
     /// The step function: a DFS replay. With `incremental` set, subtrees
-    /// whose replay is provably identical to the previous run are skipped
-    /// in O(1) (plus an O(log #skips) membership structure).
-    fn traverse(
-        &mut self,
-        g: &DynamicGraph,
-        aff_sub: &HashSet<NodeId>,
-        incremental: bool,
-    ) -> RunStats {
+    /// whose replay is provably identical to the previous run (none of
+    /// their nodes in `aff_sub`) are skipped in O(1) (plus an
+    /// O(log #skips) membership structure).
+    ///
+    /// The old run is read from the live arrays — see the module docs:
+    /// `first`/`parent` of a node are overwritten when it is entered and
+    /// `last` when it closes, and nothing below reads them later than
+    /// that.
+    fn traverse(&mut self, g: &DynamicGraph, incremental: bool) -> RunStats {
         let n = g.node_count();
         let mut stats = RunStats::default();
-        self.epoch += 1;
-        let epoch = self.epoch;
+        self.visited.clear();
 
-        // Old-run snapshot for skip decisions and visited queries. The
-        // clone is O(n) but costs a fraction of a full re-traversal; the
-        // skipped subtrees' entries double as the new values.
-        let (old_first, old_last, old_parent) = if incremental {
-            (self.first.clone(), self.last.clone(), self.parent.clone())
-        } else {
-            (Vec::new(), Vec::new(), Vec::new())
-        };
-
-        // Sorted, disjoint old-time intervals of skipped subtrees.
-        let mut skipped: Vec<(u32, u32)> = Vec::new();
+        let mut skipped = std::mem::take(&mut self.skipped);
+        skipped.clear();
         let in_skipped = |skipped: &[(u32, u32)], of: u32| -> bool {
             let i = skipped.partition_point(|&(_, l)| l < of);
             i < skipped.len() && skipped[i].0 <= of
@@ -267,13 +298,15 @@ impl DfsState {
         // `identical` = every timestamp assigned so far equals the old
         // run's; the precondition for any further skipping.
         let mut identical = incremental;
-        // Explicit stack of (node, next-out-neighbor index).
-        let mut stack: Vec<(NodeId, usize)> = Vec::new();
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
 
+        // The epoch mark short-circuits: an entered node's `first` is
+        // already the new one and is never consulted as an old time.
         macro_rules! visited {
             ($w:expr) => {
-                self.visited_mark[$w as usize] == epoch
-                    || (incremental && in_skipped(&skipped, old_first[$w as usize]))
+                self.visited.contains($w as usize)
+                    || (incremental && in_skipped(&skipped, self.first[$w as usize]))
             };
         }
 
@@ -283,19 +316,19 @@ impl DfsState {
             }
             // Try to skip the whole old subtree rooted at this forest root.
             if identical
-                && old_first[r as usize] == time
-                && old_parent[r as usize] == ROOT
-                && !aff_sub.contains(&r)
+                && self.first[r as usize] == time
+                && self.parent[r as usize] == ROOT
+                && !self.aff_sub.contains(r as usize)
             {
-                skipped.push((old_first[r as usize], old_last[r as usize]));
-                time = old_last[r as usize] + 1;
+                skipped.push((self.first[r as usize], self.last[r as usize]));
+                time = self.last[r as usize] + 1;
                 continue;
             }
             // Normal entry.
-            if identical && (old_first[r as usize] != time || old_parent[r as usize] != ROOT) {
+            if identical && (self.first[r as usize] != time || self.parent[r as usize] != ROOT) {
                 identical = false;
             }
-            self.enter(r, ROOT, &mut time, epoch, &mut stats);
+            self.enter(r, ROOT, &mut time, incremental, &mut stats);
             stack.push((r, 0));
 
             'frames: while let Some(&(v, idx0)) = stack.last() {
@@ -309,24 +342,25 @@ impl DfsState {
                         continue;
                     }
                     if identical
-                        && old_first[w as usize] == time
-                        && old_parent[w as usize] == v
-                        && !aff_sub.contains(&w)
+                        && self.first[w as usize] == time
+                        && self.parent[w as usize] == v
+                        && !self.aff_sub.contains(w as usize)
                     {
-                        skipped.push((old_first[w as usize], old_last[w as usize]));
-                        time = old_last[w as usize] + 1;
+                        skipped.push((self.first[w as usize], self.last[w as usize]));
+                        time = self.last[w as usize] + 1;
                         continue;
                     }
-                    if identical && (old_first[w as usize] != time || old_parent[w as usize] != v) {
+                    if identical && (self.first[w as usize] != time || self.parent[w as usize] != v)
+                    {
                         identical = false;
                     }
                     stack.last_mut().expect("frame exists").1 = idx;
-                    self.enter(w, v, &mut time, epoch, &mut stats);
+                    self.enter(w, v, &mut time, incremental, &mut stats);
                     stack.push((w, 0));
                     continue 'frames;
                 }
                 // Out-neighbors exhausted: close v.
-                if identical && old_last[v as usize] != time {
+                if identical && self.last[v as usize] != time {
                     identical = false;
                 }
                 self.last[v as usize] = time;
@@ -334,16 +368,23 @@ impl DfsState {
                 stack.pop();
             }
         }
+        self.skipped = skipped;
+        self.stack = stack;
         stats
     }
 
-    fn enter(&mut self, v: NodeId, p: NodeId, time: &mut u32, epoch: u32, stats: &mut RunStats) {
+    /// Enters `v` from `p` at `time`. An incremental replay also records
+    /// `v` in the changed list when its assignment moved.
+    fn enter(&mut self, v: NodeId, p: NodeId, time: &mut u32, record: bool, stats: &mut RunStats) {
         if self.first[v as usize] != *time || self.parent[v as usize] != p {
             stats.changes += 1;
+            if record {
+                self.changed.push(v);
+            }
         }
         self.first[v as usize] = *time;
         self.parent[v as usize] = p;
-        self.visited_mark[v as usize] = epoch;
+        self.visited.insert(v as usize);
         *time += 1;
         stats.pops += 1;
         stats.evals += 1;
@@ -358,13 +399,14 @@ impl DfsState {
             self.first.resize(n, u32::MAX);
             self.last.resize(n, u32::MAX);
             self.parent.resize(n, ROOT);
-            self.visited_mark.resize(n, 0);
+            self.visited.grow_to(n);
+            self.aff_sub.grow_to(n);
         }
     }
 
-    /// Writes the durable payload (intervals + parents); the visited
-    /// marks and epoch are replay scratch and restart at zero. Shared
-    /// with BC, whose blob embeds its DFS substrate.
+    /// Writes the durable payload (intervals + parents); everything else
+    /// is replay scratch and restarts empty. Shared with BC, whose blob
+    /// embeds its DFS substrate.
     pub(crate) fn save_payload(&self, out: &mut Vec<u8>) {
         crate::persist::put_u64(out, self.first.len() as u64);
         for &f in &self.first {
@@ -400,13 +442,7 @@ impl DfsState {
         let first = read_vec(r)?;
         let last = read_vec(r)?;
         let parent = read_vec(r)?;
-        Ok(DfsState {
-            first,
-            last,
-            parent,
-            visited_mark: vec![0; n],
-            epoch: 0,
-        })
+        Ok(DfsState::with_labelling(first, last, parent))
     }
 
     /// Serializes the durable essence (`SaveState`): the interval

@@ -174,17 +174,16 @@ impl LccState {
     }
 
     /// Extends `out` with every *node* whose packed LCC value the last
-    /// update may have changed. The default delta path writes the status
-    /// directly (no engine), so its candidates come from the scratch's
-    /// accumulated λ deltas and degree-refresh endpoints; the engine logs
-    /// cover the re-evaluation ablation path. Always a superset of the
-    /// truly changed nodes.
+    /// [`update`](Self::update) may have changed: the delta path writes
+    /// the status directly, so the candidates are the scratch's
+    /// accumulated λ deltas and degree-refresh endpoints — a superset of
+    /// the truly changed nodes, bounded by the update's own work. The
+    /// engine's changed log is deliberately not consulted: `update` never
+    /// runs the engine, so that log still describes whichever run wrote
+    /// it last (after a batch build, every variable).
     pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
         out.extend(self.scratch.deltas.iter().map(|&(w, _)| w as usize));
         out.extend(self.scratch.endpoints.iter().map(|&e| e as usize));
-        // Engine paths use the 2-per-node variable layout (2v = degree,
-        // 2v+1 = triangles); fold both back to the node.
-        out.extend(self.engine.changed_vars().iter().map(|&x| x / 2));
     }
 
     /// Degree of `v` as maintained by the fixpoint.
@@ -725,6 +724,51 @@ mod tests {
                 "divergence at round {round}"
             );
         }
+    }
+
+    /// Fails at 880b14d: the candidates also carried the engine's changed
+    /// log, which after a batch build is every variable and which the
+    /// arithmetic `update` never rewrites — a batch-built state re-checked
+    /// all `n` nodes per update while a reloaded one checked a handful.
+    #[test]
+    fn batch_built_and_reloaded_states_offer_the_same_few_candidates() {
+        use crate::{IncrementalState, QueryClass, Session};
+        let g0 = incgraph_graph::gen::uniform(200, 900, false, 1, 1, 5);
+        let (u, v, _) = g0.edges().next().expect("graph has edges");
+
+        let mut g = g0.clone();
+        let (mut state, _) = LccState::batch(&g);
+        let mut unit = UpdateBatch::new();
+        unit.delete(u, v);
+        let applied = unit.apply(&mut g);
+        state.update(&g, &applied);
+        let mut cand = Vec::new();
+        state.delta_candidates(&mut cand);
+        assert_eq!(
+            cand.len(),
+            state.scratch.deltas.len() + state.scratch.endpoints.len(),
+            "candidates beyond the update's own deltas and endpoints"
+        );
+        assert!(cand.len() < g.node_count() / 4, "{} candidates", cand.len());
+
+        // Same work, same output: a session restored from the essence and
+        // the batch-built one it came from report equal deltas.
+        let mut g = g0.clone();
+        let mut built = Session::builder(QueryClass::Lcc).build(&g).unwrap();
+        let mut reloaded = Session::builder(QueryClass::Lcc).build(&g).unwrap();
+        reloaded.load_state(&g, &built.save_state()).unwrap();
+        for round in 0..10u32 {
+            let mut batch = UpdateBatch::new();
+            batch
+                .delete(round, round + 1)
+                .insert(round, 100 + round, 1)
+                .insert(round + 1, 100 + round, 1);
+            let applied = batch.apply(&mut g);
+            let a = built.update_guarded(&g, &applied).delta;
+            let b = reloaded.update_guarded(&g, &applied).delta;
+            assert_eq!(a, b, "round {round}");
+        }
+        assert_eq!(built.output(), reloaded.output());
     }
 
     #[test]

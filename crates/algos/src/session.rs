@@ -420,6 +420,24 @@ impl Session {
         &self.snap
     }
 
+    /// Unwraps the bare class state, dropping the output snapshot and
+    /// the delta bookkeeping — for holders that never read a delta (the
+    /// durable store's built-in states), which should not pay to keep
+    /// them current. The result is what
+    /// [`restore_state`](crate::restore_state) rebuilds from this
+    /// session's essence.
+    pub fn into_state(self) -> Box<dyn IncrementalState> {
+        match self.state {
+            ClassState::Sssp(s) => Box::new(s),
+            ClassState::Cc(s) => Box::new(s),
+            ClassState::Sim(s) => Box::new(s),
+            ClassState::Reach(s) => Box::new(s),
+            ClassState::Lcc(s) => Box::new(s),
+            ClassState::Dfs(s) => Box::new(s),
+            ClassState::Bc(s) => Box::new(s),
+        }
+    }
+
     /// Drains the changes accumulated since the previous drain point
     /// (session construction, the last `take_delta`, or the last
     /// [`update_guarded`](Self::update_guarded), which drains internally)

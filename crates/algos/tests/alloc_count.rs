@@ -6,8 +6,9 @@
 //! bookkeeping never pollute the count. A warmup phase first runs the
 //! same update shapes so every scratch structure (the `ScopeScratch`
 //! arena, per-class `touched` buffers, the engine's persistent heap and
-//! dependency buffers) grows to its working capacity; after that, a ΔG
-//! update must not touch the heap at all.
+//! dependency buffers, IncDFS's skip list and stack, IncBC's scope)
+//! grows to its working capacity; after that, a ΔG update must not touch
+//! the heap at all.
 //!
 //! Gated behind the `alloc-count` feature because the wrapper
 //! intercepts every allocation in the test binary:
@@ -20,8 +21,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use incgraph_algos::{CcState, Deduced, Deducible, ReachState, SimState, SsspState};
-use incgraph_graph::{DynamicGraph, Pattern, UpdateBatch};
+use incgraph_algos::{
+    BcState, CcState, DfsState, IncrementalState, ReachState, SimState, SsspState,
+};
+use incgraph_graph::{AppliedBatch, DynamicGraph, Pattern, UpdateBatch};
 
 /// Counts heap acquisitions (`alloc`, `alloc_zeroed`, `realloc`) while
 /// armed. Frees are not counted: releasing memory is cheap and the
@@ -102,7 +105,7 @@ fn chord_ring(n: usize) -> DynamicGraph {
 /// buffers' 4× overshoot shrink-and-regrow policy; that is capacity
 /// management, not steady state.) Returns the applied ΔG; the graph
 /// mutation happens here, outside any armed region.
-fn churn_round(g: &mut DynamicGraph, round: usize) -> incgraph_graph::AppliedBatch {
+fn churn_round(g: &mut DynamicGraph, round: usize) -> AppliedBatch {
     let (u, v) = (16u32, 17u32);
     let mut batch = UpdateBatch::new();
     batch.delete(u, v).insert(u, v, 1 + (round % 2) as u32);
@@ -113,15 +116,20 @@ const N: usize = 64;
 const WARMUP_ROUNDS: usize = 16;
 const MEASURE_ROUNDS: usize = 8;
 
-/// The body every class shares: warm the scratch structures up, then a
-/// steady-state `Deduced::update` must not touch the heap.
-fn steady_state_is_allocation_free<C: Deducible>(mut g: DynamicGraph, mut state: Deduced<C>) {
+/// The body every class shares: warm the scratch structures up with
+/// `churn`'s rounds, then a steady-state `update` must not touch the
+/// heap.
+fn steady_state_is_allocation_free(
+    mut g: DynamicGraph,
+    mut state: impl IncrementalState,
+    churn: fn(&mut DynamicGraph, usize) -> AppliedBatch,
+) {
     for round in 0..WARMUP_ROUNDS {
-        let applied = churn_round(&mut g, round);
+        let applied = churn(&mut g, round);
         state.update(&g, &applied);
     }
     for round in WARMUP_ROUNDS..WARMUP_ROUNDS + MEASURE_ROUNDS {
-        let applied = churn_round(&mut g, round);
+        let applied = churn(&mut g, round);
         let allocs = count_allocs(|| {
             state.update(&g, &applied);
         });
@@ -129,7 +137,7 @@ fn steady_state_is_allocation_free<C: Deducible>(mut g: DynamicGraph, mut state:
             allocs,
             0,
             "{} steady-state update allocated {allocs} times in round {round}",
-            C::NAME
+            state.name()
         );
     }
 }
@@ -138,21 +146,21 @@ fn steady_state_is_allocation_free<C: Deducible>(mut g: DynamicGraph, mut state:
 fn sssp_steady_state_update_is_allocation_free() {
     let g = chord_ring(N);
     let (state, _) = SsspState::batch(&g, 0);
-    steady_state_is_allocation_free(g, state);
+    steady_state_is_allocation_free(g, state, churn_round);
 }
 
 #[test]
 fn cc_steady_state_update_is_allocation_free() {
     let g = chord_ring(N);
     let (state, _) = CcState::batch(&g);
-    steady_state_is_allocation_free(g, state);
+    steady_state_is_allocation_free(g, state, churn_round);
 }
 
 #[test]
 fn reach_steady_state_update_is_allocation_free() {
     let g = chord_ring(N);
     let (state, _) = ReachState::batch(&g, 0);
-    steady_state_is_allocation_free(g, state);
+    steady_state_is_allocation_free(g, state, churn_round);
 }
 
 /// Fails at fda8e74: `SimState::update` cloned its `Pattern` (three
@@ -167,5 +175,49 @@ fn sim_steady_state_update_is_allocation_free() {
     }
     let q = Pattern::new(vec![0, 1], &[(0, 1), (1, 0)]);
     let (state, _) = SimState::batch(&g, q);
-    steady_state_is_allocation_free(g, state);
+    steady_state_is_allocation_free(g, state, churn_round);
+}
+
+/// Two path components, `0..N/2` and `N/2..N`, the second with a chord
+/// `(40, 50)`: cutting the tree edge `(45, 46)` re-routes the DFS of the
+/// second component through the chord (a structural change that moves
+/// the timestamps, parents and lowpoints of `46..N`), while the first
+/// component replays identically and is skipped.
+fn two_paths_with_a_chord() -> DynamicGraph {
+    let mut g = DynamicGraph::new(false, N);
+    for i in (0..N as u32 - 1).filter(|&i| i + 1 != N as u32 / 2) {
+        g.insert_edge(i, i + 1, 1);
+    }
+    g.insert_edge(40, 50, 1);
+    g
+}
+
+/// Cuts `(45, 46)` on even rounds and restores it on odd ones, so every
+/// round changes the forest and the two shapes repeat.
+fn cut_and_restore_round(g: &mut DynamicGraph, round: usize) -> AppliedBatch {
+    let mut batch = UpdateBatch::new();
+    if round % 2 == 0 {
+        batch.delete(45, 46);
+    } else {
+        batch.insert(45, 46, 1);
+    }
+    batch.apply(g)
+}
+
+/// Fails at 880b14d: every structural `DfsState::update` cloned the three
+/// label arrays and built a `HashSet` of affected subtrees.
+#[test]
+fn dfs_steady_state_update_is_allocation_free() {
+    let g = two_paths_with_a_chord();
+    let (state, _) = DfsState::batch(&g);
+    steady_state_is_allocation_free(g, state, cut_and_restore_round);
+}
+
+/// Fails at 880b14d: `BcState::update` took two `O(n)` snapshots of the
+/// forest and collected its PE scope through a `HashSet`.
+#[test]
+fn bc_steady_state_update_is_allocation_free() {
+    let g = two_paths_with_a_chord();
+    let (state, _) = BcState::batch(&g);
+    steady_state_is_allocation_free(g, state, cut_and_restore_round);
 }

@@ -233,7 +233,10 @@ pub struct DurableOptions {
 ///    point; a crash before it loses the batch (by design: it was never
 ///    acknowledged), a crash after it preserves the batch across
 ///    recovery;
-/// 3. run the incremental update on every tracked state via
+/// 3. tell the caller the batch is committed (the `committed` hook of
+///    [`apply_with`](Self::apply_with) — where a primary ships the
+///    record to its replicas);
+/// 4. run the incremental update on every tracked state via
 ///    [`update_with`] under the session's [`FallbackPolicy`].
 ///
 /// Recovery rebuilds the exact same in-memory world from the newest valid
@@ -476,13 +479,14 @@ impl DurableSession {
     /// stays usable. On [`DurableError::InjectedCrash`] the session is
     /// dead by definition and must be dropped.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<Vec<BoundednessReport>, DurableError> {
-        self.apply_with(batch, |_| Ok(()))
+        self.apply_with(batch, |_| Ok(()), |_| {})
             .map(|(reports, _)| reports)
     }
 
-    /// [`apply`](Self::apply) with a *pre-commit hook*: `pre_commit`
-    /// runs after the batch validated and applied in memory, immediately
-    /// before the WAL append that commits it, receiving the sequence
+    /// [`apply`](Self::apply) with the two hooks that bracket the commit
+    /// point. `pre_commit` runs after the batch validated and applied in
+    /// memory, immediately before the WAL append that commits it,
+    /// receiving the sequence
     /// number the batch is about to take. The service layer uses this
     /// seam to fsync its exactly-once intent record (client token +
     /// client sequence → WAL sequence) strictly *before* the batch can
@@ -493,16 +497,29 @@ impl DurableSession {
     /// errors, the in-memory application is rolled back and nothing is
     /// logged — exactly the invalid-batch contract.
     ///
+    /// `committed` runs on the success path only, right after the WAL
+    /// append returned: the record is fsynced and the sequence it
+    /// receives is taken, but no tracked state has been updated yet. It
+    /// is the earliest moment the batch may leave the process, so the
+    /// service's primary ships the record from here and its replica
+    /// commits while this session is still maintaining its states. It
+    /// never runs for a batch that did not commit — an invalid batch, a
+    /// refusing `pre_commit`, an I/O error or an injected crash in the
+    /// append (`post-fsync` included: the process is dead by then) all
+    /// return before it.
+    ///
     /// Also returns the effective [`AppliedBatch`], which callers that
     /// maintain *additional* states outside the session (the service's
     /// standing queries) feed to their own incremental updates.
-    pub fn apply_with<F>(
+    pub fn apply_with<F, C>(
         &mut self,
         batch: &UpdateBatch,
         pre_commit: F,
+        committed: C,
     ) -> Result<(Vec<BoundednessReport>, AppliedBatch), DurableError>
     where
         F: FnOnce(u64) -> Result<(), DurableError>,
+        C: FnOnce(u64),
     {
         let applied = batch
             .apply_validated(&mut self.graph)
@@ -522,6 +539,7 @@ impl DurableSession {
             return Err(e);
         }
         self.next_seq += 1;
+        committed(seq);
         let exec = ExecOptions {
             policy: self.options.policy,
             micro_batch: self.options.micro_batch,
@@ -719,20 +737,154 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(0, 3, 1);
         let mut seen_seq = 0;
+        let mut committed = false;
         let err = session
-            .apply_with(&b, |seq| {
-                seen_seq = seq;
-                Err(DurableError::Corrupt("intent fsync failed".into()))
-            })
+            .apply_with(
+                &b,
+                |seq| {
+                    seen_seq = seq;
+                    Err(DurableError::Corrupt("intent fsync failed".into()))
+                },
+                |_| committed = true,
+            )
             .unwrap_err();
         assert!(matches!(err, DurableError::Corrupt(_)));
         assert_eq!(seen_seq, FIRST_SEQ, "hook sees the would-be sequence");
+        assert!(
+            !committed,
+            "a refused commit must not reach the commit hook"
+        );
         assert_eq!(session.graph().edges().collect::<Vec<_>>(), edges_before);
         assert_eq!(session.last_seq(), 0, "nothing was logged");
         // The session survives the refused commit.
         session.apply(&b).unwrap();
         assert_eq!(session.last_seq(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A CC state that logs each `update` — the probe for *when* state
+    /// maintenance runs relative to the commit hooks.
+    struct Recording {
+        inner: CcState,
+        log: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+    }
+
+    impl IncrementalState for Recording {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn total_vars(&self, g: &DynamicGraph) -> usize {
+            self.inner.total_vars(g)
+        }
+        fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
+            self.log.lock().unwrap().push("update".into());
+            self.inner.update(g, applied)
+        }
+        fn recompute(&mut self, g: &DynamicGraph) -> incgraph_core::engine::RunStats {
+            self.inner.recompute(g)
+        }
+        fn audit(
+            &self,
+            g: &DynamicGraph,
+            audit: &incgraph_core::audit::FixpointAudit,
+        ) -> incgraph_core::audit::AuditReport {
+            self.inner.audit(g, audit)
+        }
+        fn set_work_budget(&mut self, budget: Option<u64>) {
+            self.inner.set_work_budget(budget)
+        }
+        fn space_bytes(&self) -> usize {
+            self.inner.space_bytes()
+        }
+        fn save_state(&self) -> Vec<u8> {
+            self.inner.save_state()
+        }
+        fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
+            self.inner.load_state(g, bytes)
+        }
+    }
+
+    #[test]
+    fn commit_hooks_bracket_the_wal_fsync_and_precede_state_maintenance() {
+        let dir = temp_dir("hook-order");
+        let g0 = ring(12);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let state = Recording {
+            inner: CcState::batch(&g0).0,
+            log: log.clone(),
+        };
+        let mut session =
+            DurableSession::create(&dir, g0, vec![Box::new(state)], DurableOptions::default())
+                .unwrap();
+        let wal_path = dir.join(WAL_NAME);
+        let logged_seqs = || -> Vec<u64> {
+            let bytes = fs::read(&wal_path).unwrap();
+            let scan = scan_records(&bytes[8..], FIRST_SEQ);
+            scan.records.iter().map(|r| r.seq).collect()
+        };
+        for (i, b) in schedule().iter().enumerate() {
+            let seq = i as u64 + 1;
+            session
+                .apply_with(
+                    b,
+                    |s| {
+                        assert!(!logged_seqs().contains(&s), "intent precedes the record");
+                        log.lock().unwrap().push(format!("pre_commit {s}"));
+                        Ok(())
+                    },
+                    |s| {
+                        // The record is already on disk when the hook runs:
+                        // whatever it hands out is durable here.
+                        assert_eq!(logged_seqs().last(), Some(&s));
+                        log.lock().unwrap().push(format!("committed {s}"));
+                    },
+                )
+                .unwrap();
+            assert_eq!(
+                std::mem::take(&mut *log.lock().unwrap()),
+                [
+                    format!("pre_commit {seq}"),
+                    format!("committed {seq}"),
+                    "update".to_string()
+                ]
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commit_hook_never_runs_for_a_batch_that_did_not_commit() {
+        let mut ok = UpdateBatch::new();
+        ok.insert(0, 3, 1);
+        let mut bad = UpdateBatch::new();
+        bad.insert(0, 3, 1).insert(0, 99, 1); // out-of-range node
+        let cases = [
+            ("invalid", &bad, None),
+            ("pre-fsync", &ok, Some(CrashPoint::WalPreFsync)),
+            ("post-fsync", &ok, Some(CrashPoint::WalPostFsync)),
+        ];
+        for (tag, batch, crash) in cases {
+            let dir = temp_dir(&format!("hook-skip-{tag}"));
+            let g0 = ring(8);
+            let mut session = DurableSession::create(
+                &dir,
+                g0.clone(),
+                states_for(&g0),
+                DurableOptions::default(),
+            )
+            .unwrap();
+            session.arm_crash(crash);
+            let mut committed = false;
+            let err = session
+                .apply_with(batch, |_| Ok(()), |_| committed = true)
+                .unwrap_err();
+            match crash {
+                Some(p) => assert!(matches!(err, DurableError::InjectedCrash(q) if q == p)),
+                None => assert!(matches!(err, DurableError::InvalidBatch(_))),
+            }
+            assert!(!committed, "{tag}: the commit hook ran");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

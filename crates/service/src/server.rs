@@ -1380,7 +1380,23 @@ fn process_job(shared: &Arc<Shared>, job: Job, st: &mut WriterState) -> JobOutco
             client_seq,
             batch,
             out,
-        } => match store.apply_update_deferred(&graph, &token, client_seq, &batch) {
+        } => match store.commit_update(&graph, &token, client_seq, &batch, |wal_seq| {
+            // The commit point: the record is fsynced, so it may leave
+            // the process, but this store's built-in states are not yet
+            // maintained — shipping from here lets the replica commit
+            // beside that work instead of after it. A dup, a refusal and
+            // a failed or crashed append all return without reaching
+            // this hook, and the single writer keeps ship order equal to
+            // WAL order.
+            if shared.cfg.repl_graph.as_deref() == Some(graph.as_str()) {
+                let record = encode_record(wal_seq, &batch);
+                st.broadcast(&protocol::format_ship(
+                    wal_seq,
+                    Some((&token, client_seq)),
+                    &record,
+                ));
+            }
+        }) {
             Ok((ack, applied)) => {
                 // The ACK rides the per-batch commit + fsync; only the
                 // standing-query notification is deferred to the flush.
@@ -1388,14 +1404,9 @@ fn process_job(shared: &Arc<Shared>, job: Job, st: &mut WriterState) -> JobOutco
                 let line = format!("ACK {} {} {}{dup}", ack.client_seq, ack.wal_seq, ack.units);
                 let replicated = shared.cfg.repl_graph.as_deref() == Some(graph.as_str());
                 if replicated && !ack.dup {
-                    // Ship the fsynced record to every attached replica
-                    // before deciding the ack's fate.
-                    let record = encode_record(ack.wal_seq, &batch);
-                    st.broadcast(&protocol::format_ship(
-                        ack.wal_seq,
-                        Some((&token, client_seq)),
-                        &record,
-                    ));
+                    // The record was shipped at the commit point; the
+                    // divergence probe compares *applied* states, so it
+                    // stays behind this store's state maintenance.
                     st.ships_since_digest += 1;
                     if shared.cfg.digest_every > 0
                         && st.ships_since_digest >= shared.cfg.digest_every

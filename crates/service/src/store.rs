@@ -99,7 +99,9 @@ pub struct Ack {
 /// [`QueryClass::ALL`] order, skipping the undirected-only classes on
 /// directed graphs. Shared with the chaos harness so its full-replay
 /// reference builds *identical* states (same pattern seed, same source)
-/// and essence comparison is byte-exact.
+/// and essence comparison is byte-exact. They are the bare class states
+/// recovery restores, not sessions: nobody reads a delta from them, and
+/// a fresh store must run the code it will run after a restart.
 pub fn standing_states(g: &DynamicGraph, pattern_seed: u64) -> Vec<Box<dyn IncrementalState>> {
     QueryClass::ALL
         .into_iter()
@@ -109,8 +111,9 @@ pub fn standing_states(g: &DynamicGraph, pattern_seed: u64) -> Vec<Box<dyn Incre
             if c == QueryClass::Sim {
                 b = b.pattern(random_pattern(g, 4, 6, pattern_seed));
             }
-            Box::new(b.build(g).expect("direction-filtered class builds"))
-                as Box<dyn IncrementalState>
+            b.build(g)
+                .expect("direction-filtered class builds")
+                .into_state()
         })
         .collect()
 }
@@ -234,7 +237,19 @@ impl Store {
             let states = standing_states(&graph, DURABLE_PATTERN_SEED);
             DurableSession::create(dir, graph, states, options)?
         };
-        let (dedup, index) = DedupLog::open(dir, session.last_seq())?;
+        Self::mount_durable(name, session, limits)
+    }
+
+    /// Mounts an already-open durable session as graph `name` of a fresh
+    /// store, opening the exactly-once intent log that lives beside its
+    /// WAL. [`open_durable`](Self::open_durable) ends here; callers that
+    /// build the session themselves choose the states it tracks.
+    pub fn mount_durable(
+        name: &str,
+        session: DurableSession,
+        limits: StoreLimits,
+    ) -> Result<Self, DurableError> {
+        let (dedup, index) = DedupLog::open(session.dir(), session.last_seq())?;
         let mut store = Store::new(limits);
         store.graphs.insert(
             name.to_string(),
@@ -548,6 +563,28 @@ impl Store {
         client_seq: u64,
         batch: &UpdateBatch,
     ) -> Result<(Ack, Option<incgraph_graph::AppliedBatch>), UpdateError> {
+        self.commit_update(graph, token, client_seq, batch, |_| {})
+    }
+
+    /// [`apply_update_deferred`](Self::apply_update_deferred) with a
+    /// *commit-point hook*: `committed` receives the batch's store
+    /// sequence the moment the batch is committed — for a durable graph
+    /// right after the WAL fsync
+    /// ([`DurableSession::apply_with`]'s hook of the same name), before
+    /// the graph's built-in states are maintained; for an in-memory
+    /// graph once it is applied. The server ships the
+    /// record to its replicas from here, so a replica commits beside the
+    /// primary's state maintenance instead of after it. The hook runs at
+    /// most once and only for a batch that committed: never for a `dup`
+    /// re-ack, a refused batch, or a failed or crashed WAL append.
+    pub fn commit_update(
+        &mut self,
+        graph: &str,
+        token: &str,
+        client_seq: u64,
+        batch: &UpdateBatch,
+        committed: impl FnOnce(u64),
+    ) -> Result<(Ack, Option<incgraph_graph::AppliedBatch>), UpdateError> {
         let wire = |c: ErrCode, d: String| UpdateError::Wire(c, d);
         let Some(entry) = self.graphs.get_mut(graph) else {
             return Err(wire(ErrCode::UnknownGraph, format!("no graph {graph}")));
@@ -589,6 +626,7 @@ impl Store {
                     .apply_validated(g)
                     .map_err(|e| wire(ErrCode::InvalidBatch, e.to_string()))?;
                 *seq += 1;
+                committed(*seq);
                 (*seq, applied)
             }
             Backend::Durable { session, dedup } => {
@@ -598,8 +636,11 @@ impl Store {
                         "store is in degraded read-only mode after a WAL failure".into(),
                     ));
                 }
-                match session.apply_with(batch, |wal_seq| dedup.append(token, client_seq, wal_seq))
-                {
+                match session.apply_with(
+                    batch,
+                    |wal_seq| dedup.append(token, client_seq, wal_seq),
+                    committed,
+                ) {
                     Ok((_, applied)) => (session.last_seq(), applied),
                     Err(DurableError::InvalidBatch(e)) => {
                         return Err(wire(ErrCode::InvalidBatch, e.to_string()))
@@ -934,10 +975,11 @@ impl Store {
             ));
         }
         let _span = incgraph_obs::span("repl.apply");
-        match session.apply_with(batch, |wal_seq| match identity {
+        let pre_commit = |wal_seq| match identity {
             Some((token, client_seq)) => dedup.append(token, client_seq, wal_seq),
             None => Ok(()),
-        }) {
+        };
+        match session.apply_with(batch, pre_commit, |_| {}) {
             Ok((_, applied)) => {
                 if let Some((token, client_seq)) = identity {
                     entry.acks.insert(
