@@ -16,7 +16,7 @@ use crate::plan::{AggKind, Expr, JoinVal, MapExpr, Plan, Pred};
 /// values.
 pub type Rows = Delta<u64, u64>;
 /// The concrete consolidated collection.
-pub type Coll = DiffCollection<u64, u64>;
+pub type Coll = DiffCollection<u64>;
 
 /// Mutable evaluation state of one plan binding.
 #[derive(Clone, Debug)]
@@ -79,42 +79,51 @@ impl OpState {
         }
     }
 
-    /// Static operator name for the per-operator obs streams.
-    pub(crate) fn name(&self) -> &'static str {
+    /// Heap bytes of the maintained collections (a join's two sides, an
+    /// extremum's input); the other operators hold none.
+    pub(crate) fn space_bytes(&self) -> usize {
         match self {
-            OpState::Source => "source",
-            OpState::Filter(_) => "filter",
-            OpState::Map(_) => "map",
-            OpState::Join { .. } => "join",
-            OpState::Total { .. } => "agg",
-            OpState::Extremum { .. } => "agg",
-            OpState::Threshold(_) => "threshold",
+            OpState::Join { left, right, .. } => left.space_bytes() + right.space_bytes(),
+            OpState::Extremum { coll, .. } => coll.space_bytes(),
+            _ => 0,
         }
     }
 
-    /// One tick: consume the input deltas (one for unary operators, two
-    /// for a join; sources take none and echo nothing here) and return
-    /// the output delta, consolidated.
-    pub(crate) fn eval(&mut self, inputs: &[&Rows]) -> Rows {
-        let mut out = match self {
-            OpState::Source => Rows::new(),
-            OpState::Filter(pred) => Rows::from_rows(
-                inputs[0]
-                    .rows()
-                    .iter()
-                    .copied()
-                    .filter(|&(k, v, _)| pred.eval(k, v)),
-            ),
-            OpState::Map(expr) => Rows::from_rows(
-                inputs[0]
-                    .rows()
-                    .iter()
-                    .map(|&(k, v, w)| (k, expr.eval(v), w)),
-            ),
+    /// One tick: consume the input deltas (`second` is a join's right
+    /// input; sources take none and are never evaluated) and write the
+    /// output delta into `out`, in canonical form. Inputs arrive
+    /// canonical, so a filter's subset of them needs no consolidation.
+    /// Rows in and out go to the operator kind's obs histograms.
+    pub(crate) fn eval(&mut self, first: &Rows, second: Option<&Rows>, out: &mut Rows) {
+        out.clear();
+        let streams = match self {
+            OpState::Source => return,
+            OpState::Filter(_) => ("dataflow.filter.in", "dataflow.filter.out"),
+            OpState::Map(_) => ("dataflow.map.in", "dataflow.map.out"),
+            OpState::Join { .. } => ("dataflow.join.in", "dataflow.join.out"),
+            OpState::Total { .. } | OpState::Extremum { .. } => {
+                ("dataflow.agg.in", "dataflow.agg.out")
+            }
+            OpState::Threshold(_) => ("dataflow.threshold.in", "dataflow.threshold.out"),
+        };
+        match self {
+            OpState::Source => unreachable!("returned above"),
+            OpState::Filter(pred) => {
+                for &(k, v, w) in first.rows() {
+                    if pred.eval(k, v) {
+                        out.push(k, v, w);
+                    }
+                }
+            }
+            OpState::Map(expr) => {
+                for &(k, v, w) in first.rows() {
+                    out.push(k, expr.eval(v), w);
+                }
+                out.consolidate();
+            }
             OpState::Join { val, left, right } => {
                 // Bilinear update: δ(A ⋈ B) = δA ⋈ B_pre + A_post ⋈ δB.
-                let (da, db) = (inputs[0], inputs[1]);
-                let mut out = Rows::new();
+                let (da, db) = (first, second.expect("a join has two inputs"));
                 for &(k, va, wa) in da.rows() {
                     for (vb, mb) in right.values_of(k) {
                         out.push(k, val.eval(va, vb), wa * mb);
@@ -127,15 +136,14 @@ impl OpState {
                     }
                 }
                 right.apply(db);
-                out
+                out.consolidate();
             }
             OpState::Total {
                 kind,
                 total,
                 primed,
             } => {
-                let delta = inputs[0];
-                let dt: u64 = delta
+                let dt: u64 = first
                     .rows()
                     .iter()
                     .map(|&(_, v, w)| match kind {
@@ -143,7 +151,6 @@ impl OpState {
                         _ => v.wrapping_mul(w as u64),
                     })
                     .fold(0u64, u64::wrapping_add);
-                let mut out = Rows::new();
                 if !*primed {
                     *total = (*total).wrapping_add(dt);
                     out.push(0, *total, 1);
@@ -152,11 +159,11 @@ impl OpState {
                     out.push(0, *total, -1);
                     *total = (*total).wrapping_add(dt);
                     out.push(0, *total, 1);
+                    out.consolidate();
                 }
-                out
             }
             OpState::Extremum { max, coll, cur } => {
-                let delta = inputs[0];
+                let delta = first;
                 coll.apply(delta);
                 let better = |a: u64, b: u64| if *max { a.max(b) } else { a.min(b) };
                 let mut next = *cur;
@@ -179,7 +186,6 @@ impl OpState {
                 } else if coll.is_empty() {
                     next = None;
                 }
-                let mut out = Rows::new();
                 if next != *cur {
                     if let Some(old) = *cur {
                         out.push(0, old, -1);
@@ -188,13 +194,12 @@ impl OpState {
                         out.push(0, new, 1);
                     }
                     *cur = next;
+                    out.consolidate();
                 }
-                out
             }
             OpState::Threshold(pred) => {
-                let mut out = Rows::new();
                 let mut alerts = 0u64;
-                for &(k, v, w) in inputs[0].rows() {
+                for &(k, v, w) in first.rows() {
                     if pred.eval(k, v) {
                         out.push(k, v, w);
                         if w > 0 {
@@ -205,23 +210,24 @@ impl OpState {
                 if alerts > 0 {
                     incgraph_obs::counter("dataflow.threshold.alerts", alerts);
                 }
-                out
             }
-        };
-        out.consolidate();
-        out
+        }
+        let rows_in = first.len() + second.map_or(0, Rows::len);
+        incgraph_obs::observe(streams.0, rows_in as u64);
+        incgraph_obs::observe(streams.1, out.len() as u64);
     }
 }
 
-/// The input binding indexes of one expression.
-pub(crate) fn expr_inputs(expr: &Expr) -> Vec<usize> {
+/// The input binding indexes of one expression: `None` for a source,
+/// otherwise the first input and — for a join — the second.
+pub(crate) fn expr_inputs(expr: &Expr) -> Option<(usize, Option<usize>)> {
     match *expr {
-        Expr::Source(_) => vec![],
+        Expr::Source(_) => None,
         Expr::Filter { input, .. }
         | Expr::Map { input, .. }
         | Expr::Agg { input, .. }
-        | Expr::Threshold { input, .. } => vec![input],
-        Expr::Join { left, right, .. } => vec![left, right],
+        | Expr::Threshold { input, .. } => Some((input, None)),
+        Expr::Join { left, right, .. } => Some((left, Some(right))),
     }
 }
 

@@ -17,7 +17,7 @@
 
 use crate::ops::{expr_inputs, states_for, Coll, OpState, Rows};
 use crate::plan::{Expr, Plan, PlanParseError, Source};
-use incgraph_algos::{QueryClass, Session, SessionError};
+use incgraph_algos::{IncrementalState, QueryClass, Session, SessionError};
 use incgraph_graph::{AppliedBatch, DynamicGraph, Pattern};
 use std::fmt;
 
@@ -66,16 +66,30 @@ impl From<SessionError> for DataflowError {
     }
 }
 
+/// Nodes per priming pass: the initial outputs stream through the DAG
+/// in chunks of this many nodes, so building a plan holds one chunk of
+/// rows per binding, not one `|V|`-row delta.
+const PRIME_CHUNK: usize = 1024;
+
 /// A standing dataflow query: the plan, its member class sessions, the
 /// per-binding operator states, and the materialized root view.
 pub struct DataflowSession {
     plan: Plan,
-    /// One live session per distinct `Source::Class` in the plan.
-    members: Vec<(Source, Session)>,
+    /// One live session per distinct `Source::Class` in the plan, with
+    /// the binding whose buffer receives its rows.
+    members: Vec<(Session, usize)>,
+    /// The binding whose buffer receives the `labels` rows, if the plan
+    /// reads them.
+    labels_at: Option<usize>,
     /// Nodes already emitted by the `labels` source.
     label_nodes: usize,
-    uses_labels: bool,
     states: Vec<OpState>,
+    /// Binding → the buffer holding its output: its own, except that a
+    /// source named by several bindings is held once, by the first.
+    home: Vec<usize>,
+    /// Per-binding output rows of the current tick. Kept across ticks,
+    /// so a warm tick allocates nothing.
+    bufs: Vec<Rows>,
     view: Coll,
     ticks: u64,
 }
@@ -89,11 +103,17 @@ impl DataflowSession {
         g: &DynamicGraph,
         ctx: &PlanContext,
     ) -> Result<DataflowSession, DataflowError> {
+        let bindings = plan.bindings();
+        let first_of = |expr: Expr| {
+            let at = bindings.iter().position(|b| b.expr == expr);
+            at.expect("the expression is one of the plan's bindings")
+        };
         let mut members = Vec::new();
-        let mut uses_labels = false;
+        let mut labels_at = None;
         for src in plan.sources() {
+            let at = first_of(Expr::Source(src));
             match src {
-                Source::Labels => uses_labels = true,
+                Source::Labels => labels_at = Some(at),
                 Source::Class { class, source } => {
                     let mut b = Session::builder(class);
                     if let Some(s) = source {
@@ -104,38 +124,45 @@ impl DataflowSession {
                             b = b.pattern(p.clone());
                         }
                     }
-                    members.push((src, b.build(g)?));
+                    members.push((b.build(g)?, at));
                 }
             }
         }
-        let states = states_for(&plan);
+        let home = (0..bindings.len())
+            .map(|i| match bindings[i].expr {
+                src @ Expr::Source(_) => first_of(src),
+                _ => i,
+            })
+            .collect();
         let mut df = DataflowSession {
+            states: states_for(&plan),
+            bufs: vec![Rows::new(); bindings.len()],
             plan,
             members,
+            labels_at,
             label_nodes: 0,
-            uses_labels,
-            states,
+            home,
             view: Coll::new(),
             ticks: 0,
         };
         // Prime: every initial row enters as a +1 delta, flowing through
-        // the same propagation path updates will use.
-        let mut sources: Vec<(Source, Rows)> = Vec::new();
-        for (src, session) in &df.members {
-            let rows = Rows::from_rows(
-                session
-                    .output()
-                    .node_rows()
-                    .into_iter()
-                    .map(|(n, v)| (n as u64, v, 1)),
-            );
-            sources.push((*src, rows));
+        // the same propagation path updates will use, a chunk of nodes
+        // at a time. An empty graph still takes one pass, so the
+        // aggregates emit their initial row.
+        let nodes = g.node_count();
+        for lo in (0..nodes.max(1)).step_by(PRIME_CHUNK) {
+            let hi = (lo + PRIME_CHUNK).min(nodes);
+            for (session, at) in &df.members {
+                let (out, rows) = (session.output(), &mut df.bufs[*at]);
+                rows.clear();
+                for v in lo..hi {
+                    rows.push(v as u64, out.node_value(v), 1);
+                }
+            }
+            df.label_rows(g, hi);
+            df.propagate();
         }
-        if df.uses_labels {
-            sources.push((Source::Labels, df.label_rows(g)));
-        }
-        let root = df.propagate(&sources);
-        df.view.apply(&root);
+        incgraph_obs::gauge("dataflow.state_bytes", df.state_bytes() as u64);
         Ok(df)
     }
 
@@ -160,31 +187,34 @@ impl DataflowSession {
 
     /// One tick: push a committed ΔG through every member session and
     /// the DAG; returns the root view's delta (empty when the update did
-    /// not move the view).
-    pub fn apply(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> Rows {
+    /// not move the view), valid until the next tick.
+    pub fn apply(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> &Rows {
         let _span = incgraph_obs::span("dataflow.tick");
         incgraph_obs::counter("dataflow.ticks", 1);
         self.ticks += 1;
-        let mut sources: Vec<(Source, Rows)> = Vec::new();
-        for (src, session) in &mut self.members {
+        for (session, at) in &mut self.members {
             let delta = session.update_guarded(g, applied).delta;
-            let mut rows = Rows::new();
+            let rows = &mut self.bufs[*at];
+            rows.clear();
+            // One retraction and one insertion per changed node, nodes
+            // ascending and the lower value first: canonical as pushed.
             for nc in &delta.nodes {
-                if let Some(old) = nc.old {
-                    rows.push(nc.node as u64, old, -1);
+                let node = nc.node as u64;
+                match nc.old {
+                    Some(old) if old < nc.new => {
+                        rows.push(node, old, -1);
+                        rows.push(node, nc.new, 1);
+                    }
+                    Some(old) => {
+                        rows.push(node, nc.new, 1);
+                        rows.push(node, old, -1);
+                    }
+                    None => rows.push(node, nc.new, 1),
                 }
-                rows.push(nc.node as u64, nc.new, 1);
             }
-            rows.consolidate();
-            sources.push((*src, rows));
         }
-        if self.uses_labels {
-            let rows = self.label_rows(g);
-            sources.push((Source::Labels, rows));
-        }
-        let root = self.propagate(&sources);
-        self.view.apply(&root);
-        root
+        self.label_rows(g, g.node_count());
+        self.propagate()
     }
 
     /// The materialized root view: sorted `(key, value, multiplicity)`
@@ -193,69 +223,53 @@ impl DataflowSession {
         self.view.to_rows()
     }
 
-    /// `labels` source delta: rows for nodes that appeared since the
-    /// last tick (labels are fixed at node creation; ΔG is edge-only).
-    fn label_rows(&mut self, g: &DynamicGraph) -> Rows {
-        let rows = Rows::from_rows(
-            (self.label_nodes..g.node_count()).map(|v| (v as u64, g.label(v as u32) as u64, 1)),
-        );
-        self.label_nodes = g.node_count();
-        rows
+    /// Resident bytes of the standing plan: the member class states
+    /// plus [`state_bytes`](Self::state_bytes) — the plan-layer twin of
+    /// `IncrementalState::space_bytes` (Fig. 8).
+    pub fn space_bytes(&self) -> usize {
+        let members = self.members.iter().map(|(s, _)| s.space_bytes());
+        members.sum::<usize>() + self.state_bytes()
     }
 
-    /// Evaluates every binding once, in definition (= topological)
-    /// order, and returns the root's output delta.
-    fn propagate(&mut self, sources: &[(Source, Rows)]) -> Rows {
-        let bindings = self.plan.bindings();
-        let mut out: Vec<Rows> = Vec::with_capacity(bindings.len());
-        for (i, b) in bindings.iter().enumerate() {
-            let rows = match b.expr {
-                Expr::Source(src) => sources
-                    .iter()
-                    .find(|(s, _)| *s == src)
-                    .map(|(_, r)| r.clone())
-                    .unwrap_or_default(),
-                _ => {
-                    let inputs = expr_inputs(&b.expr);
-                    let in_rows: usize = inputs.iter().map(|&j| out[j].len()).sum();
-                    let refs: Vec<&Rows> = inputs.iter().map(|&j| &out[j]).collect();
-                    let produced = self.states[i].eval(&refs);
-                    let name = self.states[i].name();
-                    observe_op(name, in_rows, produced.len());
-                    produced
-                }
+    /// Bytes the dataflow layer itself holds for the plan: operator
+    /// states, the per-binding tick buffers and the root view.
+    pub fn state_bytes(&self) -> usize {
+        self.states.capacity() * size_of::<OpState>()
+            + self.states.iter().map(OpState::space_bytes).sum::<usize>()
+            + self.bufs.capacity() * size_of::<Rows>()
+            + self.bufs.iter().map(Rows::space_bytes).sum::<usize>()
+            + self.home.capacity() * size_of::<usize>()
+            + self.view.space_bytes()
+    }
+
+    /// `labels` source delta: rows for the nodes below `upto` that
+    /// appeared since the last pass (labels are fixed at node creation;
+    /// ΔG is edge-only).
+    fn label_rows(&mut self, g: &DynamicGraph, upto: usize) {
+        let Some(at) = self.labels_at else { return };
+        let rows = &mut self.bufs[at];
+        rows.clear();
+        for v in self.label_nodes..upto {
+            rows.push(v as u64, g.label(v as u32) as u64, 1);
+        }
+        self.label_nodes = upto;
+    }
+
+    /// Evaluates every operator once over the source rows already in
+    /// their buffers, in definition (= topological) order, folds the
+    /// root's output delta into the view and returns it.
+    fn propagate(&mut self) -> &Rows {
+        for (i, b) in self.plan.bindings().iter().enumerate() {
+            let Some((first, second)) = expr_inputs(&b.expr) else {
+                continue;
             };
-            out.push(rows);
+            let (done, rest) = self.bufs.split_at_mut(i);
+            let second = second.map(|j| &done[self.home[j]]);
+            self.states[i].eval(&done[self.home[first]], second, &mut rest[0]);
         }
-        out.pop().expect("plans are non-empty")
-    }
-}
-
-/// Per-operator in/out delta-row streams, keyed by operator kind (obs
-/// names must be static).
-fn observe_op(name: &'static str, rows_in: usize, rows_out: usize) {
-    match name {
-        "filter" => {
-            incgraph_obs::observe("dataflow.filter.in", rows_in as u64);
-            incgraph_obs::observe("dataflow.filter.out", rows_out as u64);
-        }
-        "map" => {
-            incgraph_obs::observe("dataflow.map.in", rows_in as u64);
-            incgraph_obs::observe("dataflow.map.out", rows_out as u64);
-        }
-        "join" => {
-            incgraph_obs::observe("dataflow.join.in", rows_in as u64);
-            incgraph_obs::observe("dataflow.join.out", rows_out as u64);
-        }
-        "agg" => {
-            incgraph_obs::observe("dataflow.agg.in", rows_in as u64);
-            incgraph_obs::observe("dataflow.agg.out", rows_out as u64);
-        }
-        "threshold" => {
-            incgraph_obs::observe("dataflow.threshold.in", rows_in as u64);
-            incgraph_obs::observe("dataflow.threshold.out", rows_out as u64);
-        }
-        _ => {}
+        let root = &self.bufs[self.home[self.plan.root()]];
+        self.view.apply(root);
+        root
     }
 }
 

@@ -73,7 +73,7 @@
 
 use incgraph_graph::{NodeId, UpdateBatch, Weight};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Protocol identifier exchanged in `HELLO`/`WELCOME`.
 pub const WIRE_VERSION: &str = "incgraph-wire/1";
@@ -81,6 +81,11 @@ pub const WIRE_VERSION: &str = "incgraph-wire/1";
 /// Hard cap on one wire line, defending the reader against an unbounded
 /// allocation from a hostile or broken peer.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Bytes reserved per entry when a `RESULT`/`DELTA`/`VIEW` line is
+/// formatted: an estimate that spares the line buffer its early
+/// doublings, not a bound.
+pub(crate) const ENTRY_RESERVE: usize = 12;
 
 /// Typed error codes carried on `ERR` lines. Stable wire names — scripts
 /// and the chaos harness match on them.
@@ -530,9 +535,9 @@ pub fn format_delta(
         Some(len) => format!("DELTA {qid} {wal_seq} resync {len}"),
         None => {
             let mut s = format!("DELTA {qid} {wal_seq} {}", changed.len());
+            s.reserve(changed.len() * ENTRY_RESERVE);
             for (i, v) in changed {
-                s.push(' ');
-                s.push_str(&format!("{i}:{v}"));
+                write!(s, " {i}:{v}").expect("writing to a String cannot fail");
             }
             s
         }
@@ -593,9 +598,9 @@ pub type ViewRow = (u64, u64, i64);
 /// reply (`VIEW`): weighted `(key, value, weight)` rows in key order.
 pub fn format_view_rows(verb: &str, qid: &str, wal_seq: u64, rows: &[ViewRow]) -> String {
     let mut s = format!("{verb} {qid} {wal_seq} {}", rows.len());
+    s.reserve(rows.len() * ENTRY_RESERVE);
     for (k, v, w) in rows {
-        s.push(' ');
-        s.push_str(&format!("{k}:{v}:{w}"));
+        write!(s, " {k}:{v}:{w}").expect("writing to a String cannot fail");
     }
     s
 }

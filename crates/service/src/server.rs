@@ -42,6 +42,7 @@ use crate::store::{Store, UpdateError};
 use incgraph_durable::{encode_record, CrashPoint};
 use incgraph_graph::{NodeId, UpdateBatch};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -814,9 +815,9 @@ fn handle_line(
             match found {
                 Some((digest, seq)) => {
                     let mut line = format!("RESULT {qid} {seq} {}", digest.len());
+                    line.reserve(digest.len() * protocol::ENTRY_RESERVE);
                     for v in &digest {
-                        line.push(' ');
-                        line.push_str(&v.to_string());
+                        write!(line, " {v}").expect("writing to a String cannot fail");
                     }
                     ctx.out.push_line(line);
                 }
@@ -1000,6 +1001,10 @@ fn read_and_submit_update(
         if shared.phase() == KILLED {
             return false;
         }
+        // A line already in the reader's buffer arrived with the refill
+        // that brought it; only a line that needs the socket moves the
+        // idle clock.
+        let needs_read = !reader.buffer().contains(&b'\n');
         match poll_line(reader, &mut buf) {
             Ok(LineStatus::Timeout) => {
                 if last_activity.elapsed() >= shared.cfg.idle_timeout {
@@ -1015,10 +1020,15 @@ fn read_and_submit_update(
                 return false;
             }
             Ok(LineStatus::Line) => {
-                *last_activity = Instant::now();
-                let line = String::from_utf8_lossy(&buf).into_owned();
+                if needs_read {
+                    *last_activity = Instant::now();
+                }
+                // Borrowed unless a byte is invalid, which no unit line
+                // survives parsing with.
+                let parsed =
+                    protocol::parse_update_line(&String::from_utf8_lossy(&buf), &mut batch);
                 buf.clear();
-                if let Err(e) = protocol::parse_update_line(&line, &mut batch) {
+                if let Err(e) = parsed {
                     ctx.err(ErrCode::BadCommand, &e.0);
                     ctx.out.push_goodbye("protocol-error");
                     return false;
