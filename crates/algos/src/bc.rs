@@ -20,6 +20,13 @@
 //!   children, or a non-root with a child `c` such that `low_c ≥ first_v`;
 //! * tree edge `(parent(c), c)` is a bridge iff `low_c > first_{parent}`.
 //!
+//! Both flags are functions of exactly what `f_v` reads — its children's
+//! lowpoints, its own DFS constants — so the step function returns them
+//! with the lowpoint ([`Low`]): the status *is* the output, and a
+//! session's delta is drained from the status journal like any deduced
+//! class's (only a bridge's tail entry also names the parent, which
+//! IncDFS's own journal keeps).
+//!
 //! `IncBC` composes the deduced `IncDFS` (which keeps the canonical DFS
 //! forest fresh) with a Theorem 1 PE-phase for `low`: the variables whose
 //! *constants* changed (DFS numbers, adjacency) are reset to `⊥` together
@@ -38,7 +45,8 @@
 //! between updates, so a steady-state update allocates nothing.
 
 use crate::dfs::{DfsState, ROOT};
-use crate::persist::{self, StateLoadError};
+use crate::output::{ClassOutput, OutputChange};
+use crate::persist::{self, StateLoadError, Word};
 use incgraph_core::engine::{Engine, RunStats};
 use incgraph_core::epoch::VisitEpoch;
 use incgraph_core::metrics::{vec_bytes, BoundednessReport};
@@ -46,6 +54,48 @@ use incgraph_core::scope::ScopeStats;
 use incgraph_core::spec::FixpointSpec;
 use incgraph_core::status::Status;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
+
+/// A node's lowpoint with the two flags its evaluation reads off:
+/// `low << 2 | articulation << 1 | bridge`. The digest entry is the word
+/// without its bridge bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Low(u64);
+
+impl Low {
+    fn new(low: u32, art: bool, bridge: bool) -> Self {
+        Low(((low as u64) << 2) | ((art as u64) << 1) | bridge as u64)
+    }
+
+    /// The lowpoint.
+    pub fn low(self) -> u32 {
+        (self.0 >> 2) as u32
+    }
+
+    fn art(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    fn bridge(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    /// The digest entry: `low << 1 | articulation bit`.
+    fn entry(self) -> u64 {
+        self.0 >> 1
+    }
+}
+
+/// Persisted as the bare lowpoint, so the essence keeps its bytes; a
+/// load re-derives the flags.
+impl Word for Low {
+    fn enc(self) -> u64 {
+        self.low() as u64
+    }
+
+    fn dec(bits: u64) -> Result<Self, StateLoadError> {
+        u32::dec(bits).map(|low| Low::new(low, false, false))
+    }
+}
 
 /// The lowpoint fixpoint specification over a graph + DFS-forest snapshot.
 pub struct LowSpec<'a> {
@@ -67,30 +117,36 @@ impl<'a> LowSpec<'a> {
 }
 
 impl FixpointSpec for LowSpec<'_> {
-    type Value = u32;
+    type Value = Low;
 
     fn num_vars(&self) -> usize {
         self.g.node_count()
     }
 
-    fn bottom(&self, x: usize) -> u32 {
-        self.dfs.first(x as NodeId)
+    fn bottom(&self, x: usize) -> Low {
+        Low::new(self.dfs.first(x as NodeId), false, false)
     }
 
-    fn eval<R: FnMut(usize) -> u32>(&self, x: usize, read: &mut R) -> u32 {
+    fn eval<R: FnMut(usize) -> Low>(&self, x: usize, read: &mut R) -> Low {
         let v = x as NodeId;
-        let mut low = self.dfs.first(v);
+        let first = self.dfs.first(v);
+        let (mut low, mut children, mut cut) = (first, 0, false);
         let parent = self.dfs.parent(v);
         for &(w, _) in self.g.out_neighbors(v) {
             if self.dfs.parent(w) == v {
-                // Tree child: take its lowpoint.
-                low = low.min(read(w as usize));
+                // Tree child: take its lowpoint; v cuts it off unless it
+                // climbs above v.
+                let child = read(w as usize).low();
+                low = low.min(child);
+                children += 1;
+                cut |= child >= first;
             } else if w != parent {
                 // Back edge (undirected DFS leaves no cross edges).
                 low = low.min(self.dfs.first(w));
             }
         }
-        low
+        let art = if parent == ROOT { children >= 2 } else { cut };
+        Low::new(low, art, parent != ROOT && low > self.dfs.first(parent))
     }
 
     fn dependents<P: FnMut(usize)>(&self, x: usize, push: &mut P) {
@@ -100,23 +156,25 @@ impl FixpointSpec for LowSpec<'_> {
         }
     }
 
-    fn preceq(&self, a: &u32, b: &u32) -> bool {
-        a <= b
+    /// Lowpoints only: the flags are not ordered.
+    fn preceq(&self, a: &Low, b: &Low) -> bool {
+        a.low() <= b.low()
     }
 
-    fn rank(&self, x: usize, _v: &u32) -> u64 {
+    fn rank(&self, x: usize, _v: &Low) -> u64 {
         self.depth_rank(x)
     }
 
-    fn push_rank(&self, z: usize, _zv: &u32, _t: usize, _tv: &u32) -> u64 {
+    fn push_rank(&self, z: usize, _zv: &Low, _t: usize, _tv: &Low) -> u64 {
         self.depth_rank(z)
     }
 }
 
-/// BC state: the DFS substrate plus the lowpoint fixpoint.
+/// BC state: the DFS substrate plus the lowpoint fixpoint, whose values
+/// carry the articulation and bridge flags.
 pub struct BcState {
     dfs: DfsState,
-    low: Status<u32>,
+    low: Status<Low>,
     engine: Engine,
     /// Membership of the current PE scope.
     pe: VisitEpoch,
@@ -124,6 +182,11 @@ pub struct BcState {
     scope: Vec<usize>,
     /// Worklist of the upward (ancestor) closure.
     stack: Vec<usize>,
+}
+
+/// The tail entry of bridge `(parent, child)`.
+fn tail_entry(parent: NodeId, child: NodeId) -> u64 {
+    ((parent as u64) << 32) | child as u64
 }
 
 impl BcState {
@@ -136,7 +199,7 @@ impl BcState {
     }
 
     /// A state over the given layers with empty PE scratch.
-    fn assemble(dfs: DfsState, low: Status<u32>, engine: Engine) -> Self {
+    fn assemble(dfs: DfsState, low: Status<Low>, engine: Engine) -> Self {
         let pe = VisitEpoch::new(low.len());
         BcState {
             dfs,
@@ -148,7 +211,7 @@ impl BcState {
         }
     }
 
-    fn low_from_scratch(g: &DynamicGraph, dfs: &DfsState) -> (Status<u32>, Engine, RunStats) {
+    fn low_from_scratch(g: &DynamicGraph, dfs: &DfsState) -> (Status<Low>, Engine, RunStats) {
         let spec = LowSpec::new(g, dfs);
         let mut low = Status::init(&spec, false);
         let mut engine = Engine::new(spec.num_vars());
@@ -166,27 +229,12 @@ impl BcState {
 
     /// Lowpoint of `v`.
     pub fn low(&self, v: NodeId) -> u32 {
-        self.low.get(v as usize)
+        self.low.get(v as usize).low()
     }
 
     /// Whether `v` is an articulation (cut) point.
-    pub fn is_articulation(&self, g: &DynamicGraph, v: NodeId) -> bool {
-        let first_v = self.dfs.first(v);
-        let mut children = 0usize;
-        let mut cut = false;
-        for &(w, _) in g.out_neighbors(v) {
-            if self.dfs.parent(w) == v {
-                children += 1;
-                if self.low(w) >= first_v {
-                    cut = true;
-                }
-            }
-        }
-        if self.dfs.parent(v) == ROOT {
-            children >= 2
-        } else {
-            cut
-        }
+    pub fn is_articulation(&self, _g: &DynamicGraph, v: NodeId) -> bool {
+        self.low.get(v as usize).art()
     }
 
     /// All articulation points, ascending.
@@ -198,15 +246,15 @@ impl BcState {
 
     /// All bridges as `(parent, child)` tree edges with `low_child >
     /// first_parent`, ascending by child.
-    pub fn bridges(&self, g: &DynamicGraph) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for c in 0..g.node_count() as NodeId {
-            let p = self.dfs.parent(c);
-            if p != ROOT && self.low(c) > self.dfs.first(p) {
-                out.push((p, c));
-            }
-        }
-        out
+    pub fn bridges(&self, _g: &DynamicGraph) -> Vec<(NodeId, NodeId)> {
+        let edge = |e: u64| ((e >> 32) as NodeId, e as NodeId);
+        self.tail().map(edge).collect()
+    }
+
+    /// The digest's tail: the bridges as tail entries, ascending by child.
+    fn tail(&self) -> impl Iterator<Item = u64> + '_ {
+        let bridged = (0..self.low.len()).filter(|&c| self.low.get(c).bridge());
+        bridged.map(|c| tail_entry(self.dfs.parent(c as NodeId), c as NodeId))
     }
 
     /// `IncBC`: refresh the DFS forest with `IncDFS`, then re-lower the
@@ -291,7 +339,7 @@ impl BcState {
         self.dfs.ensure_size(g);
         let n = g.node_count();
         if n > self.low.len() {
-            self.low.extend_to(n, |_| u32::MAX);
+            self.low.extend_to(n, |_| Low::new(u32::MAX, false, false));
             self.engine = Engine::new(n);
             self.pe.grow_to(n);
         }
@@ -330,6 +378,13 @@ impl BcState {
                 "bc is deducible and stores no timestamps".into(),
             ));
         }
+        // Only the lowpoints were stored: read the flags off them.
+        let spec = LowSpec::new(g, &dfs);
+        let flagged = (0..n).map(|x| {
+            let flags = spec.eval(x, &mut |w| low.get(w));
+            Low(low.get(x).0 | flags.0 & 3)
+        });
+        let low = Status::from_values(flagged.collect());
         Ok(BcState::assemble(dfs, low, Engine::new(n)))
     }
 }
@@ -349,7 +404,7 @@ impl crate::IncrementalState for BcState {
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
         let (fresh, stats) = BcState::batch(g);
-        *self = fresh;
+        self.replace(fresh);
         stats
     }
 
@@ -393,8 +448,100 @@ impl crate::IncrementalState for BcState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = BcState::restore(g, bytes)?;
+        self.replace(BcState::restore(g, bytes)?);
         Ok(())
+    }
+}
+
+/// One entry per node, `low << 1 | articulation bit`, then the bridges.
+impl ClassOutput for BcState {
+    fn nodes(&self) -> usize {
+        self.low.len()
+    }
+
+    fn entry(&self, v: usize) -> u64 {
+        self.low.get(v).entry()
+    }
+
+    fn tail_len(&self) -> usize {
+        self.tail().count()
+    }
+
+    fn render(&self, out: &mut Vec<u64>) {
+        out.extend(self.low.values().iter().map(|l| l.entry()));
+        out.extend(self.tail());
+    }
+
+    fn set_journal(&mut self, on: bool) {
+        self.dfs.set_journal(on);
+        self.low.set_journal(on);
+    }
+
+    fn journal_bytes(&self) -> usize {
+        self.dfs.journal_bytes() + self.low.journal().space_bytes()
+    }
+
+    fn drain(&mut self, changes: &mut Vec<OutputChange>) -> bool {
+        self.low.journal_mut().sort();
+        self.dfs.journal.sort();
+        let (low, dfs) = (&self.low, &self.dfs);
+        let old_parent = |c: NodeId| dfs.journal.old(c as usize).map_or(dfs.parent(c), |r| r.2);
+        // Every node whose value moved was written. A bridge whose parent
+        // moved was too: the re-lowering reset it (a set bridge bit is
+        // never `⊥`), and a replacement journals every node.
+        let written = low.journal().entries();
+        let (mut tail_moved, mut grown) = (false, 0i64);
+        for &(c, old) in written {
+            let new = low.get(c as usize);
+            tail_moved |=
+                old.bridge() != new.bridge() || new.bridge() && old_parent(c) != dfs.parent(c);
+            grown += new.bridge() as i64 - old.bridge() as i64;
+        }
+        // A tail of the same length changes position by position.
+        let n = self.nodes();
+        let old_tail = (0..n as NodeId).filter_map(|c| {
+            let old = low.journal().old(c as usize).unwrap_or(low.get(c as usize));
+            old.bridge().then(|| tail_entry(old_parent(c), c))
+        });
+        let tail = || {
+            let pairs = old_tail.clone().zip(self.tail()).enumerate();
+            pairs
+                .filter(|(_, (old, new))| old != new)
+                .map(move |(k, (old, new))| {
+                    let index = (n + k) as u32;
+                    OutputChange { index, old, new }
+                })
+        };
+        let tail_changes = if tail_moved && grown == 0 {
+            tail().count()
+        } else {
+            0
+        };
+        changes.reserve_exact(written.len() + tail_changes);
+        for &(v, old) in written {
+            let (old, new) = (old.entry(), low.get(v as usize).entry());
+            if old != new {
+                changes.push(OutputChange { index: v, old, new });
+            }
+        }
+        if tail_changes > 0 {
+            changes.extend(tail());
+        }
+        self.low.journal_mut().clear();
+        self.dfs.journal.clear();
+        grown != 0
+    }
+
+    /// Also journals every node: a bridge's tail entry can move with its
+    /// parent alone.
+    fn carry_journal(&mut self, prev: BcState) {
+        self.dfs.carry_journal(prev.dfs);
+        let mut low = prev.low;
+        for x in 0..low.len() {
+            let old = low.get(x);
+            low.journal_mut().record(x, old);
+        }
+        self.low.carry_journal(low);
     }
 }
 

@@ -12,6 +12,7 @@
 //! `CcState`, `ReachState` and `SimState` are `Deduced<_>`; [`crate::reach`]
 //! is the shortest worked example.
 
+use crate::output::{ClassOutput, OutputChange};
 use crate::persist::{self, ByteReader, StateLoadError, Word};
 use incgraph_core::audit::{AuditReport, FixpointAudit};
 use incgraph_core::engine::{Engine, RunStats};
@@ -203,14 +204,6 @@ impl<C: Deducible> Deduced<C> {
         BoundednessReport::new(spec.num_vars(), scope_len, stats, run)
     }
 
-    /// Extends `out` with every status variable the last update *may*
-    /// have changed: `H⁰` plus the engine's changed-set log — a superset of
-    /// the truly changed (stale log entries only cost a value comparison).
-    pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.scratch.scope);
-        out.extend_from_slice(self.engine.changed_vars());
-    }
-
     /// Resident bytes (Fig. 8): status (with timestamps when weakly
     /// deducible) plus engine and scope scratch.
     pub fn space_bytes(&self) -> usize {
@@ -281,7 +274,8 @@ impl<C: Deducible> crate::IncrementalState for Deduced<C> {
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
         let (status, engine, stats) = run_batch(&self.class, g);
-        self.status = status;
+        let prev = std::mem::replace(&mut self.status, status);
+        self.status.carry_journal(prev);
         self.engine = engine;
         self.scratch = ScopeScratch::new();
         stats
@@ -304,7 +298,53 @@ impl<C: Deducible> crate::IncrementalState for Deduced<C> {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = Deduced::restore(g, bytes)?;
+        self.replace(Deduced::restore(g, bytes)?);
         Ok(())
+    }
+}
+
+/// The digest entry of variable `x` is `enc()` of its value: the journal
+/// indexes the output directly.
+impl<C: Deducible> ClassOutput for Deduced<C> {
+    fn nodes(&self) -> usize {
+        self.status.len().checked_div(self.stride()).unwrap_or(0)
+    }
+
+    fn stride(&self) -> usize {
+        self.class.vars_per_node()
+    }
+
+    fn entry(&self, i: usize) -> u64 {
+        self.status.get(i).enc()
+    }
+
+    fn render(&self, out: &mut Vec<u64>) {
+        out.extend(self.status.values().iter().map(|v| v.enc()));
+    }
+
+    fn set_journal(&mut self, on: bool) {
+        self.status.set_journal(on);
+    }
+
+    fn journal_bytes(&self) -> usize {
+        self.status.journal().space_bytes()
+    }
+
+    fn drain(&mut self, changes: &mut Vec<OutputChange>) -> bool {
+        self.status.journal_mut().sort();
+        let journal = self.status.journal();
+        changes.reserve_exact(journal.entries().len());
+        for &(x, old) in journal.entries() {
+            let (old, new) = (old.enc(), self.status.get(x as usize).enc());
+            if old != new {
+                changes.push(OutputChange { index: x, old, new });
+            }
+        }
+        self.status.journal_mut().clear();
+        false
+    }
+
+    fn carry_journal(&mut self, prev: Self) {
+        self.status.carry_journal(prev.status);
     }
 }

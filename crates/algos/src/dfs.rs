@@ -24,7 +24,9 @@
 //! exactly the behaviour the paper reports (IncDFS wins for small `ΔG`
 //! and loses to batch beyond ~4%).
 //!
-//! The replay takes no snapshot of the old run. Every decision that
+//! The replay takes no snapshot of the old run, and its two write sites —
+//! entering a node and closing it — journal the node's old
+//! `(first, last, parent)` when a session owes a delta. Every decision that
 //! consults it — "was `w` inside a skipped subtree", "is this entry
 //! identical", "does `v` close at its old time" — is made about a node
 //! the current replay has not yet (re-)entered, or at the moment it
@@ -40,10 +42,12 @@
 //! than through the generic [`incgraph_core::FixpointSpec`]; the two-phase
 //! structure and the accounting are the same.
 
+use crate::output::{ClassOutput, OutputChange};
 use incgraph_core::engine::RunStats;
 use incgraph_core::epoch::VisitEpoch;
 use incgraph_core::metrics::{vec_bytes, BoundednessReport};
 use incgraph_core::scope::ScopeStats;
+use incgraph_core::Journal;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
 
 /// Parent sentinel for roots of the DFS forest (children of the virtual
@@ -69,7 +73,13 @@ pub struct DfsState {
     skipped: Vec<(u32, u32)>,
     /// The replay's explicit stack of (node, next-out-neighbor index).
     stack: Vec<(NodeId, usize)>,
+    /// Old `(first, last, parent)` of every node written since the last
+    /// drain (off unless a session started it).
+    pub(crate) journal: Journal<Row>,
 }
+
+/// A node's `(first, last, parent)`: its row of the output.
+pub(crate) type Row = (u32, u32, NodeId);
 
 impl DfsState {
     /// Runs batch `DFS_fp` on `g`.
@@ -92,6 +102,7 @@ impl DfsState {
             changed: Vec::new(),
             skipped: Vec::new(),
             stack: Vec::new(),
+            journal: Journal::default(),
         }
     }
 
@@ -123,6 +134,11 @@ impl DfsState {
     /// [`update`](Self::update) changed (empty after an inert update).
     pub(crate) fn changed(&self) -> &[NodeId] {
         &self.changed
+    }
+
+    /// `(first, last, parent)` of `v`: its row of the output.
+    pub(crate) fn row(&self, v: usize) -> Row {
+        (self.first[v], self.last[v], self.parent[v])
     }
 
     /// Whether `u` is an ancestor of `v` in the DFS tree (interval
@@ -227,6 +243,7 @@ impl DfsState {
             + vec_bytes(&self.changed)
             + vec_bytes(&self.skipped)
             + vec_bytes(&self.stack)
+            + self.journal.space_bytes()
     }
 
     /// Audit helper shared with BC: compare this forest against the
@@ -360,8 +377,9 @@ impl DfsState {
                     continue 'frames;
                 }
                 // Out-neighbors exhausted: close v.
-                if identical && self.last[v as usize] != time {
+                if self.last[v as usize] != time {
                     identical = false;
+                    self.journal.record(v as usize, self.row(v as usize));
                 }
                 self.last[v as usize] = time;
                 time += 1;
@@ -377,6 +395,7 @@ impl DfsState {
     /// `v` in the changed list when its assignment moved.
     fn enter(&mut self, v: NodeId, p: NodeId, time: &mut u32, record: bool, stats: &mut RunStats) {
         if self.first[v as usize] != *time || self.parent[v as usize] != p {
+            self.journal.record(v as usize, self.row(v as usize));
             stats.changes += 1;
             if record {
                 self.changed.push(v);
@@ -401,6 +420,7 @@ impl DfsState {
             self.parent.resize(n, ROOT);
             self.visited.grow_to(n);
             self.aff_sub.grow_to(n);
+            self.journal.grow(n);
         }
     }
 
@@ -479,7 +499,7 @@ impl crate::IncrementalState for DfsState {
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
         let (fresh, stats) = DfsState::batch(g);
-        *self = fresh;
+        self.replace(fresh);
         stats
     }
 
@@ -508,8 +528,61 @@ impl crate::IncrementalState for DfsState {
         g: &DynamicGraph,
         bytes: &[u8],
     ) -> Result<(), crate::persist::StateLoadError> {
-        *self = DfsState::restore(g, bytes)?;
+        self.replace(DfsState::restore(g, bytes)?);
         Ok(())
+    }
+}
+
+/// Three digest entries per node: `first`, `last`, `parent`.
+impl ClassOutput for DfsState {
+    fn nodes(&self) -> usize {
+        self.first.len()
+    }
+
+    fn stride(&self) -> usize {
+        3
+    }
+
+    fn entry(&self, i: usize) -> u64 {
+        let (f, l, p) = self.row(i / 3);
+        [f, l, p][i % 3] as u64
+    }
+
+    fn set_journal(&mut self, on: bool) {
+        self.journal.switch(on, self.first.len());
+    }
+
+    fn journal_bytes(&self) -> usize {
+        self.journal.space_bytes()
+    }
+
+    fn drain(&mut self, changes: &mut Vec<OutputChange>) -> bool {
+        self.journal.sort();
+        changes.reserve_exact(3 * self.journal.entries().len());
+        for &(v, (f, l, p)) in self.journal.entries() {
+            let (nf, nl, np) = self.row(v as usize);
+            for (slot, (old, new)) in [(f, nf), (l, nl), (p, np)].into_iter().enumerate() {
+                if old != new {
+                    let (old, new) = (old as u64, new as u64);
+                    changes.push(OutputChange {
+                        index: 3 * v + slot as u32,
+                        old,
+                        new,
+                    });
+                }
+            }
+        }
+        self.journal.clear();
+        false
+    }
+
+    /// Records every row the replacement changed.
+    fn carry_journal(&mut self, mut prev: DfsState) {
+        let mut journal = std::mem::take(&mut prev.journal);
+        journal.grow(self.first.len());
+        let before = (0..prev.first.len()).map(|v| prev.row(v));
+        journal.record_changes(before, (0..self.first.len()).map(|v| self.row(v)));
+        self.journal = journal;
     }
 }
 

@@ -17,8 +17,9 @@
 //! by construction, which is why `IncLCC` is deducible *and* relatively
 //! bounded without timestamps.
 
+use crate::output::{ClassOutput, OutputChange};
 use crate::persist::{self, StateLoadError};
-use incgraph_core::engine::{Engine, RunStats};
+use incgraph_core::engine::{run_fixpoint, RunStats};
 use incgraph_core::metrics::BoundednessReport;
 use incgraph_core::scope::ScopeStats;
 use incgraph_core::spec::FixpointSpec;
@@ -148,10 +149,10 @@ fn edge_in_view(g: &DynamicGraph, keys: &[u64], present: &[bool], a: NodeId, b: 
     }
 }
 
-/// LCC state: the previous counts plus the reusable engine.
+/// LCC state: the previous counts. The batch run is the engine's; an
+/// update writes the status arithmetically and runs no engine.
 pub struct LccState {
     status: Status<Count>,
-    engine: Engine,
     /// Flat scratch of the delta update path.
     scratch: LccScratch,
 }
@@ -161,29 +162,14 @@ impl LccState {
     pub fn batch(g: &DynamicGraph) -> (Self, RunStats) {
         let spec = LccSpec::new(g);
         let mut status = Status::init(&spec, false);
-        let mut engine = Engine::new(spec.num_vars());
-        let stats = engine.run(&spec, &mut status, 0..spec.num_vars());
+        let stats = run_fixpoint(&spec, &mut status, 0..spec.num_vars());
         (
             LccState {
                 status,
-                engine,
                 scratch: LccScratch::default(),
             },
             stats,
         )
-    }
-
-    /// Extends `out` with every *node* whose packed LCC value the last
-    /// [`update`](Self::update) may have changed: the delta path writes
-    /// the status directly, so the candidates are the scratch's
-    /// accumulated λ deltas and degree-refresh endpoints — a superset of
-    /// the truly changed nodes, bounded by the update's own work. The
-    /// engine's changed log is deliberately not consulted: `update` never
-    /// runs the engine, so that log still describes whichever run wrote
-    /// it last (after a batch build, every variable).
-    pub(crate) fn delta_candidates(&self, out: &mut Vec<usize>) {
-        out.extend(self.scratch.deltas.iter().map(|&(w, _)| w as usize));
-        out.extend(self.scratch.endpoints.iter().map(|&e| e as usize));
     }
 
     /// Degree of `v` as maintained by the fixpoint.
@@ -219,8 +205,7 @@ impl LccState {
     /// common neighbors in the graph state it was applied to changes
     /// `λ_u` and `λ_v` by `±c` and each common neighbor's `λ_w` by `±1`;
     /// degrees are re-read from the final graph. This is value-identical
-    /// to the re-evaluation path (kept as
-    /// [`update_reeval`](Self::update_reeval), the `abl` baseline) but
+    /// to re-evaluating `f_{λ_w}` over the PE set of each changed edge but
     /// does one intersection per changed edge instead of one per affected
     /// node — the difference between `O(Δ·d)` and `O(Δ·d²)` per batch.
     ///
@@ -372,79 +357,10 @@ impl LccState {
         BoundednessReport::new(n_vars, distinct as usize, ScopeStats::default(), run)
     }
 
-    /// `IncLCC`, re-evaluation form (the PR 2–6 implementation, kept as
-    /// the ablation baseline and differential cross-check): mark the PE
-    /// variables of each changed edge and re-run the unchanged step
-    /// function on them.
-    ///
-    /// The PE set per changed edge `(u, v)` is the *exact* affected set:
-    /// `d_u`, `d_v`, `λ_u`, `λ_v`, plus `λ_w` for every common neighbor
-    /// `w` of `u` and `v` — only nodes adjacent to both endpoints gain or
-    /// lose a triangle (a refinement of the paper's conservative one-hop
-    /// marking that keeps `H⁰ ⊆ AFF` tight). Common neighbors are taken
-    /// over the new adjacency *plus* the batch's deleted incidences
-    /// (tracked in a sorted flat pair list, not a hash map), so triangles
-    /// destroyed by multiple deletions in one batch are still caught.
-    pub fn update_reeval(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        self.ensure_size(g);
-        let spec = LccSpec::new(g);
-
-        // Batch-local deleted incidences: old-only adjacency, as sorted
-        // (node, partner) pairs.
-        let mut deleted: Vec<(NodeId, NodeId)> = Vec::new();
-        for (u, v, _) in applied.deleted() {
-            deleted.push((u, v));
-            deleted.push((v, u));
-        }
-        deleted.sort_unstable();
-        deleted.dedup();
-        let deleted_range = |x: NodeId| {
-            let lo = deleted.partition_point(|&(n, _)| n < x);
-            let hi = deleted.partition_point(|&(n, _)| n <= x);
-            lo..hi
-        };
-        let neighbor = |x: NodeId, y: NodeId| -> bool {
-            g.has_edge(x, y) || deleted.binary_search(&(x, y)).is_ok()
-        };
-
-        let mut scope: Vec<usize> = Vec::new();
-        for op in applied.ops() {
-            let (u, v) = (op.src, op.dst);
-            for &e in &[u, v] {
-                scope.push(e as usize * 2); // d_e
-                scope.push(e as usize * 2 + 1); // λ_e
-            }
-            // Common neighbors over new ∪ batch-deleted adjacency: probe
-            // the smaller incidence list of u against v.
-            let (ru, rv) = (deleted_range(u), deleted_range(v));
-            let du = g.out_degree(u) + ru.len();
-            let dv = g.out_degree(v) + rv.len();
-            let (probe, other, rp) = if du <= dv { (u, v, ru) } else { (v, u, rv) };
-            for &(w, _) in g.out_neighbors(probe) {
-                if neighbor(w, other) {
-                    scope.push(w as usize * 2 + 1);
-                }
-            }
-            for idx in rp {
-                let (_, w) = deleted[idx];
-                if neighbor(w, other) {
-                    scope.push(w as usize * 2 + 1);
-                }
-            }
-        }
-        scope.sort_unstable();
-        scope.dedup();
-        let scope_len = scope.len();
-        let run = self
-            .engine
-            .run(&spec, &mut self.status, scope.iter().copied());
-        BoundednessReport::new(spec.num_vars(), scope_len, ScopeStats::default(), run)
-    }
-
     /// Resident bytes of the algorithm's state (Fig. 8). No timestamps —
     /// IncLCC is deducible.
     pub fn space_bytes(&self) -> usize {
-        self.status.space_bytes() + self.engine.space_bytes() + self.scratch.space_bytes()
+        self.status.space_bytes() + self.scratch.space_bytes()
     }
 
     /// Serializes the durable essence (`SaveState`): the interleaved
@@ -480,7 +396,6 @@ impl LccState {
         }
         Ok(LccState {
             status,
-            engine: Engine::new(expected),
             scratch: LccScratch::default(),
         })
     }
@@ -489,7 +404,6 @@ impl LccState {
         let n = g.node_count() * 2;
         if n > self.status.len() {
             self.status.extend_to(n, |_| 0);
-            self.engine = Engine::new(n);
         }
     }
 }
@@ -509,7 +423,7 @@ impl crate::IncrementalState for LccState {
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
         let (fresh, stats) = LccState::batch(g);
-        *self = fresh;
+        self.replace(fresh);
         stats
     }
 
@@ -521,9 +435,9 @@ impl crate::IncrementalState for LccState {
         audit.run(&LccSpec::new(g), &self.status)
     }
 
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.engine.set_work_budget(budget);
-    }
+    /// No engine runs on update: `update_with`'s post-run scope check is
+    /// the only degradation trigger for LCC.
+    fn set_work_budget(&mut self, _budget: Option<u64>) {}
 
     fn space_bytes(&self) -> usize {
         LccState::space_bytes(self)
@@ -534,8 +448,60 @@ impl crate::IncrementalState for LccState {
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        *self = LccState::restore(g, bytes)?;
+        self.replace(LccState::restore(g, bytes)?);
         Ok(())
+    }
+}
+
+/// The digest entry of node `v` packs `d_v` (high half) and `λ_v` (low
+/// half); the journal's two variables per node fold into it.
+fn lcc_entry(degree: Count, triangles: Count) -> u64 {
+    (degree << 32) | (triangles & 0xffff_ffff)
+}
+
+impl ClassOutput for LccState {
+    fn nodes(&self) -> usize {
+        self.status.len() / 2
+    }
+
+    fn entry(&self, v: usize) -> u64 {
+        lcc_entry(self.degree(v as NodeId), self.triangles(v as NodeId))
+    }
+
+    fn set_journal(&mut self, on: bool) {
+        self.status.set_journal(on);
+    }
+
+    fn journal_bytes(&self) -> usize {
+        self.status.journal().space_bytes()
+    }
+
+    fn drain(&mut self, changes: &mut Vec<OutputChange>) -> bool {
+        self.status.journal_mut().sort();
+        let journal = self.status.journal();
+        changes.reserve_exact(journal.entries().len());
+        for node in journal.entries().chunk_by(|a, b| a.0 / 2 == b.0 / 2) {
+            let v = node[0].0 / 2;
+            let (mut d, mut t) = (self.degree(v), self.triangles(v));
+            let new = lcc_entry(d, t);
+            for &(x, old) in node {
+                if x % 2 == 0 {
+                    d = old;
+                } else {
+                    t = old;
+                }
+            }
+            let old = lcc_entry(d, t);
+            if old != new {
+                changes.push(OutputChange { index: v, old, new });
+            }
+        }
+        self.status.journal_mut().clear();
+        false
+    }
+
+    fn carry_journal(&mut self, prev: Self) {
+        self.status.carry_journal(prev.status);
     }
 }
 
@@ -662,6 +628,9 @@ mod tests {
                     batch.delete(u, v);
                 }
             }
+            // Churn one edge inside the batch: the timeline overlay must
+            // replay ins/del/ins runs in order.
+            batch.delete(1, 2).insert(1, 2, 1).delete(1, 2);
             let applied = batch.apply(&mut g);
             state.update(&g, &applied);
             for (v, &(d, t)) in lcc_reference(&g).iter().enumerate() {
@@ -688,68 +657,31 @@ mod tests {
         assert_eq!(state.triangles(998), 1);
     }
 
-    #[test]
-    fn delta_path_matches_reeval_path() {
-        // The arithmetic delta path and the PE re-evaluation ablation must
-        // land on identical counts after every round, including batches
-        // that churn the same edge repeatedly (timeline overlay) and
-        // batches that delete whole triangles.
-        use incgraph_graph::rng::SplitMix64;
-        let mut g1 = incgraph_graph::gen::uniform(60, 300, false, 1, 1, 44);
-        let mut g2 = g1.clone();
-        let (mut delta, _) = LccState::batch(&g1);
-        let (mut reeval, _) = LccState::batch(&g2);
-        let mut rng = SplitMix64::seed_from_u64(21);
-        for round in 0..15 {
-            let mut batch = UpdateBatch::new();
-            for _ in 0..12 {
-                let u = rng.gen_range(0..60) as NodeId;
-                let v = rng.gen_range(0..60) as NodeId;
-                if rng.gen_bool(0.5) {
-                    batch.insert(u, v, 1);
-                } else {
-                    batch.delete(u, v);
-                }
-            }
-            // Churn one edge inside the same batch: ins/del/ins runs.
-            batch.delete(1, 2).insert(1, 2, 1).delete(1, 2);
-            let a1 = batch.clone().apply(&mut g1);
-            let a2 = batch.apply(&mut g2);
-            assert_eq!(a1.ops(), a2.ops());
-            delta.update(&g1, &a1);
-            reeval.update_reeval(&g2, &a2);
-            assert_eq!(
-                delta.status.values(),
-                reeval.status.values(),
-                "divergence at round {round}"
-            );
-        }
-    }
-
     /// Fails at 880b14d: the candidates also carried the engine's changed
     /// log, which after a batch build is every variable and which the
     /// arithmetic `update` never rewrites — a batch-built state re-checked
     /// all `n` nodes per update while a reloaded one checked a handful.
+    /// Now the journal holds exactly what the update wrote.
     #[test]
-    fn batch_built_and_reloaded_states_offer_the_same_few_candidates() {
+    fn batch_built_and_reloaded_states_journal_the_same_few_writes() {
         use crate::{IncrementalState, QueryClass, Session};
         let g0 = incgraph_graph::gen::uniform(200, 900, false, 1, 1, 5);
         let (u, v, _) = g0.edges().next().expect("graph has edges");
 
         let mut g = g0.clone();
         let (mut state, _) = LccState::batch(&g);
+        state.status.set_journal(true);
         let mut unit = UpdateBatch::new();
         unit.delete(u, v);
         let applied = unit.apply(&mut g);
         state.update(&g, &applied);
-        let mut cand = Vec::new();
-        state.delta_candidates(&mut cand);
-        assert_eq!(
-            cand.len(),
-            state.scratch.deltas.len() + state.scratch.endpoints.len(),
-            "candidates beyond the update's own deltas and endpoints"
+        let written = state.status.journal().entries().len();
+        let s = &state.scratch;
+        assert!(
+            written <= s.deltas.len() + s.endpoints.len(),
+            "{written} writes"
         );
-        assert!(cand.len() < g.node_count() / 4, "{} candidates", cand.len());
+        assert!(written < g.node_count() / 4, "{written} writes");
 
         // Same work, same output: a session restored from the essence and
         // the batch-built one it came from report equal deltas.
@@ -757,6 +689,10 @@ mod tests {
         let mut built = Session::builder(QueryClass::Lcc).build(&g).unwrap();
         let mut reloaded = Session::builder(QueryClass::Lcc).build(&g).unwrap();
         reloaded.load_state(&g, &built.save_state()).unwrap();
+        assert!(
+            reloaded.take_delta().is_empty(),
+            "a load that moved nothing"
+        );
         for round in 0..10u32 {
             let mut batch = UpdateBatch::new();
             batch
@@ -768,7 +704,7 @@ mod tests {
             let b = reloaded.update_guarded(&g, &applied).delta;
             assert_eq!(a, b, "round {round}");
         }
-        assert_eq!(built.output(), reloaded.output());
+        assert_eq!(built.digest(&g), reloaded.digest(&g));
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Typed query-class outputs: the [`OutputSnapshot`] a [`Session`]
-//! maintains and the [`OutputDelta`] each update emits.
+//! renders from its class state and the [`OutputDelta`] each update
+//! emits.
 //!
-//! Historically every consumer of a session's result — the wire DELTA
-//! notifier, the bench probes, the differential oracles — re-derived
-//! changes by materializing two full `digest()` vectors and zipping
-//! them. The snapshot/delta pair replaces that idiom: the session keeps
-//! its output materialized as one canonical `u64` stream (byte-identical
-//! to the historical digest) and computes each update's changes from the
-//! engine's changed-set, so consumers get an `O(|Δoutput|)` delta
-//! without ever diffing `O(|Ψ|)` vectors themselves.
+//! A session holds each value once, in its class state. The snapshot is
+//! a view borrowed from that state: every entry of the canonical `u64`
+//! stream — byte-identical to the historical digest — is computed on
+//! demand, and nothing is materialized beside the status.
+//!
+//! The delta is a by-product of the run: the state's writes — through
+//! [`Status`](incgraph_core::Status), at IncDFS's entry and close — go
+//! to a [`Journal`](incgraph_core::Journal) that keeps each variable's
+//! value from before its first write since the last drain. Draining it
+//! costs `O(|Δoutput|)` (BC: plus one pass over the nodes when its bridge
+//! list moved but kept its length); only a recompute or a load, `O(|G|)`
+//! anyway, journals what it replaced by comparison.
 //!
 //! Two granularities coexist on purpose:
 //!
@@ -19,96 +24,123 @@
 //!   to the class's σ_x — distance, component id, reachable bit,
 //!   preorder rank, simulation match set, packed LCC value. This is the
 //!   row representation the `incgraph-dataflow` operator layer consumes.
+//!   A node's old value is its current row with the changed entries' old
+//!   values laid over it.
 //!
 //! [`Session`]: crate::Session
 
 use crate::session::QueryClass;
+use crate::IncrementalState;
 use incgraph_core::metrics::BoundednessReport;
 
-/// A session's materialized output: the canonical per-node value stream
-/// plus any class-specific tail (BC's bridge list). Concatenating
-/// `entries` and `tail` reproduces the historical `digest()` vector
-/// exactly, which is what keeps wire digests and corpus replay stable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OutputSnapshot {
-    class: QueryClass,
-    nodes: usize,
-    /// Digest entries per node: 1 for SSSP/CC/Reach/LCC/BC, the pattern
-    /// node count for Sim, 3 (first, last, parent) for DFS.
-    stride: usize,
-    entries: Vec<u64>,
-    tail: Vec<u64>,
-}
+/// What a session needs of its class state beyond [`IncrementalState`]:
+/// the output rendering and the write journal its deltas are drained
+/// from.
+pub(crate) trait ClassOutput: IncrementalState {
+    /// Graph nodes covered.
+    fn nodes(&self) -> usize;
 
-impl OutputSnapshot {
-    pub(crate) fn new(
-        class: QueryClass,
-        nodes: usize,
-        stride: usize,
-        entries: Vec<u64>,
-        tail: Vec<u64>,
-    ) -> Self {
-        debug_assert_eq!(entries.len(), nodes * stride);
-        OutputSnapshot {
-            class,
-            nodes,
-            stride,
-            entries,
-            tail,
-        }
+    /// Digest entries per node.
+    fn stride(&self) -> usize {
+        1
     }
 
-    /// The query class this snapshot belongs to.
-    pub fn class(&self) -> QueryClass {
-        self.class
+    /// Per-node entry `i` (`i < nodes · stride`).
+    fn entry(&self, i: usize) -> u64;
+
+    /// Length of the class tail after the per-node entries.
+    fn tail_len(&self) -> usize {
+        0
+    }
+
+    /// Appends the whole digest: per-node entries, then the tail.
+    fn render(&self, out: &mut Vec<u64>) {
+        out.extend((0..self.nodes() * self.stride()).map(|i| self.entry(i)));
+    }
+
+    /// Starts (`true`) or stops (`false`, releasing it) the write journal.
+    fn set_journal(&mut self, on: bool);
+
+    /// Heap bytes of the write journal.
+    fn journal_bytes(&self) -> usize;
+
+    /// Drains the journal into `changes`: every digest entry whose value
+    /// moved since the last drain, ascending by index. Reserves once.
+    /// Returns whether the tail's length moved (the entries past the
+    /// per-node ones are then not listed).
+    fn drain(&mut self, changes: &mut Vec<OutputChange>) -> bool;
+
+    /// Takes over the journal of `prev`, the state a recompute or a load
+    /// replaced, journaling what the replacement changed.
+    fn carry_journal(&mut self, prev: Self)
+    where
+        Self: Sized;
+
+    /// Replaces the state with `fresh` (a recompute, a load) and keeps
+    /// the journal exact: `O(|G|)`, like building `fresh`.
+    fn replace(&mut self, fresh: Self)
+    where
+        Self: Sized,
+    {
+        let prev = std::mem::replace(self, fresh);
+        self.carry_journal(prev);
+    }
+}
+
+/// A session's output, rendered on demand from its class state: the
+/// canonical per-node value stream plus any class-specific tail (BC's
+/// bridge list). [`to_digest`](Self::to_digest) is the historical
+/// `digest()` vector exactly, which is what keeps wire digests and corpus
+/// replay stable.
+#[derive(Clone, Copy)]
+pub struct OutputSnapshot<'a> {
+    class: QueryClass,
+    state: &'a dyn ClassOutput,
+    stride: usize,
+}
+
+impl<'a> OutputSnapshot<'a> {
+    pub(crate) fn new(class: QueryClass, state: &'a dyn ClassOutput) -> Self {
+        let stride = state.stride();
+        OutputSnapshot {
+            class,
+            state,
+            stride,
+        }
     }
 
     /// Number of graph nodes covered.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.state.nodes()
     }
 
-    /// Digest entries per node.
+    /// Digest entries per node: 1 for SSSP/CC/Reach/LCC/BC, the pattern
+    /// node count for Sim, 3 (first, last, parent) for DFS.
     pub fn stride(&self) -> usize {
         self.stride
     }
 
-    /// Per-node portion of the digest stream.
-    pub fn entries(&self) -> &[u64] {
-        &self.entries
-    }
-
-    /// Class-specific tail (BC bridges; empty for the other classes).
-    pub fn tail(&self) -> &[u64] {
-        &self.tail
-    }
-
-    /// Total digest length (`entries` + `tail`).
+    /// Total digest length (per-node entries + tail; BC counts its
+    /// bridges, `O(|V|)`).
     pub fn digest_len(&self) -> usize {
-        self.entries.len() + self.tail.len()
+        self.nodes() * self.stride() + self.state.tail_len()
     }
 
-    /// Overwrites one per-node entry (the session's candidate-restricted
-    /// refresh path).
-    pub(crate) fn set_entry(&mut self, i: usize, v: u64) {
-        self.entries[i] = v;
-    }
-
-    /// Digest entry at flat index `i` (entries first, then tail).
+    /// Digest entry at flat index `i`. Per-node entries cost `O(1)`; a
+    /// tail entry renders the digest.
     pub fn entry(&self, i: usize) -> u64 {
-        if i < self.entries.len() {
-            self.entries[i]
+        if i < self.nodes() * self.stride() {
+            self.state.entry(i)
         } else {
-            self.tail[i - self.entries.len()]
+            self.to_digest()[i]
         }
     }
 
     /// The historical digest vector, byte-identical to what
     /// `Session::digest` always produced.
     pub fn to_digest(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.digest_len());
-        out.extend_from_slice(&self.entries);
-        out.extend_from_slice(&self.tail);
+        let mut out = Vec::new();
+        self.state.render(&mut out);
         out
     }
 
@@ -117,24 +149,34 @@ impl OutputSnapshot {
     /// for Sim (bit `u % 64` set iff the node simulates pattern node
     /// `u`).
     pub fn node_value(&self, v: usize) -> u64 {
-        match self.class {
-            QueryClass::Sim => {
-                let row = &self.entries[v * self.stride..(v + 1) * self.stride];
-                row.iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (u, &m)| acc | ((m & 1) << (u & 63)))
-            }
-            QueryClass::Dfs => self.entries[v * 3],
-            _ => self.entries[v],
-        }
+        self.node_change(v, &[]).1
     }
 
-    /// All `(node, value)` rows, in node order — the initial collection
-    /// a dataflow source operator materializes.
-    pub fn node_rows(&self) -> Vec<(u32, u64)> {
-        (0..self.nodes)
-            .map(|v| (v as u32, self.node_value(v)))
-            .collect()
+    /// `v`'s value before and after `row`, the changes to its entries
+    /// (ascending): the current row with their old values laid over it,
+    /// and the current row.
+    pub(crate) fn node_change(&self, v: usize, row: &[OutputChange]) -> (u64, u64) {
+        let first = v * self.stride;
+        let unchanged = |i| {
+            let e = self.state.entry(i);
+            (e, e)
+        };
+        if self.class != QueryClass::Sim {
+            // The node's value is its first entry.
+            return match row.first() {
+                Some(c) if c.index as usize == first => (c.old, c.new),
+                _ => unchanged(first),
+            };
+        }
+        let mut row = row.iter().peekable();
+        (0..self.stride).fold((0, 0), |(old, new), u| {
+            let (o, n) = match row.next_if(|c| c.index as usize == first + u) {
+                Some(c) => (c.old, c.new),
+                None => unchanged(first + u),
+            };
+            let bit = |m: u64| (m & 1) << (u & 63);
+            (old | bit(o), new | bit(n))
+        })
     }
 }
 
@@ -163,8 +205,8 @@ pub struct NodeChange {
 /// The net output change of one (or several coalesced) update steps:
 /// what a consumer must apply to move from the previous output to the
 /// current one. Produced by `Session::take_delta` /
-/// `Session::update_guarded`; computed from the engine's changed-set,
-/// never by diffing full digests at the call site.
+/// `Session::update_guarded` from the state's write journal, never by
+/// diffing full digests.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OutputDelta {
     /// Entry-level changes, sorted by index. Empty when
@@ -200,32 +242,6 @@ pub struct TrackedUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_digest_concatenates_entries_and_tail() {
-        let snap = OutputSnapshot::new(QueryClass::Bc, 3, 1, vec![2, 4, 6], vec![99]);
-        assert_eq!(snap.to_digest(), vec![2, 4, 6, 99]);
-        assert_eq!(snap.digest_len(), 4);
-        assert_eq!(snap.entry(2), 6);
-        assert_eq!(snap.entry(3), 99);
-        assert_eq!(snap.node_value(1), 4);
-    }
-
-    #[test]
-    fn sim_node_value_is_a_match_bitmask() {
-        // 2 nodes, 3 pattern nodes: node 0 matches {0, 2}, node 1 matches {1}.
-        let snap = OutputSnapshot::new(QueryClass::Sim, 2, 3, vec![1, 0, 1, 0, 1, 0], vec![]);
-        assert_eq!(snap.node_value(0), 0b101);
-        assert_eq!(snap.node_value(1), 0b010);
-        assert_eq!(snap.node_rows(), vec![(0, 0b101), (1, 0b010)]);
-    }
-
-    #[test]
-    fn dfs_node_value_is_the_preorder_rank() {
-        let snap = OutputSnapshot::new(QueryClass::Dfs, 2, 3, vec![0, 3, 9, 1, 2, 0], vec![]);
-        assert_eq!(snap.node_value(0), 0);
-        assert_eq!(snap.node_value(1), 1);
-    }
 
     #[test]
     fn empty_delta_reports_empty() {

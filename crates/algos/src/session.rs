@@ -15,21 +15,30 @@
 //! consumes a `Session` unchanged, and its durable essence is
 //! byte-identical to the bare state's. On top of the trait it exposes
 //! the class-aware extras the oracles need: [`Session::update_guarded`]
-//! (the hardened path under the stored options) and [`Session::digest`]
-//! (the canonical value digest the differential oracle compares).
+//! (the hardened path under the stored options), [`Session::output`]
+//! and [`Session::digest`] (the canonical value stream the differential
+//! oracle compares) and [`Session::take_delta`].
+//!
+//! # Where a delta comes from
+//!
+//! A session owns its class state and nothing else. Building one starts
+//! the state's write journal ([`incgraph_core::Journal`]), and
+//! [`Session::take_delta`] drains it into the [`OutputDelta`]: first old
+//! value per entry against the current one, dropped when equal — so a
+//! self-cancelling update drains empty, and a fallback inside
+//! [`update_with`] (whose recompute journals what it replaced) nets out
+//! exactly. The output ([`OutputSnapshot`]) is rendered from the state.
 
-use crate::output::{NodeChange, OutputChange, OutputDelta, OutputSnapshot, TrackedUpdate};
-use crate::persist::Word;
+use crate::output::{ClassOutput, NodeChange, OutputDelta, OutputSnapshot, TrackedUpdate};
 use crate::{
-    update_with, BcState, CcState, Deduced, Deducible, DfsState, ExecOptions, IncrementalState,
-    LccState, ReachState, SimState, SsspState, StateLoadError,
+    update_with, BcState, CcState, DfsState, ExecOptions, IncrementalState, LccState, ReachState,
+    SimState, SsspState, StateLoadError,
 };
 use incgraph_core::audit::{AuditReport, FixpointAudit};
 use incgraph_core::engine::RunStats;
 use incgraph_core::fallback::FallbackPolicy;
 use incgraph_core::metrics::BoundednessReport;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Pattern};
-use std::collections::BTreeMap;
 
 /// The seven query classes, in canonical order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -228,20 +237,20 @@ impl SessionBuilder {
                 nodes: g.node_count(),
             });
         }
-        let state = match self.class {
-            QueryClass::Sssp => ClassState::Sssp(SsspState::batch(g, source).0),
-            QueryClass::Cc => ClassState::Cc(CcState::batch(g).0),
+        let mut state: Box<dyn ClassOutput> = match self.class {
+            QueryClass::Sssp => Box::new(SsspState::batch(g, source).0),
+            QueryClass::Cc => Box::new(CcState::batch(g).0),
             QueryClass::Sim => {
                 let p = self.pattern.ok_or(SessionError::MissingPattern)?;
-                ClassState::Sim(SimState::batch(g, p).0)
+                Box::new(SimState::batch(g, p).0)
             }
-            QueryClass::Reach => ClassState::Reach(ReachState::batch(g, source).0),
-            QueryClass::Lcc => ClassState::Lcc(LccState::batch(g).0),
-            QueryClass::Dfs => ClassState::Dfs(DfsState::batch(g).0),
-            QueryClass::Bc => ClassState::Bc(BcState::batch(g).0),
+            QueryClass::Reach => Box::new(ReachState::batch(g, source).0),
+            QueryClass::Lcc => Box::new(LccState::batch(g).0),
+            QueryClass::Dfs => Box::new(DfsState::batch(g).0),
+            QueryClass::Bc => Box::new(BcState::batch(g).0),
         };
-        let snap = compute_snapshot(self.class, &state, g);
-        let drained_len = snap.digest_len();
+        state.set_journal(true);
+        let drained_nodes = state.nodes();
         Ok(Session {
             class: self.class,
             exec: ExecOptions {
@@ -250,124 +259,23 @@ impl SessionBuilder {
                 micro_batch: self.micro_batch,
             },
             state,
-            snap,
-            pending_entries: BTreeMap::new(),
-            pending_nodes: BTreeMap::new(),
-            drained_len,
-            cand_buf: Vec::new(),
+            drained_nodes,
         })
-    }
-}
-
-/// One concrete algorithm state, tagged by class. Kept private: the
-/// class-aware surface (digests, guarded updates) lives on [`Session`].
-enum ClassState {
-    Sssp(SsspState),
-    Cc(CcState),
-    Sim(SimState),
-    Reach(ReachState),
-    Lcc(LccState),
-    Dfs(DfsState),
-    Bc(BcState),
-}
-
-/// Builds the full [`OutputSnapshot`] of a class state — the historical
-/// digest computation, split into the per-node entry stream and the
-/// class-specific tail so the two concatenate byte-identically.
-fn compute_snapshot(class: QueryClass, state: &ClassState, g: &DynamicGraph) -> OutputSnapshot {
-    let n = g.node_count();
-    match state {
-        ClassState::Sssp(s) => deduced_snapshot(class, s, n),
-        ClassState::Cc(s) => deduced_snapshot(class, s, n),
-        ClassState::Sim(s) => deduced_snapshot(class, s, n),
-        ClassState::Reach(s) => deduced_snapshot(class, s, n),
-        ClassState::Lcc(s) => OutputSnapshot::new(
-            class,
-            n,
-            1,
-            (0..n as NodeId)
-                .map(|v| (s.degree(v) << 32) | (s.triangles(v) & 0xffff_ffff))
-                .collect(),
-            vec![],
-        ),
-        ClassState::Dfs(s) => OutputSnapshot::new(
-            class,
-            n,
-            3,
-            (0..n as NodeId)
-                .flat_map(|v| [s.first(v) as u64, s.last(v) as u64, s.parent(v) as u64])
-                .collect(),
-            vec![],
-        ),
-        ClassState::Bc(s) => OutputSnapshot::new(
-            class,
-            n,
-            1,
-            (0..n as NodeId)
-                .map(|v| ((s.low(v) as u64) << 1) | s.is_articulation(g, v) as u64)
-                .collect(),
-            s.bridges(g)
-                .into_iter()
-                .map(|(a, b)| ((a as u64) << 32) | b as u64)
-                .collect(),
-        ),
-    }
-}
-
-/// The snapshot of a [`Deduced`] class: digest entry `i` is the encoded
-/// value of status variable `i`, `vars_per_node` entries per node.
-fn deduced_snapshot<C: Deducible>(class: QueryClass, s: &Deduced<C>, n: usize) -> OutputSnapshot {
-    let entries = s.values().iter().map(|v| v.enc()).collect();
-    OutputSnapshot::new(class, n, s.class().vars_per_node(), entries, vec![])
-}
-
-fn deduced_entry<C: Deducible>(s: &Deduced<C>, i: usize) -> u64 {
-    s.value(i).enc()
-}
-
-/// Recomputes one digest entry of an engine-backed class from its state.
-/// Only called on the candidate-restricted refresh path, which DFS and
-/// BC (full-rescan classes) never take.
-fn entry_value(state: &ClassState, i: usize) -> u64 {
-    match state {
-        ClassState::Sssp(s) => deduced_entry(s, i),
-        ClassState::Cc(s) => deduced_entry(s, i),
-        ClassState::Sim(s) => deduced_entry(s, i),
-        ClassState::Reach(s) => deduced_entry(s, i),
-        ClassState::Lcc(s) => {
-            let v = i as NodeId;
-            (s.degree(v) << 32) | (s.triangles(v) & 0xffff_ffff)
-        }
-        ClassState::Dfs(_) | ClassState::Bc(_) => unreachable!("full-rescan classes"),
     }
 }
 
 /// A live query-class state plus the [`ExecOptions`] it runs under.
 /// Built by [`Session::builder`]; see the module docs.
 ///
-/// The session keeps its [`OutputSnapshot`] materialized and coherent:
-/// every mutation routes through the [`IncrementalState`] impl (the
-/// concrete state is private), whose overrides refresh the snapshot —
-/// from the engine's changed-set after an incremental update, by full
-/// rescan after a recompute, load, or geometry change — and accumulate
-/// the net changes for the next [`take_delta`](Session::take_delta).
+/// Every mutation routes through the [`IncrementalState`] impl into the
+/// class state, whose write journal collects the changes for the next
+/// [`take_delta`](Session::take_delta).
 pub struct Session {
     class: QueryClass,
     exec: ExecOptions,
-    state: ClassState,
-    /// The materialized output, always current.
-    snap: OutputSnapshot,
-    /// Digest entry index → value at the last drain point, recorded on
-    /// the entry's *first* change since that drain (so self-cancelling
-    /// changes net out to nothing at drain time).
-    pending_entries: BTreeMap<u32, u64>,
-    /// Node → σ_x at the last drain point (`None` = node did not exist).
-    pending_nodes: BTreeMap<u32, Option<u64>>,
-    /// Digest length at the last drain point; a differing current length
-    /// means the geometry changed and entry diffs are meaningless.
-    drained_len: usize,
-    /// Reusable candidate buffer for the restricted refresh.
-    cand_buf: Vec<usize>,
+    state: Box<dyn ClassOutput>,
+    /// Node count at the last drain point; nodes past it are new.
+    drained_nodes: usize,
 }
 
 impl Session {
@@ -389,23 +297,13 @@ impl Session {
         self.class
     }
 
-    /// The execution options guarded updates run under.
-    pub fn options(&self) -> &ExecOptions {
-        &self.exec
-    }
-
-    /// Replaces the execution options for subsequent guarded updates.
-    pub fn set_options(&mut self, exec: ExecOptions) {
-        self.exec = exec;
-    }
-
     /// One hardened incremental step under the stored options — the
     /// session-flavored [`update_with`](crate::update_with) — returning
     /// both the boundedness report and the typed [`OutputDelta`] of the
     /// step. Fallback paths (budget abort → recompute, failed audit →
     /// recompute) still produce the correct *net* delta: each inner
-    /// mutation accumulates into the pending maps and the drain compares
-    /// first-old against last-new.
+    /// mutation journals its writes, the recompute journals what it
+    /// replaced, and the drain compares first-old against last-new.
     pub fn update_guarded(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> TrackedUpdate {
         let exec = self.exec;
         let report = update_with(self, g, applied, &exec);
@@ -415,60 +313,72 @@ impl Session {
         }
     }
 
-    /// The materialized output snapshot (always current).
-    pub fn output(&self) -> &OutputSnapshot {
-        &self.snap
+    /// The output, rendered on demand from the class state.
+    pub fn output(&self) -> OutputSnapshot<'_> {
+        OutputSnapshot::new(self.class, &*self.state)
     }
 
-    /// Unwraps the bare class state, dropping the output snapshot and
-    /// the delta bookkeeping — for holders that never read a delta (the
-    /// durable store's built-in states), which should not pay to keep
-    /// them current. The result is what
+    /// Heap bytes of the write journal the deltas are drained from; part
+    /// of [`space_bytes`](IncrementalState::space_bytes), which is the
+    /// class state's and nothing else.
+    pub fn journal_bytes(&self) -> usize {
+        self.state.journal_bytes()
+    }
+
+    /// Unwraps the bare class state with its journal stopped — for
+    /// holders that never read a delta (the durable store's built-in
+    /// states), which should not pay for one. The result is what
     /// [`restore_state`](crate::restore_state) rebuilds from this
     /// session's essence.
-    pub fn into_state(self) -> Box<dyn IncrementalState> {
-        match self.state {
-            ClassState::Sssp(s) => Box::new(s),
-            ClassState::Cc(s) => Box::new(s),
-            ClassState::Sim(s) => Box::new(s),
-            ClassState::Reach(s) => Box::new(s),
-            ClassState::Lcc(s) => Box::new(s),
-            ClassState::Dfs(s) => Box::new(s),
-            ClassState::Bc(s) => Box::new(s),
-        }
+    pub fn into_state(mut self) -> Box<dyn IncrementalState> {
+        self.state.set_journal(false);
+        self.state
     }
 
-    /// Drains the changes accumulated since the previous drain point
+    /// Drains the changes journaled since the previous drain point
     /// (session construction, the last `take_delta`, or the last
     /// [`update_guarded`](Self::update_guarded), which drains internally)
     /// into one net [`OutputDelta`]. Entries and nodes whose value
     /// returned to the drained-point value are filtered out, so a
-    /// self-cancelling update yields an empty delta — matching the old
-    /// "digests compare equal" behavior bit for bit.
+    /// self-cancelling update yields an empty delta.
     pub fn take_delta(&mut self) -> OutputDelta {
-        let cur_len = self.snap.digest_len();
-        let resync = (cur_len != self.drained_len).then_some(cur_len);
         let mut changes = Vec::new();
-        if resync.is_none() {
-            for (&i, &old) in &self.pending_entries {
-                let new = self.snap.entry(i as usize);
-                if new != old {
-                    changes.push(OutputChange { index: i, old, new });
-                }
+        let tail_resized = self.state.drain(&mut changes);
+        let out = self.output();
+        let (now, stride) = (out.nodes(), out.stride());
+        let known = self.drained_nodes.min(now);
+        // The changes, a run per node that existed at the drain point.
+        let mut rest = &changes[..changes.partition_point(|c| (c.index as usize) < known * stride)];
+        let mut nodes = Vec::with_capacity(rest.len().min(known) + now - known);
+        let rows = std::iter::from_fn(move || {
+            let v = rest.first()?.index as usize / stride;
+            let end = rest
+                .iter()
+                .position(|c| c.index as usize >= (v + 1) * stride);
+            let (row, tail) = rest.split_at(end.unwrap_or(rest.len()));
+            rest = tail;
+            Some((v, row))
+        });
+        for (v, row) in rows {
+            let (old, new) = out.node_change(v, row);
+            if old != new {
+                nodes.push(NodeChange {
+                    node: v as u32,
+                    old: Some(old),
+                    new,
+                });
             }
         }
-        let mut nodes = Vec::new();
-        for (&v, &old) in &self.pending_nodes {
-            if (v as usize) < self.snap.nodes() {
-                let new = self.snap.node_value(v as usize);
-                if old != Some(new) {
-                    nodes.push(NodeChange { node: v, old, new });
-                }
-            }
+        nodes.extend((known..now).map(|v| NodeChange {
+            node: v as u32,
+            old: None,
+            new: out.node_value(v),
+        }));
+        let resync = (known < now || tail_resized).then(|| out.digest_len());
+        if resync.is_some() {
+            changes = Vec::new();
         }
-        self.pending_entries.clear();
-        self.pending_nodes.clear();
-        self.drained_len = cur_len;
+        self.drained_nodes = now;
         OutputDelta {
             changes,
             nodes,
@@ -476,103 +386,13 @@ impl Session {
         }
     }
 
-    /// Refreshes the snapshot after an inner incremental update: the
-    /// candidate-restricted path when the class is engine-backed and the
-    /// geometry is unchanged (candidates = scope ∪ engine changed-set, a
-    /// safe superset — see the per-class `delta_candidates`), a full
-    /// rescan otherwise (DFS/BC, node growth).
-    fn refresh_after_update(&mut self, g: &DynamicGraph) {
-        let geometry_ok = self.snap.nodes() == g.node_count();
-        let mut cand = std::mem::take(&mut self.cand_buf);
-        cand.clear();
-        if geometry_ok {
-            match &self.state {
-                ClassState::Sssp(s) => s.delta_candidates(&mut cand),
-                ClassState::Cc(s) => s.delta_candidates(&mut cand),
-                ClassState::Sim(s) => s.delta_candidates(&mut cand),
-                ClassState::Reach(s) => s.delta_candidates(&mut cand),
-                ClassState::Lcc(s) => s.delta_candidates(&mut cand),
-                ClassState::Dfs(_) | ClassState::Bc(_) => {}
-            }
-        }
-        if geometry_ok && !matches!(self.state, ClassState::Dfs(_) | ClassState::Bc(_)) {
-            cand.sort_unstable();
-            cand.dedup();
-            let stride = self.snap.stride();
-            for &i in &cand {
-                if i >= self.snap.entries().len() {
-                    continue; // stale log entry beyond the current stream
-                }
-                let new = entry_value(&self.state, i);
-                let old = self.snap.entries()[i];
-                if new != old {
-                    let v = (i / stride) as u32;
-                    self.pending_nodes
-                        .entry(v)
-                        .or_insert_with(|| Some(self.snap.node_value(v as usize)));
-                    self.pending_entries.entry(i as u32).or_insert(old);
-                    self.snap.set_entry(i, new);
-                }
-            }
-        } else {
-            self.full_refresh(g);
-        }
-        self.cand_buf = cand;
-    }
-
-    /// Recomputes the snapshot from scratch and accumulates every
-    /// difference into the pending maps — the path for full-rescan
-    /// classes, recomputes, state loads, and geometry changes.
-    fn full_refresh(&mut self, g: &DynamicGraph) {
-        let fresh = compute_snapshot(self.class, &self.state, g);
-        let old = &self.snap;
-        let common = old.digest_len().min(fresh.digest_len());
-        for i in 0..common {
-            if old.entry(i) != fresh.entry(i) {
-                self.pending_entries.entry(i as u32).or_insert(old.entry(i));
-            }
-        }
-        for v in 0..fresh.nodes() {
-            let newv = fresh.node_value(v);
-            let oldv = (v < old.nodes()).then(|| old.node_value(v));
-            if oldv != Some(newv) {
-                self.pending_nodes.entry(v as u32).or_insert(oldv);
-            }
-        }
-        self.snap = fresh;
-    }
-
-    fn inner(&self) -> &dyn IncrementalState {
-        match &self.state {
-            ClassState::Sssp(s) => s,
-            ClassState::Cc(s) => s,
-            ClassState::Sim(s) => s,
-            ClassState::Reach(s) => s,
-            ClassState::Lcc(s) => s,
-            ClassState::Dfs(s) => s,
-            ClassState::Bc(s) => s,
-        }
-    }
-
-    fn inner_mut(&mut self) -> &mut dyn IncrementalState {
-        match &mut self.state {
-            ClassState::Sssp(s) => s,
-            ClassState::Cc(s) => s,
-            ClassState::Sim(s) => s,
-            ClassState::Reach(s) => s,
-            ClassState::Lcc(s) => s,
-            ClassState::Dfs(s) => s,
-            ClassState::Bc(s) => s,
-        }
-    }
-
     /// Canonical value digest: one `u64` stream, index-aligned to the
     /// class's status variables where the class is engine-backed (the
     /// basis of the differential oracle's AFF diff), value-complete for
-    /// all seven. A thin shim over the maintained [`OutputSnapshot`] —
-    /// byte-identical to the historical per-call computation.
+    /// all seven. The [`output`](Self::output) rendering, byte-identical
+    /// to the historical per-call computation.
     pub fn digest(&self, _g: &DynamicGraph) -> Vec<u64> {
-        self.snap.to_digest()
+        self.output().to_digest()
     }
 }
 
@@ -582,41 +402,35 @@ impl IncrementalState for Session {
     }
 
     fn total_vars(&self, g: &DynamicGraph) -> usize {
-        self.inner().total_vars(g)
+        self.state.total_vars(g)
     }
 
     fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let report = self.inner_mut().update(g, applied);
-        self.refresh_after_update(g);
-        report
+        self.state.update(g, applied)
     }
 
     fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        let stats = self.inner_mut().recompute(g);
-        self.full_refresh(g);
-        stats
+        self.state.recompute(g)
     }
 
     fn audit(&self, g: &DynamicGraph, audit: &FixpointAudit) -> AuditReport {
-        self.inner().audit(g, audit)
+        self.state.audit(g, audit)
     }
 
     fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.inner_mut().set_work_budget(budget);
+        self.state.set_work_budget(budget);
     }
 
     fn space_bytes(&self) -> usize {
-        self.inner().space_bytes()
+        self.state.space_bytes()
     }
 
     fn save_state(&self) -> Vec<u8> {
-        self.inner().save_state()
+        self.state.save_state()
     }
 
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        self.inner_mut().load_state(g, bytes)?;
-        self.full_refresh(g);
-        Ok(())
+        self.state.load_state(g, bytes)
     }
 }
 
@@ -792,6 +606,118 @@ mod tests {
                 tracked.delta
             );
         }
+    }
+
+    /// A bridge-list change that keeps its length, drained only after a
+    /// recompute (or a load) rebuilt the state — following an update, or
+    /// in its place — still reaches the tail: pendant `0–1` off triangle
+    /// `1–2–3` moves to `0–2`, so the one bridge `(0, 1)` becomes
+    /// `(0, 2)`.
+    #[test]
+    fn bc_tail_change_survives_a_replacement_before_the_drain() {
+        let mut g0 = DynamicGraph::new(false, 4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 1)] {
+            g0.insert_edge(u, v, 1);
+        }
+        for (update, load) in [(true, false), (true, true), (false, false), (false, true)] {
+            let mut g = g0.clone();
+            let mut session = Session::builder(QueryClass::Bc).build(&g).unwrap();
+            let prev = session.digest(&g);
+            let mut batch = UpdateBatch::new();
+            batch.delete(0, 1).insert(0, 2, 1);
+            let applied = batch.apply(&mut g);
+            if update {
+                session.update(&g, &applied);
+            }
+            if load {
+                let essence = BcState::batch(&g).0.save_state();
+                session.load_state(&g, &essence).unwrap();
+            } else {
+                session.recompute(&g);
+            }
+            let now = session.digest(&g);
+            assert_eq!((prev[4], now[4]), (1, 2), "the one bridge moved");
+            let delta = session.take_delta();
+            assert_eq!(delta.resync, None);
+            let mut replay = prev.clone();
+            for c in &delta.changes {
+                assert_eq!(replay[c.index as usize], c.old);
+                replay[c.index as usize] = c.new;
+            }
+            assert_eq!(replay, now, "update: {update}, load: {load}");
+        }
+    }
+
+    /// The rendering is the historical digest formula, byte for byte:
+    /// deduced classes `enc()` their status, LCC packs degree and
+    /// triangles, DFS lists first/last/parent, BC packs lowpoint and
+    /// articulation bit and then lists its bridges.
+    #[test]
+    fn rendering_is_the_historical_digest() {
+        use crate::persist::Word;
+        let mut g = ring(12);
+        let mut sessions: Vec<Session> = QueryClass::ALL
+            .into_iter()
+            .map(|c| builder_for(c).build(&g).unwrap())
+            .collect();
+        let mut batch = UpdateBatch::new();
+        batch.delete(3, 4).insert(2, 9, 1).delete(0, 6);
+        let applied = batch.apply(&mut g);
+        for s in &mut sessions {
+            s.update_guarded(&g, &applied);
+        }
+        let n = g.node_count() as NodeId;
+        fn enc<V: Word>(vals: &[V]) -> Vec<u64> {
+            vals.iter().map(|v| v.enc()).collect()
+        }
+        let (lcc, dfs, bc) = (
+            LccState::batch(&g).0,
+            DfsState::batch(&g).0,
+            BcState::batch(&g).0,
+        );
+        let pack = |(a, b): (NodeId, NodeId)| ((a as u64) << 32) | b as u64;
+        let expected: [Vec<u64>; 7] = [
+            enc(SsspState::batch(&g, 0).0.values()),
+            enc(CcState::batch(&g).0.values()),
+            enc(SimState::batch(&g, Pattern::new(vec![0], &[])).0.values()),
+            enc(ReachState::batch(&g, 0).0.values()),
+            (0..n)
+                .map(|v| (lcc.degree(v) << 32) | (lcc.triangles(v) & 0xffff_ffff))
+                .collect(),
+            (0..n)
+                .flat_map(|v| [dfs.first(v), dfs.last(v), dfs.parent(v)].map(u64::from))
+                .collect(),
+            (0..n)
+                .map(|v| ((bc.low(v) as u64) << 1) | bc.is_articulation(&g, v) as u64)
+                .chain(bc.bridges(&g).into_iter().map(pack))
+                .collect(),
+        ];
+        for (s, want) in sessions.iter().zip(expected) {
+            let out = s.output();
+            assert_eq!(s.digest(&g), want, "{}", s.name());
+            assert_eq!(out.digest_len(), want.len(), "{}", s.name());
+            for (i, &e) in want.iter().enumerate() {
+                assert_eq!(out.entry(i), e, "{} entry {i}", s.name());
+            }
+        }
+    }
+
+    /// A node's value: Sim's match bitmask over its pattern nodes, DFS's
+    /// preorder rank, every other class's one entry.
+    #[test]
+    fn node_values_read_the_row() {
+        let mut g = DynamicGraph::with_labels(false, vec![0, 1, 0, 1]);
+        g.insert_edge(0, 1, 1);
+        g.insert_edge(1, 2, 1);
+        let sim = Session::builder(QueryClass::Sim)
+            .pattern(Pattern::new(vec![0, 1], &[(0, 1)]))
+            .build(&g)
+            .unwrap();
+        let masks: Vec<u64> = (0..4).map(|v| sim.output().node_value(v)).collect();
+        assert_eq!(masks, [0b01, 0b10, 0b01, 0b10]);
+        let dfs = Session::builder(QueryClass::Dfs).build(&g).unwrap();
+        let ranks: Vec<u64> = (0..4).map(|v| dfs.output().node_value(v)).collect();
+        assert_eq!(ranks, [0, 1, 2, 6]);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! grows to its working capacity; after that, a ΔG update must not touch
 //! the heap at all.
 //!
+//! The same holds one layer up: a warm [`Session::update_guarded`]
+//! allocates only the [`OutputDelta`](incgraph_algos::OutputDelta) it
+//! returns — its `changes` and `nodes` vectors — however many entries
+//! moved, because the delta is drained from the state's write journal
+//! rather than assembled in per-entry maps.
+//!
 //! Gated behind the `alloc-count` feature because the wrapper
 //! intercepts every allocation in the test binary:
 //!
@@ -22,7 +28,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use incgraph_algos::{
-    BcState, CcState, DfsState, IncrementalState, ReachState, SimState, SsspState,
+    BcState, CcState, DfsState, IncrementalState, QueryClass, ReachState, Session, SimState,
+    SsspState,
 };
 use incgraph_graph::{AppliedBatch, DynamicGraph, Pattern, UpdateBatch};
 
@@ -196,7 +203,7 @@ fn two_paths_with_a_chord() -> DynamicGraph {
 /// round changes the forest and the two shapes repeat.
 fn cut_and_restore_round(g: &mut DynamicGraph, round: usize) -> AppliedBatch {
     let mut batch = UpdateBatch::new();
-    if round % 2 == 0 {
+    if round.is_multiple_of(2) {
         batch.delete(45, 46);
     } else {
         batch.insert(45, 46, 1);
@@ -220,4 +227,198 @@ fn bc_steady_state_update_is_allocation_free() {
     let g = two_paths_with_a_chord();
     let (state, _) = BcState::batch(&g);
     steady_state_is_allocation_free(g, state, cut_and_restore_round);
+}
+
+/// Entries a warm session batch below must move, at least.
+const MIN_DELTA: usize = 64;
+
+/// The session body: warm up, then every guarded update must allocate
+/// at most the two vectors of the delta it returns, while moving at
+/// least [`MIN_DELTA`] digest entries.
+fn warm_session_update_allocates_only_its_delta(
+    mut g: DynamicGraph,
+    mut session: Session,
+    churn: fn(&mut DynamicGraph, usize) -> AppliedBatch,
+) {
+    for round in 0..WARMUP_ROUNDS {
+        let applied = churn(&mut g, round);
+        session.update_guarded(&g, &applied);
+    }
+    for round in WARMUP_ROUNDS..WARMUP_ROUNDS + MEASURE_ROUNDS {
+        let applied = churn(&mut g, round);
+        let mut moved = 0;
+        let allocs = count_allocs(|| {
+            moved = session.update_guarded(&g, &applied).delta.changes.len();
+        });
+        let name = session.name();
+        assert!(
+            moved >= MIN_DELTA,
+            "{name} round {round}: only {moved} entries moved"
+        );
+        assert!(
+            allocs <= 2,
+            "{name} warm update_guarded allocated {allocs} times for {moved} entries in round {round}"
+        );
+    }
+}
+
+/// Arm length of [`seesaw`].
+const ARM: u32 = 128;
+
+/// Two undirected paths hanging off node 0 — the left arm `1..=ARM`, the
+/// right arm `ARM+1..=2·ARM` — each attached through its first edge.
+fn seesaw() -> DynamicGraph {
+    let mut g = DynamicGraph::new(false, 2 * ARM as usize + 1);
+    for v in (1..ARM).chain(ARM + 1..2 * ARM) {
+        g.insert_edge(v, v + 1, 1);
+    }
+    g.insert_edge(0, 1, 1);
+    g
+}
+
+/// Detaches one arm from node 0 and attaches the other, alternately: the
+/// two rounds mirror each other, so every scratch high-water mark
+/// repeats, and each moves the distance, component and reachability of
+/// both arms' nodes.
+fn seesaw_round(g: &mut DynamicGraph, round: usize) -> AppliedBatch {
+    let (cut, join) = if round.is_multiple_of(2) {
+        (1, ARM + 1)
+    } else {
+        (ARM + 1, 1)
+    };
+    let mut batch = UpdateBatch::new();
+    batch.delete(0, cut).insert(0, join, 1);
+    batch.apply(g)
+}
+
+/// Two directed cycles of [`ARM`] nodes with alternating labels, the
+/// second missing its closing arc.
+fn two_cycles() -> DynamicGraph {
+    let n = 2 * ARM;
+    let mut g = DynamicGraph::with_labels(true, (0..n).map(|v| v % 2).collect());
+    for base in [0, ARM] {
+        for i in 0..ARM - 1 {
+            g.insert_edge(base + i, base + i + 1, 1);
+        }
+    }
+    g.insert_edge(ARM - 1, 0, 1);
+    g
+}
+
+/// Opens one cycle and closes the other, alternately: under a cyclic
+/// pattern, every node of one cycle loses its match and every node of
+/// the other regains it.
+fn two_cycles_round(g: &mut DynamicGraph, round: usize) -> AppliedBatch {
+    let (open, close) = if round.is_multiple_of(2) {
+        (0, ARM)
+    } else {
+        (ARM, 0)
+    };
+    let mut batch = UpdateBatch::new();
+    batch
+        .delete(open + ARM - 1, open)
+        .insert(close + ARM - 1, close, 1);
+    batch.apply(g)
+}
+
+/// An undirected ladder — rails `0..ARM` and `ARM..2·ARM`, a rung
+/// `(i, ARM + i)` at every step — whose first rail is closed into a
+/// cycle. Removing one rail edge leaves it 2-edge-connected, so BC's
+/// bridge list (the digest's tail) stays empty. One more, isolated node
+/// keeps BC's lowpoint scope short of the whole graph: a whole-graph run
+/// is a batch run, after which the engine hands its queue back.
+fn ladder() -> DynamicGraph {
+    let mut g = DynamicGraph::new(false, 2 * ARM as usize + 1);
+    for i in 0..ARM {
+        if i + 1 < ARM {
+            g.insert_edge(i, i + 1, 1);
+            g.insert_edge(ARM + i, ARM + i + 1, 1);
+        }
+        g.insert_edge(i, ARM + i, 1);
+    }
+    g.insert_edge(0, ARM - 1, 1);
+    g
+}
+
+/// Cuts an early edge of the first rail on even rounds and restores it
+/// on odd ones: the DFS then turns onto the second rail there instead of
+/// at the end, moving the timestamps, parents and lowpoints of most
+/// nodes.
+fn ladder_round(g: &mut DynamicGraph, round: usize) -> AppliedBatch {
+    let (u, v) = (ARM / 4, ARM / 4 + 1);
+    let mut batch = UpdateBatch::new();
+    if round.is_multiple_of(2) {
+        batch.delete(u, v);
+    } else {
+        batch.insert(u, v, 1);
+    }
+    batch.apply(g)
+}
+
+fn session(class: QueryClass, g: &DynamicGraph) -> Session {
+    let mut b = Session::builder(class);
+    if class.source_rooted() {
+        b = b.source(0);
+    }
+    if class == QueryClass::Sim {
+        b = b.pattern(Pattern::new(vec![0, 1], &[(0, 1), (1, 0)]));
+    }
+    b.build(g).expect("session builds")
+}
+
+/// Fails at 15e63b7: the session re-read its candidates into two
+/// `BTreeMap`s, one node allocation per changed entry.
+#[test]
+fn sssp_warm_session_update_allocates_only_its_delta() {
+    let g = seesaw();
+    let s = session(QueryClass::Sssp, &g);
+    warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
+}
+
+#[test]
+fn cc_warm_session_update_allocates_only_its_delta() {
+    let g = seesaw();
+    let s = session(QueryClass::Cc, &g);
+    warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
+}
+
+#[test]
+fn reach_warm_session_update_allocates_only_its_delta() {
+    let g = seesaw();
+    let s = session(QueryClass::Reach, &g);
+    warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
+}
+
+#[test]
+fn sim_warm_session_update_allocates_only_its_delta() {
+    let g = two_cycles();
+    let s = session(QueryClass::Sim, &g);
+    warm_session_update_allocates_only_its_delta(g, s, two_cycles_round);
+}
+
+/// Fails at 15e63b7: the session rebuilt and diffed the whole output.
+#[test]
+fn dfs_warm_session_update_allocates_only_its_delta() {
+    let g = ladder();
+    let s = session(QueryClass::Dfs, &g);
+    warm_session_update_allocates_only_its_delta(g, s, ladder_round);
+}
+
+#[test]
+fn bc_warm_session_update_allocates_only_its_delta() {
+    let g = ladder();
+    let s = session(QueryClass::Bc, &g);
+    warm_session_update_allocates_only_its_delta(g, s, ladder_round);
+}
+
+/// The seesaw is a forest: every edge a bridge, and swapping the arms
+/// keeps their number while moving most of the tail's positions. An
+/// isolated node keeps the lowpoint scope short of the whole graph, as in
+/// [`ladder`].
+#[test]
+fn bc_warm_session_tail_update_allocates_only_its_delta() {
+    let mut g = seesaw();
+    g.add_node(0);
+    let s = session(QueryClass::Bc, &g);
+    warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
 }

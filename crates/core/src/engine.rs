@@ -118,11 +118,6 @@ pub struct Engine {
     /// an incremental run that stops paying for itself is cut short
     /// mid-flight instead of grinding through an `|AFF| ≈ |Ψ|` scope.
     work_budget: Option<u64>,
-    /// Variables whose value changed during the last run, in application
-    /// order (a variable may appear more than once). This is the engine's
-    /// changed-set: the scope `H⁰` alone is *not* a safe candidate set for
-    /// output diffing because propagation pushes dependents beyond it.
-    changed: Vec<usize>,
 }
 
 impl Engine {
@@ -137,16 +132,7 @@ impl Engine {
             seen: vec![false; num_vars],
             epoch: 0,
             work_budget: None,
-            changed: Vec::new(),
         }
-    }
-
-    /// Variables whose value changed during the last [`run`](Self::run),
-    /// in application order (duplicates possible). Cleared at the start of
-    /// every run; callers diffing outputs should union this with the
-    /// initial scope for a safe candidate superset.
-    pub fn changed_vars(&self) -> &[usize] {
-        &self.changed
     }
 
     /// Sets (or clears) the distinct-variable work budget for subsequent
@@ -166,7 +152,6 @@ impl Engine {
             + self.pend.capacity()
             + self.mark.capacity() * 4
             + self.seen.capacity()
-            + self.changed.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Runs the step function to a fixpoint from the given initial scope.
@@ -199,7 +184,6 @@ impl Engine {
         );
         let _span = incgraph_obs::span("engine.run");
         self.advance_epoch();
-        self.changed.clear();
         let mut stats = RunStats::default();
 
         // Walk the scope once to learn the rank band before binning
@@ -285,7 +269,6 @@ impl Engine {
                     );
                     status.set(x, newv);
                     stats.changes += 1;
-                    self.changed.push(x);
                     newv
                 } else if kind & PEND_PROP != 0 {
                     // The eval found σ_x already satisfied, but an earlier
@@ -315,7 +298,6 @@ impl Engine {
                             );
                             status.set(z, cand);
                             stats.changes += 1;
-                            self.changed.push(z);
                             let zr = spec.rank(z, &cand).min(RANK_CAP);
                             self.push(z, zr, PEND_PROP, &mut stats);
                         }

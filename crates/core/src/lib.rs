@@ -66,8 +66,8 @@ pub use coalesce::{coalesce_batches, Coalescer};
 pub use engine::{run_fixpoint, Engine, RunStats};
 pub use epoch::VisitEpoch;
 pub use fallback::{AuditAction, FallbackDecision, FallbackPolicy, FallbackReason};
-pub use metrics::{BoundednessReport, SpaceUsage};
+pub use metrics::BoundednessReport;
 pub use scope::{bounded_scope_in, pe_reset_scope_in, ContributorOracle, ScopeScratch, ScopeStats};
 pub use spec::FixpointSpec;
-pub use status::Status;
+pub use status::{Journal, Status};
 pub use trace::{CaseTrace, TraceEvent};

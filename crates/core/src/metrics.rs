@@ -15,13 +15,6 @@ use crate::engine::RunStats;
 use crate::fallback::FallbackDecision;
 use crate::scope::ScopeStats;
 
-/// Anything whose resident structure size can be reported; the Fig. 8
-/// space experiment sums these over each algorithm's state.
-pub trait SpaceUsage {
-    /// Heap bytes held by this structure.
-    fn space_bytes(&self) -> usize;
-}
-
 /// Empirical relative-boundedness report for one incremental run: how much
 /// of the status-variable universe the run actually inspected, the
 /// quantity the paper reports as `|AFF|` fractions in Exp-1(1c)/(2c).
@@ -31,8 +24,6 @@ pub struct BoundednessReport {
     pub scope_size: usize,
     /// Distinct status variables the engine inspected.
     pub inspected_vars: u64,
-    /// Variables whose value actually changed.
-    pub changed_vars: u64,
     /// Total status variables `|Ψ_A|`.
     pub total_vars: usize,
     /// Work spent in the scope function `h`.
@@ -57,7 +48,6 @@ impl BoundednessReport {
         BoundednessReport {
             scope_size,
             inspected_vars: run_stats.distinct_vars.max(scope_size as u64),
-            changed_vars: run_stats.changes,
             total_vars,
             scope_stats,
             run_stats,
@@ -99,7 +89,7 @@ impl BoundednessReport {
         obs::counter("update.runs", 1);
         obs::observe("update.scope_size", self.scope_size as u64);
         obs::observe("update.inspected", self.inspected_vars);
-        obs::observe("update.changed", self.changed_vars);
+        obs::observe("update.changed", self.run_stats.changes);
         obs::gauge("update.total_vars", self.total_vars as u64);
         if self.fell_back() {
             obs::counter("update.fallbacks", 1);

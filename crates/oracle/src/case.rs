@@ -19,7 +19,6 @@
 //! pattern-edge 0 1
 //! classes sssp,cc,sim,reach,lcc,dfs,bc
 //! plan d = sssp(source=3); n = count(d)   # optional dataflow-oracle plan
-//! threads 1,2,4                # accepted and ignored (pre-single-engine corpus files)
 //! edge 0 1 5                   # base graph: src dst weight
 //! batch                        # schedule: batches of +/- ops
 //! + 0 2 3
@@ -278,9 +277,6 @@ impl Case {
                         .map_err(|e| err(lineno, format!("bad plan: {e}")))?;
                     plan = Some(text.to_string());
                 }
-                // Written by the seq-vs-par oracle this format used to
-                // carry; still accepted so old corpus files replay unedited.
-                "threads" => {}
                 "edge" => {
                     let u = num("edge <u> <v> <w>")? as NodeId;
                     let v = num("edge <u> <v> <w>")? as NodeId;

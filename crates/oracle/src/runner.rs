@@ -15,6 +15,12 @@
 //!    (`|AFF_diff| ≤ inspected`) — an incremental run that changes a
 //!    variable it never inspected is mis-accounting the very quantity
 //!    the paper's boundedness claims are stated over.
+//! 3. **Output delta** ([`check_delta`]): the delta the session drains
+//!    after each round must carry the previous output to the current
+//!    one — entry changes replayed onto the previous digest give the new
+//!    digest (or a resync names the new length), every node change's
+//!    `old`/`new` match the two renderings, no moved node is missing, and
+//!    a round that moved nothing drains an empty delta.
 //!
 //! Faults ([`Fault`]) model the bug shapes PR 1's audit caught in the
 //! wild (missed undirected mirrors): they doctor the `AppliedBatch`
@@ -22,7 +28,7 @@
 //! ΔG, so the oracles must notice.
 
 use crate::case::Case;
-use incgraph_algos::{IncrementalState, Session};
+use incgraph_algos::{IncrementalState, OutputDelta, Session};
 use incgraph_core::metrics::BoundednessReport;
 use incgraph_dataflow::{eval_once, DataflowSession, Plan, PlanContext, Source};
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Pattern};
@@ -49,6 +55,9 @@ pub enum OracleKind {
     /// The standing dataflow view diverged from a fresh plan evaluation
     /// on the current graph (cases carrying a `plan` line).
     Dataflow,
+    /// The session's drained output delta does not carry its previous
+    /// output to the current one.
+    Delta,
 }
 
 impl OracleKind {
@@ -59,6 +68,7 @@ impl OracleKind {
             OracleKind::Boundedness => "boundedness",
             OracleKind::Coalesce { .. } => "coalesce",
             OracleKind::Dataflow => "dataflow",
+            OracleKind::Delta => "delta",
         }
     }
 
@@ -199,8 +209,11 @@ struct ClassUnderTest {
     /// The coalesce-oracle session (`case.coalesce` only): sees the
     /// pending ΔG batches merged into one net batch at every flush.
     coal: Option<Session>,
-    /// Batch-fixpoint digest of the previous round, for the AFF diff.
+    /// Batch-fixpoint digest of the previous round, for the AFF diff —
+    /// also `inc`'s previous output, once inc-vs-batch has held.
     prev_full: Vec<u64>,
+    /// `inc`'s previous per-node values, for the delta oracle.
+    prev_nodes: Vec<u64>,
 }
 
 /// First index at which two digests differ, with both values. A length
@@ -231,6 +244,85 @@ fn view_diff(standing: &[(u64, u64, i64)], fresh: &[(u64, u64, i64)]) -> String 
         standing.len(),
         fresh.len()
     )
+}
+
+/// Per-node values of a session's current output.
+fn node_values(session: &Session) -> Vec<u64> {
+    let out = session.output();
+    (0..out.nodes()).map(|v| out.node_value(v)).collect()
+}
+
+/// The delta oracle: `delta`, drained after one round, must carry the
+/// previous output (`prev` digest, `prev_nodes` per-node values) to the
+/// current one (`now`, `now_nodes`) exactly.
+fn check_delta(
+    prev: &[u64],
+    prev_nodes: &[u64],
+    delta: &OutputDelta,
+    now: &[u64],
+    now_nodes: &[u64],
+) -> Result<(), String> {
+    if prev == now && prev_nodes == now_nodes && !delta.is_empty() {
+        return Err(format!("a round that moved nothing drained {delta:?}"));
+    }
+    match delta.resync {
+        Some(len) if len != now.len() || prev.len() == now.len() => {
+            return Err(format!(
+                "resync to {len} entries, digest went {} -> {}",
+                prev.len(),
+                now.len()
+            ));
+        }
+        Some(_) => {}
+        None if prev.len() != now.len() => {
+            return Err(format!(
+                "digest resized {} -> {} without a resync",
+                prev.len(),
+                now.len()
+            ));
+        }
+        None => {
+            let mut replay = prev.to_vec();
+            for c in &delta.changes {
+                let i = c.index as usize;
+                if c.old == c.new || prev.get(i) != Some(&c.old) {
+                    return Err(format!(
+                        "entry {i} listed {} -> {}, previous output holds {:?}",
+                        c.old,
+                        c.new,
+                        prev.get(i)
+                    ));
+                }
+                replay[i] = c.new;
+            }
+            if let Some((i, a, b)) = first_diff(&replay, now) {
+                return Err(format!(
+                    "replayed delta gives entry {i} = {a}, output has {b}"
+                ));
+            }
+        }
+    }
+    for nc in &delta.nodes {
+        let v = nc.node as usize;
+        if nc.old != prev_nodes.get(v).copied() || Some(&nc.new) != now_nodes.get(v) {
+            return Err(format!(
+                "node {v} listed {:?} -> {}, outputs hold {:?} -> {:?}",
+                nc.old,
+                nc.new,
+                prev_nodes.get(v),
+                now_nodes.get(v)
+            ));
+        }
+    }
+    let moved = (0..now_nodes.len()).filter(|&v| prev_nodes.get(v) != Some(&now_nodes[v]));
+    let moved = moved.count();
+    if moved != delta.nodes.len() {
+        return Err(format!(
+            "{moved} nodes moved, the delta lists {}",
+            delta.nodes.len()
+        ));
+    }
+    Ok(())
 }
 
 /// The boundedness accounting checks for one incremental run.
@@ -288,6 +380,7 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
     for &class in &case.classes {
         let inc = build_session(class, &g, source, pattern);
         let prev_full = inc.digest(&g);
+        let prev_nodes = node_values(&inc);
         let coal = case
             .coalesce
             .then(|| build_session(class, &g, source, pattern));
@@ -296,6 +389,7 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
             inc,
             coal,
             prev_full,
+            prev_nodes,
         });
     }
 
@@ -397,6 +491,23 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
                 };
             }
 
+            checks += 1;
+            let delta = cut.inc.take_delta();
+            let nodes = node_values(&cut.inc);
+            if let Err(detail) = check_delta(&cut.prev_full, &cut.prev_nodes, &delta, &inc, &nodes)
+            {
+                return RunOutcome {
+                    checks,
+                    failure: Some(OracleFailure {
+                        class,
+                        round: Some(round),
+                        kind: OracleKind::Delta,
+                        detail,
+                    }),
+                };
+            }
+            cut.prev_nodes = nodes;
+
             if flush {
                 let state = cut.coal.as_mut().expect("flush implies coalesce sessions");
                 let net = incgraph_core::coalesce_batches(g.is_directed(), &pending);
@@ -477,8 +588,9 @@ mod tests {
     fn clean_case_passes_all_oracles_for_all_classes() {
         let outcome = run_case(&small_case(ClassId::ALL.to_vec()), None);
         assert!(outcome.passed(), "{:?}", outcome.failure);
-        // Per round: 7 value + 7 boundedness checks, times 2 rounds.
-        assert_eq!(outcome.checks, 2 * (7 + 7));
+        // Per round: 7 value + 7 boundedness + 7 delta checks, times 2
+        // rounds.
+        assert_eq!(outcome.checks, 2 * (7 + 7 + 7));
     }
 
     #[test]
@@ -489,7 +601,7 @@ mod tests {
         assert!(outcome.passed(), "{:?}", outcome.failure);
         // The 2-round schedule flushes once (at round 1, when two ΔG
         // batches are pending): plain-mode checks + 7 coalesce checks.
-        assert_eq!(outcome.checks, 2 * (7 + 7) + 7);
+        assert_eq!(outcome.checks, 2 * (7 + 7 + 7) + 7);
     }
 
     #[test]
@@ -534,6 +646,129 @@ mod tests {
         let outcome = run_case(&case, Some(Fault::DropDeletes));
         let failure = outcome.failure.expect("fault must be caught");
         assert!(failure.kind.same_kind(&OracleKind::IncVsBatch));
+    }
+
+    /// The delta oracle has teeth: a round's true delta passes, and the
+    /// same delta with one change dropped, or with one wrong `old`, is
+    /// caught.
+    #[test]
+    fn corrupted_deltas_are_caught() {
+        let case = small_case(vec![ClassId::Sssp]);
+        let mut g = case.build_graph();
+        let mut session = build_session(ClassId::Sssp, &g, 0, None);
+        let (prev, prev_nodes) = (session.digest(&g), node_values(&session));
+        let applied = case.schedule[0].apply(&mut g);
+        let delta = session.update_guarded(&g, &applied).delta;
+        let (now, now_nodes) = (session.digest(&g), node_values(&session));
+        assert!(delta.changes.len() >= 2, "{delta:?}");
+        let check = |d: &OutputDelta| check_delta(&prev, &prev_nodes, d, &now, &now_nodes);
+        assert_eq!(check(&delta), Ok(()));
+
+        let mut dropped = delta.clone();
+        dropped.changes.pop();
+        assert!(check(&dropped).is_err(), "a dropped change slipped through");
+
+        let mut wrong_old = delta.clone();
+        wrong_old.nodes[0].old = wrong_old.nodes[0].old.map(|v| v ^ 1);
+        assert!(
+            check(&wrong_old).is_err(),
+            "a wrong node `old` slipped through"
+        );
+        let mut wrong_old = delta;
+        wrong_old.changes[0].old ^= 1;
+        assert!(
+            check(&wrong_old).is_err(),
+            "a wrong entry `old` slipped through"
+        );
+    }
+
+    /// The delta oracle across state replacements, for all seven classes:
+    /// under a zero AFF budget every guarded update that does any work
+    /// falls back to a recompute (the engine-backed ones abort mid-run,
+    /// leaving partial writes), and an unguarded session gets an explicit
+    /// recompute or essence load — after an update or in its place —
+    /// before a second update and the drain. Each
+    /// drained delta must still carry the last drain's output to the
+    /// current one exactly.
+    #[test]
+    fn deltas_stay_exact_across_fallbacks_recomputes_and_loads() {
+        use incgraph_core::fallback::FallbackPolicy;
+        use incgraph_graph::rng::SplitMix64;
+        use incgraph_graph::UpdateBatch;
+        let n = 24;
+        let random_batch = |rng: &mut SplitMix64| {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..3 {
+                let (u, v) = (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId);
+                if u == v {
+                    continue;
+                }
+                if rng.gen_bool(0.5) {
+                    batch.insert(u, v, 1 + rng.gen_range(0..3) as u32);
+                } else {
+                    batch.delete(u, v);
+                }
+            }
+            batch
+        };
+        for class in ClassId::ALL {
+            let build = |g: &DynamicGraph, policy: FallbackPolicy| {
+                let mut b = Session::builder(class).policy(policy);
+                if class.source_rooted() {
+                    b = b.source(0);
+                }
+                if class == ClassId::Sim {
+                    b = b.pattern(Pattern::new(vec![0, 1], &[(0, 1), (1, 0)]));
+                }
+                b.build(g).expect("session build")
+            };
+            let mut g = incgraph_graph::gen::uniform(n as usize, 28, false, 3, 2, class as u64);
+            let mut guarded = build(&g, FallbackPolicy::with_max_aff_fraction(0.0));
+            let mut replaced = build(&g, FallbackPolicy::default());
+            let mut rng = SplitMix64::seed_from_u64(0xDE17A ^ class as u64);
+            let at = |s: &Session, g: &DynamicGraph| (s.digest(g), node_values(s));
+            let check =
+                |s: &Session, prev: &(Vec<u64>, Vec<u64>), d: &OutputDelta, g: &DynamicGraph| {
+                    let (now, now_nodes) = at(s, g);
+                    check_delta(&prev.0, &prev.1, d, &now, &now_nodes)
+                };
+            let mut fallbacks = 0;
+            for round in 0..24 {
+                let replaced_prev = at(&replaced, &g);
+                // Every other four rounds, a second update follows the
+                // replacement before the drain.
+                for step in 0..1 + (round / 4) % 2 {
+                    let guarded_prev = at(&guarded, &g);
+                    let applied = random_batch(&mut rng).apply(&mut g);
+                    let tracked = guarded.update_guarded(&g, &applied);
+                    fallbacks += tracked.report.fell_back() as u32;
+                    let checked = check(&guarded, &guarded_prev, &tracked.delta, &g);
+                    assert_eq!(checked, Ok(()), "{} guarded round {round}", class.name());
+
+                    // The first step replaces the state after its update,
+                    // or instead of it: then nothing but the replacement
+                    // journals the change.
+                    let (replace, after_update) = (step == 0, round % 4 < 2);
+                    if !replace || after_update {
+                        replaced.update(&g, &applied);
+                    }
+                    if replace && round % 2 == 0 {
+                        replaced.recompute(&g);
+                    } else if replace {
+                        let essence = build(&g, FallbackPolicy::default()).save_state();
+                        replaced.load_state(&g, &essence).expect("essence loads");
+                    }
+                }
+                let delta = replaced.take_delta();
+                let checked = check(&replaced, &replaced_prev, &delta, &g);
+                assert_eq!(checked, Ok(()), "{} replaced round {round}", class.name());
+            }
+            assert!(
+                fallbacks > 0,
+                "{}: no guarded update fell back",
+                class.name()
+            );
+        }
     }
 
     #[test]
