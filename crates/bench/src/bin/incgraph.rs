@@ -47,9 +47,9 @@
 //! code 7) and runs until a wire `SHUTDOWN` drains it; `incgraph load`
 //! drives many concurrent client sessions against a live server and
 //! prints per-class `UPDATE`→`ACK` latency percentiles; `incgraph chaos`
-//! runs the network-chaos oracle (byte-cutting proxy, abrupt server
-//! kill/restart cycles) and exits 1 on any exactly-once or recovery
-//! violation.
+//! and `incgraph failover` run the network-fault oracle (byte-cutting
+//! proxy and kill/restart cycles, or primary kill + replica promotion) on
+//! a fresh store and exit 1 on any exactly-once or recovery violation.
 //!
 //! Output paths (`--out`, `--metrics`, `--trace`, bench datapoints) get
 //! their parent directories created on demand, so pointing a run at
@@ -60,7 +60,7 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | success |
-//! | 1    | oracle violation (`fuzz`, `replay`, `chaos`, failed `load` sessions) |
+//! | 1    | oracle violation (`fuzz`, `replay`, `chaos`, `failover`, failed `load` sessions) |
 //! | 2    | usage error (bad flags, missing class/graph) |
 //! | 3    | file unreadable / output unwritable / durable store corrupt |
 //! | 4    | parse error (reported with its line number) |
@@ -1404,142 +1404,80 @@ fn run_load_cmd(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `incgraph chaos`: the network-chaos oracle from `crates/oracle` —
-/// real server, byte-cutting proxy, abrupt kill/restart cycles, then a
-/// WAL audit (exactly-once for every ack) and an essence check of the
-/// recovered store against genesis replay. Any violation exits 1.
-fn run_chaos_cmd(argv: &[String]) -> Result<(), CliError> {
-    use incgraph_oracle::ChaosConfig;
+/// `incgraph chaos` / `incgraph failover`: the network-fault oracle
+/// from `crates/oracle` (docs/ROBUSTNESS.md §6) under its restart or its
+/// failover schedule — real servers, concurrent exactly-once clients,
+/// kills keyed to their progress — then a WAL audit (exactly-once for
+/// every ack), a dedup-table check and an essence check of each surviving
+/// store against genesis replay. Any violation exits 1. The store must be
+/// empty or absent: the audit reads its whole history.
+fn run_chaos_cmd(cmd: &str, argv: &[String]) -> Result<(), CliError> {
+    use incgraph_oracle::{ChaosConfig, Schedule};
     let usage = |msg: &str| CliError::Usage(format!("{msg}\n{USAGE}"));
-    let mut cfg = ChaosConfig::default();
-    let mut store: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--store" => {
-                store = Some(
-                    it.next()
-                        .ok_or_else(|| usage("--store needs a dir"))?
-                        .clone(),
-                )
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--seed needs an integer"))?
-            }
-            "--clients" => {
-                cfg.clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--clients needs an integer"))?
-            }
-            "--batches" => {
-                cfg.batches_per_client = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--batches needs an integer"))?
-            }
-            "--kills" => {
-                cfg.kills = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--kills needs an integer"))?
-            }
-            "--no-proxy-faults" => cfg.proxy_faults = false,
-            flag => return Err(usage(&format!("unknown chaos flag {flag}"))),
-        }
+    fn number<T: std::str::FromStr>(
+        it: &mut std::slice::Iter<'_, String>,
+        flag: &str,
+    ) -> Result<T, CliError> {
+        it.next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| CliError::Usage(format!("{flag} needs an integer\n{USAGE}")))
     }
-    let store = store.ok_or_else(|| usage("chaos needs --store DIR"))?;
-    eprintln!(
-        "chaos: seed {:#x}, {} clients × {} batches, {} kill cycles, proxy faults {}",
-        cfg.seed,
-        cfg.clients,
-        cfg.batches_per_client,
-        cfg.kills,
-        if cfg.proxy_faults { "on" } else { "off" }
-    );
-    let report = incgraph_oracle::run_chaos(std::path::Path::new(&store), &cfg)
-        .map_err(|e| CliError::Oracle(format!("chaos violation: {e}")))?;
-    println!(
-        "chaos clean: {} acked ({} dup acks), {} reconnects, {} server deaths, \
-         {} WAL batches ({} committed-unacked), {} classes verified",
-        report.acked,
-        report.dup_acks,
-        report.reconnects,
-        report.server_deaths,
-        report.wal_batches,
-        report.committed_unacked,
-        report.classes_verified
-    );
-    Ok(())
-}
-
-/// `incgraph failover`: the partition/failover chaos oracle
-/// (see [`incgraph_oracle::failover`] and docs/ROBUSTNESS.md §6). One
-/// primary→replica cycle per crash point: kill the primary mid-stream,
-/// promote the replica, redirect the clients, then audit the new
-/// primary offline for exactly-once survival of every acked batch and
-/// genesis-replay equality.
-fn run_failover_cmd(argv: &[String]) -> Result<(), CliError> {
-    let usage = |msg: &str| CliError::Usage(format!("{msg}\n{USAGE}"));
-    let mut cfg = incgraph_oracle::FailoverConfig::default();
+    let mut cfg = ChaosConfig::default();
+    if cmd == "failover" {
+        cfg.schedule = Schedule::Failover {
+            points: CrashPoint::ALL.to_vec(),
+        };
+    }
     let mut store: Option<String> = None;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--store" => {
+        match (a.as_str(), &mut cfg.schedule) {
+            ("--store", _) => {
                 store = Some(
                     it.next()
                         .ok_or_else(|| usage("--store needs a dir"))?
                         .clone(),
                 )
             }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--seed needs an integer"))?
-            }
-            "--clients" => {
-                cfg.clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--clients needs an integer"))?
-            }
-            "--batches" => {
-                cfg.batches_per_client = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| usage("--batches needs an integer"))?
-            }
-            "--crash-at" => {
+            ("--seed", _) => cfg.seed = number(&mut it, a)?,
+            ("--clients", _) => cfg.clients = number(&mut it, a)?,
+            ("--batches", _) => cfg.batches_per_client = number(&mut it, a)?,
+            ("--kills", Schedule::Restarts { kills, .. }) => *kills = number(&mut it, a)?,
+            ("--no-proxy-faults", Schedule::Restarts { proxy_faults, .. }) => *proxy_faults = false,
+            ("--crash-at", Schedule::Failover { points }) => {
                 let name = it
                     .next()
                     .ok_or_else(|| usage("--crash-at needs a crash point name"))?;
-                cfg.points = vec![CrashPoint::parse(name)
+                *points = vec![CrashPoint::parse(name)
                     .ok_or_else(|| usage(&format!("unknown crash point `{name}`")))?];
             }
-            flag => return Err(usage(&format!("unknown failover flag {flag}"))),
+            (flag, _) => return Err(usage(&format!("unknown {cmd} flag {flag}"))),
         }
     }
-    let store = store.ok_or_else(|| usage("failover needs --store DIR"))?;
+    let store = store.ok_or_else(|| usage(&format!("{cmd} needs --store DIR")))?;
+    // A second run on the same store would audit the first run's history
+    // against the second run's clients: refuse it before any server starts.
+    if std::fs::read_dir(&store).is_ok_and(|mut d| d.next().is_some()) {
+        return Err(usage(&format!(
+            "--store {store} is not empty: {cmd} needs a fresh store"
+        )));
+    }
     eprintln!(
-        "failover: seed {:#x}, {} clients × {} batches, crash points {:?}",
-        cfg.seed, cfg.clients, cfg.batches_per_client, cfg.points
+        "{cmd}: seed {:#x}, {} clients × {} batches, {:?}",
+        cfg.seed, cfg.clients, cfg.batches_per_client, cfg.schedule
     );
-    let report = incgraph_oracle::run_failover(std::path::Path::new(&store), &cfg)
-        .map_err(|e| CliError::Oracle(format!("failover violation: {e}")))?;
+    let report = incgraph_oracle::run_chaos(std::path::Path::new(&store), &cfg)
+        .map_err(|e| CliError::Oracle(format!("{cmd} violation: {e}")))?;
     println!(
-        "failover clean: {} cycles, {} acked ({} dup acks), {} reconnects, \
-         {} WAL batches ({} committed-unacked), {} class essences verified",
-        report.cycles,
+        "{cmd} clean: {} stores, {} acked ({} dup acks), {} reconnects, {} server deaths \
+         (acked at each: {:?}), {} WAL batches, {} class essences verified",
+        report.stores,
         report.acked,
         report.dup_acks,
         report.reconnects,
+        report.acked_at_deaths.len(),
+        report.acked_at_deaths,
         report.wal_batches,
-        report.committed_unacked,
         report.classes_verified
     );
     Ok(())
@@ -1920,8 +1858,7 @@ fn dispatch(argv: &[String], obs: &ObsSetup) -> Result<(), CliError> {
         Some("recover") => return run_recover(&argv[1..]),
         Some("serve") => return run_serve(&argv[1..]),
         Some("load") => return run_load_cmd(&argv[1..]),
-        Some("chaos") => return run_chaos_cmd(&argv[1..]),
-        Some("failover") => return run_failover_cmd(&argv[1..]),
+        Some(cmd @ ("chaos" | "failover")) => return run_chaos_cmd(cmd, &argv[1..]),
         Some("promote") => return run_promote(&argv[1..]),
         Some("verify-store") => return run_verify_store(&argv[1..]),
         Some("stream") => return run_stream_cmd(&argv[1..], obs),

@@ -1,57 +1,92 @@
-//! Network chaos harness for the incremental graph service.
+//! Network-fault oracle for the incremental graph service.
 //!
-//! Drives a real [`Server`] through a byte-level fault-injecting TCP
-//! proxy while killing and restarting the server process-style (abrupt
-//! [`ServerHandle::kill`] plus armed [`CrashPoint`]s firing mid-commit),
-//! then audits the survivors' claims against the WAL itself:
+//! One harness drives real [`Server`]s with concurrent exactly-once
+//! clients under one of two fault schedules:
 //!
-//! 1. **No accepted-then-lost**: every batch a client holds an `ACK` for
-//!    is present in the recovered WAL.
-//! 2. **No double-apply**: no batch appears in the WAL twice, no matter
-//!    how many times disconnects forced the client to retry it.
+//! * [`Schedule::Restarts`] — one store behind a byte-cutting TCP proxy,
+//!   killed and restarted `kills` times. Even kills arm a random
+//!   [`CrashPoint`], so the death lands mid-commit; odd kills are abrupt
+//!   [`ServerHandle::kill`]s wherever the server stands.
+//! * [`Schedule::Failover`] — per crash point, a fresh primary→replica
+//!   pair whose semi-sync ack timeout is pinned far beyond the run (so
+//!   every `ACK` implies the replica fsynced the batch). The primary
+//!   dies at the armed point, the replica is promoted, and the clients
+//!   are redirected to it.
+//!
+//! Deaths are keyed to progress, not to the clock: each lands at a
+//! seeded threshold in `(0, clients × batches)` of started batches, and
+//! clients start no batch past the next threshold until the death has
+//! happened — so every kill finds work outstanding.
+//!
+//! The paper's algorithms are deterministic, so there is exactly one
+//! correct world per WAL history, and the store that survives is held to
+//! equality, not plausibility:
+//!
+//! 1. **Exactly once**: [`audit_wal`] against the clients' ledger of
+//!    `(wal_seq, fingerprint)` per `ACK`, tolerating no unacked record.
+//!    A dup `ACK` carries the original `wal_seq` and clients retry until
+//!    acked, so every committed record ends up acked; a double-apply or a
+//!    foreign batch shows up as a committed-unacked record, a lost write
+//!    as acked-but-lost.
+//! 2. **The dedup table agrees**: each client token's last ack is its
+//!    final sequence (shipped identities survived promotion).
 //! 3. **Recovery equals genesis replay**: the essence
 //!    ([`IncrementalState::save_state`]) of every one of the seven query
 //!    classes after real recovery is byte-identical to a fresh state fed
-//!    the scanned WAL from an empty graph — checkpoints, incremental
-//!    replay, and fallback recomputes may take any path, but they must
-//!    all land on the same fixpoint.
-//!
-//! Batches are crafted so the audit is decidable offline: client `i`'s
-//! batch `k` inserts exactly one edge unique to `(i, k)`, so a WAL scan
-//! recovers the full application history without cooperation from the
-//! server.
+//!    the WAL from an empty graph — checkpoints, replication, promotion,
+//!    incremental replay and fallback recomputes may take any path, but
+//!    they must all land on the same fixpoint.
 //!
 //! [`IncrementalState::save_state`]: incgraph_algos::IncrementalState::save_state
 
-use incgraph_durable::wal::Wal;
-use incgraph_durable::{CrashPoint, DurableError, DurableOptions, WAL_NAME};
-use incgraph_graph::{DynamicGraph, NodeId, Update, UpdateBatch};
+use crate::walcheck::{audit_wal, batch_fingerprint, wal_records, AckedBatch, WalAuditFailure};
+use incgraph_durable::{CrashPoint, DurableError, DurableOptions};
+use incgraph_graph::rng::SplitMix64;
+use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
 use incgraph_service::client::{Client, ClientError};
+use incgraph_service::dedup;
 use incgraph_service::server::{Server, ServerConfig, ServerHandle};
 use incgraph_service::store::{standing_states, Store, StoreLimits, DURABLE_PATTERN_SEED};
-use std::collections::{HashMap, HashSet};
+use std::fmt::Display;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Chaos-run parameters.
+/// Oracle-run parameters.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// Seed for every random decision (faults, kill timing).
+    /// Seed for every random decision (faults, kill thresholds).
     pub seed: u64,
     /// Concurrent client sessions.
     pub clients: usize,
-    /// Batches each client must get acked.
+    /// Batches each client must get acked (per failover cycle).
     pub batches_per_client: usize,
-    /// Abrupt server kill/restart cycles injected during the run.
-    pub kills: usize,
-    /// Whether the proxy cuts connections at random byte offsets (on top
-    /// of the kills, which happen either way).
-    pub proxy_faults: bool,
+    /// Which faults the run injects.
+    pub schedule: Schedule,
+}
+
+/// The fault schedule of a run.
+#[derive(Clone, Debug)]
+pub enum Schedule {
+    /// One store, killed and restarted `kills` times; the proxy also cuts
+    /// connections at random byte offsets when `proxy_faults` is set.
+    Restarts {
+        /// Abrupt server deaths injected during the run.
+        kills: usize,
+        /// Whether the proxy cuts connections (the kills happen either
+        /// way).
+        proxy_faults: bool,
+    },
+    /// One primary→replica failover cycle per crash point, each on fresh
+    /// stores under `DIR/cycle<n>-{primary,replica}`.
+    Failover {
+        /// Crash points the primary dies at, one cycle each.
+        points: Vec<CrashPoint>,
+    },
 }
 
 impl Default for ChaosConfig {
@@ -60,63 +95,68 @@ impl Default for ChaosConfig {
             seed: 0xC4A05,
             clients: 5,
             batches_per_client: 10,
-            kills: 3,
-            proxy_faults: true,
+            schedule: Schedule::Restarts {
+                kills: 3,
+                proxy_faults: true,
+            },
         }
     }
 }
 
-/// What the run survived, for reporting.
+/// What the run survived, summed over every audited store.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosReport {
-    /// Batches acked across all clients (equals `clients × batches`).
+    /// Stores audited: one for restarts, one per failover cycle.
+    pub stores: usize,
+    /// Batches acked across all clients.
     pub acked: usize,
     /// Duplicate acks observed (retries of already-committed batches).
     pub dup_acks: usize,
-    /// Connections the clients had to rebuild.
+    /// Connections the clients had to (re)build.
     pub reconnects: usize,
-    /// Abrupt server deaths (kills plus fired crash points).
-    pub server_deaths: usize,
-    /// Committed batches found in the WAL by the audit.
+    /// Per abrupt server death, the batches acked when it died.
+    pub acked_at_deaths: Vec<usize>,
+    /// Committed batches found in the audited WALs.
     pub wal_batches: usize,
-    /// Unacked batches present in the WAL (committed, ack lost in
-    /// flight): legal, and evidence the dropped-ack path was exercised.
-    pub committed_unacked: usize,
     /// Query classes whose essences were verified against genesis replay.
     pub classes_verified: usize,
 }
 
-/// An audit violation — any of these is a real robustness bug.
+/// An audit violation — any of these but `Harness` is a real robustness
+/// bug.
 #[derive(Clone, Debug)]
 pub enum ChaosFailure {
-    /// A client holds an ack for a batch the WAL does not contain.
-    AckedButLost {
+    /// The surviving WAL breaks exactly-once for the clients' ledger.
+    Wal(WalAuditFailure),
+    /// The dedup table's last ack for a client token is not the client's
+    /// final sequence (0: the token is absent).
+    DedupMismatch {
+        /// Client token.
+        token: String,
+        /// Last client sequence the table holds.
+        last: u64,
+        /// Sequence the client finished at.
+        want: u64,
+    },
+    /// A server refused a client's batch with an error exactly-once
+    /// rules out (`seq-gap` on a retry: it lost the client's identity).
+    Refused {
         /// Client index.
         client: usize,
         /// Client-side batch sequence.
         batch: u64,
+        /// Wire error code and detail.
+        error: String,
     },
-    /// A batch appears in the WAL more than once.
-    DoubleApply {
-        /// Client index.
-        client: usize,
-        /// Client-side batch sequence.
-        batch: u64,
-        /// Occurrences found.
-        times: usize,
-    },
-    /// A WAL batch does not decode to any client's schedule.
-    ForeignBatch {
-        /// WAL sequence of the offending record.
-        wal_seq: u64,
-    },
+    /// Recovered graph shape differs from genesis replay.
+    GraphMismatch,
     /// A recovered class essence differs from genesis replay.
     EssenceMismatch {
         /// Class name.
         class: &'static str,
     },
-    /// Recovered graph shape differs from genesis replay.
-    GraphMismatch,
+    /// A violation in the failover cycle at this crash point.
+    AtPoint(CrashPoint, Box<ChaosFailure>),
     /// The harness itself could not finish (environment problem).
     Harness(String),
 }
@@ -124,59 +164,106 @@ pub enum ChaosFailure {
 impl std::fmt::Display for ChaosFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ChaosFailure::AckedButLost { client, batch } => {
-                write!(
-                    f,
-                    "client {client} batch {batch}: acked but absent from WAL"
-                )
-            }
-            ChaosFailure::DoubleApply {
+            ChaosFailure::Wal(e) => write!(f, "{e}"),
+            ChaosFailure::DedupMismatch { token, last, want } => write!(
+                f,
+                "dedup table for {token}: last ack {last}, client finished at {want}"
+            ),
+            ChaosFailure::Refused {
                 client,
                 batch,
-                times,
-            } => write!(f, "client {client} batch {batch}: applied {times} times"),
-            ChaosFailure::ForeignBatch { wal_seq } => {
-                write!(f, "WAL record {wal_seq} matches no client batch")
-            }
+                error,
+            } => write!(f, "client {client} batch {batch}: refused with ERR {error}"),
+            ChaosFailure::GraphMismatch => write!(f, "recovered graph differs from replay"),
             ChaosFailure::EssenceMismatch { class } => {
                 write!(f, "{class}: recovered essence differs from genesis replay")
             }
-            ChaosFailure::GraphMismatch => write!(f, "recovered graph differs from replay"),
+            ChaosFailure::AtPoint(point, e) => write!(f, "[{point}] {e}"),
             ChaosFailure::Harness(s) => write!(f, "harness error: {s}"),
         }
     }
 }
 
-struct Xorshift(u64);
+fn harness<E: Display>(what: &'static str) -> impl FnOnce(E) -> ChaosFailure {
+    move |e| ChaosFailure::Harness(format!("{what}: {e}"))
+}
 
-impl Xorshift {
-    fn new(seed: u64) -> Self {
-        Xorshift(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 const GRAPH: &str = "g0";
 
-/// The unique edge encoding batch `k` (1-based) of client `i`: endpoints
-/// are disjoint per client and per batch, so a WAL scan decodes the full
-/// history. Weight is a function of the edge (benign on re-insert).
-fn batch_edge(clients: usize, i: usize, k: u64) -> (NodeId, NodeId, u32) {
+/// Batch `k` (1-based) of client `i`: one edge unique to `(i, k)`, so
+/// every batch moves the graph and genesis replay sees the full history.
+/// Weight is a function of the edge (benign on re-insert).
+fn client_batch(clients: usize, i: usize, k: u64) -> UpdateBatch {
     let u = i as NodeId;
     let v = (clients as u64 + k) as NodeId;
-    (u, v, 1 + ((u + v) % 7))
+    let mut batch = UpdateBatch::new();
+    batch.insert(u, v, 1 + ((u + v) % 7));
+    batch
+}
+
+fn token(cycle: usize, i: usize) -> String {
+    format!("cl{cycle}-{i}")
 }
 
 fn graph_nodes(cfg: &ChaosConfig) -> usize {
     cfg.clients + cfg.batches_per_client + 2
+}
+
+fn durable_options() -> DurableOptions {
+    DurableOptions {
+        // Frequent automatic checkpoints put MidCheckpoint/PostRename
+        // crash points in the line of fire during the run.
+        checkpoint_every: Some(3),
+        ..DurableOptions::default()
+    }
+}
+
+/// Opens the durable store in `dir` and serves it, as a replica of
+/// `replica_of` if given. Every node can be a replication primary; with
+/// no replica attached its acks flow ungated.
+fn open_node(
+    dir: &Path,
+    nodes: usize,
+    replica_of: Option<SocketAddr>,
+) -> Result<ServerHandle, ChaosFailure> {
+    std::fs::create_dir_all(dir).map_err(harness("create dir"))?;
+    let cfg = ServerConfig {
+        read_poll: Duration::from_millis(10),
+        idle_timeout: Duration::from_secs(20),
+        repl_graph: Some(GRAPH.to_string()),
+        replica_of,
+        // Pinned far beyond the run: an ack must imply replication, not
+        // a timeout. The no-acked-lost audit depends on this.
+        repl_ack_timeout: Duration::from_secs(120),
+        // Force tail replication from sequence 0 so the new primary's
+        // WAL holds the complete history and genesis replay is total.
+        snapshot_lag: u64::MAX,
+        ..ServerConfig::default()
+    };
+    // The previous incarnation's lock releases when its store drops;
+    // retry briefly to absorb scheduling slack.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let opened = Store::open_durable(
+            dir,
+            GRAPH,
+            nodes,
+            false,
+            durable_options(),
+            StoreLimits::default(),
+        );
+        match opened {
+            Ok(store) => return Server::start(store, cfg).map_err(harness("server start")),
+            Err(DurableError::StoreBusy { .. }) if Instant::now() < deadline => {
+                thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => return Err(harness("open store")(e)),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -205,32 +292,44 @@ impl Proxy {
             .name("chaos-proxy".into())
             .spawn(move || {
                 let mut conn_idx = 0u64;
-                loop {
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while !stop2.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((client_side, _)) => {
                             conn_idx += 1;
-                            let t = *target.lock().unwrap_or_else(|e| e.into_inner());
+                            let t = *lock(&target);
                             let server_side =
                                 match TcpStream::connect_timeout(&t, Duration::from_millis(250)) {
                                     Ok(s) => s,
                                     Err(_) => continue, // server mid-restart
                                 };
-                            let mut rng =
-                                Xorshift::new(seed ^ conn_idx.wrapping_mul(0x9E3779B97F4A7C15));
+                            let mut rng = SplitMix64::seed_from_u64(
+                                seed ^ conn_idx.wrapping_mul(0x9E3779B97F4A7C15),
+                            );
                             // 0 = faithful; otherwise cut a direction
                             // (or both) after 5..=404 bytes.
-                            let style = if faults { rng.below(4) } else { 0 };
-                            let cut = |rng: &mut Xorshift| Some(5 + rng.below(400) as usize);
+                            let style = if faults { rng.gen_range(0..4u32) } else { 0 };
+                            let mut cut = || Some(rng.gen_range(5..405usize));
                             let (c2s_cut, s2c_cut) = match style {
-                                1 => (cut(&mut rng), None),
-                                2 => (None, cut(&mut rng)),
-                                3 => (cut(&mut rng), cut(&mut rng)),
+                                1 => (cut(), None),
+                                2 => (None, cut()),
+                                3 => (cut(), cut()),
                                 _ => (None, None),
                             };
-                            pump_pair(client_side, server_side, c2s_cut, s2c_cut, &stop2);
+                            let (Ok(c2), Ok(s2)) =
+                                (client_side.try_clone(), server_side.try_clone())
+                            else {
+                                continue;
+                            };
+                            // Detached pumps: they exit on EOF, cut,
+                            // error, or harness stop.
+                            for (from, to, cut) in
+                                [(client_side, server_side, c2s_cut), (s2, c2, s2c_cut)]
+                            {
+                                let stop = Arc::clone(&stop2);
+                                let _ = thread::Builder::new()
+                                    .stack_size(64 * 1024)
+                                    .spawn(move || pump(from, to, cut, stop));
+                            }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             thread::sleep(Duration::from_millis(2));
@@ -260,45 +359,16 @@ impl Drop for Proxy {
     }
 }
 
-fn pump_pair(
-    client_side: TcpStream,
-    server_side: TcpStream,
-    c2s_cut: Option<usize>,
-    s2c_cut: Option<usize>,
-    stop: &Arc<AtomicBool>,
-) {
-    let c2 = client_side.try_clone();
-    let s2 = server_side.try_clone();
-    let (Ok(c2), Ok(s2)) = (c2, s2) else { return };
-    let stop_a = Arc::clone(stop);
-    let stop_b = Arc::clone(stop);
-    // Detached pumps: they exit on EOF, cut, error, or harness stop.
-    let _ = thread::Builder::new()
-        .name("chaos-c2s".into())
-        .stack_size(64 * 1024)
-        .spawn(move || pump(client_side, server_side, c2s_cut, stop_a));
-    let _ = thread::Builder::new()
-        .name("chaos-s2c".into())
-        .stack_size(64 * 1024)
-        .spawn(move || pump(s2, c2, s2c_cut, stop_b));
-}
-
 /// Copies bytes `from` → `to` until EOF, error, or the cut budget runs
 /// out; a cut resets both directions so the client sees a raw drop.
 fn pump(mut from: TcpStream, mut to: TcpStream, mut budget: Option<usize>, stop: Arc<AtomicBool>) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(25)));
     let mut buf = [0u8; 1024];
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
+    while !stop.load(Ordering::Relaxed) {
         match from.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                let allowed = match budget {
-                    Some(b) => n.min(b),
-                    None => n,
-                };
+                let allowed = budget.map_or(n, |b| n.min(b));
                 if to.write_all(&buf[..allowed]).is_err() {
                     break;
                 }
@@ -322,188 +392,102 @@ fn pump(mut from: TcpStream, mut to: TcpStream, mut budget: Option<usize>, stop:
 }
 
 // ---------------------------------------------------------------------
-// The chaos run
+// Clients and the executioner
 // ---------------------------------------------------------------------
 
-fn durable_options() -> DurableOptions {
-    DurableOptions {
-        // Frequent automatic checkpoints put MidCheckpoint/PostRename
-        // crash points in the line of fire during the run.
-        checkpoint_every: Some(3),
-        ..DurableOptions::default()
+/// What the clients and the executioner share.
+#[derive(Default)]
+struct Ledger {
+    /// One entry per `ACK`, in arrival order.
+    acked: Vec<AckedBatch>,
+    dup_acks: usize,
+    reconnects: usize,
+    /// Batches whose first attempt has been sent.
+    started: usize,
+    /// Clients start no batch past this count until the executioner
+    /// moves it.
+    hold: usize,
+    /// Client threads still running.
+    running: usize,
+    /// Per server death, the batches acked when it died.
+    deaths: Vec<usize>,
+}
+
+struct Progress {
+    ledger: Mutex<Ledger>,
+    moved: Condvar,
+}
+
+impl Progress {
+    fn update(&self, f: impl FnOnce(&mut Ledger)) {
+        f(&mut lock(&self.ledger));
+        self.moved.notify_all();
+    }
+
+    fn wait_until(&self, ready: impl Fn(&Ledger) -> bool) -> MutexGuard<'_, Ledger> {
+        let mut l = lock(&self.ledger);
+        while !ready(&l) {
+            l = self.moved.wait(l).unwrap_or_else(|e| e.into_inner());
+        }
+        l
+    }
+
+    /// Blocks until the gate lets one more batch start, and counts it.
+    fn start_batch(&self) {
+        self.wait_until(|l| l.started < l.hold).started += 1;
+        self.moved.notify_all();
     }
 }
 
-fn server_config() -> ServerConfig {
-    ServerConfig {
-        read_poll: Duration::from_millis(10),
-        idle_timeout: Duration::from_secs(20),
-        ..ServerConfig::default()
+/// Counts a client in while its thread lives, however it ends.
+struct Running(Arc<Progress>);
+
+impl Running {
+    fn new(progress: &Arc<Progress>) -> Running {
+        progress.update(|l| l.running += 1);
+        Running(Arc::clone(progress))
     }
 }
 
-fn open_server(dir: &Path, nodes: usize) -> Result<ServerHandle, ChaosFailure> {
-    // The previous incarnation's lock releases when its store drops;
-    // retry briefly to absorb scheduling slack.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match Store::open_durable(
-            dir,
-            GRAPH,
-            nodes,
-            false,
-            durable_options(),
-            StoreLimits::default(),
-        ) {
-            Ok(store) => {
-                return Server::start(store, server_config())
-                    .map_err(|e| ChaosFailure::Harness(format!("server start: {e}")));
-            }
-            Err(DurableError::StoreBusy { .. }) if Instant::now() < deadline => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(ChaosFailure::Harness(format!("open store: {e}"))),
-        }
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.0.update(|l| l.running -= 1);
     }
 }
 
-/// Runs the full chaos schedule against `dir` (which must be an empty or
-/// fresh directory) and audits the outcome. Returns the report, or the
-/// first violation found.
-pub fn run_chaos(dir: &Path, cfg: &ChaosConfig) -> Result<ChaosReport, ChaosFailure> {
-    std::fs::create_dir_all(dir).map_err(|e| ChaosFailure::Harness(format!("create dir: {e}")))?;
-    let nodes = graph_nodes(cfg);
-    let server = Arc::new(Mutex::new(Some(open_server(dir, nodes)?)));
-    let target = {
-        let guard = server.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::new(Mutex::new(guard.as_ref().expect("just started").addr()))
-    };
-    let mut proxy = Proxy::start(cfg.seed, Arc::clone(&target), cfg.proxy_faults)
-        .map_err(|e| ChaosFailure::Harness(format!("proxy: {e}")))?;
-    let proxy_addr = proxy.addr;
+/// One server death: the number of started batches it waits for, and the
+/// crash point armed for it (`None`: an abrupt kill).
+type Death = (usize, Option<CrashPoint>);
 
-    let acked: Arc<Mutex<HashSet<(usize, u64)>>> = Arc::new(Mutex::new(HashSet::new()));
-    let dup_acks = Arc::new(AtomicUsize::new(0));
-    let reconnects = Arc::new(AtomicUsize::new(0));
-    let clients_done = Arc::new(AtomicUsize::new(0));
-
-    // Client threads: push every batch until acked, reconnecting through
-    // whatever the network does to them.
-    let mut workers = Vec::new();
-    for i in 0..cfg.clients {
-        let cfg = cfg.clone();
-        let acked = Arc::clone(&acked);
-        let dup_acks = Arc::clone(&dup_acks);
-        let reconnects = Arc::clone(&reconnects);
-        let clients_done = Arc::clone(&clients_done);
-        workers.push(
-            thread::Builder::new()
-                .name(format!("chaos-cl{i}"))
-                .spawn(move || {
-                    let r = chaos_client(i, proxy_addr, &cfg, &acked, &dup_acks, &reconnects);
-                    clients_done.fetch_add(1, Ordering::Relaxed);
-                    r
-                })
-                .map_err(|e| ChaosFailure::Harness(format!("spawn client: {e}")))?,
-        );
-    }
-
-    // The executioner: kill/restart cycles while clients are live. Even
-    // cycles arm a crash point (death mid-commit); odd cycles kill
-    // outright. Every death is abrupt: no checkpoint, no goodbyes.
-    let mut rng = Xorshift::new(cfg.seed ^ 0xDEAD);
-    let mut deaths = 0usize;
-    for cycle in 0..cfg.kills {
-        if clients_done.load(Ordering::Relaxed) == cfg.clients {
-            break;
-        }
-        thread::sleep(Duration::from_millis(40 + rng.below(120)));
-        let mut guard = server.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(mut handle) = guard.take() {
-            if cycle % 2 == 0 {
-                let point = CrashPoint::ALL[rng.below(CrashPoint::ALL.len() as u64) as usize];
-                handle.arm_crash(GRAPH, point);
-                // Give a commit a moment to walk into it; kill anyway if
-                // no client happened to write.
-                let deadline = Instant::now() + Duration::from_millis(400);
-                while !handle.is_stopped() && Instant::now() < deadline {
-                    thread::sleep(Duration::from_millis(10));
-                }
-                if !handle.is_stopped() {
-                    handle.kill();
-                } else {
-                    handle.wait();
-                }
-            } else {
-                handle.kill();
-            }
-            deaths += 1;
-            let next = open_server(dir, nodes)?;
-            *target.lock().unwrap_or_else(|e| e.into_inner()) = next.addr();
-            *guard = Some(next);
-        }
-    }
-
-    let mut failure: Option<ChaosFailure> = None;
-    for w in workers {
-        match w.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(f)) => failure = failure.or(Some(f)),
-            Err(_) => failure = failure.or(Some(ChaosFailure::Harness("client panicked".into()))),
-        }
-    }
-    proxy.stop();
-    // Graceful final shutdown: drain + checkpoint, then release the dir.
-    if let Some(mut handle) = server.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        handle.shutdown();
-    }
-    if let Some(f) = failure {
-        return Err(f);
-    }
-
-    let acked = Arc::try_unwrap(acked)
-        .map_err(|_| ChaosFailure::Harness("acked set still shared".into()))?
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
-    let mut report = ChaosReport {
-        acked: acked.len(),
-        dup_acks: dup_acks.load(Ordering::Relaxed),
-        reconnects: reconnects.load(Ordering::Relaxed),
-        server_deaths: deaths,
-        ..ChaosReport::default()
-    };
-    audit(dir, cfg, &acked, &mut report)?;
-    Ok(report)
-}
-
-fn chaos_client(
+/// Client `i`: pushes each of its batches until acked, reconnecting to
+/// whatever `target` names through whatever the network does to it.
+fn client(
     i: usize,
-    proxy_addr: SocketAddr,
+    cycle: usize,
     cfg: &ChaosConfig,
-    acked: &Mutex<HashSet<(usize, u64)>>,
-    dup_acks: &AtomicUsize,
-    reconnects: &AtomicUsize,
+    target: &Mutex<SocketAddr>,
+    progress: &Progress,
 ) -> Result<(), ChaosFailure> {
-    let token = format!("chaos-{i}");
-    let mut client: Option<Client> = None;
+    let token = token(cycle, i);
+    let mut conn: Option<Client> = None;
     for k in 1..=cfg.batches_per_client as u64 {
-        let (u, v, w) = batch_edge(cfg.clients, i, k);
-        let mut batch = UpdateBatch::new();
-        batch.insert(u, v, w);
+        let batch = client_batch(cfg.clients, i, k);
+        progress.start_batch();
         let mut attempts = 0usize;
-        loop {
+        let ack = loop {
             attempts += 1;
-            if attempts > 500 {
+            if attempts > 1000 {
                 return Err(ChaosFailure::Harness(format!(
                     "client {i} gave up on batch {k}"
                 )));
             }
-            let c = match client.as_mut() {
+            let c = match conn.as_mut() {
                 Some(c) => c,
                 None => {
-                    reconnects.fetch_add(1, Ordering::Relaxed);
-                    match Client::connect_timeout(proxy_addr, &token, Duration::from_secs(2)) {
-                        Ok(c) => client.insert(c),
+                    progress.update(|l| l.reconnects += 1);
+                    let addr = *lock(target);
+                    match Client::connect_timeout(addr, &token, Duration::from_secs(2)) {
+                        Ok(c) => conn.insert(c),
                         Err(_) => {
                             thread::sleep(Duration::from_millis(20));
                             continue;
@@ -512,184 +496,303 @@ fn chaos_client(
                 }
             };
             match c.update(GRAPH, k, &batch) {
-                Ok(ack) => {
-                    if ack.dup {
-                        dup_acks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    acked
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert((i, k));
-                    break;
-                }
+                Ok(ack) => break ack,
                 Err(ClientError::Busy { retry_after_ms }) => {
                     thread::sleep(Duration::from_millis(retry_after_ms.clamp(1, 100)));
                 }
-                Err(ClientError::Server { code, detail }) => {
-                    // `readonly` clears on restart; anything else is a
-                    // protocol-level bug worth failing loudly on.
-                    if code == "readonly" {
-                        thread::sleep(Duration::from_millis(50));
-                    } else {
-                        return Err(ChaosFailure::Harness(format!(
-                            "client {i} batch {k}: unexpected ERR {code} {detail}"
-                        )));
-                    }
+                // A dying server answers `shutting-down`, `readonly`
+                // clears on restart and `not-primary` on promotion;
+                // anything else breaks the retry contract.
+                Err(ClientError::Server { code, detail })
+                    if !matches!(code.as_str(), "shutting-down" | "readonly" | "not-primary") =>
+                {
+                    return Err(ChaosFailure::Refused {
+                        client: i,
+                        batch: k,
+                        error: format!("{code} {detail}"),
+                    });
                 }
                 Err(_) => {
-                    // Disconnect, goodbye, timeout, torn reply — rebuild
-                    // the connection and retry the same sequence number.
-                    client = None;
+                    // Disconnect, goodbye, timeout, torn reply, a node
+                    // not writable yet — rebuild against the current
+                    // target and retry the same sequence number.
+                    conn = None;
                     thread::sleep(Duration::from_millis(15));
                 }
             }
-        }
+        };
+        let acked = AckedBatch {
+            seq: ack.wal_seq,
+            fingerprint: batch_fingerprint(&batch),
+        };
+        progress.update(|l| {
+            l.acked.push(acked);
+            l.dup_acks += usize::from(ack.dup);
+        });
     }
-    if let Some(c) = client.take() {
+    if let Some(c) = conn {
         let _ = c.bye();
     }
     Ok(())
+}
+
+/// Runs the clients against `target` while `executioner` delivers the
+/// schedule's deaths, then joins them. Clients start at most `hold`
+/// batches before the executioner first moves the gate.
+fn drive(
+    cfg: &ChaosConfig,
+    cycle: usize,
+    target: &Arc<Mutex<SocketAddr>>,
+    hold: usize,
+    executioner: impl FnOnce(&Progress) -> Result<(), ChaosFailure>,
+) -> Result<Ledger, ChaosFailure> {
+    let progress = Arc::new(Progress {
+        ledger: Mutex::new(Ledger {
+            hold,
+            ..Ledger::default()
+        }),
+        moved: Condvar::new(),
+    });
+    let mut workers = Vec::new();
+    let mut failure = None;
+    for i in 0..cfg.clients {
+        let running = Running::new(&progress);
+        let (cfg, target) = (cfg.clone(), Arc::clone(target));
+        let spawned = thread::Builder::new()
+            .name(format!("chaos-cl{i}"))
+            .spawn(move || {
+                let running = running;
+                client(i, cycle, &cfg, &target, &running.0)
+            });
+        match spawned {
+            Ok(w) => workers.push(w),
+            Err(e) => {
+                failure = Some(harness("spawn client")(e));
+                break;
+            }
+        }
+    }
+    if failure.is_none() {
+        failure = executioner(&progress).err();
+    }
+    progress.update(|l| l.hold = usize::MAX);
+    for w in workers {
+        match w.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(f)) => failure = failure.or(Some(f)),
+            Err(_) => failure = failure.or(Some(ChaosFailure::Harness("client panicked".into()))),
+        }
+    }
+    match failure {
+        Some(f) => Err(f),
+        None => Ok(std::mem::take(&mut *lock(&progress.ledger))),
+    }
+}
+
+/// Delivers one death once the clients have started `at` batches. With a
+/// crash point, it is armed and the gate opens to `then` so that a commit
+/// walks into it (a plain kill if none does within 400 ms); without, the
+/// server dies abruptly where it stands. No checkpoint, no goodbyes.
+fn kill_at(server: &mut ServerHandle, (at, point): Death, then: usize, progress: &Progress) {
+    drop(progress.wait_until(|l| l.started >= at || l.running == 0));
+    if let Some(point) = point {
+        server.arm_crash(GRAPH, point);
+        progress.update(|l| l.hold = then);
+        let deadline = Instant::now() + Duration::from_millis(400);
+        while !server.is_stopped() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(10));
+        }
+    }
+    if server.is_stopped() {
+        server.wait();
+    } else {
+        server.kill();
+    }
+    progress.update(|l| l.deaths.push(l.acked.len()));
+}
+
+/// Runs the configured schedule against `dir`, which must be empty or
+/// absent, and audits every store it leaves behind. Returns the report,
+/// or the first violation found.
+pub fn run_chaos(dir: &Path, cfg: &ChaosConfig) -> Result<ChaosReport, ChaosFailure> {
+    let mut rng = SplitMix64::seed_from_u64(cfg.seed);
+    let total = cfg.clients * cfg.batches_per_client;
+    let threshold = |rng: &mut SplitMix64| rng.gen_range(1..total.max(2));
+    let mut report = ChaosReport::default();
+    match &cfg.schedule {
+        Schedule::Restarts {
+            kills,
+            proxy_faults,
+        } => {
+            let mut at: Vec<usize> = (0..*kills).map(|_| threshold(&mut rng)).collect();
+            at.sort_unstable();
+            let deaths: Vec<Death> = at
+                .into_iter()
+                .enumerate()
+                .map(|(n, at)| {
+                    let point = CrashPoint::ALL[rng.gen_range(0..CrashPoint::ALL.len())];
+                    (at, (n % 2 == 0).then_some(point))
+                })
+                .collect();
+            run_restarts(dir, cfg, &deaths, *proxy_faults, &mut report)?;
+        }
+        Schedule::Failover { points } => {
+            for (cycle, &point) in points.iter().enumerate() {
+                let death = (threshold(&mut rng), Some(point));
+                run_failover_cycle(dir, cfg, cycle, death, &mut report)
+                    .map_err(|f| ChaosFailure::AtPoint(point, Box::new(f)))?;
+            }
+        }
+    }
+    Ok(report)
+}
+
+fn run_restarts(
+    dir: &Path,
+    cfg: &ChaosConfig,
+    deaths: &[Death],
+    proxy_faults: bool,
+    report: &mut ChaosReport,
+) -> Result<(), ChaosFailure> {
+    let nodes = graph_nodes(cfg);
+    let mut server = open_node(dir, nodes, None)?;
+    let upstream = Arc::new(Mutex::new(server.addr()));
+    let mut proxy =
+        Proxy::start(cfg.seed, Arc::clone(&upstream), proxy_faults).map_err(harness("proxy"))?;
+    let target = Arc::new(Mutex::new(proxy.addr));
+    let hold = deaths.first().map_or(usize::MAX, |d| d.0);
+    let ledger = drive(cfg, 0, &target, hold, |progress| {
+        for (n, &death) in deaths.iter().enumerate() {
+            let then = deaths.get(n + 1).map_or(usize::MAX, |d| d.0);
+            kill_at(&mut server, death, then, progress);
+            server = open_node(dir, nodes, None)?;
+            *lock(&upstream) = server.addr();
+            progress.update(|l| l.hold = then);
+        }
+        Ok(())
+    });
+    proxy.stop();
+    // Graceful final shutdown: drain + checkpoint, then release the dir.
+    server.shutdown();
+    audit(dir, cfg, 0, ledger?, report)
+}
+
+fn run_failover_cycle(
+    dir: &Path,
+    cfg: &ChaosConfig,
+    cycle: usize,
+    death: Death,
+    report: &mut ChaosReport,
+) -> Result<(), ChaosFailure> {
+    let nodes = graph_nodes(cfg);
+    let rdir = dir.join(format!("cycle{cycle}-replica"));
+    let mut primary = open_node(&dir.join(format!("cycle{cycle}-primary")), nodes, None)?;
+    let mut replica = open_node(&rdir, nodes, Some(primary.addr()))?;
+    await_replica(primary.addr())?;
+    let target = Arc::new(Mutex::new(primary.addr()));
+    let ledger = drive(cfg, cycle, &target, death.0, |progress| {
+        kill_at(&mut primary, death, usize::MAX, progress);
+        let mut op = Client::connect_timeout(replica.addr(), "op", Duration::from_secs(5))
+            .map_err(harness("promote connect"))?;
+        let epoch = op.promote().map_err(harness("promote"))?;
+        if epoch < 2 {
+            return Err(ChaosFailure::Harness(format!(
+                "promotion yielded epoch {epoch}, expected a bump past 1"
+            )));
+        }
+        let _ = op.bye();
+        *lock(&target) = replica.addr();
+        Ok(())
+    });
+    // Graceful drain of the new primary: final checkpoint, lock release.
+    replica.shutdown();
+    audit(&rdir, cfg, cycle, ledger?, report)
+}
+
+/// Waits for the primary to report its replica attached: from then on
+/// every ack it releases is semi-sync.
+fn await_replica(primary: SocketAddr) -> Result<(), ChaosFailure> {
+    let mut c = Client::connect_timeout(primary, "attach-probe", Duration::from_secs(5))
+        .map_err(harness("probe connect"))?;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = c.status().map_err(harness("probe status"))?;
+        if status.split_whitespace().any(|t| t == "repl_sinks=1") {
+            let _ = c.bye();
+            return Ok(());
+        }
+        if Instant::now() > deadline {
+            return Err(ChaosFailure::Harness("replica never attached".into()));
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
 }
 
 // ---------------------------------------------------------------------
 // The audit
 // ---------------------------------------------------------------------
 
+/// Offline audit of the store in `dir` that cycle `cycle`'s clients
+/// wrote to, once no server holds it.
 fn audit(
     dir: &Path,
     cfg: &ChaosConfig,
-    acked: &HashSet<(usize, u64)>,
+    cycle: usize,
+    ledger: Ledger,
     report: &mut ChaosReport,
 ) -> Result<(), ChaosFailure> {
-    // 1 + 2: decode the WAL and count each client batch's occurrences.
-    let opened = Wal::open(&dir.join(WAL_NAME))
-        .map_err(|e| ChaosFailure::Harness(format!("wal open: {e}")))?;
-    let records = opened.records;
-    report.wal_batches = records.len();
+    report.stores += 1;
+    report.acked += ledger.acked.len();
+    report.dup_acks += ledger.dup_acks;
+    report.reconnects += ledger.reconnects;
+    report.acked_at_deaths.extend(ledger.deaths);
 
-    let mut index: HashMap<(NodeId, NodeId), (usize, u64)> = HashMap::new();
+    // Exactly once, with no record left unacked.
+    audit_wal(dir, &ledger.acked, 0).map_err(ChaosFailure::Wal)?;
+    let records = wal_records(dir).map_err(ChaosFailure::Wal)?;
+    report.wal_batches += records.len();
+
+    let last_seq = records.last().map_or(0, |r| r.seq);
+    let entries = dedup::scan_entries(dir, last_seq).map_err(harness("dedup scan"))?;
+    let want = cfg.batches_per_client as u64;
     for i in 0..cfg.clients {
-        for k in 1..=cfg.batches_per_client as u64 {
-            let (u, v, _) = batch_edge(cfg.clients, i, k);
-            index.insert((u, v), (i, k));
-        }
-    }
-    let mut seen: HashMap<(usize, u64), usize> = HashMap::new();
-    for rec in &records {
-        let ups = rec.batch.updates();
-        let key = match ups {
-            [Update::Insert { src, dst, .. }] => index.get(&(*src, *dst)),
-            _ => None,
-        };
-        match key {
-            Some(&ik) => *seen.entry(ik).or_insert(0) += 1,
-            None => return Err(ChaosFailure::ForeignBatch { wal_seq: rec.seq }),
-        }
-    }
-    for (&(i, k), &times) in &seen {
-        if times > 1 {
-            return Err(ChaosFailure::DoubleApply {
-                client: i,
-                batch: k,
-                times,
-            });
-        }
-        if !acked.contains(&(i, k)) {
-            // Committed but the ack never made it back — legal (the
-            // client retried into a dup ack, or gave up is impossible
-            // since all clients finished), and proof the dropped-ack
-            // path ran.
-            report.committed_unacked += 1;
-        }
-    }
-    for &(i, k) in acked {
-        if !seen.contains_key(&(i, k)) {
-            return Err(ChaosFailure::AckedButLost {
-                client: i,
-                batch: k,
-            });
+        let token = token(cycle, i);
+        let last = entries
+            .iter()
+            .filter(|e| e.token == token)
+            .map(|e| e.client_seq)
+            .max()
+            .unwrap_or(0);
+        if last != want {
+            return Err(ChaosFailure::DedupMismatch { token, last, want });
         }
     }
 
-    // 3: real recovery vs genesis replay, essence by essence.
-    let (session, _report) = incgraph_durable::recover(dir, durable_options())
-        .map_err(|e| ChaosFailure::Harness(format!("recover: {e}")))?;
-    let mut replay_graph = DynamicGraph::new(false, graph_nodes(cfg));
-    let mut replay_states = standing_states(&replay_graph, DURABLE_PATTERN_SEED);
+    let (session, _) =
+        incgraph_durable::recover(dir, durable_options()).map_err(harness("recover"))?;
+    let mut graph = DynamicGraph::new(false, graph_nodes(cfg));
+    let mut states = standing_states(&graph, DURABLE_PATTERN_SEED);
     for rec in &records {
         let applied = rec
             .batch
-            .apply_validated(&mut replay_graph)
+            .apply_validated(&mut graph)
             .map_err(|e| ChaosFailure::Harness(format!("replay: {e:?}")))?;
-        for s in replay_states.iter_mut() {
-            s.update(&replay_graph, &applied);
+        for s in states.iter_mut() {
+            s.update(&graph, &applied);
         }
     }
     let g = session.graph();
-    if g.node_count() != replay_graph.node_count() || g.edge_count() != replay_graph.edge_count() {
+    if g.node_count() != graph.node_count() || g.edge_count() != graph.edge_count() {
         return Err(ChaosFailure::GraphMismatch);
     }
-    let recovered = session.states();
-    if recovered.len() != replay_states.len() {
+    if session.states().len() != states.len() {
         return Err(ChaosFailure::Harness("state count mismatch".into()));
     }
-    for (a, b) in recovered.iter().zip(replay_states.iter()) {
+    for (a, b) in session.states().iter().zip(&states) {
         if a.save_state() != b.save_state() {
             return Err(ChaosFailure::EssenceMismatch { class: a.name() });
         }
         report.classes_verified += 1;
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("incgraph-chaos-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn quiet_network_run_is_clean() {
-        let dir = temp_dir("quiet");
-        let report = run_chaos(
-            &dir,
-            &ChaosConfig {
-                seed: 11,
-                clients: 3,
-                batches_per_client: 4,
-                kills: 0,
-                proxy_faults: false,
-            },
-        )
-        .expect("quiet run must be clean");
-        assert_eq!(report.acked, 12);
-        assert_eq!(report.wal_batches, 12);
-        assert_eq!(report.server_deaths, 0);
-        assert_eq!(report.classes_verified, 7);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chaotic_run_survives_and_audits_clean() {
-        let dir = temp_dir("full");
-        let report = run_chaos(
-            &dir,
-            &ChaosConfig {
-                seed: 0xFEED,
-                clients: 4,
-                batches_per_client: 8,
-                kills: 3,
-                proxy_faults: true,
-            },
-        )
-        .unwrap_or_else(|f| panic!("chaos audit failed: {f}"));
-        assert_eq!(report.acked, 32, "{report:?}");
-        assert!(report.server_deaths >= 1, "{report:?}");
-        assert_eq!(report.classes_verified, 7, "{report:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

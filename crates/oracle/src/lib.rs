@@ -21,19 +21,16 @@
 //! * [`fuzz`] is the campaign loop gluing these together and writing
 //!   minimized cases — annotated with provenance and the engine-level
 //!   [`CaseTrace`](incgraph_core::CaseTrace) — into a replayable corpus;
-//! * [`chaos`] lifts the adversary to the network: it drives the real
-//!   TCP service (crates/service) through a byte-cutting proxy and
-//!   abrupt server kill/restart cycles, then audits the WAL for
-//!   exactly-once application of every acknowledged batch and checks
-//!   recovered per-class essences byte-for-byte against genesis replay;
-//! * [`walcheck`] is the store-local form of that audit — a reusable
-//!   exactly-once check of the WAL against an ingest-side ack ledger,
-//!   run by the sustained-stream harness after every kill-and-recover;
-//! * [`failover`] extends the adversary across *nodes*: a primary→replica
-//!   replication pair is driven through a crash-point kill of the
-//!   primary, replica promotion, and client redirect, then audited for
-//!   exactly-once survival of every client-acked batch and genesis-replay
-//!   equality of the failed-over store.
+//! * [`walcheck`] is the exactly-once check of a WAL against an
+//!   ingest-side ack ledger, run by the sustained-stream harness after
+//!   every kill-and-recover;
+//! * [`chaos`] lifts the adversary to the network: concurrent
+//!   exactly-once clients drive the real TCP service (crates/service)
+//!   under one of two schedules — kill/restart cycles behind a
+//!   byte-cutting proxy, or a crash-point kill of a replicated primary
+//!   followed by promotion and client redirect — and every store left
+//!   behind is audited by [`walcheck`], its dedup table, and recovered
+//!   per-class essences byte-for-byte against genesis replay.
 //!
 //! The `incgraph fuzz` / `incgraph replay` subcommands (crates/bench) are
 //! thin CLI shells over this crate; the corpus-replay integration test
@@ -42,7 +39,6 @@
 pub mod case;
 pub mod chaos;
 pub mod crash;
-pub mod failover;
 pub mod fuzz;
 pub mod gencase;
 pub mod runner;
@@ -50,9 +46,8 @@ pub mod shrink;
 pub mod walcheck;
 
 pub use case::{Case, CaseParseError};
-pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
+pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport, Schedule};
 pub use crash::{run_crash_case, CrashFailure, CrashOutcome};
-pub use failover::{run_failover, FailoverConfig, FailoverFailure, FailoverReport};
 pub use fuzz::{fuzz, CrashRecord, FailureRecord, FuzzConfig, FuzzReport};
 pub use gencase::{gen_case, GenConfig};
 pub use runner::{run_case, ClassId, Fault, OracleFailure, OracleKind, RunOutcome};

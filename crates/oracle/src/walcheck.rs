@@ -9,19 +9,21 @@
 //! without an ack are the bounded in-flight tail a crash can strand
 //! (committed by fsync, died before the ack made it back).
 //!
-//! [`chaos`](crate::chaos) checks the same invariant for the network
-//! service by fingerprinting per-client marker edges; this module is the
-//! store-local generalization: the ingest side records `(WAL sequence,
-//! content fingerprint)` per ack and [`audit_wal`] replays the log against
-//! that ledger. Both the RTO test (`tests/stream_rto.rs`) and the `incgraph
-//! stream --crash-at` path run it after every recovery.
+//! The ingest side records `(WAL sequence, content fingerprint)` per ack
+//! and [`audit_wal`] replays the log against that ledger. The RTO test
+//! (`tests/stream_rto.rs`) and the `incgraph stream --crash-at` path run
+//! it after every recovery, and the network-fault oracle
+//! [`chaos`](crate::chaos) runs it on every store its restart and
+//! failover schedules leave behind: there each client records its `ACK`s,
+//! a dup `ACK` names the original sequence, and clients retry until
+//! acked, so it audits with no committed-unacked record allowed.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
 use incgraph_durable::crc::crc32;
-use incgraph_durable::{encode_record, Wal, FIRST_SEQ, WAL_NAME};
+use incgraph_durable::{encode_record, ScannedRecord, Wal, FIRST_SEQ, WAL_NAME};
 use incgraph_graph::UpdateBatch;
 
 /// Sequence-independent content fingerprint of a batch: the CRC of its
@@ -60,7 +62,9 @@ pub enum WalAuditFailure {
     Io(String),
     /// WAL sequences are not strictly contiguous from [`FIRST_SEQ`].
     NonContiguous { expected: u64, found: u64 },
-    /// The ingest ledger acked the same sequence twice — a harness bug.
+    /// Two acks in the ledger name the same sequence: a harness bug if
+    /// one ingest side acked it twice, a server aliasing bug if two
+    /// clients each got it for their own batch.
     DuplicateAck { seq: u64 },
     /// An acked flush has no WAL record: an acknowledged op was lost.
     AckedButLost { seq: u64 },
@@ -78,7 +82,7 @@ impl fmt::Display for WalAuditFailure {
                 write!(f, "wal seq gap: expected {expected}, found {found}")
             }
             WalAuditFailure::DuplicateAck { seq } => {
-                write!(f, "ingest ledger acked seq {seq} twice")
+                write!(f, "two acks in the ledger name wal seq {seq}")
             }
             WalAuditFailure::AckedButLost { seq } => {
                 write!(f, "acked batch at seq {seq} missing from the wal")
@@ -116,8 +120,7 @@ pub fn audit_wal(
     acked: &[AckedBatch],
     max_committed_unacked: usize,
 ) -> Result<WalAuditReport, WalAuditFailure> {
-    let opened = Wal::open(&dir.join(WAL_NAME)).map_err(|e| WalAuditFailure::Io(e.to_string()))?;
-    let records = opened.records;
+    let records = wal_records(dir)?;
 
     let mut by_seq: HashMap<u64, u32> = HashMap::with_capacity(records.len());
     for (expected, rec) in (FIRST_SEQ..).zip(records.iter()) {
@@ -163,6 +166,13 @@ pub fn audit_wal(
         });
     }
     Ok(report)
+}
+
+/// The valid records of the WAL under `dir`, in sequence order (a torn
+/// tail is cut, as recovery would).
+pub(crate) fn wal_records(dir: &Path) -> Result<Vec<ScannedRecord>, WalAuditFailure> {
+    let opened = Wal::open(&dir.join(WAL_NAME)).map_err(|e| WalAuditFailure::Io(e.to_string()))?;
+    Ok(opened.records)
 }
 
 #[cfg(test)]

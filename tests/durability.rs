@@ -10,6 +10,13 @@
 //! timestamps) against a run that was never interrupted. Determinism is
 //! what makes this a hard equality rather than a plausibility check —
 //! the paper's algorithms admit exactly one correct world per history.
+//!
+//! Beneath it, the WAL scanner's longest-valid-prefix properties
+//! (`crates/durable/tests/prop_wal.rs`) are pulled in by path so that
+//! tier-1 runs them too.
+
+#[path = "../crates/durable/tests/prop_wal.rs"]
+mod prop_wal;
 
 use incgraph_graph::{Pattern, UpdateBatch};
 use incgraph_oracle::{gen_case, run_crash_case, Case, ClassId, GenConfig};
