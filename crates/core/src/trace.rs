@@ -92,26 +92,25 @@ pub(crate) fn record(scope: usize, stats: &RunStats) {
 }
 
 /// Forwards one completed run's counters to the observability layer.
-/// Names are static so recording allocates nothing (the `engine.seq.*`
-/// family predates the single engine and is kept for metric consumers);
-/// the ambient class label set by the guarded-update path attributes the
-/// run to its query class.
+/// Names are static so recording allocates nothing; the ambient class
+/// label set by the guarded-update path attributes the run to its query
+/// class.
 fn forward_obs(scope: usize, stats: &RunStats) {
     use incgraph_obs as obs;
-    obs::counter("engine.seq.runs", 1);
-    obs::counter("engine.seq.pops", stats.pops);
-    obs::counter("engine.seq.evals", stats.evals);
-    obs::counter("engine.seq.changes", stats.changes);
-    obs::counter("engine.seq.pushes", stats.pushes);
-    obs::counter("engine.seq.stale_pops", stats.stale_pops);
-    obs::counter("engine.seq.reads", stats.reads);
-    obs::counter("engine.seq.inspected", stats.distinct_vars);
+    obs::counter("engine.runs", 1);
+    obs::counter("engine.pops", stats.pops);
+    obs::counter("engine.evals", stats.evals);
+    obs::counter("engine.changes", stats.changes);
+    obs::counter("engine.pushes", stats.pushes);
+    obs::counter("engine.stale_pops", stats.stale_pops);
+    obs::counter("engine.reads", stats.reads);
+    obs::counter("engine.inspected", stats.distinct_vars);
     if stats.aborted {
-        obs::counter("engine.seq.aborts", 1);
+        obs::counter("engine.aborts", 1);
     }
-    obs::observe("engine.seq.scope", scope as u64);
-    obs::observe("engine.seq.inspected_per_run", stats.distinct_vars);
-    obs::observe("engine.seq.changed_per_run", stats.changes);
+    obs::observe("engine.scope", scope as u64);
+    obs::observe("engine.inspected_per_run", stats.distinct_vars);
+    obs::observe("engine.changed_per_run", stats.changes);
 }
 
 #[cfg(test)]

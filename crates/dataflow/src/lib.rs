@@ -10,6 +10,12 @@
 //! in the CLI (`incgraph query --plan`), and under the differential
 //! fuzzer (`incgraph fuzz --dataflow`).
 //!
+//! A plan's operators are a [`PlanDag`], primed from and ticked by the
+//! outputs of class states it does not own; a [`DataflowSession`] owns
+//! one class session per source and feeds its DAG from them, while the
+//! service feeds standing plans from the class views its subscribers
+//! share.
+//!
 //! The contract mirrors the engine's own: every operator's per-tick cost
 //! is `O(|Δinput|)` (the extremum aggregates add a counted `O(n)` rescan
 //! fallback when a retraction dethrones the cached extremum), and a
@@ -35,11 +41,13 @@
 //! assert_eq!(df.view(), vec![(0, 3, 1)]);
 //! ```
 
+mod dag;
 mod delta;
 mod ops;
 mod plan;
 mod session;
 
+pub use dag::PlanDag;
 pub use delta::{Delta, DiffCollection, Row};
 pub use ops::{Coll, Rows};
 pub use plan::{

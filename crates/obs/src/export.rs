@@ -410,9 +410,9 @@ mod tests {
 
     fn sample() -> Snapshot {
         let r = Registry::with_trace();
-        r.counter("sssp", "engine.seq.pops", 41);
+        r.counter("sssp", "engine.pops", 41);
         r.counter("", "wal.records", 2);
-        r.gauge("cc", "engine.par.threads", 4);
+        r.gauge("cc", "dataflow.state_bytes", 4);
         r.observe("sssp", "scope.size", 17);
         r.span("sssp", "engine.run", 120_000);
         r.span("", "wal.commit", 950);
@@ -454,7 +454,7 @@ mod tests {
         let text = render_summary(&sample());
         assert!(text.contains("[sssp]"));
         assert!(text.contains("[(session)]"));
-        assert!(text.contains("engine.seq.pops"));
+        assert!(text.contains("engine.pops"));
         assert!(text.contains("wal.commit"));
         assert!(text.contains("events: 1"));
     }

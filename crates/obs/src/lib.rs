@@ -237,11 +237,11 @@ mod tests {
         {
             let _outer = class_scope("sssp");
             assert_eq!(current_class(), "sssp");
-            counter("engine.seq.pops", 2);
+            counter("engine.pops", 2);
             {
                 let _inner = class_scope("cc");
                 assert_eq!(current_class(), "cc");
-                counter("engine.seq.pops", 5);
+                counter("engine.pops", 5);
             }
             assert_eq!(current_class(), "sssp", "scopes nest and restore");
             let _s = span("engine.run");
@@ -254,11 +254,11 @@ mod tests {
 
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counters[&("sssp".to_string(), "engine.seq.pops".to_string())],
+            snap.counters[&("sssp".to_string(), "engine.pops".to_string())],
             2
         );
         assert_eq!(
-            snap.counters[&("cc".to_string(), "engine.seq.pops".to_string())],
+            snap.counters[&("cc".to_string(), "engine.pops".to_string())],
             5
         );
         assert_eq!(snap.gauges[&(String::new(), "threads".to_string())], 3);

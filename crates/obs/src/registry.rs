@@ -191,9 +191,9 @@ mod tests {
     #[test]
     fn registry_aggregates_by_class_and_name() {
         let r = Registry::with_trace();
-        r.counter("sssp", "engine.seq.pops", 3);
-        r.counter("sssp", "engine.seq.pops", 4);
-        r.counter("cc", "engine.seq.pops", 1);
+        r.counter("sssp", "engine.pops", 3);
+        r.counter("sssp", "engine.pops", 4);
+        r.counter("cc", "engine.pops", 1);
         r.gauge("", "threads", 2);
         r.gauge("", "threads", 4);
         r.observe("sssp", "scope.size", 10);
@@ -203,11 +203,11 @@ mod tests {
 
         let s = r.snapshot();
         assert_eq!(
-            s.counters[&("sssp".to_string(), "engine.seq.pops".to_string())],
+            s.counters[&("sssp".to_string(), "engine.pops".to_string())],
             7
         );
         assert_eq!(
-            s.counters[&("cc".to_string(), "engine.seq.pops".to_string())],
+            s.counters[&("cc".to_string(), "engine.pops".to_string())],
             1
         );
         assert_eq!(s.gauges[&(String::new(), "threads".to_string())], 4);

@@ -13,10 +13,9 @@ fn golden_snapshot() -> Snapshot {
     // One of each line type, covering the corners: empty (session)
     // class, escaping in event details, multi-bucket histograms, and
     // extreme values.
-    r.counter("sssp", "engine.seq.pops", 12_345);
+    r.counter("sssp", "engine.pops", 12_345);
     r.counter("sssp", "scope.evals", 99);
     r.counter("", "wal.bytes", 4_096);
-    r.gauge("cc", "engine.par.threads", 4);
     r.gauge("", "recover.checkpoint_seq", 7);
     r.observe("sssp", "scope.size", 0);
     r.observe("sssp", "scope.size", 1);

@@ -9,10 +9,13 @@
 //! makes the WAL commit protocol and the ack bookkeeping race-free by
 //! construction; reads (`QUERY`, `STATUS`) take the shared lock.
 //!
-//! **Standing queries** are live [`Session`]s owned by the store. After
-//! every committed batch the writer runs each affected query's
-//! incremental update (the paper's `A_Δ`, bounded by `|AFF|`) and pushes
-//! a `DELTA` carrying only the digest entries that changed — the wire
+//! **Standing queries** subscribe to *maintained views*: each graph keeps
+//! one live [`Session`] per canonical `(class, source, pattern)` with a
+//! reference count, held by every `REGISTER` and every plan member that
+//! asks for that fixpoint. After every committed batch the writer runs
+//! each view's incremental update once (the paper's `A_Δ`, bounded by
+//! `|AFF|`), however many subscribe to it, and pushes each subscriber a
+//! `DELTA` carrying only the digest entries that changed — the wire
 //! analogue of the incremental contract: notification cost tracks the
 //! affected area, not `|G|`.
 //!
@@ -28,15 +31,16 @@
 use crate::dedup::{self, AckRecord, DedupEntry, DedupLog};
 use crate::outbound::Outbound;
 use crate::protocol::{format_view_rows, ErrCode, ViewRow};
-use incgraph_algos::{IncrementalState, QueryClass, Session, SessionError};
-use incgraph_dataflow::{DataflowError, DataflowSession, PlanContext};
+use incgraph_algos::{IncrementalState, OutputDelta, QueryClass, Session, SessionError};
+use incgraph_dataflow::{Plan, PlanDag};
 use incgraph_durable::{
     encode_record, recover, scan_records, CrashPoint, DurableError, DurableOptions, DurableSession,
     WAL_NAME,
 };
 use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
 use incgraph_workloads::random_pattern;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -107,38 +111,75 @@ pub fn standing_states(g: &DynamicGraph, pattern_seed: u64) -> Vec<Box<dyn Incre
         .into_iter()
         .filter(|c| !(c.requires_undirected() && g.is_directed()))
         .map(|c| {
-            let mut b = Session::builder(c);
-            if c == QueryClass::Sim {
-                b = b.pattern(random_pattern(g, 4, 6, pattern_seed));
-            }
-            b.build(g)
-                .expect("direction-filtered class builds")
-                .into_state()
+            let view = ViewKey::new(c, 0, pattern_seed);
+            let session = view.build(g).expect("direction-filtered class builds");
+            session.into_state()
         })
         .collect()
 }
 
-/// One registered standing query: a live session plus the digest it last
-/// notified, and the owner's outbound queue. `source`/`pattern_seed`
-/// are kept so the query can be rebuilt from scratch when a replica
-/// adopts a shipped snapshot (the old incremental state describes a
-/// world that no longer exists).
-struct StandingQuery {
+/// The canonical identity of a maintained class view: the class plus the
+/// parameters its fixpoint reads, with the ones it ignores zeroed, so
+/// every `REGISTER` and plan member asking for the same fixpoint names
+/// the same view.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct ViewKey {
     class: QueryClass,
-    session: Session,
-    digest: Vec<u64>,
+    /// The source of a source-rooted class, else 0.
     source: NodeId,
+    /// The Sim pattern seed, else 0.
     pattern_seed: u64,
+}
+
+impl ViewKey {
+    fn new(class: QueryClass, source: NodeId, pattern_seed: u64) -> ViewKey {
+        ViewKey {
+            class,
+            source: if class.source_rooted() { source } else { 0 },
+            pattern_seed: if class == QueryClass::Sim {
+                pattern_seed
+            } else {
+                0
+            },
+        }
+    }
+
+    /// Runs the view's batch fixpoint on `g`. The Sim pattern is a
+    /// function of the seed and the graph's labels, which never change
+    /// while the graph lives, so one key always names one pattern.
+    fn build(self, g: &DynamicGraph) -> Result<Session, SessionError> {
+        let mut builder = Session::builder(self.class);
+        if self.class.source_rooted() {
+            builder = builder.source(self.source);
+        }
+        if self.class == QueryClass::Sim {
+            builder = builder.pattern(random_pattern(g, 4, 6, self.pattern_seed));
+        }
+        builder.build(g)
+    }
+}
+
+/// One maintained class view and how many subscriptions hold it: one per
+/// `REGISTER`, one per plan member.
+struct View {
+    session: Session,
+    refs: usize,
+}
+
+/// One registered standing query: its view, the digest it last notified
+/// (the subscriber's mirror of the view's output), and the owner's
+/// outbound queue.
+struct StandingQuery {
+    view: ViewKey,
+    digest: Vec<u64>,
     out: Arc<Outbound>,
 }
 
-/// One registered standing *dataflow* plan (`PLAN`): a live
-/// [`DataflowSession`] plus the canonical plan text and pattern seed it
-/// can be rebuilt from when a replica adopts a shipped snapshot.
+/// One registered standing *dataflow* plan (`PLAN`): its operator DAG,
+/// fed by the views of its class sources (in [`PlanDag::members`] order).
 struct StandingPlan {
-    session: DataflowSession,
-    text: String,
-    pattern_seed: u64,
+    dag: PlanDag,
+    members: Vec<ViewKey>,
     out: Arc<Outbound>,
 }
 
@@ -176,11 +217,75 @@ struct GraphEntry {
     backend: Backend,
     /// token → last acked batch.
     acks: HashMap<String, AckRecord>,
+    /// The maintained class views the subscriptions below hold.
+    views: BTreeMap<ViewKey, View>,
     /// `(session id, qid)` → standing query.
     queries: BTreeMap<(u64, String), StandingQuery>,
     /// `(session id, qid)` → standing dataflow plan. Plans share the
-    /// per-session query cap and the qid namespace with `queries`.
+    /// per-session query cap and the store-wide qid namespace with
+    /// `queries`.
     plans: BTreeMap<(u64, String), StandingPlan>,
+}
+
+impl GraphEntry {
+    fn new(backend: Backend, acks: HashMap<String, AckRecord>) -> GraphEntry {
+        GraphEntry {
+            backend,
+            acks,
+            views: BTreeMap::new(),
+            queries: BTreeMap::new(),
+            plans: BTreeMap::new(),
+        }
+    }
+
+    /// Takes one reference on the view `key`, running its batch fixpoint
+    /// only if nobody holds it yet.
+    fn subscribe(&mut self, key: ViewKey) -> Result<(), SessionError> {
+        match self.views.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().refs += 1,
+            Entry::Vacant(e) => {
+                let session = key.build(self.backend.graph())?;
+                e.insert(View { session, refs: 1 });
+            }
+        }
+        incgraph_obs::gauge("service.views", self.views.len() as u64);
+        Ok(())
+    }
+
+    /// Drops one reference on the view `key`; the view goes with its last.
+    fn release(&mut self, key: ViewKey) {
+        if let Entry::Occupied(mut e) = self.views.entry(key) {
+            e.get_mut().refs -= 1;
+            if e.get().refs == 0 {
+                e.remove();
+            }
+        }
+        incgraph_obs::gauge("service.views", self.views.len() as u64);
+    }
+}
+
+/// Primes a plan's `dag` on `g` from the current outputs of its member
+/// views.
+fn prime(
+    dag: &mut PlanDag,
+    members: &[ViewKey],
+    views: &BTreeMap<ViewKey, View>,
+    g: &DynamicGraph,
+) {
+    let outputs: Vec<_> = members.iter().map(|k| views[k].session.output()).collect();
+    dag.prime(g, &outputs);
+}
+
+/// A class session's refusal as a wire error; `other` is the code for
+/// refusals without one of their own.
+fn session_refusal(e: SessionError, other: ErrCode) -> WireError {
+    match e {
+        SessionError::RequiresUndirected(c) => (
+            ErrCode::UndirectedRequired,
+            format!("{} needs an undirected graph", c.name()),
+        ),
+        e => (other, e.to_string()),
+    }
 }
 
 /// The service's shared state. See the module docs.
@@ -253,12 +358,10 @@ impl Store {
         let mut store = Store::new(limits);
         store.graphs.insert(
             name.to_string(),
-            GraphEntry {
-                backend: Backend::Durable { session, dedup },
-                acks: index.into_iter().collect(),
-                queries: BTreeMap::new(),
-                plans: BTreeMap::new(),
-            },
+            GraphEntry::new(
+                Backend::Durable { session, dedup },
+                index.into_iter().collect(),
+            ),
         );
         Ok(store)
     }
@@ -305,23 +408,50 @@ impl Store {
         }
         self.graphs.insert(
             name.to_string(),
-            GraphEntry {
-                backend: Backend::Memory {
+            GraphEntry::new(
+                Backend::Memory {
                     graph: DynamicGraph::new(directed, nodes),
                     seq: 0,
                 },
-                acks: HashMap::new(),
-                queries: BTreeMap::new(),
-                plans: BTreeMap::new(),
-            },
+                HashMap::new(),
+            ),
         );
         incgraph_obs::counter("service.graphs_created", 1);
         Ok(())
     }
 
-    /// Registers a standing query for session `sid`, running the batch
-    /// fixpoint now. Returns the digest length (what a `RESULT` for this
-    /// query will carry).
+    /// Refuses a `(sid, qid)` that is taken on any graph, or a session
+    /// at its standing-query cap across all graphs: the qid namespace
+    /// and the cap are the session's, not a graph's.
+    fn check_slot(&self, sid: u64, qid: &str) -> Result<(), WireError> {
+        let key = (sid, qid.to_string());
+        let mut owned = 0;
+        for entry in self.graphs.values() {
+            if entry.queries.contains_key(&key) || entry.plans.contains_key(&key) {
+                return Err((
+                    ErrCode::DupQuery,
+                    format!("{qid} is already registered on this session"),
+                ));
+            }
+            let keys = entry.queries.keys().chain(entry.plans.keys());
+            owned += keys.filter(|(s, _)| *s == sid).count();
+        }
+        if owned >= self.limits.max_queries_per_session {
+            return Err((
+                ErrCode::TooLarge,
+                format!(
+                    "session caps at {} standing queries",
+                    self.limits.max_queries_per_session
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Registers a standing query for session `sid`: a subscription to
+    /// the graph's view of `(class, source, pattern)`, whose batch
+    /// fixpoint runs now only if no other subscription holds it. Returns
+    /// the digest length (what a `RESULT` for this query will carry).
     #[allow(clippy::too_many_arguments)]
     pub fn register(
         &mut self,
@@ -339,29 +469,12 @@ impl Store {
                 format!("{class_name} is not one of the seven classes"),
             ));
         };
-        let Some(entry) = self.graphs.get_mut(graph) else {
+        if !self.graphs.contains_key(graph) {
             return Err((ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        let key = (sid, qid.to_string());
-        if entry.queries.contains_key(&key) || entry.plans.contains_key(&key) {
-            return Err((
-                ErrCode::DupQuery,
-                format!("{qid} is already registered on this session"),
-            ));
         }
-        let owned = entry.queries.keys().filter(|(s, _)| *s == sid).count()
-            + entry.plans.keys().filter(|(s, _)| *s == sid).count();
-        if owned >= self.limits.max_queries_per_session {
-            return Err((
-                ErrCode::TooLarge,
-                format!(
-                    "session caps at {} standing queries",
-                    self.limits.max_queries_per_session
-                ),
-            ));
-        }
-        let g = entry.backend.graph();
-        if source as usize >= g.node_count() {
+        self.check_slot(sid, qid)?;
+        let entry = self.graphs.get_mut(graph).expect("checked above");
+        if source as usize >= entry.backend.graph().node_count() {
             return Err((
                 ErrCode::BadCommand,
                 format!("source {source} out of range for {graph}"),
@@ -369,36 +482,15 @@ impl Store {
         }
         let _cls = incgraph_obs::class_scope(class.name());
         let _span = incgraph_obs::span("service.register");
-        let mut builder = Session::builder(class);
-        if class.source_rooted() {
-            builder = builder.source(source);
-        }
-        if class == QueryClass::Sim {
-            builder = builder.pattern(random_pattern(g, 4, 6, pattern_seed));
-        }
-        let session = match builder.build(g) {
-            Ok(s) => s,
-            Err(SessionError::RequiresUndirected(c)) => {
-                return Err((
-                    ErrCode::UndirectedRequired,
-                    format!("{} needs an undirected graph", c.name()),
-                ))
-            }
-            Err(e) => return Err((ErrCode::BadCommand, e.to_string())),
-        };
-        let digest = session.digest(g);
+        let view = ViewKey::new(class, source, pattern_seed);
+        entry
+            .subscribe(view)
+            .map_err(|e| session_refusal(e, ErrCode::BadCommand))?;
+        let digest = entry.views[&view].session.digest(entry.backend.graph());
         let len = digest.len();
-        entry.queries.insert(
-            key,
-            StandingQuery {
-                class,
-                session,
-                digest,
-                source,
-                pattern_seed,
-                out,
-            },
-        );
+        entry
+            .queries
+            .insert((sid, qid.to_string()), StandingQuery { view, digest, out });
         incgraph_obs::counter("service.registers", 1);
         Ok(len)
     }
@@ -406,7 +498,8 @@ impl Store {
     /// Unregisters one standing query of session `sid`.
     pub fn unregister(&mut self, sid: u64, qid: &str) -> Result<(), WireError> {
         for entry in self.graphs.values_mut() {
-            if entry.queries.remove(&(sid, qid.to_string())).is_some() {
+            if let Some(q) = entry.queries.remove(&(sid, qid.to_string())) {
+                entry.release(q.view);
                 return Ok(());
             }
         }
@@ -414,9 +507,10 @@ impl Store {
     }
 
     /// Registers a standing dataflow plan (`PLAN`) for session `sid`:
-    /// parses the `incgraph-plan/1` text, builds the member class
-    /// sessions, and primes the view. Returns the initial view row count
-    /// (what `PLANQ` will enumerate).
+    /// parses the `incgraph-plan/1` text, subscribes its class sources
+    /// to the graph's views (building the ones nobody holds yet), and
+    /// primes the plan's DAG from their outputs. Returns the initial
+    /// view row count (what `PLANQ` will enumerate).
     pub fn register_plan(
         &mut self,
         sid: u64,
@@ -426,56 +520,31 @@ impl Store {
         text: &str,
         out: Arc<Outbound>,
     ) -> Result<usize, WireError> {
-        let Some(entry) = self.graphs.get_mut(graph) else {
+        if !self.graphs.contains_key(graph) {
             return Err((ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        let key = (sid, qid.to_string());
-        if entry.queries.contains_key(&key) || entry.plans.contains_key(&key) {
-            return Err((
-                ErrCode::DupQuery,
-                format!("{qid} is already registered on this session"),
-            ));
         }
-        let owned = entry.queries.keys().filter(|(s, _)| *s == sid).count()
-            + entry.plans.keys().filter(|(s, _)| *s == sid).count();
-        if owned >= self.limits.max_queries_per_session {
-            return Err((
-                ErrCode::TooLarge,
-                format!(
-                    "session caps at {} standing queries",
-                    self.limits.max_queries_per_session
-                ),
-            ));
-        }
-        let g = entry.backend.graph();
+        self.check_slot(sid, qid)?;
+        let entry = self.graphs.get_mut(graph).expect("checked above");
         let _span = incgraph_obs::span("service.plan");
-        let ctx = PlanContext {
-            pattern: Some(random_pattern(g, 4, 6, pattern_seed)),
-            ..Default::default()
-        };
-        let session = match DataflowSession::from_text(text, g, &ctx) {
-            Ok(s) => s,
-            Err(DataflowError::Session(SessionError::RequiresUndirected(c))) => {
-                return Err((
-                    ErrCode::UndirectedRequired,
-                    format!("{} needs an undirected graph", c.name()),
-                ))
+        let plan = Plan::parse(text).map_err(|e| (ErrCode::BadPlan, e.to_string()))?;
+        let mut dag = PlanDag::new(plan);
+        let members: Vec<ViewKey> = dag
+            .members()
+            .map(|(class, source)| ViewKey::new(class, source.unwrap_or(0), pattern_seed))
+            .collect();
+        for (i, &key) in members.iter().enumerate() {
+            if let Err(e) = entry.subscribe(key) {
+                for &held in &members[..i] {
+                    entry.release(held);
+                }
+                return Err(session_refusal(e, ErrCode::BadPlan));
             }
-            Err(e) => return Err((ErrCode::BadPlan, e.to_string())),
-        };
-        let rows = session.view().len();
-        // Store the canonical form so replica rebuilds and STATUS agree
-        // with what the parser admitted, not the client's spelling.
-        let canonical = session.plan().display();
-        entry.plans.insert(
-            key,
-            StandingPlan {
-                session,
-                text: canonical,
-                pattern_seed,
-                out,
-            },
-        );
+        }
+        prime(&mut dag, &members, &entry.views, entry.backend.graph());
+        let rows = dag.view().len();
+        entry
+            .plans
+            .insert((sid, qid.to_string()), StandingPlan { dag, members, out });
         incgraph_obs::counter("service.plans", 1);
         Ok(rows)
     }
@@ -483,7 +552,10 @@ impl Store {
     /// Unregisters one standing plan of session `sid`.
     pub fn unregister_plan(&mut self, sid: u64, qid: &str) -> Result<(), WireError> {
         for entry in self.graphs.values_mut() {
-            if entry.plans.remove(&(sid, qid.to_string())).is_some() {
+            if let Some(p) = entry.plans.remove(&(sid, qid.to_string())) {
+                for key in p.members {
+                    entry.release(key);
+                }
                 return Ok(());
             }
         }
@@ -497,19 +569,35 @@ impl Store {
             entry
                 .plans
                 .get(&(sid, qid.to_string()))
-                .map(|p| (p.session.view(), entry.backend.seq()))
+                .map(|p| (p.dag.view(), entry.backend.seq()))
         })
     }
 
-    /// Drops every standing query and plan of a disconnected session;
-    /// returns how many were removed.
+    /// Drops every standing query and plan of a disconnected session,
+    /// releasing their views; returns how many were removed.
     pub fn drop_session(&mut self, sid: u64) -> usize {
         let mut removed = 0;
         for entry in self.graphs.values_mut() {
             let before = entry.queries.len() + entry.plans.len();
-            entry.queries.retain(|(s, _), _| *s != sid);
-            entry.plans.retain(|(s, _), _| *s != sid);
+            let mut held = Vec::new();
+            entry.queries.retain(|(s, _), q| {
+                let keep = *s != sid;
+                if !keep {
+                    held.push(q.view);
+                }
+                keep
+            });
+            entry.plans.retain(|(s, _), p| {
+                let keep = *s != sid;
+                if !keep {
+                    held.extend(&p.members);
+                }
+                keep
+            });
             removed += before - entry.queries.len() - entry.plans.len();
+            for key in held {
+                entry.release(key);
+            }
         }
         removed
     }
@@ -681,14 +769,15 @@ impl Store {
         ))
     }
 
-    /// The notification half of [`apply_update`]: runs every standing
-    /// query's incremental update over the (coalesced) ΔG of `batches`
-    /// and pushes one `DELTA` per query that changed, stamped with the
-    /// graph's current committed sequence. `batches` must be the
-    /// *effective* applied ops of consecutive committed batches, oldest
-    /// first, with none skipped — the net batch the
-    /// [`Coalescer`](incgraph_core::Coalescer) builds from them is
-    /// equivalent by construction, so each query does one bounded
+    /// The notification half of [`apply_update`]: runs every maintained
+    /// view's incremental update once over the (coalesced) ΔG of
+    /// `batches`, in key order, then pushes one `DELTA` per standing
+    /// query whose view changed and ticks every plan from the same
+    /// deltas, stamped with the graph's current committed sequence.
+    /// `batches` must be the *effective* applied ops of consecutive
+    /// committed batches, oldest first, with none skipped — the net batch
+    /// the [`Coalescer`](incgraph_core::Coalescer) builds from them is
+    /// equivalent by construction, so each view does one bounded
     /// incremental step instead of one per batch.
     pub fn notify_queries(&mut self, graph: &str, batches: &[incgraph_graph::AppliedBatch]) {
         let Some(entry) = self.graphs.get_mut(graph) else {
@@ -698,14 +787,8 @@ impl Store {
             return;
         }
         let _notify = incgraph_obs::span("service.notify");
-        let g = match &entry.backend {
-            Backend::Memory { graph, .. } => graph,
-            Backend::Durable { session, .. } => session.graph(),
-        };
-        let wal_seq = match &entry.backend {
-            Backend::Memory { seq, .. } => *seq,
-            Backend::Durable { session, .. } => session.last_seq(),
-        };
+        let g = entry.backend.graph();
+        let wal_seq = entry.backend.seq();
         let net;
         let applied = if batches.len() == 1 {
             &batches[0]
@@ -714,18 +797,26 @@ impl Store {
             incgraph_obs::observe("service.coalesced_ops", net.len() as u64);
             &net
         };
+        // One fixpoint per distinct view, however many subscribe to it.
+        let deltas: BTreeMap<ViewKey, OutputDelta> = entry
+            .views
+            .iter_mut()
+            .map(|(&key, view)| (key, view.session.update_guarded(g, applied).delta))
+            .collect();
+        incgraph_obs::counter("service.view_updates", deltas.len() as u64);
         let max_entries = self.limits.max_delta_entries;
         for ((_, qid), q) in entry.queries.iter_mut() {
-            let _cls = incgraph_obs::class_scope(q.class.name());
             // The session's typed delta replaces the historical
             // digest-zip: same wire bytes, and computing it is
             // O(|Δoutput|). The mirror refresh at the end of this loop is
             // still an O(|Ψ|) copy per changed view (ROADMAP item 1).
-            let delta = q.session.update_guarded(g, applied).delta;
+            let delta = &deltas[&q.view];
             if delta.resync.is_none() && delta.changes.is_empty() {
                 continue;
             }
-            let len = q.session.output().digest_len();
+            let _cls = incgraph_obs::class_scope(q.view.class.name());
+            let session = &entry.views[&q.view].session;
+            let len = session.output().digest_len();
             if delta.resync.is_some() || delta.changes.len() > max_entries {
                 // Digest geometry changed (BC's bridge list can grow) or
                 // the diff is too large to ship: positional diffs are
@@ -737,13 +828,14 @@ impl Store {
                 incgraph_obs::observe("service.delta_entries", changed.len() as u64);
                 q.out.push_delta(qid, wal_seq, Some(changed), len);
             }
-            q.digest = q.session.digest(g);
+            q.digest = session.digest(g);
         }
         // Standing plans tick after the class queries: one DAG
-        // propagation per plan, notified as a `VDELTA` of weighted view
-        // rows (empty ticks stay silent, like unchanged digests).
+        // propagation per plan from its members' deltas, notified as a
+        // `VDELTA` of weighted view rows (empty ticks stay silent, like
+        // unchanged digests).
         for ((_, qid), p) in entry.plans.iter_mut() {
-            let delta = p.session.apply(g, applied);
+            let delta = p.dag.tick(g, p.members.iter().map(|k| &deltas[k]));
             if delta.is_empty() {
                 continue;
             }
@@ -1063,34 +1155,30 @@ impl Store {
                 )
             })
             .collect();
-        // Rebuild standing queries over the new world; their old
-        // incremental states describe dead history.
+        // Rebuild every view once over the new world; its old incremental
+        // state describes dead history. Each subscriber is then told to
+        // resync: a query by a `resync` DELTA, a plan by its full view.
         let g = session.graph();
+        let mut rebuilt = BTreeSet::new();
+        for (&key, view) in entry.views.iter_mut() {
+            if let Ok(s) = key.build(g) {
+                view.session = s;
+                rebuilt.insert(key);
+            }
+        }
         for ((_, qid), q) in entry.queries.iter_mut() {
-            let mut builder = Session::builder(q.class);
-            if q.class.source_rooted() {
-                builder = builder.source(q.source);
-            }
-            if q.class == QueryClass::Sim {
-                builder = builder.pattern(random_pattern(g, 4, 6, q.pattern_seed));
-            }
-            if let Ok(s) = builder.build(g) {
-                q.digest = s.digest(g);
-                q.session = s;
+            if rebuilt.contains(&q.view) {
+                q.digest = entry.views[&q.view].session.digest(g);
                 q.out.push_delta(qid, covered, None, q.digest.len());
             }
         }
-        // Standing plans likewise: rebuild from the canonical text and
-        // push the full view so the client resyncs.
         for ((_, qid), p) in entry.plans.iter_mut() {
-            let ctx = PlanContext {
-                pattern: Some(random_pattern(g, 4, 6, p.pattern_seed)),
-                ..Default::default()
-            };
-            if let Ok(s) = DataflowSession::from_text(&p.text, g, &ctx) {
+            if p.members.iter().all(|k| rebuilt.contains(k)) {
+                let mut dag = PlanDag::new(p.dag.plan().clone());
+                prime(&mut dag, &p.members, &entry.views, g);
                 p.out
-                    .push_line(format_view_rows("VIEW", qid, covered, &s.view()));
-                p.session = s;
+                    .push_line(format_view_rows("VIEW", qid, covered, &dag.view()));
+                p.dag = dag;
             }
         }
         entry.backend = Backend::Durable { session, dedup };
