@@ -17,7 +17,16 @@
 //! `|AFF|`), however many subscribe to it, and pushes each subscriber a
 //! `DELTA` carrying only the digest entries that changed — the wire
 //! analogue of the incremental contract: notification cost tracks the
-//! affected area, not `|G|`.
+//! affected area, not `|G|`. A subscriber is a reference to its view and
+//! nothing more: it keeps no copy of the output, and `QUERY` renders the
+//! shared view under the read lock.
+//!
+//! **Read sequence.** A graph records the sequence its views reflect,
+//! which is the last notify pass, not the last commit: the writer commits
+//! and acks batches before it notifies them (see
+//! [`apply_update_deferred`](Store::apply_update_deferred)), so a
+//! `RESULT` or `VIEW` can trail the last `ACK` until the flush, and is
+//! always stamped with the sequence of the state it carries.
 //!
 //! **Exactly-once**: clients stamp each batch with a per-token sequence
 //! number. The store acks `seq == last` as a duplicate (the retry case)
@@ -166,12 +175,10 @@ struct View {
     refs: usize,
 }
 
-/// One registered standing query: its view, the digest it last notified
-/// (the subscriber's mirror of the view's output), and the owner's
+/// One registered standing query: the view it reads and the owner's
 /// outbound queue.
 struct StandingQuery {
     view: ViewKey,
-    digest: Vec<u64>,
     out: Arc<Outbound>,
 }
 
@@ -219,6 +226,10 @@ struct GraphEntry {
     acks: HashMap<String, AckRecord>,
     /// The maintained class views the subscriptions below hold.
     views: BTreeMap<ViewKey, View>,
+    /// The sequence `views` (and the plans' DAGs) reflect: the last
+    /// notify pass, which can trail `backend.seq()` by the batches the
+    /// writer has committed but not yet notified.
+    views_seq: u64,
     /// `(session id, qid)` → standing query.
     queries: BTreeMap<(u64, String), StandingQuery>,
     /// `(session id, qid)` → standing dataflow plan. Plans share the
@@ -230,6 +241,7 @@ struct GraphEntry {
 impl GraphEntry {
     fn new(backend: Backend, acks: HashMap<String, AckRecord>) -> GraphEntry {
         GraphEntry {
+            views_seq: backend.seq(),
             backend,
             acks,
             views: BTreeMap::new(),
@@ -248,7 +260,7 @@ impl GraphEntry {
                 e.insert(View { session, refs: 1 });
             }
         }
-        incgraph_obs::gauge("service.views", self.views.len() as u64);
+        self.view_gauges();
         Ok(())
     }
 
@@ -260,7 +272,17 @@ impl GraphEntry {
                 e.remove();
             }
         }
-        incgraph_obs::gauge("service.views", self.views.len() as u64);
+        self.view_gauges();
+    }
+
+    /// Sets the view registry's gauges: how many views the graph keeps
+    /// and their resident bytes.
+    fn view_gauges(&self) {
+        if incgraph_obs::enabled() {
+            incgraph_obs::gauge("service.views", self.views.len() as u64);
+            let bytes = self.views.values().map(|v| v.session.space_bytes());
+            incgraph_obs::gauge("space.views", bytes.sum::<usize>() as u64);
+        }
     }
 }
 
@@ -486,11 +508,10 @@ impl Store {
         entry
             .subscribe(view)
             .map_err(|e| session_refusal(e, ErrCode::BadCommand))?;
-        let digest = entry.views[&view].session.digest(entry.backend.graph());
-        let len = digest.len();
+        let len = entry.views[&view].session.output().digest_len();
         entry
             .queries
-            .insert((sid, qid.to_string()), StandingQuery { view, digest, out });
+            .insert((sid, qid.to_string()), StandingQuery { view, out });
         incgraph_obs::counter("service.registers", 1);
         Ok(len)
     }
@@ -569,7 +590,7 @@ impl Store {
             entry
                 .plans
                 .get(&(sid, qid.to_string()))
-                .map(|p| (p.dag.view(), entry.backend.seq()))
+                .map(|p| (p.dag.view(), entry.views_seq))
         })
     }
 
@@ -602,14 +623,13 @@ impl Store {
         removed
     }
 
-    /// Reads a standing query's current digest with the sequence it
-    /// reflects (`QUERY`, over the shared lock).
+    /// Renders a standing query's view with the sequence it reflects
+    /// (`QUERY`, over the shared lock).
     pub fn query(&self, sid: u64, qid: &str) -> Option<(Vec<u64>, u64)> {
         self.graphs.values().find_map(|entry| {
-            entry
-                .queries
-                .get(&(sid, qid.to_string()))
-                .map(|q| (q.digest.clone(), entry.backend.seq()))
+            let q = entry.queries.get(&(sid, qid.to_string()))?;
+            let digest = entry.views[&q.view].session.output().to_digest();
+            Some((digest, entry.views_seq))
         })
     }
 
@@ -773,7 +793,8 @@ impl Store {
     /// view's incremental update once over the (coalesced) ΔG of
     /// `batches`, in key order, then pushes one `DELTA` per standing
     /// query whose view changed and ticks every plan from the same
-    /// deltas, stamped with the graph's current committed sequence.
+    /// deltas, stamped with the graph's current committed sequence — from
+    /// then on the sequence `QUERY` and `PLANQ` report.
     /// `batches` must be the *effective* applied ops of consecutive
     /// committed batches, oldest first, with none skipped — the net batch
     /// the [`Coalescer`](incgraph_core::Coalescer) builds from them is
@@ -783,12 +804,13 @@ impl Store {
         let Some(entry) = self.graphs.get_mut(graph) else {
             return;
         };
+        let wal_seq = entry.backend.seq();
+        entry.views_seq = wal_seq;
         if batches.is_empty() || (entry.queries.is_empty() && entry.plans.is_empty()) {
             return;
         }
         let _notify = incgraph_obs::span("service.notify");
         let g = entry.backend.graph();
-        let wal_seq = entry.backend.seq();
         let net;
         let applied = if batches.len() == 1 {
             &batches[0]
@@ -805,18 +827,14 @@ impl Store {
             .collect();
         incgraph_obs::counter("service.view_updates", deltas.len() as u64);
         let max_entries = self.limits.max_delta_entries;
-        for ((_, qid), q) in entry.queries.iter_mut() {
-            // The session's typed delta replaces the historical
-            // digest-zip: same wire bytes, and computing it is
-            // O(|Δoutput|). The mirror refresh at the end of this loop is
-            // still an O(|Ψ|) copy per changed view (ROADMAP item 1).
+        for ((_, qid), q) in entry.queries.iter() {
+            // The session's typed delta: O(|Δoutput|) per subscriber.
             let delta = &deltas[&q.view];
             if delta.resync.is_none() && delta.changes.is_empty() {
                 continue;
             }
             let _cls = incgraph_obs::class_scope(q.view.class.name());
-            let session = &entry.views[&q.view].session;
-            let len = session.output().digest_len();
+            let len = entry.views[&q.view].session.output().digest_len();
             if delta.resync.is_some() || delta.changes.len() > max_entries {
                 // Digest geometry changed (BC's bridge list can grow) or
                 // the diff is too large to ship: positional diffs are
@@ -828,7 +846,6 @@ impl Store {
                 incgraph_obs::observe("service.delta_entries", changed.len() as u64);
                 q.out.push_delta(qid, wal_seq, Some(changed), len);
             }
-            q.digest = session.digest(g);
         }
         // Standing plans tick after the class queries: one DAG
         // propagation per plan from its members' deltas, notified as a
@@ -1166,10 +1183,11 @@ impl Store {
                 rebuilt.insert(key);
             }
         }
-        for ((_, qid), q) in entry.queries.iter_mut() {
+        entry.views_seq = covered;
+        for ((_, qid), q) in entry.queries.iter() {
             if rebuilt.contains(&q.view) {
-                q.digest = entry.views[&q.view].session.digest(g);
-                q.out.push_delta(qid, covered, None, q.digest.len());
+                let len = entry.views[&q.view].session.output().digest_len();
+                q.out.push_delta(qid, covered, None, len);
             }
         }
         for ((_, qid), p) in entry.plans.iter_mut() {
@@ -1182,6 +1200,7 @@ impl Store {
             }
         }
         entry.backend = Backend::Durable { session, dedup };
+        entry.view_gauges();
         self.graphs.insert(graph.to_string(), entry);
         Ok(covered)
     }

@@ -9,7 +9,8 @@
 //! through an `UNREGISTER`, a `drop_session` and a replica's
 //! `adopt_snapshot` — while the shared store runs one fixpoint update per
 //! distinct view (`service.view_updates`). A second test pins the
-//! `(sid, qid)` namespace and the per-session cap as store-wide.
+//! `(sid, qid)` namespace and the per-session cap as store-wide, and a
+//! third the sequence a `QUERY` or `PLANQ` answer is stamped with.
 
 use incgraph_algos::{QueryClass, Session};
 use incgraph_dataflow::{eval_once, Plan, PlanContext, Source};
@@ -416,4 +417,47 @@ fn qid_namespace_and_cap_are_per_session_across_graphs() {
     reg(&mut store, 1, "q", "g1").unwrap();
     assert_eq!(store.drop_session(1), 2);
     assert_eq!(store.counts(), (2, 1));
+}
+
+#[test]
+fn reads_carry_the_sequence_their_content_reflects() {
+    // Between a commit and its notify pass the views still hold the
+    // notified state, so `QUERY` and `PLANQ` must keep its sequence:
+    // one sequence never names two answers.
+    let mut store = Store::new(StoreLimits::default());
+    store.open_graph(GRAPH, 4, true).unwrap();
+    let out = outbound();
+    store
+        .register(1, "d", GRAPH, "sssp", 0, 0, Arc::clone(&out))
+        .unwrap();
+    let plan = "d = sssp(source=0); near = filter(d, val < 9); n = count(near)";
+    store
+        .register_plan(1, "p", GRAPH, 0, plan, Arc::clone(&out))
+        .unwrap();
+    let mut first = UpdateBatch::new();
+    first.insert(0, 1, 1).insert(1, 2, 1);
+    store.apply_update(GRAPH, "w", 1, &first).unwrap();
+    let (digest, view) = (
+        store.query(1, "d").unwrap(),
+        store.plan_view(1, "p").unwrap(),
+    );
+    assert_eq!((digest.1, view.1), (1, 1));
+
+    let mut second = UpdateBatch::new();
+    second.insert(2, 3, 1);
+    let (ack, applied) = store.apply_update_deferred(GRAPH, "w", 2, &second).unwrap();
+    assert_eq!(ack.wal_seq, 2);
+    assert_eq!(
+        store.query(1, "d").unwrap(),
+        digest,
+        "before the notify pass"
+    );
+    assert_eq!(store.plan_view(1, "p").unwrap(), view);
+
+    store.notify_queries(GRAPH, &[applied.unwrap()]);
+    let (now, seq) = store.query(1, "d").unwrap();
+    assert_eq!((now[3], seq), (3, 2), "node 3 was unreachable at seq 1");
+    let (rows, seq) = store.plan_view(1, "p").unwrap();
+    assert_eq!(seq, 2);
+    assert_ne!(rows, view.0);
 }
