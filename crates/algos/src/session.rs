@@ -8,6 +8,10 @@
 //! [`Session::builder`] collects the query parameters (source, pattern)
 //! and the execution options ([`ExecOptions`]: policy, audit), and
 //! [`Session::build`] produces a ready state holding its own options.
+//! One seven-way match remains, in the CLI's class subcommand
+//! (`incgraph <class>`), and only for rendering: each class prints its
+//! own rows from its concrete state, so that match calls the class's
+//! `batch` constructor itself instead of building a session.
 //!
 //! A [`Session`] is itself an [`IncrementalState`] (by delegation to the
 //! concrete state), so everything that consumed

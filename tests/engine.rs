@@ -1,14 +1,15 @@
-//! Tier-1 entry for the fixpoint engine's and the class layer's
+//! Root entry for the fixpoint engine's and the class layer's
 //! crate-level suites.
 //!
-//! `cargo test` at the root runs only the root package, so the suites
-//! that pin `incgraph_core::Engine` — the schedule-free reference
-//! comparison in `crates/algos` and the bucket-queue / epoch-set model
-//! checks in `crates/core` — and the three that pin what the class layer
-//! shows the outside — the persisted essence bytes, the session's typed
-//! refusals and the value-invisibility of micro-batch coalescing — are
-//! pulled in here by path. The files stay where their crates' own
-//! `cargo test -p` finds them; nothing is copied.
+//! The suites that pin `incgraph_core::Engine` — the schedule-free
+//! reference comparison in `crates/algos` and the bucket-queue /
+//! epoch-set model checks in `crates/core` — and the three that pin what
+//! the class layer shows the outside — the persisted essence bytes, the
+//! session's typed refusals and the value-invisibility of micro-batch
+//! coalescing — are pulled in here by path. Since the root manifest's
+//! `default-members` covers every crate, `cargo test` at the root also
+//! runs them under their own crates, so this entry is a second run kept
+//! until its deletion (ROADMAP item 15). Nothing is copied.
 
 #[path = "../crates/algos/tests/engine_reference.rs"]
 mod engine_reference;

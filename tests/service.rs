@@ -1,14 +1,15 @@
-//! Tier-1 entry for the service layer's crate-level suites.
+//! Root entry for the service layer's crate-level suites.
 //!
-//! `cargo test` at the root runs only the root package, so the wire
-//! tests over real sockets — the `DELTA` round-trip, the coalesced-flush
-//! `DELTA`, the standing-plan `VDELTA` stream, exactly-once retries and
-//! kill/recover on a durable store — the replication suite (tail
-//! shipping, snapshot bootstrap, semi-sync gating, shipping from the
-//! commit point, promotion and fencing) and the dedup intent log's
-//! longest-valid-prefix properties are pulled in here by path, the way
-//! `tests/engine.rs` does for the engine suites. The files stay where
-//! `cargo test -p incgraph-service` finds them.
+//! The wire tests over real sockets — the `DELTA` round-trip, the
+//! coalesced-flush `DELTA`, the standing-plan `VDELTA` stream,
+//! exactly-once retries and kill/recover on a durable store — the
+//! replication suite (tail shipping, snapshot bootstrap, semi-sync
+//! gating, shipping from the commit point, promotion and fencing) and
+//! the dedup intent log's longest-valid-prefix properties are pulled in
+//! here by path. Since the root manifest's `default-members` covers
+//! every crate, `cargo test` at the root also runs them under
+//! `incgraph-service`, so this entry is a second run kept until its
+//! deletion (ROADMAP item 15). Nothing is copied.
 
 #[path = "../crates/service/tests/service_e2e.rs"]
 mod service_e2e;
