@@ -12,14 +12,19 @@
 //!   `ΔG` batches in, and receive **delta notifications** — only the
 //!   changed digest entries — out.
 //! - [`store`]: the shared store: named graphs (in-memory or
-//!   WAL-durable), standing queries, and the single-writer commit path
-//!   with exactly-once client retries.
+//!   WAL-durable), standing queries, the single-writer commit path
+//!   with exactly-once client retries, and degraded read-only mode after
+//!   a WAL write failure.
 //! - [`dedup`]: the durable intent log that makes retried batches apply
 //!   exactly once across crashes.
-//! - [`server`]: the threaded TCP server — per-session deadlines,
-//!   idle-session reaping, bounded outbound queues with slow-consumer
-//!   coalescing-then-disconnect, admission control (`BUSY`), graceful
-//!   drain, and degraded read-only mode after a WAL write failure.
+//! - [`server`]: the threaded TCP server — configuration, roles, the
+//!   acceptor, graceful drain and abrupt death. Three private modules
+//!   hold the rest of it: `session` (each connection's reader —
+//!   deadlines, idle reaping, admission control with `BUSY`), `writer`
+//!   (the single writer and its commit → ack → notify order) and `repl`
+//!   (both halves of replication).
+//! - [`outbound`]: each session's bounded outbound queue, with
+//!   slow-consumer coalescing-then-disconnect.
 //! - [`client`]: a small blocking client used by the CLI, the load
 //!   harness, and the chaos tests.
 //! - [`load`]: the `incgraph load` harness driving thousands of
@@ -42,7 +47,9 @@ pub mod outbound;
 pub mod protocol;
 pub(crate) mod repl;
 pub mod server;
+pub(crate) mod session;
 pub mod store;
+pub(crate) mod writer;
 
 pub use client::{Client, ClientError, Reply};
 pub use dedup::{AckRecord, DedupEntry, DedupLog, DEDUP_NAME};
