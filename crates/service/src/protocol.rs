@@ -211,6 +211,34 @@ pub enum Command {
         version: String,
         token: String,
     },
+    /// A verb the single writer runs; the session reader forwards it as
+    /// parsed.
+    Write(WriteCmd),
+    /// Full materialized view of a standing plan (`VIEW` reply).
+    Planq {
+        qid: String,
+    },
+    UpdateHeader {
+        graph: String,
+        seq: u64,
+        k: usize,
+    },
+    Query {
+        qid: String,
+    },
+    Status,
+    Ping,
+    Bye,
+    Shutdown,
+    /// Replica → primary: `seq` is now fsynced on the replica.
+    Watermark {
+        seq: u64,
+    },
+}
+
+/// The client verbs the single writer runs, with their parsed fields.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WriteCmd {
     Graph {
         name: String,
         nodes: usize,
@@ -239,22 +267,6 @@ pub enum Command {
     Unplan {
         qid: String,
     },
-    /// Full materialized view of a standing plan (`VIEW` reply).
-    Planq {
-        qid: String,
-    },
-    UpdateHeader {
-        graph: String,
-        seq: u64,
-        k: usize,
-    },
-    Query {
-        qid: String,
-    },
-    Status,
-    Ping,
-    Bye,
-    Shutdown,
     /// Replication handshake: a replica announces its graph shape,
     /// durable epoch, and the last WAL record it holds (`from_seq` +
     /// that record's CRC, `-` when it has none) and asks to be fed.
@@ -267,10 +279,6 @@ pub enum Command {
         nodes: usize,
         /// Force a snapshot bootstrap even when a tail would do.
         force: bool,
-    },
-    /// Replica → primary: `seq` is now fsynced on the replica.
-    Watermark {
-        seq: u64,
     },
     /// Operator command to a replica: bump the epoch and take writes.
     Promote,
@@ -319,11 +327,11 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
                 Some("undirected") => false,
                 _ => return Err(bad("GRAPH needs directed|undirected")),
             };
-            Command::Graph {
+            Command::Write(WriteCmd::Graph {
                 name: name.to_string(),
                 nodes,
                 directed,
-            }
+            })
         }
         "REGISTER" => {
             let qid = it.next().ok_or_else(|| bad("REGISTER needs a query id"))?;
@@ -343,21 +351,21 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
                     return Err(bad("unknown REGISTER option"));
                 }
             }
-            Command::Register {
+            Command::Write(WriteCmd::Register {
                 qid: qid.to_string(),
                 graph: graph.to_string(),
                 class: class.to_string(),
                 source,
                 pattern_seed,
-            }
+            })
         }
-        "UNREGISTER" => Command::Unregister {
+        "UNREGISTER" => Command::Write(WriteCmd::Unregister {
             qid: it
                 .next()
                 .filter(|q| ident_ok(q))
                 .ok_or_else(|| bad("UNREGISTER needs a query id"))?
                 .to_string(),
-        },
+        }),
         "PLAN" => {
             // The plan text is the raw remainder of the line (it
             // contains spaces), so PLAN re-tokenizes from `line` instead
@@ -375,20 +383,20 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
             if text.is_empty() {
                 return Err(bad("PLAN needs a plan text"));
             }
-            Command::Plan {
+            Command::Write(WriteCmd::Plan {
                 qid: qid.to_string(),
                 graph: graph.to_string(),
                 pattern_seed,
                 text: text.to_string(),
-            }
+            })
         }
-        "UNPLAN" => Command::Unplan {
+        "UNPLAN" => Command::Write(WriteCmd::Unplan {
             qid: it
                 .next()
                 .filter(|q| ident_ok(q))
                 .ok_or_else(|| bad("UNPLAN needs a query id"))?
                 .to_string(),
-        },
+        }),
         "PLANQ" => Command::Planq {
             qid: it
                 .next()
@@ -460,7 +468,7 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
                 Some("force") => true,
                 Some(_) => return Err(bad("unknown SYNC option")),
             };
-            Command::Sync {
+            Command::Write(WriteCmd::Sync {
                 graph: graph.to_string(),
                 epoch,
                 from_seq,
@@ -468,7 +476,7 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
                 directed,
                 nodes,
                 force,
-            }
+            })
         }
         "WATERMARK" => Command::Watermark {
             seq: it
@@ -476,10 +484,14 @@ pub fn parse_command(line: &str) -> Result<Command, CommandError> {
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| bad("WATERMARK needs a sequence"))?,
         },
-        "PROMOTE" => Command::Promote,
+        "PROMOTE" => Command::Write(WriteCmd::Promote),
         other => return Err(bad(&format!("unknown command {other}"))),
     };
-    if it.next().is_some() && !matches!(parsed, Command::Hello { .. } | Command::Plan { .. }) {
+    let open_ended = matches!(
+        parsed,
+        Command::Hello { .. } | Command::Write(WriteCmd::Plan { .. })
+    );
+    if it.next().is_some() && !open_ended {
         return Err(bad("trailing arguments"));
     }
     Ok(parsed)
@@ -869,21 +881,21 @@ mod tests {
         );
         assert_eq!(
             parse_command("GRAPH g0 64 undirected"),
-            Ok(Command::Graph {
+            Ok(Command::Write(WriteCmd::Graph {
                 name: "g0".into(),
                 nodes: 64,
                 directed: false
-            })
+            }))
         );
         assert_eq!(
             parse_command("REGISTER q1 g0 sssp source=3"),
-            Ok(Command::Register {
+            Ok(Command::Write(WriteCmd::Register {
                 qid: "q1".into(),
                 graph: "g0".into(),
                 class: "sssp".into(),
                 source: 3,
                 pattern_seed: 42
-            })
+            }))
         );
         assert_eq!(
             parse_command("UPDATE g0 7 2"),
@@ -902,23 +914,23 @@ mod tests {
     fn plan_commands_capture_raw_text() {
         assert_eq!(
             parse_command("PLAN p1 g0 42 d = sssp(source=0); n = count(d)"),
-            Ok(Command::Plan {
+            Ok(Command::Write(WriteCmd::Plan {
                 qid: "p1".into(),
                 graph: "g0".into(),
                 pattern_seed: 42,
                 text: "d = sssp(source=0); n = count(d)".into(),
-            })
+            }))
         );
         // Internal whitespace of the plan text survives verbatim.
         match parse_command("PLAN p g 7 a = cc;  b = filter(a, val < 5)") {
-            Ok(Command::Plan { text, .. }) => {
+            Ok(Command::Write(WriteCmd::Plan { text, .. })) => {
                 assert_eq!(text, "a = cc;  b = filter(a, val < 5)")
             }
             other => panic!("{other:?}"),
         }
         assert_eq!(
             parse_command("UNPLAN p1"),
-            Ok(Command::Unplan { qid: "p1".into() })
+            Ok(Command::Write(WriteCmd::Unplan { qid: "p1".into() }))
         );
         assert_eq!(
             parse_command("PLANQ p1"),
@@ -1024,7 +1036,7 @@ mod tests {
         assert_eq!(line, "SYNC g0 3 17 deadbeef undirected 64");
         assert_eq!(
             parse_command(&line),
-            Ok(Command::Sync {
+            Ok(Command::Write(WriteCmd::Sync {
                 graph: "g0".into(),
                 epoch: 3,
                 from_seq: 17,
@@ -1032,23 +1044,26 @@ mod tests {
                 directed: false,
                 nodes: 64,
                 force: false
-            })
+            }))
         );
         let line = format_sync("g0", 1, 0, None, true, 8, true);
         assert_eq!(line, "SYNC g0 1 0 - directed 8 force");
         assert!(matches!(
             parse_command(&line),
-            Ok(Command::Sync {
+            Ok(Command::Write(WriteCmd::Sync {
                 crc: None,
                 force: true,
                 ..
-            })
+            }))
         ));
         assert_eq!(
             parse_command("WATERMARK 99"),
             Ok(Command::Watermark { seq: 99 })
         );
-        assert_eq!(parse_command("PROMOTE"), Ok(Command::Promote));
+        assert_eq!(
+            parse_command("PROMOTE"),
+            Ok(Command::Write(WriteCmd::Promote))
+        );
         for line in [
             "SYNC g0 1 0 - directed",
             "SYNC g0 1 0 zz directed 8",
