@@ -149,6 +149,12 @@ fn class_run_and_bench() {
     s.usage(&["sssp", "--metrics"], "--metrics needs a path");
     s.usage(&["stream", "--trace"], "--trace needs a path");
     s.usage(&["bogus", "--graph", "g.txt"], "unknown class bogus");
+    for class in ["sssp", "reach"] {
+        s.usage(
+            &[class, "--graph", "g.txt", "--source", "9"],
+            "source 9 is out of range for a graph of 6 node(s)",
+        );
+    }
 
     // The loader's exit classes: unreadable 3, parse 4, invalid ΔG 5.
     s.error(
