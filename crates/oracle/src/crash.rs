@@ -81,12 +81,13 @@ fn clamp_source(source: NodeId, nodes: usize) -> NodeId {
 
 /// Fresh sequential batch states for the case's classes, in case order —
 /// one [`Session::builder`] call per class instead of a local seven-way
-/// `match`. Sessions delegate `save_state`, so the durable essences are
-/// byte-identical to the bare states' the pipeline used to box.
+/// `match`. Each session is unwrapped to its bare class state, which is
+/// what recovery restores, so the pre-crash store and a recovered one run
+/// the same class-state code (and no write journal grows undrained).
 fn build_states(case: &Case, g: &DynamicGraph, source: NodeId) -> Vec<Box<dyn IncrementalState>> {
     case.classes
         .iter()
-        .map(|&c| -> Box<dyn IncrementalState> {
+        .map(|&c| {
             let mut builder = Session::builder(c);
             if c.source_rooted() {
                 builder = builder.source(source);
@@ -95,7 +96,7 @@ fn build_states(case: &Case, g: &DynamicGraph, source: NodeId) -> Vec<Box<dyn In
                 let p = case.pattern.as_ref().expect("sim case without a pattern");
                 builder = builder.pattern(p.clone());
             }
-            Box::new(builder.build(g).expect("session build"))
+            builder.build(g).expect("session build").into_state()
         })
         .collect()
 }
