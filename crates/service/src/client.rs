@@ -6,14 +6,14 @@
 //! notifications buffered to the side ([`Client::take_deltas`] /
 //! [`Client::poll_delta`]).
 
-use crate::protocol::{self, Delta, ViewRow, ViewRows, MAX_LINE_BYTES, WIRE_VERSION};
+use crate::protocol::{self, Delta, LineRead, ViewRow, ViewRows, WIRE_VERSION};
 use crate::store::Ack;
 use incgraph_graph::{NodeId, Update, UpdateBatch};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client-side failure modes.
 #[derive(Debug)]
@@ -197,7 +197,19 @@ impl Client {
         token: &str,
         timeout: Duration,
     ) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        Self::connect_with(addr, token, timeout, timeout)
+    }
+
+    /// [`connect_timeout`](Client::connect_timeout) with the connect
+    /// deadline apart from the `timeout` of the `WELCOME` and every
+    /// write.
+    pub(crate) fn connect_with(
+        addr: SocketAddr,
+        token: &str,
+        connect: Duration,
+        timeout: Duration,
+    ) -> Result<Client, ClientError> {
+        let stream = TcpStream::connect_timeout(&addr, connect)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
@@ -400,9 +412,20 @@ impl Client {
     }
 
     /// Reads one raw protocol line (chaos tests inspect replication
-    /// traffic with this). `None` on read timeout.
+    /// traffic with this, and a replica tails its primary with it).
+    /// `None` when the read deadline passes first; the partial line is
+    /// kept for the next call.
     pub fn recv_raw_line(&mut self) -> Result<Option<String>, ClientError> {
-        self.read_line_opt()
+        match protocol::read_line(&mut self.reader, &mut self.partial)? {
+            LineRead::Line => {
+                let line = String::from_utf8_lossy(&self.partial).into_owned();
+                self.partial.clear();
+                Ok(Some(line))
+            }
+            LineRead::Timeout => Ok(None),
+            LineRead::Eof => Err(ClientError::Closed),
+            LineRead::TooLong => Err(ClientError::Protocol("reply line too long".into())),
+        }
     }
 
     /// Liveness probe.
@@ -439,30 +462,10 @@ impl Client {
         self.deltas.drain(..).collect()
     }
 
-    /// Waits up to `timeout` for the next `DELTA` (buffered ones first).
-    /// `Ok(None)` on timeout.
+    /// Waits up to `timeout` for the next `DELTA` (buffered ones first),
+    /// queuing any `VDELTA` read on the way. `Ok(None)` on timeout.
     pub fn poll_delta(&mut self, timeout: Duration) -> Result<Option<Delta>, ClientError> {
-        if let Some(d) = self.deltas.pop_front() {
-            return Ok(Some(d));
-        }
-        let old = self.reader.get_ref().read_timeout()?;
-        self.reader.get_ref().set_read_timeout(Some(timeout))?;
-        let got = self.read_line_opt();
-        self.reader.get_ref().set_read_timeout(old)?;
-        match got? {
-            None => Ok(None),
-            Some(line) => match parse_reply(&line)? {
-                Reply::Delta(d) => Ok(Some(d)),
-                Reply::VDelta(v) => {
-                    self.vdeltas.push_back(v);
-                    Ok(None)
-                }
-                Reply::Goodbye(r) => Err(ClientError::Goodbye(r)),
-                other => Err(ClientError::Protocol(format!(
-                    "expected DELTA, got {other:?}"
-                ))),
-            },
-        }
+        self.poll_notification(timeout, |c| c.deltas.pop_front())
     }
 
     /// Drains the buffered `VDELTA` notifications received so far.
@@ -471,29 +474,48 @@ impl Client {
     }
 
     /// Waits up to `timeout` for the next `VDELTA` (buffered ones
-    /// first). `Ok(None)` on timeout.
+    /// first), queuing any `DELTA` read on the way. `Ok(None)` on
+    /// timeout.
     pub fn poll_vdelta(&mut self, timeout: Duration) -> Result<Option<ViewRows>, ClientError> {
-        if let Some(v) = self.vdeltas.pop_front() {
-            return Ok(Some(v));
-        }
+        self.poll_notification(timeout, |c| c.vdeltas.pop_front())
+    }
+
+    /// Reads notifications into their queues until `take` finds one in
+    /// them or `timeout` passes (`Ok(None)`). The socket's read deadline
+    /// is restored on the way out.
+    fn poll_notification<T>(
+        &mut self,
+        timeout: Duration,
+        mut take: impl FnMut(&mut Client) -> Option<T>,
+    ) -> Result<Option<T>, ClientError> {
+        let deadline = Instant::now() + timeout;
         let old = self.reader.get_ref().read_timeout()?;
-        self.reader.get_ref().set_read_timeout(Some(timeout))?;
-        let got = self.read_line_opt();
-        self.reader.get_ref().set_read_timeout(old)?;
-        match got? {
-            None => Ok(None),
-            Some(line) => match parse_reply(&line)? {
-                Reply::VDelta(v) => Ok(Some(v)),
-                Reply::Delta(d) => {
-                    self.deltas.push_back(d);
-                    Ok(None)
+        let mut wait = || loop {
+            if let Some(t) = take(self) {
+                return Ok(Some(t));
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
+            self.reader.get_ref().set_read_timeout(Some(left))?;
+            let Some(line) = self.recv_raw_line()? else {
+                continue;
+            };
+            match parse_reply(&line)? {
+                Reply::Delta(d) => self.deltas.push_back(d),
+                Reply::VDelta(v) => self.vdeltas.push_back(v),
+                Reply::Goodbye(r) => return Err(ClientError::Goodbye(r)),
+                other => {
+                    return Err(ClientError::Protocol(format!(
+                        "expected a DELTA or VDELTA, got {other:?}"
+                    )))
                 }
-                Reply::Goodbye(r) => Err(ClientError::Goodbye(r)),
-                other => Err(ClientError::Protocol(format!(
-                    "expected VDELTA, got {other:?}"
-                ))),
-            },
-        }
+            }
+        };
+        let got = wait();
+        self.reader.get_ref().set_read_timeout(old)?;
+        got
     }
 
     /// Sends raw bytes (chaos tests craft malformed traffic with this).
@@ -508,7 +530,7 @@ impl Client {
     /// `GOODBYE` surfaces as [`ClientError::Goodbye`].
     pub fn recv_reply(&mut self) -> Result<Reply, ClientError> {
         loop {
-            let line = match self.read_line_opt()? {
+            let line = match self.recv_raw_line()? {
                 Some(l) => l,
                 None => return Err(ClientError::Io(io::ErrorKind::TimedOut.into())),
             };
@@ -536,53 +558,6 @@ impl Client {
             Reply::Busy { retry_after_ms } => Err(ClientError::Busy { retry_after_ms }),
             Reply::Err { code, detail } => Err(ClientError::Server { code, detail }),
             other => Err(ClientError::Protocol(format!("expected OK, got {other:?}"))),
-        }
-    }
-
-    /// Bounded line read. `Ok(None)` when the read deadline passes with
-    /// an incomplete line (the partial bytes are kept for the next call).
-    fn read_line_opt(&mut self) -> Result<Option<String>, ClientError> {
-        loop {
-            let (consumed, done) = {
-                let avail = match self.reader.fill_buf() {
-                    Ok(a) => a,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(ClientError::Io(e)),
-                };
-                if avail.is_empty() {
-                    return Err(ClientError::Closed);
-                }
-                match avail.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        self.partial.extend_from_slice(&avail[..pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        self.partial.extend_from_slice(avail);
-                        (avail.len(), false)
-                    }
-                }
-            };
-            self.reader.consume(consumed);
-            if self.partial.len() > MAX_LINE_BYTES {
-                return Err(ClientError::Protocol("reply line too long".into()));
-            }
-            if done {
-                if self.partial.last() == Some(&b'\r') {
-                    self.partial.pop();
-                }
-                let line = String::from_utf8_lossy(&self.partial).into_owned();
-                self.partial.clear();
-                return Ok(Some(line));
-            }
         }
     }
 }

@@ -5,8 +5,9 @@
 //! `+ u v w` / `- u v` syntax of `incgraph_graph::io::read_updates`.
 //! The full grammar, semantics tables, and the exactly-once retry
 //! cookbook live in `docs/SERVICE.md`; this module is the single
-//! parse/format authority both the server and the client use, so the two
-//! sides cannot drift.
+//! framing and parse/format authority both the server and the client
+//! use, so the two sides cannot drift: [`read_line`] is the one socket
+//! line reader.
 //!
 //! Client → server:
 //!
@@ -74,6 +75,7 @@
 use incgraph_graph::{NodeId, UpdateBatch, Weight};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::io::{self, BufRead};
 
 /// Protocol identifier exchanged in `HELLO`/`WELCOME`.
 pub const WIRE_VERSION: &str = "incgraph-wire/1";
@@ -86,6 +88,57 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// formatted: an estimate that spares the line buffer its early
 /// doublings, not a bound.
 pub(crate) const ENTRY_RESERVE: usize = 12;
+
+/// What one [`read_line`] call found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LineRead {
+    /// `buf` holds one full line, its LF and a trailing CR stripped.
+    Line,
+    /// The peer closed the stream; an unterminated rest stays in `buf`.
+    Eof,
+    /// The read deadline passed first; the partial line stays in `buf`
+    /// for the next call.
+    Timeout,
+    /// The line passed [`MAX_LINE_BYTES`]: the stream is no longer
+    /// framed and the caller ends it.
+    TooLong,
+}
+
+/// The wire's framing: appends the current line's bytes to `buf` until
+/// its LF, the end of the stream, the read deadline (`WouldBlock` or
+/// `TimedOut`) or the line cap, whichever comes first. Every socket
+/// reader of the wire, server and client, reads through here; the
+/// caller clears `buf` once it has taken a [`LineRead::Line`].
+pub(crate) fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<LineRead> {
+    loop {
+        let avail = match r.fill_buf() {
+            Ok(a) => a,
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                    return Ok(LineRead::Timeout)
+                }
+                io::ErrorKind::Interrupted => continue,
+                _ => return Err(e),
+            },
+        };
+        if avail.is_empty() {
+            return Ok(LineRead::Eof);
+        }
+        let end = avail.iter().position(|&b| b == b'\n');
+        let take = end.unwrap_or(avail.len());
+        buf.extend_from_slice(&avail[..take]);
+        r.consume(take + usize::from(end.is_some()));
+        if buf.len() > MAX_LINE_BYTES {
+            return Ok(LineRead::TooLong);
+        }
+        if end.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(LineRead::Line);
+        }
+    }
+}
 
 /// Typed error codes carried on `ERR` lines. Stable wire names — scripts
 /// and the chaos harness match on them.
@@ -1153,5 +1206,126 @@ mod tests {
         ] {
             assert!(parse_repl(line).is_err(), "{line:?} should fail");
         }
+    }
+
+    /// A [`BufRead`] that hands out scripted chunks and read errors, in
+    /// order; the end of the script is the end of the stream.
+    struct Script(std::collections::VecDeque<Result<Vec<u8>, io::ErrorKind>>);
+
+    impl Script {
+        fn new(steps: Vec<Result<&str, io::ErrorKind>>) -> Script {
+            Script(steps.into_iter().map(|s| s.map(Vec::from)).collect())
+        }
+    }
+
+    impl io::Read for Script {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            unreachable!("read_line reads through the BufRead half only")
+        }
+    }
+
+    impl BufRead for Script {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if let Some(&Err(kind)) = self.0.front() {
+                self.0.pop_front();
+                return Err(kind.into());
+            }
+            Ok(match self.0.front() {
+                Some(Ok(chunk)) => chunk,
+                _ => &[],
+            })
+        }
+
+        fn consume(&mut self, n: usize) {
+            if let Some(Ok(chunk)) = self.0.front_mut() {
+                chunk.drain(..n);
+                if chunk.is_empty() {
+                    self.0.pop_front();
+                }
+            }
+        }
+    }
+
+    /// Reads until a result other than `Timeout`, returning each
+    /// result with the buffer's contents at that point.
+    fn lines(script: Vec<Result<&str, io::ErrorKind>>) -> Vec<(LineRead, String)> {
+        let mut r = Script::new(script);
+        let mut buf = Vec::new();
+        let mut seen = Vec::new();
+        loop {
+            let got = read_line(&mut r, &mut buf).expect("no hard error");
+            seen.push((got, String::from_utf8_lossy(&buf).into_owned()));
+            match got {
+                LineRead::Line => buf.clear(),
+                LineRead::Timeout => {}
+                LineRead::Eof | LineRead::TooLong => return seen,
+            }
+        }
+    }
+
+    #[test]
+    fn read_line_keeps_a_partial_line_across_a_timeout() {
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        assert_eq!(
+            lines(vec![
+                Ok("PI"),
+                Err(WouldBlock),
+                Err(Interrupted),
+                Ok("N"),
+                Err(TimedOut),
+                Ok("G\nQUERY q1\n"),
+            ]),
+            vec![
+                (LineRead::Timeout, "PI".into()),
+                (LineRead::Timeout, "PIN".into()),
+                (LineRead::Line, "PING".into()),
+                (LineRead::Line, "QUERY q1".into()),
+                (LineRead::Eof, String::new()),
+            ]
+        );
+    }
+
+    #[test]
+    fn read_line_strips_one_trailing_cr() {
+        assert_eq!(
+            lines(vec![Ok("PING\r\nA\rB\n\r\r\n")]),
+            vec![
+                (LineRead::Line, "PING".into()),
+                (LineRead::Line, "A\rB".into()),
+                (LineRead::Line, "\r".into()),
+                (LineRead::Eof, String::new()),
+            ]
+        );
+    }
+
+    #[test]
+    fn read_line_reports_eof_mid_line_with_the_rest_kept() {
+        assert_eq!(
+            lines(vec![Ok("PING\nSTAT"), Ok("U")]),
+            vec![
+                (LineRead::Line, "PING".into()),
+                (LineRead::Eof, "STATU".into()),
+            ]
+        );
+        let mut r = Script::new(vec![Err(io::ErrorKind::ConnectionReset)]);
+        let err = read_line(&mut r, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+    }
+
+    #[test]
+    fn read_line_caps_a_line_at_max_line_bytes() {
+        let at_cap = format!("{}\n", "x".repeat(MAX_LINE_BYTES));
+        let got = lines(vec![Ok(&at_cap[..1000]), Ok(&at_cap[1000..])]);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].0, LineRead::Line);
+        assert_eq!(got[0].1.len(), MAX_LINE_BYTES);
+        // One byte over, spread over chunks and with no LF in sight: the
+        // reader gives up at the cap instead of waiting for the end.
+        let chunk = "x".repeat(MAX_LINE_BYTES / 16);
+        let mut script = vec![Ok(chunk.as_str()); 16];
+        script.extend([Ok("x"), Ok("\nPING\n")]);
+        let got = lines(script);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].0, LineRead::TooLong);
     }
 }

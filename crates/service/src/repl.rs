@@ -5,7 +5,7 @@
 //! records and `DIGEST` probes.
 //!
 //! **Replica side**: the tail thread a `--replica-of` server runs
-//! alongside its acceptor and writer. The loop is a client of the
+//! alongside its acceptor and writer. The loop is a [`Client`] of the
 //! primary's ordinary wire port. Each attempt: connect, `HELLO`,
 //! announce our position with `SYNC` (epoch, last sequence, CRC of the
 //! record at that sequence), then consume the primary's answer —
@@ -31,14 +31,14 @@
 //! from that moment this node owns its history and must not apply ships
 //! from the old primary (the writer also refuses them by role).
 
+use crate::client::Client;
 use crate::outbound::Outbound;
-use crate::protocol::{self, ErrCode, ReplMsg, WriteCmd, MAX_LINE_BYTES, WIRE_VERSION};
+use crate::protocol::{self, ErrCode, ReplMsg, WriteCmd};
 use crate::server::{Role, Shared};
-use crate::store::{Store, WireError};
+use crate::store::{ReplInfo, Store, WireError};
 use crate::writer::{Job, WriterState};
 use incgraph_durable::scan_records;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -137,9 +137,9 @@ pub(crate) fn process_sync(
             format!("{graph} is not replicated on this server"),
         ));
     }
-    let Some(info) = store.repl_info(&graph) else {
-        return Err((ErrCode::UnknownGraph, format!("{graph} is not durable")));
-    };
+    let info = store
+        .durable(&graph)
+        .map(|(session, _)| ReplInfo::of(session))?;
     if epoch > info.epoch {
         // The requester has seen a later epoch than ours: we were
         // deposed while partitioned. Fence — refuse writes forever (a
@@ -287,144 +287,121 @@ pub(crate) fn replica_loop(shared: Arc<Shared>, primary: SocketAddr) {
 /// One connection attempt: handshake, bootstrap if told to, then tail
 /// until the stream breaks or the server's life changes.
 fn run_once(shared: &Arc<Shared>, graph: &str, primary: SocketAddr, force: bool) -> StreamEnd {
-    let stream = match TcpStream::connect_timeout(&primary, Duration::from_secs(2)) {
-        Ok(s) => s,
-        Err(_) => return StreamEnd::Reconnect,
+    // Connect within 2 s, `WELCOME` and every write within 5 s; then
+    // reads poll every 250 ms so role and phase changes are honored
+    // promptly.
+    let connected = Client::connect_with(
+        primary,
+        "repl-tail",
+        Duration::from_secs(2),
+        Duration::from_secs(5),
+    );
+    let Ok(mut conn) = connected else {
+        return StreamEnd::Reconnect;
     };
-    let _ = stream.set_nodelay(true);
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(250)))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(Duration::from_secs(5)))
-            .is_err()
-    {
+    if conn.set_read_timeout(Duration::from_millis(250)).is_err() {
         return StreamEnd::Reconnect;
-    }
-    let mut conn = LineConn::new(stream);
-    if conn
-        .send(&format!("HELLO {WIRE_VERSION} repl-tail"))
-        .is_err()
-    {
-        return StreamEnd::Reconnect;
-    }
-    match conn.recv_blocking(Duration::from_secs(5)) {
-        Some(l) if l.starts_with("WELCOME ") => {}
-        _ => return StreamEnd::Reconnect,
     }
     // Announce our durable position.
-    let (sync_line, our_last) = {
-        let guard = shared.store();
-        let Some(store) = guard.as_ref() else {
-            return StreamEnd::Stop;
-        };
-        let Some(info) = store.repl_info(graph) else {
-            return StreamEnd::Stop;
-        };
-        let crc = if info.last_seq > info.base_seq {
-            store.record_crc(graph, info.last_seq)
-        } else {
-            None
-        };
-        (
-            protocol::format_sync(
-                graph,
-                info.epoch,
-                info.last_seq,
-                crc,
-                info.directed,
-                info.nodes,
-                force,
-            ),
-            info.last_seq,
-        )
+    let position = shared.store().as_ref().and_then(|store| {
+        let info = store.repl_info(graph)?;
+        Some((info, store.record_crc(graph, info.last_seq)))
+    });
+    let Some((info, crc)) = position else {
+        return StreamEnd::Stop;
     };
-    if conn.send(&sync_line).is_err() {
+    let sync = protocol::format_sync(
+        graph,
+        info.epoch,
+        info.last_seq,
+        crc,
+        info.directed,
+        info.nodes,
+        force,
+    );
+    if conn.send_raw(&format!("{sync}\n")).is_err() {
         return StreamEnd::Reconnect;
     }
-    let reply = match conn.recv_blocking(Duration::from_secs(10)) {
-        Some(l) => l,
-        None => return StreamEnd::Reconnect,
+    let Some(reply) = recv_within(&mut conn, Duration::from_secs(10)) else {
+        return StreamEnd::Reconnect;
     };
     let mut fields = reply.split_whitespace();
-    match (fields.next(), fields.next(), fields.next()) {
-        (Some("OK"), Some("SYNC"), Some("tail")) => {
-            let Some(epoch) = fields.next().and_then(|t| t.parse::<u64>().ok()) else {
-                return StreamEnd::Reconnect;
-            };
-            if adopt_epoch(shared, graph, epoch) == StreamOk::Broken {
+    let head = (fields.next(), fields.next(), fields.next());
+    let epoch = fields.next().and_then(|t| t.parse::<u64>().ok());
+    match (head, epoch) {
+        ((Some("OK"), Some("SYNC"), Some("tail")), Some(epoch)) => {
+            if !adopt_epoch(shared, graph, epoch) {
                 return StreamEnd::Stop;
             }
-            tail(shared, graph, &mut conn, our_last)
+            tail(shared, graph, &mut conn, info.last_seq)
         }
-        (Some("OK"), Some("SYNC"), Some("snap")) => {
-            let Some(epoch) = fields.next().and_then(|t| t.parse::<u64>().ok()) else {
-                return StreamEnd::Reconnect;
-            };
+        ((Some("OK"), Some("SYNC"), Some("snap")), Some(epoch)) => {
             match bootstrap(shared, graph, &mut conn, epoch) {
                 Some(adopted_seq) => tail(shared, graph, &mut conn, adopted_seq),
                 None => StreamEnd::Reconnect,
             }
         }
-        (Some("ERR"), Some(code), _) => {
+        ((Some("ERR"), Some(_), _), _) => {
+            // Refused. On `stale-epoch` the peer fenced itself against
+            // our epoch: we are the newer history, and reconnecting waits
+            // for topology to be fixed (that peer restarting as our
+            // replica).
             if incgraph_obs::enabled() {
                 incgraph_obs::event("repl.sync_refused", &reply);
             }
-            match code {
-                // The peer fenced itself against our epoch: we are the
-                // newer history. Nothing to tail — wait for topology to
-                // be fixed (that peer restarting as our replica).
-                "stale-epoch" => StreamEnd::Reconnect,
-                _ => StreamEnd::Reconnect,
-            }
+            StreamEnd::Reconnect
         }
         _ => StreamEnd::Reconnect,
     }
 }
 
-#[derive(PartialEq, Eq)]
-enum StreamOk {
-    Fine,
-    Broken,
+/// Adopts the primary's epoch on this replica (tail mode; snapshot mode
+/// carries the epoch inside the adopt job). `false` when the store or
+/// the writer is gone.
+fn adopt_epoch(shared: &Arc<Shared>, graph: &str, epoch: u64) -> bool {
+    let Some(ours) = shared.store().as_ref().and_then(|s| s.repl_info(graph)) else {
+        return false;
+    };
+    let adopt = |done| Job::AdoptEpoch {
+        graph: graph.to_string(),
+        epoch,
+        done,
+    };
+    epoch <= ours.epoch
+        || ask_writer(shared, Duration::from_secs(10), adopt).is_some_and(|r| r.is_ok())
 }
 
-/// Adopts the primary's epoch on this replica (tail mode; snapshot mode
-/// carries the epoch inside the adopt job).
-fn adopt_epoch(shared: &Arc<Shared>, graph: &str, epoch: u64) -> StreamOk {
-    let ours = {
-        let guard = shared.store();
-        match guard.as_ref().and_then(|s| s.repl_info(graph)) {
-            Some(i) => i.epoch,
-            None => return StreamOk::Broken,
+/// Submits the replica job `job` builds around a fresh `done` channel
+/// and waits up to `wait` for the writer's reply. `None` when the writer
+/// is gone or the wait ran out.
+fn ask_writer(
+    shared: &Shared,
+    wait: Duration,
+    job: impl FnOnce(mpsc::Sender<Result<u64, String>>) -> Job,
+) -> Option<Result<u64, String>> {
+    let (done, reply) = mpsc::channel();
+    if !shared.send_job(job(done)) {
+        return None;
+    }
+    reply.recv_timeout(wait).ok()
+}
+
+/// Polls for a full line until one arrives or `deadline` passes; `None`
+/// also when the stream broke.
+fn recv_within(conn: &mut Client, deadline: Duration) -> Option<String> {
+    let start = Instant::now();
+    while start.elapsed() < deadline {
+        if let Some(line) = conn.recv_raw_line().ok()? {
+            return Some(line);
         }
-    };
-    if epoch <= ours {
-        return StreamOk::Fine;
     }
-    let (done_tx, done_rx) = mpsc::channel();
-    shared.pending.fetch_add(1, Ordering::Relaxed);
-    if shared
-        .jobs
-        .send(Job::AdoptEpoch {
-            graph: graph.to_string(),
-            epoch,
-            done: done_tx,
-        })
-        .is_err()
-    {
-        shared.pending.fetch_sub(1, Ordering::Relaxed);
-        return StreamOk::Broken;
-    }
-    match done_rx.recv_timeout(Duration::from_secs(10)) {
-        Ok(Ok(_)) => StreamOk::Fine,
-        _ => StreamOk::Broken,
-    }
+    None
 }
 
 /// Reassembles and adopts a snapshot bootstrap. Returns the adopted
 /// sequence, or `None` if the stream broke or the payload failed its
 /// CRC.
-fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, epoch: u64) -> Option<u64> {
+fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut Client, epoch: u64) -> Option<u64> {
     let mut chunks: Vec<Option<Vec<u8>>> = Vec::new();
     let mut acks = Vec::new();
     let deadline = Duration::from_secs(60);
@@ -432,7 +409,7 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, epoch: u64)
         if !shared.is_running() || shared.role() != Role::Replica {
             return None;
         }
-        let line = conn.recv_blocking(deadline)?;
+        let line = recv_within(conn, deadline)?;
         match protocol::parse_repl(&line) {
             Ok(Some(ReplMsg::Snap {
                 index,
@@ -465,34 +442,23 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, epoch: u64)
                     incgraph_obs::counter("repl.snap_crc_failures", 1);
                     return None;
                 }
-                let (done_tx, done_rx) = mpsc::channel();
-                shared.pending.fetch_add(1, Ordering::Relaxed);
-                if shared
-                    .jobs
-                    .send(Job::ReplAdopt {
-                        graph: graph.to_string(),
-                        payload,
-                        epoch,
-                        acks,
-                        done: done_tx,
-                    })
-                    .is_err()
-                {
-                    shared.pending.fetch_sub(1, Ordering::Relaxed);
+                let adopt = |done| Job::ReplAdopt {
+                    graph: graph.to_string(),
+                    payload,
+                    epoch,
+                    acks,
+                    done,
+                };
+                let Some(Ok(adopted)) = ask_writer(shared, Duration::from_secs(60), adopt) else {
                     return None;
-                }
-                let adopted = match done_rx.recv_timeout(Duration::from_secs(60)) {
-                    Ok(Ok(covered)) => covered,
-                    _ => return None,
                 };
                 if adopted != seq {
                     return None;
                 }
-                let _ = conn.send(&format!("WATERMARK {adopted}"));
+                let _ = conn.send_raw(&format!("WATERMARK {adopted}\n"));
                 return Some(adopted);
             }
-            Ok(Some(_)) | Ok(None) => return None, // stream out of shape
-            Err(_) => return None,
+            _ => return None, // stream out of shape
         }
     }
 }
@@ -500,15 +466,12 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, epoch: u64)
 /// The live tail: apply each `SHIP` through the writer, confirm with
 /// `WATERMARK`, answer `DIGEST` probes, until the stream or this node's
 /// role ends.
-fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, mut applied: u64) -> StreamEnd {
+fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut Client, mut applied: u64) -> StreamEnd {
     loop {
-        if !shared.is_running() {
+        if !shared.is_running() || shared.role() != Role::Replica {
             return StreamEnd::Stop;
         }
-        if shared.role() != Role::Replica {
-            return StreamEnd::Stop;
-        }
-        let line = match conn.poll() {
+        let line = match conn.recv_raw_line() {
             Ok(Some(l)) => l,
             Ok(None) => continue,
             Err(_) => return StreamEnd::Reconnect,
@@ -529,33 +492,23 @@ fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, mut applied: u64
                 }
                 let batch = scan.records.into_iter().next().expect("one record").batch;
                 let identity = token.map(|t| (t, client_seq));
-                let (done_tx, done_rx) = mpsc::channel();
-                shared.pending.fetch_add(1, Ordering::Relaxed);
-                if shared
-                    .jobs
-                    .send(Job::ReplApply {
-                        graph: graph.to_string(),
-                        seq,
-                        identity,
-                        batch,
-                        done: done_tx,
-                    })
-                    .is_err()
-                {
-                    shared.pending.fetch_sub(1, Ordering::Relaxed);
-                    return StreamEnd::Stop;
-                }
-                match done_rx.recv_timeout(Duration::from_secs(30)) {
-                    Ok(Ok(s)) => {
+                let apply = |done| Job::ReplApply {
+                    graph: graph.to_string(),
+                    seq,
+                    identity,
+                    batch,
+                    done,
+                };
+                match ask_writer(shared, Duration::from_secs(30), apply) {
+                    Some(Ok(s)) => {
                         applied = s;
-                        if conn.send(&format!("WATERMARK {s}")).is_err() {
+                        if conn.send_raw(&format!("WATERMARK {s}\n")).is_err() {
                             return StreamEnd::Reconnect;
                         }
                     }
-                    Ok(Err(e)) if e.starts_with("seq-gap") => return StreamEnd::Reconnect,
-                    Ok(Err(e)) if e.starts_with("not-primary") => return StreamEnd::Stop,
-                    Ok(Err(_)) => return StreamEnd::Reconnect,
-                    Err(_) => return StreamEnd::Stop,
+                    Some(Err(e)) if e.starts_with("not-primary") => return StreamEnd::Stop,
+                    Some(Err(_)) => return StreamEnd::Reconnect,
+                    None => return StreamEnd::Stop,
                 }
             }
             Ok(Some(ReplMsg::Digest { seq, digest })) => {
@@ -564,10 +517,7 @@ fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, mut applied: u64
                     // (or past) position — not comparable.
                     continue;
                 }
-                let ours = {
-                    let guard = shared.store();
-                    guard.as_ref().and_then(|s| s.repl_digest(graph))
-                };
+                let ours = shared.store().as_ref().and_then(|s| s.repl_digest(graph));
                 match ours {
                     Some((our_seq, our_digest)) if our_seq == seq && our_digest != digest => {
                         incgraph_obs::counter("repl.divergence", 1);
@@ -592,87 +542,5 @@ fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut LineConn, mut applied: u64
             }
             Err(_) => return StreamEnd::Reconnect,
         }
-    }
-}
-
-/// A line-framed connection with a polling read (the socket carries a
-/// short read timeout so role/phase changes are honored promptly).
-struct LineConn {
-    reader: BufReader<TcpStream>,
-    partial: Vec<u8>,
-}
-
-impl LineConn {
-    fn new(stream: TcpStream) -> LineConn {
-        LineConn {
-            reader: BufReader::with_capacity(64 * 1024, stream),
-            partial: Vec::new(),
-        }
-    }
-
-    fn send(&mut self, line: &str) -> io::Result<()> {
-        let s = self.reader.get_mut();
-        s.write_all(line.as_bytes())?;
-        s.write_all(b"\n")?;
-        s.flush()
-    }
-
-    /// One poll: `Ok(None)` when the read deadline passed mid-line.
-    fn poll(&mut self) -> io::Result<Option<String>> {
-        loop {
-            let (consumed, done) = {
-                let avail = match self.reader.fill_buf() {
-                    Ok(a) => a,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                };
-                if avail.is_empty() {
-                    return Err(io::ErrorKind::UnexpectedEof.into());
-                }
-                match avail.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        self.partial.extend_from_slice(&avail[..pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        self.partial.extend_from_slice(avail);
-                        (avail.len(), false)
-                    }
-                }
-            };
-            self.reader.consume(consumed);
-            if self.partial.len() > MAX_LINE_BYTES {
-                return Err(io::ErrorKind::InvalidData.into());
-            }
-            if done {
-                if self.partial.last() == Some(&b'\r') {
-                    self.partial.pop();
-                }
-                let line = String::from_utf8_lossy(&self.partial).into_owned();
-                self.partial.clear();
-                return Ok(Some(line));
-            }
-        }
-    }
-
-    /// Polls until a full line arrives or `deadline` passes.
-    fn recv_blocking(&mut self, deadline: Duration) -> Option<String> {
-        let start = std::time::Instant::now();
-        while start.elapsed() < deadline {
-            match self.poll() {
-                Ok(Some(l)) => return Some(l),
-                Ok(None) => continue,
-                Err(_) => return None,
-            }
-        }
-        None
     }
 }

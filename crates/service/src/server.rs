@@ -161,7 +161,7 @@ pub(crate) struct Shared {
     /// `None` once the writer dropped the store (drain finished or
     /// killed) — that drop releases the durable `LOCK` file.
     store: RwLock<Option<Store>>,
-    pub(crate) jobs: mpsc::Sender<Job>,
+    jobs: mpsc::Sender<Job>,
     pub(crate) pending: AtomicUsize,
     pub(crate) phase: AtomicU8,
     sessions: Mutex<HashMap<u64, SessionSlot>>,
@@ -192,16 +192,24 @@ impl Shared {
         self.role.store(role.as_u8(), Ordering::Release);
     }
 
-    pub(crate) fn shared_role_refuses_writes(&self) -> bool {
-        self.role() != Role::Primary
-    }
-
     pub(crate) fn store(&self) -> std::sync::RwLockReadGuard<'_, Option<Store>> {
         self.store.read().unwrap_or_else(|e| e.into_inner())
     }
 
     pub(crate) fn store_mut(&self) -> std::sync::RwLockWriteGuard<'_, Option<Store>> {
         self.store.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Hands `job` to the writer, counted in `pending` (the writer
+    /// decrements for every job it receives). `false` when the writer is
+    /// gone and the job was dropped.
+    pub(crate) fn send_job(&self, job: Job) -> bool {
+        self.pending.fetch_add(1, Ordering::Relaxed);
+        if self.jobs.send(job).is_err() {
+            self.pending.fetch_sub(1, Ordering::Relaxed);
+            return false;
+        }
+        true
     }
 
     pub(crate) fn sessions(&self) -> std::sync::MutexGuard<'_, HashMap<u64, SessionSlot>> {

@@ -18,68 +18,16 @@
 //!   sequence number and the dedup table keeps it exactly-once.
 
 use crate::outbound::Outbound;
-use crate::protocol::{self, Command, ErrCode, MAX_LINE_BYTES, WIRE_VERSION};
-use crate::server::{Shared, DRAINING, KILLED, RUNNING};
+use crate::protocol::{self, Command, ErrCode, LineRead, WIRE_VERSION};
+use crate::server::{Role, Shared, DRAINING, KILLED, RUNNING};
 use crate::writer::Job;
 use incgraph_graph::UpdateBatch;
 use std::fmt::Write as _;
-use std::io::{self, BufRead, BufReader};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// One bounded line read. `buf` accumulates across timeout polls so a
-/// slowly-arriving line is not lost.
-enum LineStatus {
-    Line,
-    Eof,
-    Timeout,
-    TooLong,
-}
-
-fn poll_line(r: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> io::Result<LineStatus> {
-    loop {
-        let (consumed, status) = {
-            let avail = match r.fill_buf() {
-                Ok(a) => a,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(LineStatus::Timeout)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if avail.is_empty() {
-                return Ok(LineStatus::Eof);
-            }
-            match avail.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    buf.extend_from_slice(&avail[..pos]);
-                    (pos + 1, Some(LineStatus::Line))
-                }
-                None => {
-                    buf.extend_from_slice(avail);
-                    (avail.len(), None)
-                }
-            }
-        };
-        r.consume(consumed);
-        if buf.len() > MAX_LINE_BYTES {
-            return Ok(LineStatus::TooLong);
-        }
-        if let Some(s) = status {
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            return Ok(s);
-        }
-    }
-}
 
 struct SessionCtx {
     sid: u64,
@@ -93,6 +41,34 @@ impl SessionCtx {
     }
 }
 
+/// One read poll of the session's socket into `buf`: `Some(true)` when a
+/// full line is there, `Some(false)` when the poll timed out first, and
+/// `None` when the session ends — at EOF or a socket error, or after
+/// queuing the reply an idle reap or an over-long line owes the peer.
+fn poll_line(
+    shared: &Shared,
+    ctx: &SessionCtx,
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut Vec<u8>,
+    last_activity: Instant,
+) -> Option<bool> {
+    match protocol::read_line(reader, buf) {
+        Ok(LineRead::Line) => Some(true),
+        Ok(LineRead::Timeout) if last_activity.elapsed() < shared.cfg.idle_timeout => Some(false),
+        Ok(LineRead::Timeout) => {
+            incgraph_obs::counter("service.reaped", 1);
+            ctx.out.push_goodbye("idle-timeout");
+            None
+        }
+        Ok(LineRead::TooLong) => {
+            ctx.err(ErrCode::TooLarge, "line exceeds 1 MiB");
+            ctx.out.push_goodbye("protocol-error");
+            None
+        }
+        Ok(LineRead::Eof) | Err(_) => None,
+    }
+}
+
 pub(crate) fn reader_loop(shared: Arc<Shared>, stream: TcpStream, sid: u64, out: Arc<Outbound>) {
     let mut reader = BufReader::with_capacity(16 * 1024, stream);
     let mut ctx = SessionCtx {
@@ -103,29 +79,16 @@ pub(crate) fn reader_loop(shared: Arc<Shared>, stream: TcpStream, sid: u64, out:
     let mut buf: Vec<u8> = Vec::new();
     let mut last_activity = Instant::now();
     loop {
-        match shared.phase() {
-            RUNNING => {}
-            DRAINING => break, // the writer sends the GOODBYE after the drain
-            _ => break,        // killed: socket is already reset
+        if shared.phase() != RUNNING {
+            break; // draining: the writer sends the GOODBYE; killed: reset
         }
         if ctx.out.is_closing() {
             break; // slow-consumer or BYE already decided the ending
         }
-        match poll_line(&mut reader, &mut buf) {
-            Ok(LineStatus::Timeout) => {
-                if last_activity.elapsed() >= shared.cfg.idle_timeout {
-                    incgraph_obs::counter("service.reaped", 1);
-                    ctx.out.push_goodbye("idle-timeout");
-                    break;
-                }
-            }
-            Ok(LineStatus::Eof) | Err(_) => break,
-            Ok(LineStatus::TooLong) => {
-                ctx.err(ErrCode::TooLarge, "line exceeds 1 MiB");
-                ctx.out.push_goodbye("protocol-error");
-                break;
-            }
-            Ok(LineStatus::Line) => {
+        match poll_line(&shared, &ctx, &mut reader, &mut buf, last_activity) {
+            None => break,
+            Some(false) => {}
+            Some(true) => {
                 last_activity = Instant::now();
                 let line = String::from_utf8_lossy(&buf).into_owned();
                 buf.clear();
@@ -135,12 +98,7 @@ pub(crate) fn reader_loop(shared: Arc<Shared>, stream: TcpStream, sid: u64, out:
             }
         }
     }
-    // Session teardown. The DropSession send must mirror `submit`'s
-    // pending accounting: the writer decrements for every job received.
-    shared.pending.fetch_add(1, Ordering::Relaxed);
-    if shared.jobs.send(Job::DropSession { sid }).is_err() {
-        shared.pending.fetch_sub(1, Ordering::Relaxed);
-    }
+    shared.send_job(Job::DropSession { sid });
     if shared.phase() == DRAINING {
         // The writer owns the final GOODBYE: leave the slot and the
         // sender alive so the broadcast can reach this session.
@@ -299,14 +257,7 @@ fn handle_line(
             // Watermarks bypass BUSY shedding: dropping one only delays
             // gated acks until the next, but a BUSY line interleaved in
             // the replication stream would be noise the replica skips.
-            shared.pending.fetch_add(1, Ordering::Relaxed);
-            if shared
-                .jobs
-                .send(Job::Watermark { sid: ctx.sid, seq })
-                .is_err()
-            {
-                shared.pending.fetch_sub(1, Ordering::Relaxed);
-            }
+            shared.send_job(Job::Watermark { sid: ctx.sid, seq });
             true
         }
     }
@@ -348,21 +299,10 @@ fn read_and_submit_update(
         // that brought it; only a line that needs the socket moves the
         // idle clock.
         let needs_read = !reader.buffer().contains(&b'\n');
-        match poll_line(reader, &mut buf) {
-            Ok(LineStatus::Timeout) => {
-                if last_activity.elapsed() >= shared.cfg.idle_timeout {
-                    incgraph_obs::counter("service.reaped", 1);
-                    ctx.out.push_goodbye("idle-timeout");
-                    return false;
-                }
-            }
-            Ok(LineStatus::Eof) | Err(_) => return false,
-            Ok(LineStatus::TooLong) => {
-                ctx.err(ErrCode::TooLarge, "line exceeds 1 MiB");
-                ctx.out.push_goodbye("protocol-error");
-                return false;
-            }
-            Ok(LineStatus::Line) => {
+        match poll_line(shared, ctx, reader, &mut buf, *last_activity) {
+            None => return false,
+            Some(false) => {}
+            Some(true) => {
                 if needs_read {
                     *last_activity = Instant::now();
                 }
@@ -383,7 +323,7 @@ fn read_and_submit_update(
     // The full body is read first so the stream stays framed; only then
     // is the batch judged. A non-primary refuses writes here — clients
     // redirect to the primary and retry the same sequence.
-    if shared.shared_role_refuses_writes() {
+    if shared.role() != Role::Primary {
         ctx.err(
             ErrCode::NotPrimary,
             &format!(
@@ -425,9 +365,7 @@ fn submit(shared: &Arc<Shared>, ctx: &SessionCtx, job: Job) -> bool {
             .push_line(format!("BUSY {}", shared.cfg.retry_after_ms));
         return true;
     }
-    shared.pending.fetch_add(1, Ordering::Relaxed);
-    if shared.jobs.send(job).is_err() {
-        shared.pending.fetch_sub(1, Ordering::Relaxed);
+    if !shared.send_job(job) {
         ctx.err(ErrCode::ShuttingDown, "writer is gone");
     }
     true

@@ -44,12 +44,13 @@ use incgraph_algos::{IncrementalState, OutputDelta, QueryClass, Session, Session
 use incgraph_dataflow::{Plan, PlanDag};
 use incgraph_durable::{
     encode_record, recover, scan_records, CrashPoint, DurableError, DurableOptions, DurableSession,
-    WAL_NAME,
+    ScannedRecord, WAL_NAME,
 };
 use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
 use incgraph_workloads::random_pattern;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -92,6 +93,12 @@ pub enum UpdateError {
     /// An armed [`CrashPoint`] fired mid-commit: the store is dead and
     /// the server must simulate process death (no replies, no drain).
     Crashed(CrashPoint),
+}
+
+impl From<WireError> for UpdateError {
+    fn from((code, detail): WireError) -> Self {
+        UpdateError::Wire(code, detail)
+    }
 }
 
 /// A successful `UPDATE`: what the `ACK` line carries.
@@ -309,6 +316,29 @@ fn session_refusal(e: SessionError, other: ErrCode) -> WireError {
         e => (other, e.to_string()),
     }
 }
+
+/// Enters degraded read-only mode (see [`Store`]'s `degraded`) after the
+/// durable-layer failure `why`.
+fn degrade(degraded: &mut bool, why: &dyn fmt::Display) {
+    *degraded = true;
+    if incgraph_obs::enabled() {
+        incgraph_obs::event("service.degraded", &why.to_string());
+    }
+}
+
+/// The retained WAL tail's records, read back from disk.
+fn wal_tail(session: &DurableSession) -> std::io::Result<Vec<ScannedRecord>> {
+    let bytes = std::fs::read(session.dir().join(WAL_NAME))?;
+    let body = bytes.get(8..).unwrap_or(&[]);
+    Ok(scan_records(body, session.base_seq() + 1).records)
+}
+
+/// A durable graph's session, dedup log and ack table, lent apart.
+type DurableParts<'a> = (
+    &'a mut DurableSession,
+    &'a mut DedupLog,
+    &'a mut HashMap<String, AckRecord>,
+);
 
 /// The service's shared state. See the module docs.
 pub struct Store {
@@ -735,48 +765,18 @@ impl Store {
                     .map_err(|e| wire(ErrCode::InvalidBatch, e.to_string()))?;
                 *seq += 1;
                 committed(*seq);
-                (*seq, applied)
+                let wal_seq = *seq;
+                let ack = AckRecord {
+                    client_seq,
+                    wal_seq,
+                };
+                entry.acks.insert(token.to_string(), ack);
+                (wal_seq, applied)
             }
-            Backend::Durable { session, dedup } => {
-                if self.degraded {
-                    return Err(wire(
-                        ErrCode::ReadOnly,
-                        "store is in degraded read-only mode after a WAL failure".into(),
-                    ));
-                }
-                match session.apply_with(
-                    batch,
-                    |wal_seq| dedup.append(token, client_seq, wal_seq),
-                    committed,
-                ) {
-                    Ok((_, applied)) => (session.last_seq(), applied),
-                    Err(DurableError::InvalidBatch(e)) => {
-                        return Err(wire(ErrCode::InvalidBatch, e.to_string()))
-                    }
-                    Err(DurableError::InjectedCrash(p)) => return Err(UpdateError::Crashed(p)),
-                    Err(e) => {
-                        // Real I/O or corruption: the in-memory graph was
-                        // rolled back, but trust in the log is gone —
-                        // degrade to read-only for the process lifetime.
-                        self.degraded = true;
-                        if incgraph_obs::enabled() {
-                            incgraph_obs::event("service.degraded", &e.to_string());
-                        }
-                        return Err(wire(
-                            ErrCode::Store,
-                            format!("{e}; store degraded to read-only"),
-                        ));
-                    }
-                }
+            Backend::Durable { .. } => {
+                self.commit_durable(graph, Some((token, client_seq)), batch, committed)?
             }
         };
-        entry.acks.insert(
-            token.to_string(),
-            AckRecord {
-                client_seq,
-                wal_seq,
-            },
-        );
         incgraph_obs::counter("service.batches", 1);
         Ok((
             Ack {
@@ -787,6 +787,59 @@ impl Store {
             },
             Some(applied),
         ))
+    }
+
+    /// The durable commit client batches and shipped records share: the
+    /// degraded check, then [`DurableSession::apply_with`] with the
+    /// dedup intent of `identity` (the client's, or the one a ship
+    /// carries) fsynced before the WAL record, then the ack-table entry.
+    /// `committed` is `apply_with`'s commit-point hook. Returns the
+    /// batch's WAL sequence and effective ΔG.
+    fn commit_durable(
+        &mut self,
+        graph: &str,
+        identity: Option<(&str, u64)>,
+        batch: &UpdateBatch,
+        committed: impl FnOnce(u64),
+    ) -> Result<(u64, incgraph_graph::AppliedBatch), UpdateError> {
+        if self.degraded {
+            return Err(UpdateError::Wire(
+                ErrCode::ReadOnly,
+                "store is in degraded read-only mode after a WAL failure".into(),
+            ));
+        }
+        let (session, dedup, acks) = self.durable_mut(graph)?;
+        let pre_commit = |wal_seq| match identity {
+            Some((token, client_seq)) => dedup.append(token, client_seq, wal_seq),
+            None => Ok(()),
+        };
+        match session.apply_with(batch, pre_commit, committed) {
+            Ok((_, applied)) => {
+                let wal_seq = session.last_seq();
+                if let Some((token, client_seq)) = identity {
+                    let ack = AckRecord {
+                        client_seq,
+                        wal_seq,
+                    };
+                    acks.insert(token.to_string(), ack);
+                }
+                Ok((wal_seq, applied))
+            }
+            Err(DurableError::InvalidBatch(e)) => {
+                Err(UpdateError::Wire(ErrCode::InvalidBatch, e.to_string()))
+            }
+            Err(DurableError::InjectedCrash(p)) => Err(UpdateError::Crashed(p)),
+            Err(e) => {
+                // Real I/O or corruption: the in-memory graph was rolled
+                // back, but trust in the log is gone — degrade to
+                // read-only for the process lifetime.
+                degrade(&mut self.degraded, &e);
+                Err(UpdateError::Wire(
+                    ErrCode::Store,
+                    format!("{e}; store degraded to read-only"),
+                ))
+            }
+        }
     }
 
     /// The notification half of [`apply_update`]: runs every maintained
@@ -873,10 +926,7 @@ impl Store {
         for entry in self.graphs.values_mut() {
             if let Backend::Durable { session, .. } = &mut entry.backend {
                 if let Err(e) = session.checkpoint() {
-                    self.degraded = true;
-                    if incgraph_obs::enabled() {
-                        incgraph_obs::event("service.degraded", &e.to_string());
-                    }
+                    degrade(&mut self.degraded, &e);
                 }
             }
         }
@@ -915,29 +965,46 @@ impl Store {
 
     // --- replication -----------------------------------------------------
 
+    /// The durable graph `graph`'s session and ack table, or the refusal
+    /// of an unknown or in-memory name.
+    pub(crate) fn durable(
+        &self,
+        graph: &str,
+    ) -> Result<(&DurableSession, &HashMap<String, AckRecord>), WireError> {
+        match self.graphs.get(graph) {
+            Some(GraphEntry {
+                backend: Backend::Durable { session, .. },
+                acks,
+                ..
+            }) => Ok((session, acks)),
+            Some(_) => Err((ErrCode::BadCommand, format!("{graph} is not durable"))),
+            None => Err((ErrCode::UnknownGraph, format!("no graph {graph}"))),
+        }
+    }
+
+    /// [`durable`](Self::durable) for writing, with the dedup log.
+    fn durable_mut(&mut self, graph: &str) -> Result<DurableParts<'_>, WireError> {
+        self.durable(graph)?;
+        match self.graphs.get_mut(graph) {
+            Some(GraphEntry {
+                backend: Backend::Durable { session, dedup },
+                acks,
+                ..
+            }) => Ok((session, dedup, acks)),
+            _ => unreachable!("checked above"),
+        }
+    }
+
     /// Replication-facing view of the durable graph `name`; `None` for
     /// unknown or non-durable graphs.
     pub fn repl_info(&self, graph: &str) -> Option<ReplInfo> {
-        let entry = self.graphs.get(graph)?;
-        let Backend::Durable { session, .. } = &entry.backend else {
-            return None;
-        };
-        Some(ReplInfo {
-            epoch: session.epoch(),
-            base_seq: session.base_seq(),
-            last_seq: session.last_seq(),
-            directed: session.graph().is_directed(),
-            nodes: session.graph().node_count(),
-        })
+        self.durable(graph).ok().map(|(s, _)| ReplInfo::of(s))
     }
 
     /// `(last_seq, digest)` of the durable graph — the divergence probe's
     /// payload on both ends.
     pub fn repl_digest(&self, graph: &str) -> Option<(u64, String)> {
-        let entry = self.graphs.get(graph)?;
-        let Backend::Durable { session, .. } = &entry.backend else {
-            return None;
-        };
+        let (session, _) = self.durable(graph).ok()?;
         Some((session.last_seq(), session.digest()))
     }
 
@@ -946,17 +1013,12 @@ impl Store {
     /// never logged. Both the replica (announcing its position in `SYNC`)
     /// and the primary (validating that announcement) use this.
     pub fn record_crc(&self, graph: &str, seq: u64) -> Option<u32> {
-        let entry = self.graphs.get(graph)?;
-        let Backend::Durable { session, .. } = &entry.backend else {
-            return None;
-        };
+        let (session, _) = self.durable(graph).ok()?;
         if seq <= session.base_seq() || seq > session.last_seq() {
             return None;
         }
-        let body = std::fs::read(session.dir().join(WAL_NAME)).ok()?;
-        let body = body.get(8..)?;
-        let scan = scan_records(body, session.base_seq() + 1);
-        scan.records
+        wal_tail(session)
+            .ok()?
             .iter()
             .find(|r| r.seq == seq)
             .map(|r| record_crc_of(r.seq, &r.batch))
@@ -964,12 +1026,7 @@ impl Store {
 
     /// Promotion's commit point: durably bumps the durable graph's epoch.
     pub fn bump_epoch(&mut self, graph: &str) -> Result<u64, WireError> {
-        let Some(entry) = self.graphs.get_mut(graph) else {
-            return Err((ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        let Backend::Durable { session, .. } = &mut entry.backend else {
-            return Err((ErrCode::BadCommand, format!("{graph} is not durable")));
-        };
+        let (session, ..) = self.durable_mut(graph)?;
         session
             .bump_epoch()
             .map_err(|e| (ErrCode::Store, e.to_string()))
@@ -977,12 +1034,7 @@ impl Store {
 
     /// Adopts a primary's (higher) epoch on a tailing replica.
     pub fn adopt_epoch(&mut self, graph: &str, epoch: u64) -> Result<(), WireError> {
-        let Some(entry) = self.graphs.get_mut(graph) else {
-            return Err((ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        let Backend::Durable { session, .. } = &mut entry.backend else {
-            return Err((ErrCode::BadCommand, format!("{graph} is not durable")));
-        };
+        let (session, ..) = self.durable_mut(graph)?;
         session
             .adopt_epoch(epoch)
             .map_err(|e| (ErrCode::Store, e.to_string()))
@@ -992,12 +1044,8 @@ impl Store {
     /// the checkpoint payload covering `last_seq` plus the current ack
     /// table (latest entry per token, WAL order) for `SNAPACK` shipping.
     pub fn encode_snapshot(&self, graph: &str) -> Option<(u64, Vec<u8>, Vec<DedupEntry>)> {
-        let entry = self.graphs.get(graph)?;
-        let Backend::Durable { session, .. } = &entry.backend else {
-            return None;
-        };
-        let mut acks: Vec<DedupEntry> = entry
-            .acks
+        let (session, acks) = self.durable(graph).ok()?;
+        let mut acks: Vec<DedupEntry> = acks
             .iter()
             .map(|(token, rec)| DedupEntry {
                 wal_seq: rec.wal_seq,
@@ -1019,16 +1067,8 @@ impl Store {
         graph: &str,
         from_seq: u64,
     ) -> Result<(Option<u32>, Vec<ShipRecord>), WireError> {
-        let Some(entry) = self.graphs.get(graph) else {
-            return Err((ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        let Backend::Durable { session, .. } = &entry.backend else {
-            return Err((ErrCode::BadCommand, format!("{graph} is not durable")));
-        };
-        let bytes = std::fs::read(session.dir().join(WAL_NAME))
-            .map_err(|e| (ErrCode::Store, format!("wal read: {e}")))?;
-        let body = bytes.get(8..).unwrap_or(&[]);
-        let scan = scan_records(body, session.base_seq() + 1);
+        let (session, _) = self.durable(graph)?;
+        let records = wal_tail(session).map_err(|e| (ErrCode::Store, format!("wal read: {e}")))?;
         let identities: HashMap<u64, (String, u64)> =
             dedup::scan_entries(session.dir(), session.last_seq())
                 .map_err(|e| (ErrCode::Store, format!("dedup scan: {e}")))?
@@ -1037,7 +1077,7 @@ impl Store {
                 .collect();
         let mut crc_at_from = None;
         let mut ships = Vec::new();
-        for r in &scan.records {
+        for r in &records {
             if r.seq == from_seq {
                 crc_at_from = Some(record_crc_of(r.seq, &r.batch));
             } else if r.seq > from_seq {
@@ -1064,57 +1104,17 @@ impl Store {
         identity: Option<(&str, u64)>,
         batch: &UpdateBatch,
     ) -> Result<incgraph_graph::AppliedBatch, UpdateError> {
-        let wire = |c: ErrCode, d: String| UpdateError::Wire(c, d);
-        let Some(entry) = self.graphs.get_mut(graph) else {
-            return Err(wire(ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        let Backend::Durable { session, dedup } = &mut entry.backend else {
-            return Err(wire(ErrCode::BadCommand, format!("{graph} is not durable")));
-        };
-        if self.degraded {
-            return Err(wire(
-                ErrCode::ReadOnly,
-                "store is in degraded read-only mode after a WAL failure".into(),
-            ));
-        }
-        if seq != session.last_seq() + 1 {
-            return Err(wire(
+        let last = self.durable(graph)?.0.last_seq();
+        if seq != last + 1 {
+            return Err(UpdateError::Wire(
                 ErrCode::SeqGap,
-                format!("replica at {}, ship at {seq}", session.last_seq()),
+                format!("replica at {last}, ship at {seq}"),
             ));
         }
         let _span = incgraph_obs::span("repl.apply");
-        let pre_commit = |wal_seq| match identity {
-            Some((token, client_seq)) => dedup.append(token, client_seq, wal_seq),
-            None => Ok(()),
-        };
-        match session.apply_with(batch, pre_commit, |_| {}) {
-            Ok((_, applied)) => {
-                if let Some((token, client_seq)) = identity {
-                    entry.acks.insert(
-                        token.to_string(),
-                        AckRecord {
-                            client_seq,
-                            wal_seq: seq,
-                        },
-                    );
-                }
-                incgraph_obs::counter("repl.ship_records", 1);
-                Ok(applied)
-            }
-            Err(DurableError::InvalidBatch(e)) => Err(wire(ErrCode::InvalidBatch, e.to_string())),
-            Err(DurableError::InjectedCrash(p)) => Err(UpdateError::Crashed(p)),
-            Err(e) => {
-                self.degraded = true;
-                if incgraph_obs::enabled() {
-                    incgraph_obs::event("service.degraded", &e.to_string());
-                }
-                Err(wire(
-                    ErrCode::Store,
-                    format!("{e}; store degraded to read-only"),
-                ))
-            }
-        }
+        let (_, applied) = self.commit_durable(graph, identity, batch, |_| {})?;
+        incgraph_obs::counter("repl.ship_records", 1);
+        Ok(applied)
     }
 
     /// Replaces the durable graph's world with a shipped snapshot
@@ -1132,12 +1132,7 @@ impl Store {
         epoch: u64,
         acks: &[DedupEntry],
     ) -> Result<u64, WireError> {
-        let Some(entry) = self.graphs.get_mut(graph) else {
-            return Err((ErrCode::UnknownGraph, format!("no graph {graph}")));
-        };
-        if !matches!(entry.backend, Backend::Durable { .. }) {
-            return Err((ErrCode::BadCommand, format!("{graph} is not durable")));
-        }
+        self.durable(graph)?;
         let mut entry = self.graphs.remove(graph).expect("checked above");
         let Backend::Durable { session, mut dedup } = entry.backend else {
             unreachable!("checked above");
@@ -1152,10 +1147,7 @@ impl Store {
             Err(e) => {
                 // The old session was consumed; there is no world to go
                 // back to. Leave the graph unmounted and refuse writes.
-                self.degraded = true;
-                if incgraph_obs::enabled() {
-                    incgraph_obs::event("service.degraded", &e.to_string());
-                }
+                degrade(&mut self.degraded, &e);
                 return Err((ErrCode::Store, format!("snapshot install failed: {e}")));
             }
         };
@@ -1219,6 +1211,19 @@ pub struct ReplInfo {
     pub directed: bool,
     /// Graph node count (shape validation in `SYNC`).
     pub nodes: usize,
+}
+
+impl ReplInfo {
+    /// The facts of a durable graph's session.
+    pub(crate) fn of(session: &DurableSession) -> ReplInfo {
+        ReplInfo {
+            epoch: session.epoch(),
+            base_seq: session.base_seq(),
+            last_seq: session.last_seq(),
+            directed: session.graph().is_directed(),
+            nodes: session.graph().node_count(),
+        }
+    }
 }
 
 /// One catch-up record ready to ship: raw WAL record bytes plus the

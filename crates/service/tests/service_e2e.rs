@@ -511,3 +511,44 @@ fn load_harness_smoke_all_classes() {
     }
     server.shutdown();
 }
+
+#[test]
+fn poll_waits_past_the_other_kind_of_notification() {
+    // One session holds a standing plan on g0 and a standing query on
+    // g1; a second session writes. Each poll must wait out its own
+    // deadline for its own kind and queue the other kind it reads first.
+    let mut server = memory_server(quick_cfg());
+    let mut sub = Client::connect(server.addr(), "mira").unwrap();
+    sub.graph("g0", 8, false).unwrap();
+    sub.graph("g1", 8, false).unwrap();
+    sub.plan(
+        "p1",
+        "g0",
+        0,
+        "d = sssp(source=0); near = filter(d, val < 4); n = count(near)",
+    )
+    .unwrap();
+    sub.register("q1", "g1", "sssp", 0, None).unwrap();
+    let mut writer = Client::connect(server.addr(), "nils").unwrap();
+    let mut chain = UpdateBatch::new();
+    chain.insert(0, 1, 1).insert(1, 2, 1);
+    let mut link = UpdateBatch::new();
+    link.insert(2, 3, 1);
+
+    // VDELTA first on the wire, then DELTA.
+    writer.update("g0", 1, &chain).unwrap();
+    writer.update("g1", 1, &chain).unwrap();
+    let d = sub.poll_delta(Duration::from_secs(5)).unwrap();
+    assert_eq!(d.expect("the DELTA behind the VDELTA").qid, "q1");
+    let v = sub.poll_vdelta(Duration::from_secs(5)).unwrap();
+    assert_eq!(v.expect("the queued VDELTA").qid, "p1");
+
+    // DELTA first on the wire, then VDELTA.
+    writer.update("g1", 2, &link).unwrap();
+    writer.update("g0", 2, &link).unwrap();
+    let v = sub.poll_vdelta(Duration::from_secs(5)).unwrap();
+    assert_eq!(v.expect("the VDELTA behind the DELTA").wal_seq, 2);
+    let d = sub.poll_delta(Duration::from_secs(5)).unwrap();
+    assert_eq!(d.expect("the queued DELTA").wal_seq, 2);
+    server.shutdown();
+}
