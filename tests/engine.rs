@@ -3,10 +3,8 @@
 //!
 //! The suites that pin `incgraph_core::Engine` — the schedule-free
 //! reference comparison in `crates/algos` and the bucket-queue /
-//! epoch-set model checks in `crates/core` — and the three that pin what
-//! the class layer shows the outside — the persisted essence bytes, the
-//! session's typed refusals and the value-invisibility of micro-batch
-//! coalescing — are pulled in here by path. Since the root manifest's
+//! epoch-set model checks in `crates/core` — and the session's typed
+//! refusals are pulled in here by path. Since the root manifest's
 //! `default-members` covers every crate, `cargo test` at the root also
 //! runs them under their own crates, so this entry is a second run kept
 //! until its deletion (ROADMAP item 15). Nothing is copied.
@@ -17,11 +15,5 @@ mod engine_reference;
 #[path = "../crates/core/tests/prop_bucket_epoch.rs"]
 mod prop_bucket_epoch;
 
-#[path = "../crates/algos/tests/essence_golden.rs"]
-mod essence_golden;
-
 #[path = "../crates/algos/tests/session_errors.rs"]
 mod session_errors;
-
-#[path = "../crates/algos/tests/coalesce_equiv.rs"]
-mod coalesce_equiv;
