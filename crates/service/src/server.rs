@@ -14,6 +14,13 @@
 //!   and `STATUS` read under the shared lock without queueing. Single
 //!   ownership of the commit path is what makes WAL append order, ack
 //!   bookkeeping, and standing-query notification race-free.
+//! - **notify helpers** — a notify pass over a large batch fans the
+//!   graph's distinct views out to scoped helper threads that live for
+//!   that pass only (`Store::notify_queries`). Apart from the mutex of
+//!   the pass's view queue they take no lock: they borrow the views
+//!   through the writer's write guard. Each returns its views' deltas
+//!   to the writer, which pushes the `DELTA`s in the serial path's
+//!   order.
 
 use crate::outbound::{OutMsg, Outbound};
 use crate::session::reader_loop;

@@ -17,9 +17,10 @@
 //! `|AFF|`), however many subscribe to it, and pushes each subscriber a
 //! `DELTA` carrying only the digest entries that changed — the wire
 //! analogue of the incremental contract: notification cost tracks the
-//! affected area, not `|G|`. A subscriber is a reference to its view and
-//! nothing more: it keeps no copy of the output, and `QUERY` renders the
-//! shared view under the read lock.
+//! affected area, not `|G|`. No view reads another's state, so a large
+//! batch's updates also run on scoped helper threads. A subscriber is a
+//! reference to its view and nothing more: it keeps no copy of the
+//! output, and `QUERY` renders the shared view under the read lock.
 //!
 //! **Read sequence.** A graph records the sequence its views reflect,
 //! which is the last notify pass, not the last commit: the writer commits
@@ -46,13 +47,20 @@ use incgraph_durable::{
     encode_record, recover, scan_records, CrashPoint, DurableError, DurableOptions, DurableSession,
     ScannedRecord, WAL_NAME,
 };
-use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
+use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, UpdateBatch};
 use incgraph_workloads::random_pattern;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread;
+
+/// Effective `|ΔG|` from which a notify pass fans a graph's views out
+/// over the host's cores: the measured crossover (docs/PERFORMANCE.md).
+/// Below it a helper's spawn, join and cold start cost more than the
+/// share of the pass it takes over.
+const FAN_OUT_UNITS: usize = 512;
 
 /// Resource caps guarding the store against a hostile or buggy client.
 #[derive(Clone, Debug)]
@@ -305,6 +313,54 @@ fn prime(
     dag.prime(g, &outputs);
 }
 
+/// Runs every view's incremental update once over `applied` and returns
+/// each view's delta by key, on `workers` threads: the caller plus
+/// `workers − 1` scoped helpers that live for this call only. Each thread
+/// starts on a view of its own, in key order, so every helper runs at
+/// least one; the rest form one queue that whichever thread frees up
+/// first takes from. No view's fixpoint reads another's state and each
+/// delta lands under its key, so the result is the same for every
+/// `workers`; with 1 nothing is spawned.
+fn update_views(
+    views: &mut BTreeMap<ViewKey, View>,
+    g: &DynamicGraph,
+    applied: &AppliedBatch,
+    workers: usize,
+) -> BTreeMap<ViewKey, OutputDelta> {
+    let mut rest = views.iter_mut();
+    let firsts: Vec<_> = rest.by_ref().take(workers).collect();
+    let queue = Mutex::new(rest);
+    let drain = |first: Option<(&ViewKey, &mut View)>| {
+        let mut done = Vec::new();
+        let mut next = first;
+        while let Some((&key, view)) = next {
+            done.push((key, view.session.update_guarded(g, applied).delta));
+            // The queue is locked only to take the next view, which
+            // cannot panic, so the lock is never poisoned.
+            next = queue.lock().expect("queue lock is never poisoned").next();
+        }
+        done
+    };
+    let mut firsts = firsts.into_iter();
+    let mine = firsts.next();
+    if firsts.as_slice().is_empty() {
+        return drain(mine).into_iter().collect();
+    }
+    thread::scope(|s| {
+        let helpers: Vec<_> = firsts
+            .map(|first| s.spawn(move || drain(Some(first))))
+            .collect();
+        let mut deltas: BTreeMap<_, _> = drain(mine).into_iter().collect();
+        for helper in helpers {
+            let done = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            deltas.extend(done);
+        }
+        deltas
+    })
+}
+
 /// A class session's refusal as a wire error; `other` is the code for
 /// refusals without one of their own.
 fn session_refusal(e: SessionError, other: ErrCode) -> WireError {
@@ -349,6 +405,11 @@ pub struct Store {
     /// working. Process-lifetime by design: it also guarantees an
     /// orphaned intent's WAL sequence is never reused (see [`DedupLog`]).
     degraded: bool,
+    /// Cores a notify pass may fan its views out over, read once here:
+    /// `available_parallelism` reads cgroup files, which costs as much
+    /// as a small pass. It honours the building thread's affinity, so a
+    /// server pinned to one core reads 1.
+    cores: usize,
 }
 
 impl Store {
@@ -358,6 +419,7 @@ impl Store {
             graphs: BTreeMap::new(),
             limits,
             degraded: false,
+            cores: thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -700,7 +762,7 @@ impl Store {
         token: &str,
         client_seq: u64,
         batch: &UpdateBatch,
-    ) -> Result<(Ack, Option<incgraph_graph::AppliedBatch>), UpdateError> {
+    ) -> Result<(Ack, Option<AppliedBatch>), UpdateError> {
         self.commit_update(graph, token, client_seq, batch, |_| {})
     }
 
@@ -722,7 +784,7 @@ impl Store {
         client_seq: u64,
         batch: &UpdateBatch,
         committed: impl FnOnce(u64),
-    ) -> Result<(Ack, Option<incgraph_graph::AppliedBatch>), UpdateError> {
+    ) -> Result<(Ack, Option<AppliedBatch>), UpdateError> {
         let wire = |c: ErrCode, d: String| UpdateError::Wire(c, d);
         let Some(entry) = self.graphs.get_mut(graph) else {
             return Err(wire(ErrCode::UnknownGraph, format!("no graph {graph}")));
@@ -801,7 +863,7 @@ impl Store {
         identity: Option<(&str, u64)>,
         batch: &UpdateBatch,
         committed: impl FnOnce(u64),
-    ) -> Result<(u64, incgraph_graph::AppliedBatch), UpdateError> {
+    ) -> Result<(u64, AppliedBatch), UpdateError> {
         if self.degraded {
             return Err(UpdateError::Wire(
                 ErrCode::ReadOnly,
@@ -844,16 +906,18 @@ impl Store {
 
     /// The notification half of [`apply_update`]: runs every maintained
     /// view's incremental update once over the (coalesced) ΔG of
-    /// `batches`, in key order, then pushes one `DELTA` per standing
-    /// query whose view changed and ticks every plan from the same
-    /// deltas, stamped with the graph's current committed sequence — from
-    /// then on the sequence `QUERY` and `PLANQ` report.
+    /// `batches` (fanned out over the store's cores when the net ΔG has at
+    /// least [`FAN_OUT_UNITS`] units and the graph two views), then pushes
+    /// one `DELTA` per standing query whose view changed and ticks every
+    /// plan from the same deltas, stamped with the graph's current
+    /// committed sequence — from then on the sequence `QUERY` and `PLANQ`
+    /// report. The result does not depend on the fan-out.
     /// `batches` must be the *effective* applied ops of consecutive
     /// committed batches, oldest first, with none skipped — the net batch
     /// the [`Coalescer`](incgraph_core::Coalescer) builds from them is
     /// equivalent by construction, so each view does one bounded
     /// incremental step instead of one per batch.
-    pub fn notify_queries(&mut self, graph: &str, batches: &[incgraph_graph::AppliedBatch]) {
+    pub fn notify_queries(&mut self, graph: &str, batches: &[AppliedBatch]) {
         let Some(entry) = self.graphs.get_mut(graph) else {
             return;
         };
@@ -873,11 +937,13 @@ impl Store {
             &net
         };
         // One fixpoint per distinct view, however many subscribe to it.
-        let deltas: BTreeMap<ViewKey, OutputDelta> = entry
-            .views
-            .iter_mut()
-            .map(|(&key, view)| (key, view.session.update_guarded(g, applied).delta))
-            .collect();
+        let workers = if applied.len() >= FAN_OUT_UNITS {
+            self.cores.min(entry.views.len()).max(1)
+        } else {
+            1
+        };
+        incgraph_obs::observe("service.notify_workers", workers as u64);
+        let deltas = update_views(&mut entry.views, g, applied, workers);
         incgraph_obs::counter("service.view_updates", deltas.len() as u64);
         let max_entries = self.limits.max_delta_entries;
         for ((_, qid), q) in entry.queries.iter() {
@@ -1103,7 +1169,7 @@ impl Store {
         seq: u64,
         identity: Option<(&str, u64)>,
         batch: &UpdateBatch,
-    ) -> Result<incgraph_graph::AppliedBatch, UpdateError> {
+    ) -> Result<AppliedBatch, UpdateError> {
         let last = self.durable(graph)?.0.last_seq();
         if seq != last + 1 {
             return Err(UpdateError::Wire(
@@ -1248,3 +1314,163 @@ pub fn record_crc_of(seq: u64, batch: &UpdateBatch) -> u32 {
 /// Pattern seed the durable store's built-in states use; the chaos
 /// harness must build its reference with the same seed.
 pub const DURABLE_PATTERN_SEED: u64 = 0x1A2B3C4D;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incgraph_workloads::random_batch;
+    use std::time::Duration;
+
+    const GRAPH: &str = "g";
+    const NODES: usize = 2_000;
+    const NEAR: &str = "d = sssp(source=0); c = cc; j = join(d, c, val=left); \
+                        near = filter(j, val < 40); n = count(near)";
+
+    /// A store whose graph holds a seeded random graph, subscribed by
+    /// sssp, cc, sim and reach plus plan `near` (four distinct views),
+    /// with a 512-unit batch committed but not yet notified. Deltas of
+    /// any width are enumerated, so the lines carry every change.
+    fn fixture() -> (Store, Arc<Outbound>, AppliedBatch) {
+        let limits = StoreLimits {
+            max_delta_entries: usize::MAX,
+            ..StoreLimits::default()
+        };
+        let mut store = Store::new(limits);
+        store.open_graph(GRAPH, NODES, false).unwrap();
+        let mut shadow = DynamicGraph::new(false, NODES);
+        let load = random_batch(&shadow, 4_000, 1.0, 20, 1);
+        load.apply(&mut shadow);
+        store.apply_update(GRAPH, "w", 1, &load).unwrap();
+        let out = Arc::new(Outbound::new(1 << 16, 1 << 17, usize::MAX));
+        for (qid, class) in [("d", "sssp"), ("c", "cc"), ("s", "sim"), ("r", "reach")] {
+            let out = Arc::clone(&out);
+            store.register(1, qid, GRAPH, class, 0, 7, out).unwrap();
+        }
+        store
+            .register_plan(1, "near", GRAPH, 7, NEAR, Arc::clone(&out))
+            .unwrap();
+        while out.pop(Duration::ZERO).is_some() {}
+        let batch = random_batch(&shadow, 512, 0.5, 20, 2);
+        let (_, applied) = store.apply_update_deferred(GRAPH, "w", 2, &batch).unwrap();
+        let applied = applied.unwrap();
+        assert!(applied.len() >= FAN_OUT_UNITS, "the batch opens the gate");
+        assert_eq!(store.graphs[GRAPH].views.len(), 4);
+        (store, out, applied)
+    }
+
+    /// What one notify pass on `k` workers produces: every view's delta
+    /// and digest from [`update_views`], and every line a full pass
+    /// pushes followed by each query's answer.
+    fn pass(k: usize) -> (BTreeMap<ViewKey, OutputDelta>, Vec<Vec<u64>>, Vec<String>) {
+        let (mut store, _, applied) = fixture();
+        let entry = store.graphs.get_mut(GRAPH).unwrap();
+        let deltas = update_views(&mut entry.views, entry.backend.graph(), &applied, k);
+        let digests = entry
+            .views
+            .values()
+            .map(|v| v.session.output().to_digest())
+            .collect();
+
+        let (mut store, out, applied) = fixture();
+        store.cores = k;
+        store.notify_queries(GRAPH, &[applied]);
+        let mut lines = Vec::new();
+        while let Some(msg) = out.pop(Duration::ZERO) {
+            lines.push(msg.render());
+        }
+        for qid in ["d", "c", "s", "r"] {
+            lines.push(format!("{:?}", store.query(1, qid).unwrap()));
+        }
+        (deltas, digests, lines)
+    }
+
+    /// The fan-out gate's crossover: the view updates of one notify
+    /// pass ([`update_views`], the part the gate fans out), serial against
+    /// fanned out over the host's cores, per effective `|ΔG|`. Two stores
+    /// carry bulk-delta's graph (the LiveJournal stand-in at scale 2.5,
+    /// loaded over the wire path) and views (sssp, cc, sim, reach) and
+    /// take the same batches; which runs first alternates. Prints the
+    /// medians. Run with `cargo test --release -p incgraph-service --lib
+    /// notify_crossover -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn notify_crossover() {
+        use incgraph_workloads::Dataset;
+        use std::time::Instant;
+        const REPS: usize = 31;
+        let base = Dataset::LiveJournal.graph(false, 2.5);
+        let n = base.node_count();
+        let edges: Vec<_> = base.edges().collect();
+        let mut stores = [0, 1].map(|_| {
+            let mut store = Store::new(StoreLimits::default());
+            store.open_graph(GRAPH, n, false).unwrap();
+            for (seq, chunk) in edges.chunks(4096).enumerate() {
+                let mut load = UpdateBatch::new();
+                for &(u, v, w) in chunk {
+                    load.insert(u, v, w);
+                }
+                store
+                    .apply_update(GRAPH, "w", seq as u64 + 1, &load)
+                    .unwrap();
+            }
+            for (qid, class) in [("d", "sssp"), ("c", "cc"), ("s", "sim"), ("r", "reach")] {
+                let out = Arc::new(Outbound::new(1, 1, 1));
+                store.register(1, qid, GRAPH, class, 0, 1, out).unwrap();
+            }
+            store
+        });
+        let mut shadow = stores[0].graphs[GRAPH].backend.graph().clone();
+        let mut seq = edges.len().div_ceil(4096) as u64;
+        let cores = stores[0].cores;
+        println!("|ΔG|  serial_us  fanned_us({cores})  ratio");
+        for units in [16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
+            let mut us = [Vec::new(), Vec::new()];
+            for rep in 0..REPS {
+                let batch = random_batch(&shadow, units, 0.5, 100, seq);
+                batch.apply(&mut shadow);
+                seq += 1;
+                for i in [rep % 2, 1 - rep % 2] {
+                    let store = &mut stores[i];
+                    let (_, applied) = store
+                        .apply_update_deferred(GRAPH, "w", seq, &batch)
+                        .unwrap();
+                    let entry = store.graphs.get_mut(GRAPH).unwrap();
+                    let workers = if i == 0 {
+                        1
+                    } else {
+                        cores.min(entry.views.len())
+                    };
+                    let t = Instant::now();
+                    update_views(
+                        &mut entry.views,
+                        entry.backend.graph(),
+                        &applied.unwrap(),
+                        workers,
+                    );
+                    us[i].push(t.elapsed().as_secs_f64() * 1e6);
+                }
+            }
+            let [serial, fanned] = us.map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                v[REPS / 2]
+            });
+            println!(
+                "{units:>5}  {serial:>9.0}  {fanned:>12.0}  {:>5.2}",
+                fanned / serial
+            );
+        }
+    }
+
+    #[test]
+    fn the_worker_count_does_not_change_a_notify_pass() {
+        let serial = pass(1);
+        let (deltas, _, lines) = &serial;
+        assert_eq!(deltas.len(), 4);
+        assert!(deltas.values().all(|d| !d.changes.is_empty()));
+        assert_eq!(lines.iter().filter(|l| l.starts_with("DELTA ")).count(), 4);
+        assert!(lines.iter().any(|l| l.starts_with("VDELTA near ")));
+        for k in [2, 4] {
+            assert!(pass(k) == serial, "{k} workers changed the pass");
+        }
+    }
+}

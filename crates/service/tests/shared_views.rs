@@ -9,8 +9,10 @@
 //! through an `UNREGISTER`, a `drop_session` and a replica's
 //! `adopt_snapshot` — while the shared store runs one fixpoint update per
 //! distinct view (`service.view_updates`). A second test pins the
-//! `(sid, qid)` namespace and the per-session cap as store-wide, and a
-//! third the sequence a `QUERY` or `PLANQ` answer is stamped with.
+//! `(sid, qid)` namespace and the per-session cap as store-wide, a third
+//! the sequence a `QUERY` or `PLANQ` answer is stamped with, and a fourth
+//! that a batch large enough to fan its views out over the host's cores
+//! leaves every view equal to a batch build.
 
 use incgraph_algos::{QueryClass, Session};
 use incgraph_dataflow::{eval_once, Plan, PlanContext, Source};
@@ -219,13 +221,15 @@ fn subscribers() -> Vec<Sub> {
     ]
 }
 
-/// A batch of valid unit updates against `shadow`, which it updates.
-fn next_batch(rng: &mut SplitMix64, shadow: &mut DynamicGraph) -> UpdateBatch {
+/// A batch of `units` valid unit updates against `shadow`, which it
+/// updates.
+fn next_batch(rng: &mut SplitMix64, shadow: &mut DynamicGraph, units: usize) -> UpdateBatch {
+    let nodes = shadow.node_count();
     let mut batch = UpdateBatch::new();
     let mut touched = BTreeSet::new();
-    while batch.len() < 6 {
-        let u = rng.gen_range(0..NODES) as NodeId;
-        let v = rng.gen_range(0..NODES) as NodeId;
+    while batch.len() < units {
+        let u = rng.gen_range(0..nodes) as NodeId;
+        let v = rng.gen_range(0..nodes) as NodeId;
         if u == v || !touched.insert((u.min(v), u.max(v))) {
             continue;
         }
@@ -293,7 +297,7 @@ fn duplicate_subscribers_see_the_bytes_they_would_alone() {
             // primary's snapshot instead.
             for _ in 0..2 {
                 client_seq += 1;
-                let batch = next_batch(&mut rng, &mut shadow);
+                let batch = next_batch(&mut rng, &mut shadow, 6);
                 primary
                     .apply_update(GRAPH, "w", client_seq, &batch)
                     .unwrap();
@@ -305,7 +309,7 @@ fn duplicate_subscribers_see_the_bytes_they_would_alone() {
             }
         }
         client_seq += 1;
-        let batch = next_batch(&mut rng, &mut shadow);
+        let batch = next_batch(&mut rng, &mut shadow, 6);
         let seq = primary
             .apply_update(GRAPH, "w", client_seq, &batch)
             .unwrap()
@@ -376,6 +380,55 @@ fn duplicate_subscribers_see_the_bytes_they_would_alone() {
 }
 
 #[test]
+fn a_fanned_out_pass_leaves_every_view_equal_to_a_batch_build() {
+    // 512 units clear the store's fan-out gate, so the pass runs its four
+    // views on min(cores, 4) threads: two on a 2-core host, one under
+    // `taskset -c 0`. The answers must not depend on which.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const BIG: usize = 2_000;
+    let mut rng = SplitMix64::seed_from_u64(0xFA_0007);
+    let mut shadow = DynamicGraph::new(false, BIG);
+    let mut store = Store::new(StoreLimits::default());
+    store.open_graph(GRAPH, BIG, false).unwrap();
+    for seq in 1..=2 {
+        let load = next_batch(&mut rng, &mut shadow, 3_000);
+        store.apply_update(GRAPH, "w", seq, &load).unwrap();
+    }
+    let subs = [("sssp", 0), ("cc", 0), ("sim", PLAN_SEED), ("reach", 0)].map(|(c, seed)| Sub {
+        sid: 1,
+        qid: c,
+        kind: class(c, 0, seed),
+        from: 0,
+        until: None,
+    });
+    let out = outbound();
+    for s in &subs {
+        s.register(&mut store, &out);
+    }
+    let registry = Arc::new(Registry::new());
+    incgraph_obs::install(registry.clone());
+    let batch = next_batch(&mut rng, &mut shadow, 512);
+    store.apply_update(GRAPH, "w", 3, &batch).unwrap();
+    incgraph_obs::uninstall();
+
+    let snap = registry.snapshot();
+    let hist = |class: &str, name: &str| snap.hists[&(class.to_string(), name.to_string())].clone();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = hist("", "service.notify_workers");
+    assert_eq!((workers.count(), workers.max()), (1, cores.min(4) as u64));
+    for s in &subs {
+        // Helpers record under the view's class like the writer does.
+        assert_eq!(hist(s.qid, "update.guarded").count(), 1, "{}", s.qid);
+        let (digest, seq) = store.query(1, s.qid).unwrap();
+        assert_eq!(seq, 3);
+        assert_eq!((Some(digest), None), s.batch_answer(&shadow), "{}", s.qid);
+    }
+    let mut lines = Vec::new();
+    drain(&out, &mut lines);
+    assert_eq!(lines.len(), subs.len(), "every view moved: {lines:?}");
+}
+
+#[test]
 fn qid_namespace_and_cap_are_per_session_across_graphs() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let limits = StoreLimits {
@@ -424,6 +477,7 @@ fn reads_carry_the_sequence_their_content_reflects() {
     // Between a commit and its notify pass the views still hold the
     // notified state, so `QUERY` and `PLANQ` must keep its sequence:
     // one sequence never names two answers.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut store = Store::new(StoreLimits::default());
     store.open_graph(GRAPH, 4, true).unwrap();
     let out = outbound();
