@@ -154,9 +154,9 @@ pub struct ExecOptions {
     pub policy: FallbackPolicy,
     /// Post-run fixpoint audit; `None` skips auditing.
     pub audit: Option<FixpointAudit>,
-    /// Canonicalize the presented ΔG through the micro-batch
-    /// [`Coalescer`](incgraph_core::Coalescer) before dispatching it to
-    /// the class update. Within-batch churn on one edge (insert→delete,
+    /// Canonicalize the presented ΔG through
+    /// [`coalesce_batches`](incgraph_core::coalesce_batches) before
+    /// dispatching it to the class update. Within-batch churn on one edge (insert→delete,
     /// delete→re-insert) collapses to its net effect, so the incremental
     /// step sees at most one delete and one insert per edge. The net
     /// batch is equivalent by construction — same pre-state, same

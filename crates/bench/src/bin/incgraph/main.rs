@@ -174,8 +174,8 @@ pub(crate) const USAGE: &str = "usage: incgraph <sssp|cc|sim|dfs|lcc|bc|reach> -
                      \u{20}      incgraph serve [--addr H:P] [--store DIR [--graph-name G] \
                      [--nodes N] [--directed]] [--max-sessions N] [--max-pending N] \
                      [--idle-timeout-secs S] [--retry-after-ms MS] [--no-remote-shutdown] \
-                     [--flush-ops N] [--flush-ms MS] [--replica-of H:P] [--digest-every N] \
-                     [--snapshot-lag N] [--ack-timeout-ms MS]\n\
+                     [--replica-of H:P] [--digest-every N] [--snapshot-lag N] \
+                     [--ack-timeout-ms MS]\n\
                      \u{20}      incgraph promote --addr H:P\n\
                      \u{20}      incgraph verify-store --store DIR\n\
                      \u{20}      incgraph failover --store DIR [--seed S] [--clients N] \

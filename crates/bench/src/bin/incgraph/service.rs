@@ -38,12 +38,6 @@ pub(crate) fn run_serve(argv: &[String]) -> Result<(), CliError> {
                 cfg.retry_after_ms = rest.value("--retry-after-ms needs an integer")?
             }
             "--no-remote-shutdown" => cfg.allow_remote_shutdown = false,
-            "--flush-ops" => {
-                cfg.flush_ops = rest.value_if("--flush-ops needs an integer >= 1", |&n| n >= 1)?
-            }
-            "--flush-ms" => {
-                cfg.flush_window = Duration::from_millis(rest.value("--flush-ms needs an integer")?)
-            }
             "--replica-of" => cfg.replica_of = Some(rest.value("--replica-of needs host:port")?),
             "--digest-every" => {
                 cfg.digest_every = rest.value("--digest-every needs an integer (0 disables)")?

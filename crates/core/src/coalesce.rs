@@ -1,15 +1,15 @@
 //! Micro-batch ΔG coalescing: merge many small applied batches into one
 //! canonical batch with the same net effect.
 //!
-//! The fixpoint + notification cost of the service's writer thread is
-//! per *batch*, not per unit update. [`Coalescer`] turns `N` pending ΔGs into
-//! one canonical ΔG whose combined affected area is their union:
-//! insert+delete of the same edge cancels outright, duplicate ops on one
-//! edge collapse to their net effect, and everything else is
-//! concatenated. Applying the coalesced batch to the pre-state graph and
-//! fixpoint is value-equivalent to applying the constituents in order —
-//! the property test `coalesce_equiv.rs` in `crates/algos` pins this
-//! across all seven query classes.
+//! An incremental step costs per *batch*, not per unit update.
+//! [`coalesce_batches`] turns `N` pending ΔGs into one canonical ΔG whose
+//! combined affected area is their union: insert+delete of the same edge
+//! cancels outright, duplicate ops on one edge collapse to their net
+//! effect, and everything else is concatenated. Applying the coalesced
+//! batch to the pre-state graph and fixpoint is value-equivalent to
+//! applying the constituents in order — the property test
+//! `coalesce_equiv.rs` in `crates/algos` pins this across all seven query
+//! classes.
 //!
 //! # Soundness
 //!
@@ -34,16 +34,6 @@
 
 use incgraph_graph::{AppliedBatch, AppliedOp};
 
-/// Reusable ΔG coalescer. Keep one per writer/session: its scratch
-/// buffers retain their high-water capacity so steady-state coalescing
-/// allocates only the output batch.
-#[derive(Clone, Debug, Default)]
-pub struct Coalescer {
-    /// (canonical edge key, arrival index, op) — sorted to group per-edge
-    /// runs while preserving arrival order within each run.
-    tagged: Vec<(u64, u32, AppliedOp)>,
-}
-
 /// Canonical key of an edge: orientation-normalized on undirected graphs
 /// so `(u,v)` and `(v,u)` coalesce into the same run.
 #[inline]
@@ -56,78 +46,57 @@ fn edge_key(directed: bool, op: &AppliedOp) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
-impl Coalescer {
-    /// An empty coalescer.
-    pub fn new() -> Self {
-        Coalescer::default()
-    }
-
-    /// Coalesces `batches` (in application order) into one canonical
-    /// batch with the same net effect on a graph in the pre-`batches`
-    /// state. `directed` must match the graph the batches were applied
-    /// to. The output's ops are ordered by canonical edge key; per edge a
-    /// weight-changing delete precedes its re-insert.
-    pub fn coalesce<'a>(
-        &mut self,
-        directed: bool,
-        batches: impl IntoIterator<Item = &'a AppliedBatch>,
-    ) -> AppliedBatch {
-        self.tagged.clear();
-        let mut seq = 0u32;
-        for batch in batches {
-            for op in batch.ops() {
-                self.tagged.push((edge_key(directed, op), seq, *op));
-                seq += 1;
-            }
-        }
-        // Group per-edge runs; `seq` keeps arrival order inside a run.
-        self.tagged
-            .sort_unstable_by_key(|&(key, seq, _)| (key, seq));
-
-        let mut out: Vec<AppliedOp> = Vec::new();
-        let mut i = 0;
-        while i < self.tagged.len() {
-            let key = self.tagged[i].0;
-            let mut j = i + 1;
-            while j < self.tagged.len() && self.tagged[j].0 == key {
-                debug_assert_ne!(
-                    self.tagged[j - 1].2.inserted,
-                    self.tagged[j].2.inserted,
-                    "effective ops on one edge must alternate insert/delete"
-                );
-                j += 1;
-            }
-            let first = &self.tagged[i].2;
-            let last = &self.tagged[j - 1].2;
-            match (first.inserted, last.inserted) {
-                (true, true) => out.push(*last),
-                (true, false) => {} // absent → absent: cancels out
-                (false, false) => out.push(*first),
-                (false, true) => {
-                    // present → present: net weight change (or nothing).
-                    if first.weight != last.weight {
-                        out.push(*first);
-                        out.push(*last);
-                    }
-                }
-            }
-            i = j;
-        }
-        AppliedBatch::from_ops(out)
-    }
-
-    /// Heap bytes held by the coalescer's scratch.
-    pub fn space_bytes(&self) -> usize {
-        self.tagged.capacity() * std::mem::size_of::<(u64, u32, AppliedOp)>()
-    }
-}
-
-/// One-shot convenience wrapper around a throwaway [`Coalescer`].
+/// Coalesces `batches` (in application order) into one canonical batch
+/// with the same net effect on a graph in the pre-`batches` state.
+/// `directed` must match the graph the batches were applied to. The
+/// output's ops are ordered by canonical edge key; per edge a
+/// weight-changing delete precedes its re-insert.
 pub fn coalesce_batches<'a>(
     directed: bool,
     batches: impl IntoIterator<Item = &'a AppliedBatch>,
 ) -> AppliedBatch {
-    Coalescer::new().coalesce(directed, batches)
+    // (canonical edge key, arrival index, op) — sorted to group per-edge
+    // runs while preserving arrival order within each run.
+    let mut tagged: Vec<(u64, u32, AppliedOp)> = Vec::new();
+    let mut seq = 0u32;
+    for batch in batches {
+        for op in batch.ops() {
+            tagged.push((edge_key(directed, op), seq, *op));
+            seq += 1;
+        }
+    }
+    tagged.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
+
+    let mut out: Vec<AppliedOp> = Vec::new();
+    let mut i = 0;
+    while i < tagged.len() {
+        let key = tagged[i].0;
+        let mut j = i + 1;
+        while j < tagged.len() && tagged[j].0 == key {
+            debug_assert_ne!(
+                tagged[j - 1].2.inserted,
+                tagged[j].2.inserted,
+                "effective ops on one edge must alternate insert/delete"
+            );
+            j += 1;
+        }
+        let first = &tagged[i].2;
+        let last = &tagged[j - 1].2;
+        match (first.inserted, last.inserted) {
+            (true, true) => out.push(*last),
+            (true, false) => {} // absent → absent: cancels out
+            (false, false) => out.push(*first),
+            (false, true) => {
+                // present → present: net weight change (or nothing).
+                if first.weight != last.weight {
+                    out.push(*first);
+                    out.push(*last);
+                }
+            }
+        }
+        i = j;
+    }
+    AppliedBatch::from_ops(out)
 }
 
 #[cfg(test)]
@@ -238,12 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_deterministic() {
+    fn repeat_coalescing_is_deterministic() {
         let a = AppliedBatch::from_ops(vec![ins(0, 1, 1), ins(2, 3, 2)]);
         let b = AppliedBatch::from_ops(vec![del(0, 1, 1)]);
-        let mut c = Coalescer::new();
-        let first = c.coalesce(true, [&a, &b]);
-        let second = c.coalesce(true, [&a, &b]);
+        let first = coalesce_batches(true, [&a, &b]);
+        let second = coalesce_batches(true, [&a, &b]);
         assert_eq!(first.ops(), second.ops());
     }
 }

@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use audit::{AuditMode, AuditReport, AuditViolation, FixpointAudit};
 pub use bucket::BucketQueue;
-pub use coalesce::{coalesce_batches, Coalescer};
+pub use coalesce::coalesce_batches;
 pub use engine::{run_fixpoint, Engine, RunStats};
 pub use epoch::VisitEpoch;
 pub use fallback::{AuditAction, FallbackDecision, FallbackPolicy, FallbackReason};

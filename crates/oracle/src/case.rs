@@ -80,10 +80,10 @@ pub struct Case {
     /// injection point instead of sweeping all four.
     pub crash_at: Option<CrashPoint>,
     /// Also drive the micro-batch coalescing oracle: a fourth session
-    /// per class sees the schedule's ΔG batches merged through the
-    /// [`Coalescer`](incgraph_core::Coalescer) every couple of rounds
-    /// and must still match the batch ground truth. Stamped into corpus
-    /// files so coalesce-mode reproducers replay in coalesce mode.
+    /// per class sees the schedule's ΔG batches merged through
+    /// [`coalesce_batches`](incgraph_core::coalesce_batches) every couple
+    /// of rounds and must still match the batch ground truth. Stamped into
+    /// corpus files so coalesce-mode reproducers replay in coalesce mode.
     pub coalesce: bool,
     /// An `incgraph-plan/1` program to drive the dataflow oracle with:
     /// a standing [`DataflowSession`](incgraph_dataflow::DataflowSession)

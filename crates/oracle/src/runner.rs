@@ -433,7 +433,7 @@ pub fn run_case(case: &Case, fault: Option<Fault>) -> RunOutcome {
     }
 
     // Coalesce oracle: the *real* applied batches (never the doctored
-    // ones — the Coalescer's contract is effective ops from an actual
+    // ones — `coalesce_batches`' contract is effective ops from an actual
     // graph) accumulate here and flush as one net batch every
     // `COALESCE_EVERY` rounds and at the end of the schedule.
     const COALESCE_EVERY: usize = 2;

@@ -13,7 +13,9 @@
 //!   [`Store`]. Readers submit write jobs over an mpsc channel; `QUERY`
 //!   and `STATUS` read under the shared lock without queueing. Single
 //!   ownership of the commit path is what makes WAL append order, ack
-//!   bookkeeping, and standing-query notification race-free.
+//!   bookkeeping, and standing-query notification race-free. A batch's
+//!   commit, `ACK` and notify pass run in one job under one write
+//!   guard, so a read taken after its `ACK` reflects it.
 //! - **notify helpers** — a notify pass over a large batch fans the
 //!   graph's distinct views out to scoped helper threads that live for
 //!   that pass only (`Store::notify_queries`). Apart from the mutex of
@@ -60,17 +62,6 @@ pub struct ServerConfig {
     pub out_hard: usize,
     /// Whether the wire `SHUTDOWN` command is honored.
     pub allow_remote_shutdown: bool,
-    /// Micro-batch coalescing: buffer up to this many committed update
-    /// batches before running one coalesced standing-query notification
-    /// pass. `1` (the default) notifies after every batch, the
-    /// historical behavior. Commit, WAL fsync, and `ACK` always stay
-    /// per-batch — coalescing only amortizes the per-query incremental
-    /// fixpoint and `DELTA` push.
-    pub flush_ops: usize,
-    /// Micro-batch coalescing deadline: a partial buffer older than
-    /// this flushes even if `flush_ops` was never reached, bounding
-    /// `DELTA` staleness under a trickle of updates.
-    pub flush_window: Duration,
     /// Name of the durable graph subject to replication (`serve` sets
     /// this to the graph it mounted). `None` disables every replication
     /// verb on this server.
@@ -106,8 +97,6 @@ impl Default for ServerConfig {
             out_soft: 64,
             out_hard: 1024,
             allow_remote_shutdown: true,
-            flush_ops: 1,
-            flush_window: Duration::from_millis(10),
             repl_graph: None,
             replica_of: None,
             digest_every: 32,

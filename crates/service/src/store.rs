@@ -23,11 +23,13 @@
 //! output, and `QUERY` renders the shared view under the read lock.
 //!
 //! **Read sequence.** A graph records the sequence its views reflect,
-//! which is the last notify pass, not the last commit: the writer commits
-//! and acks batches before it notifies them (see
-//! [`apply_update_deferred`](Store::apply_update_deferred)), so a
-//! `RESULT` or `VIEW` can trail the last `ACK` until the flush, and is
-//! always stamped with the sequence of the state it carries.
+//! which is the last notify pass, and a `RESULT` or `VIEW` is stamped
+//! with it. The server's writer pushes a batch's `ACK` and runs its
+//! notify pass under one write guard, so a read taken after that `ACK`
+//! answers at its sequence or later. Only a caller of this API that
+//! defers [`notify_queries`](Store::notify_queries) past a commit (see
+//! [`apply_update_deferred`](Store::apply_update_deferred)) can make a
+//! read trail an ack; it still carries the sequence of its state.
 //!
 //! **Exactly-once**: clients stamp each batch with a per-token sequence
 //! number. The store acks `seq == last` as a duplicate (the retry case)
@@ -242,8 +244,8 @@ struct GraphEntry {
     /// The maintained class views the subscriptions below hold.
     views: BTreeMap<ViewKey, View>,
     /// The sequence `views` (and the plans' DAGs) reflect: the last
-    /// notify pass, which can trail `backend.seq()` by the batches the
-    /// writer has committed but not yet notified.
+    /// notify pass, which trails `backend.seq()` while a caller defers
+    /// [`Store::notify_queries`] past a commit.
     views_seq: u64,
     /// `(session id, qid)` → standing query.
     queries: BTreeMap<(u64, String), StandingQuery>,
@@ -751,11 +753,11 @@ impl Store {
     /// [`notify_queries`](Self::notify_queries). Returns `None` ops for
     /// a deduplicated retry, which re-acks without re-applying.
     ///
-    /// This split is the writer's micro-batch coalescing hook: acks stay
-    /// per-batch (a client's durability guarantee must never wait on a
-    /// flush window), while the per-query incremental fixpoint and DELTA
-    /// push — the part whose cost scales with standing-query count — can
-    /// run once per flush over the coalesced net ΔG.
+    /// Until that call, `QUERY` and `PLANQ` answer at the last notified
+    /// sequence, below this batch's ack. The server never leaves that
+    /// gap open: its writer notifies each batch in the job that commits
+    /// it. The split serves callers that time or batch the two halves
+    /// apart.
     pub fn apply_update_deferred(
         &mut self,
         graph: &str,
@@ -914,8 +916,8 @@ impl Store {
     /// report. The result does not depend on the fan-out.
     /// `batches` must be the *effective* applied ops of consecutive
     /// committed batches, oldest first, with none skipped — the net batch
-    /// the [`Coalescer`](incgraph_core::Coalescer) builds from them is
-    /// equivalent by construction, so each view does one bounded
+    /// [`coalesce_batches`](incgraph_core::coalesce_batches) builds from
+    /// them is equivalent by construction, so each view does one bounded
     /// incremental step instead of one per batch.
     pub fn notify_queries(&mut self, graph: &str, batches: &[AppliedBatch]) {
         let Some(entry) = self.graphs.get_mut(graph) else {

@@ -2,7 +2,8 @@
 //! runs every job the session readers and the replica tail submit, in
 //! channel order, and owns the order a batch's effects leave the
 //! process: WAL commit (and shipping at the commit point), then the
-//! client `ACK`, then the coalesced standing-query notification.
+//! client `ACK`, then the batch's standing-query notification, all in
+//! one job under one write guard.
 //!
 //! # Robustness behaviors (the contract `docs/SERVICE.md` documents)
 //!
@@ -79,99 +80,31 @@ pub(crate) enum Job {
     },
 }
 
-/// Committed-but-unnotified ΔG batches, per graph, awaiting one
-/// coalesced standing-query pass. Owned by the writer thread.
-#[derive(Default)]
-struct PendingNotify {
-    /// `graph → applied batches`, oldest first. The graph list stays
-    /// tiny (one entry per graph updated inside the window).
-    by_graph: Vec<(String, Vec<incgraph_graph::AppliedBatch>)>,
-    /// Total buffered batches across graphs (the `flush_ops` counter).
-    batches: usize,
-    /// When the oldest buffered batch was committed (the `flush_window`
-    /// deadline anchor).
-    oldest: Option<Instant>,
-}
-
-impl PendingNotify {
-    fn push(&mut self, graph: &str, applied: incgraph_graph::AppliedBatch) {
-        match self.by_graph.iter_mut().find(|(g, _)| g == graph) {
-            Some((_, list)) => list.push(applied),
-            None => self.by_graph.push((graph.to_string(), vec![applied])),
-        }
-        self.batches += 1;
-        self.oldest.get_or_insert_with(Instant::now);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.batches == 0
-    }
-
-    fn deadline_due(&self, window: Duration) -> bool {
-        self.oldest.is_some_and(|t| t.elapsed() >= window)
-    }
-
-    /// Runs the coalesced notification pass and empties the buffer.
-    /// `store` is the caller's already-acquired write guard.
-    fn flush(&mut self, store: &mut Store) {
-        for (graph, batches) in self.by_graph.drain(..) {
-            store.notify_queries(&graph, &batches);
-        }
-        self.batches = 0;
-        self.oldest = None;
-    }
-
-    fn discard(&mut self) {
-        self.by_graph.clear();
-        self.batches = 0;
-        self.oldest = None;
-    }
-}
 /// Writer-thread-owned mutable state (no locks: exactly one writer).
 #[derive(Default)]
 pub(crate) struct WriterState {
-    pending_notify: PendingNotify,
     pub(crate) sinks: HashMap<u64, Sink>,
     pub(crate) pending_acks: VecDeque<PendingAck>,
     ships_since_digest: u64,
 }
 pub(crate) fn writer_loop(rx: mpsc::Receiver<Job>, shared: Arc<Shared>) {
-    let flush_ops = shared.cfg.flush_ops.max(1);
-    let flush_window = shared.cfg.flush_window;
     let mut st = WriterState::default();
     loop {
-        // With batches buffered, wake early enough to honor the window.
-        let tick = Duration::from_millis(25);
-        let timeout = match st.pending_notify.oldest {
-            Some(t) => (flush_window.saturating_sub(t.elapsed())).min(tick),
-            None => tick,
-        };
-        match rx.recv_timeout(timeout) {
+        match rx.recv_timeout(Duration::from_millis(25)) {
             Ok(job) => {
                 shared.pending.fetch_sub(1, Ordering::Relaxed);
-                match shared.phase() {
-                    KILLED => {
-                        st.pending_notify.discard(); // simulated death
-                        continue;
-                    }
-                    _ => {
-                        if process_job(&shared, job, &mut st) == JobOutcome::Crashed {
-                            // Simulated process death mid-commit.
-                            st.pending_notify.discard();
-                            shared.phase.store(KILLED, Ordering::Release);
-                            shared.kill_sessions();
-                        }
-                    }
+                if shared.phase() == KILLED {
+                    continue; // simulated death
+                }
+                if process_job(&shared, job, &mut st) == JobOutcome::Crashed {
+                    // Simulated process death mid-commit.
+                    shared.phase.store(KILLED, Ordering::Release);
+                    shared.kill_sessions();
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => match shared.phase() {
                 KILLED => break,
-                DRAINING
-                    if shared.pending.load(Ordering::Relaxed) == 0
-                        && st.pending_notify.is_empty() =>
-                {
-                    break
-                }
+                DRAINING if shared.pending.load(Ordering::Relaxed) == 0 => break,
                 _ => {}
             },
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
@@ -181,18 +114,6 @@ pub(crate) fn writer_loop(rx: mpsc::Receiver<Job>, shared: Arc<Shared>) {
         if !st.pending_acks.is_empty() || !st.sinks.is_empty() {
             st.release_acks(&shared, None);
         }
-        // Flush outside job processing so both the count trigger and the
-        // deadline trigger go through the same path.
-        if !st.pending_notify.is_empty()
-            && (st.pending_notify.batches >= flush_ops
-                || st.pending_notify.deadline_due(flush_window))
-        {
-            let mut guard = shared.store_mut();
-            match guard.as_mut() {
-                Some(store) => st.pending_notify.flush(store),
-                None => st.pending_notify.discard(),
-            }
-        }
     }
     // Exit path. Graceful: checkpoint, then goodbye every session.
     // Killed: drop everything where it stands.
@@ -201,13 +122,11 @@ pub(crate) fn writer_loop(rx: mpsc::Receiver<Job>, shared: Arc<Shared>) {
         let mut guard = shared.store_mut();
         if let Some(store) = guard.as_mut() {
             if !killed {
-                // Queued updates were acked; their DELTAs must go out
-                // before the goodbyes — and gated acks were committed,
-                // so they go out too.
+                // Gated acks were committed, so they go out before the
+                // goodbyes.
                 for ack in st.pending_acks.drain(..) {
                     ack.out.push_line(ack.line);
                 }
-                st.pending_notify.flush(store);
                 store.checkpoint_all();
             }
         }
@@ -234,21 +153,8 @@ enum JobOutcome {
 fn process_job(shared: &Arc<Shared>, job: Job, st: &mut WriterState) -> JobOutcome {
     let mut guard = shared.store_mut();
     let Some(store) = guard.as_mut() else {
-        st.pending_notify.discard();
         return JobOutcome::Done;
     };
-    // Any non-commit job flushes buffered notifications first: a
-    // `REGISTER` snapshots the committed graph, so a standing query
-    // created mid-window must not later receive a DELTA for batches its
-    // initial digest already includes (double-apply).
-    if !st.pending_notify.is_empty()
-        && !matches!(
-            job,
-            Job::Update { .. } | Job::ReplApply { .. } | Job::Watermark { .. }
-        )
-    {
-        st.pending_notify.flush(store);
-    }
     // A promotion raced the replication stream: this node now owns its
     // own history, so replica-side work is refused instead of applied.
     if let Job::ReplApply { done, .. }
@@ -286,8 +192,6 @@ fn process_job(shared: &Arc<Shared>, job: Job, st: &mut WriterState) -> JobOutco
             }
         }) {
             Ok((ack, applied)) => {
-                // The ACK rides the per-batch commit + fsync; only the
-                // standing-query notification is deferred to the flush.
                 let dup = if ack.dup { " dup" } else { "" };
                 let line = format!("ACK {} {} {}{dup}", ack.client_seq, ack.wal_seq, ack.units);
                 let replicated = shared.cfg.repl_graph.as_deref() == Some(graph.as_str());
@@ -325,8 +229,10 @@ fn process_job(shared: &Arc<Shared>, job: Job, st: &mut WriterState) -> JobOutco
                 } else {
                     out.push_line(line);
                 }
+                // Notify after the ACK and under the same write guard, so
+                // a read taken after the ACK already reflects the batch.
                 if let Some(applied) = applied {
-                    st.pending_notify.push(&graph, applied);
+                    store.notify_queries(&graph, std::slice::from_ref(&applied));
                 }
             }
             Err(UpdateError::Wire(c, d)) => {
@@ -369,8 +275,10 @@ fn process_job(shared: &Arc<Shared>, job: Job, st: &mut WriterState) -> JobOutco
             let identity_ref = identity.as_ref().map(|(t, c)| (t.as_str(), *c));
             match store.apply_replicated(&graph, seq, identity_ref, &batch) {
                 Ok(applied) => {
-                    st.pending_notify.push(&graph, applied);
+                    // `done` first: the tail sends the WATERMARK the
+                    // primary's gated ACK waits on.
                     let _ = done.send(Ok(seq));
+                    store.notify_queries(&graph, std::slice::from_ref(&applied));
                 }
                 Err(UpdateError::Wire(c, d)) => {
                     let _ = done.send(Err(format!("{c} {d}")));

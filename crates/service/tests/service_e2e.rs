@@ -1,16 +1,19 @@
 //! End-to-end tests over real sockets: handshake, standing queries,
-//! exactly-once retries, admission control, idle reaping, graceful
-//! drain, and kill/recover on a durable store.
+//! read-your-writes after an `ACK`, exactly-once retries, admission
+//! control, idle reaping, graceful drain, and kill/recover on a durable
+//! store.
 
 use incgraph_durable::{DurableError, DurableOptions};
 use incgraph_graph::UpdateBatch;
 use incgraph_service::client::{Client, ClientError, Reply};
 use incgraph_service::load::{run_load, LoadConfig};
+use incgraph_service::outbound::Outbound;
 use incgraph_service::server::{Server, ServerConfig, ServerHandle};
 use incgraph_service::store::{Store, StoreLimits};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -305,99 +308,67 @@ fn second_hello_is_rejected_but_session_survives() {
 }
 
 #[test]
-fn coalesced_flush_merges_deltas_and_stamps_final_seq() {
-    let cfg = ServerConfig {
-        flush_ops: 3,
-        // Park the deadline far out so only the count trigger fires.
-        flush_window: Duration::from_secs(30),
-        ..quick_cfg()
-    };
-    let mut server = memory_server(cfg);
-    let mut c = Client::connect(server.addr(), "iris").unwrap();
-    c.graph("g0", 16, false).unwrap();
-    c.register("q1", "g0", "sssp", 0, None).unwrap();
-    // Every batch is acked individually at its own wal_seq — the commit
-    // path is never deferred, only the standing-query notification.
-    for seq in 1..=3u64 {
-        let mut b = UpdateBatch::new();
-        b.insert(0, seq as u32, seq as u32);
-        let ack = c.update("g0", seq, &b).unwrap();
-        assert!(!ack.dup);
-        assert_eq!(ack.wal_seq, seq);
-    }
-    // One coalesced DELTA covers all three batches, stamped at the last
-    // committed sequence.
-    let delta = c
-        .poll_delta(Duration::from_secs(5))
-        .unwrap()
-        .expect("one coalesced DELTA after the third batch");
-    assert_eq!(delta.qid, "q1");
-    assert_eq!(delta.wal_seq, 3);
-    assert!(
-        c.poll_delta(Duration::from_millis(200)).unwrap().is_none(),
-        "batches inside one flush window must not produce extra DELTAs"
-    );
-    // The standing query caught up to the committed frontier.
-    let (seq, _) = c.query("q1").unwrap();
-    assert_eq!(seq, 3);
-    server.shutdown();
-}
-
-#[test]
-fn flush_window_bounds_delta_staleness_under_a_trickle() {
-    let cfg = ServerConfig {
-        // The count trigger is unreachable; only the deadline flushes.
-        flush_ops: 1000,
-        flush_window: Duration::from_millis(50),
-        ..quick_cfg()
-    };
-    let mut server = memory_server(cfg);
-    let mut c = Client::connect(server.addr(), "judy").unwrap();
-    c.graph("g0", 16, false).unwrap();
-    c.register("q1", "g0", "sssp", 0, None).unwrap();
-    let mut b = UpdateBatch::new();
-    b.insert(0, 1, 2);
-    assert_eq!(c.update("g0", 1, &b).unwrap().wal_seq, 1);
-    let delta = c
-        .poll_delta(Duration::from_secs(5))
-        .unwrap()
-        .expect("the window deadline must flush a partial buffer");
-    assert_eq!(delta.wal_seq, 1);
-    server.shutdown();
-}
-
-#[test]
-fn register_mid_window_flushes_first_and_never_double_applies() {
-    let cfg = ServerConfig {
-        flush_ops: 1000,
-        flush_window: Duration::from_secs(30),
-        ..quick_cfg()
-    };
-    let mut server = memory_server(cfg);
+fn register_after_an_update_never_double_applies() {
+    let mut server = memory_server(quick_cfg());
     let mut c = Client::connect(server.addr(), "kate").unwrap();
     c.graph("g0", 16, false).unwrap();
     c.register("q1", "g0", "sssp", 0, None).unwrap();
     let mut b = UpdateBatch::new();
     b.insert(0, 1, 2).insert(1, 2, 3);
     assert_eq!(c.update("g0", 1, &b).unwrap().wal_seq, 1);
-    // The REGISTER arrives with a batch still buffered: the writer must
-    // flush q1 first, then snapshot — so q2's initial digest already
-    // includes batch 1 and q1 still hears exactly one DELTA for it.
+    // q2's initial digest already includes batch 1, so q1 hears exactly
+    // one DELTA for it and q2 none.
     c.register("q2", "g0", "sssp", 0, None).unwrap();
     let delta = c
         .poll_delta(Duration::from_secs(5))
         .unwrap()
-        .expect("q1 must be notified before the new registration");
+        .expect("q1 is notified of batch 1");
     assert_eq!(delta.qid, "q1");
     assert_eq!(delta.wal_seq, 1);
     assert!(
         c.poll_delta(Duration::from_millis(200)).unwrap().is_none(),
-        "q2 registered after the flush and must not see batch 1 again"
+        "q2 registered after batch 1 and must not see it again"
     );
     let (s1, d1) = c.query("q1").unwrap();
     let (s2, d2) = c.query("q2").unwrap();
     assert_eq!((s1, s2), (1, 1));
     assert_eq!(d1, d2, "both queries converge on the committed state");
+    server.shutdown();
+}
+
+#[test]
+fn a_query_after_its_ack_reflects_the_batch() {
+    // The writer pushes the ACK and runs the batch's notify pass under
+    // one write guard, so a QUERY sent after the ACK cannot read the
+    // views between the two.
+    let mut server = memory_server(quick_cfg());
+    let mut c = Client::connect(server.addr(), "lena").unwrap();
+    c.graph("g0", 64, false).unwrap();
+    c.register("q1", "g0", "sssp", 0, None).unwrap();
+    let mut reference = Store::new(StoreLimits::default());
+    reference.open_graph("g0", 64, false).unwrap();
+    let out = Arc::new(Outbound::new(64, 1024, 256));
+    reference
+        .register(1, "q1", "g0", "sssp", 0, 0, out)
+        .unwrap();
+    for seq in 1..=200u64 {
+        // A path that grows by one edge a batch and, every other batch,
+        // drops and re-adds an earlier edge at a new weight.
+        let v = (seq % 63) as u32;
+        let mut b = UpdateBatch::new();
+        if seq <= 63 {
+            b.insert(v, v + 1, 1 + (seq % 5) as u32);
+        } else {
+            b.delete(v, v + 1).insert(v, v + 1, 1 + (seq % 7) as u32);
+        }
+        let ack = c.update("g0", seq, &b).unwrap();
+        assert_eq!(ack.wal_seq, seq);
+        reference.apply_update("g0", "ref", seq, &b).unwrap();
+        let (at, digest) = c.query("q1").unwrap();
+        assert!(at >= seq, "QUERY after ACK {seq} answered at {at}");
+        let (want, _) = reference.query(1, "q1").unwrap();
+        assert_eq!(digest, want, "QUERY after ACK {seq} must carry the batch");
+    }
     server.shutdown();
 }
 

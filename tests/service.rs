@@ -1,7 +1,7 @@
 //! Root entry for the service layer's crate-level suites.
 //!
-//! The wire tests over real sockets — the `DELTA` round-trip, the
-//! coalesced-flush `DELTA`, the standing-plan `VDELTA` stream,
+//! The wire tests over real sockets — the `DELTA` round-trip,
+//! read-your-writes after an `ACK`, the standing-plan `VDELTA` stream,
 //! exactly-once retries and kill/recover on a durable store — the
 //! replication suite (tail shipping, snapshot bootstrap, semi-sync
 //! gating, shipping from the commit point, promotion and fencing) and
