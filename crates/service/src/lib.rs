@@ -18,11 +18,12 @@
 //! - [`dedup`]: the durable intent log that makes retried batches apply
 //!   exactly once across crashes.
 //! - [`server`]: the threaded TCP server — configuration, roles, the
-//!   acceptor, graceful drain and abrupt death. Three private modules
-//!   hold the rest of it: `session` (each connection's reader —
-//!   deadlines, idle reaping, admission control with `BUSY`), `writer`
-//!   (the single writer and its commit → ack → notify order) and `repl`
-//!   (both halves of replication).
+//!   acceptor, the writer thread, graceful drain and abrupt death. Three
+//!   private modules hold the rest of it: `session` (each connection's
+//!   reader — deadlines, idle reaping, admission control with `BUSY`),
+//!   `writer` (the writer's core, `WriterCore`, and its commit → ack →
+//!   notify order, with the primary half of replication) and `repl` (the
+//!   replica tail).
 //! - [`outbound`]: each session's bounded outbound queue, with
 //!   slow-consumer coalescing-then-disconnect.
 //! - [`client`]: a small blocking client used by the CLI, the load

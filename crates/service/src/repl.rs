@@ -1,14 +1,9 @@
-//! Replication, both halves.
-//!
-//! **Primary side** (run by the writer thread): the `SYNC` handshake,
-//! the attached sinks, semi-sync ack gating and the broadcast of shipped
-//! records and `DIGEST` probes.
-//!
-//! **Replica side**: the tail thread a `--replica-of` server runs
-//! alongside its acceptor and writer. The loop is a [`Client`] of the
-//! primary's ordinary wire port. Each attempt: connect, `HELLO`,
-//! announce our position with `SYNC` (epoch, last sequence, CRC of the
-//! record at that sequence), then consume the primary's answer —
+//! The replica tail: the thread a `--replica-of` server runs alongside
+//! its acceptor and writer (the primary half of replication runs on the
+//! writer, in [`WriterCore`](crate::writer::WriterCore)). The loop is a
+//! [`Client`] of the primary's ordinary wire port. Each attempt: connect,
+//! `HELLO`, announce our position with `SYNC` (epoch, last sequence, CRC
+//! of the record at that sequence), then consume the primary's answer —
 //!
 //! - **`OK SYNC tail`**: the primary replays its retained WAL from our
 //!   position and keeps shipping live commits; we apply each `SHIP`
@@ -32,217 +27,13 @@
 //! from the old primary (the writer also refuses them by role).
 
 use crate::client::Client;
-use crate::outbound::Outbound;
-use crate::protocol::{self, ErrCode, ReplMsg, WriteCmd};
+use crate::protocol::{self, ReplMsg};
 use crate::server::{Role, Shared};
-use crate::store::{ReplInfo, Store, WireError};
-use crate::writer::{Job, WriterState};
+use crate::writer::Job;
 use incgraph_durable::scan_records;
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// One attached replication sink: the replica session's outbound queue
-/// plus the highest sequence it has confirmed fsynced.
-pub(crate) struct Sink {
-    out: Arc<Outbound>,
-    pub(crate) watermark: u64,
-}
-
-/// One client ack held back by semi-sync gating: released when every
-/// live sink's watermark reaches `wal_seq`, when the last sink detaches,
-/// or after `repl_ack_timeout`.
-pub(crate) struct PendingAck {
-    pub(crate) wal_seq: u64,
-    pub(crate) line: String,
-    pub(crate) out: Arc<Outbound>,
-    pub(crate) since: Instant,
-}
-
-impl WriterState {
-    /// Drops sinks whose outbound closed (slow consumer, disconnect) and
-    /// publishes the live-sink count.
-    pub(crate) fn prune_sinks(&mut self, shared: &Shared) {
-        let before = self.sinks.len();
-        self.sinks.retain(|_, s| !s.out.is_closing());
-        if self.sinks.len() != before {
-            incgraph_obs::counter("repl.sink_drops", (before - self.sinks.len()) as u64);
-        }
-        shared.repl_sinks.store(self.sinks.len(), Ordering::Relaxed);
-    }
-
-    /// Releases every gated ack the semi-sync rule now allows. With no
-    /// live sinks there is nothing to wait for; otherwise an ack needs
-    /// every sink's watermark at or past its sequence, or its timeout.
-    pub(crate) fn release_acks(&mut self, shared: &Shared, committed: Option<u64>) {
-        self.prune_sinks(shared);
-        let min_wm = self.sinks.values().map(|s| s.watermark).min();
-        let timeout = shared.cfg.repl_ack_timeout;
-        while let Some(front) = self.pending_acks.front() {
-            let due = match min_wm {
-                None => true,
-                Some(wm) => front.wal_seq <= wm || front.since.elapsed() >= timeout,
-            };
-            if !due {
-                break;
-            }
-            let ack = self.pending_acks.pop_front().expect("front exists");
-            ack.out.push_line(ack.line);
-        }
-        if let (Some(committed), Some(wm)) = (committed, min_wm) {
-            let lag = committed.saturating_sub(wm);
-            shared.repl_lag.store(lag, Ordering::Relaxed);
-            incgraph_obs::gauge("repl.lag_seqs", lag);
-        }
-    }
-
-    /// Pushes one line to every live sink.
-    pub(crate) fn broadcast(&mut self, line: &str) {
-        for sink in self.sinks.values() {
-            sink.out.push_line(line.to_string());
-            incgraph_obs::counter("repl.ship_bytes", line.len() as u64 + 1);
-        }
-    }
-}
-/// Handles one `SYNC` handshake on the writer: fencing, shape
-/// validation, tail-vs-snapshot decision, catch-up push, and sink
-/// registration. Epoch comparison comes first — a higher epoch fences
-/// this node no matter what else is wrong with the request. On success
-/// the `OK SYNC` line and the catch-up are queued on `out`; a refusal is
-/// returned for the caller to reply.
-pub(crate) fn process_sync(
-    shared: &Shared,
-    store: &mut Store,
-    st: &mut WriterState,
-    sid: u64,
-    sync: WriteCmd,
-    out: &Arc<Outbound>,
-) -> Result<(), WireError> {
-    let WriteCmd::Sync {
-        graph,
-        epoch,
-        from_seq,
-        crc,
-        directed,
-        nodes,
-        force,
-    } = sync
-    else {
-        unreachable!("process_sync is handed SYNC only");
-    };
-    if shared.cfg.repl_graph.as_deref() != Some(graph.as_str()) {
-        return Err((
-            ErrCode::UnknownGraph,
-            format!("{graph} is not replicated on this server"),
-        ));
-    }
-    let info = store
-        .durable(&graph)
-        .map(|(session, _)| ReplInfo::of(session))?;
-    if epoch > info.epoch {
-        // The requester has seen a later epoch than ours: we were
-        // deposed while partitioned. Fence — refuse writes forever (a
-        // restart as a replica rejoins cleanly) — so no batch is ever
-        // double-acked by two primaries.
-        if shared.role() == Role::Primary {
-            shared.set_role(Role::Fenced);
-            incgraph_obs::counter("repl.fenced", 1);
-            if incgraph_obs::enabled() {
-                incgraph_obs::event(
-                    "repl.fenced",
-                    &format!("our epoch {} vs peer {epoch}", info.epoch),
-                );
-            }
-        }
-        return Err((
-            ErrCode::StaleEpoch,
-            format!("this node is at epoch {} and is deposed", info.epoch),
-        ));
-    }
-    if shared.role() != Role::Primary {
-        return Err((
-            ErrCode::NotPrimary,
-            format!(
-                "{} does not serve the replication stream",
-                shared.role().name()
-            ),
-        ));
-    }
-    if info.directed != directed || info.nodes != nodes {
-        let shape = if info.directed {
-            "directed"
-        } else {
-            "undirected"
-        };
-        return Err((
-            ErrCode::GraphMismatch,
-            format!("{graph} is {shape} with {} nodes", info.nodes),
-        ));
-    }
-    incgraph_obs::counter("repl.syncs", 1);
-    // Decide tail vs snapshot. A tail needs the replica's position to be
-    // inside our retained history *and* its record CRC to match ours at
-    // that position — anything else (divergence, pre-base lag, a future
-    // sequence from a forked history, an explicit force, or a lag past
-    // the configured bound) bootstraps from a snapshot.
-    let lag_snap = info.last_seq.saturating_sub(from_seq) > shared.cfg.snapshot_lag;
-    let out_of_range = from_seq < info.base_seq || from_seq > info.last_seq;
-    let mut snap = force || out_of_range || lag_snap;
-    let mut tail_ships = Vec::new();
-    if !snap {
-        let (crc_at_from, ships) = store.wal_catchup(&graph, from_seq)?;
-        let diverged = match (crc, crc_at_from) {
-            (Some(theirs), Some(ours)) => theirs != ours,
-            // from_seq == base: no record to compare, trust BASE.
-            (None, None) => false,
-            // One side has a record the other cannot name.
-            _ => from_seq != info.base_seq,
-        };
-        if diverged {
-            incgraph_obs::counter("repl.divergence", 1);
-            snap = true;
-        } else {
-            tail_ships = ships;
-        }
-    }
-    let watermark = if snap {
-        let Some((snap_seq, payload, acks)) = store.encode_snapshot(&graph) else {
-            return Err((ErrCode::Store, format!("{graph} cannot be snapshotted")));
-        };
-        out.push_line(format!("OK SYNC snap {} {snap_seq}", info.epoch));
-        // 256 KiB raw chunks: 512 KiB hexed + header, inside the 1 MiB
-        // line cap.
-        const CHUNK: usize = 256 * 1024;
-        let total = payload.len().div_ceil(CHUNK).max(1);
-        for (i, chunk) in payload.chunks(CHUNK).enumerate() {
-            out.push_line(protocol::format_snap(i, total, chunk));
-        }
-        if payload.is_empty() {
-            out.push_line(protocol::format_snap(0, 1, &[]));
-        }
-        for e in &acks {
-            out.push_line(protocol::format_snapack(&e.token, e.client_seq, e.wal_seq));
-        }
-        out.push_line(protocol::format_snapend(
-            snap_seq,
-            incgraph_durable::crc::crc32(&payload),
-        ));
-        incgraph_obs::counter("repl.snapshots_sent", 1);
-        snap_seq
-    } else {
-        out.push_line(format!("OK SYNC tail {} {}", info.epoch, info.last_seq));
-        for ship in &tail_ships {
-            let identity = ship.identity.as_ref().map(|(t, c)| (t.as_str(), *c));
-            out.push_line(protocol::format_ship(ship.seq, identity, &ship.record));
-        }
-        from_seq
-    };
-    let out = Arc::clone(out);
-    st.sinks.insert(sid, Sink { out, watermark });
-    shared.repl_sinks.store(st.sinks.len(), Ordering::Relaxed);
-    Ok(())
-}
 
 /// How one connection attempt ended.
 enum StreamEnd {
@@ -261,7 +52,7 @@ pub(crate) fn replica_loop(shared: Arc<Shared>, primary: SocketAddr) {
     };
     let mut force_snap = false;
     let mut backoff = Duration::from_millis(100);
-    while shared.is_running() && shared.role() == Role::Replica {
+    while shared.is_running() && shared.status.role() == Role::Replica {
         match run_once(&shared, &graph, primary, force_snap) {
             StreamEnd::Stop => break,
             StreamEnd::Resync => {
@@ -276,7 +67,7 @@ pub(crate) fn replica_loop(shared: Arc<Shared>, primary: SocketAddr) {
         }
         // Sleep in slices so drain/promotion is honored promptly.
         let mut slept = Duration::ZERO;
-        while slept < backoff && shared.is_running() && shared.role() == Role::Replica {
+        while slept < backoff && shared.is_running() && shared.status.role() == Role::Replica {
             let slice = Duration::from_millis(50).min(backoff - slept);
             std::thread::sleep(slice);
             slept += slice;
@@ -406,7 +197,7 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut Client, epoch: u64) -
     let mut acks = Vec::new();
     let deadline = Duration::from_secs(60);
     loop {
-        if !shared.is_running() || shared.role() != Role::Replica {
+        if !shared.is_running() || shared.status.role() != Role::Replica {
             return None;
         }
         let line = recv_within(conn, deadline)?;
@@ -468,7 +259,7 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut Client, epoch: u64) -
 /// role ends.
 fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut Client, mut applied: u64) -> StreamEnd {
     loop {
-        if !shared.is_running() || shared.role() != Role::Replica {
+        if !shared.is_running() || shared.status.role() != Role::Replica {
             return StreamEnd::Stop;
         }
         let line = match conn.recv_raw_line() {

@@ -1,7 +1,7 @@
 //! The threaded TCP server: configuration, roles, the shared state, the
-//! acceptor and each session's sender. The session reader lives in
-//! `session.rs`, the single writer in `writer.rs`, and replication in
-//! `repl.rs`.
+//! acceptor, the writer thread and each session's sender. The session
+//! reader lives in `session.rs`, the writer's core in `writer.rs`, and
+//! the replica tail in `repl.rs`.
 //!
 //! # Threading model
 //!
@@ -11,11 +11,12 @@
 //!   **sender** draining the session's bounded [`Outbound`] queue.
 //! - **writer** — exactly one thread owns all mutation of the shared
 //!   [`Store`]. Readers submit write jobs over an mpsc channel; `QUERY`
-//!   and `STATUS` read under the shared lock without queueing. Single
-//!   ownership of the commit path is what makes WAL append order, ack
-//!   bookkeeping, and standing-query notification race-free. A batch's
-//!   commit, `ACK` and notify pass run in one job under one write
-//!   guard, so a read taken after its `ACK` reflects it.
+//!   and `STATUS` read under the shared lock without queueing. The
+//!   thread is the shell around [`WriterCore`]: it takes the write
+//!   guard, reads the clock and hands each job to `WriterCore::step`,
+//!   which owns the commit → ack → notify order. Single ownership of the
+//!   commit path is what makes WAL append order, ack bookkeeping, and
+//!   standing-query notification race-free.
 //! - **notify helpers** — a notify pass over a large batch fans the
 //!   graph's distinct views out to scoped helper threads that live for
 //!   that pass only (`Store::notify_queries`). Apart from the mutex of
@@ -23,11 +24,22 @@
 //!   through the writer's write guard. Each returns its views' deltas
 //!   to the writer, which pushes the `DELTA`s in the serial path's
 //!   order.
+//!
+//! # How the writer ends
+//!
+//! - **Graceful shutdown** ([`ServerHandle::shutdown`]): stop accepting,
+//!   drain queued jobs (their acks still go out), checkpoint durable
+//!   graphs, `GOODBYE shutting-down` to every session.
+//! - **Abrupt death** ([`ServerHandle::kill`], or an armed
+//!   [`CrashPoint`] firing mid-commit): simulated `kill -9` — no drain,
+//!   no checkpoint, no goodbyes; sockets are reset and the store is
+//!   dropped where it stands. The chaos harness restarts on the same
+//!   directory and recovery must hold.
 
 use crate::outbound::{OutMsg, Outbound};
 use crate::session::reader_loop;
 use crate::store::Store;
-use crate::writer::{writer_loop, Job};
+use crate::writer::{Job, JobOutcome, Status, WriterCore};
 use incgraph_durable::CrashPoint;
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Write};
@@ -35,7 +47,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tunables of one server instance.
 #[derive(Clone, Debug)]
@@ -122,22 +134,6 @@ pub enum Role {
 }
 
 impl Role {
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            Role::Primary => 0,
-            Role::Replica => 1,
-            Role::Fenced => 2,
-        }
-    }
-
-    pub(crate) fn from_u8(v: u8) -> Role {
-        match v {
-            1 => Role::Replica,
-            2 => Role::Fenced,
-            _ => Role::Primary,
-        }
-    }
-
     /// Wire name (`STATUS role=…`).
     pub fn name(self) -> &'static str {
         match self {
@@ -162,13 +158,8 @@ pub(crate) struct Shared {
     pub(crate) phase: AtomicU8,
     sessions: Mutex<HashMap<u64, SessionSlot>>,
     next_sid: AtomicU64,
-    /// Current [`Role`], as `Role::as_u8`.
-    pub(crate) role: AtomicU8,
-    /// Primary: committed-minus-min-watermark over live sinks. Replica:
-    /// updated by the tail thread from `DIGEST`/`SHIP` arrivals.
-    pub(crate) repl_lag: AtomicU64,
-    /// Live replication sinks (primary side), for `STATUS`.
-    pub(crate) repl_sinks: AtomicUsize,
+    /// The role and replication gauges the writer publishes.
+    pub(crate) status: Arc<Status>,
 }
 
 impl Shared {
@@ -178,14 +169,6 @@ impl Shared {
 
     pub(crate) fn is_running(&self) -> bool {
         self.phase() == RUNNING
-    }
-
-    pub(crate) fn role(&self) -> Role {
-        Role::from_u8(self.role.load(Ordering::Acquire))
-    }
-
-    pub(crate) fn set_role(&self, role: Role) {
-        self.role.store(role.as_u8(), Ordering::Release);
     }
 
     pub(crate) fn store(&self) -> std::sync::RwLockReadGuard<'_, Option<Store>> {
@@ -245,11 +228,11 @@ impl Server {
         let addr = listener.local_addr()?;
         let (tx, rx) = mpsc::channel::<Job>();
         let primary = cfg.replica_of;
-        let initial_role = if primary.is_some() {
-            Role::Replica
-        } else {
-            Role::Primary
-        };
+        let status = Arc::new(Status::new(match primary {
+            Some(_) => Role::Replica,
+            None => Role::Primary,
+        }));
+        let core = WriterCore::new(&cfg, Arc::clone(&status));
         let shared = Arc::new(Shared {
             cfg,
             store: RwLock::new(Some(store)),
@@ -258,9 +241,7 @@ impl Server {
             phase: AtomicU8::new(RUNNING),
             sessions: Mutex::new(HashMap::new()),
             next_sid: AtomicU64::new(1),
-            role: AtomicU8::new(initial_role.as_u8()),
-            repl_lag: AtomicU64::new(0),
-            repl_sinks: AtomicUsize::new(0),
+            status,
         });
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -272,7 +253,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("svc-writer".into())
-                .spawn(move || writer_loop(rx, shared))?
+                .spawn(move || writer_loop(rx, shared, core))?
         };
         let repl = match primary {
             Some(primary_addr) => Some({
@@ -354,12 +335,12 @@ impl ServerHandle {
 
     /// Current replication role.
     pub fn role(&self) -> Role {
-        self.shared.role()
+        self.shared.status.role()
     }
 
     /// Committed-minus-acknowledged replication lag (primary side).
     pub fn repl_lag(&self) -> u64 {
-        self.shared.repl_lag.load(Ordering::Relaxed)
+        self.shared.status.repl_lag.load(Ordering::Relaxed)
     }
 
     fn join(&mut self) {
@@ -407,6 +388,57 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     // Dropping the listener closes the socket; in-flight sessions are
     // finished by their own threads (or killed by the handle).
+}
+
+/// The writer thread: the shell around [`WriterCore`]. It hands each job
+/// to `step` with the time and the store's write guard, ticks the core
+/// when the queue is idle, and owns both endings (see the module docs).
+fn writer_loop(rx: mpsc::Receiver<Job>, shared: Arc<Shared>, mut core: WriterCore) {
+    loop {
+        match rx.recv_timeout(Duration::from_millis(25)) {
+            Ok(job) => {
+                shared.pending.fetch_sub(1, Ordering::Relaxed);
+                if shared.phase() == KILLED {
+                    continue; // simulated death
+                }
+                let mut guard = shared.store_mut();
+                let outcome = guard.as_mut().map(|s| core.step(s, Instant::now(), job));
+                drop(guard);
+                if outcome == Some(JobOutcome::Crashed) {
+                    shared.phase.store(KILLED, Ordering::Release);
+                    shared.kill_sessions();
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => match shared.phase() {
+                KILLED => break,
+                DRAINING if shared.pending.load(Ordering::Relaxed) == 0 => break,
+                _ => core.tick(Instant::now()),
+            },
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    let killed = shared.phase() == KILLED;
+    {
+        let mut guard = shared.store_mut();
+        if let Some(store) = guard.as_mut().filter(|_| !killed) {
+            // Gated acks were committed, so they go out before the
+            // goodbyes.
+            for ack in core.pending_acks.drain(..) {
+                ack.out.push_line(ack.line);
+            }
+            store.checkpoint_all();
+        }
+        // Dropping the store releases the durable LOCK file.
+        *guard = None;
+    }
+    if !killed {
+        for slot in shared.sessions().values() {
+            slot.out.push_goodbye("shutting-down");
+        }
+    }
+    shared
+        .phase
+        .store(if killed { KILLED } else { DRAINING }, Ordering::Release);
 }
 
 fn spawn_session(shared: &Arc<Shared>, stream: TcpStream, sid: u64) -> bool {

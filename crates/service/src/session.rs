@@ -19,7 +19,7 @@
 
 use crate::outbound::Outbound;
 use crate::protocol::{self, Command, ErrCode, LineRead, WIRE_VERSION};
-use crate::server::{Role, Shared, DRAINING, KILLED, RUNNING};
+use crate::server::{Shared, DRAINING, KILLED, RUNNING};
 use crate::writer::Job;
 use incgraph_graph::UpdateBatch;
 use std::fmt::Write as _;
@@ -189,11 +189,11 @@ fn handle_line(
             if let Some(info) = repl {
                 line.push_str(&format!(
                     " role={} epoch={} repl_seq={} repl_sinks={} repl_lag={}",
-                    shared.role().name(),
+                    shared.status.role().name(),
                     info.epoch,
                     info.last_seq,
-                    shared.repl_sinks.load(Ordering::Relaxed),
-                    shared.repl_lag.load(Ordering::Relaxed),
+                    shared.status.repl_sinks.load(Ordering::Relaxed),
+                    shared.status.repl_lag.load(Ordering::Relaxed),
                 ));
             }
             ctx.out.push_line(line);
@@ -320,22 +320,11 @@ fn read_and_submit_update(
             }
         }
     }
-    // The full body is read first so the stream stays framed; only then
-    // is the batch judged. A non-primary refuses writes here — clients
-    // redirect to the primary and retry the same sequence.
-    if shared.role() != Role::Primary {
-        ctx.err(
-            ErrCode::NotPrimary,
-            &format!(
-                "{} is read-only; send writes to the primary",
-                shared.role().name()
-            ),
-        );
-        return true;
-    }
-    // The dispatcher guarantees a HELLO preceded this, but a typed error
-    // beats a panic if that invariant ever breaks: degrade to ERR and
-    // keep the process up.
+    // The full body is read first so the stream stays framed; the writer
+    // judges the batch, the node's role included. The dispatcher
+    // guarantees a HELLO preceded this, but a typed error beats a panic
+    // if that invariant ever breaks: degrade to ERR and keep the process
+    // up.
     let Some(token) = ctx.token.clone() else {
         ctx.err(ErrCode::NeedHello, "no session token for UPDATE");
         return true;
