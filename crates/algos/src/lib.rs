@@ -142,9 +142,8 @@ pub fn restore_state(
 }
 
 /// Everything a guarded update run is configured by, in one value: the
-/// degradation policy, the optional fixpoint audit and micro-batch
-/// canonicalization — one options struct travels from the session
-/// builder through every update.
+/// degradation policy and the optional fixpoint audit — one options
+/// struct travels from the session builder through every update.
 ///
 /// `Copy`, so callers stash it by value (a [`Session`] does); the
 /// defaults are the conservative ones: default policy, no audit.
@@ -154,15 +153,6 @@ pub struct ExecOptions {
     pub policy: FallbackPolicy,
     /// Post-run fixpoint audit; `None` skips auditing.
     pub audit: Option<FixpointAudit>,
-    /// Canonicalize the presented ΔG through
-    /// [`coalesce_batches`](incgraph_core::coalesce_batches) before
-    /// dispatching it to the class update. Within-batch churn on one edge (insert→delete,
-    /// delete→re-insert) collapses to its net effect, so the incremental
-    /// step sees at most one delete and one insert per edge. The net
-    /// batch is equivalent by construction — same pre-state, same
-    /// post-state — so results are unchanged; only wasted scope work on
-    /// self-cancelling ops is saved.
-    pub micro_batch: bool,
 }
 
 /// The hardened update path: one incremental step under an
@@ -214,16 +204,6 @@ fn run_guarded<S: IncrementalState + ?Sized>(
     applied: &AppliedBatch,
     options: &ExecOptions,
 ) -> BoundednessReport {
-    // Micro-batch canonicalization: collapse within-batch churn to its
-    // net effect before the class update sees the ΔG. Only rebuilds the
-    // batch when it could actually shrink (≥2 ops).
-    let coalesced;
-    let applied = if options.micro_batch && applied.len() > 1 {
-        coalesced = incgraph_core::coalesce_batches(g.is_directed(), [applied]);
-        &coalesced
-    } else {
-        applied
-    };
     let policy = &options.policy;
     let total = state.total_vars(g);
     state.set_work_budget(policy.var_limit(total));
@@ -422,7 +402,6 @@ mod guarded_tests {
                 ..Default::default()
             },
             audit: Some(audit),
-            ..Default::default()
         };
         let report = update_with(&mut state, &g, &applied, &options);
         assert!(!report.fell_back());

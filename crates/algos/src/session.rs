@@ -175,7 +175,6 @@ pub struct SessionBuilder {
     pattern: Option<Pattern>,
     policy: FallbackPolicy,
     audit: Option<FixpointAudit>,
-    micro_batch: bool,
 }
 
 impl SessionBuilder {
@@ -206,14 +205,6 @@ impl SessionBuilder {
     /// Post-update fixpoint audit for guarded updates (default: none).
     pub fn audit(mut self, audit: FixpointAudit) -> Self {
         self.audit = Some(audit);
-        self
-    }
-
-    /// Canonicalize each presented ΔG through the micro-batch coalescer
-    /// before the class update sees it (default: off). See
-    /// [`ExecOptions::micro_batch`].
-    pub fn micro_batch(mut self, on: bool) -> Self {
-        self.micro_batch = on;
         self
     }
 
@@ -260,7 +251,6 @@ impl SessionBuilder {
             exec: ExecOptions {
                 policy: self.policy,
                 audit: self.audit,
-                micro_batch: self.micro_batch,
             },
             state,
             drained_nodes,
@@ -292,7 +282,6 @@ impl Session {
             pattern: None,
             policy: FallbackPolicy::default(),
             audit: None,
-            micro_batch: false,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Micro-batch coalescing is value-invisible: applying N micro-batches
 //! one by one, applying their coalesced net batch in one step, and
-//! applying each batch under [`ExecOptions::micro_batch`]
-//! canonicalization must all land every class in the same fixpoint.
+//! applying each batch made net by [`net`] (the rule every state pass
+//! uses) must all land every class in the same fixpoint.
 //!
 //! Three sessions per class evolve in lockstep over a randomized update
 //! stream with forced cross-batch cancellation (insert then delete of
@@ -11,7 +11,7 @@
 //! - `seq`: one guarded update per micro-batch (the reference);
 //! - `coal`: graphs evolve identically, but the state sees one guarded
 //!   update per *round* with the coalesced net of that round's batches;
-//! - `mb`: per-batch updates with `micro_batch` canonicalization on.
+//! - `mb`: per-batch updates, each batch made net by [`net`] first.
 //!
 //! Equality is checked at two strengths. Value digests must agree for
 //! all seven classes after every round. Durable essences
@@ -23,7 +23,7 @@
 //! equivalent *as incremental states*, not just as snapshots.
 
 use incgraph_algos::{IncrementalState, QueryClass, Session};
-use incgraph_core::coalesce_batches;
+use incgraph_core::coalesce::{coalesce_batches, net};
 use incgraph_graph::rng::SplitMix64;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, Pattern, UpdateBatch};
 
@@ -102,7 +102,7 @@ fn round_batches(g: &DynamicGraph, rng: &mut SplitMix64) -> Vec<UpdateBatch> {
     batches
 }
 
-fn build_session(class: QueryClass, g: &DynamicGraph, micro_batch: bool) -> Session {
+fn build_session(class: QueryClass, g: &DynamicGraph) -> Session {
     let mut builder = Session::builder(class);
     if class.source_rooted() {
         builder = builder.source(0);
@@ -110,10 +110,7 @@ fn build_session(class: QueryClass, g: &DynamicGraph, micro_batch: bool) -> Sess
     if class == QueryClass::Sim {
         builder = builder.pattern(Pattern::new(vec![0, 1], &[(0, 1)]));
     }
-    builder
-        .micro_batch(micro_batch)
-        .build(g)
-        .expect("build session")
+    builder.build(g).expect("build session")
 }
 
 /// Stamp-free classes serialize no timestamps, so their essences must
@@ -132,9 +129,9 @@ fn coalesced_updates_are_value_identical_across_all_classes() {
         let g0 = base_graph(&mut rng);
         let (mut g_seq, mut g_coal, mut g_mb) = (g0.clone(), g0.clone(), g0);
 
-        let mut seq = build_session(class, &g_seq, false);
-        let mut coal = build_session(class, &g_coal, false);
-        let mut mb = build_session(class, &g_mb, true);
+        let mut seq = build_session(class, &g_seq);
+        let mut coal = build_session(class, &g_coal);
+        let mut mb = build_session(class, &g_mb);
 
         let mut saw_compression = false;
         for round in 0..ROUNDS {
@@ -145,7 +142,8 @@ fn coalesced_updates_are_value_identical_across_all_classes() {
                 seq.update_guarded(&g_seq, &applied);
 
                 let applied_mb = batch.apply(&mut g_mb);
-                mb.update_guarded(&g_mb, &applied_mb);
+                let net_mb = net(g_mb.is_directed(), std::slice::from_ref(&applied_mb));
+                mb.update_guarded(&g_mb, &net_mb);
 
                 applieds.push(batch.apply(&mut g_coal));
             }
@@ -168,7 +166,7 @@ fn coalesced_updates_are_value_identical_across_all_classes() {
             assert_eq!(
                 d_seq,
                 mb.digest(&g_mb),
-                "{class:?}: micro_batch digest diverged in round {round}"
+                "{class:?}: net digest diverged in round {round}"
             );
             if stamp_free(class) {
                 assert_eq!(
@@ -179,7 +177,7 @@ fn coalesced_updates_are_value_identical_across_all_classes() {
                 assert_eq!(
                     seq.save_state(),
                     mb.save_state(),
-                    "{class:?}: micro_batch essence not byte-identical in round {round}"
+                    "{class:?}: net essence not byte-identical in round {round}"
                 );
             }
         }
@@ -214,7 +212,7 @@ fn coalesced_updates_are_value_identical_across_all_classes() {
         assert_eq!(
             d_seq,
             mb.digest(&g_mb),
-            "{class:?}: follow-up update diverged after micro_batch history"
+            "{class:?}: follow-up update diverged after net history"
         );
     }
 }

@@ -236,11 +236,7 @@ pub(crate) fn run_class(argv: &[String], obs: &ObsSetup) -> Result<(), CliError>
     };
     // One knob struct for the whole guarded pipeline: degradation
     // policy and auditing.
-    let exec = ExecOptions {
-        policy,
-        audit,
-        micro_batch: false,
-    };
+    let exec = ExecOptions { policy, audit };
 
     // Validate-then-apply: a poisoned stream rolls the graph back and
     // exits 5 before any algorithm state is touched.

@@ -16,9 +16,9 @@
 //!   end of history, explicit backpressure ([`Scheduler::shift_tail`])
 //!   when the consumer lags the schedule.
 //! * **Store** — a [`DurableSession`] owning the standing states
-//!   ([`standing_states`]); the WAL fsync is the ack point, and
-//!   [`DurableOptions::micro_batch`] coalesces each flush's effective
-//!   ops before propagation.
+//!   ([`standing_states`]); the WAL fsync is the ack point, and the
+//!   session's state pass ([`update_states`](incgraph_durable::update_states))
+//!   makes each flush's effective ops net before propagation.
 //! * **Latency** — each standing state is wrapped in a [`LatencyProbe`]
 //!   recording per-class admission→completion nanoseconds into the obs
 //!   log₂ histograms; p50/p99/p999 are read back from those histograms.
@@ -202,7 +202,7 @@ pub struct StreamReport {
     pub ops_total: usize,
     /// Flushes applied — each exactly one WAL record.
     pub batches: usize,
-    /// Effective ops cancelled by micro-batch coalescing, summed over
+    /// Effective ops the state pass's netting cancelled, summed over
     /// flushes.
     pub coalesced_ops: usize,
     /// Ops whose admission→completion exceeded the SLO.
@@ -473,7 +473,6 @@ pub fn run_stream(
     let class_names: Vec<&'static str> = states.iter().map(|s| s.name()).collect();
     let durable_options = DurableOptions {
         checkpoint_every: cfg.checkpoint_every,
-        micro_batch: true,
         ..DurableOptions::default()
     };
     let mut session = DurableSession::create(
@@ -513,7 +512,7 @@ pub fn run_stream(
 
     // Shadow graph for coalescing accounting: replays each flush to
     // recover the effective AppliedBatch the session saw, then counts
-    // what the micro-batch pass cancelled. Kept outside the latency
+    // what the state pass's netting cancelled. Kept outside the latency
     // window (after miss accounting) so probes never pay for it.
     let mut shadow = t.initial.clone();
 
@@ -632,7 +631,7 @@ pub fn run_stream(
                 misses += 1;
             }
         }
-        // Coalescing win: effective ops the micro-batch pass cancelled.
+        // Netting win: effective ops the state pass cancelled.
         let applied = batch.apply(&mut shadow);
         let net = coalesce_batches(shadow.is_directed(), std::iter::once(&applied));
         coalesced_ops += applied.len() - net.len();

@@ -1,5 +1,5 @@
-//! Micro-batch ΔG coalescing: merge many small applied batches into one
-//! canonical batch with the same net effect.
+//! ΔG netting: merge applied batches into one canonical batch with the
+//! same net effect.
 //!
 //! An incremental step costs per *batch*, not per unit update.
 //! [`coalesce_batches`] turns `N` pending ΔGs into one canonical ΔG whose
@@ -10,6 +10,13 @@
 //! applying the constituents in order — the property test
 //! `coalesce_equiv.rs` in `crates/algos` pins this across all seven query
 //! classes.
+//!
+//! [`net`] is the one rule by which a ΔG is made net before any state
+//! sees it. Two passes call it: the durable crate's `update_states`
+//! (every built-in state, live or replayed) and the service's
+//! `Store::notify_queries` (every maintained view). A churn-free batch
+//! passes through untouched, so it keeps its order and costs one sort of
+//! its edge keys.
 //!
 //! # Soundness
 //!
@@ -31,6 +38,8 @@
 //! Raw `UpdateBatch` entries must not be coalesced this way: an insert of
 //! an already-present edge is a silent no-op under apply semantics, so
 //! cancelling it against a later delete would drop a real deletion.
+
+use std::borrow::Cow;
 
 use incgraph_graph::{AppliedBatch, AppliedOp};
 
@@ -55,8 +64,33 @@ pub fn coalesce_batches<'a>(
     directed: bool,
     batches: impl IntoIterator<Item = &'a AppliedBatch>,
 ) -> AppliedBatch {
-    // (canonical edge key, arrival index, op) — sorted to group per-edge
-    // runs while preserving arrival order within each run.
+    fold_runs(&sorted_runs(directed, batches))
+}
+
+/// The net ΔG of `batches` (consecutive applied batches, oldest first):
+/// the one rule by which every state pass makes a ΔG net. One batch in
+/// which no edge key repeats is already net and comes back borrowed, in
+/// its original order; anything else comes back as
+/// [`coalesce_batches`]'s canonical output. The units that cancel are
+/// added to the `coalesce.cancelled` counter.
+pub fn net(directed: bool, batches: &[AppliedBatch]) -> Cow<'_, AppliedBatch> {
+    let tagged = sorted_runs(directed, batches);
+    if let [only] = batches {
+        if tagged.windows(2).all(|w| w[0].0 != w[1].0) {
+            return Cow::Borrowed(only);
+        }
+    }
+    let out = fold_runs(&tagged);
+    incgraph_obs::counter("coalesce.cancelled", (tagged.len() - out.len()) as u64);
+    Cow::Owned(out)
+}
+
+/// Every op of `batches` as `(canonical edge key, arrival index, op)`,
+/// sorted so each edge's ops form one run in arrival order.
+fn sorted_runs<'a>(
+    directed: bool,
+    batches: impl IntoIterator<Item = &'a AppliedBatch>,
+) -> Vec<(u64, u32, AppliedOp)> {
     let mut tagged: Vec<(u64, u32, AppliedOp)> = Vec::new();
     let mut seq = 0u32;
     for batch in batches {
@@ -66,7 +100,12 @@ pub fn coalesce_batches<'a>(
         }
     }
     tagged.sort_unstable_by_key(|&(key, seq, _)| (key, seq));
+    tagged
+}
 
+/// Folds each per-edge run of `tagged` to its net effect (the table in
+/// the module docs).
+fn fold_runs(tagged: &[(u64, u32, AppliedOp)]) -> AppliedBatch {
     let mut out: Vec<AppliedOp> = Vec::new();
     let mut i = 0;
     while i < tagged.len() {
@@ -204,6 +243,38 @@ mod tests {
                 "node {v} adjacency diverged"
             );
         }
+    }
+
+    #[test]
+    fn net_borrows_a_churn_free_batch_in_its_order() {
+        let a = AppliedBatch::from_ops(vec![ins(5, 6, 1), del(0, 1, 2), ins(2, 3, 4)]);
+        let batches = [a];
+        match net(true, &batches) {
+            Cow::Borrowed(b) => assert!(std::ptr::eq(b, &batches[0])),
+            Cow::Owned(_) => panic!("a churn-free batch must come back borrowed"),
+        }
+    }
+
+    #[test]
+    fn net_coalesces_churn_and_several_batches() {
+        // A repeated key (here one undirected edge in both orientations)
+        // makes the batch canonical.
+        let churn = [AppliedBatch::from_ops(vec![
+            ins(5, 6, 1),
+            ins(0, 1, 2),
+            del(1, 0, 2),
+        ])];
+        let out = net(false, &churn);
+        assert!(matches!(out, Cow::Owned(_)));
+        assert_eq!(out.ops(), &[ins(5, 6, 1)]);
+        // Two churn-free batches still come back in canonical order.
+        let two = [
+            AppliedBatch::from_ops(vec![ins(5, 6, 1)]),
+            AppliedBatch::from_ops(vec![ins(0, 1, 2)]),
+        ];
+        let out = net(true, &two);
+        assert_eq!(out.ops(), coalesce_batches(true, &two).ops());
+        assert_eq!(out.ops(), &[ins(0, 1, 2), ins(5, 6, 1)]);
     }
 
     #[test]

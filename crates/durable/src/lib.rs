@@ -15,7 +15,7 @@
 //!   accelerate recovery; the *genesis* checkpoint (sequence 0) is never
 //!   rotated out, so full replay always remains possible.
 //! - **Recovery** ([`recover`]): newest valid checkpoint + incremental
-//!   replay of the WAL suffix via `update_with`, so even recovery
+//!   replay of the WAL suffix via [`update_states`], so even recovery
 //!   enjoys the paper's bounded incremental cost — and inherits the
 //!   [`FallbackPolicy`] degradation ladder (incremental replay → batch
 //!   recompute) when a replayed batch turns out unbounded.
@@ -213,13 +213,29 @@ pub struct DurableOptions {
     /// Take a checkpoint automatically every `n` applied batches
     /// (`None` = only on explicit [`DurableSession::checkpoint`] calls).
     pub checkpoint_every: Option<u64>,
-    /// Coalesce each applied batch's effective ops before the incremental
-    /// updates run ([`ExecOptions::micro_batch`]). Ingest schedulers that
-    /// admit many unit updates per flush turn this on so cancelling
-    /// insert/delete pairs never reach the propagation engine. Replay
-    /// during [`recover`] uses the same setting, keeping the rebuilt
-    /// states byte-identical to the pre-crash ones.
-    pub micro_batch: bool,
+}
+
+/// The state pass: makes `applied` (one batch's effective ops on `g`)
+/// net with [`coalesce::net`](incgraph_core::coalesce::net), then runs
+/// one guarded [`update_with`] per state under `policy`. Live commits,
+/// recovery's replay and the oracles' references all maintain their
+/// states through it, so a replayed batch reaches each state in the
+/// same form it did live and the essences stay byte-identical.
+pub fn update_states(
+    states: &mut [Box<dyn IncrementalState>],
+    g: &DynamicGraph,
+    applied: &AppliedBatch,
+    policy: FallbackPolicy,
+) -> Vec<BoundednessReport> {
+    let net = incgraph_core::coalesce::net(g.is_directed(), std::slice::from_ref(applied));
+    let exec = ExecOptions {
+        policy,
+        ..Default::default()
+    };
+    states
+        .iter_mut()
+        .map(|s| update_with(s.as_mut(), g, &net, &exec))
+        .collect()
 }
 
 /// A live graph + incremental states bound to a durable directory.
@@ -237,7 +253,7 @@ pub struct DurableOptions {
 ///    [`apply_with`](Self::apply_with) — where a primary ships the
 ///    record to its replicas);
 /// 4. run the incremental update on every tracked state via
-///    [`update_with`] under the session's [`FallbackPolicy`].
+///    [`update_states`] under the session's [`FallbackPolicy`].
 ///
 /// Recovery rebuilds the exact same in-memory world from the newest valid
 /// checkpoint plus the logged suffix — see [`recover`].
@@ -540,16 +556,7 @@ impl DurableSession {
         }
         self.next_seq += 1;
         committed(seq);
-        let exec = ExecOptions {
-            policy: self.options.policy,
-            micro_batch: self.options.micro_batch,
-            ..Default::default()
-        };
-        let reports = self
-            .states
-            .iter_mut()
-            .map(|s| update_with(s.as_mut(), &self.graph, &applied, &exec))
-            .collect();
+        let reports = update_states(&mut self.states, &self.graph, &applied, self.options.policy);
         if let Some(every) = self.options.checkpoint_every {
             if every > 0 && self.last_seq().is_multiple_of(every) {
                 self.checkpoint()?;

@@ -15,8 +15,9 @@
 //!
 //! From the chosen base, the WAL suffix (records with sequence numbers
 //! beyond the checkpoint's coverage) is replayed through the *normal*
-//! incremental pipeline — `apply_validated` on the graph, then
-//! [`update_with`] per state under the session's [`FallbackPolicy`] —
+//! incremental pipeline — `apply_validated` on the graph, then the live
+//! commit's state pass [`update_states`] under the session's
+//! [`FallbackPolicy`](incgraph_core::fallback::FallbackPolicy) —
 //! so replay cost is the paper's bounded incremental cost, and a replayed
 //! batch that turns out unbounded degrades to batch recompute exactly
 //! like a live one would. Torn WAL tails were already truncated by
@@ -27,12 +28,11 @@
 
 use std::path::Path;
 
-use incgraph_algos::{update_with, ExecOptions};
 use incgraph_graph::DynamicGraph;
 
 use crate::checkpoint::{checkpoint_path, list_checkpoints, load_checkpoint, read_manifest};
 use crate::wal::Wal;
-use crate::{DurableError, DurableOptions, DurableSession, WAL_NAME};
+use crate::{update_states, DurableError, DurableOptions, DurableSession, WAL_NAME};
 
 /// What recovery did, for logs, the CLI, and the crash oracle's asserts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -127,11 +127,6 @@ pub fn recover(
 
     // Incremental replay of the suffix through the normal engine.
     let replay_span = incgraph_obs::span("recover.replay");
-    let exec = ExecOptions {
-        policy: options.policy,
-        micro_batch: options.micro_batch,
-        ..Default::default()
-    };
     let mut next_seq = covered + 1;
     for record in &records {
         if record.seq <= covered {
@@ -148,12 +143,8 @@ pub fn recover(
                 break;
             }
         };
-        for s in states.iter_mut() {
-            let r = update_with(s.as_mut(), &graph, &applied, &exec);
-            if r.fell_back() {
-                report.fallbacks += 1;
-            }
-        }
+        let reports = update_states(&mut states, &graph, &applied, options.policy);
+        report.fallbacks += reports.iter().filter(|r| r.fell_back()).count();
         report.wal_records_replayed += 1;
         next_seq = record.seq + 1;
     }
@@ -324,8 +315,14 @@ mod tests {
         let dir = temp_dir("resume");
         seeded_store(&dir);
         let (mut session, _) = recover(&dir, DurableOptions::default()).unwrap();
+        // Churn: 2-7 comes and goes (in both orientations), 3-4 changes
+        // weight. Live and replay make it net the same way.
         let mut b = UpdateBatch::new();
-        b.insert(3, 8, 1);
+        b.insert(3, 8, 1)
+            .insert(2, 7, 4)
+            .delete(7, 2)
+            .delete(3, 4)
+            .insert(3, 4, 6);
         session.apply(&b).unwrap();
         assert_eq!(session.last_seq(), 3);
         let live: Vec<_> = session.states().iter().map(|s| s.save_state()).collect();

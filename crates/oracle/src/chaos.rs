@@ -40,7 +40,7 @@
 //! [`IncrementalState::save_state`]: incgraph_algos::IncrementalState::save_state
 
 use crate::walcheck::{audit_wal, batch_fingerprint, wal_records, AckedBatch, WalAuditFailure};
-use incgraph_durable::{CrashPoint, DurableError, DurableOptions};
+use incgraph_durable::{update_states, CrashPoint, DurableError, DurableOptions};
 use incgraph_graph::rng::SplitMix64;
 use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
 use incgraph_service::client::{Client, ClientError};
@@ -777,9 +777,7 @@ fn audit(
             .batch
             .apply_validated(&mut graph)
             .map_err(|e| ChaosFailure::Harness(format!("replay: {e:?}")))?;
-        for s in states.iter_mut() {
-            s.update(&graph, &applied);
-        }
+        update_states(&mut states, &graph, &applied, durable_options().policy);
     }
     let g = session.graph();
     if g.node_count() != graph.node_count() || g.edge_count() != graph.edge_count() {

@@ -25,8 +25,10 @@
 //! exercises the checkpoint-plus-WAL-suffix path, not just full replay.
 
 use crate::case::Case;
-use incgraph_algos::{update_with, ExecOptions, IncrementalState, QueryClass, Session};
-use incgraph_durable::{recover, CrashPoint, DurableError, DurableOptions, DurableSession};
+use incgraph_algos::{IncrementalState, QueryClass, Session};
+use incgraph_durable::{
+    recover, update_states, CrashPoint, DurableError, DurableOptions, DurableSession,
+};
 use incgraph_graph::{DynamicGraph, NodeId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,8 +115,8 @@ fn sorted_edges(g: &DynamicGraph) -> Vec<(NodeId, NodeId, u32)> {
 
 /// The uninterrupted reference: world snapshots after every prefix of the
 /// schedule, computed through the exact pipeline the durable session
-/// replays (`apply_validated` + `update_guarded`), so fallback decisions
-/// are identical on both sides.
+/// replays (`apply_validated` + [`update_states`]), so netting and
+/// fallback decisions are identical on both sides.
 struct Reference {
     /// `essences[k]` = per-state essence after `k` *valid* batches.
     essences: Vec<Vec<Vec<u8>>>,
@@ -141,13 +143,7 @@ fn build_reference(case: &Case, options: &DurableOptions) -> Reference {
     for batch in &case.schedule {
         match batch.apply_validated(&mut g) {
             Ok(applied) => {
-                let exec = ExecOptions {
-                    policy: options.policy,
-                    ..Default::default()
-                };
-                for s in states.iter_mut() {
-                    update_with(s.as_mut(), &g, &applied, &exec);
-                }
+                update_states(&mut states, &g, &applied, options.policy);
                 committed += 1;
                 reference.valid.push(true);
             }

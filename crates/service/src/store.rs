@@ -907,18 +907,20 @@ impl Store {
     }
 
     /// The notification half of [`apply_update`]: runs every maintained
-    /// view's incremental update once over the (coalesced) ΔG of
-    /// `batches` (fanned out over the store's cores when the net ΔG has at
-    /// least [`FAN_OUT_UNITS`] units and the graph two views), then pushes
-    /// one `DELTA` per standing query whose view changed and ticks every
-    /// plan from the same deltas, stamped with the graph's current
-    /// committed sequence — from then on the sequence `QUERY` and `PLANQ`
-    /// report. The result does not depend on the fan-out.
+    /// view's incremental update once over the net ΔG of `batches`
+    /// ([`coalesce::net`](incgraph_core::coalesce::net), the rule the
+    /// durable state pass uses too), fanned out over the store's cores
+    /// when that ΔG has at least [`FAN_OUT_UNITS`] units and the graph two
+    /// views. It then pushes one `DELTA` per standing query whose view
+    /// changed and ticks every plan from the same deltas, stamped with the
+    /// graph's current committed sequence — from then on the sequence
+    /// `QUERY` and `PLANQ` report. The result does not depend on the
+    /// fan-out.
     /// `batches` must be the *effective* applied ops of consecutive
-    /// committed batches, oldest first, with none skipped — the net batch
-    /// [`coalesce_batches`](incgraph_core::coalesce_batches) builds from
-    /// them is equivalent by construction, so each view does one bounded
-    /// incremental step instead of one per batch.
+    /// committed batches, oldest first, with none skipped — their net
+    /// batch is equivalent by construction, so each view does one bounded
+    /// incremental step instead of one per batch, and cancelling units
+    /// never reach it.
     pub fn notify_queries(&mut self, graph: &str, batches: &[AppliedBatch]) {
         let Some(entry) = self.graphs.get_mut(graph) else {
             return;
@@ -930,14 +932,7 @@ impl Store {
         }
         let _notify = incgraph_obs::span("service.notify");
         let g = entry.backend.graph();
-        let net;
-        let applied = if batches.len() == 1 {
-            &batches[0]
-        } else {
-            net = incgraph_core::coalesce_batches(g.is_directed(), batches);
-            incgraph_obs::observe("service.coalesced_ops", net.len() as u64);
-            &net
-        };
+        let applied = incgraph_core::coalesce::net(g.is_directed(), batches);
         // One fixpoint per distinct view, however many subscribe to it.
         let workers = if applied.len() >= FAN_OUT_UNITS {
             self.cores.min(entry.views.len()).max(1)
@@ -945,7 +940,7 @@ impl Store {
             1
         };
         incgraph_obs::observe("service.notify_workers", workers as u64);
-        let deltas = update_views(&mut entry.views, g, applied, workers);
+        let deltas = update_views(&mut entry.views, g, &applied, workers);
         incgraph_obs::counter("service.view_updates", deltas.len() as u64);
         let max_entries = self.limits.max_delta_entries;
         for ((_, qid), q) in entry.queries.iter() {
@@ -1461,6 +1456,46 @@ mod tests {
                 fanned / serial
             );
         }
+    }
+
+    /// A client batch with churn reaches a memory graph's views net: the
+    /// `cc` view's essence equals, byte for byte, that of a session fed
+    /// the batch's coalesced form. Fed the raw batch, the view's stamps
+    /// would differ.
+    #[test]
+    fn a_memory_graphs_views_see_the_net_batch() {
+        let mut store = Store::new(StoreLimits::default());
+        store.open_graph(GRAPH, 11, false).unwrap();
+        // Components {0, 3, 5, 7, 10}, {1, 4, 6, 8, 9} and {2}.
+        let mut load = UpdateBatch::new();
+        for (u, v) in [
+            (0, 5),
+            (0, 7),
+            (1, 8),
+            (1, 9),
+            (3, 10),
+            (4, 9),
+            (6, 9),
+            (7, 10),
+        ] {
+            load.insert(u, v, 1);
+        }
+        store.apply_update(GRAPH, "w", 1, &load).unwrap();
+        let out = Arc::new(Outbound::new(1 << 10, 1 << 11, usize::MAX));
+        store.register(1, "c", GRAPH, "cc", 0, 7, out).unwrap();
+        let mut g = store.graphs[GRAPH].backend.graph().clone();
+        let mut reference = Session::builder(QueryClass::Cc).build(&g).unwrap();
+
+        // A bridge 6-0 comes and goes; 1-3 joins the two components.
+        let mut churn = UpdateBatch::new();
+        churn.insert(6, 0, 1).delete(6, 0).insert(1, 3, 1);
+        store.apply_update(GRAPH, "w", 2, &churn).unwrap();
+        let applied = churn.apply(&mut g);
+        let net = incgraph_core::coalesce_batches(false, [&applied]);
+        assert_eq!(net.len(), 1);
+        reference.update_guarded(&g, &net);
+        let view = store.graphs[GRAPH].views.values().next().unwrap();
+        assert_eq!(view.session.save_state(), reference.save_state());
     }
 
     #[test]

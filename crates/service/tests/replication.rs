@@ -119,6 +119,15 @@ fn tail_replication_gates_acks_and_replica_serves_reads() {
             "ack for seq {seq} released before replica watermark ({rs})"
         );
     }
+    // A batch with churn: 7-8 comes and goes, 2-3 changes weight.
+    let mut churn = UpdateBatch::new();
+    churn
+        .insert(7, 8, 3)
+        .delete(8, 7)
+        .delete(2, 3)
+        .insert(2, 3, 9)
+        .insert(0, 9, 2);
+    assert_eq!(pc.update(GRAPH, 6, &churn).unwrap().wal_seq, 6);
 
     // The replica answers standing queries over the replicated state
     // with the same digest as the primary.
@@ -139,6 +148,13 @@ fn tail_replication_gates_acks_and_replica_serves_reads() {
 
     replica.shutdown();
     primary.shutdown();
+    // Byte-identical built-in essences: the replica made the shipped
+    // record net exactly as the primary made the client's batch net.
+    let digest = |dir: &Path| {
+        let (session, _) = incgraph_durable::recover(dir, DurableOptions::default()).unwrap();
+        (session.last_seq(), session.digest())
+    };
+    assert_eq!(digest(&pdir), digest(&rdir));
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
 }
