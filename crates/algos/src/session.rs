@@ -723,6 +723,99 @@ mod tests {
         assert_eq!(session.save_state(), IncrementalState::save_state(&bare));
     }
 
+    /// DFS and BC, incremental against batch, as the durable commit runs
+    /// them (bare states, journal off, the batch made net first) and as a
+    /// journaled [`Session`] runs them. The graph is the LiveJournal
+    /// stand-in at scale 1 (`Dataset::LiveJournal.graph(false, 1.0)`,
+    /// durable-repl's graph), the batches 16 stationary units each: a
+    /// delete moves a random live edge to a pool, an insert puts a random
+    /// pooled edge back, and the pool hovers at 32 batches' worth. Prints
+    /// the p50s, the share of batches that re-ran the traversal (a
+    /// non-empty scope) and the mean share of status variables such a
+    /// batch entered.
+    /// Run with `cargo test --release -p incgraph-algos --lib
+    /// dfs_bc_inc_vs_batch -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn dfs_bc_inc_vs_batch() {
+        use crate::{update_with, BcState, DfsState, ExecOptions};
+        use incgraph_graph::gen::power_law;
+        use incgraph_graph::rng::SplitMix64;
+        use std::time::Instant;
+        const BATCHES: usize = 300;
+        const UNITS: usize = 16;
+        let mut g = power_law(8_000, 114_000, 2.4, false, 100, 5, 0x11);
+        let mut live: Vec<(NodeId, NodeId, u32)> = g.edges().collect();
+        let mut pool = Vec::new();
+        let mut rng = SplitMix64::seed_from_u64(1);
+        let target = 32 * UNITS;
+        type BatchRun = fn(&DynamicGraph);
+        let classes: [(QueryClass, BatchRun); 2] = [
+            (QueryClass::Dfs, |g| drop(DfsState::batch(g))),
+            (QueryClass::Bc, |g| drop(BcState::batch(g))),
+        ];
+        let mut bare: Vec<_> = classes
+            .iter()
+            .map(|&(c, _)| Session::builder(c).build(&g).unwrap().into_state())
+            .collect();
+        let mut journaled: Vec<_> = classes
+            .iter()
+            .map(|&(c, _)| Session::builder(c).build(&g).unwrap())
+            .collect();
+        // Per class: bare, journaled and batch µs; resumed batches and
+        // the summed entered share.
+        let mut us = vec![[Vec::new(), Vec::new(), Vec::new()]; 2];
+        let (mut resumed, mut entered) = ([0usize; 2], [0.0f64; 2]);
+        let exec = ExecOptions::default();
+        for _ in 0..BATCHES {
+            let mut batch = UpdateBatch::new();
+            for _ in 0..UNITS {
+                let delete = rng.gen_range(0..target + pool.len()) < target;
+                if delete || pool.is_empty() {
+                    let (u, v, w) = live.swap_remove(rng.gen_range(0..live.len()));
+                    batch.delete(u, v);
+                    pool.push((u, v, w));
+                } else {
+                    let (u, v, w) = pool.swap_remove(rng.gen_range(0..pool.len()));
+                    batch.insert(u, v, w);
+                    live.push((u, v, w));
+                }
+            }
+            let applied = batch.apply(&mut g);
+            let net = incgraph_core::coalesce::net(false, std::slice::from_ref(&applied));
+            for (i, &(_, batch_run)) in classes.iter().enumerate() {
+                let t = Instant::now();
+                let report = update_with(bare[i].as_mut(), &g, &net, &exec);
+                us[i][0].push(t.elapsed().as_secs_f64() * 1e6);
+                resumed[i] += (report.scope_size > 0) as usize;
+                entered[i] += report.aff_fraction();
+                let t = Instant::now();
+                journaled[i].update_guarded(&g, &applied);
+                us[i][1].push(t.elapsed().as_secs_f64() * 1e6);
+                let t = Instant::now();
+                batch_run(&g);
+                us[i][2].push(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        println!(
+            "class  bare_us  journaled_us  batch_us  bare/batch  journaled/batch  resumed  entered"
+        );
+        for (i, &(c, _)) in classes.iter().enumerate() {
+            let [b, j, full] = us[i].clone().map(|mut v| {
+                v.sort_by(f64::total_cmp);
+                v[v.len() / 2]
+            });
+            println!(
+                "{:<5}  {b:>7.0}  {j:>12.0}  {full:>8.0}  {:>10.2}  {:>15.2}  {:>7.2}  {:>7.2}",
+                c.name(),
+                b / full,
+                j / full,
+                resumed[i] as f64 / BATCHES as f64,
+                entered[i] / resumed[i].max(1) as f64
+            );
+        }
+    }
+
     #[test]
     fn class_names_roundtrip() {
         for c in QueryClass::ALL {

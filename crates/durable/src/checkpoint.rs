@@ -122,8 +122,8 @@ pub fn decode_payload(payload: &[u8]) -> Result<LoadedCheckpoint, DurableError> 
     for _ in 0..n {
         labels.push(r.u32()?);
     }
-    let mut g = DynamicGraph::with_labels(directed, labels);
     let m = r.len(12)?;
+    let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
         let u = r.u32()?;
         let v = r.u32()?;
@@ -133,9 +133,15 @@ pub fn decode_payload(payload: &[u8]) -> Result<LoadedCheckpoint, DurableError> 
                 "edge ({u}, {v}) out of range for {n} nodes"
             )));
         }
-        if !g.insert_edge(u, v, w) {
-            return Err(DurableError::Corrupt(format!("duplicate edge ({u}, {v})")));
-        }
+        edges.push((u, v, w));
+    }
+    // `encode_payload` writes each edge once and no undirected self-loop,
+    // so any unit the build drops marks the payload corrupt.
+    let (g, dropped) = DynamicGraph::from_edges(directed, labels, edges);
+    if dropped > 0 {
+        return Err(DurableError::Corrupt(format!(
+            "duplicate edge: {dropped} of {m} edges repeat another"
+        )));
     }
     let k = r.u32()? as usize;
     let mut states = Vec::with_capacity(k.min(64));
@@ -337,6 +343,45 @@ mod tests {
         fs::write(&path, &clean).unwrap();
         assert!(load_checkpoint(&path).is_ok());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A payload carrying a stateless graph of 3 nodes with `edges`.
+    fn payload_with(directed: bool, edges: &[(u32, u32, u32)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u64(&mut out, 5);
+        put_u8(&mut out, directed as u8);
+        put_u64(&mut out, 3);
+        for l in [0, 1, 2] {
+            put_u32(&mut out, l);
+        }
+        put_u64(&mut out, edges.len() as u64);
+        for &(u, v, w) in edges {
+            put_u32(&mut out, u);
+            put_u32(&mut out, v);
+            put_u32(&mut out, w);
+        }
+        put_u32(&mut out, 0);
+        out
+    }
+
+    #[test]
+    fn a_repeated_edge_is_corrupt() {
+        let (_, g, _) = decode_payload(&payload_with(false, &[(0, 1, 4), (1, 2, 5)])).unwrap();
+        assert_eq!(g.edge_weight(2, 1), Some(5));
+        assert_eq!(g.label(2), 2);
+        for (directed, edges) in [
+            (true, [(0, 1, 4), (0, 1, 4)]),
+            (false, [(0, 1, 4), (1, 0, 7)]),
+            (false, [(0, 1, 4), (2, 2, 1)]),
+        ] {
+            match decode_payload(&payload_with(directed, &edges)) {
+                Err(DurableError::Corrupt(msg)) => {
+                    assert!(msg.starts_with("duplicate edge"), "{msg}")
+                }
+                Err(other) => panic!("{edges:?}: expected Corrupt, got {other}"),
+                Ok(_) => panic!("{edges:?}: a repeated edge was accepted"),
+            }
+        }
     }
 
     #[test]

@@ -15,19 +15,19 @@ pub fn grid(rows: usize, cols: usize, max_weight: Weight, seed: u64) -> DynamicG
     assert!(rows >= 1 && cols >= 1, "grid must be non-empty");
     assert!(max_weight >= 1, "weights start at 1");
     let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut g = DynamicGraph::new(false, rows * cols);
     let id = |r: usize, c: usize| (r * cols + c) as NodeId;
+    let mut edges = Vec::with_capacity(2 * rows * cols);
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                g.insert_edge(id(r, c), id(r, c + 1), rng.gen_range(1..=max_weight));
+                edges.push((id(r, c), id(r, c + 1), rng.gen_range(1..=max_weight)));
             }
             if r + 1 < rows {
-                g.insert_edge(id(r, c), id(r + 1, c), rng.gen_range(1..=max_weight));
+                edges.push((id(r, c), id(r + 1, c), rng.gen_range(1..=max_weight)));
             }
         }
     }
-    g
+    DynamicGraph::from_edges(false, vec![0; rows * cols], edges).0
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Erdős–Rényi-style G(n, m) generator.
 
-use crate::gen::random_labels;
+use crate::gen::{random_labels, sampled_graph};
 use crate::ids::{NodeId, Weight};
 use crate::rng::SplitMix64;
 use crate::store::DynamicGraph;
@@ -11,8 +11,8 @@ use crate::store::DynamicGraph;
 ///
 /// Rejection sampling of duplicate edges is used; for the sparse regimes
 /// of the experiments (`m ≪ n²`) this terminates quickly. The generator
-/// gives up on a duplicate after a bounded number of retries so that dense
-/// requests still terminate, which is why `m` is an upper bound.
+/// gives up after `20 m` attempts (at least 1 024) so that dense requests
+/// still terminate, which is why `m` is an upper bound.
 pub fn uniform(
     n: usize,
     m: usize,
@@ -25,23 +25,12 @@ pub fn uniform(
     assert!(max_weight >= 1, "weights start at 1");
     let mut rng = SplitMix64::seed_from_u64(seed);
     let labels = random_labels(&mut rng, n, alphabet);
-    let mut g = DynamicGraph::with_labels(directed, labels);
-    let mut inserted = 0usize;
-    let mut attempts = 0usize;
     let max_attempts = m.saturating_mul(20).max(1024);
-    while inserted < m && attempts < max_attempts {
-        attempts += 1;
+    sampled_graph(directed, labels, m, max_attempts, || {
         let u = rng.gen_range(0..n) as NodeId;
         let v = rng.gen_range(0..n) as NodeId;
-        if u == v {
-            continue;
-        }
-        let w = rng.gen_range(1..=max_weight);
-        if g.insert_edge(u, v, w) {
-            inserted += 1;
-        }
-    }
-    g
+        (u != v).then(|| (u, v, rng.gen_range(1..=max_weight)))
+    })
 }
 
 #[cfg(test)]

@@ -138,14 +138,12 @@ pub fn read_graph<R: Read>(reader: R, directed: bool) -> Result<DynamicGraph, Io
     }
 
     let n = declared_n.unwrap_or(0).max(max_node as usize + 1);
-    let mut g = DynamicGraph::new(directed, n);
+    let mut node_labels = vec![0; n];
     for (v, l) in labels {
-        g.set_label(v, l);
+        node_labels[v as usize] = l;
     }
-    for (u, v, w) in edges {
-        g.insert_edge(u, v, w);
-    }
-    Ok(g)
+    // A repeated edge line keeps its first weight, as an insert would.
+    Ok(DynamicGraph::from_edges(directed, node_labels, edges).0)
 }
 
 /// Writes a graph in the edge-list format (round-trips with
@@ -285,6 +283,18 @@ mod tests {
             }
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_repeated_edge_line_keeps_its_first_weight() {
+        let text = "0 1 5\n2 1 3\n0 1 9\n1 2 8\n";
+        let g = read_graph(text.as_bytes(), true).unwrap();
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.edge_weight(0, 1), Some(5));
+        let u = read_graph(text.as_bytes(), false).unwrap();
+        assert_eq!(u.edge_count(), 2);
+        assert_eq!(u.edge_weight(0, 1), Some(5));
+        assert_eq!(u.edge_weight(1, 2), Some(3), "(1, 2) repeats (2, 1)");
     }
 
     #[test]

@@ -82,8 +82,9 @@ impl Dataset {
     /// required by the query class (SSSP/Sim/DFS: directed; CC/LCC:
     /// undirected); `scale` multiplies the size for Exp-3.
     pub fn graph(self, directed: bool, scale: f64) -> DynamicGraph {
-        // Dataset generation dominates bench startup; the span makes it
-        // separable from the measured phases in `--metrics` output.
+        // Dataset generation is part of every bench's startup; the span
+        // makes it separable from the measured phases in `--metrics`
+        // output.
         let _span = incgraph_obs::span("workload.gen");
         let (n, m, gamma, seed) = self.params();
         let n = ((n as f64 * scale) as usize).max(16);
