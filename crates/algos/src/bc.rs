@@ -451,6 +451,10 @@ impl crate::IncrementalState for BcState {
         self.replace(BcState::restore(g, bytes)?);
         Ok(())
     }
+
+    fn forest(&self) -> Option<&DfsState> {
+        Some(&self.dfs)
+    }
 }
 
 /// One entry per node, `low << 1 | articulation bit`, then the bridges.

@@ -116,6 +116,15 @@ pub trait IncrementalState: Send + Sync {
     /// (`LoadState`), validated against `g`. No fixpoint is run — the
     /// blob *is* the fixpoint; the engine restarts with fresh scratch.
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError>;
+
+    /// The canonical DFS forest this state maintains as a layer of its
+    /// own fixpoint, if any — BC's `IncDFS`. The forest is the DFS
+    /// class's whole output, so a holder of several states can read the
+    /// DFS essence from it instead of replaying a second copy. Wrappers
+    /// forward it.
+    fn forest(&self) -> Option<&DfsState> {
+        None
+    }
 }
 
 /// Rebuilds a boxed state from a blob produced by

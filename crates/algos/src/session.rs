@@ -425,6 +425,10 @@ impl IncrementalState for Session {
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
         self.state.load_state(g, bytes)
     }
+
+    fn forest(&self) -> Option<&DfsState> {
+        self.state.forest()
+    }
 }
 
 #[cfg(test)]

@@ -95,9 +95,8 @@ fn store_states(
 /// digests hold value-identical worlds.
 fn state_digests(session: &DurableSession) -> Vec<String> {
     session
-        .states()
-        .iter()
-        .map(|s| format!("{} {:08x}", s.name(), crc32(&s.save_state())))
+        .essences()
+        .map(|(name, blob)| format!("{name} {:08x}", crc32(&blob)))
         .collect()
 }
 

@@ -43,7 +43,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use incgraph_algos::IncrementalState;
+use incgraph_algos::{IncrementalState, QueryClass};
 use incgraph_core::audit::{AuditReport, FixpointAudit};
 use incgraph_core::coalesce_batches;
 use incgraph_core::engine::RunStats;
@@ -290,11 +290,13 @@ struct ProbeShared {
 
 impl ProbeShared {
     fn now_ns(&self) -> u64 {
-        self.epoch
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .elapsed()
-            .as_nanos() as u64
+        self.ns_at(Instant::now())
+    }
+
+    /// `t` on the stream clock.
+    fn ns_at(&self, t: Instant) -> u64 {
+        let epoch = *self.epoch.lock().unwrap_or_else(|e| e.into_inner());
+        t.saturating_duration_since(epoch).as_nanos() as u64
     }
 }
 
@@ -304,7 +306,12 @@ impl ProbeShared {
 /// moment *this class's* incremental update finishes. Classes update
 /// sequentially inside [`DurableSession::apply`], so each class's
 /// latency honestly includes the WAL fsync and every class ahead of it —
-/// the freshness a standing-query subscriber of that class observes.
+/// the freshness a standing-query subscriber of that class observes. On
+/// an undirected store the session folds the `dfs` state into BC's
+/// forest, so the `dfs` probe never runs: the probe of the state that
+/// owns the forest records the `dfs` class too, at the moment its
+/// `IncDFS` left the forest current
+/// ([`DfsState::refreshed_at`](incgraph_algos::DfsState::refreshed_at)).
 struct LatencyProbe {
     inner: Box<dyn IncrementalState>,
     shared: Arc<ProbeShared>,
@@ -323,14 +330,20 @@ impl IncrementalState for LatencyProbe {
         let report = self.inner.update(g, applied);
         if incgraph_obs::enabled() {
             let done = self.shared.now_ns();
-            let _class = incgraph_obs::class_scope(self.inner.name());
+            let forest = self.inner.forest().map(|f| {
+                let current = f.refreshed_at().map_or(done, |t| self.shared.ns_at(t));
+                (QueryClass::Dfs.name(), current)
+            });
             let admissions = self
                 .shared
                 .admissions
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            for &at in admissions.iter() {
-                incgraph_obs::observe(LATENCY_HIST, done.saturating_sub(at));
+            for (class, current) in std::iter::once((self.inner.name(), done)).chain(forest) {
+                let _class = incgraph_obs::class_scope(class);
+                for &at in admissions.iter() {
+                    incgraph_obs::observe(LATENCY_HIST, current.saturating_sub(at));
+                }
             }
         }
         report
@@ -362,6 +375,10 @@ impl IncrementalState for LatencyProbe {
         bytes: &[u8],
     ) -> Result<(), incgraph_algos::StateLoadError> {
         self.inner.load_state(g, bytes)
+    }
+
+    fn forest(&self) -> Option<&incgraph_algos::DfsState> {
+        self.inner.forest()
     }
 }
 
@@ -568,8 +585,9 @@ pub fn run_stream(
                     seq: session.last_seq(),
                     fingerprint,
                 });
-                for (i, r) in reports.iter().enumerate() {
-                    fallbacks[i] += r.fell_back() as u64;
+                for (class, r) in session.updated_classes().zip(&reports) {
+                    let i = class_names.iter().position(|&c| c == class);
+                    fallbacks[i.expect("an updated class is tracked")] += r.fell_back() as u64;
                 }
             }
             Err(DurableError::InjectedCrash(_)) => {

@@ -77,10 +77,13 @@ pub fn list_checkpoints(dir: &Path) -> Vec<u64> {
 }
 
 /// Serializes the checkpoint payload (everything between magic and CRC).
+/// `blobs` are the tracked classes' essences in creation order
+/// ([`DurableSession::essences`](crate::DurableSession::essences)); each
+/// names its own class.
 pub fn encode_payload(
     covered_seq: u64,
     g: &DynamicGraph,
-    states: &[Box<dyn IncrementalState>],
+    blobs: impl ExactSizeIterator<Item = Vec<u8>>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     put_u64(&mut out, covered_seq);
@@ -95,9 +98,9 @@ pub fn encode_payload(
         put_u32(&mut out, v);
         put_u32(&mut out, w);
     }
-    put_u32(&mut out, states.len() as u32);
-    for s in states {
-        put_bytes(&mut out, &s.save_state());
+    put_u32(&mut out, blobs.len() as u32);
+    for blob in blobs {
+        put_bytes(&mut out, &blob);
     }
     out
 }
@@ -170,10 +173,10 @@ pub fn write_checkpoint(
     dir: &Path,
     covered_seq: u64,
     g: &DynamicGraph,
-    states: &[Box<dyn IncrementalState>],
+    blobs: impl ExactSizeIterator<Item = Vec<u8>>,
     crash: Option<CrashPoint>,
 ) -> Result<PathBuf, DurableError> {
-    let payload = encode_payload(covered_seq, g, states);
+    let payload = encode_payload(covered_seq, g, blobs);
     let mut bytes = Vec::with_capacity(12 + payload.len());
     bytes.extend_from_slice(CKPT_MAGIC);
     bytes.extend_from_slice(&payload);
@@ -294,6 +297,10 @@ mod tests {
         ]
     }
 
+    fn blobs(states: &[Box<dyn IncrementalState>]) -> impl ExactSizeIterator<Item = Vec<u8>> + '_ {
+        states.iter().map(|s| s.save_state())
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("incgraph-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -306,7 +313,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let g = ring(12);
         let states = states_for(&g);
-        let path = write_checkpoint(&dir, 7, &g, &states, None).unwrap();
+        let path = write_checkpoint(&dir, 7, &g, blobs(&states), None).unwrap();
         let (seq, g2, states2) = load_checkpoint(&path).unwrap();
         assert_eq!(seq, 7);
         assert_eq!(g2.node_count(), 12);
@@ -327,8 +334,7 @@ mod tests {
     fn any_corrupted_byte_invalidates_the_file() {
         let dir = temp_dir("corrupt");
         let g = ring(8);
-        let states = states_for(&g);
-        let path = write_checkpoint(&dir, 3, &g, &states, None).unwrap();
+        let path = write_checkpoint(&dir, 3, &g, blobs(&states_for(&g)), None).unwrap();
         let clean = fs::read(&path).unwrap();
         // Flip a byte in several regions: graph bytes, state blob, CRC.
         for &i in &[10usize, clean.len() / 2, clean.len() - 2] {
@@ -421,8 +427,8 @@ mod tests {
         let dir = temp_dir("midckpt");
         let g = ring(8);
         let states = states_for(&g);
-        write_checkpoint(&dir, 1, &g, &states, None).unwrap();
-        let err = write_checkpoint(&dir, 2, &g, &states, Some(CrashPoint::MidCheckpoint));
+        write_checkpoint(&dir, 1, &g, blobs(&states), None).unwrap();
+        let err = write_checkpoint(&dir, 2, &g, blobs(&states), Some(CrashPoint::MidCheckpoint));
         assert!(matches!(
             err,
             Err(DurableError::InjectedCrash(CrashPoint::MidCheckpoint))

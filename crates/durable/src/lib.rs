@@ -44,7 +44,7 @@ pub use wal::{encode_record, scan_records, Scan, ScannedRecord, Wal, FIRST_SEQ};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use incgraph_algos::{update_with, ExecOptions, IncrementalState, StateLoadError};
+use incgraph_algos::{update_with, ExecOptions, IncrementalState, QueryClass, StateLoadError};
 use incgraph_core::fallback::FallbackPolicy;
 use incgraph_core::metrics::BoundednessReport;
 use incgraph_graph::{AppliedBatch, BatchError, DynamicGraph, UpdateBatch};
@@ -238,6 +238,89 @@ pub fn update_states(
         .collect()
 }
 
+/// The tracked states of a durable graph, with each `dfs` state folded
+/// into the DFS forest a sibling already maintains
+/// ([`IncrementalState::forest`] — BC's `IncDFS`).
+///
+/// The forest is canonical, so the DFS class's essence *is* the forest's:
+/// a commit replays it once, inside BC, instead of once per holder. A
+/// folded `dfs` keeps its creation-order slot, and [`essences`](Self::essences)
+/// renders the forest there, so checkpoints, snapshots and digests keep
+/// their bytes. Without a forest (a directed graph, or no BC) nothing
+/// folds.
+pub(crate) struct Tracked {
+    /// The states a commit updates, in creation order.
+    running: Vec<Box<dyn IncrementalState>>,
+    /// Creation-order slots of the folded `dfs` states, ascending.
+    folded: Vec<usize>,
+}
+
+impl Tracked {
+    /// Folds `states`, given in creation order. A dropped `dfs` state's
+    /// essence must equal the forest's; when it does not, the two
+    /// disagree about one canonical forest, and the open fails as
+    /// [`DurableError::Corrupt`] rather than pick one.
+    pub(crate) fn fold(states: Vec<Box<dyn IncrementalState>>) -> Result<Tracked, DurableError> {
+        let dfs = QueryClass::Dfs.name();
+        let Some(forest) = states
+            .iter()
+            .find_map(|s| s.forest())
+            .map(|f| f.save_state())
+        else {
+            return Ok(Tracked {
+                running: states,
+                folded: Vec::new(),
+            });
+        };
+        let mut running = Vec::with_capacity(states.len());
+        let mut folded = Vec::new();
+        for (slot, s) in states.into_iter().enumerate() {
+            if s.name() != dfs {
+                running.push(s);
+            } else if s.save_state() == forest {
+                folded.push(slot);
+            } else {
+                return Err(DurableError::Corrupt(format!(
+                    "the dfs essence in slot {slot} disagrees with the DFS forest bc maintains"
+                )));
+            }
+        }
+        Ok(Tracked { running, folded })
+    }
+
+    /// One state pass over the running states ([`update_states`]).
+    fn update(
+        &mut self,
+        g: &DynamicGraph,
+        applied: &AppliedBatch,
+        policy: FallbackPolicy,
+    ) -> Vec<BoundednessReport> {
+        update_states(&mut self.running, g, applied, policy)
+    }
+
+    /// Every tracked class's name and essence, in creation order, each
+    /// rendered as the iterator reaches it; a folded slot renders the
+    /// forest.
+    fn essences(&self) -> impl ExactSizeIterator<Item = (&'static str, Vec<u8>)> + '_ {
+        let forest = self.running.iter().find_map(|s| s.forest());
+        let mut running = self.running.iter();
+        (0..self.running.len() + self.folded.len()).map(move |slot| {
+            if self.folded.contains(&slot) {
+                let forest = forest.expect("a fold keeps its forest");
+                (QueryClass::Dfs.name(), forest.save_state())
+            } else {
+                let s = running.next().expect("one running state per open slot");
+                (s.name(), s.save_state())
+            }
+        })
+    }
+
+    /// The essence blobs alone, as a checkpoint writes them.
+    fn blobs(&self) -> impl ExactSizeIterator<Item = Vec<u8>> + '_ {
+        self.essences().map(|(_, blob)| blob)
+    }
+}
+
 /// A live graph + incremental states bound to a durable directory.
 ///
 /// The commit protocol of [`apply`](Self::apply) is:
@@ -252,8 +335,11 @@ pub fn update_states(
 /// 3. tell the caller the batch is committed (the `committed` hook of
 ///    [`apply_with`](Self::apply_with) — where a primary ships the
 ///    record to its replicas);
-/// 4. run the incremental update on every tracked state via
-///    [`update_states`] under the session's [`FallbackPolicy`].
+/// 4. run the incremental update on every running state via
+///    [`update_states`] under the session's [`FallbackPolicy`] — every
+///    tracked state but a `dfs` folded into BC's forest
+///    ([`IncrementalState::forest`]), so the seven built-in classes take
+///    six updates.
 ///
 /// Recovery rebuilds the exact same in-memory world from the newest valid
 /// checkpoint plus the logged suffix — see [`recover`].
@@ -261,7 +347,7 @@ pub struct DurableSession {
     pub(crate) dir: PathBuf,
     pub(crate) wal: Wal,
     pub(crate) graph: DynamicGraph,
-    pub(crate) states: Vec<Box<dyn IncrementalState>>,
+    pub(crate) states: Tracked,
     pub(crate) options: DurableOptions,
     pub(crate) next_seq: u64,
     /// Replication epoch/term (see [`meta`]); starts at
@@ -280,7 +366,9 @@ impl DurableSession {
     /// Initializes a fresh durable directory: genesis checkpoint
     /// (sequence 0, holding `graph` and the current essence of every
     /// state), manifest, and an empty WAL. Fails if the directory already
-    /// holds a durable store — re-initializing would orphan its history.
+    /// holds a durable store — re-initializing would orphan its history —
+    /// or if a `dfs` state disagrees with BC's forest
+    /// ([`IncrementalState::forest`]).
     pub fn create(
         dir: &Path,
         graph: DynamicGraph,
@@ -295,7 +383,8 @@ impl DurableSession {
                 dir.display()
             )));
         }
-        checkpoint::write_checkpoint(dir, 0, &graph, &states, None)?;
+        let states = Tracked::fold(states)?;
+        checkpoint::write_checkpoint(dir, 0, &graph, states.blobs(), None)?;
         checkpoint::write_manifest(dir, 0, meta::FIRST_EPOCH)?;
         meta::write_epoch(dir, meta::FIRST_EPOCH)?;
         let opened = Wal::open(&dir.join(WAL_NAME))?;
@@ -323,9 +412,18 @@ impl DurableSession {
         &self.graph
     }
 
-    /// The tracked incremental states, in creation order.
-    pub fn states(&self) -> &[Box<dyn IncrementalState>] {
-        &self.states
+    /// Every tracked class's name and `save_state` essence, in creation
+    /// order — the blobs a checkpoint holds, rendered one at a time. A
+    /// `dfs` folded into BC's forest renders the forest in its slot.
+    pub fn essences(&self) -> impl ExactSizeIterator<Item = (&'static str, Vec<u8>)> + '_ {
+        self.states.essences()
+    }
+
+    /// The classes a commit updates, in the order of
+    /// [`apply`](Self::apply)'s reports: the tracked classes without the
+    /// folded `dfs`.
+    pub fn updated_classes(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.states.running.iter().map(|s| s.name())
     }
 
     /// Sequence number of the last durably applied batch (0 = none yet;
@@ -377,29 +475,30 @@ impl DurableSession {
     }
 
     /// CRC-32 digest over the store's observable essence: directedness,
-    /// node count, every edge (sorted), and each tracked state's
-    /// `save_state` bytes in registration order — the same figure the
+    /// node count, every edge (sorted), and each tracked class's name and
+    /// essence in creation order ([`essences`](Self::essences)) — the same figure the
     /// stream harness pins in its baselines, and the one primary and
     /// replica exchange at matching sequences to detect divergence.
     pub fn digest(&self) -> String {
         let g = &self.graph;
-        let mut bytes: Vec<u8> = Vec::new();
-        bytes.push(g.is_directed() as u8);
-        bytes.extend((g.node_count() as u64).to_le_bytes());
+        let mut crc = crc::Crc32::new()
+            .update(&[g.is_directed() as u8])
+            .update(&(g.node_count() as u64).to_le_bytes());
         let mut edges: Vec<(u32, u32, u32)> = g.edges().collect();
         edges.sort_unstable();
         for (u, v, w) in edges {
-            bytes.extend(u.to_le_bytes());
-            bytes.extend(v.to_le_bytes());
-            bytes.extend(w.to_le_bytes());
+            crc = crc
+                .update(&u.to_le_bytes())
+                .update(&v.to_le_bytes())
+                .update(&w.to_le_bytes());
         }
-        for s in &self.states {
-            bytes.extend(s.name().as_bytes());
-            let blob = s.save_state();
-            bytes.extend((blob.len() as u64).to_le_bytes());
-            bytes.extend(blob);
+        for (name, blob) in self.essences() {
+            crc = crc
+                .update(name.as_bytes())
+                .update(&(blob.len() as u64).to_le_bytes())
+                .update(&blob);
         }
-        format!("{:08x}", crc::crc32(&bytes))
+        format!("{:08x}", crc.finish())
     }
 
     /// Encodes the live world as a checkpoint payload covering
@@ -408,7 +507,7 @@ impl DurableSession {
     /// [`install_snapshot`](Self::install_snapshot)) accepts. The primary
     /// uses this to ship a bootstrap snapshot to a lagging replica.
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        checkpoint::encode_payload(self.last_seq(), &self.graph, &self.states)
+        checkpoint::encode_payload(self.last_seq(), &self.graph, self.states.blobs())
     }
 
     /// Replaces this store's entire world with a shipped snapshot,
@@ -421,7 +520,9 @@ impl DurableSession {
     /// Ordering is crash-safe: the new base checkpoint is durable
     /// *before* `BASE` commits the switch, and only then are the old log
     /// and checkpoints discarded — a crash anywhere leaves either the
-    /// old world or the new one recoverable.
+    /// old world or the new one recoverable. A payload that does not
+    /// decode, or whose `dfs` blob disagrees with BC's forest, is refused
+    /// before anything is written.
     pub fn install_snapshot(
         self,
         payload: &[u8],
@@ -435,8 +536,9 @@ impl DurableSession {
             ..
         } = self;
         let (covered, graph, states) = checkpoint::decode_payload(payload)?;
+        let states = Tracked::fold(states)?;
         let old_checkpoints = checkpoint::list_checkpoints(&dir);
-        checkpoint::write_checkpoint(&dir, covered, &graph, &states, None)?;
+        checkpoint::write_checkpoint(&dir, covered, &graph, states.blobs(), None)?;
         meta::write_epoch(&dir, epoch)?;
         // The commit point: once BASE names the snapshot's sequence, the
         // old WAL records (whose sequences precede it) are dead history.
@@ -488,7 +590,8 @@ impl DurableSession {
     }
 
     /// Applies one batch durably (see the type-level docs for the commit
-    /// protocol), returning one [`BoundednessReport`] per tracked state.
+    /// protocol), returning one [`BoundednessReport`] per updated state
+    /// ([`updated_classes`](Self::updated_classes)).
     ///
     /// On [`DurableError::InvalidBatch`] and real I/O errors the
     /// in-memory graph is rolled back and the log untouched — the session
@@ -556,7 +659,9 @@ impl DurableSession {
         }
         self.next_seq += 1;
         committed(seq);
-        let reports = update_states(&mut self.states, &self.graph, &applied, self.options.policy);
+        let reports = self
+            .states
+            .update(&self.graph, &applied, self.options.policy);
         if let Some(every) = self.options.checkpoint_every {
             if every > 0 && self.last_seq().is_multiple_of(every) {
                 self.checkpoint()?;
@@ -571,7 +676,7 @@ impl DurableSession {
         let _span = incgraph_obs::span("ckpt.write");
         let covered = self.last_seq();
         let crash = self.take_crash(false);
-        checkpoint::write_checkpoint(&self.dir, covered, &self.graph, &self.states, crash)?;
+        checkpoint::write_checkpoint(&self.dir, covered, &self.graph, self.states.blobs(), crash)?;
         checkpoint::write_manifest(&self.dir, covered, self.epoch)?;
         incgraph_obs::counter("ckpt.writes", 1);
         incgraph_obs::gauge("ckpt.covered_seq", covered);
@@ -627,6 +732,10 @@ mod tests {
         states.iter().map(|s| s.save_state()).collect()
     }
 
+    fn blobs(session: &DurableSession) -> Vec<Vec<u8>> {
+        session.essences().map(|(_, b)| b).collect()
+    }
+
     #[test]
     fn create_apply_recover_is_value_identical() {
         let dir = temp_dir("e2e");
@@ -641,14 +750,14 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(4, 9, 3);
         session.apply(&b).unwrap();
-        let live = essences(session.states());
+        let live = blobs(&session);
         let live_edges: Vec<_> = session.graph().edges().collect();
         drop(session);
 
         let (recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.checkpoint_seq, 3, "newest checkpoint covers seq 3");
         assert_eq!(report.wal_records_replayed, 1, "only the suffix replays");
-        assert_eq!(essences(recovered.states()), live);
+        assert_eq!(blobs(&recovered), live);
         assert_eq!(recovered.graph().edges().collect::<Vec<_>>(), live_edges);
         assert_eq!(recovered.last_seq(), 4);
         fs::remove_dir_all(&dir).unwrap();
@@ -937,7 +1046,7 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(4, 9, 3);
         replica.apply(&b).unwrap();
-        let live = essences(replica.states());
+        let live = blobs(&replica);
         drop(replica);
         let (recovered, report) = recover(&dst_dir, DurableOptions::default()).unwrap();
         assert_eq!(recovered.base_seq(), snap_seq);
@@ -947,7 +1056,7 @@ mod tests {
             report.checkpoint_seq, snap_seq,
             "base checkpoint is the floor"
         );
-        assert_eq!(essences(recovered.states()), live);
+        assert_eq!(blobs(&recovered), live);
         fs::remove_dir_all(&src_dir).unwrap();
         fs::remove_dir_all(&dst_dir).unwrap();
     }
@@ -1033,7 +1142,7 @@ mod tests {
                 "{point}: wrong history length"
             );
             assert_eq!(
-                essences(recovered.states()),
+                blobs(&recovered),
                 essences(&ref_states),
                 "{point}: recovered essence diverges"
             );

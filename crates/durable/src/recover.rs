@@ -13,6 +13,12 @@
 //!    replay from, and the caller is told so explicitly rather than being
 //!    handed a silently empty world.
 //!
+//! The chosen checkpoint's states are then folded ([`Tracked`]): a `dfs`
+//! blob beside BC must equal BC's forest. A CRC-clean checkpoint where
+//! the two disagree is not stepped over to an older one — the open fails
+//! as [`DurableError::Corrupt`], because the same canonical forest was
+//! saved twice with different bytes.
+//!
 //! From the chosen base, the WAL suffix (records with sequence numbers
 //! beyond the checkpoint's coverage) is replayed through the *normal*
 //! incremental pipeline — `apply_validated` on the graph, then the live
@@ -32,7 +38,7 @@ use incgraph_graph::DynamicGraph;
 
 use crate::checkpoint::{checkpoint_path, list_checkpoints, load_checkpoint, read_manifest};
 use crate::wal::Wal;
-use crate::{update_states, DurableError, DurableOptions, DurableSession, WAL_NAME};
+use crate::{DurableError, DurableOptions, DurableSession, Tracked, WAL_NAME};
 
 /// What recovery did, for logs, the CLI, and the crash oracle's asserts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -117,13 +123,19 @@ pub fn recover(
             Err(_) => report.checkpoints_skipped += 1,
         }
     }
-    let Some((covered, mut graph, mut states)) = chosen else {
+    let Some((covered, mut graph, states)) = chosen else {
         return Err(DurableError::Unrecoverable(format!(
             "{}: no valid checkpoint (genesis included) to recover from",
             dir.display()
         )));
     };
     report.checkpoint_seq = covered;
+    let mut states = Tracked::fold(states).map_err(|e| match e {
+        DurableError::Corrupt(d) => {
+            DurableError::Corrupt(format!("{}: {d}", checkpoint_path(dir, covered).display()))
+        }
+        e => e,
+    })?;
 
     // Incremental replay of the suffix through the normal engine.
     let replay_span = incgraph_obs::span("recover.replay");
@@ -143,7 +155,7 @@ pub fn recover(
                 break;
             }
         };
-        let reports = update_states(&mut states, &graph, &applied, options.policy);
+        let reports = states.update(&graph, &applied, options.policy);
         report.fallbacks += reports.iter().filter(|r| r.fell_back()).count();
         report.wal_records_replayed += 1;
         next_seq = record.seq + 1;
@@ -220,7 +232,11 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(1, 2, 5).delete(0, 4);
         session.apply(&b).unwrap();
-        session.states().iter().map(|s| s.save_state()).collect()
+        blobs(&session)
+    }
+
+    fn blobs(session: &DurableSession) -> Vec<Vec<u8>> {
+        session.essences().map(|(_, b)| b).collect()
     }
 
     #[test]
@@ -240,14 +256,7 @@ mod tests {
         assert_eq!(report.checkpoints_skipped, 1, "the rotten newest one");
         assert!(!report.used_manifest, "manifest points at the rotten one");
         assert_eq!(report.wal_records_replayed, 2, "full replay");
-        assert_eq!(
-            session
-                .states()
-                .iter()
-                .map(|s| s.save_state())
-                .collect::<Vec<_>>(),
-            live
-        );
+        assert_eq!(blobs(&session), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -259,14 +268,7 @@ mod tests {
         let (session, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert!(!report.used_manifest);
         assert_eq!(report.checkpoint_seq, 1);
-        assert_eq!(
-            session
-                .states()
-                .iter()
-                .map(|s| s.save_state())
-                .collect::<Vec<_>>(),
-            live
-        );
+        assert_eq!(blobs(&session), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -300,11 +302,7 @@ mod tests {
         let g0 = ring(10);
         let fresh = states_for(&g0);
         assert_eq!(
-            session
-                .states()
-                .iter()
-                .map(|s| s.save_state())
-                .collect::<Vec<_>>(),
+            blobs(&session),
             fresh.iter().map(|s| s.save_state()).collect::<Vec<_>>()
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -325,21 +323,14 @@ mod tests {
             .insert(3, 4, 6);
         session.apply(&b).unwrap();
         assert_eq!(session.last_seq(), 3);
-        let live: Vec<_> = session.states().iter().map(|s| s.save_state()).collect();
+        let live = blobs(&session);
         drop(session);
         let (again, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(
             report.wal_records_replayed, 2,
             "seq 2 and 3 on top of ckpt 1"
         );
-        assert_eq!(
-            again
-                .states()
-                .iter()
-                .map(|s| s.save_state())
-                .collect::<Vec<_>>(),
-            live
-        );
+        assert_eq!(blobs(&again), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

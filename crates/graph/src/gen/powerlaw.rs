@@ -153,6 +153,16 @@ mod tests {
                 }
             }
         }
+        // A table entry exactly on a bucket edge, drawn one ulp below it,
+        // where `x / width` rounds up into that edge's bucket: only the
+        // lower bracket check sends the draw to the full search.
+        let width = 1.0 / 6.0;
+        let cum: Vec<f64> = (1..=6).map(|i| i as f64 * width).collect();
+        let guide = Guide::new(&cum, 1.0);
+        let x = f64::from_bits(0.5f64.to_bits() - 1);
+        assert_eq!(cum[2], 3.0 * guide.width, "entry on the bucket-3 edge");
+        assert_eq!((x / guide.width) as usize, 3, "x / width rounds up");
+        assert_eq!(guide.sample(&cum, x), 2);
     }
 
     #[test]

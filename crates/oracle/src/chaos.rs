@@ -783,12 +783,13 @@ fn audit(
     if g.node_count() != graph.node_count() || g.edge_count() != graph.edge_count() {
         return Err(ChaosFailure::GraphMismatch);
     }
-    if session.states().len() != states.len() {
+    let essences = session.essences();
+    if essences.len() != states.len() {
         return Err(ChaosFailure::Harness("state count mismatch".into()));
     }
-    for (a, b) in session.states().iter().zip(&states) {
-        if a.save_state() != b.save_state() {
-            return Err(ChaosFailure::EssenceMismatch { class: a.name() });
+    for ((class, blob), b) in essences.zip(&states) {
+        if blob != b.save_state() {
+            return Err(ChaosFailure::EssenceMismatch { class });
         }
         report.classes_verified += 1;
     }

@@ -304,15 +304,28 @@ pub fn run_crash_case(case: &Case) -> CrashOutcome {
                 return out;
             }
             let want = &reference.essences[expected_k];
-            for (s, expected) in recovered.states().iter().zip(want) {
+            let essences = recovered.essences();
+            if essences.len() != want.len() {
+                out.failure = Some(CrashFailure {
+                    round,
+                    point,
+                    detail: format!(
+                        "recovered {} essences, expected {}",
+                        essences.len(),
+                        want.len()
+                    ),
+                });
+                let _ = std::fs::remove_dir_all(&dir);
+                return out;
+            }
+            for ((class, blob), expected) in essences.zip(want) {
                 out.checks += 1;
-                if &s.save_state() != expected {
+                if &blob != expected {
                     out.failure = Some(CrashFailure {
                         round,
                         point,
                         detail: format!(
-                            "{}: recovered essence diverges from uninterrupted run",
-                            s.name()
+                            "{class}: recovered essence diverges from uninterrupted run"
                         ),
                     });
                     let _ = std::fs::remove_dir_all(&dir);

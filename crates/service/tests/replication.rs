@@ -199,6 +199,9 @@ impl IncrementalState for Gated {
     fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
         self.inner.load_state(g, bytes)
     }
+    fn forest(&self) -> Option<&incgraph_algos::DfsState> {
+        self.inner.forest()
+    }
 }
 
 /// The record ships at the commit point, not after the primary's state
