@@ -49,7 +49,6 @@ use incgraph_core::metrics::{vec_bytes, BoundednessReport};
 use incgraph_core::scope::ScopeStats;
 use incgraph_core::Journal;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
-use std::time::Instant;
 
 /// Parent sentinel for roots of the DFS forest (children of the virtual
 /// root `r`).
@@ -77,11 +76,6 @@ pub struct DfsState {
     /// Old `(first, last, parent)` of every node written since the last
     /// drain (off unless a session started it).
     pub(crate) journal: Journal<Row>,
-    /// When the last [`update`](Self::update) left the forest current,
-    /// kept only while an obs recorder is installed. A state that owns
-    /// this forest (BC) goes on working after it, so a latency probe of
-    /// the DFS class reads the forest's own moment here.
-    refreshed: Option<Instant>,
 }
 
 /// A node's `(first, last, parent)`: its row of the output.
@@ -109,7 +103,6 @@ impl DfsState {
             skipped: Vec::new(),
             stack: Vec::new(),
             journal: Journal::default(),
-            refreshed: None,
         }
     }
 
@@ -156,19 +149,13 @@ impl DfsState {
     }
 
     /// `IncDFS`: adjust via the affected-subtree scope phase, then resume
-    /// the traversal with identical-subtree skipping.
+    /// the traversal with identical-subtree skipping. Timed as the
+    /// `dfs.forest` span, which ends the moment the forest is current: a
+    /// state that owns this forest (BC) goes on working after it, so the
+    /// span marks when the DFS class's output is fresh.
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let report = self.replay(g, applied);
-        if incgraph_obs::enabled() {
-            self.refreshed = Some(Instant::now());
-        }
-        report
-    }
-
-    /// When the last [`update`](Self::update) finished, if an obs
-    /// recorder was installed then.
-    pub fn refreshed_at(&self) -> Option<Instant> {
-        self.refreshed
+        let _span = incgraph_obs::span("dfs.forest");
+        self.replay(g, applied)
     }
 
     fn replay(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {

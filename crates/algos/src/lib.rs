@@ -109,7 +109,7 @@ pub trait IncrementalState: Send + Sync {
     /// deducible classes the timestamps and logical clock that linearize
     /// `<_C`. Engine scratch is excluded; it is rebuilt on load. The blob
     /// is self-describing (see [`persist`]) and routable via
-    /// [`restore_state`].
+    /// [`Session::restore`].
     fn save_state(&self) -> Vec<u8>;
 
     /// Replaces this state's durable essence with a previously saved blob
@@ -120,33 +120,10 @@ pub trait IncrementalState: Send + Sync {
     /// The canonical DFS forest this state maintains as a layer of its
     /// own fixpoint, if any — BC's `IncDFS`. The forest is the DFS
     /// class's whole output, so a holder of several states can read the
-    /// DFS essence from it instead of replaying a second copy. Wrappers
-    /// forward it.
+    /// DFS essence from it instead of replaying a second copy. A
+    /// [`Session`] forwards its class state's.
     fn forest(&self) -> Option<&DfsState> {
         None
-    }
-}
-
-/// Rebuilds a boxed state from a blob produced by
-/// [`IncrementalState::save_state`], routed on the class name embedded in
-/// the blob. No fixpoint is run. This is the recovery path's entry point:
-/// a checkpointed `D^r` comes back as a live state ready for incremental
-/// WAL replay.
-pub fn restore_state(
-    g: &DynamicGraph,
-    bytes: &[u8],
-) -> Result<Box<dyn IncrementalState>, StateLoadError> {
-    match persist::peek_class(bytes)?.as_str() {
-        "sssp" => Ok(Box::new(SsspState::restore(g, bytes)?)),
-        "cc" => Ok(Box::new(CcState::restore(g, bytes)?)),
-        "sim" => Ok(Box::new(SimState::restore(g, bytes)?)),
-        "reach" => Ok(Box::new(ReachState::restore(g, bytes)?)),
-        "lcc" => Ok(Box::new(LccState::restore(g, bytes)?)),
-        "dfs" => Ok(Box::new(DfsState::restore(g, bytes)?)),
-        "bc" => Ok(Box::new(BcState::restore(g, bytes)?)),
-        other => Err(StateLoadError::Malformed(format!(
-            "unknown class `{other}`"
-        ))),
     }
 }
 
@@ -443,9 +420,9 @@ mod guarded_tests {
             state.update(&g, &applied);
         }
 
-        let mut restored: Vec<Box<dyn IncrementalState>> = states
+        let mut restored: Vec<Session> = states
             .iter()
-            .map(|s| restore_state(&g, &s.save_state()).expect("restore"))
+            .map(|s| Session::restore(&g, &s.save_state()).expect("restore"))
             .collect();
         for (a, b) in states.iter().zip(&restored) {
             assert_eq!(a.name(), b.name());
@@ -487,7 +464,7 @@ mod guarded_tests {
             SsspState::restore(&g, &blob),
             Err(StateLoadError::WrongClass { .. })
         ));
-        assert!(restore_state(&g, b"garbage").is_err());
+        assert!(Session::restore(&g, b"garbage").is_err());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! `batch` constructor itself instead of building a session.
 //!
 //! A [`Session`] is itself an [`IncrementalState`] (by delegation to the
-//! concrete state), so everything that consumed
-//! `Box<dyn IncrementalState>` — the durable pipeline, the crash oracle —
-//! consumes a `Session` unchanged, and its durable essence is
+//! concrete state), and it is the one handle that holds a class state
+//! outside this crate: registered views, the durable store, recovery
+//! ([`Session::restore`]) and the oracles. Its durable essence is
 //! byte-identical to the bare state's. On top of the trait it exposes
 //! the class-aware extras the oracles need: [`Session::update_guarded`]
 //! (the hardened path under the stored options), [`Session::output`]
@@ -26,7 +26,8 @@
 //! # Where a delta comes from
 //!
 //! A session owns its class state and nothing else. Building one starts
-//! the state's write journal ([`incgraph_core::Journal`]), and
+//! the state's write journal ([`incgraph_core::Journal`]; a restored
+//! session's is off, and [`Session::stop_journal`] stops it), and
 //! [`Session::take_delta`] drains it into the [`OutputDelta`]: first old
 //! value per entry against the current one, dropped when equal — so a
 //! self-cancelling update drains empty, and a fallback inside
@@ -318,14 +319,37 @@ impl Session {
         self.state.journal_bytes()
     }
 
-    /// Unwraps the bare class state with its journal stopped — for
-    /// holders that never read a delta (the durable store's built-in
-    /// states), which should not pay for one. The result is what
-    /// [`restore_state`](crate::restore_state) rebuilds from this
-    /// session's essence.
-    pub fn into_state(mut self) -> Box<dyn IncrementalState> {
+    /// Restores a session from a `save_state` essence, routed on the
+    /// class name the blob carries. No fixpoint is run: the blob *is*
+    /// the fixpoint. This is the recovery path's entry point — a
+    /// checkpointed `D^r` comes back ready for incremental WAL replay,
+    /// under the default options and with its journal off.
+    pub fn restore(g: &DynamicGraph, bytes: &[u8]) -> Result<Session, StateLoadError> {
+        let name = crate::persist::peek_class(bytes)?;
+        let class = QueryClass::from_name(&name)
+            .ok_or_else(|| StateLoadError::Malformed(format!("unknown class `{name}`")))?;
+        let state: Box<dyn ClassOutput> = match class {
+            QueryClass::Sssp => Box::new(SsspState::restore(g, bytes)?),
+            QueryClass::Cc => Box::new(CcState::restore(g, bytes)?),
+            QueryClass::Sim => Box::new(SimState::restore(g, bytes)?),
+            QueryClass::Reach => Box::new(ReachState::restore(g, bytes)?),
+            QueryClass::Lcc => Box::new(LccState::restore(g, bytes)?),
+            QueryClass::Dfs => Box::new(DfsState::restore(g, bytes)?),
+            QueryClass::Bc => Box::new(BcState::restore(g, bytes)?),
+        };
+        Ok(Session {
+            class,
+            exec: ExecOptions::default(),
+            drained_nodes: state.nodes(),
+            state,
+        })
+    }
+
+    /// Stops the write journal and releases it, for a holder that never
+    /// reads a delta (the durable store's states). A stopped journal
+    /// drains empty.
+    pub fn stop_journal(&mut self) {
         self.state.set_journal(false);
-        self.state
     }
 
     /// Drains the changes journaled since the previous drain point
@@ -645,6 +669,53 @@ mod tests {
         }
     }
 
+    /// A bridge whose tail entry moves with its parent alone. Pendant 1
+    /// hangs off node 2 of a 4-cycle `0–3–2–4` with chord `0–2`; the
+    /// batch drops the chord and moves the pendant to 3. DFS from 0 then
+    /// enters 3 where it entered 2, so the pendant keeps its entry time
+    /// and its lowpoint value (low, articulation bit, bridge bit), while
+    /// the one bridge `(2, 1)` becomes `(3, 1)`. A replacement before the
+    /// drain must still journal node 1, or the tail change is lost.
+    #[test]
+    fn bc_tail_follows_a_bridge_whose_parent_alone_moved() {
+        let mut g0 = DynamicGraph::new(false, 5);
+        for (u, v) in [(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (2, 1)] {
+            g0.insert_edge(u, v, 1);
+        }
+        for (update, load) in [(true, false), (true, true), (false, false), (false, true)] {
+            let mut g = g0.clone();
+            let mut session = Session::builder(QueryClass::Bc).build(&g).unwrap();
+            let prev = session.digest(&g);
+            let mut batch = UpdateBatch::new();
+            batch.delete(0, 2).delete(2, 1).insert(3, 1, 1);
+            let applied = batch.apply(&mut g);
+            if update {
+                session.update(&g, &applied);
+            }
+            if load {
+                let essence = BcState::batch(&g).0.save_state();
+                session.load_state(&g, &essence).unwrap();
+            } else {
+                session.recompute(&g);
+            }
+            let now = session.digest(&g);
+            assert_eq!(now[1], prev[1], "the pendant keeps its value");
+            assert_eq!(
+                (prev[5], now[5]),
+                (2 << 32 | 1, 3 << 32 | 1),
+                "the bridge moved"
+            );
+            let delta = session.take_delta();
+            assert_eq!(delta.resync, None);
+            let mut replay = prev.clone();
+            for c in &delta.changes {
+                assert_eq!(replay[c.index as usize], c.old);
+                replay[c.index as usize] = c.new;
+            }
+            assert_eq!(replay, now, "update: {update}, load: {load}");
+        }
+    }
+
     /// The rendering is the historical digest formula, byte for byte:
     /// deduced classes `enc()` their status, LCC packs degree and
     /// triangles, DFS lists first/last/parent, BC packs lowpoint and
@@ -719,8 +790,8 @@ mod tests {
 
     #[test]
     fn session_essence_matches_the_bare_state() {
-        // The durable pipeline swaps `Box<dyn IncrementalState>`s for
-        // sessions; checkpoints written by one must restore via the other.
+        // A session's checkpointed essence is the class state's own, so
+        // it restores through either.
         let g = ring(10);
         let session = Session::builder(QueryClass::Cc).build(&g).unwrap();
         let bare = CcState::batch(&g).0;
@@ -728,7 +799,7 @@ mod tests {
     }
 
     /// DFS and BC, incremental against batch, as the durable commit runs
-    /// them (bare states, journal off, the batch made net first) and as a
+    /// them (journal off, the batch made net first) and as a
     /// journaled [`Session`] runs them. The graph is the LiveJournal
     /// stand-in at scale 1 (`Dataset::LiveJournal.graph(false, 1.0)`,
     /// durable-repl's graph), the batches 16 stationary units each: a
@@ -760,7 +831,11 @@ mod tests {
         ];
         let mut bare: Vec<_> = classes
             .iter()
-            .map(|&(c, _)| Session::builder(c).build(&g).unwrap().into_state())
+            .map(|&(c, _)| {
+                let mut s = Session::builder(c).build(&g).unwrap();
+                s.stop_journal();
+                s
+            })
             .collect();
         let mut journaled: Vec<_> = classes
             .iter()
@@ -789,7 +864,7 @@ mod tests {
             let net = incgraph_core::coalesce::net(false, std::slice::from_ref(&applied));
             for (i, &(_, batch_run)) in classes.iter().enumerate() {
                 let t = Instant::now();
-                let report = update_with(bare[i].as_mut(), &g, &net, &exec);
+                let report = update_with(&mut bare[i], &g, &net, &exec);
                 us[i][0].push(t.elapsed().as_secs_f64() * 1e6);
                 resumed[i] += (report.scope_size > 0) as usize;
                 entered[i] += report.aff_fraction();

@@ -7,13 +7,13 @@
 //! on one fixed 8-node graph after a fixed three-batch schedule (insert,
 //! delete, node growth), as hex literals recorded at commit fda8e74.
 //! Each literal must equal what the current build writes, and must
-//! restore (`restore_state`) to a state that writes the same bytes back.
+//! restore (`Session::restore`) to a state that writes the same bytes back.
 //!
 //! A deliberate format change re-records the literal it changes (the
 //! failure message prints the new hex) and says so in CHANGES.md.
 
 use incgraph_algos::{
-    restore_state, BcState, CcState, DfsState, IncrementalState, LccState, ReachState, SimState,
+    BcState, CcState, DfsState, IncrementalState, LccState, ReachState, Session, SimState,
     SsspState,
 };
 use incgraph_graph::{DynamicGraph, Pattern, UpdateBatch};
@@ -96,7 +96,7 @@ fn persisted_essence_is_byte_stable_and_restorable() {
         assert_eq!(state.name(), name);
         let written = hex(&state.save_state());
         assert_eq!(written, golden, "{name}: persisted essence changed");
-        let restored = restore_state(&g, &unhex(golden))
+        let restored = Session::restore(&g, &unhex(golden))
             .unwrap_or_else(|e| panic!("{name}: golden blob no longer loads: {e}"));
         assert_eq!(restored.name(), name);
         assert_eq!(

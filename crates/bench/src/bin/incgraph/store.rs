@@ -3,7 +3,7 @@
 
 use crate::args::{self, durable_error, read_graph_file, read_updates_file, usage, write_out};
 use crate::CliError;
-use incgraph_algos::{IncrementalState, QueryClass, Session};
+use incgraph_algos::{QueryClass, Session};
 use incgraph_durable::{crc::crc32, CrashPoint, DurableOptions, DurableSession};
 use incgraph_graph::DynamicGraph;
 use incgraph_workloads::random_pattern;
@@ -57,12 +57,8 @@ fn parse_store_args(cmd: &str, argv: &[String]) -> Result<StoreArgs, CliError> {
 
 /// Builds fresh batch states for a new store: the `--classes` list, or
 /// by default every class defined on the graph's direction, in
-/// [`QueryClass::ALL`] order. The states are bare, as `recover` restores
-/// them: nothing drains a store's journal.
-fn store_states(
-    g: &DynamicGraph,
-    args: &StoreArgs,
-) -> Result<Vec<Box<dyn IncrementalState>>, CliError> {
+/// [`QueryClass::ALL`] order.
+fn store_states(g: &DynamicGraph, args: &StoreArgs) -> Result<Vec<Session>, CliError> {
     let names: Vec<&str> = match &args.classes {
         Some(list) => list.iter().map(String::as_str).collect(),
         None => QueryClass::ALL
@@ -71,7 +67,7 @@ fn store_states(
             .map(QueryClass::name)
             .collect(),
     };
-    let mut states: Vec<Box<dyn IncrementalState>> = Vec::with_capacity(names.len());
+    let mut states = Vec::with_capacity(names.len());
     for name in names {
         let class =
             QueryClass::from_name(name).ok_or_else(|| usage(&format!("unknown class {name}")))?;
@@ -82,10 +78,11 @@ fn store_states(
         if class == QueryClass::Sim {
             builder = builder.pattern(random_pattern(g, 4, 6, args.seed));
         }
-        let session = builder
-            .build(g)
-            .map_err(|e| usage(&format!("{name}: {e}")))?;
-        states.push(session.into_state());
+        states.push(
+            builder
+                .build(g)
+                .map_err(|e| usage(&format!("{name}: {e}")))?,
+        );
     }
     Ok(states)
 }

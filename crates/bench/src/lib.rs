@@ -16,3 +16,11 @@ pub mod sched;
 pub mod stream;
 
 pub use report::{measure, Ctx, Record, Sink};
+
+/// Serializes the unit tests that install the process-global obs
+/// recorder: the phase pass and the stream harness.
+#[cfg(test)]
+pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -11,7 +11,7 @@
 //! [`render_phase_table`] turns into the bench breakdown table and that
 //! `--metrics` exports as JSON-lines.
 
-use incgraph_algos::{IncrementalState, QueryClass, Session};
+use incgraph_algos::{QueryClass, Session};
 use incgraph_core::audit::FixpointAudit;
 use incgraph_durable::{recover, DurableOptions, DurableSession};
 use incgraph_obs::Snapshot;
@@ -78,17 +78,13 @@ pub fn run_phases(scale: f64) {
     let dir = std::env::temp_dir().join(format!("incgraph-phasebench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let g0 = Dataset::WikiDe.graph(false, (scale * 0.25).max(0.01));
-    let states: Vec<Box<dyn IncrementalState>> = vec![
-        Box::new(
-            Session::builder(QueryClass::Sssp)
-                .build(&g0)
-                .expect("sssp needs no pattern"),
-        ),
-        Box::new(
-            Session::builder(QueryClass::Cc)
-                .build(&g0)
-                .expect("cc needs no pattern"),
-        ),
+    let states = vec![
+        Session::builder(QueryClass::Sssp)
+            .build(&g0)
+            .expect("sssp needs no pattern"),
+        Session::builder(QueryClass::Cc)
+            .build(&g0)
+            .expect("cc needs no pattern"),
     ];
     if let Ok(mut session) =
         DurableSession::create(&dir, g0.clone(), states, DurableOptions::default())
@@ -144,6 +140,7 @@ mod tests {
 
     #[test]
     fn phase_pass_covers_all_classes_and_storage() {
+        let _obs = crate::obs_lock();
         let registry = Arc::new(Registry::new());
         incgraph_obs::install(registry.clone());
         run_phases(0.02);

@@ -19,9 +19,11 @@
 //!   ([`standing_states`]); the WAL fsync is the ack point, and the
 //!   session's state pass ([`update_states`](incgraph_durable::update_states))
 //!   makes each flush's effective ops net before propagation.
-//! * **Latency** — each standing state is wrapped in a [`LatencyProbe`]
-//!   recording per-class admission→completion nanoseconds into the obs
-//!   log₂ histograms; p50/p99/p999 are read back from those histograms.
+//! * **Latency** — a forwarding obs recorder turns the end of each
+//!   class's `update.guarded` span (and of BC's `dfs.forest` span, for
+//!   the folded DFS class) into per-class admission→completion
+//!   nanoseconds in the obs log₂ histograms; p50/p99/p999 are read back
+//!   from those histograms.
 //! * **Oracles** — the run is checked, not just timed: the WAL is
 //!   audited for exactly-once application of every acked flush
 //!   ([`audit_wal`]) after any recovery *and* at end of run, and the
@@ -43,14 +45,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use incgraph_algos::{IncrementalState, QueryClass};
-use incgraph_core::audit::{AuditReport, FixpointAudit};
+use incgraph_algos::QueryClass;
 use incgraph_core::coalesce_batches;
-use incgraph_core::engine::RunStats;
-use incgraph_core::metrics::BoundednessReport;
 use incgraph_durable::{recover, CrashPoint, DurableError, DurableOptions, DurableSession};
-use incgraph_graph::{AppliedBatch, DynamicGraph, Update, UpdateBatch};
-use incgraph_obs::Registry;
+use incgraph_graph::{Update, UpdateBatch};
+use incgraph_obs::{Recorder, Registry};
 use incgraph_oracle::walcheck::{audit_wal, batch_fingerprint, AckedBatch, WalAuditFailure};
 use incgraph_service::standing_states;
 use incgraph_workloads::Dataset;
@@ -58,7 +57,7 @@ use incgraph_workloads::Dataset;
 use crate::parbench::{field_num, field_str, fmt_ns, today_utc};
 use crate::sched::{rate_schedule, FlushPolicy, Scheduler, Step};
 
-/// Histogram name the latency probes record under (per-class scope).
+/// Histogram name the per-class latencies are recorded under.
 pub const LATENCY_HIST: &str = "stream.latency_ns";
 
 /// Injected kill: arm `point` on the first flush reaching `at_frac` of
@@ -167,7 +166,8 @@ impl StreamConfig {
 pub struct ClassStream {
     /// Class name (`sssp`, `cc`, …).
     pub class: String,
-    /// Latency samples recorded (ops observed while probes were live).
+    /// Latency samples recorded: ops timed, one per op per flush the
+    /// class was updated in (a flush the kill interrupted is not timed).
     pub updates: u64,
     /// Median admission→completion latency.
     pub p50_ns: u64,
@@ -277,108 +277,77 @@ impl From<WalAuditFailure> for StreamError {
 }
 
 // ---------------------------------------------------------------------
-// Latency probes
+// Latency from spans
 // ---------------------------------------------------------------------
 
-/// Shared probe context: the stream epoch (rebased to the instant the
-/// replay loop starts, so store setup never counts as lateness) and the
-/// admission instants of the flush currently being applied.
-struct ProbeShared {
-    epoch: Mutex<Instant>,
+/// The run's recorder: forwards everything to the registry and, each
+/// time a class's output becomes current, records every admitted op's
+/// admission→completion nanoseconds into that class's [`LATENCY_HIST`].
+/// A class is current when its `update.guarded` span ends; the `dfs`
+/// class when the `dfs.forest` span ends, because on an undirected store
+/// the session folds it into BC's forest and BC goes on re-lowering after
+/// it. Classes update sequentially inside [`DurableSession::apply`], so
+/// each class's latency honestly includes the WAL fsync and every class
+/// ahead of it — the freshness a standing-query subscriber of that class
+/// observes. With no admissions set (recovery) nothing is timed.
+struct LatencyRecorder {
+    registry: Arc<Registry>,
+    /// The stream clock's zero: the instant the replay loop starts, so
+    /// store setup never counts as lateness.
+    epoch: Instant,
+    /// Admission instants of the flush being applied.
     admissions: Mutex<Vec<u64>>,
 }
 
-impl ProbeShared {
+impl LatencyRecorder {
     fn now_ns(&self) -> u64 {
-        self.ns_at(Instant::now())
+        self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// `t` on the stream clock.
-    fn ns_at(&self, t: Instant) -> u64 {
-        let epoch = *self.epoch.lock().unwrap_or_else(|e| e.into_inner());
-        t.saturating_duration_since(epoch).as_nanos() as u64
+    fn admissions(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
+        self.admissions.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// Transparent [`IncrementalState`] wrapper: byte-identical behaviour to
-/// the wrapped state (essence, name, checkpoints), plus it records each
-/// op's admission→completion latency into the class's obs histogram the
-/// moment *this class's* incremental update finishes. Classes update
-/// sequentially inside [`DurableSession::apply`], so each class's
-/// latency honestly includes the WAL fsync and every class ahead of it —
-/// the freshness a standing-query subscriber of that class observes. On
-/// an undirected store the session folds the `dfs` state into BC's
-/// forest, so the `dfs` probe never runs: the probe of the state that
-/// owns the forest records the `dfs` class too, at the moment its
-/// `IncDFS` left the forest current
-/// ([`DfsState::refreshed_at`](incgraph_algos::DfsState::refreshed_at)).
-struct LatencyProbe {
-    inner: Box<dyn IncrementalState>,
-    shared: Arc<ProbeShared>,
+/// Uninstalls the global recorder when dropped, on every exit of a run.
+struct Installed;
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        incgraph_obs::uninstall();
+    }
 }
 
-impl IncrementalState for LatencyProbe {
-    fn name(&self) -> &'static str {
-        self.inner.name()
+impl Recorder for LatencyRecorder {
+    fn counter(&self, class: &'static str, name: &'static str, delta: u64) {
+        self.registry.counter(class, name, delta);
     }
 
-    fn total_vars(&self, g: &DynamicGraph) -> usize {
-        self.inner.total_vars(g)
+    fn gauge(&self, class: &'static str, name: &'static str, value: u64) {
+        self.registry.gauge(class, name, value);
     }
 
-    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let report = self.inner.update(g, applied);
-        if incgraph_obs::enabled() {
-            let done = self.shared.now_ns();
-            let forest = self.inner.forest().map(|f| {
-                let current = f.refreshed_at().map_or(done, |t| self.shared.ns_at(t));
-                (QueryClass::Dfs.name(), current)
-            });
-            let admissions = self
-                .shared
-                .admissions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for (class, current) in std::iter::once((self.inner.name(), done)).chain(forest) {
-                let _class = incgraph_obs::class_scope(class);
-                for &at in admissions.iter() {
-                    incgraph_obs::observe(LATENCY_HIST, current.saturating_sub(at));
-                }
-            }
+    fn observe(&self, class: &'static str, name: &'static str, value: u64) {
+        self.registry.observe(class, name, value);
+    }
+
+    fn event(&self, class: &'static str, name: &'static str, detail: &str) {
+        self.registry.event(class, name, detail);
+    }
+
+    fn span(&self, class: &'static str, name: &'static str, ns: u64) {
+        self.registry.span(class, name, ns);
+        let dfs = QueryClass::Dfs.name();
+        let current = match name {
+            "update.guarded" if class != dfs => class,
+            "dfs.forest" => dfs,
+            _ => return,
+        };
+        let done = self.now_ns();
+        for &at in self.admissions().iter() {
+            self.registry
+                .observe(current, LATENCY_HIST, done.saturating_sub(at));
         }
-        report
-    }
-
-    fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        self.inner.recompute(g)
-    }
-
-    fn audit(&self, g: &DynamicGraph, audit: &FixpointAudit) -> AuditReport {
-        self.inner.audit(g, audit)
-    }
-
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.inner.set_work_budget(budget);
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.inner.space_bytes()
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        self.inner.save_state()
-    }
-
-    fn load_state(
-        &mut self,
-        g: &DynamicGraph,
-        bytes: &[u8],
-    ) -> Result<(), incgraph_algos::StateLoadError> {
-        self.inner.load_state(g, bytes)
-    }
-
-    fn forest(&self) -> Option<&incgraph_algos::DfsState> {
-        self.inner.forest()
     }
 }
 
@@ -430,10 +399,11 @@ fn ms_to_ns(ms: f64) -> u64 {
 // The harness
 // ---------------------------------------------------------------------
 
-/// Runs one sustained-stream replay per `cfg`. Pass the CLI's installed
-/// `--metrics` registry to have latencies land there (and in the
-/// exported metrics file); with `None` a run-local registry is installed
-/// for the duration and uninstalled afterwards.
+/// Runs one sustained-stream replay per `cfg`, recording into `registry`
+/// (the CLI's `--metrics` registry, so latencies land in the exported
+/// metrics file) or, with `None`, into a run-local one. The run owns the
+/// process-global obs recorder: it installs its latency recorder in
+/// front of the registry and uninstalls it before it returns.
 pub fn run_stream(
     cfg: &StreamConfig,
     registry: Option<Arc<Registry>>,
@@ -473,24 +443,11 @@ pub fn run_stream(
     let policy = FlushPolicy::new(cfg.flush_ops, ms_to_ns(cfg.flush_wait_ms));
     let mut sched = Scheduler::new(rate_schedule(&ticks, cfg.rate_ops_s), policy);
 
-    // Store with the standing queries, each behind a latency probe.
-    let shared = Arc::new(ProbeShared {
-        epoch: Mutex::new(Instant::now()),
-        admissions: Mutex::new(Vec::new()),
-    });
-    let states: Vec<Box<dyn IncrementalState>> = standing_states(&t.initial, cfg.seed)
-        .into_iter()
-        .map(|inner| {
-            Box::new(LatencyProbe {
-                inner,
-                shared: shared.clone(),
-            }) as Box<dyn IncrementalState>
-        })
-        .collect();
-    let class_names: Vec<&'static str> = states.iter().map(|s| s.name()).collect();
+    // Store with the standing queries.
+    let states = standing_states(&t.initial, cfg.seed);
+    let class_names: Vec<&'static str> = states.iter().map(|s| s.class().name()).collect();
     let durable_options = DurableOptions {
         checkpoint_every: cfg.checkpoint_every,
-        ..DurableOptions::default()
     };
     let mut session = DurableSession::create(
         &cfg.store,
@@ -499,30 +456,22 @@ pub fn run_stream(
         durable_options.clone(),
     )?;
 
-    // Telemetry sink for the probes.
-    let local_registry = match &registry {
-        Some(r) => r.clone(),
-        None => {
-            let r = Arc::new(Registry::new());
-            incgraph_obs::install(r.clone());
-            r
-        }
-    };
-    // On any error past this point the local install must be torn down.
-    let cleanup = |registry_provided: bool| {
-        if !registry_provided {
-            incgraph_obs::uninstall();
-        }
-    };
-
-    // Rebase the stream epoch now: standing-state construction and the
-    // genesis checkpoint are setup, not lateness.
-    let epoch = Instant::now();
-    *shared.epoch.lock().unwrap_or_else(|e| e.into_inner()) = epoch;
+    // The latency recorder in front of the telemetry sink. Its epoch is
+    // now: standing-state construction and the genesis checkpoint are
+    // setup, not lateness.
+    let latency = Arc::new(LatencyRecorder {
+        registry: registry.unwrap_or_default(),
+        epoch: Instant::now(),
+        admissions: Mutex::new(Vec::new()),
+    });
+    incgraph_obs::install(latency.clone());
+    let installed = Installed;
     let mut clock = if cfg.virtual_time {
         Clock::Virtual { now: 0 }
     } else {
-        Clock::Real { epoch }
+        Clock::Real {
+            epoch: latency.epoch,
+        }
     };
     let lag_ns = ms_to_ns(cfg.max_lag_ms);
     let deadline_ns = ms_to_ns(cfg.deadline_ms);
@@ -530,7 +479,7 @@ pub fn run_stream(
     // Shadow graph for coalescing accounting: replays each flush to
     // recover the effective AppliedBatch the session saw, then counts
     // what the state pass's netting cancelled. Kept outside the latency
-    // window (after miss accounting) so probes never pay for it.
+    // window (after miss accounting) so no latency pays for it.
     let mut shadow = t.initial.clone();
 
     let mut acked: Vec<AckedBatch> = Vec::new();
@@ -566,15 +515,15 @@ pub fn run_stream(
         let batch = UpdateBatch::from_updates(ops[start..end].to_vec());
         let fingerprint = batch_fingerprint(&batch);
         {
-            // Admission instants for the probes: the scheduled arrival in
-            // real mode; "now" in virtual mode, where latency therefore
-            // isolates pure processing cost.
-            let mut adm = shared.admissions.lock().unwrap_or_else(|e| e.into_inner());
+            // Admission instants: the scheduled arrival in real mode;
+            // "now" in virtual mode, where latency therefore isolates
+            // pure processing cost.
+            let mut adm = latency.admissions();
             adm.clear();
             match &clock {
                 Clock::Real { .. } => adm.extend((start..end).map(|i| sched.arrival(i))),
                 Clock::Virtual { .. } => {
-                    let now = shared.now_ns();
+                    let now = latency.now_ns();
                     adm.extend((start..end).map(|_| now));
                 }
             }
@@ -585,21 +534,22 @@ pub fn run_stream(
                     seq: session.last_seq(),
                     fingerprint,
                 });
-                for (class, r) in session.updated_classes().zip(&reports) {
-                    let i = class_names.iter().position(|&c| c == class);
+                for (s, r) in session.sessions().iter().zip(&reports) {
+                    let i = class_names.iter().position(|&c| c == s.class().name());
                     fallbacks[i.expect("an updated class is tracked")] += r.fell_back() as u64;
                 }
             }
             Err(DurableError::InjectedCrash(_)) => {
                 // The process "died" mid-flush: drop the session, recover
-                // from disk, audit exactly-once, resume the stream.
+                // from disk, audit exactly-once, resume the stream. The
+                // interrupted flush is not timed: recovery's replay and
+                // its re-apply record no latency.
+                latency.admissions().clear();
                 drop(session);
                 let down = Instant::now();
-                let (recovered, rec_report) = recover(&cfg.store, durable_options.clone())
-                    .inspect_err(|_| cleanup(registry.is_some()))?;
+                let (recovered, rec_report) = recover(&cfg.store, durable_options.clone())?;
                 session = recovered;
-                let audit = audit_wal(&cfg.store, &acked, 1)
-                    .inspect_err(|_| cleanup(registry.is_some()))?;
+                let audit = audit_wal(&cfg.store, &acked, 1)?;
                 committed_unacked += audit.committed_unacked;
                 let pre_crash_seq = acked.len() as u64;
                 if session.last_seq() == pre_crash_seq + 1 {
@@ -613,19 +563,12 @@ pub fn run_stream(
                 } else {
                     // Died before the commit point: the flush left no
                     // (complete) record — by design it was never acked —
-                    // so re-apply it on the recovered session. Recovered
-                    // states are bare (no probes), so nothing double-
-                    // records latency.
-                    match session.apply(&batch) {
-                        Ok(_) => acked.push(AckedBatch {
-                            seq: session.last_seq(),
-                            fingerprint,
-                        }),
-                        Err(e) => {
-                            cleanup(registry.is_some());
-                            return Err(e.into());
-                        }
-                    }
+                    // so re-apply it on the recovered session.
+                    session.apply(&batch)?;
+                    acked.push(AckedBatch {
+                        seq: session.last_seq(),
+                        fingerprint,
+                    });
                 }
                 rto_ns = Some(down.elapsed().as_nanos() as u64);
                 recovered_replayed = Some(rec_report.wal_records_replayed);
@@ -636,10 +579,7 @@ pub fn run_stream(
                     sched.shift_tail(clock.now());
                 }
             }
-            Err(e) => {
-                cleanup(registry.is_some());
-                return Err(e.into());
-            }
+            Err(e) => return Err(e.into()),
         }
         // Deadline-miss accounting at flush completion, against the
         // *original* schedule the ops were admitted under.
@@ -672,15 +612,12 @@ pub fn run_stream(
     }
 
     // End-of-run oracle: every acked flush exactly once, no strays.
-    if let Err(e) = audit_wal(&cfg.store, &acked, 0) {
-        cleanup(registry.is_some());
-        return Err(e.into());
-    }
+    audit_wal(&cfg.store, &acked, 0)?;
     debug_assert_eq!(acked.len(), batches);
 
     // Per-class latency stats out of the obs histograms.
-    let snapshot = local_registry.snapshot();
-    cleanup(registry.is_some());
+    let snapshot = latency.registry.snapshot();
+    drop(installed);
     let classes: Vec<ClassStream> = class_names
         .iter()
         .enumerate()
@@ -712,7 +649,7 @@ pub fn run_stream(
 
     // Throughput ceiling: short real-time stages at rising rates on
     // scratch stores, after the main run's telemetry is finalized (each
-    // child installs and removes its own local registry).
+    // child installs and removes its own recorder).
     let mut throughput_ceiling_ops_s = None;
     if let Some(ramp) = cfg.ramp {
         let mut rate = cfg.rate_ops_s;
@@ -733,11 +670,6 @@ pub fn run_stream(
             }
             throughput_ceiling_ops_s = Some(rate);
             rate *= ramp.factor;
-        }
-        // The ramp children clobbered the global recorder; restore the
-        // caller's registry if one was live.
-        if let Some(r) = &registry {
-            incgraph_obs::install(r.clone());
         }
     }
 
@@ -1063,20 +995,12 @@ mod tests {
         cfg
     }
 
-    /// Unit tests stay off the global obs recorder (parallel tests would
-    /// race on it): passing a never-installed registry records nothing
-    /// but keeps scheduling, digests, and audits fully live. The
-    /// installed-recorder path is exercised single-threaded by
-    /// tests/stream_determinism.rs and tests/stream_rto.rs.
-    fn quiet_registry() -> Option<Arc<Registry>> {
-        Some(Arc::new(Registry::new()))
-    }
-
     #[test]
     fn virtual_replay_is_deterministic() {
+        let _obs = crate::obs_lock();
         let (d1, d2) = (scratch("det-a"), scratch("det-b"));
-        let a = run_stream(&tiny(d1.clone()), quiet_registry()).unwrap();
-        let b = run_stream(&tiny(d2.clone()), quiet_registry()).unwrap();
+        let a = run_stream(&tiny(d1.clone()), None).unwrap();
+        let b = run_stream(&tiny(d2.clone()), None).unwrap();
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.ops_total, b.ops_total);
         assert_eq!(a.batches, b.batches);
@@ -1091,8 +1015,9 @@ mod tests {
 
     #[test]
     fn crash_and_recover_preserves_digest_and_exactly_once() {
+        let _obs = crate::obs_lock();
         let clean_dir = scratch("crash-clean");
-        let clean = run_stream(&tiny(clean_dir.clone()), quiet_registry()).unwrap();
+        let clean = run_stream(&tiny(clean_dir.clone()), None).unwrap();
         for point in [CrashPoint::WalPreFsync, CrashPoint::WalPostFsync] {
             let dir = scratch("crash");
             let mut cfg = tiny(dir.clone());
@@ -1100,7 +1025,7 @@ mod tests {
                 point,
                 at_frac: 0.5,
             });
-            let crashed = run_stream(&cfg, quiet_registry()).unwrap();
+            let crashed = run_stream(&cfg, None).unwrap();
             assert!(crashed.rto_ms.is_some(), "{point:?} never fired");
             assert_eq!(
                 crashed.digest, clean.digest,
@@ -1114,8 +1039,9 @@ mod tests {
 
     #[test]
     fn json_roundtrip_gates_clean_against_itself() {
+        let _obs = crate::obs_lock();
         let dir = scratch("json");
-        let report = run_stream(&tiny(dir.clone()), quiet_registry()).unwrap();
+        let report = run_stream(&tiny(dir.clone()), None).unwrap();
         let json = to_json(&report);
         assert!(json.contains("\"schema\": \"incgraph-stream/1\""));
         assert!(stream_regressions(&json, &report, 0.5).is_empty());
@@ -1124,8 +1050,9 @@ mod tests {
 
     #[test]
     fn gate_catches_accounting_and_tail_drift() {
+        let _obs = crate::obs_lock();
         let dir = scratch("gate");
-        let report = run_stream(&tiny(dir.clone()), quiet_registry()).unwrap();
+        let report = run_stream(&tiny(dir.clone()), None).unwrap();
         let json = to_json(&report);
 
         let mut drifted = report.clone();
@@ -1164,13 +1091,13 @@ mod tests {
         let mut cfg = tiny(scratch("bad"));
         cfg.rate_ops_s = 0.0;
         assert!(matches!(
-            run_stream(&cfg, quiet_registry()),
+            run_stream(&cfg, None),
             Err(StreamError::Config(_))
         ));
         cfg.rate_ops_s = 100.0;
         cfg.max_ops = Some(0);
         assert!(matches!(
-            run_stream(&cfg, quiet_registry()),
+            run_stream(&cfg, None),
             Err(StreamError::Config(_))
         ));
     }

@@ -32,7 +32,7 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use incgraph_algos::{restore_state, IncrementalState};
+use incgraph_algos::Session;
 use incgraph_graph::DynamicGraph;
 
 use crate::bytes::{put_bytes, put_u32, put_u64, put_u8, Reader};
@@ -106,8 +106,8 @@ pub fn encode_payload(
 }
 
 /// A fully validated checkpoint: the WAL sequence it covers, the graph,
-/// and one restored state per saved blob.
-pub type LoadedCheckpoint = (u64, DynamicGraph, Vec<Box<dyn IncrementalState>>);
+/// and one restored session per saved blob ([`Session::restore`]).
+pub type LoadedCheckpoint = (u64, DynamicGraph, Vec<Session>);
 
 /// Deserializes a checkpoint payload back into a [`LoadedCheckpoint`].
 /// Every structural or semantic violation is an error — the ladder
@@ -150,7 +150,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<LoadedCheckpoint, DurableError> 
     let mut states = Vec::with_capacity(k.min(64));
     for _ in 0..k {
         let blob = r.bytes()?;
-        states.push(restore_state(&g, blob)?);
+        states.push(Session::restore(&g, blob)?);
     }
     r.finish()?;
     Ok((covered_seq, g, states))
@@ -280,7 +280,7 @@ pub fn read_manifest(dir: &Path) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incgraph_algos::{CcState, SsspState};
+    use incgraph_algos::{IncrementalState, QueryClass};
 
     fn ring(n: usize) -> DynamicGraph {
         let mut g = DynamicGraph::new(false, n);
@@ -290,14 +290,17 @@ mod tests {
         g
     }
 
-    fn states_for(g: &DynamicGraph) -> Vec<Box<dyn IncrementalState>> {
+    fn states_for(g: &DynamicGraph) -> Vec<Session> {
         vec![
-            Box::new(SsspState::batch(g, 0).0),
-            Box::new(CcState::batch(g).0),
+            Session::builder(QueryClass::Sssp)
+                .source(0)
+                .build(g)
+                .unwrap(),
+            Session::builder(QueryClass::Cc).build(g).unwrap(),
         ]
     }
 
-    fn blobs(states: &[Box<dyn IncrementalState>]) -> impl ExactSizeIterator<Item = Vec<u8>> + '_ {
+    fn blobs(states: &[Session]) -> impl ExactSizeIterator<Item = Vec<u8>> + '_ {
         states.iter().map(|s| s.save_state())
     }
 

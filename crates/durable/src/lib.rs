@@ -16,9 +16,14 @@
 //!   rotated out, so full replay always remains possible.
 //! - **Recovery** ([`recover`]): newest valid checkpoint + incremental
 //!   replay of the WAL suffix via [`update_states`], so even recovery
-//!   enjoys the paper's bounded incremental cost — and inherits the
-//!   [`FallbackPolicy`] degradation ladder (incremental replay → batch
-//!   recompute) when a replayed batch turns out unbounded.
+//!   enjoys the paper's bounded incremental cost — and takes the same
+//!   guarded path (incremental replay → batch recompute) as a live
+//!   commit when a replayed batch turns out unbounded.
+//!
+//! Every tracked class state is a [`Session`] — the one handle that
+//! holds a class state outside `incgraph-algos`. This module stops the
+//! journal of each session it takes: nothing drains a durable state's
+//! deltas, so none should pay for them.
 //!
 //! Because every algorithm here is deterministic, recovery is *verifiable*:
 //! replaying `r` logged batches from any checkpoint must produce a state
@@ -44,8 +49,9 @@ pub use wal::{encode_record, scan_records, Scan, ScannedRecord, Wal, FIRST_SEQ};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use incgraph_algos::{update_with, ExecOptions, IncrementalState, QueryClass, StateLoadError};
-use incgraph_core::fallback::FallbackPolicy;
+use incgraph_algos::{
+    update_with, ExecOptions, IncrementalState, QueryClass, Session, StateLoadError,
+};
 use incgraph_core::metrics::BoundednessReport;
 use incgraph_graph::{AppliedBatch, BatchError, DynamicGraph, UpdateBatch};
 
@@ -204,12 +210,10 @@ impl From<StateLoadError> for DurableError {
     }
 }
 
-/// Configuration of a durable session.
+/// Configuration of a durable session: when it checkpoints. How it
+/// updates its states is not configurable — see [`update_states`].
 #[derive(Clone, Debug, Default)]
 pub struct DurableOptions {
-    /// Fallback policy governing incremental updates — both live ones and
-    /// the replayed ones during recovery.
-    pub policy: FallbackPolicy,
     /// Take a checkpoint automatically every `n` applied batches
     /// (`None` = only on explicit [`DurableSession::checkpoint`] calls).
     pub checkpoint_every: Option<u64>,
@@ -217,24 +221,22 @@ pub struct DurableOptions {
 
 /// The state pass: makes `applied` (one batch's effective ops on `g`)
 /// net with [`coalesce::net`](incgraph_core::coalesce::net), then runs
-/// one guarded [`update_with`] per state under `policy`. Live commits,
-/// recovery's replay and the oracles' references all maintain their
-/// states through it, so a replayed batch reaches each state in the
-/// same form it did live and the essences stay byte-identical.
+/// one guarded [`update_with`] per session under one constant, the
+/// default [`ExecOptions`] (a session's own options do not apply). Live
+/// commits, recovery's replay and the oracles' references all maintain
+/// their states through it, so a replayed batch reaches each state in
+/// the same form and under the same policy it did live, and the
+/// essences stay byte-identical.
 pub fn update_states(
-    states: &mut [Box<dyn IncrementalState>],
+    sessions: &mut [Session],
     g: &DynamicGraph,
     applied: &AppliedBatch,
-    policy: FallbackPolicy,
 ) -> Vec<BoundednessReport> {
     let net = incgraph_core::coalesce::net(g.is_directed(), std::slice::from_ref(applied));
-    let exec = ExecOptions {
-        policy,
-        ..Default::default()
-    };
-    states
+    let exec = ExecOptions::default();
+    sessions
         .iter_mut()
-        .map(|s| update_with(s.as_mut(), g, &net, &exec))
+        .map(|s| update_with(s, g, &net, &exec))
         .collect()
 }
 
@@ -250,18 +252,18 @@ pub fn update_states(
 /// folds.
 pub(crate) struct Tracked {
     /// The states a commit updates, in creation order.
-    running: Vec<Box<dyn IncrementalState>>,
+    running: Vec<Session>,
     /// Creation-order slots of the folded `dfs` states, ascending.
     folded: Vec<usize>,
 }
 
 impl Tracked {
-    /// Folds `states`, given in creation order. A dropped `dfs` state's
-    /// essence must equal the forest's; when it does not, the two
-    /// disagree about one canonical forest, and the open fails as
-    /// [`DurableError::Corrupt`] rather than pick one.
-    pub(crate) fn fold(states: Vec<Box<dyn IncrementalState>>) -> Result<Tracked, DurableError> {
-        let dfs = QueryClass::Dfs.name();
+    /// Folds `states`, given in creation order, and stops every journal.
+    /// A dropped `dfs` state's essence must equal the forest's; when it
+    /// does not, the two disagree about one canonical forest, and the
+    /// open fails as [`DurableError::Corrupt`] rather than pick one.
+    pub(crate) fn fold(mut states: Vec<Session>) -> Result<Tracked, DurableError> {
+        states.iter_mut().for_each(Session::stop_journal);
         let Some(forest) = states
             .iter()
             .find_map(|s| s.forest())
@@ -275,7 +277,7 @@ impl Tracked {
         let mut running = Vec::with_capacity(states.len());
         let mut folded = Vec::new();
         for (slot, s) in states.into_iter().enumerate() {
-            if s.name() != dfs {
+            if s.class() != QueryClass::Dfs {
                 running.push(s);
             } else if s.save_state() == forest {
                 folded.push(slot);
@@ -289,13 +291,8 @@ impl Tracked {
     }
 
     /// One state pass over the running states ([`update_states`]).
-    fn update(
-        &mut self,
-        g: &DynamicGraph,
-        applied: &AppliedBatch,
-        policy: FallbackPolicy,
-    ) -> Vec<BoundednessReport> {
-        update_states(&mut self.running, g, applied, policy)
+    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> Vec<BoundednessReport> {
+        update_states(&mut self.running, g, applied)
     }
 
     /// Every tracked class's name and essence, in creation order, each
@@ -336,8 +333,8 @@ impl Tracked {
 ///    [`apply_with`](Self::apply_with) — where a primary ships the
 ///    record to its replicas);
 /// 4. run the incremental update on every running state via
-///    [`update_states`] under the session's [`FallbackPolicy`] — every
-///    tracked state but a `dfs` folded into BC's forest
+///    [`update_states`] — every tracked state but a `dfs` folded into
+///    BC's forest
 ///    ([`IncrementalState::forest`]), so the seven built-in classes take
 ///    six updates.
 ///
@@ -365,14 +362,14 @@ pub struct DurableSession {
 impl DurableSession {
     /// Initializes a fresh durable directory: genesis checkpoint
     /// (sequence 0, holding `graph` and the current essence of every
-    /// state), manifest, and an empty WAL. Fails if the directory already
-    /// holds a durable store — re-initializing would orphan its history —
-    /// or if a `dfs` state disagrees with BC's forest
-    /// ([`IncrementalState::forest`]).
+    /// state), manifest, and an empty WAL, and stops every session's
+    /// journal. Fails if the directory already holds a durable store —
+    /// re-initializing would orphan its history — or if a `dfs` state
+    /// disagrees with BC's forest ([`IncrementalState::forest`]).
     pub fn create(
         dir: &Path,
         graph: DynamicGraph,
-        states: Vec<Box<dyn IncrementalState>>,
+        states: Vec<Session>,
         options: DurableOptions,
     ) -> Result<Self, DurableError> {
         std::fs::create_dir_all(dir)?;
@@ -419,11 +416,11 @@ impl DurableSession {
         self.states.essences()
     }
 
-    /// The classes a commit updates, in the order of
+    /// The sessions a commit updates, in the order of
     /// [`apply`](Self::apply)'s reports: the tracked classes without the
-    /// folded `dfs`.
-    pub fn updated_classes(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.states.running.iter().map(|s| s.name())
+    /// folded `dfs`. Their journals are off.
+    pub fn sessions(&self) -> &[Session] {
+        &self.states.running
     }
 
     /// Sequence number of the last durably applied batch (0 = none yet;
@@ -591,7 +588,7 @@ impl DurableSession {
 
     /// Applies one batch durably (see the type-level docs for the commit
     /// protocol), returning one [`BoundednessReport`] per updated state
-    /// ([`updated_classes`](Self::updated_classes)).
+    /// ([`sessions`](Self::sessions)).
     ///
     /// On [`DurableError::InvalidBatch`] and real I/O errors the
     /// in-memory graph is rolled back and the log untouched — the session
@@ -659,9 +656,7 @@ impl DurableSession {
         }
         self.next_seq += 1;
         committed(seq);
-        let reports = self
-            .states
-            .update(&self.graph, &applied, self.options.policy);
+        let reports = self.states.update(&self.graph, &applied);
         if let Some(every) = self.options.checkpoint_every {
             if every > 0 && self.last_seq().is_multiple_of(every) {
                 self.checkpoint()?;
@@ -687,7 +682,6 @@ impl DurableSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incgraph_algos::{CcState, ReachState, SsspState};
     use incgraph_graph::UpdateBatch;
     use std::fs;
 
@@ -699,11 +693,17 @@ mod tests {
         g
     }
 
-    fn states_for(g: &DynamicGraph) -> Vec<Box<dyn IncrementalState>> {
+    fn states_for(g: &DynamicGraph) -> Vec<Session> {
         vec![
-            Box::new(SsspState::batch(g, 0).0),
-            Box::new(CcState::batch(g).0),
-            Box::new(ReachState::batch(g, 0).0),
+            Session::builder(QueryClass::Sssp)
+                .source(0)
+                .build(g)
+                .unwrap(),
+            Session::builder(QueryClass::Cc).build(g).unwrap(),
+            Session::builder(QueryClass::Reach)
+                .source(0)
+                .build(g)
+                .unwrap(),
         ]
     }
 
@@ -728,7 +728,7 @@ mod tests {
         batches
     }
 
-    fn essences(states: &[Box<dyn IncrementalState>]) -> Vec<Vec<u8>> {
+    fn essences(states: &[Session]) -> Vec<Vec<u8>> {
         states.iter().map(|s| s.save_state()).collect()
     }
 
@@ -807,7 +807,6 @@ mod tests {
         let g0 = ring(10);
         let options = DurableOptions {
             checkpoint_every: Some(2),
-            ..Default::default()
         };
         let mut session =
             DurableSession::create(&dir, g0.clone(), states_for(&g0), options).unwrap();
@@ -817,6 +816,52 @@ mod tests {
         // Genesis (0) + automatic checkpoint at seq 2.
         assert_eq!(checkpoint::list_checkpoints(&dir), vec![2, 0]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Nothing drains a durable state's journal, so the store stops every
+    /// journal it takes: sessions built journaled, as a registered view's
+    /// are, hold none through create, commits, a checkpoint, recovery
+    /// and a snapshot install.
+    #[test]
+    fn held_sessions_keep_no_journal() {
+        let (dir, snap_dir) = (temp_dir("journal"), temp_dir("journal-snap"));
+        let g0 = ring(12);
+        let journals = |s: &DurableSession| -> Vec<usize> {
+            s.sessions().iter().map(Session::journal_bytes).collect()
+        };
+        let states = states_for(&g0);
+        assert!(
+            states.iter().all(|s| s.journal_bytes() > 0),
+            "built journaled"
+        );
+        let mut session =
+            DurableSession::create(&dir, g0.clone(), states, DurableOptions::default()).unwrap();
+        assert_eq!(journals(&session), [0; 3], "create");
+        let batches = schedule();
+        for (i, b) in batches.iter().enumerate() {
+            session.apply(b).unwrap();
+            assert_eq!(journals(&session), [0; 3], "commit {i}");
+            if i == 0 {
+                session.checkpoint().unwrap();
+            }
+        }
+        let snapshot = session.encode_snapshot();
+        drop(session);
+        let (recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
+        assert_eq!(report.wal_records_replayed, batches.len() - 1);
+        assert_eq!(journals(&recovered), [0; 3], "recover");
+        let replica = DurableSession::create(
+            &snap_dir,
+            g0.clone(),
+            states_for(&g0),
+            DurableOptions::default(),
+        )
+        .unwrap();
+        let installed = replica.install_snapshot(&snapshot, 2).unwrap();
+        assert_eq!(journals(&installed), [0; 3], "install_snapshot");
+        drop((recovered, installed));
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&snap_dir).unwrap();
     }
 
     #[test]
@@ -878,45 +923,24 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A CC state that logs each `update` — the probe for *when* state
-    /// maintenance runs relative to the commit hooks.
+    /// Logs the `update.guarded` spans one thread records — the probe
+    /// for *when* state maintenance runs relative to the commit hooks.
+    /// The recorder is global to the process, so it ignores the spans of
+    /// tests running beside its own.
     struct Recording {
-        inner: CcState,
+        thread: std::thread::ThreadId,
         log: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
     }
 
-    impl IncrementalState for Recording {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn total_vars(&self, g: &DynamicGraph) -> usize {
-            self.inner.total_vars(g)
-        }
-        fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-            self.log.lock().unwrap().push("update".into());
-            self.inner.update(g, applied)
-        }
-        fn recompute(&mut self, g: &DynamicGraph) -> incgraph_core::engine::RunStats {
-            self.inner.recompute(g)
-        }
-        fn audit(
-            &self,
-            g: &DynamicGraph,
-            audit: &incgraph_core::audit::FixpointAudit,
-        ) -> incgraph_core::audit::AuditReport {
-            self.inner.audit(g, audit)
-        }
-        fn set_work_budget(&mut self, budget: Option<u64>) {
-            self.inner.set_work_budget(budget)
-        }
-        fn space_bytes(&self) -> usize {
-            self.inner.space_bytes()
-        }
-        fn save_state(&self) -> Vec<u8> {
-            self.inner.save_state()
-        }
-        fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-            self.inner.load_state(g, bytes)
+    impl incgraph_obs::Recorder for Recording {
+        fn counter(&self, _: &'static str, _: &'static str, _: u64) {}
+        fn gauge(&self, _: &'static str, _: &'static str, _: u64) {}
+        fn observe(&self, _: &'static str, _: &'static str, _: u64) {}
+        fn event(&self, _: &'static str, _: &'static str, _: &str) {}
+        fn span(&self, _: &'static str, name: &'static str, _: u64) {
+            if name == "update.guarded" && std::thread::current().id() == self.thread {
+                self.log.lock().unwrap().push("update".into());
+            }
         }
     }
 
@@ -925,13 +949,13 @@ mod tests {
         let dir = temp_dir("hook-order");
         let g0 = ring(12);
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let state = Recording {
-            inner: CcState::batch(&g0).0,
+        incgraph_obs::install(std::sync::Arc::new(Recording {
+            thread: std::thread::current().id(),
             log: log.clone(),
-        };
+        }));
+        let cc = Session::builder(QueryClass::Cc).build(&g0).unwrap();
         let mut session =
-            DurableSession::create(&dir, g0, vec![Box::new(state)], DurableOptions::default())
-                .unwrap();
+            DurableSession::create(&dir, g0, vec![cc], DurableOptions::default()).unwrap();
         let wal_path = dir.join(WAL_NAME);
         let logged_seqs = || -> Vec<u64> {
             let bytes = fs::read(&wal_path).unwrap();
@@ -965,6 +989,7 @@ mod tests {
                 ]
             );
         }
+        incgraph_obs::uninstall();
         fs::remove_dir_all(&dir).unwrap();
     }
 

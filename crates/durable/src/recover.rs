@@ -22,11 +22,10 @@
 //! From the chosen base, the WAL suffix (records with sequence numbers
 //! beyond the checkpoint's coverage) is replayed through the *normal*
 //! incremental pipeline — `apply_validated` on the graph, then the live
-//! commit's state pass [`update_states`] under the session's
-//! [`FallbackPolicy`](incgraph_core::fallback::FallbackPolicy) —
-//! so replay cost is the paper's bounded incremental cost, and a replayed
-//! batch that turns out unbounded degrades to batch recompute exactly
-//! like a live one would. Torn WAL tails were already truncated by
+//! commit's state pass [`update_states`](crate::update_states) under its
+//! one policy — so replay cost is the paper's bounded incremental cost,
+//! and a replayed batch that turns out unbounded degrades to batch
+//! recompute exactly like a live one would. Torn WAL tails were already truncated by
 //! [`Wal::open`]; a CRC-clean record that nonetheless fails validation
 //! against its deterministic predecessor state is impossible in a sane
 //! history, so it is treated as corruption: the log is truncated there
@@ -59,7 +58,7 @@ pub struct RecoveryReport {
     /// during replay (0 in any history produced by this crate).
     pub wal_records_dropped: usize,
     /// Replayed (state, batch) updates that fell back to batch recompute
-    /// under the [`FallbackPolicy`](incgraph_core::fallback::FallbackPolicy).
+    /// under [`update_states`](crate::update_states)' policy.
     pub fallbacks: usize,
 }
 
@@ -155,7 +154,7 @@ pub fn recover(
                 break;
             }
         };
-        let reports = states.update(&graph, &applied, options.policy);
+        let reports = states.update(&graph, &applied);
         report.fallbacks += reports.iter().filter(|r| r.fell_back()).count();
         report.wal_records_replayed += 1;
         next_seq = record.seq + 1;
@@ -192,7 +191,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::checkpoint::MANIFEST_NAME;
-    use incgraph_algos::{CcState, IncrementalState, LccState, SsspState};
+    use incgraph_algos::{IncrementalState, QueryClass, Session};
     use incgraph_graph::UpdateBatch;
     use std::fs;
     use std::path::PathBuf;
@@ -205,11 +204,14 @@ mod tests {
         g
     }
 
-    fn states_for(g: &DynamicGraph) -> Vec<Box<dyn IncrementalState>> {
+    fn states_for(g: &DynamicGraph) -> Vec<Session> {
         vec![
-            Box::new(SsspState::batch(g, 0).0),
-            Box::new(CcState::batch(g).0),
-            Box::new(LccState::batch(g).0),
+            Session::builder(QueryClass::Sssp)
+                .source(0)
+                .build(g)
+                .unwrap(),
+            Session::builder(QueryClass::Cc).build(g).unwrap(),
+            Session::builder(QueryClass::Lcc).build(g).unwrap(),
         ]
     }
 

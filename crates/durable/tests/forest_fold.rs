@@ -38,8 +38,8 @@ fn chorded_ring() -> DynamicGraph {
     g
 }
 
-/// The seven classes as bare states, in `QueryClass::ALL` order.
-fn seven(g: &DynamicGraph) -> Vec<Box<dyn IncrementalState>> {
+/// The seven classes as sessions, in `QueryClass::ALL` order.
+fn seven(g: &DynamicGraph) -> Vec<Session> {
     QueryClass::ALL
         .into_iter()
         .map(|c| {
@@ -50,7 +50,7 @@ fn seven(g: &DynamicGraph) -> Vec<Box<dyn IncrementalState>> {
             if c == QueryClass::Sim {
                 b = b.pattern(Pattern::new(vec![0], &[]));
             }
-            b.build(g).expect("build").into_state()
+            b.build(g).expect("build")
         })
         .collect()
 }
@@ -59,7 +59,7 @@ fn blobs(session: &DurableSession) -> Vec<Vec<u8>> {
     session.essences().map(|(_, b)| b).collect()
 }
 
-fn essences(states: &[Box<dyn IncrementalState>]) -> Vec<Vec<u8>> {
+fn essences(states: &[Session]) -> Vec<Vec<u8>> {
     states.iter().map(|s| s.save_state()).collect()
 }
 
@@ -92,7 +92,6 @@ fn churn(rng: &mut SplitMix64, g: &DynamicGraph) -> UpdateBatch {
 fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snapshot() {
     let options = DurableOptions {
         checkpoint_every: Some(40),
-        ..Default::default()
     };
     let (dir, snap_dir) = (temp_dir("churn"), temp_dir("churn-snap"));
     let g0 = chorded_ring();
@@ -108,7 +107,7 @@ fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snaps
         let batch = churn(&mut rng, &g);
         let roots_before = roots(&g);
         let applied = batch.apply_validated(&mut g).unwrap();
-        update_states(&mut reference, &g, &applied, options.policy);
+        update_states(&mut reference, &g, &applied);
         rerouted += (roots(&g) <= roots_before) as usize;
 
         assert_eq!(session.apply(&batch).unwrap().len(), 6, "round {round}");
@@ -160,7 +159,11 @@ fn a_commit_updates_six_of_the_seven_states() {
     b.delete(3, 4).insert(5, 30, 1);
     assert_eq!(session.apply(&b).unwrap().len(), 6);
     assert_eq!(
-        session.updated_classes().collect::<Vec<_>>(),
+        session
+            .sessions()
+            .iter()
+            .map(|s| s.name())
+            .collect::<Vec<_>>(),
         ["sssp", "cc", "sim", "reach", "lcc", "bc"]
     );
     let names: Vec<_> = session.essences().map(|(n, _)| n).collect();
@@ -183,11 +186,10 @@ fn foreign_dfs_blob() -> Vec<u8> {
 fn a_dfs_blob_that_disagrees_with_the_forest_is_refused_as_corrupt() {
     let (dir, dst) = (temp_dir("mismatch"), temp_dir("mismatch-dst"));
     let g0 = chorded_ring();
-    let pair = |g: &DynamicGraph| -> Vec<Box<dyn IncrementalState>> {
-        vec![
-            Box::new(DfsState::batch(g).0),
-            Box::new(incgraph_algos::BcState::batch(g).0),
-        ]
+    let pair = |g: &DynamicGraph| -> Vec<Session> {
+        [QueryClass::Dfs, QueryClass::Bc]
+            .map(|c| Session::builder(c).build(g).unwrap())
+            .into()
     };
     let mut session =
         DurableSession::create(&dir, g0.clone(), pair(&g0), DurableOptions::default()).unwrap();
@@ -225,7 +227,7 @@ fn a_dfs_blob_that_disagrees_with_the_forest_is_refused_as_corrupt() {
 
     // So is a caller's state set whose dfs is not bc's forest.
     let mut states = pair(&g0);
-    states[0] = Box::new(DfsState::batch(&graph).0);
+    states[0] = Session::builder(QueryClass::Dfs).build(&graph).unwrap();
     let fresh = temp_dir("mismatch-create");
     assert!(matches!(
         DurableSession::create(&fresh, g0, states, DurableOptions::default()),

@@ -40,6 +40,7 @@
 //! [`IncrementalState::save_state`]: incgraph_algos::IncrementalState::save_state
 
 use crate::walcheck::{audit_wal, batch_fingerprint, wal_records, AckedBatch, WalAuditFailure};
+use incgraph_algos::IncrementalState;
 use incgraph_durable::{update_states, CrashPoint, DurableError, DurableOptions};
 use incgraph_graph::rng::SplitMix64;
 use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
@@ -218,7 +219,6 @@ fn durable_options() -> DurableOptions {
         // Frequent automatic checkpoints put MidCheckpoint/PostRename
         // crash points in the line of fire during the run.
         checkpoint_every: Some(3),
-        ..DurableOptions::default()
     }
 }
 
@@ -777,7 +777,7 @@ fn audit(
             .batch
             .apply_validated(&mut graph)
             .map_err(|e| ChaosFailure::Harness(format!("replay: {e:?}")))?;
-        update_states(&mut states, &graph, &applied, durable_options().policy);
+        update_states(&mut states, &graph, &applied);
     }
     let g = session.graph();
     if g.node_count() != graph.node_count() || g.edge_count() != graph.edge_count() {

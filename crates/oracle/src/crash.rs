@@ -83,10 +83,9 @@ fn clamp_source(source: NodeId, nodes: usize) -> NodeId {
 
 /// Fresh sequential batch states for the case's classes, in case order —
 /// one [`Session::builder`] call per class instead of a local seven-way
-/// `match`. Each session is unwrapped to its bare class state, which is
-/// what recovery restores, so the pre-crash store and a recovered one run
-/// the same class-state code (and no write journal grows undrained).
-fn build_states(case: &Case, g: &DynamicGraph, source: NodeId) -> Vec<Box<dyn IncrementalState>> {
+/// `match`. The durable store stops their journals when it takes them,
+/// so the pre-crash store and a recovered one run the same code.
+fn build_states(case: &Case, g: &DynamicGraph, source: NodeId) -> Vec<Session> {
     case.classes
         .iter()
         .map(|&c| {
@@ -98,12 +97,12 @@ fn build_states(case: &Case, g: &DynamicGraph, source: NodeId) -> Vec<Box<dyn In
                 let p = case.pattern.as_ref().expect("sim case without a pattern");
                 builder = builder.pattern(p.clone());
             }
-            builder.build(g).expect("session build").into_state()
+            builder.build(g).expect("session build")
         })
         .collect()
 }
 
-fn essences(states: &[Box<dyn IncrementalState>]) -> Vec<Vec<u8>> {
+fn essences(states: &[Session]) -> Vec<Vec<u8>> {
     states.iter().map(|s| s.save_state()).collect()
 }
 
@@ -129,7 +128,7 @@ struct Reference {
     committed: Vec<u64>,
 }
 
-fn build_reference(case: &Case, options: &DurableOptions) -> Reference {
+fn build_reference(case: &Case) -> Reference {
     let mut g = case.build_graph();
     let source = clamp_source(case.source, case.nodes);
     let mut states = build_states(case, &g, source);
@@ -143,7 +142,7 @@ fn build_reference(case: &Case, options: &DurableOptions) -> Reference {
     for batch in &case.schedule {
         match batch.apply_validated(&mut g) {
             Ok(applied) => {
-                update_states(&mut states, &g, &applied, options.policy);
+                update_states(&mut states, &g, &applied);
                 committed += 1;
                 reference.valid.push(true);
             }
@@ -174,7 +173,7 @@ fn scratch_dir(round: usize, point: CrashPoint) -> PathBuf {
 /// reference at the expected prefix length. Stops at the first violation.
 pub fn run_crash_case(case: &Case) -> CrashOutcome {
     let options = DurableOptions::default();
-    let reference = build_reference(case, &options);
+    let reference = build_reference(case);
     let points: Vec<CrashPoint> = match case.crash_at {
         Some(p) => vec![p],
         None => CrashPoint::ALL.to_vec(),

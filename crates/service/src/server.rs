@@ -421,8 +421,8 @@ fn writer_loop(rx: mpsc::Receiver<Job>, shared: Arc<Shared>, mut core: WriterCor
     {
         let mut guard = shared.store_mut();
         if let Some(store) = guard.as_mut().filter(|_| !killed) {
-            // Gated acks were committed, so they go out before the
-            // goodbyes.
+            // Acks held for the replica were committed, so they go out
+            // before the goodbyes.
             for ack in core.pending_acks.drain(..) {
                 ack.out.push_line(ack.line);
             }

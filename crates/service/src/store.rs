@@ -129,17 +129,15 @@ pub struct Ack {
 /// [`QueryClass::ALL`] order, skipping the undirected-only classes on
 /// directed graphs. Shared with the chaos harness so its full-replay
 /// reference builds *identical* states (same pattern seed, same source)
-/// and essence comparison is byte-exact. They are the bare class states
-/// recovery restores, not sessions: nobody reads a delta from them, and
-/// a fresh store must run the code it will run after a restart.
-pub fn standing_states(g: &DynamicGraph, pattern_seed: u64) -> Vec<Box<dyn IncrementalState>> {
+/// and essence comparison is byte-exact. Nobody reads a delta from them:
+/// [`DurableSession::create`] stops their journals.
+pub fn standing_states(g: &DynamicGraph, pattern_seed: u64) -> Vec<Session> {
     QueryClass::ALL
         .into_iter()
         .filter(|c| !(c.requires_undirected() && g.is_directed()))
         .map(|c| {
             let view = ViewKey::new(c, 0, pattern_seed);
-            let session = view.build(g).expect("direction-filtered class builds");
-            session.into_state()
+            view.build(g).expect("direction-filtered class builds")
         })
         .collect()
 }

@@ -1,25 +1,16 @@
 //! Replication end-to-end over real sockets: tail shipping, snapshot
-//! bootstrap, semi-sync ack gating, shipping from the commit point,
-//! promotion, epoch fencing, and the deposed primary's demotion on
-//! rejoin.
+//! bootstrap, semi-sync ack gating, promotion, epoch fencing, and the
+//! deposed primary's demotion on rejoin. Shipping from the commit point
+//! is `ship_before_states.rs`, which needs the process's obs recorder.
 
-use incgraph_algos::{IncrementalState, StateLoadError};
-use incgraph_core::audit::{AuditReport, FixpointAudit};
-use incgraph_core::engine::RunStats;
-use incgraph_core::metrics::BoundednessReport;
-use incgraph_durable::{
-    scan_records, CrashPoint, DurableOptions, DurableSession, FIRST_SEQ, WAL_NAME,
-};
-use incgraph_graph::{AppliedBatch, DynamicGraph, UpdateBatch};
+use incgraph_durable::{scan_records, CrashPoint, DurableOptions, FIRST_SEQ, WAL_NAME};
+use incgraph_graph::UpdateBatch;
 use incgraph_service::client::{Client, ClientError};
 use incgraph_service::server::{Role, Server, ServerConfig, ServerHandle};
-use incgraph_service::store::{
-    standing_states, Store, StoreLimits, UpdateError, DURABLE_PATTERN_SEED,
-};
+use incgraph_service::store::{Store, StoreLimits, UpdateError};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 const GRAPH: &str = "g0";
@@ -155,136 +146,6 @@ fn tail_replication_gates_acks_and_replica_serves_reads() {
         (session.last_seq(), session.digest())
     };
     assert_eq!(digest(&pdir), digest(&rdir));
-    let _ = std::fs::remove_dir_all(&pdir);
-    let _ = std::fs::remove_dir_all(&rdir);
-}
-
-/// A built-in state of the primary that stalls inside `update`: it
-/// reports that the commit reached state maintenance, then waits for the
-/// test's go-ahead (or for the test to end — a dropped sender opens the
-/// gate, so a failing assertion cannot wedge the server).
-struct Gated {
-    inner: Box<dyn IncrementalState>,
-    entered: Mutex<mpsc::Sender<()>>,
-    release: Mutex<mpsc::Receiver<()>>,
-}
-
-impl IncrementalState for Gated {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn total_vars(&self, g: &DynamicGraph) -> usize {
-        self.inner.total_vars(g)
-    }
-    fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let _ = self.entered.lock().unwrap().send(());
-        let _ = self.release.lock().unwrap().recv();
-        self.inner.update(g, applied)
-    }
-    fn recompute(&mut self, g: &DynamicGraph) -> RunStats {
-        self.inner.recompute(g)
-    }
-    fn audit(&self, g: &DynamicGraph, audit: &FixpointAudit) -> AuditReport {
-        self.inner.audit(g, audit)
-    }
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.inner.set_work_budget(budget)
-    }
-    fn space_bytes(&self) -> usize {
-        self.inner.space_bytes()
-    }
-    fn save_state(&self) -> Vec<u8> {
-        self.inner.save_state()
-    }
-    fn load_state(&mut self, g: &DynamicGraph, bytes: &[u8]) -> Result<(), StateLoadError> {
-        self.inner.load_state(g, bytes)
-    }
-    fn forest(&self) -> Option<&incgraph_algos::DfsState> {
-        self.inner.forest()
-    }
-}
-
-/// The record ships at the commit point, not after the primary's state
-/// maintenance: with the primary held inside its first built-in state —
-/// WAL fsynced, commit not yet returned — the replica already applies
-/// the batch and reports its watermark. What a gated `ACK` promises is
-/// unchanged: once it arrives, the replica serves reads with the batch.
-#[test]
-fn replica_applies_the_batch_while_the_primary_still_maintains_its_states() {
-    let pdir = temp_dir("ship-p");
-    let rdir = temp_dir("ship-r");
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (release_tx, release_rx) = mpsc::channel();
-    let graph = DynamicGraph::new(false, NODES);
-    let mut states = standing_states(&graph, DURABLE_PATTERN_SEED);
-    let inner = states.remove(0);
-    states.insert(
-        0,
-        Box::new(Gated {
-            inner,
-            entered: Mutex::new(entered_tx),
-            release: Mutex::new(release_rx),
-        }),
-    );
-    let session = DurableSession::create(&pdir, graph, states, DurableOptions::default()).unwrap();
-    let store = Store::mount_durable(GRAPH, session, StoreLimits::default()).unwrap();
-    let mut primary = Server::start(store, repl_cfg()).unwrap();
-    let mut replica = open_node(
-        &rdir,
-        ServerConfig {
-            replica_of: Some(primary.addr()),
-            repl_ack_timeout: Duration::from_secs(30),
-            ..repl_cfg()
-        },
-    );
-    let mut pc = Client::connect(primary.addr(), "writer").unwrap();
-    wait_until("replica sink attach", Duration::from_secs(10), || {
-        let s = pc.status().unwrap();
-        status_field(&s, "repl_sinks").as_deref() == Some("1")
-    });
-    let mut rc = Client::connect(replica.addr(), "reader").unwrap();
-    // Declared after the servers so that it drops before them: a failing
-    // assertion below then opens the gate before the handles join their
-    // writer threads.
-    let release_tx = release_tx;
-
-    let mut batch = UpdateBatch::new();
-    batch.insert(0, 1, 5).insert(1, 2, 7);
-    let writer = std::thread::spawn(move || {
-        let ack = pc.update(GRAPH, 1, &batch);
-        (pc, ack)
-    });
-    entered_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the primary's commit reaches its built-in states");
-    // The primary now sits between its WAL fsync and the end of its
-    // commit, and stays there until released.
-    wait_until(
-        "replica applies batch 1 beside the primary's states",
-        Duration::from_secs(10),
-        || {
-            let s = rc.status().unwrap();
-            status_field(&s, "repl_seq").as_deref() == Some("1")
-        },
-    );
-    assert!(
-        !writer.is_finished(),
-        "the ack cannot be out: the primary's commit has not returned"
-    );
-    release_tx.send(()).unwrap();
-    let (mut pc, ack) = writer.join().unwrap();
-    let ack = ack.unwrap();
-    assert_eq!((ack.wal_seq, ack.dup), (1, false));
-
-    // The gated ack implies the replica answers with the batch.
-    rc.register("q1", GRAPH, "sssp", 0, None).unwrap();
-    let (rseq, rdigest) = rc.query("q1").unwrap();
-    assert_eq!(rseq, 1);
-    pc.register("q1", GRAPH, "sssp", 0, None).unwrap();
-    assert_eq!(pc.query("q1").unwrap(), (rseq, rdigest));
-
-    replica.shutdown();
-    primary.shutdown();
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
 }

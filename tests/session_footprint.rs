@@ -36,8 +36,10 @@ fn random_batch(g: &DynamicGraph, rng: &mut SplitMix64, ops: usize) -> UpdateBat
 fn session_space_is_the_bare_state_plus_its_journal() {
     let mut g = Dataset::LiveJournal.graph(false, 0.25);
     let mut session = sssp(&g);
-    let mut bare = sssp(&g).into_state();
+    let mut bare = sssp(&g);
+    bare.stop_journal();
     assert!(session.journal_bytes() > 0, "a session journals its writes");
+    assert_eq!(bare.journal_bytes(), 0, "a stopped journal is released");
     let mut rng = SplitMix64::seed_from_u64(0x5ACE);
     for round in 0..20 {
         assert_eq!(
@@ -47,7 +49,7 @@ fn session_space_is_the_bare_state_plus_its_journal() {
         );
         let applied = random_batch(&g, &mut rng, 8).apply(&mut g);
         session.update_guarded(&g, &applied);
-        update_with(bare.as_mut(), &g, &applied, &ExecOptions::default());
+        update_with(&mut bare, &g, &applied, &ExecOptions::default());
     }
 }
 
