@@ -186,7 +186,7 @@ pub(crate) const USAGE: &str = "usage: incgraph <sssp|cc|sim|dfs|lcc|bc|reach> -
                      [--batches N] [--kills N] [--no-proxy-faults]\n\
                      \u{20}      incgraph stream [--store DIR] [--virtual-time] [--rate OPS_S] \
                      [--flush-ops N] [--flush-ms MS] [--deadline-ms MS] [--max-lag-ms MS] \
-                     [--seed S] [--scale F] [--windows N] [--max-ops N] [--checkpoint-every N] \
+                     [--scale F] [--windows N] [--max-ops N] [--checkpoint-every N] \
                      [--crash-at pre-fsync|post-fsync|mid-checkpoint|post-rename [--kill-at FRAC]] \
                      [--ramp] [--out STREAM.json] [--check-against BASELINE.json]\n\
                      every subcommand also accepts: [--metrics METRICS.jsonl] [--trace TRACE.jsonl]";

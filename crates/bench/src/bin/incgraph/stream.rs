@@ -6,15 +6,15 @@ use incgraph_durable::CrashPoint;
 
 /// `incgraph stream`: the sustained-stream SLO harness
 /// (see [`incgraph_bench::stream`] and docs/STREAMING.md). Replays the
-/// temporal workload's timestamped history at a target rate against a
-/// WAL-durable store with standing queries over every class, measures
-/// steady-state p50/p99/p999 update latency per class, optionally
-/// injects a kill to measure recovery time, optionally ramps to find
-/// the throughput ceiling, audits the WAL for exactly-once application
-/// of every ack, and writes `results/STREAM_<date>.json` with a
-/// `--check-against` regression gate. `--virtual-time` drives a
-/// deterministic virtual clock: same seed + same schedule ⇒ identical
-/// final store digest and accounting.
+/// temporal workload's timestamped history at a target rate against the
+/// server's durable store with standing queries over every class (each
+/// flush one client `UPDATE`), measures steady-state p50/p99/p999
+/// update latency per class, optionally injects a kill to measure
+/// recovery time, optionally ramps to find the throughput ceiling,
+/// audits the WAL for exactly-once application of every ack, and writes
+/// `results/STREAM_<date>.json` with a `--check-against` regression
+/// gate. `--virtual-time` drives a deterministic virtual clock: the same
+/// schedule ⇒ identical final store digest and accounting.
 pub(crate) fn run_stream_cmd(argv: &[String], obs: &ObsSetup) -> Result<(), CliError> {
     use incgraph_bench::stream::{
         render_table, run_stream, stream_regressions, to_json, RampConfig, StreamConfig,
@@ -49,7 +49,6 @@ pub(crate) fn run_stream_cmd(argv: &[String], obs: &ObsSetup) -> Result<(), CliE
                 cfg.max_lag_ms =
                     rest.value_if("--max-lag-ms needs a positive number", |&f| f > 0.0)?
             }
-            "--seed" => cfg.seed = rest.value("--seed needs an integer")?,
             "--scale" => {
                 cfg.scale = rest.value_if("--scale needs a positive factor", |&f| f > 0.0)?
             }
@@ -110,6 +109,7 @@ pub(crate) fn run_stream_cmd(argv: &[String], obs: &ObsSetup) -> Result<(), CliE
         StreamError::Config(m) => usage(&m),
         StreamError::Durable(d) => durable_error(&store_shown, d),
         StreamError::Audit(a) => CliError::Oracle(format!("stream exactly-once audit: {a}")),
+        StreamError::Refused(m) => CliError::Oracle(format!("stream store refused a flush: {m}")),
     })?;
     print!("{}", render_table(&report));
     let path = out.unwrap_or_else(|| format!("results/STREAM_{}.json", report.date));

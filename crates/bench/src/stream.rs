@@ -15,10 +15,11 @@
 //! * **Scheduler** — [`Scheduler`]: flush on size or deadline, drain at
 //!   end of history, explicit backpressure ([`Scheduler::shift_tail`])
 //!   when the consumer lags the schedule.
-//! * **Store** — a [`DurableSession`] owning the standing states
-//!   ([`standing_states`]); the WAL fsync is the ack point, and the
-//!   session's state pass ([`update_states`](incgraph_durable::update_states))
-//!   makes each flush's effective ops net before propagation.
+//! * **Store** — the server's durable [`Store`], its built-in states the
+//!   standing queries. Each flush is one client `UPDATE`
+//!   ([`Store::apply_update`]): intent fsync, WAL fsync (the ack point),
+//!   then the state pass ([`update_states`](incgraph_durable::update_states)),
+//!   which makes the flush net before propagation.
 //! * **Latency** — a forwarding obs recorder turns the end of each
 //!   class's `update.guarded` span (and of BC's `dfs.forest` span, for
 //!   the folded DFS class) into per-class admission→completion
@@ -26,12 +27,13 @@
 //!   from those histograms.
 //! * **Oracles** — the run is checked, not just timed: the WAL is
 //!   audited for exactly-once application of every acked flush
-//!   ([`audit_wal`]) after any recovery *and* at end of run, and the
-//!   final [`store_digest`] is a pure function of `(seed, schedule)` in
-//!   virtual-time mode (pinned by `tests/stream_determinism.rs`).
+//!   ([`audit_wal`]) after any reopen *and* at end of run, and the final
+//!   store digest ([`Store::repl_digest`]) is a pure function of the
+//!   schedule in virtual-time mode (pinned by
+//!   `tests/stream_determinism.rs`).
 //! * **RTO** — an optional injected kill ([`CrashPoint`]) mid-stream;
-//!   recovery time (recover + re-apply of the in-flight flush when its
-//!   fsync never landed) is measured and reported.
+//!   the time to reopen the store, audit it and retry the in-flight
+//!   flush under its `(token, seq)` is measured and reported.
 //!
 //! Reports serialize to `results/STREAM_<date>.json` ([`to_json`]) with
 //! a `--check-against` regression gate ([`stream_regressions`]) in the
@@ -46,12 +48,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use incgraph_algos::QueryClass;
-use incgraph_core::coalesce_batches;
-use incgraph_durable::{recover, CrashPoint, DurableError, DurableOptions, DurableSession};
+use incgraph_durable::{CrashPoint, DurableError, DurableOptions};
 use incgraph_graph::{Update, UpdateBatch};
 use incgraph_obs::{Recorder, Registry};
 use incgraph_oracle::walcheck::{audit_wal, batch_fingerprint, AckedBatch, WalAuditFailure};
-use incgraph_service::standing_states;
+use incgraph_service::store::{
+    standing_states, Store, StoreLimits, UpdateError, DURABLE_PATTERN_SEED,
+};
 use incgraph_workloads::Dataset;
 
 use crate::parbench::{field_num, field_str, fmt_ns, today_utc};
@@ -60,8 +63,13 @@ use crate::sched::{rate_schedule, FlushPolicy, Scheduler, Step};
 /// Histogram name the per-class latencies are recorded under.
 pub const LATENCY_HIST: &str = "stream.latency_ns";
 
+/// The store's one durable graph, and the client token each flush is
+/// sent under: flush `k` is the token's sequence `k`.
+const GRAPH: &str = "stream";
+const TOKEN: &str = "stream";
+
 /// Injected kill: arm `point` on the first flush reaching `at_frac` of
-/// the op stream, then recover and resume when it fires.
+/// the op stream, then reopen the store and resume when it fires.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamCrash {
     /// Where in the durability pipeline the kill fires.
@@ -102,11 +110,8 @@ impl Default for RampConfig {
 /// sized for a laptop smoke run.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
-    /// Durable store directory; must not already hold a live store.
+    /// Durable store directory; must not already hold a store.
     pub store: PathBuf,
-    /// Sim-pattern seed for the standing queries (the workload topology
-    /// keeps the dataset's own seed).
-    pub seed: u64,
     /// Temporal windows to generate.
     pub windows: usize,
     /// Window size as percent of |G|.
@@ -143,7 +148,6 @@ impl StreamConfig {
     pub fn new(store: PathBuf) -> Self {
         StreamConfig {
             store,
-            seed: 0x0D15_EA5E,
             windows: 3,
             window_pct: 1.9,
             scale: 0.25,
@@ -177,7 +181,8 @@ pub struct ClassStream {
     pub p999_ns: u64,
     /// Mean latency.
     pub mean_ns: f64,
-    /// Guarded updates that fell back to batch recompute.
+    /// Guarded updates that fell back to batch recompute (the class's
+    /// `update.fallbacks` counter, so a kill's reopen replay counts too).
     pub fallbacks: u64,
 }
 
@@ -186,8 +191,6 @@ pub struct ClassStream {
 pub struct StreamReport {
     /// UTC date the run finished.
     pub date: String,
-    /// Sim-pattern seed.
-    pub seed: u64,
     /// Whether the deterministic virtual clock drove scheduling.
     pub virtual_time: bool,
     /// Target mean rate.
@@ -203,7 +206,8 @@ pub struct StreamReport {
     /// Flushes applied — each exactly one WAL record.
     pub batches: usize,
     /// Effective ops the state pass's netting cancelled, summed over
-    /// flushes.
+    /// flushes (the `coalesce.cancelled` counter, so a kill's reopen
+    /// replay counts too).
     pub coalesced_ops: usize,
     /// Ops whose admission→completion exceeded the SLO.
     pub deadline_misses: usize,
@@ -221,14 +225,15 @@ pub struct StreamReport {
     pub rto_ms: Option<f64>,
     /// Name of the injected crash point.
     pub crash_point: Option<String>,
-    /// WAL records incrementally replayed during recovery.
+    /// WAL records the reopen replayed (its `recover.replayed` counter).
     pub recovered_replayed: Option<usize>,
     /// Committed-but-unacked WAL records observed at the post-crash
     /// audit (the in-flight flush whose fsync landed but whose ack never
-    /// returned; adopted into the ledger afterwards).
+    /// returned; its retry is then acked as a `dup`).
     pub committed_unacked: usize,
-    /// CRC-32 over the final graph and every standing essence, `%08x`.
-    /// A pure function of `(seed, schedule)` in virtual time.
+    /// CRC-32 over the final graph and every standing essence, `%08x`
+    /// ([`Store::repl_digest`]). A pure function of the schedule in
+    /// virtual time, byte-identical across a kill and reopen.
     pub digest: String,
     /// Min wall time of one full standing-query rebuild (batch
     /// recompute of every class) on the final graph — the host-speed
@@ -247,6 +252,8 @@ pub enum StreamError {
     Config(String),
     /// The durable layer failed (or refused the store directory).
     Durable(DurableError),
+    /// The store refused a flush (`ERR code detail`) or crashed unarmed.
+    Refused(String),
     /// The exactly-once WAL audit failed — the run is *incorrect*, not
     /// merely slow.
     Audit(WalAuditFailure),
@@ -257,6 +264,7 @@ impl std::fmt::Display for StreamError {
         match self {
             StreamError::Config(m) => write!(f, "stream config: {m}"),
             StreamError::Durable(e) => write!(f, "stream durable: {e}"),
+            StreamError::Refused(m) => write!(f, "stream store refused a flush: {m}"),
             StreamError::Audit(e) => write!(f, "stream audit: {e}"),
         }
     }
@@ -267,6 +275,15 @@ impl std::error::Error for StreamError {}
 impl From<DurableError> for StreamError {
     fn from(e: DurableError) -> Self {
         StreamError::Durable(e)
+    }
+}
+
+impl From<UpdateError> for StreamError {
+    fn from(e: UpdateError) -> Self {
+        StreamError::Refused(match e {
+            UpdateError::Wire(code, detail) => format!("ERR {code} {detail}"),
+            UpdateError::Crashed(p) => format!("unarmed crash at {}", p.name()),
+        })
     }
 }
 
@@ -286,10 +303,11 @@ impl From<WalAuditFailure> for StreamError {
 /// A class is current when its `update.guarded` span ends; the `dfs`
 /// class when the `dfs.forest` span ends, because on an undirected store
 /// the session folds it into BC's forest and BC goes on re-lowering after
-/// it. Classes update sequentially inside [`DurableSession::apply`], so
-/// each class's latency honestly includes the WAL fsync and every class
-/// ahead of it — the freshness a standing-query subscriber of that class
-/// observes. With no admissions set (recovery) nothing is timed.
+/// it. Classes update sequentially inside [`Store::apply_update`], after
+/// its intent and WAL fsyncs, so each class's latency honestly includes
+/// both fsyncs and every class ahead of it — the freshness a
+/// standing-query subscriber of that class observes. With no admissions
+/// set (a reopen and its retry) nothing is timed.
 struct LatencyRecorder {
     registry: Arc<Registry>,
     /// The stream clock's zero: the instant the replay loop starts, so
@@ -443,17 +461,24 @@ pub fn run_stream(
     let policy = FlushPolicy::new(cfg.flush_ops, ms_to_ns(cfg.flush_wait_ms));
     let mut sched = Scheduler::new(rate_schedule(&ticks, cfg.rate_ops_s), policy);
 
-    // Store with the standing queries.
-    let states = standing_states(&t.initial, cfg.seed);
-    let class_names: Vec<&'static str> = states.iter().map(|s| s.class().name()).collect();
-    let durable_options = DurableOptions {
+    // The server's durable store over the initial graph; its built-in
+    // states are the standing queries. Each flush is one client `UPDATE`,
+    // and one flush can carry the whole history, so the batch cap is the
+    // history's length.
+    let options = DurableOptions {
         checkpoint_every: cfg.checkpoint_every,
     };
-    let mut session = DurableSession::create(
+    let limits = StoreLimits {
+        max_batch_units: total_ops,
+        ..StoreLimits::default()
+    };
+    let (nodes, directed) = (t.initial.node_count(), t.initial.is_directed());
+    let mut store = Store::create_durable(
         &cfg.store,
+        GRAPH,
         t.initial.clone(),
-        states,
-        durable_options.clone(),
+        options.clone(),
+        limits.clone(),
     )?;
 
     // The latency recorder in front of the telemetry sink. Its epoch is
@@ -476,22 +501,13 @@ pub fn run_stream(
     let lag_ns = ms_to_ns(cfg.max_lag_ms);
     let deadline_ns = ms_to_ns(cfg.deadline_ms);
 
-    // Shadow graph for coalescing accounting: replays each flush to
-    // recover the effective AppliedBatch the session saw, then counts
-    // what the state pass's netting cancelled. Kept outside the latency
-    // window (after miss accounting) so no latency pays for it.
-    let mut shadow = t.initial.clone();
-
     let mut acked: Vec<AckedBatch> = Vec::new();
-    let mut fallbacks: Vec<u64> = vec![0; class_names.len()];
     let mut batches = 0usize;
-    let mut coalesced_ops = 0usize;
     let mut misses = 0usize;
     let mut backpressure_events = 0usize;
     let mut backpressure_shift_ns = 0u64;
     let mut pending_crash = cfg.crash;
     let mut rto_ns: Option<u64> = None;
-    let mut recovered_replayed: Option<usize> = None;
     let mut committed_unacked = 0usize;
 
     loop {
@@ -505,15 +521,15 @@ pub fn run_stream(
             Step::Flush { start, end, .. } => (start, end),
         };
         batches += 1;
+        let client_seq = batches as u64;
         if let Some(c) = pending_crash {
             let fire_at = ((c.at_frac * total_ops as f64) as usize).min(total_ops - 1);
             if end > fire_at {
-                session.arm_crash(Some(c.point));
+                store.arm_crash(GRAPH, Some(c.point));
                 pending_crash = None;
             }
         }
         let batch = UpdateBatch::from_updates(ops[start..end].to_vec());
-        let fingerprint = batch_fingerprint(&batch);
         {
             // Admission instants: the scheduled arrival in real mode;
             // "now" in virtual mode, where latency therefore isolates
@@ -528,59 +544,43 @@ pub fn run_stream(
                 }
             }
         }
-        match session.apply(&batch) {
-            Ok(reports) => {
-                acked.push(AckedBatch {
-                    seq: session.last_seq(),
-                    fingerprint,
-                });
-                for (s, r) in session.sessions().iter().zip(&reports) {
-                    let i = class_names.iter().position(|&c| c == s.class().name());
-                    fallbacks[i.expect("an updated class is tracked")] += r.fell_back() as u64;
-                }
-            }
-            Err(DurableError::InjectedCrash(_)) => {
-                // The process "died" mid-flush: drop the session, recover
-                // from disk, audit exactly-once, resume the stream. The
-                // interrupted flush is not timed: recovery's replay and
-                // its re-apply record no latency.
+        let ack = match store.apply_update(GRAPH, TOKEN, client_seq, &batch) {
+            Err(UpdateError::Crashed(_)) => {
+                // The process "died" mid-flush: drop the store, reopen it
+                // from disk, audit exactly-once, and send the flush again
+                // under the same `(token, seq)`, as a client retries an
+                // unacked `UPDATE`. The store answers `dup` when the WAL
+                // record landed before the kill and applies the flush when
+                // it did not. The interrupted flush is not timed: the
+                // reopen's replay and the retry record no latency.
                 latency.admissions().clear();
-                drop(session);
+                drop(store);
                 let down = Instant::now();
-                let (recovered, rec_report) = recover(&cfg.store, durable_options.clone())?;
-                session = recovered;
-                let audit = audit_wal(&cfg.store, &acked, 1)?;
-                committed_unacked += audit.committed_unacked;
-                let pre_crash_seq = acked.len() as u64;
-                if session.last_seq() == pre_crash_seq + 1 {
-                    // The in-flight flush's fsync landed before the kill:
-                    // it is durable and recovery already replayed it into
-                    // the states — adopt the ack, never re-apply.
-                    acked.push(AckedBatch {
-                        seq: pre_crash_seq + 1,
-                        fingerprint,
-                    });
-                } else {
-                    // Died before the commit point: the flush left no
-                    // (complete) record — by design it was never acked —
-                    // so re-apply it on the recovered session.
-                    session.apply(&batch)?;
-                    acked.push(AckedBatch {
-                        seq: session.last_seq(),
-                        fingerprint,
-                    });
-                }
+                store = Store::open_durable(
+                    &cfg.store,
+                    GRAPH,
+                    nodes,
+                    directed,
+                    options.clone(),
+                    limits.clone(),
+                )?;
+                committed_unacked += audit_wal(&cfg.store, &acked, 1)?.committed_unacked;
+                let ack = store.apply_update(GRAPH, TOKEN, client_seq, &batch)?;
                 rto_ns = Some(down.elapsed().as_nanos() as u64);
-                recovered_replayed = Some(rec_report.wal_records_replayed);
                 if let Clock::Real { .. } = clock {
                     // Downtime shifts the remaining schedule — the
                     // producer reconnects after the outage. Ops already
                     // admitted keep their arrivals and eat their misses.
                     sched.shift_tail(clock.now());
                 }
+                ack
             }
-            Err(e) => return Err(e.into()),
-        }
+            acked_or_refused => acked_or_refused?,
+        };
+        acked.push(AckedBatch {
+            seq: ack.wal_seq,
+            fingerprint: batch_fingerprint(&batch),
+        });
         // Deadline-miss accounting at flush completion, against the
         // *original* schedule the ops were admitted under.
         let done = clock.now();
@@ -589,10 +589,6 @@ pub fn run_stream(
                 misses += 1;
             }
         }
-        // Netting win: effective ops the state pass cancelled.
-        let applied = batch.apply(&mut shadow);
-        let net = coalesce_batches(shadow.is_directed(), std::iter::once(&applied));
-        coalesced_ops += applied.len() - net.len();
         // Explicit backpressure: a consumer lagging the next scheduled
         // arrival beyond the bound throttles the producer instead of
         // letting the queue grow without limit.
@@ -613,18 +609,24 @@ pub fn run_stream(
 
     // End-of-run oracle: every acked flush exactly once, no strays.
     audit_wal(&cfg.store, &acked, 0)?;
-    debug_assert_eq!(acked.len(), batches);
 
-    // Per-class latency stats out of the obs histograms.
+    // Per-class latency stats out of the obs histograms; fallbacks, the
+    // netting win and the reopen's replay out of the store's counters.
     let snapshot = latency.registry.snapshot();
     drop(installed);
-    let classes: Vec<ClassStream> = class_names
+    let counter = |class: &str, name: &str| {
+        let key = (class.to_string(), name.to_string());
+        snapshot.counters.get(&key).copied().unwrap_or(0)
+    };
+    // The base graph is undirected, so every class stands, in the
+    // store's registration order.
+    let classes: Vec<ClassStream> = QueryClass::ALL
         .iter()
-        .enumerate()
-        .map(|(i, name)| {
+        .map(|c| {
+            let name = c.name();
             let hist = snapshot
                 .hists
-                .get(&((*name).to_string(), LATENCY_HIST.to_string()));
+                .get(&(name.to_string(), LATENCY_HIST.to_string()));
             let (updates, p50_ns, p99_ns, p999_ns, mean_ns) = match hist {
                 Some(h) => (
                     h.count(),
@@ -636,16 +638,18 @@ pub fn run_stream(
                 None => (0, 0, 0, 0, 0.0),
             };
             ClassStream {
-                class: (*name).to_string(),
+                class: name.to_string(),
                 updates,
                 p50_ns,
                 p99_ns,
                 p999_ns,
                 mean_ns,
-                fallbacks: fallbacks[i],
+                fallbacks: counter(name, "update.fallbacks"),
             }
         })
         .collect();
+    let coalesced_ops = counter("", "coalesce.cancelled") as usize;
+    let recovered_replayed = rto_ns.map(|_| counter("", "recover.replayed") as usize);
 
     // Throughput ceiling: short real-time stages at rising rates on
     // scratch stores, after the main run's telemetry is finalized (each
@@ -674,13 +678,15 @@ pub fn run_stream(
     }
 
     // Host-speed calibration: min wall time of a full standing-query
-    // rebuild (batch recompute of every class) on the final graph.
+    // rebuild (batch recompute of every class) on the final graph, which
+    // a shadow replay of the history rebuilds beside the store.
+    let mut shadow = t.initial;
+    UpdateBatch::from_updates(ops).apply(&mut shadow);
     let calib_batch_ns = {
-        let g = session.graph();
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t0 = Instant::now();
-            std::hint::black_box(standing_states(g, cfg.seed));
+            std::hint::black_box(standing_states(&shadow, DURABLE_PATTERN_SEED));
             best = best.min(t0.elapsed().as_nanos() as f64);
         }
         best
@@ -688,7 +694,6 @@ pub fn run_stream(
 
     Ok(StreamReport {
         date: today_utc(),
-        seed: cfg.seed,
         virtual_time: cfg.virtual_time,
         rate_ops_s: cfg.rate_ops_s,
         flush_ops: cfg.flush_ops,
@@ -706,23 +711,11 @@ pub fn run_stream(
         crash_point: cfg.crash.map(|c| c.point.name().to_string()),
         recovered_replayed,
         committed_unacked,
-        digest: store_digest(&session),
+        digest: store.repl_digest(GRAPH).expect("the graph is durable").1,
         calib_batch_ns,
         classes,
         wall_ms: wall_start.elapsed().as_nanos() as f64 / 1e6,
     })
-}
-
-/// CRC-32 over the store's observable essence: directedness, node
-/// count, every edge (sorted), and each standing state's `save_state`
-/// bytes in registration order. Byte-identical across same-seed
-/// virtual-time runs and across kill/recover (the recovered states see
-/// the identical applied-flush sequence). Since the replication PR this
-/// is [`DurableSession::digest`] — the same figure primary and replica
-/// exchange for divergence detection — re-exported here so the pinned
-/// STREAM baselines and the wire protocol can never drift apart.
-pub fn store_digest(session: &DurableSession) -> String {
-    session.digest()
 }
 
 // ---------------------------------------------------------------------
@@ -740,7 +733,7 @@ pub fn to_json(r: &StreamReport) -> String {
     let mut j = String::from("{\n");
     let _ = writeln!(j, "  \"schema\": \"incgraph-stream/1\",");
     let _ = writeln!(j, "  \"date\": \"{}\",", r.date);
-    let _ = writeln!(j, "  \"seed\": {},", r.seed);
+    let _ = writeln!(j, "  \"seed\": {DURABLE_PATTERN_SEED},");
     let _ = writeln!(j, "  \"virtual_time\": {},", r.virtual_time);
     let _ = writeln!(j, "  \"rate_ops_s\": {:.1},", r.rate_ops_s);
     let _ = writeln!(j, "  \"flush_ops\": {},", r.flush_ops);
@@ -843,7 +836,7 @@ fn parse_stream_baseline(json: &str) -> StreamBaseline {
 /// message per violated gate:
 ///
 /// * **accounting** — when both runs are virtual-time, `ops_total` and
-///   `batches` are pure functions of `(seed, rate, flush policy)`, so
+///   `batches` are pure functions of `(workload, rate, flush policy)`, so
 ///   any drift is a determinism regression (or a deliberate workload
 ///   change that must regenerate the baseline);
 /// * **latency** — per class, `p50_ns / calib_batch_ns` against the
@@ -1029,7 +1022,7 @@ mod tests {
             assert!(crashed.rto_ms.is_some(), "{point:?} never fired");
             assert_eq!(
                 crashed.digest, clean.digest,
-                "{point:?}: kill+recover must converge to the clean digest"
+                "{point:?}: kill+reopen must converge to the clean digest"
             );
             assert_eq!(crashed.ops_total, clean.ops_total);
             let _ = std::fs::remove_dir_all(&dir);

@@ -462,7 +462,7 @@ fn stream() {
         &["stream", "--max-lag-ms", "x"],
         "--max-lag-ms needs a positive number",
     );
-    s.usage(&["stream", "--seed", "-1"], "--seed needs an integer");
+    s.usage(&["stream", "--seed", "7"], "unknown stream flag --seed");
     s.usage(
         &["stream", "--scale", "0"],
         "--scale needs a positive factor",

@@ -423,12 +423,10 @@ impl Store {
         }
     }
 
-    /// Opens (or initializes) a durable graph named `name` from `dir` and
-    /// mounts it into a fresh store. An existing store is recovered —
-    /// `nodes`/`directed` then describe the *expected* shape and are only
-    /// used when initializing. Tracks [`standing_states`] inside the
-    /// durable session so checkpoints and recovery carry all per-class
-    /// essences.
+    /// Recovers the durable store in `dir` and mounts it as graph `name`
+    /// of a fresh store, reopening its intent log; `nodes`/`directed` are
+    /// then ignored. Without a store in `dir`, this is
+    /// [`create_durable`](Self::create_durable) over the empty graph.
     pub fn open_durable(
         dir: &Path,
         name: &str,
@@ -437,25 +435,31 @@ impl Store {
         options: DurableOptions,
         limits: StoreLimits,
     ) -> Result<Self, DurableError> {
-        let manifest = dir.join("MANIFEST");
-        let session = if manifest.exists() {
-            let (session, report) = recover(dir, options)?;
-            if incgraph_obs::enabled() {
-                incgraph_obs::event(
-                    "service.recovered",
-                    &format!(
-                        "graph={name} seq={} replayed={}",
-                        session.last_seq(),
-                        report.wal_records_replayed
-                    ),
-                );
-            }
-            session
-        } else {
+        if !dir.join("MANIFEST").exists() {
             let graph = DynamicGraph::new(directed, nodes);
-            let states = standing_states(&graph, DURABLE_PATTERN_SEED);
-            DurableSession::create(dir, graph, states, options)?
-        };
+            return Self::create_durable(dir, name, graph, options, limits);
+        }
+        let (session, report) = recover(dir, options)?;
+        if incgraph_obs::enabled() {
+            let (seq, replayed) = (session.last_seq(), report.wal_records_replayed);
+            let detail = format!("graph={name} seq={seq} replayed={replayed}");
+            incgraph_obs::event("service.recovered", &detail);
+        }
+        Self::mount_durable(name, session, limits)
+    }
+
+    /// Initializes `dir` as a durable store over `graph`, tracking the
+    /// built-in [`standing_states`] at [`DURABLE_PATTERN_SEED`], and mounts
+    /// it as graph `name` of a fresh store. Refuses a `dir` holding a store.
+    pub fn create_durable(
+        dir: &Path,
+        name: &str,
+        graph: DynamicGraph,
+        options: DurableOptions,
+        limits: StoreLimits,
+    ) -> Result<Self, DurableError> {
+        let states = standing_states(&graph, DURABLE_PATTERN_SEED);
+        let session = DurableSession::create(dir, graph, states, options)?;
         Self::mount_durable(name, session, limits)
     }
 

@@ -1,8 +1,9 @@
-//! Recovery-time-objective oracle for the sustained-stream harness
-//! (PR 8): kill the store mid-replay at **every** injectable crash
-//! point, recover, and demand
+//! Recovery-time-objective oracle for the sustained-stream harness:
+//! kill the server's store mid-replay at **every** injectable crash
+//! point, reopen it, retry the in-flight flush under its `(token, seq)`
+//! as a client would, and demand
 //!
-//! 1. every acked flush is applied exactly once after recovery — the
+//! 1. every acked flush is applied exactly once after the reopen — the
 //!    WAL audit (`incgraph_oracle::walcheck`) runs inside the harness
 //!    after the recovery *and* at end of run, and the harness errors
 //!    (`StreamError::Audit`) if either fails;
