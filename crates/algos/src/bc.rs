@@ -27,33 +27,28 @@
 //! class's (only a bridge's tail entry also names the parent, which
 //! IncDFS's own journal keeps).
 //!
-//! `IncBC` composes the deduced `IncDFS` (which keeps the canonical DFS
-//! forest fresh) with a Theorem 1 PE-phase for `low`: the variables whose
-//! *constants* changed (DFS numbers, adjacency) are reset to `⊥` together
-//! with their new-tree ancestor chains, and the unchanged step function
-//! re-lowers them — bottom-up, children before parents: a variable's
-//! rank, as a seed and as a pushed dependent alike, is `2n − first` (entry
-//! timestamps are `< 2n`), and the scope is handed to the engine
-//! deepest-first, so within one rank bucket (FIFO) a child still pops
-//! before its parent. The PE scope is closed under tree ancestors, hence a
-//! changed child's parent is always a queued seed of higher rank: each
-//! scope variable is evaluated exactly once.
+//! Batch BC is Tarjan's algorithm: each node's `Fold` of `f_low` opens
+//! when the DFS traversal enters it, takes its inputs as the traversal
+//! meets them and closes into `low` in post-order. [`LowSpec::eval`] is
+//! the same fold over the finished forest.
 //!
-//! The PE seeds come from the changed-node list `IncDFS` records as it
-//! re-enters nodes (no before/after snapshot of the forest); the scope
-//! set is an epoch bitmap and the scope and closure stack are kept
-//! between updates, so a steady-state update allocates nothing.
+//! `IncBC` is the same traversal resumed: `IncDFS`'s replay re-lowers
+//! every node it re-enters, and a child subtree it skips contributes its
+//! stored lowpoint. An inert op inside a skipped subtree moves no interval
+//! but can move a lowpoint, so a cut-off pass follows: it re-evaluates
+//! `ΔG`'s endpoints deepest-first (largest `first`), pushing a node's
+//! parent only when its lowpoint changed. Children pop before parents, so
+//! each node is evaluated at most once.
 
-use crate::dfs::{DfsState, ROOT};
+use crate::dfs::{DfsState, Visit, ROOT};
 use crate::output::{ClassOutput, OutputChange};
 use crate::persist::{self, StateLoadError, Word};
-use incgraph_core::engine::{Engine, RunStats};
-use incgraph_core::epoch::VisitEpoch;
+use incgraph_core::engine::RunStats;
 use incgraph_core::metrics::{vec_bytes, BoundednessReport};
-use incgraph_core::scope::ScopeStats;
 use incgraph_core::spec::FixpointSpec;
 use incgraph_core::status::Status;
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId};
+use std::collections::BinaryHeap;
 
 /// A node's lowpoint with the two flags its evaluation reads off:
 /// `low << 2 | articulation << 1 | bridge`. The digest entry is the word
@@ -85,6 +80,9 @@ impl Low {
     }
 }
 
+/// A node no traversal has closed yet: no lowpoint, no flag.
+const UNSET: Low = Low((u32::MAX as u64) << 2);
+
 /// Persisted as the bare lowpoint, so the essence keeps its bytes; a
 /// load re-derives the flags.
 impl Word for Low {
@@ -94,6 +92,47 @@ impl Word for Low {
 
     fn dec(bits: u64) -> Result<Self, StateLoadError> {
         u32::dec(bits).map(|low| Low::new(low, false, false))
+    }
+}
+
+/// The step function `f_low` as an accumulator over a node's inputs.
+#[derive(Clone, Copy, Debug)]
+struct Fold {
+    first: u32,
+    low: u32,
+    children: u32,
+    cut: bool,
+}
+
+impl Fold {
+    fn open(first: u32) -> Self {
+        Fold {
+            first,
+            low: first,
+            children: 0,
+            cut: false,
+        }
+    }
+
+    /// A neighbour but the parent or a child, entered at `first_w`: an
+    /// ancestor, or a descendant, which cannot lower (no cross edges).
+    fn back(&mut self, first_w: u32) {
+        self.low = self.low.min(first_w);
+    }
+
+    /// A tree child: the node cuts it off unless it climbs above.
+    fn child(&mut self, low: u32) {
+        self.low = self.low.min(low);
+        self.children += 1;
+        self.cut |= low >= self.first;
+    }
+
+    /// The value, given the parent's entry time (`None`: a root).
+    fn close(self, first_parent: Option<u32>) -> Low {
+        match first_parent {
+            None => Low::new(self.low, self.children >= 2, false),
+            Some(f) => Low::new(self.low, self.cut, self.low > f),
+        }
     }
 }
 
@@ -109,11 +148,6 @@ impl<'a> LowSpec<'a> {
         assert!(!g.is_directed(), "BC is defined on undirected graphs");
         LowSpec { g, dfs }
     }
-
-    /// Children before parents: deeper preorder numbers rank lower.
-    fn depth_rank(&self, x: usize) -> u64 {
-        (2 * self.g.node_count() as u64).saturating_sub(self.dfs.first(x as NodeId) as u64)
-    }
 }
 
 impl FixpointSpec for LowSpec<'_> {
@@ -127,26 +161,19 @@ impl FixpointSpec for LowSpec<'_> {
         Low::new(self.dfs.first(x as NodeId), false, false)
     }
 
+    /// The `Fold` over `x`'s adjacency in the finished forest.
     fn eval<R: FnMut(usize) -> Low>(&self, x: usize, read: &mut R) -> Low {
         let v = x as NodeId;
-        let first = self.dfs.first(v);
-        let (mut low, mut children, mut cut) = (first, 0, false);
         let parent = self.dfs.parent(v);
+        let mut fold = Fold::open(self.dfs.first(v));
         for &(w, _) in self.g.out_neighbors(v) {
             if self.dfs.parent(w) == v {
-                // Tree child: take its lowpoint; v cuts it off unless it
-                // climbs above v.
-                let child = read(w as usize).low();
-                low = low.min(child);
-                children += 1;
-                cut |= child >= first;
+                fold.child(read(w as usize).low());
             } else if w != parent {
-                // Back edge (undirected DFS leaves no cross edges).
-                low = low.min(self.dfs.first(w));
+                fold.back(self.dfs.first(w));
             }
         }
-        let art = if parent == ROOT { children >= 2 } else { cut };
-        Low::new(low, art, parent != ROOT && low > self.dfs.first(parent))
+        fold.close((parent != ROOT).then(|| self.dfs.first(parent)))
     }
 
     fn dependents<P: FnMut(usize)>(&self, x: usize, push: &mut P) {
@@ -160,13 +187,40 @@ impl FixpointSpec for LowSpec<'_> {
     fn preceq(&self, a: &Low, b: &Low) -> bool {
         a.low() <= b.low()
     }
+}
 
-    fn rank(&self, x: usize, _v: &Low) -> u64 {
-        self.depth_rank(x)
+/// Tarjan's lowpoint step inside the DFS traversal: the lowpoint status
+/// and a stack of the open nodes' [`Fold`]s.
+struct Lowering<'a>(&'a mut Status<Low>, &'a mut Vec<Fold>);
+
+impl Visit for Lowering<'_> {
+    const ON: bool = true;
+
+    fn open(&mut self, first: u32) {
+        self.1.push(Fold::open(first));
     }
 
-    fn push_rank(&self, z: usize, _zv: &Low, _t: usize, _tv: &Low) -> u64 {
-        self.depth_rank(z)
+    fn back(&mut self, first_w: u32) {
+        self.1.last_mut().expect("an open node").back(first_w);
+    }
+
+    /// A skipped child's stored lowpoint, which the cut-off pass corrects.
+    fn child(&mut self, c: NodeId) {
+        let low = self.0.get(c as usize).low();
+        self.1.last_mut().expect("an open node").child(low);
+    }
+
+    /// Writes any value that differs and any set bridge bit: a bridge
+    /// whose parent moved must be journaled even when its word did not.
+    fn close(&mut self, v: NodeId, parent: NodeId, first_parent: u32) {
+        let fold = self.1.pop().expect("an open node");
+        let new = fold.close((parent != ROOT).then_some(first_parent));
+        if new.bridge() || self.0.get(v as usize) != new {
+            self.0.set(v as usize, new);
+        }
+        if let Some(up) = self.1.last_mut() {
+            up.child(new.low());
+        }
     }
 }
 
@@ -175,13 +229,10 @@ impl FixpointSpec for LowSpec<'_> {
 pub struct BcState {
     dfs: DfsState,
     low: Status<Low>,
-    engine: Engine,
-    /// Membership of the current PE scope.
-    pe: VisitEpoch,
-    /// The PE scope, in discovery order until sorted deepest-first.
-    scope: Vec<usize>,
-    /// Worklist of the upward (ancestor) closure.
-    stack: Vec<usize>,
+    /// The open nodes' folds during a traversal.
+    folds: Vec<Fold>,
+    /// The cut-off pass's worklist of `(first, node)`, deepest first.
+    heap: BinaryHeap<(u32, NodeId)>,
 }
 
 /// The tail entry of bridge `(parent, child)`.
@@ -190,36 +241,23 @@ fn tail_entry(parent: NodeId, child: NodeId) -> u64 {
 }
 
 impl BcState {
-    /// Runs batch BC: DFS forest, then the lowpoint fixpoint.
+    /// Runs batch BC: one DFS traversal, lowering each node as it closes.
     pub fn batch(g: &DynamicGraph) -> (Self, RunStats) {
-        let (dfs, mut stats) = DfsState::batch(g);
-        let (low, engine, low_stats) = Self::low_from_scratch(g, &dfs);
-        stats.merge(&low_stats);
-        (BcState::assemble(dfs, low, engine), stats)
+        assert!(!g.is_directed(), "BC is defined on undirected graphs");
+        let mut low = Status::from_values(vec![UNSET; g.node_count()]);
+        let lowering = &mut Lowering(&mut low, &mut Vec::new());
+        let (dfs, stats) = DfsState::batch_visiting(g, lowering);
+        (BcState::assemble(dfs, low), stats)
     }
 
-    /// A state over the given layers with empty PE scratch.
-    fn assemble(dfs: DfsState, low: Status<Low>, engine: Engine) -> Self {
-        let pe = VisitEpoch::new(low.len());
+    /// A state over the given layers with empty scratch.
+    fn assemble(dfs: DfsState, low: Status<Low>) -> Self {
         BcState {
             dfs,
             low,
-            engine,
-            pe,
-            scope: Vec::new(),
-            stack: Vec::new(),
+            folds: Vec::new(),
+            heap: BinaryHeap::new(),
         }
-    }
-
-    fn low_from_scratch(g: &DynamicGraph, dfs: &DfsState) -> (Status<Low>, Engine, RunStats) {
-        let spec = LowSpec::new(g, dfs);
-        let mut low = Status::init(&spec, false);
-        let mut engine = Engine::new(spec.num_vars());
-        // Seed bottom-up so every lowpoint settles in one evaluation.
-        let mut order: Vec<usize> = (0..spec.num_vars()).collect();
-        order.sort_unstable_by_key(|&x| std::cmp::Reverse(dfs.first(x as NodeId)));
-        let stats = engine.run(&spec, &mut low, order.iter().copied());
-        (low, engine, stats)
     }
 
     /// The underlying DFS forest.
@@ -257,92 +295,60 @@ impl BcState {
         bridged.map(|c| tail_entry(self.dfs.parent(c as NodeId), c as NodeId))
     }
 
-    /// `IncBC`: refresh the DFS forest with `IncDFS`, then re-lower the
-    /// lowpoints of the affected region (PE reset over the new-tree
-    /// ancestor closure).
+    /// `IncBC`: `IncDFS`'s replay, lowering every node it re-enters, then
+    /// the cut-off pass. Over the 2n variables of both layers, the scope
+    /// is the DFS layer's plus the lowpoints the cut-off pass evaluated.
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let n = g.node_count();
         self.ensure_size(g);
-        let dfs_report = self.dfs.update(g, applied);
-        let (scope_stats, mut run) = self.relower(g, applied);
-        run.merge(&dfs_report.run_stats);
-        let scope_len = self.scope.len().max(dfs_report.scope_size);
-        // The variable universe spans both layers: n interval variables
-        // (DFS) plus n lowpoint variables.
-        BoundednessReport::new(2 * n, scope_len, scope_stats, run)
+        let lowering = &mut Lowering(&mut self.low, &mut self.folds);
+        let dfs = self.dfs.update_visiting(g, applied, lowering);
+        let cut = self.cut_off(g, applied);
+        let (mut run, scope) = (dfs.run_stats, dfs.scope_size + cut.distinct_vars as usize);
+        run.merge(&cut);
+        BoundednessReport::new(2 * g.node_count(), scope, dfs.scope_stats, run)
     }
 
-    /// The lowpoint half of [`update`](Self::update), run after `IncDFS`
-    /// refreshed the forest: builds the PE scope into `self.scope`,
-    /// resets it to `⊥` and resumes the step function on it.
-    fn relower(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> (ScopeStats, RunStats) {
-        let n = g.node_count();
-        // PE seeds: nodes whose DFS assignment changed (their constants
-        // moved), their neighbors (who read those constants), and the
-        // endpoints of ΔG (whose back-edge sets changed).
-        let (pe, scope, stack) = (&mut self.pe, &mut self.scope, &mut self.stack);
-        pe.clear();
-        scope.clear();
-        let mut seed = |x: usize| {
-            if pe.insert(x) {
-                scope.push(x);
-                stack.push(x);
-            }
-        };
+    /// Re-evaluates `ΔG`'s endpoints deepest-first, pushing a node's
+    /// parent only when its lowpoint changed.
+    fn cut_off(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> RunStats {
+        let (dfs, heap, mut stats) = (&self.dfs, &mut self.heap, RunStats::default());
         let ends = applied.ops().iter().flat_map(|op| [op.src, op.dst]);
-        for v in self.dfs.changed().iter().copied().chain(ends) {
-            if (v as usize) < n {
-                seed(v as usize);
-                for &(w, _) in g.out_neighbors(v) {
-                    seed(w as usize);
-                }
+        heap.clear();
+        heap.extend(ends.map(|v| (dfs.first(v), v)));
+        let spec = LowSpec::new(g, dfs);
+        let mut last = None; // entry times are unique: duplicates pop in a row
+        while let Some((_, x)) = heap.pop() {
+            if last.replace(x) == Some(x) {
+                continue;
+            }
+            let old = self.low.get(x as usize);
+            let new = spec.eval(x as usize, &mut |c| self.low.get(c));
+            stats.evals += 1;
+            stats.reads += g.out_neighbors(x).len() as u64;
+            if new != old {
+                self.low.set(x as usize, new);
+                stats.changes += 1;
+            }
+            let p = dfs.parent(x);
+            if new.low() != old.low() && p != ROOT {
+                heap.push((dfs.first(p), p));
             }
         }
-        // Upward closure: a changed lowpoint can raise every new-tree
-        // ancestor, and the contracting engine cannot raise — so reset
-        // the whole chain.
-        let mut scope_stats = ScopeStats::default();
-        while let Some(x) = stack.pop() {
-            scope_stats.pops += 1;
-            let p = self.dfs.parent(x as NodeId);
-            if p != ROOT && pe.insert(p as usize) {
-                scope.push(p as usize);
-                stack.push(p as usize);
-            }
-        }
-
-        let spec = LowSpec::new(g, &self.dfs);
-        // Deepest-first: see the module docs.
-        scope.sort_unstable_by_key(|&x| std::cmp::Reverse(self.dfs.first(x as NodeId)));
-        for &x in scope.iter() {
-            let bot = spec.bottom(x);
-            if self.low.get(x) != bot {
-                self.low.set_unstamped(x, bot);
-                scope_stats.raised += 1;
-            }
-        }
-        let run = self.engine.run(&spec, &mut self.low, scope.iter().copied());
-        (scope_stats, run)
+        stats.distinct_vars = stats.evals;
+        stats
     }
 
     /// Resident bytes (no timestamps: BC is deducible).
     pub fn space_bytes(&self) -> usize {
         self.dfs.space_bytes()
             + self.low.space_bytes()
-            + self.engine.space_bytes()
-            + self.pe.space_bytes()
-            + vec_bytes(&self.scope)
-            + vec_bytes(&self.stack)
+            + vec_bytes(&self.folds)
+            + self.heap.capacity() * std::mem::size_of::<(u32, NodeId)>()
     }
 
     fn ensure_size(&mut self, g: &DynamicGraph) {
         self.dfs.ensure_size(g);
-        let n = g.node_count();
-        if n > self.low.len() {
-            self.low.extend_to(n, |_| Low::new(u32::MAX, false, false));
-            self.engine = Engine::new(n);
-            self.pe.grow_to(n);
-        }
+        self.low.extend_to(g.node_count(), |_| UNSET);
     }
 
     /// Serializes the durable essence (`SaveState`): the DFS substrate
@@ -385,7 +391,7 @@ impl BcState {
             Low(low.get(x).0 | flags.0 & 3)
         });
         let low = Status::from_values(flagged.collect());
-        Ok(BcState::assemble(dfs, low, Engine::new(n)))
+        Ok(BcState::assemble(dfs, low))
     }
 }
 
@@ -433,10 +439,6 @@ impl crate::IncrementalState for BcState {
             report.violations.push(v);
         }
         report
-    }
-
-    fn set_work_budget(&mut self, budget: Option<u64>) {
-        self.engine.set_work_budget(budget);
     }
 
     fn space_bytes(&self) -> usize {
@@ -491,8 +493,8 @@ impl ClassOutput for BcState {
         let (low, dfs) = (&self.low, &self.dfs);
         let old_parent = |c: NodeId| dfs.journal.old(c as usize).map_or(dfs.parent(c), |r| r.2);
         // Every node whose value moved was written. A bridge whose parent
-        // moved was too: the re-lowering reset it (a set bridge bit is
-        // never `⊥`), and a replacement journals every node.
+        // moved was too: the replay entered it, its close writes a set
+        // bridge bit, and a replacement journals every node.
         let written = low.journal().entries();
         let (mut tail_moved, mut grown) = (false, 0i64);
         for &(c, old) in written {
@@ -782,18 +784,43 @@ mod tests {
         }
     }
 
-    /// The schedule the module docs promise: ranked by depth and seeded
-    /// deepest-first, a lowpoint run evaluates each scope variable once —
-    /// no re-evaluation, no superseded queue entry — on scopes wide
-    /// enough that many variables share a rank bucket.
+    /// [`BcState::update`] with its cut-off pass checked: the pass
+    /// evaluates each node at most once, so its evaluations are exactly
+    /// the endpoints of `ΔG` and the parents of the lowpoints it moved.
+    fn update_counting_cut_off(
+        bc: &mut BcState,
+        g: &DynamicGraph,
+        applied: &AppliedBatch,
+    ) -> BoundednessReport {
+        bc.ensure_size(g);
+        let lowering = &mut Lowering(&mut bc.low, &mut bc.folds);
+        let mut report = bc.dfs.update_visiting(g, applied, lowering);
+        let n = g.node_count() as NodeId;
+        let replayed: Vec<u32> = (0..n).map(|v| bc.low(v)).collect();
+        let cut = bc.cut_off(g, applied);
+        let ends = applied.ops().iter().flat_map(|op| [op.src, op.dst]);
+        let mut evaluated: HashSet<NodeId> = ends.collect();
+        for v in 0..n {
+            let p = bc.dfs.parent(v);
+            if bc.low(v) != replayed[v as usize] && p != ROOT {
+                evaluated.insert(p);
+            }
+        }
+        assert_eq!(cut.evals, evaluated.len() as u64, "cut-off evaluations");
+        report.run_stats.merge(&cut);
+        report
+    }
+
+    /// After every random round a Full-mode audit finds no violation,
+    /// and the cut-off pass evaluates each node at most once.
     #[test]
-    fn lowpoint_run_evaluates_each_scope_variable_exactly_once() {
+    fn the_cut_off_pass_evaluates_each_node_at_most_once() {
+        use crate::IncrementalState;
+        use incgraph_core::audit::FixpointAudit;
         use incgraph_graph::rng::SplitMix64;
         for (n, m, seed) in [(300usize, 700usize, 3u64), (3000, 6500, 4)] {
             let mut g = incgraph_graph::gen::uniform(n, m, false, 1, 1, seed);
             let (mut bc, _) = BcState::batch(&g);
-            let (_, _, scratch_run) = BcState::low_from_scratch(&g, &bc.dfs);
-            assert_eq!(scratch_run.evals, n as u64, "batch lowpoints, n={n}");
             let mut rng = SplitMix64::seed_from_u64(seed ^ 0xBC);
             for round in 0..25 {
                 let mut batch = UpdateBatch::new();
@@ -810,17 +837,107 @@ mod tests {
                     }
                 }
                 let applied = batch.apply(&mut g);
-                bc.dfs.update(&g, &applied);
-                let (_, run) = bc.relower(&g, &applied);
-                assert_eq!(
-                    (run.evals, run.stale_pops),
-                    (bc.scope.len() as u64, 0),
-                    "n={n} round {round}"
-                );
-                let (fresh, _) = BcState::batch(&g);
-                assert_eq!(bc.low.values(), fresh.low.values(), "n={n} round {round}");
+                update_counting_cut_off(&mut bc, &g, &applied);
+                let audit = IncrementalState::audit(&bc, &g, &FixpointAudit::full());
+                assert!(audit.is_clean(), "n={n} round {round}: {audit:?}");
             }
         }
+    }
+
+    /// Ten-node blocks: `a = 10k` roots a tree edge to `a + 1`, which
+    /// branches into the path `a + 2 … a + 6` and the path `a + 7 … a + 9`.
+    fn forked_blocks(blocks: u32) -> DynamicGraph {
+        let mut g = DynamicGraph::new(false, 10 * blocks as usize);
+        for a in (0..blocks).map(|k| 10 * k) {
+            for (u, v) in [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 6),
+                (1, 7),
+                (7, 8),
+                (8, 9),
+            ] {
+                g.insert_edge(a + u, a + v, 1);
+            }
+        }
+        g
+    }
+
+    /// IncDFS skips a block whose only ops are inert, so only the cut-off
+    /// pass sees them move its lowpoints. The structural op that makes the
+    /// replay run sits after the block (first round: the block is a
+    /// skipped forest root) or in its other branch (second round: a
+    /// skipped child subtree, folded with its stale lowpoint).
+    #[test]
+    fn an_inert_op_inside_a_skipped_subtree_moves_a_lowpoint() {
+        let mut g = forked_blocks(100);
+        let (mut bc, _) = BcState::batch(&g);
+        let (a, z) = (980, 990);
+        let cuts = |bc: &BcState, g: &DynamicGraph| -> Vec<NodeId> {
+            let aps = bc.articulation_points(g);
+            aps.into_iter().filter(|v| (a..z).contains(v)).collect()
+        };
+        assert_eq!(
+            cuts(&bc, &g),
+            [a + 1, a + 2, a + 3, a + 4, a + 5, a + 7, a + 8]
+        );
+        let check = |bc: &BcState, g: &DynamicGraph, report: BoundednessReport, what: &str| {
+            assert_matches_reference(bc, g);
+            let (fresh, _) = BcState::batch(g);
+            assert_eq!(bc.low.values(), fresh.low.values(), "{what}");
+            assert!(
+                report.run_stats.distinct_vars <= 40,
+                "{what}: entered or evaluated {}",
+                report.run_stats.distinct_vars
+            );
+        };
+        // An inserted back edge closes the first branch into a cycle
+        // through the block's root: its bridges and its inner
+        // articulation points go.
+        let mut b = UpdateBatch::new();
+        b.insert(a + 6, a, 1).delete(z + 7, z + 8);
+        let applied = b.apply(&mut g);
+        let report = update_counting_cut_off(&mut bc, &g, &applied);
+        check(&bc, &g, report, "inserted back edge");
+        assert!(bc
+            .bridges(&g)
+            .iter()
+            .all(|&(_, c)| !(a + 1..=a + 6).contains(&c)));
+        assert_eq!(cuts(&bc, &g), [a + 1, a + 7, a + 8]);
+        // Deleting it again, a non-tree edge, brings the bridges back.
+        let mut b = UpdateBatch::new();
+        b.delete(a + 6, a).delete(a + 8, a + 9);
+        let applied = b.apply(&mut g);
+        let report = update_counting_cut_off(&mut bc, &g, &applied);
+        check(&bc, &g, report, "deleted non-tree edge");
+        assert!((a + 1..=a + 6).all(|c| bc.bridges(&g).contains(&(c - 1, c))));
+        assert_eq!(cuts(&bc, &g), [a + 1, a + 2, a + 3, a + 4, a + 5, a + 7]);
+    }
+
+    /// The worst `ΔG` for IncDFS on the 8k-node graph of
+    /// `session::tests::dfs_bc_inc_vs_batch`: deleting the tree edge under
+    /// the first forest root moves every interval after it. BC's update
+    /// then reads at most 1.25× what its batch run reads.
+    #[test]
+    fn deleting_the_tree_edge_under_the_root_reads_at_most_a_quarter_more_than_batch() {
+        let mut g = incgraph_graph::gen::power_law(8_000, 114_000, 2.4, false, 100, 5, 0x11);
+        let (mut bc, _) = BcState::batch(&g);
+        let dfs = bc.dfs();
+        let c = (0..g.node_count() as NodeId)
+            .filter(|&v| dfs.parent(v) != ROOT && dfs.parent(dfs.parent(v)) == ROOT)
+            .min_by_key(|&v| dfs.first(v))
+            .expect("a root with a child");
+        let mut b = UpdateBatch::new();
+        b.delete(dfs.parent(c), c);
+        let applied = b.apply(&mut g);
+        let report = bc.update(&g, &applied);
+        let (fresh, batch) = BcState::batch(&g);
+        assert_eq!(bc.low.values(), fresh.low.values());
+        let ratio = report.run_stats.reads as f64 / batch.reads as f64;
+        assert!(ratio <= 1.25, "update/batch reads {ratio:.3}");
     }
 
     #[test]

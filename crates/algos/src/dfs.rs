@@ -24,6 +24,10 @@
 //! exactly the behaviour the paper reports (IncDFS wins for small `ΔG`
 //! and loses to batch beyond ~4%).
 //!
+//! The traversal reports its events to a `Visit` hook, so a fixpoint
+//! layered on the forest (BC's lowpoints) is evaluated inside the same
+//! pass, in batch and in replay alike; the DFS class passes `()`.
+//!
 //! The replay takes no snapshot of the old run, and its two write sites —
 //! entering a node and closing it — journal the node's old
 //! `(first, last, parent)` when a session owes a delta. Every decision that
@@ -65,9 +69,6 @@ pub struct DfsState {
     /// `h`'s output: nodes on the old-tree ancestor chain of a structural
     /// op's endpoint — a subtree rooted at one may replay differently.
     aff_sub: VisitEpoch,
-    /// Nodes whose `first` or `parent` the last [`update`](Self::update)
-    /// changed, in entry order (BC's lowpoint constants moved there).
-    changed: Vec<NodeId>,
     /// Sorted, disjoint old-time intervals of the subtrees the current
     /// replay skipped.
     skipped: Vec<(u32, u32)>,
@@ -81,12 +82,40 @@ pub struct DfsState {
 /// A node's `(first, last, parent)`: its row of the output.
 pub(crate) type Row = (u32, u32, NodeId);
 
+/// What a fixpoint layered on the forest sees of a traversal, in the
+/// order Tarjan's algorithm consumes it: each event concerns the node on
+/// top of the DFS stack, and every timestamp is the new run's.
+pub(crate) trait Visit {
+    /// `false` compiles out every call and the reads that only feed one.
+    const ON: bool;
+    /// A node is entered at `first`; it is now on top.
+    fn open(&mut self, _first: u32) {}
+    /// The earliest visited neighbour but the parent the top scanned
+    /// (`u32::MAX`: none), reported before the top opens a child or closes.
+    fn back(&mut self, _first_w: u32) {}
+    /// The top kept child `c`'s old subtree without entering it.
+    fn child(&mut self, _c: NodeId) {}
+    /// `v` closes below `parent`, entered at `first_parent` (a root: below
+    /// [`ROOT`], at 0).
+    fn close(&mut self, _v: NodeId, _parent: NodeId, _first_parent: u32) {}
+}
+
+/// The plain DFS: no layer.
+impl Visit for () {
+    const ON: bool = false;
+}
+
 impl DfsState {
     /// Runs batch `DFS_fp` on `g`.
     pub fn batch(g: &DynamicGraph) -> (Self, RunStats) {
+        Self::batch_visiting(g, &mut ())
+    }
+
+    /// Batch `DFS_fp` reporting its traversal to `hook`.
+    pub(crate) fn batch_visiting<H: Visit>(g: &DynamicGraph, hook: &mut H) -> (Self, RunStats) {
         let n = g.node_count();
         let mut state = DfsState::with_labelling(vec![0; n], vec![0; n], vec![ROOT; n]);
-        let stats = state.traverse(g, false);
+        let stats = state.traverse(g, false, hook);
         (state, stats)
     }
 
@@ -99,7 +128,6 @@ impl DfsState {
             parent,
             visited: VisitEpoch::new(n),
             aff_sub: VisitEpoch::new(n),
-            changed: Vec::new(),
             skipped: Vec::new(),
             stack: Vec::new(),
             journal: Journal::default(),
@@ -130,12 +158,6 @@ impl DfsState {
             .collect()
     }
 
-    /// Nodes whose entry timestamp or parent the last
-    /// [`update`](Self::update) changed (empty after an inert update).
-    pub(crate) fn changed(&self) -> &[NodeId] {
-        &self.changed
-    }
-
     /// `(first, last, parent)` of `v`: its row of the output.
     pub(crate) fn row(&self, v: usize) -> Row {
         (self.first[v], self.last[v], self.parent[v])
@@ -149,18 +171,22 @@ impl DfsState {
     }
 
     /// `IncDFS`: adjust via the affected-subtree scope phase, then resume
-    /// the traversal with identical-subtree skipping. Timed as the
-    /// `dfs.forest` span, which ends the moment the forest is current: a
-    /// state that owns this forest (BC) goes on working after it, so the
-    /// span marks when the DFS class's output is fresh.
+    /// the traversal with identical-subtree skipping.
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
-        let _span = incgraph_obs::span("dfs.forest");
-        self.replay(g, applied)
+        self.update_visiting(g, applied, &mut ())
     }
 
-    fn replay(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
+    /// [`update`](Self::update) reporting the resumed traversal to `hook`,
+    /// timed as the `dfs.forest` span: it ends once the forest is current,
+    /// where the DFS class's output is fresh and BC goes on working.
+    pub(crate) fn update_visiting<H: Visit>(
+        &mut self,
+        g: &DynamicGraph,
+        applied: &AppliedBatch,
+        hook: &mut H,
+    ) -> BoundednessReport {
+        let _span = incgraph_obs::span("dfs.forest");
         self.ensure_size(g);
-        self.changed.clear();
         let mut scope_stats = ScopeStats::default();
 
         // h phase: classify each op against the old traversal. An op is
@@ -236,7 +262,7 @@ impl DfsState {
             return BoundednessReport::new(g.node_count(), 0, scope_stats, RunStats::default());
         }
 
-        let run = self.traverse(g, true);
+        let run = self.traverse(g, true, hook);
         BoundednessReport::new(g.node_count(), scope_size, scope_stats, run)
     }
 
@@ -248,7 +274,6 @@ impl DfsState {
             + vec_bytes(&self.parent)
             + self.visited.space_bytes()
             + self.aff_sub.space_bytes()
-            + vec_bytes(&self.changed)
             + vec_bytes(&self.skipped)
             + vec_bytes(&self.stack)
             + self.journal.space_bytes()
@@ -264,41 +289,11 @@ impl DfsState {
         g: &DynamicGraph,
         audit: &incgraph_core::audit::FixpointAudit,
     ) -> incgraph_core::audit::AuditReport {
-        use incgraph_core::audit::{AuditMode, AuditReport, AuditViolation};
         let (fresh, _) = DfsState::batch(g);
-        let n = g.node_count();
-        let (stride, start) = match audit.mode {
-            AuditMode::Full => (1, 0),
-            AuditMode::Sample { stride, offset } => (stride, offset % stride),
-        };
-        let mut report = AuditReport {
-            checked: 0,
-            total_vars: n,
-            violations: Vec::new(),
-            truncated: false,
-        };
-        let mut x = start;
-        while x < n {
-            report.checked += 1;
-            let v = x as NodeId;
-            let stored = (self.first(v), self.last(v), self.parent(v));
-            let expect = (fresh.first(v), fresh.last(v), fresh.parent(v));
-            if stored != expect {
-                if report.violations.len() < audit.max_violations {
-                    report.violations.push(AuditViolation {
-                        var: x,
-                        detail: format!("stored {stored:?}, batch DFS gives {expect:?}"),
-                    });
-                } else {
-                    report.truncated = true;
-                }
-            }
-            x += stride;
-        }
-        report
+        audit.check(g.node_count(), "batch DFS", |x| (self.row(x), fresh.row(x)))
     }
 
-    /// The step function: a DFS replay. With `incremental` set, subtrees
+    /// The step function: a DFS replay. With `resume` set, subtrees
     /// whose replay is provably identical to the previous run (none of
     /// their nodes in `aff_sub`) are skipped in O(1) (plus an
     /// O(log #skips) membership structure).
@@ -307,7 +302,7 @@ impl DfsState {
     /// `first`/`parent` of a node are overwritten when it is entered and
     /// `last` when it closes, and nothing below reads them later than
     /// that.
-    fn traverse(&mut self, g: &DynamicGraph, incremental: bool) -> RunStats {
+    fn traverse<H: Visit>(&mut self, g: &DynamicGraph, resume: bool, hook: &mut H) -> RunStats {
         let n = g.node_count();
         let mut stats = RunStats::default();
         self.visited.clear();
@@ -322,7 +317,7 @@ impl DfsState {
         let mut time: u32 = 0;
         // `identical` = every timestamp assigned so far equals the old
         // run's; the precondition for any further skipping.
-        let mut identical = incremental;
+        let mut identical = resume;
         let mut stack = std::mem::take(&mut self.stack);
         stack.clear();
 
@@ -331,7 +326,7 @@ impl DfsState {
         macro_rules! visited {
             ($w:expr) => {
                 self.visited.contains($w as usize)
-                    || (incremental && in_skipped(&skipped, self.first[$w as usize]))
+                    || (resume && in_skipped(&skipped, self.first[$w as usize]))
             };
         }
 
@@ -353,17 +348,23 @@ impl DfsState {
             if identical && (self.first[r as usize] != time || self.parent[r as usize] != ROOT) {
                 identical = false;
             }
-            self.enter(r, ROOT, &mut time, incremental, &mut stats);
+            self.enter(r, ROOT, &mut time, &mut stats);
+            hook.open(time - 1);
             stack.push((r, 0));
 
             'frames: while let Some(&(v, idx0)) = stack.last() {
                 let adj = g.out_neighbors(v);
+                let parent = if H::ON { self.parent[v as usize] } else { ROOT };
+                let mut back = u32::MAX; // for `Visit::back`
                 let mut idx = idx0;
                 while idx < adj.len() {
                     let w = adj[idx].0;
                     idx += 1;
                     stats.reads += 1;
                     if visited!(w) {
+                        if H::ON && w != parent {
+                            back = back.min(self.first[w as usize]);
+                        }
                         continue;
                     }
                     if identical
@@ -373,6 +374,7 @@ impl DfsState {
                     {
                         skipped.push((self.first[w as usize], self.last[w as usize]));
                         time = self.last[w as usize] + 1;
+                        hook.child(w);
                         continue;
                     }
                     if identical && (self.first[w as usize] != time || self.parent[w as usize] != v)
@@ -380,11 +382,14 @@ impl DfsState {
                         identical = false;
                     }
                     stack.last_mut().expect("frame exists").1 = idx;
-                    self.enter(w, v, &mut time, incremental, &mut stats);
+                    self.enter(w, v, &mut time, &mut stats);
+                    hook.back(back);
+                    hook.open(time - 1);
                     stack.push((w, 0));
                     continue 'frames;
                 }
                 // Out-neighbors exhausted: close v.
+                hook.back(back);
                 if self.last[v as usize] != time {
                     identical = false;
                     self.journal.record(v as usize, self.row(v as usize));
@@ -392,6 +397,10 @@ impl DfsState {
                 self.last[v as usize] = time;
                 time += 1;
                 stack.pop();
+                if H::ON {
+                    let p = self.parent[v as usize];
+                    hook.close(v, p, self.first.get(p as usize).map_or(0, |&f| f));
+                }
             }
         }
         self.skipped = skipped;
@@ -399,15 +408,11 @@ impl DfsState {
         stats
     }
 
-    /// Enters `v` from `p` at `time`. An incremental replay also records
-    /// `v` in the changed list when its assignment moved.
-    fn enter(&mut self, v: NodeId, p: NodeId, time: &mut u32, record: bool, stats: &mut RunStats) {
+    /// Enters `v` from `p` at `time`.
+    fn enter(&mut self, v: NodeId, p: NodeId, time: &mut u32, stats: &mut RunStats) {
         if self.first[v as usize] != *time || self.parent[v as usize] != p {
             self.journal.record(v as usize, self.row(v as usize));
             stats.changes += 1;
-            if record {
-                self.changed.push(v);
-            }
         }
         self.first[v as usize] = *time;
         self.parent[v as usize] = p;
@@ -518,10 +523,6 @@ impl crate::IncrementalState for DfsState {
     ) -> incgraph_core::audit::AuditReport {
         self.audit_against_batch(g, audit)
     }
-
-    /// No engine, no budget: `update_guarded`'s post-run scope check is
-    /// the only degradation trigger for DFS.
-    fn set_work_budget(&mut self, _budget: Option<u64>) {}
 
     fn space_bytes(&self) -> usize {
         DfsState::space_bytes(self)

@@ -435,10 +435,6 @@ impl crate::IncrementalState for LccState {
         audit.run(&LccSpec::new(g), &self.status)
     }
 
-    /// No engine runs on update: `update_with`'s post-run scope check is
-    /// the only degradation trigger for LCC.
-    fn set_work_budget(&mut self, _budget: Option<u64>) {}
-
     fn space_bytes(&self) -> usize {
         LccState::space_bytes(self)
     }

@@ -97,9 +97,10 @@ pub trait IncrementalState: Send + Sync {
     fn audit(&self, g: &DynamicGraph, audit: &FixpointAudit) -> AuditReport;
 
     /// Cap the engine's distinct-variable work for subsequent updates;
-    /// `None` removes the cap. States without an engine (DFS) ignore it
-    /// and rely on [`update_with`]'s post-run scope check instead.
-    fn set_work_budget(&mut self, budget: Option<u64>);
+    /// `None` removes the cap. States whose update runs no engine (DFS,
+    /// LCC, BC) keep this no-op and rely on [`update_with`]'s post-run
+    /// scope check instead.
+    fn set_work_budget(&mut self, _budget: Option<u64>) {}
 
     /// Resident bytes of the algorithm's state (Fig. 8).
     fn space_bytes(&self) -> usize;

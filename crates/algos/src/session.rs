@@ -806,8 +806,10 @@ mod tests {
     /// delete moves a random live edge to a pool, an insert puts a random
     /// pooled edge back, and the pool hovers at 32 batches' worth. Prints
     /// the p50s, the share of batches that re-ran the traversal (a
-    /// non-empty scope) and the mean share of status variables such a
-    /// batch entered.
+    /// non-empty scope), the mean share of status variables such a
+    /// batch entered, and for BC the mean evaluations of its cut-off pass
+    /// per batch: BC's replay is the DFS class's, so its evaluations
+    /// beyond the DFS session's are the cut-off pass's.
     /// Run with `cargo test --release -p incgraph-algos --lib
     /// dfs_bc_inc_vs_batch -- --ignored --nocapture`.
     #[test]
@@ -844,7 +846,7 @@ mod tests {
         // Per class: bare, journaled and batch µs; resumed batches and
         // the summed entered share.
         let mut us = vec![[Vec::new(), Vec::new(), Vec::new()]; 2];
-        let (mut resumed, mut entered) = ([0usize; 2], [0.0f64; 2]);
+        let (mut resumed, mut entered, mut evals) = ([0usize; 2], [0.0f64; 2], [0u64; 2]);
         let exec = ExecOptions::default();
         for _ in 0..BATCHES {
             let mut batch = UpdateBatch::new();
@@ -868,6 +870,7 @@ mod tests {
                 us[i][0].push(t.elapsed().as_secs_f64() * 1e6);
                 resumed[i] += (report.scope_size > 0) as usize;
                 entered[i] += report.aff_fraction();
+                evals[i] += report.run_stats.evals;
                 let t = Instant::now();
                 journaled[i].update_guarded(&g, &applied);
                 us[i][1].push(t.elapsed().as_secs_f64() * 1e6);
@@ -877,20 +880,22 @@ mod tests {
             }
         }
         println!(
-            "class  bare_us  journaled_us  batch_us  bare/batch  journaled/batch  resumed  entered"
+            "class  bare_us  journaled_us  batch_us  bare/batch  journaled/batch  resumed  entered  cut_off"
         );
+        let cut_off = [0.0, (evals[1] - evals[0]) as f64 / BATCHES as f64];
         for (i, &(c, _)) in classes.iter().enumerate() {
             let [b, j, full] = us[i].clone().map(|mut v| {
                 v.sort_by(f64::total_cmp);
                 v[v.len() / 2]
             });
             println!(
-                "{:<5}  {b:>7.0}  {j:>12.0}  {full:>8.0}  {:>10.2}  {:>15.2}  {:>7.2}  {:>7.2}",
+                "{:<5}  {b:>7.0}  {j:>12.0}  {full:>8.0}  {:>10.2}  {:>15.2}  {:>7.2}  {:>7.2}  {:>7.1}",
                 c.name(),
                 b / full,
                 j / full,
                 resumed[i] as f64 / BATCHES as f64,
-                entered[i] / resumed[i].max(1) as f64
+                entered[i] / resumed[i].max(1) as f64,
+                cut_off[i]
             );
         }
     }

@@ -235,8 +235,10 @@ fn lcc_matches_reference() {
 
 #[test]
 fn bc_lowpoints_match_reference() {
-    // The one engine user outside the monotone five: lowpoints over the
-    // state's own DFS forest, which every update rebuilds or patches.
+    // Lowpoints over the state's own DFS forest, which every update
+    // patches: the state folds them into its traversal and never runs the
+    // engine, so the engine run here checks the spec, and the rounds check
+    // the fold against the schedule-free reference.
     let g = incgraph_graph::gen::uniform(150, 400, false, 1, 1, 49);
     assert_engine_matches("bc", &LowSpec::new(&g, BcState::batch(&g).0.dfs()));
     assert_matches_reference(

@@ -106,7 +106,24 @@ impl FixpointAudit {
     /// against `status`, which is read-only here.
     pub fn run<S: FixpointSpec>(&self, spec: &S, status: &Status<S::Value>) -> AuditReport {
         let _span = incgraph_obs::span("audit.run");
-        let n = spec.num_vars();
+        let report = self.check(spec.num_vars(), "f_x", |x| {
+            (status.get(x), spec.eval(x, &mut |y| status.get(y)))
+        });
+        incgraph_obs::counter("audit.checked", report.checked as u64);
+        incgraph_obs::counter("audit.violations", report.violations.len() as u64);
+        report
+    }
+
+    /// Checks the configured subset of `n` variables: `pair(x)` is `x`'s
+    /// stored value and the one `by` gives, which must be equal. The
+    /// re-check of [`run`](Self::run), and of a state whose variables are
+    /// not `σ_x` statements (DFS compares against a batch traversal).
+    pub fn check<V: PartialEq + std::fmt::Debug>(
+        &self,
+        n: usize,
+        by: &str,
+        mut pair: impl FnMut(usize) -> (V, V),
+    ) -> AuditReport {
         let (stride, start) = match self.mode {
             AuditMode::Full => (1, 0),
             AuditMode::Sample { stride, offset } => (stride, offset % stride),
@@ -117,25 +134,21 @@ impl FixpointAudit {
             violations: Vec::new(),
             truncated: false,
         };
-        let mut x = start;
-        while x < n {
+        for x in (start..n).step_by(stride) {
             report.checked += 1;
-            let stored = status.get(x);
-            let recomputed = spec.eval(x, &mut |y| status.get(y));
-            if recomputed != stored {
-                if report.violations.len() < self.max_violations {
-                    report.violations.push(AuditViolation {
-                        var: x,
-                        detail: format!("stored {stored:?}, f_x gives {recomputed:?}"),
-                    });
-                } else {
-                    report.truncated = true;
-                }
+            let (stored, expect) = pair(x);
+            if stored == expect {
+                continue;
             }
-            x += stride;
+            if report.violations.len() < self.max_violations {
+                report.violations.push(AuditViolation {
+                    var: x,
+                    detail: format!("stored {stored:?}, {by} gives {expect:?}"),
+                });
+            } else {
+                report.truncated = true;
+            }
         }
-        incgraph_obs::counter("audit.checked", report.checked as u64);
-        incgraph_obs::counter("audit.violations", report.violations.len() as u64);
         report
     }
 }

@@ -416,13 +416,6 @@ impl DurableSession {
         self.states.essences()
     }
 
-    /// The sessions a commit updates, in the order of
-    /// [`apply`](Self::apply)'s reports: the tracked classes without the
-    /// folded `dfs`. Their journals are off.
-    pub fn sessions(&self) -> &[Session] {
-        &self.states.running
-    }
-
     /// Sequence number of the last durably applied batch (0 = none yet;
     /// equals [`base_seq`](Self::base_seq) right after a snapshot
     /// bootstrap).
@@ -827,7 +820,11 @@ mod tests {
         let (dir, snap_dir) = (temp_dir("journal"), temp_dir("journal-snap"));
         let g0 = ring(12);
         let journals = |s: &DurableSession| -> Vec<usize> {
-            s.sessions().iter().map(Session::journal_bytes).collect()
+            s.states
+                .running
+                .iter()
+                .map(Session::journal_bytes)
+                .collect()
         };
         let states = states_for(&g0);
         assert!(
@@ -862,6 +859,31 @@ mod tests {
         drop((recovered, installed));
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&snap_dir).unwrap();
+    }
+
+    /// A commit updates the tracked classes in `QueryClass::ALL` order,
+    /// without the `dfs` one: BC's forest serves it.
+    #[test]
+    fn the_folded_dfs_is_not_a_running_state() {
+        let dir = temp_dir("running");
+        let g0 = ring(12);
+        let seven = QueryClass::ALL.into_iter().map(|c| {
+            let mut b = Session::builder(c);
+            if c.source_rooted() {
+                b = b.source(0);
+            }
+            if c == QueryClass::Sim {
+                b = b.pattern(incgraph_graph::Pattern::new(vec![0], &[]));
+            }
+            b.build(&g0).unwrap()
+        });
+        let session =
+            DurableSession::create(&dir, g0.clone(), seven.collect(), DurableOptions::default())
+                .unwrap();
+        let running: Vec<_> = session.states.running.iter().map(|s| s.name()).collect();
+        assert_eq!(running, ["sssp", "cc", "sim", "reach", "lcc", "bc"]);
+        drop(session);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
