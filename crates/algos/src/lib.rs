@@ -10,7 +10,7 @@
 //! | [`reach`] single-source reachability | OR-propagation under the flipped order | `IncReach` | weakly deducible (timestamps) | [`Deduced`] |
 //! | [`lcc`] local clustering coefficient | `LCC_fp` (§5.3) | `IncLCC` | deducible (PE variables, no order needed) | own |
 //! | [`dfs`] depth-first search | `DFS_fp` interval traversal (§5.2) | `IncDFS` | deducible (order from preorder numbers) | own |
-//! | [`bc`] biconnectivity | lowpoint fixpoint over the DFS forest | `IncBC` (`IncDFS`, then a PE reset of the moved lowpoints) | deducible | own |
+//! | [`bc`] biconnectivity | lowpoint fixpoint over the DFS forest | `IncBC` (`IncDFS`'s replay, which re-lowers every node it re-enters, then a cut-off pass over `ΔG`'s endpoints) | deducible | own |
 //!
 //! Every incremental algorithm follows the same two-phase shape mandated
 //! by the paper: an **initial scope function** `h` adjusts the previous

@@ -113,6 +113,16 @@ impl QueryClass {
     pub fn source_rooted(self) -> bool {
         matches!(self, QueryClass::Sssp | QueryClass::Reach)
     }
+
+    /// Whether the class is weakly deducible: its state keeps the
+    /// timestamps that linearize `<_C` ([`Deducible::STAMPS`]
+    /// (crate::Deducible::STAMPS)), and those record how the history was
+    /// split into batches. A deducible class's fixpoint is a function of
+    /// `G` alone, so one update over the net `ΔG` of several batches
+    /// leaves the same essence as one update per batch.
+    pub fn weakly_deducible(self) -> bool {
+        matches!(self, QueryClass::Cc | QueryClass::Sim | QueryClass::Reach)
+    }
 }
 
 /// Why a [`SessionBuilder`] refused to build.
@@ -458,7 +468,25 @@ impl IncrementalState for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Deducible;
     use incgraph_graph::UpdateBatch;
+
+    /// The class property and the engine's status layout say the same:
+    /// a weakly deducible class is one whose status keeps stamps, and the
+    /// three classes outside `Deducible` keep none.
+    #[test]
+    fn weakly_deducible_is_the_classes_that_keep_stamps() {
+        let stamps = |c: QueryClass| match c {
+            QueryClass::Sssp => crate::sssp::Sssp::STAMPS,
+            QueryClass::Cc => crate::cc::Cc::STAMPS,
+            QueryClass::Sim => crate::sim::Sim::STAMPS,
+            QueryClass::Reach => crate::reach::Reach::STAMPS,
+            QueryClass::Lcc | QueryClass::Dfs | QueryClass::Bc => false,
+        };
+        for c in QueryClass::ALL {
+            assert_eq!(c.weakly_deducible(), stamps(c), "{}", c.name());
+        }
+    }
 
     fn ring(n: usize) -> DynamicGraph {
         let mut g = DynamicGraph::new(false, n);

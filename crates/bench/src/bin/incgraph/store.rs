@@ -90,7 +90,7 @@ fn store_states(g: &DynamicGraph, args: &StoreArgs) -> Result<Vec<Session>, CliE
 /// One digest line per state: class name + CRC-32 of the essence, the
 /// same equality the crash oracle checks — two stores printing the same
 /// digests hold value-identical worlds.
-fn state_digests(session: &DurableSession) -> Vec<String> {
+fn state_digests(session: &mut DurableSession) -> Vec<String> {
     session
         .essences()
         .map(|(name, blob)| format!("{name} {:08x}", crc32(&blob)))
@@ -153,7 +153,7 @@ pub(crate) fn run_checkpoint(argv: &[String]) -> Result<(), CliError> {
     }
     let seq = session.checkpoint().map_err(|e| durable_error(store, e))?;
     eprintln!("checkpoint covering seq {seq} written");
-    for line in state_digests(&session) {
+    for line in state_digests(&mut session) {
         println!("{line}");
     }
     Ok(())
@@ -165,7 +165,7 @@ pub(crate) fn run_recover(argv: &[String]) -> Result<(), CliError> {
     let args = parse_store_args("recover", argv)?;
     let store = args.store.as_str();
     let t = Instant::now();
-    let (session, report) =
+    let (mut session, report) =
         incgraph_durable::recover(std::path::Path::new(store), DurableOptions::default())
             .map_err(|e| durable_error(store, e))?;
     eprintln!(
@@ -205,7 +205,7 @@ pub(crate) fn run_recover(argv: &[String]) -> Result<(), CliError> {
         session.graph().edge_count(),
         session.last_seq()
     );
-    write_out(&args.out, state_digests(&session).into_iter())
+    write_out(&args.out, state_digests(&mut session).into_iter())
 }
 /// `incgraph verify-store`: offline read-only scrub of a durable store
 /// directory. Walks every checkpoint (magic + whole-file CRC + payload

@@ -19,7 +19,9 @@
 //!   standing queries. Each flush is one client `UPDATE`
 //!   ([`Store::apply_update`]): intent fsync, WAL fsync (the ack point),
 //!   then the state pass ([`update_states`](incgraph_durable::update_states)),
-//!   which makes the flush net before propagation.
+//!   which makes the flush net before propagation, over the weakly
+//!   deducible classes; [`Store::catch_up`] then runs it over the
+//!   deducible ones, so each class takes one update per flush.
 //! * **Latency** — a forwarding obs recorder turns the end of each
 //!   class's `update.guarded` span (and of BC's `dfs.forest` span, for
 //!   the folded DFS class) into per-class admission→completion
@@ -303,10 +305,10 @@ impl From<WalAuditFailure> for StreamError {
 /// A class is current when its `update.guarded` span ends; the `dfs`
 /// class when the `dfs.forest` span ends, because on an undirected store
 /// the session folds it into BC's forest and BC goes on re-lowering after
-/// it. Classes update sequentially inside [`Store::apply_update`], after
-/// its intent and WAL fsyncs, so each class's latency honestly includes
-/// both fsyncs and every class ahead of it — the freshness a
-/// standing-query subscriber of that class observes. With no admissions
+/// it. Classes update sequentially inside [`Store::apply_update`] and the
+/// [`Store::catch_up`] after it, after the intent and WAL fsyncs, so each
+/// class's latency honestly includes both fsyncs and every class ahead of
+/// it — the freshness a standing-query subscriber of that class observes. With no admissions
 /// set (a reopen and its retry) nothing is timed.
 struct LatencyRecorder {
     registry: Arc<Registry>,
@@ -577,6 +579,9 @@ pub fn run_stream(
             }
             acked_or_refused => acked_or_refused?,
         };
+        // The commit updated the weakly deducible classes; the deducible
+        // ones catch up here, so every class takes one update per flush.
+        store.catch_up(GRAPH);
         acked.push(AckedBatch {
             seq: ack.wal_seq,
             fingerprint: batch_fingerprint(&batch),

@@ -15,15 +15,26 @@
 //!   accelerate recovery; the *genesis* checkpoint (sequence 0) is never
 //!   rotated out, so full replay always remains possible.
 //! - **Recovery** ([`recover`]): newest valid checkpoint + incremental
-//!   replay of the WAL suffix via [`update_states`], so even recovery
-//!   enjoys the paper's bounded incremental cost — and takes the same
-//!   guarded path (incremental replay → batch recompute) as a live
-//!   commit when a replayed batch turns out unbounded.
+//!   replay of the WAL suffix through the commit's own state pass, so
+//!   even recovery enjoys the paper's bounded incremental cost — and
+//!   takes the same guarded path (incremental replay → batch recompute)
+//!   as a live commit when a replayed batch turns out unbounded.
 //!
 //! Every tracked class state is a [`Session`] — the one handle that
 //! holds a class state outside `incgraph-algos`. This module stops the
 //! journal of each session it takes: nothing drains a durable state's
 //! deltas, so none should pay for them.
+//!
+//! A commit maintains only what it must. A weakly deducible state (CC,
+//! Sim, Reach) persists stamps that record how the history was split
+//! into batches, so each commit updates it. A deducible one (SSSP, LCC,
+//! DFS, BC) has a fixpoint that depends on `G` alone, so the commit
+//! queues its batch, and the state catches up over the net `ΔG` of the
+//! queue when it is next read — the same [`update_states`] call, at read
+//! time instead of commit time. Its essence bytes are those of one update
+//! per batch. Only essences, digests, snapshots and checkpoints read the
+//! tracked states, so a commit that nothing reads pays for the three
+//! stamped updates alone.
 //!
 //! Because every algorithm here is deterministic, recovery is *verifiable*:
 //! replaying `r` logged batches from any checkpoint must produce a state
@@ -219,20 +230,21 @@ pub struct DurableOptions {
     pub checkpoint_every: Option<u64>,
 }
 
-/// The state pass: makes `applied` (one batch's effective ops on `g`)
-/// net with [`coalesce::net`](incgraph_core::coalesce::net), then runs
-/// one guarded [`update_with`] per session under one constant, the
-/// default [`ExecOptions`] (a session's own options do not apply). Live
-/// commits, recovery's replay and the oracles' references all maintain
-/// their states through it, so a replayed batch reaches each state in
-/// the same form and under the same policy it did live, and the
-/// essences stay byte-identical.
+/// The state pass: makes `batches` (the effective ops of consecutive
+/// batches on `g`, oldest first) net with
+/// [`coalesce::net`](incgraph_core::coalesce::net), then runs one guarded
+/// [`update_with`] per session under one constant, the default
+/// [`ExecOptions`] (a session's own options do not apply). Live commits,
+/// catch-ups, recovery's replay and the oracles' references all maintain
+/// their states through it, so a replayed batch reaches each state in the
+/// same form and under the same policy it did live, and the essences stay
+/// byte-identical.
 pub fn update_states(
     sessions: &mut [Session],
     g: &DynamicGraph,
-    applied: &AppliedBatch,
+    batches: &[AppliedBatch],
 ) -> Vec<BoundednessReport> {
-    let net = incgraph_core::coalesce::net(g.is_directed(), std::slice::from_ref(applied));
+    let net = incgraph_core::coalesce::net(g.is_directed(), batches);
     let exec = ExecOptions::default();
     sessions
         .iter_mut()
@@ -240,74 +252,135 @@ pub fn update_states(
         .collect()
 }
 
-/// The tracked states of a durable graph, with each `dfs` state folded
-/// into the DFS forest a sibling already maintains
+/// Where a creation-order slot's essence lives.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// `Tracked::stamped[i]`.
+    Stamped(usize),
+    /// `Tracked::deferred[i]`.
+    Deferred(usize),
+    /// A `dfs` state folded into BC's forest.
+    Forest,
+}
+
+/// The tracked states of a durable graph, split by deducibility
+/// ([`QueryClass::weakly_deducible`]), with each `dfs` state folded into
+/// the DFS forest a sibling already maintains
 /// ([`IncrementalState::forest`] — BC's `IncDFS`).
 ///
+/// - A weakly deducible state (CC, Sim, Reach) persists stamps that
+///   record how the history was split into batches, so every commit
+///   updates it.
+/// - A deducible state (SSSP, LCC, DFS, BC) has a fixpoint that is a
+///   function of `G` alone: one update over the net `ΔG` of many batches
+///   leaves the essence bytes that one update per batch would. A commit
+///   only queues its batch for them, and every read of a state first
+///   [catches them up](Self::catch_up). Once the queue holds as many
+///   units as the graph has nodes, the commit catches up at once, so the
+///   queue never outweighs one status vector of a deferred state.
+///
 /// The forest is canonical, so the DFS class's essence *is* the forest's:
-/// a commit replays it once, inside BC, instead of once per holder. A
-/// folded `dfs` keeps its creation-order slot, and [`essences`](Self::essences)
+/// it is replayed once, inside BC, instead of once per holder. A folded
+/// `dfs` keeps its creation-order slot, and [`essences`](Self::essences)
 /// renders the forest there, so checkpoints, snapshots and digests keep
 /// their bytes. Without a forest (a directed graph, or no BC) nothing
 /// folds.
 pub(crate) struct Tracked {
-    /// The states a commit updates, in creation order.
-    running: Vec<Session>,
-    /// Creation-order slots of the folded `dfs` states, ascending.
-    folded: Vec<usize>,
+    /// The weakly deducible states, in creation order.
+    stamped: Vec<Session>,
+    /// The deducible states but a folded `dfs`, in creation order.
+    deferred: Vec<Session>,
+    /// Every tracked state, in creation order.
+    slots: Vec<Slot>,
+    /// The effective ops of the commits `deferred` has not seen yet,
+    /// oldest first.
+    pending: Vec<AppliedBatch>,
+    /// Units in `pending`.
+    pending_units: usize,
 }
 
 impl Tracked {
-    /// Folds `states`, given in creation order, and stops every journal.
-    /// A dropped `dfs` state's essence must equal the forest's; when it
-    /// does not, the two disagree about one canonical forest, and the
-    /// open fails as [`DurableError::Corrupt`] rather than pick one.
+    /// Splits and folds `states`, given in creation order, and stops
+    /// every journal. A dropped `dfs` state's essence must equal the
+    /// forest's; when it does not, the two disagree about one canonical
+    /// forest, and the open fails as [`DurableError::Corrupt`] rather than
+    /// pick one.
     pub(crate) fn fold(mut states: Vec<Session>) -> Result<Tracked, DurableError> {
         states.iter_mut().for_each(Session::stop_journal);
-        let Some(forest) = states
+        let forest = states
             .iter()
             .find_map(|s| s.forest())
-            .map(|f| f.save_state())
-        else {
-            return Ok(Tracked {
-                running: states,
-                folded: Vec::new(),
-            });
+            .map(|f| f.save_state());
+        let mut tracked = Tracked {
+            stamped: Vec::new(),
+            deferred: Vec::new(),
+            slots: Vec::with_capacity(states.len()),
+            pending: Vec::new(),
+            pending_units: 0,
         };
-        let mut running = Vec::with_capacity(states.len());
-        let mut folded = Vec::new();
         for (slot, s) in states.into_iter().enumerate() {
-            if s.class() != QueryClass::Dfs {
-                running.push(s);
-            } else if s.save_state() == forest {
-                folded.push(slot);
+            let class = s.class();
+            if class == QueryClass::Dfs && forest.is_some() {
+                if forest.as_ref() != Some(&s.save_state()) {
+                    return Err(DurableError::Corrupt(format!(
+                        "the dfs essence in slot {slot} disagrees with the DFS forest bc maintains"
+                    )));
+                }
+                tracked.slots.push(Slot::Forest);
+            } else if class.weakly_deducible() {
+                tracked.slots.push(Slot::Stamped(tracked.stamped.len()));
+                tracked.stamped.push(s);
             } else {
-                return Err(DurableError::Corrupt(format!(
-                    "the dfs essence in slot {slot} disagrees with the DFS forest bc maintains"
-                )));
+                tracked.slots.push(Slot::Deferred(tracked.deferred.len()));
+                tracked.deferred.push(s);
             }
         }
-        Ok(Tracked { running, folded })
+        Ok(tracked)
     }
 
-    /// One state pass over the running states ([`update_states`]).
+    /// One commit's state pass ([`update_states`]): the stamped states
+    /// take `applied` now and the deferred ones queue it, catching up at
+    /// once when the queue reaches `g`'s node count. Returns a report per
+    /// state the pass updated.
     fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> Vec<BoundednessReport> {
-        update_states(&mut self.running, g, applied)
+        let mut reports = update_states(&mut self.stamped, g, std::slice::from_ref(applied));
+        if !self.deferred.is_empty() {
+            self.pending.push(applied.clone());
+            self.pending_units += applied.len();
+            if self.pending_units >= g.node_count() {
+                reports.extend(self.catch_up(g));
+            }
+        }
+        reports
+    }
+
+    /// Brings the deferred states current: one [`update_states`] over
+    /// the net `ΔG` of the queued commits, which it then clears. Returns
+    /// a report per deferred state, none when nothing was queued.
+    fn catch_up(&mut self, g: &DynamicGraph) -> Vec<BoundednessReport> {
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
+        let _span = incgraph_obs::span("durable.catch_up");
+        incgraph_obs::observe("durable.catch_up_units", self.pending_units as u64);
+        let reports = update_states(&mut self.deferred, g, &self.pending);
+        self.pending.clear();
+        self.pending_units = 0;
+        reports
     }
 
     /// Every tracked class's name and essence, in creation order, each
     /// rendered as the iterator reaches it; a folded slot renders the
-    /// forest.
+    /// forest. The caller catches up first.
     fn essences(&self) -> impl ExactSizeIterator<Item = (&'static str, Vec<u8>)> + '_ {
-        let forest = self.running.iter().find_map(|s| s.forest());
-        let mut running = self.running.iter();
-        (0..self.running.len() + self.folded.len()).map(move |slot| {
-            if self.folded.contains(&slot) {
+        debug_assert!(self.pending.is_empty(), "essences read before a catch-up");
+        let forest = self.deferred.iter().find_map(|s| s.forest());
+        self.slots.iter().map(move |slot| match *slot {
+            Slot::Stamped(i) => (self.stamped[i].name(), self.stamped[i].save_state()),
+            Slot::Deferred(i) => (self.deferred[i].name(), self.deferred[i].save_state()),
+            Slot::Forest => {
                 let forest = forest.expect("a fold keeps its forest");
                 (QueryClass::Dfs.name(), forest.save_state())
-            } else {
-                let s = running.next().expect("one running state per open slot");
-                (s.name(), s.save_state())
             }
         })
     }
@@ -332,11 +405,16 @@ impl Tracked {
 /// 3. tell the caller the batch is committed (the `committed` hook of
 ///    [`apply_with`](Self::apply_with) — where a primary ships the
 ///    record to its replicas);
-/// 4. run the incremental update on every running state via
-///    [`update_states`] — every tracked state but a `dfs` folded into
-///    BC's forest
-///    ([`IncrementalState::forest`]), so the seven built-in classes take
-///    six updates.
+/// 4. run the incremental update on every weakly deducible state via
+///    [`update_states`], and queue the batch for the deducible ones
+///    ([`Tracked`]): the seven built-in classes take three updates, and
+///    SSSP, LCC and BC (with the DFS forest inside it) catch up over the
+///    net `ΔG` of the queued batches when a state is next read —
+///    [`essences`](Self::essences), [`digest`](Self::digest),
+///    [`encode_snapshot`](Self::encode_snapshot),
+///    [`checkpoint`](Self::checkpoint), recovery's result, or an explicit
+///    [`catch_up`](Self::catch_up) — or once the queue holds as many
+///    units as the graph has nodes.
 ///
 /// Recovery rebuilds the exact same in-memory world from the newest valid
 /// checkpoint plus the logged suffix — see [`recover`].
@@ -410,10 +488,20 @@ impl DurableSession {
     }
 
     /// Every tracked class's name and `save_state` essence, in creation
-    /// order — the blobs a checkpoint holds, rendered one at a time. A
-    /// `dfs` folded into BC's forest renders the forest in its slot.
-    pub fn essences(&self) -> impl ExactSizeIterator<Item = (&'static str, Vec<u8>)> + '_ {
+    /// order — the blobs a checkpoint holds, rendered one at a time, after
+    /// a [`catch_up`](Self::catch_up). A `dfs` folded into BC's forest
+    /// renders the forest in its slot.
+    pub fn essences(&mut self) -> impl ExactSizeIterator<Item = (&'static str, Vec<u8>)> + '_ {
+        self.catch_up();
         self.states.essences()
+    }
+
+    /// Brings the deducible states current over the net `ΔG` of every
+    /// commit they have not seen ([`Tracked`]). Every read of a state
+    /// runs it first; a caller that times its commits calls it to keep
+    /// one update per class and commit.
+    pub fn catch_up(&mut self) {
+        self.states.catch_up(&self.graph);
     }
 
     /// Sequence number of the last durably applied batch (0 = none yet;
@@ -465,23 +553,33 @@ impl DurableSession {
     }
 
     /// CRC-32 digest over the store's observable essence: directedness,
-    /// node count, every edge (sorted), and each tracked class's name and
-    /// essence in creation order ([`essences`](Self::essences)) — the same figure the
-    /// stream harness pins in its baselines, and the one primary and
-    /// replica exchange at matching sequences to detect divergence.
-    pub fn digest(&self) -> String {
+    /// node count, every edge in `(u, v)` order, and each tracked class's
+    /// name and essence in creation order ([`essences`](Self::essences))
+    /// — the same figure the stream harness pins in its baselines, and the
+    /// one primary and replica exchange at matching sequences to detect
+    /// divergence.
+    pub fn digest(&mut self) -> String {
         let g = &self.graph;
         let mut crc = crc::Crc32::new()
             .update(&[g.is_directed() as u8])
             .update(&(g.node_count() as u64).to_le_bytes());
-        let mut edges: Vec<(u32, u32, u32)> = g.edges().collect();
-        edges.sort_unstable();
-        for (u, v, w) in edges {
-            crc = crc
-                .update(&u.to_le_bytes())
-                .update(&v.to_le_bytes())
-                .update(&w.to_le_bytes());
+        // `edges()` yields `(u, v)` ascending: adjacency is sorted, and an
+        // undirected edge appears once, at `u <= v`. Each edge is 12 bytes
+        // of `u, v, w`, streamed through one buffer.
+        const EDGE: usize = 12;
+        let mut buf = [0u8; EDGE * 512];
+        let mut len = 0;
+        for (u, v, w) in g.edges() {
+            buf[len..len + 4].copy_from_slice(&u.to_le_bytes());
+            buf[len + 4..len + 8].copy_from_slice(&v.to_le_bytes());
+            buf[len + 8..len + EDGE].copy_from_slice(&w.to_le_bytes());
+            len += EDGE;
+            if len == buf.len() {
+                crc = crc.update(&buf);
+                len = 0;
+            }
         }
+        crc = crc.update(&buf[..len]);
         for (name, blob) in self.essences() {
             crc = crc
                 .update(name.as_bytes())
@@ -496,7 +594,8 @@ impl DurableSession {
     /// [`checkpoint::decode_payload`] (and therefore
     /// [`install_snapshot`](Self::install_snapshot)) accepts. The primary
     /// uses this to ship a bootstrap snapshot to a lagging replica.
-    pub fn encode_snapshot(&self) -> Vec<u8> {
+    pub fn encode_snapshot(&mut self) -> Vec<u8> {
+        self.catch_up();
         checkpoint::encode_payload(self.last_seq(), &self.graph, self.states.blobs())
     }
 
@@ -580,8 +679,9 @@ impl DurableSession {
     }
 
     /// Applies one batch durably (see the type-level docs for the commit
-    /// protocol), returning one [`BoundednessReport`] per updated state
-    /// ([`sessions`](Self::sessions)).
+    /// protocol), returning one [`BoundednessReport`] per state the commit
+    /// updated: the weakly deducible ones, plus the deducible ones when
+    /// the commit caught them up.
     ///
     /// On [`DurableError::InvalidBatch`] and real I/O errors the
     /// in-memory graph is rolled back and the log untouched — the session
@@ -608,7 +708,7 @@ impl DurableSession {
     ///
     /// `committed` runs on the success path only, right after the WAL
     /// append returned: the record is fsynced and the sequence it
-    /// receives is taken, but no tracked state has been updated yet. It
+    /// receives is taken, but no tracked state has seen the batch yet. It
     /// is the earliest moment the batch may leave the process, so the
     /// service's primary ships the record from here and its replica
     /// commits while this session is still maintaining its states. It
@@ -661,6 +761,7 @@ impl DurableSession {
     /// Writes a checkpoint covering everything applied so far and points
     /// the manifest at it. Returns the covered WAL sequence number.
     pub fn checkpoint(&mut self) -> Result<u64, DurableError> {
+        self.catch_up();
         let _span = incgraph_obs::span("ckpt.write");
         let covered = self.last_seq();
         let crash = self.take_crash(false);
@@ -725,7 +826,7 @@ mod tests {
         states.iter().map(|s| s.save_state()).collect()
     }
 
-    fn blobs(session: &DurableSession) -> Vec<Vec<u8>> {
+    fn blobs(session: &mut DurableSession) -> Vec<Vec<u8>> {
         session.essences().map(|(_, b)| b).collect()
     }
 
@@ -743,14 +844,14 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(4, 9, 3);
         session.apply(&b).unwrap();
-        let live = blobs(&session);
+        let live = blobs(&mut session);
         let live_edges: Vec<_> = session.graph().edges().collect();
         drop(session);
 
-        let (recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
+        let (mut recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.checkpoint_seq, 3, "newest checkpoint covers seq 3");
         assert_eq!(report.wal_records_replayed, 1, "only the suffix replays");
-        assert_eq!(blobs(&recovered), live);
+        assert_eq!(blobs(&mut recovered), live);
         assert_eq!(recovered.graph().edges().collect::<Vec<_>>(), live_edges);
         assert_eq!(recovered.last_seq(), 4);
         fs::remove_dir_all(&dir).unwrap();
@@ -821,8 +922,9 @@ mod tests {
         let g0 = ring(12);
         let journals = |s: &DurableSession| -> Vec<usize> {
             s.states
-                .running
+                .stamped
                 .iter()
+                .chain(&s.states.deferred)
                 .map(Session::journal_bytes)
                 .collect()
         };
@@ -861,8 +963,9 @@ mod tests {
         fs::remove_dir_all(&snap_dir).unwrap();
     }
 
-    /// A commit updates the tracked classes in `QueryClass::ALL` order,
-    /// without the `dfs` one: BC's forest serves it.
+    /// A commit updates the weakly deducible classes and defers the
+    /// deducible ones, each group in `QueryClass::ALL` order, without the
+    /// `dfs` one: BC's forest serves it.
     #[test]
     fn the_folded_dfs_is_not_a_running_state() {
         let dir = temp_dir("running");
@@ -880,8 +983,9 @@ mod tests {
         let session =
             DurableSession::create(&dir, g0.clone(), seven.collect(), DurableOptions::default())
                 .unwrap();
-        let running: Vec<_> = session.states.running.iter().map(|s| s.name()).collect();
-        assert_eq!(running, ["sssp", "cc", "sim", "reach", "lcc", "bc"]);
+        let names = |states: &[Session]| states.iter().map(|s| s.name()).collect::<Vec<_>>();
+        assert_eq!(names(&session.states.stamped), ["cc", "sim", "reach"]);
+        assert_eq!(names(&session.states.deferred), ["sssp", "lcc", "bc"]);
         drop(session);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1082,7 +1186,7 @@ mod tests {
         let mut stray = UpdateBatch::new();
         stray.insert(0, 6, 9);
         replica.apply(&stray).unwrap();
-        let replica = replica.install_snapshot(&snapshot, 5).unwrap();
+        let mut replica = replica.install_snapshot(&snapshot, 5).unwrap();
         assert_eq!(replica.last_seq(), snap_seq);
         assert_eq!(replica.base_seq(), snap_seq);
         assert_eq!(replica.epoch(), 5);
@@ -1093,9 +1197,9 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(4, 9, 3);
         replica.apply(&b).unwrap();
-        let live = blobs(&replica);
+        let live = blobs(&mut replica);
         drop(replica);
-        let (recovered, report) = recover(&dst_dir, DurableOptions::default()).unwrap();
+        let (mut recovered, report) = recover(&dst_dir, DurableOptions::default()).unwrap();
         assert_eq!(recovered.base_seq(), snap_seq);
         assert_eq!(recovered.epoch(), 5);
         assert_eq!(recovered.last_seq(), snap_seq + 1);
@@ -1103,7 +1207,7 @@ mod tests {
             report.checkpoint_seq, snap_seq,
             "base checkpoint is the floor"
         );
-        assert_eq!(blobs(&recovered), live);
+        assert_eq!(blobs(&mut recovered), live);
         fs::remove_dir_all(&src_dir).unwrap();
         fs::remove_dir_all(&dst_dir).unwrap();
     }
@@ -1123,6 +1227,56 @@ mod tests {
         assert_eq!(recovered.epoch(), 3);
         assert_eq!(checkpoint::read_manifest(&dir).unwrap().1, 3);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The digest streams `edges()` in its own order through a buffer
+    /// (the larger cases fill it several times); the formula it keeps
+    /// sorts the edge list first.
+    #[test]
+    fn digest_equals_the_sorted_edge_formula() {
+        let mut rng = incgraph_graph::rng::SplitMix64::seed_from_u64(7);
+        for (case, directed) in [false, true, false, true].into_iter().enumerate() {
+            let dir = temp_dir(&format!("digest-{case}"));
+            let n = 40 + 300 * case as u32;
+            let mut g = DynamicGraph::new(directed, n as usize);
+            for _ in 0..(n * 3) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                g.insert_edge(u, v, rng.gen_range(1u32..50));
+            }
+            let states = vec![
+                Session::builder(QueryClass::Sssp)
+                    .source(0)
+                    .build(&g)
+                    .unwrap(),
+                Session::builder(QueryClass::Cc).build(&g).unwrap(),
+            ];
+            let mut session =
+                DurableSession::create(&dir, g.clone(), states, DurableOptions::default()).unwrap();
+            let mut crc = crc::Crc32::new()
+                .update(&[directed as u8])
+                .update(&(n as u64).to_le_bytes());
+            let mut edges: Vec<_> = g.edges().collect();
+            edges.sort_unstable();
+            for (u, v, w) in edges {
+                crc = crc
+                    .update(&u.to_le_bytes())
+                    .update(&v.to_le_bytes())
+                    .update(&w.to_le_bytes());
+            }
+            for (name, blob) in session.essences().collect::<Vec<_>>() {
+                crc = crc
+                    .update(name.as_bytes())
+                    .update(&(blob.len() as u64).to_le_bytes())
+                    .update(&blob);
+            }
+            assert_eq!(
+                session.digest(),
+                format!("{:08x}", crc.finish()),
+                "case {case}"
+            );
+            drop(session);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -1182,14 +1336,14 @@ mod tests {
                 }
             }
 
-            let (recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
+            let (mut recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
             assert_eq!(
                 recovered.last_seq(),
                 survived as u64,
                 "{point}: wrong history length"
             );
             assert_eq!(
-                blobs(&recovered),
+                blobs(&mut recovered),
                 essences(&ref_states),
                 "{point}: recovered essence diverges"
             );

@@ -22,10 +22,13 @@
 //! From the chosen base, the WAL suffix (records with sequence numbers
 //! beyond the checkpoint's coverage) is replayed through the *normal*
 //! incremental pipeline — `apply_validated` on the graph, then the live
-//! commit's state pass [`update_states`](crate::update_states) under its
-//! one policy — so replay cost is the paper's bounded incremental cost,
+//! commit's state pass ([`update_states`](crate::update_states) under its
+//! one policy) — so replay cost is the paper's bounded incremental cost,
 //! and a replayed batch that turns out unbounded degrades to batch
-//! recompute exactly like a live one would. Torn WAL tails were already truncated by
+//! recompute exactly like a live one would. As in a live commit, the
+//! weakly deducible states take each record and the deducible ones
+//! queue it; they catch up once, over the suffix's net `ΔG`, before the
+//! session is handed out. Torn WAL tails were already truncated by
 //! [`Wal::open`]; a CRC-clean record that nonetheless fails validation
 //! against its deterministic predecessor state is impossible in a sane
 //! history, so it is treated as corruption: the log is truncated there
@@ -57,8 +60,9 @@ pub struct RecoveryReport {
     /// CRC-clean records dropped because they failed semantic validation
     /// during replay (0 in any history produced by this crate).
     pub wal_records_dropped: usize,
-    /// Replayed (state, batch) updates that fell back to batch recompute
-    /// under [`update_states`](crate::update_states)' policy.
+    /// Replayed state updates (one per weakly deducible state and record,
+    /// one per deducible state and catch-up) that fell back to batch
+    /// recompute under [`update_states`](crate::update_states)' policy.
     pub fallbacks: usize,
 }
 
@@ -159,6 +163,8 @@ pub fn recover(
         report.wal_records_replayed += 1;
         next_seq = record.seq + 1;
     }
+    let reports = states.catch_up(&graph);
+    report.fallbacks += reports.iter().filter(|r| r.fell_back()).count();
     drop(replay_span);
     if incgraph_obs::enabled() {
         incgraph_obs::gauge("recover.checkpoint_seq", report.checkpoint_seq);
@@ -234,10 +240,10 @@ mod tests {
         let mut b = UpdateBatch::new();
         b.insert(1, 2, 5).delete(0, 4);
         session.apply(&b).unwrap();
-        blobs(&session)
+        blobs(&mut session)
     }
 
-    fn blobs(session: &DurableSession) -> Vec<Vec<u8>> {
+    fn blobs(session: &mut DurableSession) -> Vec<Vec<u8>> {
         session.essences().map(|(_, b)| b).collect()
     }
 
@@ -253,12 +259,12 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&newest, &bytes).unwrap();
 
-        let (session, report) = recover(&dir, DurableOptions::default()).unwrap();
+        let (mut session, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.checkpoint_seq, 0, "fell back to genesis");
         assert_eq!(report.checkpoints_skipped, 1, "the rotten newest one");
         assert!(!report.used_manifest, "manifest points at the rotten one");
         assert_eq!(report.wal_records_replayed, 2, "full replay");
-        assert_eq!(blobs(&session), live);
+        assert_eq!(blobs(&mut session), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -267,10 +273,10 @@ mod tests {
         let dir = temp_dir("noman");
         let live = seeded_store(&dir);
         fs::remove_file(dir.join(MANIFEST_NAME)).unwrap();
-        let (session, report) = recover(&dir, DurableOptions::default()).unwrap();
+        let (mut session, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert!(!report.used_manifest);
         assert_eq!(report.checkpoint_seq, 1);
-        assert_eq!(blobs(&session), live);
+        assert_eq!(blobs(&mut session), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -296,7 +302,7 @@ mod tests {
         // history than the log proves, so recovery lands on genesis with
         // nothing to replay.
         fs::remove_file(dir.join(WAL_NAME)).unwrap();
-        let (session, report) = recover(&dir, DurableOptions::default()).unwrap();
+        let (mut session, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(report.checkpoint_seq, 0);
         assert_eq!(report.wal_records_replayed, 0);
         assert_eq!(session.last_seq(), 0);
@@ -304,7 +310,7 @@ mod tests {
         let g0 = ring(10);
         let fresh = states_for(&g0);
         assert_eq!(
-            blobs(&session),
+            blobs(&mut session),
             fresh.iter().map(|s| s.save_state()).collect::<Vec<_>>()
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -325,14 +331,14 @@ mod tests {
             .insert(3, 4, 6);
         session.apply(&b).unwrap();
         assert_eq!(session.last_seq(), 3);
-        let live = blobs(&session);
+        let live = blobs(&mut session);
         drop(session);
-        let (again, report) = recover(&dir, DurableOptions::default()).unwrap();
+        let (mut again, report) = recover(&dir, DurableOptions::default()).unwrap();
         assert_eq!(
             report.wal_records_replayed, 2,
             "seq 2 and 3 on top of ckpt 1"
         );
-        assert_eq!(blobs(&again), live);
+        assert_eq!(blobs(&mut again), live);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,13 +1,15 @@
 //! The DFS class folded into BC's forest. A durable session over the
-//! seven built-in classes updates six states per commit and renders the
-//! `dfs` essence from BC's `IncDFS`. These tests hold the fold to an
+//! seven built-in classes updates the three weakly deducible states per
+//! commit, catches SSSP, LCC and BC up when a state is read, and renders
+//! the `dfs` essence from BC's `IncDFS`. These tests hold the fold to an
 //! unfolded reference — all seven states maintained side by side through
-//! `update_states` — across churn, checkpoint + recovery and snapshot
-//! install, and pin that a `dfs` blob disagreeing with the forest is
-//! refused.
+//! `update_states`, one batch at a time — across churn, checkpoint +
+//! recovery and snapshot install, and pin that a `dfs` blob disagreeing
+//! with the forest is refused.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use incgraph_algos::dfs::ROOT;
 use incgraph_algos::{DfsState, IncrementalState, QueryClass, Session};
@@ -55,7 +57,7 @@ fn seven(g: &DynamicGraph) -> Vec<Session> {
         .collect()
 }
 
-fn blobs(session: &DurableSession) -> Vec<Vec<u8>> {
+fn blobs(session: &mut DurableSession) -> Vec<Vec<u8>> {
     session.essences().map(|(_, b)| b).collect()
 }
 
@@ -99,7 +101,7 @@ fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snaps
         DurableSession::create(&dir, g0.clone(), seven(&g0), options.clone()).unwrap();
     let mut g = g0.clone();
     let mut reference = seven(&g0);
-    assert_eq!(blobs(&session), essences(&reference), "genesis");
+    assert_eq!(blobs(&mut session), essences(&reference), "genesis");
 
     let mut rng = SplitMix64::seed_from_u64(40);
     let mut rerouted = 0;
@@ -107,11 +109,11 @@ fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snaps
         let batch = churn(&mut rng, &g);
         let roots_before = roots(&g);
         let applied = batch.apply_validated(&mut g).unwrap();
-        update_states(&mut reference, &g, &applied);
+        update_states(&mut reference, &g, std::slice::from_ref(&applied));
         rerouted += (roots(&g) <= roots_before) as usize;
 
-        assert_eq!(session.apply(&batch).unwrap().len(), 6, "round {round}");
-        assert_eq!(blobs(&session), essences(&reference), "round {round}");
+        assert_eq!(session.apply(&batch).unwrap().len(), 3, "round {round}");
+        assert_eq!(blobs(&mut session), essences(&reference), "round {round}");
 
         if round == 110 {
             // Checkpoint at seq 80, then 31 records replayed through the fold.
@@ -120,7 +122,7 @@ fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snaps
             assert_eq!(report.checkpoint_seq, 80);
             assert_eq!(report.wal_records_replayed, 31);
             session = recovered;
-            assert_eq!(blobs(&session), essences(&reference), "recovered");
+            assert_eq!(blobs(&mut session), essences(&reference), "recovered");
         }
         if round == 200 {
             let (snapshot, digest) = (session.encode_snapshot(), session.digest());
@@ -129,7 +131,7 @@ fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snaps
                 DurableSession::create(&snap_dir, g0.clone(), seven(&g0), options.clone()).unwrap();
             session = replica.install_snapshot(&snapshot, 2).unwrap();
             assert_eq!(session.digest(), digest);
-            assert_eq!(blobs(&session), essences(&reference), "installed");
+            assert_eq!(blobs(&mut session), essences(&reference), "installed");
         }
     }
     assert!(
@@ -138,28 +140,64 @@ fn folded_essences_equal_the_unfolded_reference_through_churn_recovery_and_snaps
     );
 
     // The installed store recovers from its own checkpoints.
-    let live = blobs(&session);
+    let live = blobs(&mut session);
     drop(session);
-    let (recovered, report) = recover(&snap_dir, options).unwrap();
+    let (mut recovered, report) = recover(&snap_dir, options).unwrap();
     assert_eq!(report.checkpoint_seq, 280);
     assert_eq!(report.wal_records_replayed, 20);
-    assert_eq!(blobs(&recovered), live);
+    assert_eq!(blobs(&mut recovered), live);
     drop(recovered);
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&snap_dir).unwrap();
 }
 
+/// Logs the class of every `update.guarded` span the test's own thread
+/// records; the recorder is global to the process, so it ignores the
+/// spans of tests running beside it.
+struct Updates {
+    thread: std::thread::ThreadId,
+    log: Arc<Mutex<Vec<&'static str>>>,
+}
+
+impl incgraph_obs::Recorder for Updates {
+    fn counter(&self, _: &'static str, _: &'static str, _: u64) {}
+    fn gauge(&self, _: &'static str, _: &'static str, _: u64) {}
+    fn observe(&self, _: &'static str, _: &'static str, _: u64) {}
+    fn event(&self, _: &'static str, _: &'static str, _: &str) {}
+    fn span(&self, class: &'static str, name: &'static str, _: u64) {
+        if name == "update.guarded" && std::thread::current().id() == self.thread {
+            self.log.lock().unwrap().push(class);
+        }
+    }
+}
+
 #[test]
-fn a_commit_updates_six_of_the_seven_states() {
-    let dir = temp_dir("six");
+fn a_commit_updates_the_stamped_states_and_a_read_the_rest() {
+    let dir = temp_dir("stamped");
     let g0 = chorded_ring();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    incgraph_obs::install(Arc::new(Updates {
+        thread: std::thread::current().id(),
+        log: log.clone(),
+    }));
+    let updated = || std::mem::take(&mut *log.lock().unwrap());
     let mut session =
         DurableSession::create(&dir, g0.clone(), seven(&g0), DurableOptions::default()).unwrap();
+    let (mut g, mut reference) = (g0.clone(), seven(&g0));
     let mut b = UpdateBatch::new();
     b.delete(3, 4).insert(5, 30, 1);
-    assert_eq!(session.apply(&b).unwrap().len(), 6);
+    let applied = b.apply_validated(&mut g).unwrap();
+    update_states(&mut reference, &g, std::slice::from_ref(&applied));
+    updated();
+
+    assert_eq!(session.apply(&b).unwrap().len(), 3);
+    assert_eq!(updated(), ["cc", "sim", "reach"], "the commit");
     let names: Vec<_> = session.essences().map(|(n, _)| n).collect();
+    assert_eq!(updated(), ["sssp", "lcc", "bc"], "the read");
     assert_eq!(names, ["sssp", "cc", "sim", "reach", "lcc", "dfs", "bc"]);
+    assert_eq!(blobs(&mut session), essences(&reference));
+    assert_eq!(updated(), [""; 0], "a read with nothing queued");
+    incgraph_obs::uninstall();
     drop(session);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -190,7 +228,7 @@ fn a_dfs_blob_that_disagrees_with_the_forest_is_refused_as_corrupt() {
     session.apply(&b).unwrap();
     let graph = session.graph().clone();
     let names: Vec<_> = session.essences().map(|(n, _)| n).collect();
-    let mut blobs = blobs(&session);
+    let mut blobs = blobs(&mut session);
     drop(session);
     assert_eq!(names, ["dfs", "bc"]);
     blobs[0] = foreign_dfs_blob();

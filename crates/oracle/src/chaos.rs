@@ -768,7 +768,7 @@ fn audit(
         }
     }
 
-    let (session, _) =
+    let (mut session, _) =
         incgraph_durable::recover(dir, durable_options()).map_err(harness("recover"))?;
     let mut graph = DynamicGraph::new(false, graph_nodes(cfg));
     let mut states = standing_states(&graph, DURABLE_PATTERN_SEED);
@@ -777,7 +777,7 @@ fn audit(
             .batch
             .apply_validated(&mut graph)
             .map_err(|e| ChaosFailure::Harness(format!("replay: {e:?}")))?;
-        update_states(&mut states, &graph, &applied);
+        update_states(&mut states, &graph, std::slice::from_ref(&applied));
     }
     let g = session.graph();
     if g.node_count() != graph.node_count() || g.edge_count() != graph.edge_count() {

@@ -142,7 +142,7 @@ fn build_reference(case: &Case) -> Reference {
     for batch in &case.schedule {
         match batch.apply_validated(&mut g) {
             Ok(applied) => {
-                update_states(&mut states, &g, &applied);
+                update_states(&mut states, &g, std::slice::from_ref(&applied));
                 committed += 1;
                 reference.valid.push(true);
             }
@@ -266,7 +266,7 @@ pub fn run_crash_case(case: &Case) -> CrashOutcome {
             let expected_seq = reference.committed[expected_k];
 
             out.recoveries += 1;
-            let (recovered, _report) = match recover(&dir, options.clone()) {
+            let (mut recovered, _report) = match recover(&dir, options.clone()) {
                 Ok(r) => r,
                 Err(e) => {
                     out.failure = Some(CrashFailure {

@@ -165,11 +165,11 @@ fn adopt_epoch(shared: &Arc<Shared>, graph: &str, epoch: u64) -> bool {
 /// Submits the replica job `job` builds around a fresh `done` channel
 /// and waits up to `wait` for the writer's reply. `None` when the writer
 /// is gone or the wait ran out.
-fn ask_writer(
+fn ask_writer<T>(
     shared: &Shared,
     wait: Duration,
-    job: impl FnOnce(mpsc::Sender<Result<u64, String>>) -> Job,
-) -> Option<Result<u64, String>> {
+    job: impl FnOnce(mpsc::Sender<T>) -> Job,
+) -> Option<T> {
     let (done, reply) = mpsc::channel();
     if !shared.send_job(job(done)) {
         return None;
@@ -308,8 +308,11 @@ fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut Client, mut applied: u64) 
                     // (or past) position — not comparable.
                     continue;
                 }
-                let ours = shared.store().as_ref().and_then(|s| s.repl_digest(graph));
-                match ours {
+                let digest_of = |done| Job::ReplDigest {
+                    graph: graph.to_string(),
+                    done,
+                };
+                match ask_writer(shared, Duration::from_secs(30), digest_of).flatten() {
                     Some((our_seq, our_digest)) if our_seq == seq && our_digest != digest => {
                         incgraph_obs::counter("repl.divergence", 1);
                         if incgraph_obs::enabled() {

@@ -1067,10 +1067,21 @@ impl Store {
     }
 
     /// `(last_seq, digest)` of the durable graph — the divergence probe's
-    /// payload on both ends.
-    pub fn repl_digest(&self, graph: &str) -> Option<(u64, String)> {
-        let (session, _) = self.durable(graph).ok()?;
+    /// payload on both ends. A writer's call: the digest reads the
+    /// built-in states, so it catches them up first
+    /// ([`DurableSession::catch_up`]).
+    pub fn repl_digest(&mut self, graph: &str) -> Option<(u64, String)> {
+        let (session, ..) = self.durable_mut(graph).ok()?;
         Some((session.last_seq(), session.digest()))
+    }
+
+    /// Brings the durable graph's built-in states current
+    /// ([`DurableSession::catch_up`]); a no-op for an in-memory or
+    /// unknown graph.
+    pub fn catch_up(&mut self, graph: &str) {
+        if let Ok((session, ..)) = self.durable_mut(graph) {
+            session.catch_up();
+        }
     }
 
     /// CRC of the WAL record at `seq` (recomputed from the scanned
@@ -1108,8 +1119,8 @@ impl Store {
     /// Encodes the durable graph's live world as a bootstrap snapshot:
     /// the checkpoint payload covering `last_seq` plus the current ack
     /// table (latest entry per token, WAL order) for `SNAPACK` shipping.
-    pub fn encode_snapshot(&self, graph: &str) -> Option<(u64, Vec<u8>, Vec<DedupEntry>)> {
-        let (session, acks) = self.durable(graph).ok()?;
+    pub fn encode_snapshot(&mut self, graph: &str) -> Option<(u64, Vec<u8>, Vec<DedupEntry>)> {
+        let (session, _, acks) = self.durable_mut(graph).ok()?;
         let mut acks: Vec<DedupEntry> = acks
             .iter()
             .map(|(token, rec)| DedupEntry {

@@ -53,6 +53,13 @@ pub(crate) enum Job {
         batch: UpdateBatch,
         done: mpsc::Sender<Result<u64, String>>,
     },
+    /// Replica-side: `(last_seq, digest)` for a primary's `DIGEST`
+    /// probe. A digest catches the built-in states up, so only the
+    /// writer takes it.
+    ReplDigest {
+        graph: String,
+        done: mpsc::Sender<Option<(u64, String)>>,
+    },
     /// Replica-side: adopt a bootstrap/resync snapshot.
     ReplAdopt {
         graph: String,
@@ -319,6 +326,9 @@ impl WriterCore {
             Job::AdoptEpoch { graph, epoch, done } => {
                 let adopted = store.adopt_epoch(&graph, epoch).map(|()| epoch);
                 let _ = done.send(adopted.map_err(|(c, d)| format!("{c} {d}")));
+            }
+            Job::ReplDigest { graph, done } => {
+                let _ = done.send(store.repl_digest(&graph));
             }
         }
         self.tick(now);

@@ -142,7 +142,7 @@ fn tail_replication_gates_acks_and_replica_serves_reads() {
     // Byte-identical built-in essences: the replica made the shipped
     // record net exactly as the primary made the client's batch net.
     let digest = |dir: &Path| {
-        let (session, _) = incgraph_durable::recover(dir, DurableOptions::default()).unwrap();
+        let (mut session, _) = incgraph_durable::recover(dir, DurableOptions::default()).unwrap();
         (session.last_seq(), session.digest())
     };
     assert_eq!(digest(&pdir), digest(&rdir));
