@@ -136,7 +136,7 @@ pub(crate) fn run_load_cmd(argv: &[String]) -> Result<(), CliError> {
 /// from `crates/oracle` (docs/ROBUSTNESS.md §6) under its restart or its
 /// failover schedule — real servers, concurrent exactly-once clients,
 /// kills keyed to their progress — then a WAL audit (exactly-once for
-/// every ack), a dedup-table check and an essence check of each surviving
+/// every ack), an ack-table check and an essence check of each surviving
 /// store against genesis replay. Any violation exits 1. The store must be
 /// empty or absent: the audit reads its whole history.
 pub(crate) fn run_chaos_cmd(cmd: &str, argv: &[String]) -> Result<(), CliError> {

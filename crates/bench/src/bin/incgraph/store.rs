@@ -210,11 +210,12 @@ pub(crate) fn run_recover(argv: &[String]) -> Result<(), CliError> {
 /// `incgraph verify-store`: offline read-only scrub of a durable store
 /// directory. Walks every checkpoint (magic + whole-file CRC + payload
 /// decode), the full WAL (per-record CRC and sequence continuity from
-/// the store's base), the dedup intent log, and the
-/// manifest/EPOCH/BASE sidecars, then cross-checks their consistency.
-/// Never takes the store `LOCK` and mutates nothing, so it is safe on a
-/// store a live server holds. Integrity violations exit 1; a torn WAL
-/// or dedup tail is reported but healthy (crash-normal).
+/// the store's base, then the fold of its client origins: per token,
+/// `client_seq` strictly increases), and the manifest/EPOCH/BASE
+/// sidecars, then cross-checks their consistency. Never takes the store
+/// `LOCK` and mutates nothing, so it is safe on a store a live server
+/// holds. Integrity violations exit 1; a torn WAL tail is reported but
+/// healthy (crash-normal).
 pub(crate) fn run_verify_store(argv: &[String]) -> Result<(), CliError> {
     use incgraph_durable::checkpoint::{
         checkpoint_path, list_checkpoints, load_checkpoint, read_manifest,
@@ -241,7 +242,7 @@ pub(crate) fn run_verify_store(argv: &[String]) -> Result<(), CliError> {
     // must match the sequence sealed inside the payload.
     let ckpts = list_checkpoints(dir);
     for &seq in &ckpts {
-        let (covered, _graph, states) = load_checkpoint(&checkpoint_path(dir, seq))
+        let (covered, _graph, states, _acks) = load_checkpoint(&checkpoint_path(dir, seq))
             .map_err(|e| bad(format!("checkpoint {seq}: {e}")))?;
         if covered != seq {
             return Err(bad(format!(
@@ -274,12 +275,12 @@ pub(crate) fn run_verify_store(argv: &[String]) -> Result<(), CliError> {
         scan.records.len()
     );
 
-    // The dedup intent log (longest-valid-prefix scan, read-only).
-    let dedup_entries = incgraph_service::dedup::scan_entries(dir, last_seq)
-        .map_err(|e| bad(format!("dedup log: {e}")))?;
+    // The exactly-once origins: no (token, client_seq) names two records.
+    let acks = incgraph_oracle::walcheck::fold_origins(&scan.records)
+        .map_err(|e| bad(format!("WAL origins: {e}")))?;
     eprintln!(
-        "verify-store: dedup log ok ({} committed intents)",
-        dedup_entries.len()
+        "verify-store: WAL origins ok ({} client tokens)",
+        acks.len()
     );
 
     // Cross-consistency.
@@ -313,10 +314,10 @@ pub(crate) fn run_verify_store(argv: &[String]) -> Result<(), CliError> {
 
     println!(
         "store healthy: epoch {epoch}, base {base}, {} WAL records (frontier {last_seq}), \
-         {} checkpoints, {} dedup intents{}",
+         {} checkpoints, {} client tokens{}",
         scan.records.len(),
         ckpts.len(),
-        dedup_entries.len(),
+        acks.len(),
         if torn > 0 {
             format!(", {torn}-byte torn WAL tail (crash-normal)")
         } else {

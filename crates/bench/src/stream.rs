@@ -17,8 +17,8 @@
 //!   when the consumer lags the schedule.
 //! * **Store** — the server's durable [`Store`], its built-in states the
 //!   standing queries. Each flush is one client `UPDATE`
-//!   ([`Store::apply_update`]): intent fsync, WAL fsync (the ack point),
-//!   then the state pass ([`update_states`](incgraph_durable::update_states)),
+//!   ([`Store::apply_update`]): one WAL fsync of the flush and its client
+//!   origin (the ack point), then the state pass ([`update_states`](incgraph_durable::update_states)),
 //!   which makes the flush net before propagation, over the weakly
 //!   deducible classes; [`Store::catch_up`] then runs it over the
 //!   deducible ones, so each class takes one update per flush.
@@ -306,10 +306,10 @@ impl From<WalAuditFailure> for StreamError {
 /// class when the `dfs.forest` span ends, because on an undirected store
 /// the session folds it into BC's forest and BC goes on re-lowering after
 /// it. Classes update sequentially inside [`Store::apply_update`] and the
-/// [`Store::catch_up`] after it, after the intent and WAL fsyncs, so each
-/// class's latency honestly includes both fsyncs and every class ahead of
-/// it — the freshness a standing-query subscriber of that class observes. With no admissions
-/// set (a reopen and its retry) nothing is timed.
+/// [`Store::catch_up`] after it, after the WAL fsync, so each class's
+/// latency honestly includes the fsync and every class ahead of it — the
+/// freshness a standing-query subscriber of that class observes. With no
+/// admissions set (a reopen and its retry) nothing is timed.
 struct LatencyRecorder {
     registry: Arc<Registry>,
     /// The stream clock's zero: the instant the replay loop starts, so

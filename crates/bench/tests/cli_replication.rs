@@ -1,8 +1,9 @@
 //! Replication end to end through the built binary: a primary/replica
 //! pair (a gated `ACK`, the replica converging to `repl_seq=1`, a typed
 //! `ERR not-primary`, `promote` to epoch 2, a drain and an offline
-//! `verify-store` of both stores), and the failover oracle at the
-//! `post-fsync` crash point with every surviving store scrubbed offline.
+//! `verify-store` of both stores), the failover oracle at the
+//! `post-fsync` crash point with every surviving store scrubbed offline,
+//! and `verify-store` refusing a WAL whose origins repeat.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
@@ -221,4 +222,38 @@ fn failover_at_post_fsync_leaves_stores_that_pass_the_scrub() {
             &format!("verify-store {store}"),
         );
     }
+}
+
+#[test]
+fn verify_store_refuses_a_wal_that_repeats_an_origin() {
+    use incgraph_durable::wal::WAL_MAGIC;
+    use incgraph_durable::{encode_record_with, Origin, WAL_NAME};
+    use incgraph_graph::UpdateBatch;
+    let s = Scratch::new("origins");
+    let origin = |client_seq| Origin {
+        token: "alice".into(),
+        client_seq,
+    };
+    let mut b = UpdateBatch::new();
+    b.insert(0, 1, 1);
+    for (store, seqs) in [("distinct", [1, 2]), ("repeated", [1, 1])] {
+        let mut wal = WAL_MAGIC.to_vec();
+        for (i, client_seq) in seqs.into_iter().enumerate() {
+            let seq = i as u64 + 1;
+            wal.extend_from_slice(&encode_record_with(seq, &b, Some(&origin(client_seq))));
+        }
+        std::fs::create_dir_all(s.path().join(store)).unwrap();
+        std::fs::write(s.path().join(store).join(WAL_NAME), wal).unwrap();
+    }
+    assert_ok(
+        &incgraph(s.path(), &["verify-store", "--store", "distinct"]),
+        "verify-store distinct",
+    );
+    let out = incgraph(s.path(), &["verify-store", "--store", "repeated"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("wal record 2 carries alice seq 1"),
+        "{stderr}"
+    );
 }

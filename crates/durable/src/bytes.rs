@@ -13,6 +13,10 @@ pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
+pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -56,6 +60,10 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    pub(crate) fn u16(&mut self) -> Result<u16, DurableError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
     pub(crate) fn u32(&mut self) -> Result<u32, DurableError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -81,6 +89,11 @@ impl<'a> Reader<'a> {
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], DurableError> {
         let n = self.len(1)?;
         self.take(n)
+    }
+
+    /// Whether every byte has been read.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
     }
 
     pub(crate) fn finish(self) -> Result<(), DurableError> {

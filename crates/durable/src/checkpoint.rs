@@ -10,7 +10,14 @@
 //! whose payload captures everything recovery needs: the WAL sequence
 //! number the checkpoint covers, the graph at that point (direction flag,
 //! labels, edges), and one self-describing `SaveState` blob per tracked
-//! query class (see `incgraph_algos::persist`). The CRC is over the whole
+//! query class (see `incgraph_algos::persist`), then the exactly-once ack
+//! table when it is non-empty: a count and, per token in byte order,
+//! `wal_seq: u64` followed by the WAL's origin encoding
+//! (`client_seq: u64, token_len: u16, token`). A payload that ends after
+//! the blobs holds the empty table, so a store no client token ever
+//! wrote to checkpoints the same bytes it did before the table existed,
+//! and with the WAL suffix's origins this section is all recovery needs
+//! to answer retries. The CRC is over the whole
 //! payload, so *any* corruption — graph bytes, a single state blob —
 //! invalidates the file as a unit and the recovery ladder moves on to an
 //! older checkpoint rather than trusting a half-good one.
@@ -37,7 +44,8 @@ use incgraph_graph::DynamicGraph;
 
 use crate::bytes::{put_bytes, put_u32, put_u64, put_u8, Reader};
 use crate::crc::crc32;
-use crate::{CrashPoint, DurableError};
+use crate::wal::{put_origin, read_origin};
+use crate::{record_ack, Acks, CrashPoint, DurableError};
 
 /// Magic prefix of a checkpoint file.
 pub const CKPT_MAGIC: &[u8; 8] = b"ICKP0001";
@@ -79,11 +87,12 @@ pub fn list_checkpoints(dir: &Path) -> Vec<u64> {
 /// Serializes the checkpoint payload (everything between magic and CRC).
 /// `blobs` are the tracked classes' essences in creation order
 /// ([`DurableSession::essences`](crate::DurableSession::essences)); each
-/// names its own class.
+/// names its own class. `acks` is the ack table as of `covered_seq`.
 pub fn encode_payload(
     covered_seq: u64,
     g: &DynamicGraph,
     blobs: impl ExactSizeIterator<Item = Vec<u8>>,
+    acks: &Acks,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     put_u64(&mut out, covered_seq);
@@ -102,12 +111,22 @@ pub fn encode_payload(
     for blob in blobs {
         put_bytes(&mut out, &blob);
     }
+    if !acks.is_empty() {
+        let mut tokens: Vec<_> = acks.iter().collect();
+        tokens.sort_unstable_by_key(|&(token, _)| token);
+        put_u64(&mut out, tokens.len() as u64);
+        for (token, ack) in tokens {
+            put_u64(&mut out, ack.wal_seq);
+            put_origin(&mut out, token, ack.client_seq);
+        }
+    }
     out
 }
 
 /// A fully validated checkpoint: the WAL sequence it covers, the graph,
-/// and one restored session per saved blob ([`Session::restore`]).
-pub type LoadedCheckpoint = (u64, DynamicGraph, Vec<Session>);
+/// one restored session per saved blob ([`Session::restore`]), and the
+/// ack table.
+pub type LoadedCheckpoint = (u64, DynamicGraph, Vec<Session>, Acks);
 
 /// Deserializes a checkpoint payload back into a [`LoadedCheckpoint`].
 /// Every structural or semantic violation is an error — the ladder
@@ -152,8 +171,23 @@ pub fn decode_payload(payload: &[u8]) -> Result<LoadedCheckpoint, DurableError> 
         let blob = r.bytes()?;
         states.push(Session::restore(&g, blob)?);
     }
+    let mut acks = Acks::new();
+    if !r.at_end() {
+        // Each entry is at least a wal_seq, a client_seq and a length.
+        for _ in 0..r.len(18)? {
+            let wal_seq = r.u64()?;
+            let origin = read_origin(&mut r)?;
+            if wal_seq > covered_seq {
+                return Err(DurableError::Corrupt(format!(
+                    "ack of {} at seq {wal_seq} beyond the covered seq {covered_seq}",
+                    origin.token
+                )));
+            }
+            record_ack(&mut acks, origin, wal_seq);
+        }
+    }
     r.finish()?;
-    Ok((covered_seq, g, states))
+    Ok((covered_seq, g, states, acks))
 }
 
 fn fsync_dir(dir: &Path) -> std::io::Result<()> {
@@ -174,9 +208,10 @@ pub fn write_checkpoint(
     covered_seq: u64,
     g: &DynamicGraph,
     blobs: impl ExactSizeIterator<Item = Vec<u8>>,
+    acks: &Acks,
     crash: Option<CrashPoint>,
 ) -> Result<PathBuf, DurableError> {
-    let payload = encode_payload(covered_seq, g, blobs);
+    let payload = encode_payload(covered_seq, g, blobs, acks);
     let mut bytes = Vec::with_capacity(12 + payload.len());
     bytes.extend_from_slice(CKPT_MAGIC);
     bytes.extend_from_slice(&payload);
@@ -280,6 +315,7 @@ pub fn read_manifest(dir: &Path) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AckRecord;
     use incgraph_algos::{IncrementalState, QueryClass};
 
     fn ring(n: usize) -> DynamicGraph {
@@ -316,8 +352,9 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let g = ring(12);
         let states = states_for(&g);
-        let path = write_checkpoint(&dir, 7, &g, blobs(&states), None).unwrap();
-        let (seq, g2, states2) = load_checkpoint(&path).unwrap();
+        let path = write_checkpoint(&dir, 7, &g, blobs(&states), &Acks::new(), None).unwrap();
+        let (seq, g2, states2, acks) = load_checkpoint(&path).unwrap();
+        assert!(acks.is_empty());
         assert_eq!(seq, 7);
         assert_eq!(g2.node_count(), 12);
         assert_eq!(
@@ -337,7 +374,14 @@ mod tests {
     fn any_corrupted_byte_invalidates_the_file() {
         let dir = temp_dir("corrupt");
         let g = ring(8);
-        let path = write_checkpoint(&dir, 3, &g, blobs(&states_for(&g)), None).unwrap();
+        let acks = Acks::from([(
+            "alice".to_string(),
+            AckRecord {
+                client_seq: 2,
+                wal_seq: 3,
+            },
+        )]);
+        let path = write_checkpoint(&dir, 3, &g, blobs(&states_for(&g)), &acks, None).unwrap();
         let clean = fs::read(&path).unwrap();
         // Flip a byte in several regions: graph bytes, state blob, CRC.
         for &i in &[10usize, clean.len() / 2, clean.len() - 2] {
@@ -375,7 +419,7 @@ mod tests {
 
     #[test]
     fn a_repeated_edge_is_corrupt() {
-        let (_, g, _) = decode_payload(&payload_with(false, &[(0, 1, 4), (1, 2, 5)])).unwrap();
+        let (_, g, _, _) = decode_payload(&payload_with(false, &[(0, 1, 4), (1, 2, 5)])).unwrap();
         assert_eq!(g.edge_weight(2, 1), Some(5));
         assert_eq!(g.label(2), 2);
         for (directed, edges) in [
@@ -390,6 +434,36 @@ mod tests {
                 Err(other) => panic!("{edges:?}: expected Corrupt, got {other}"),
                 Ok(_) => panic!("{edges:?}: a repeated edge was accepted"),
             }
+        }
+    }
+
+    #[test]
+    fn the_ack_section_round_trips_and_is_absent_when_empty() {
+        let g = ring(5);
+        let states = states_for(&g);
+        let bare = encode_payload(9, &g, blobs(&states), &Acks::new());
+        let mut acks = Acks::new();
+        for (token, client_seq, wal_seq) in [("bob", 4, 9), ("alice", 1, 2)] {
+            let ack = AckRecord {
+                client_seq,
+                wal_seq,
+            };
+            acks.insert(token.to_string(), ack);
+        }
+        let full = encode_payload(9, &g, blobs(&states), &acks);
+        // The table is a suffix: the tokenless payload is a prefix of it.
+        assert_eq!(&full[..bare.len()], &bare[..]);
+        assert_eq!(decode_payload(&full).unwrap().3, acks);
+        assert!(decode_payload(&bare).unwrap().3.is_empty());
+        // An ack past the covered sequence cannot be part of its history.
+        let beyond = encode_payload(8, &g, blobs(&states), &acks);
+        assert!(matches!(
+            decode_payload(&beyond),
+            Err(DurableError::Corrupt(_))
+        ));
+        // Every cut inside the section is a corrupt payload.
+        for cut in bare.len() + 1..full.len() {
+            assert!(decode_payload(&full[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -430,8 +504,16 @@ mod tests {
         let dir = temp_dir("midckpt");
         let g = ring(8);
         let states = states_for(&g);
-        write_checkpoint(&dir, 1, &g, blobs(&states), None).unwrap();
-        let err = write_checkpoint(&dir, 2, &g, blobs(&states), Some(CrashPoint::MidCheckpoint));
+        let acks = Acks::new();
+        write_checkpoint(&dir, 1, &g, blobs(&states), &acks, None).unwrap();
+        let err = write_checkpoint(
+            &dir,
+            2,
+            &g,
+            blobs(&states),
+            &acks,
+            Some(CrashPoint::MidCheckpoint),
+        );
         assert!(matches!(
             err,
             Err(DurableError::InjectedCrash(CrashPoint::MidCheckpoint))

@@ -10,15 +10,23 @@
 //!   fsynced *before* the in-memory state machine advances past it. The
 //!   log is the ground truth of which `ΔG` are part of history.
 //! - **Checkpoints** ([`checkpoint`]): the graph plus every tracked
-//!   class's `SaveState` essence (`D^r`, stamps, clock, query params),
-//!   written atomically and CRC-verified as a unit. Checkpoints only
-//!   accelerate recovery; the *genesis* checkpoint (sequence 0) is never
-//!   rotated out, so full replay always remains possible.
+//!   class's `SaveState` essence (`D^r`, stamps, clock, query params)
+//!   and the exactly-once ack table, written atomically and CRC-verified
+//!   as a unit. Checkpoints only accelerate recovery; the *genesis*
+//!   checkpoint (sequence 0) is never rotated out, so full replay always
+//!   remains possible.
 //! - **Recovery** ([`recover`]): newest valid checkpoint + incremental
 //!   replay of the WAL suffix through the commit's own state pass, so
 //!   even recovery enjoys the paper's bounded incremental cost — and
 //!   takes the same guarded path (incremental replay → batch recompute)
 //!   as a live commit when a replayed batch turns out unbounded.
+//!
+//! **Exactly once.** A record may carry the client [`Origin`] its batch
+//! committed under. The ack table — each client token's last
+//! acknowledged `(client_seq, wal_seq)` — is then a value derived from
+//! the log: the newest checkpoint's table plus the origins of the WAL
+//! suffix, folded in order. A commit writes one record and fsyncs once;
+//! no second log has to agree with the WAL.
 //!
 //! Every tracked class state is a [`Session`] — the one handle that
 //! holds a class state outside `incgraph-algos`. This module stops the
@@ -55,8 +63,11 @@ pub use meta::{
     read_base, read_epoch, write_base, write_epoch, BASE_NAME, EPOCH_NAME, FIRST_EPOCH,
 };
 pub use recover::{recover, RecoveryReport};
-pub use wal::{encode_record, scan_records, Scan, ScannedRecord, Wal, FIRST_SEQ};
+pub use wal::{
+    encode_record, encode_record_with, scan_records, Origin, Scan, ScannedRecord, Wal, FIRST_SEQ,
+};
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -219,6 +230,28 @@ impl From<StateLoadError> for DurableError {
     fn from(e: StateLoadError) -> Self {
         DurableError::State(e)
     }
+}
+
+/// Last acknowledged batch of one client token.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct AckRecord {
+    /// Client-supplied sequence number (strictly increasing from 1).
+    pub client_seq: u64,
+    /// WAL sequence the batch committed under.
+    pub wal_seq: u64,
+}
+
+/// The exactly-once ack table: client token → its last acknowledged
+/// batch.
+pub type Acks = HashMap<String, AckRecord>;
+
+/// Records that the batch at `wal_seq` committed under `origin`.
+pub(crate) fn record_ack(acks: &mut Acks, origin: Origin, wal_seq: u64) {
+    let ack = AckRecord {
+        client_seq: origin.client_seq,
+        wal_seq,
+    };
+    acks.insert(origin.token, ack);
 }
 
 /// Configuration of a durable session: when it checkpoints. How it
@@ -398,10 +431,11 @@ impl Tracked {
 /// 1. validate and apply `ΔG` to the in-memory graph
 ///    ([`UpdateBatch::apply_validated`] — an invalid batch is rejected
 ///    before anything touches the log);
-/// 2. append the batch to the WAL and **fsync** — this is the commit
-///    point; a crash before it loses the batch (by design: it was never
-///    acknowledged), a crash after it preserves the batch across
-///    recovery;
+/// 2. append the batch and its client [`Origin`], if any, to the WAL as
+///    one record and **fsync** — this is the commit point; a crash
+///    before it loses the batch (by design: it was never acknowledged),
+///    a crash after it preserves the batch, and its entry in the ack
+///    table, across recovery;
 /// 3. tell the caller the batch is committed (the `committed` hook of
 ///    [`apply_with`](Self::apply_with) — where a primary ships the
 ///    record to its replicas);
@@ -423,6 +457,8 @@ pub struct DurableSession {
     pub(crate) wal: Wal,
     pub(crate) graph: DynamicGraph,
     pub(crate) states: Tracked,
+    /// The ack table as of `next_seq - 1` ([`acks`](Self::acks)).
+    pub(crate) acks: Acks,
     pub(crate) options: DurableOptions,
     pub(crate) next_seq: u64,
     /// Replication epoch/term (see [`meta`]); starts at
@@ -459,7 +495,8 @@ impl DurableSession {
             )));
         }
         let states = Tracked::fold(states)?;
-        checkpoint::write_checkpoint(dir, 0, &graph, states.blobs(), None)?;
+        let acks = Acks::new();
+        checkpoint::write_checkpoint(dir, 0, &graph, states.blobs(), &acks, None)?;
         checkpoint::write_manifest(dir, 0, meta::FIRST_EPOCH)?;
         meta::write_epoch(dir, meta::FIRST_EPOCH)?;
         let opened = Wal::open(&dir.join(WAL_NAME))?;
@@ -468,6 +505,7 @@ impl DurableSession {
             wal: opened.wal,
             graph,
             states,
+            acks,
             options,
             next_seq: FIRST_SEQ,
             epoch: meta::FIRST_EPOCH,
@@ -494,6 +532,26 @@ impl DurableSession {
     pub fn essences(&mut self) -> impl ExactSizeIterator<Item = (&'static str, Vec<u8>)> + '_ {
         self.catch_up();
         self.states.essences()
+    }
+
+    /// The exactly-once ack table: each client token's last batch the
+    /// log holds, as recorded by the origins of committed records.
+    pub fn acks(&self) -> &Acks {
+        &self.acks
+    }
+
+    /// Folds acks that were recorded outside the WAL into the table. A
+    /// token's entry is replaced only by one naming a later WAL sequence.
+    /// The entries become durable with the next
+    /// [`checkpoint`](Self::checkpoint); the migration of a store whose
+    /// acks lived in a sidecar log calls it, and checkpoints at once.
+    pub fn adopt_acks(&mut self, acks: impl IntoIterator<Item = (String, AckRecord)>) {
+        for (token, ack) in acks {
+            let entry = self.acks.entry(token).or_default();
+            if ack.wal_seq > entry.wal_seq {
+                *entry = ack;
+            }
+        }
     }
 
     /// Brings the deducible states current over the net `ΔG` of every
@@ -589,22 +647,28 @@ impl DurableSession {
         format!("{:08x}", crc.finish())
     }
 
-    /// Encodes the live world as a checkpoint payload covering
-    /// [`last_seq`](Self::last_seq) — the exact bytes
+    /// Encodes the live world and the ack table as a checkpoint payload
+    /// covering [`last_seq`](Self::last_seq) — the exact bytes
     /// [`checkpoint::decode_payload`] (and therefore
     /// [`install_snapshot`](Self::install_snapshot)) accepts. The primary
     /// uses this to ship a bootstrap snapshot to a lagging replica.
     pub fn encode_snapshot(&mut self) -> Vec<u8> {
         self.catch_up();
-        checkpoint::encode_payload(self.last_seq(), &self.graph, self.states.blobs())
+        checkpoint::encode_payload(
+            self.last_seq(),
+            &self.graph,
+            self.states.blobs(),
+            &self.acks,
+        )
     }
 
     /// Replaces this store's entire world with a shipped snapshot,
     /// consuming the session and returning a new one whose history
     /// *begins* at the snapshot's covered sequence: the decoded payload
-    /// becomes the base checkpoint, `BASE` records the covered sequence,
-    /// the WAL restarts empty expecting `covered + 1`, and the manifest
-    /// is stamped with `epoch` (adopted from the primary).
+    /// becomes the base checkpoint and its ack table the session's,
+    /// `BASE` records the covered sequence, the WAL restarts empty
+    /// expecting `covered + 1`, and the manifest is stamped with `epoch`
+    /// (adopted from the primary).
     ///
     /// Ordering is crash-safe: the new base checkpoint is durable
     /// *before* `BASE` commits the switch, and only then are the old log
@@ -624,10 +688,10 @@ impl DurableSession {
             lock,
             ..
         } = self;
-        let (covered, graph, states) = checkpoint::decode_payload(payload)?;
+        let (covered, graph, states, acks) = checkpoint::decode_payload(payload)?;
         let states = Tracked::fold(states)?;
         let old_checkpoints = checkpoint::list_checkpoints(&dir);
-        checkpoint::write_checkpoint(&dir, covered, &graph, states.blobs(), None)?;
+        checkpoint::write_checkpoint(&dir, covered, &graph, states.blobs(), &acks, None)?;
         meta::write_epoch(&dir, epoch)?;
         // The commit point: once BASE names the snapshot's sequence, the
         // old WAL records (whose sequences precede it) are dead history.
@@ -648,6 +712,7 @@ impl DurableSession {
             wal: opened.wal,
             graph,
             states,
+            acks,
             options,
             next_seq: covered + 1,
             epoch,
@@ -688,23 +753,17 @@ impl DurableSession {
     /// stays usable. On [`DurableError::InjectedCrash`] the session is
     /// dead by definition and must be dropped.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<Vec<BoundednessReport>, DurableError> {
-        self.apply_with(batch, |_| Ok(()), |_| {})
+        self.apply_with(batch, None, |_| {})
             .map(|(reports, _)| reports)
     }
 
-    /// [`apply`](Self::apply) with the two hooks that bracket the commit
-    /// point. `pre_commit` runs after the batch validated and applied in
-    /// memory, immediately before the WAL append that commits it,
-    /// receiving the sequence
-    /// number the batch is about to take. The service layer uses this
-    /// seam to fsync its exactly-once intent record (client token +
-    /// client sequence → WAL sequence) strictly *before* the batch can
-    /// become durable: a crash between the two leaves an intent whose
-    /// WAL sequence was never written, which recovery discards, so a
-    /// client retry re-applies cleanly; a crash after the append leaves
-    /// both records, so the retry is deduplicated. If `pre_commit`
-    /// errors, the in-memory application is rolled back and nothing is
-    /// logged — exactly the invalid-batch contract.
+    /// [`apply`](Self::apply) of a batch that committed under the client
+    /// `origin`, with a hook at the commit point. The origin rides in the
+    /// batch's WAL record, so the record's fsync commits the batch and
+    /// its ack together: a crash before it loses both, and the client's
+    /// retry re-applies cleanly; a crash after it keeps both, and the
+    /// retry is a duplicate. Once the record is durable the origin's
+    /// token maps to `(client_seq, seq)` in [`acks`](Self::acks).
     ///
     /// `committed` runs on the success path only, right after the WAL
     /// append returned: the record is fsynced and the sequence it
@@ -712,34 +771,25 @@ impl DurableSession {
     /// is the earliest moment the batch may leave the process, so the
     /// service's primary ships the record from here and its replica
     /// commits while this session is still maintaining its states. It
-    /// never runs for a batch that did not commit — an invalid batch, a
-    /// refusing `pre_commit`, an I/O error or an injected crash in the
-    /// append (`post-fsync` included: the process is dead by then) all
-    /// return before it.
+    /// never runs for a batch that did not commit — an invalid batch, an
+    /// I/O error or an injected crash in the append (`post-fsync`
+    /// included: the process is dead by then) all return before it.
     ///
     /// Also returns the effective [`AppliedBatch`], which callers that
     /// maintain *additional* states outside the session (the service's
     /// standing queries) feed to their own incremental updates.
-    pub fn apply_with<F, C>(
+    pub fn apply_with(
         &mut self,
         batch: &UpdateBatch,
-        pre_commit: F,
-        committed: C,
-    ) -> Result<(Vec<BoundednessReport>, AppliedBatch), DurableError>
-    where
-        F: FnOnce(u64) -> Result<(), DurableError>,
-        C: FnOnce(u64),
-    {
+        origin: Option<Origin>,
+        committed: impl FnOnce(u64),
+    ) -> Result<(Vec<BoundednessReport>, AppliedBatch), DurableError> {
         let applied = batch
             .apply_validated(&mut self.graph)
             .map_err(DurableError::InvalidBatch)?;
-        if let Err(e) = pre_commit(self.next_seq) {
-            applied.invert().apply(&mut self.graph);
-            return Err(e);
-        }
         let crash = self.take_crash(true);
         let seq = self.next_seq;
-        if let Err(e) = self.wal.append(seq, batch, crash) {
+        if let Err(e) = self.wal.append(seq, batch, origin.as_ref(), crash) {
             if !matches!(e, DurableError::InjectedCrash(_)) {
                 // Real I/O failure: undo the in-memory application so the
                 // session still mirrors the durable history exactly.
@@ -748,6 +798,9 @@ impl DurableSession {
             return Err(e);
         }
         self.next_seq += 1;
+        if let Some(origin) = origin {
+            record_ack(&mut self.acks, origin, seq);
+        }
         committed(seq);
         let reports = self.states.update(&self.graph, &applied);
         if let Some(every) = self.options.checkpoint_every {
@@ -758,14 +811,16 @@ impl DurableSession {
         Ok((reports, applied))
     }
 
-    /// Writes a checkpoint covering everything applied so far and points
-    /// the manifest at it. Returns the covered WAL sequence number.
+    /// Writes a checkpoint covering everything applied so far, the ack
+    /// table included, and points the manifest at it. Returns the covered
+    /// WAL sequence number.
     pub fn checkpoint(&mut self) -> Result<u64, DurableError> {
         self.catch_up();
         let _span = incgraph_obs::span("ckpt.write");
         let covered = self.last_seq();
         let crash = self.take_crash(false);
-        checkpoint::write_checkpoint(&self.dir, covered, &self.graph, self.states.blobs(), crash)?;
+        let blobs = self.states.blobs();
+        checkpoint::write_checkpoint(&self.dir, covered, &self.graph, blobs, &self.acks, crash)?;
         checkpoint::write_manifest(&self.dir, covered, self.epoch)?;
         incgraph_obs::counter("ckpt.writes", 1);
         incgraph_obs::gauge("ckpt.covered_seq", covered);
@@ -1013,39 +1068,64 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn origin(token: &str, client_seq: u64) -> Option<Origin> {
+        Some(Origin {
+            token: token.into(),
+            client_seq,
+        })
+    }
+
     #[test]
-    fn pre_commit_failure_rolls_back_and_logs_nothing() {
-        let dir = temp_dir("precommit");
-        let g0 = ring(8);
+    fn origins_fold_into_the_ack_table_across_checkpoints_and_recovery() {
+        let dir = temp_dir("acks");
+        let g0 = ring(12);
         let mut session =
             DurableSession::create(&dir, g0.clone(), states_for(&g0), DurableOptions::default())
                 .unwrap();
-        let edges_before: Vec<_> = session.graph().edges().collect();
+        let origins = [
+            origin("alice", 1),
+            origin("bob", 1),
+            None,
+            origin("alice", 2),
+        ];
+        let mut batches = schedule();
         let mut b = UpdateBatch::new();
-        b.insert(0, 3, 1);
-        let mut seen_seq = 0;
-        let mut committed = false;
-        let err = session
-            .apply_with(
-                &b,
-                |seq| {
-                    seen_seq = seq;
-                    Err(DurableError::Corrupt("intent fsync failed".into()))
+        b.insert(3, 9, 2);
+        batches.push(b);
+        for (i, (b, o)) in batches.iter().zip(origins).enumerate() {
+            session.apply_with(b, o, |_| {}).unwrap();
+            if i == 1 {
+                session.checkpoint().unwrap();
+            }
+        }
+        let want = Acks::from([
+            (
+                "alice".to_string(),
+                AckRecord {
+                    client_seq: 2,
+                    wal_seq: 4,
                 },
-                |_| committed = true,
-            )
-            .unwrap_err();
-        assert!(matches!(err, DurableError::Corrupt(_)));
-        assert_eq!(seen_seq, FIRST_SEQ, "hook sees the would-be sequence");
-        assert!(
-            !committed,
-            "a refused commit must not reach the commit hook"
-        );
-        assert_eq!(session.graph().edges().collect::<Vec<_>>(), edges_before);
-        assert_eq!(session.last_seq(), 0, "nothing was logged");
-        // The session survives the refused commit.
-        session.apply(&b).unwrap();
-        assert_eq!(session.last_seq(), 1);
+            ),
+            (
+                "bob".to_string(),
+                AckRecord {
+                    client_seq: 1,
+                    wal_seq: 2,
+                },
+            ),
+        ]);
+        assert_eq!(session.acks(), &want);
+        drop(session);
+        // The checkpoint at 2 holds bob and alice's first ack; the suffix
+        // carries alice's second, which replaces it.
+        let (recovered, report) = recover(&dir, DurableOptions::default()).unwrap();
+        assert_eq!(report.checkpoint_seq, 2);
+        assert_eq!(recovered.acks(), &want);
+        let bytes = fs::read(dir.join(WAL_NAME)).unwrap();
+        let scan = scan_records(&bytes[8..], FIRST_SEQ);
+        let carried: Vec<_> = scan.records.iter().map(|r| r.origin.is_some()).collect();
+        assert_eq!(carried, [true, true, false, true]);
+        drop(recovered);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1072,6 +1152,8 @@ mod tests {
 
     #[test]
     fn commit_hooks_bracket_the_wal_fsync_and_precede_state_maintenance() {
+        // The record, origin included, is durable before the hook runs,
+        // and the states see the batch after it.
         let dir = temp_dir("hook-order");
         let g0 = ring(12);
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -1083,36 +1165,26 @@ mod tests {
         let mut session =
             DurableSession::create(&dir, g0, vec![cc], DurableOptions::default()).unwrap();
         let wal_path = dir.join(WAL_NAME);
-        let logged_seqs = || -> Vec<u64> {
+        let logged = || -> Vec<ScannedRecord> {
             let bytes = fs::read(&wal_path).unwrap();
-            let scan = scan_records(&bytes[8..], FIRST_SEQ);
-            scan.records.iter().map(|r| r.seq).collect()
+            scan_records(&bytes[8..], FIRST_SEQ).records
         };
         for (i, b) in schedule().iter().enumerate() {
             let seq = i as u64 + 1;
+            let o = origin("alice", seq);
             session
-                .apply_with(
-                    b,
-                    |s| {
-                        assert!(!logged_seqs().contains(&s), "intent precedes the record");
-                        log.lock().unwrap().push(format!("pre_commit {s}"));
-                        Ok(())
-                    },
-                    |s| {
-                        // The record is already on disk when the hook runs:
-                        // whatever it hands out is durable here.
-                        assert_eq!(logged_seqs().last(), Some(&s));
-                        log.lock().unwrap().push(format!("committed {s}"));
-                    },
-                )
+                .apply_with(b, o.clone(), |s| {
+                    // The record is already on disk when the hook runs:
+                    // whatever it hands out is durable here.
+                    let logged = logged();
+                    let last = logged.last().unwrap();
+                    assert_eq!((last.seq, &last.origin), (s, &o));
+                    log.lock().unwrap().push(format!("committed {s}"));
+                })
                 .unwrap();
             assert_eq!(
                 std::mem::take(&mut *log.lock().unwrap()),
-                [
-                    format!("pre_commit {seq}"),
-                    format!("committed {seq}"),
-                    "update".to_string()
-                ]
+                [format!("committed {seq}"), "update".to_string()]
             );
         }
         incgraph_obs::uninstall();
@@ -1143,13 +1215,14 @@ mod tests {
             session.arm_crash(crash);
             let mut committed = false;
             let err = session
-                .apply_with(batch, |_| Ok(()), |_| committed = true)
+                .apply_with(batch, origin("alice", 1), |_| committed = true)
                 .unwrap_err();
             match crash {
                 Some(p) => assert!(matches!(err, DurableError::InjectedCrash(q) if q == p)),
                 None => assert!(matches!(err, DurableError::InvalidBatch(_))),
             }
             assert!(!committed, "{tag}: the commit hook ran");
+            assert!(session.acks().is_empty(), "{tag}: the origin was acked");
             fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1166,9 +1239,12 @@ mod tests {
             DurableOptions::default(),
         )
         .unwrap();
-        for b in schedule() {
-            primary.apply(&b).unwrap();
+        for (i, b) in schedule().iter().enumerate() {
+            primary
+                .apply_with(b, origin("alice", i as u64 + 1), |_| {})
+                .unwrap();
         }
+        let acks = primary.acks().clone();
         let snapshot = primary.encode_snapshot();
         let want_digest = primary.digest();
         let snap_seq = primary.last_seq();
@@ -1191,6 +1267,7 @@ mod tests {
         assert_eq!(replica.base_seq(), snap_seq);
         assert_eq!(replica.epoch(), 5);
         assert_eq!(replica.digest(), want_digest);
+        assert_eq!(replica.acks(), &acks, "the ack table rode the snapshot");
 
         // New history continues at base + 1 and recovery honors the base.
         let mut replica = replica;
@@ -1208,6 +1285,7 @@ mod tests {
             "base checkpoint is the floor"
         );
         assert_eq!(blobs(&mut recovered), live);
+        assert_eq!(recovered.acks(), &acks);
         fs::remove_dir_all(&src_dir).unwrap();
         fs::remove_dir_all(&dst_dir).unwrap();
     }

@@ -28,7 +28,9 @@
 //! recompute exactly like a live one would. As in a live commit, the
 //! weakly deducible states take each record and the deducible ones
 //! queue it; they catch up once, over the suffix's net `ΔG`, before the
-//! session is handed out. Torn WAL tails were already truncated by
+//! session is handed out. The ack table is folded the same way: the
+//! checkpoint's table, then each replayed record's origin in log order.
+//! Torn WAL tails were already truncated by
 //! [`Wal::open`]; a CRC-clean record that nonetheless fails validation
 //! against its deterministic predecessor state is impossible in a sane
 //! history, so it is treated as corruption: the log is truncated there
@@ -36,11 +38,11 @@
 
 use std::path::Path;
 
-use incgraph_graph::DynamicGraph;
-
-use crate::checkpoint::{checkpoint_path, list_checkpoints, load_checkpoint, read_manifest};
+use crate::checkpoint::{
+    checkpoint_path, list_checkpoints, load_checkpoint, read_manifest, LoadedCheckpoint,
+};
 use crate::wal::Wal;
-use crate::{DurableError, DurableOptions, DurableSession, Tracked, WAL_NAME};
+use crate::{record_ack, DurableError, DurableOptions, DurableSession, Tracked, WAL_NAME};
 
 /// What recovery did, for logs, the CLI, and the crash oracle's asserts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -108,7 +110,7 @@ pub fn recover(
         }
     }
 
-    let mut chosen: Option<(u64, DynamicGraph, Vec<_>)> = None;
+    let mut chosen: Option<LoadedCheckpoint> = None;
     for seq in candidates {
         if seq > last_logged || seq < base {
             // Ahead of the log's proof, or behind the snapshot base
@@ -126,7 +128,7 @@ pub fn recover(
             Err(_) => report.checkpoints_skipped += 1,
         }
     }
-    let Some((covered, mut graph, states)) = chosen else {
+    let Some((covered, mut graph, states, mut acks)) = chosen else {
         return Err(DurableError::Unrecoverable(format!(
             "{}: no valid checkpoint (genesis included) to recover from",
             dir.display()
@@ -160,6 +162,9 @@ pub fn recover(
         };
         let reports = states.update(&graph, &applied);
         report.fallbacks += reports.iter().filter(|r| r.fell_back()).count();
+        if let Some(origin) = &record.origin {
+            record_ack(&mut acks, origin.clone(), record.seq);
+        }
         report.wal_records_replayed += 1;
         next_seq = record.seq + 1;
     }
@@ -182,6 +187,7 @@ pub fn recover(
             wal,
             graph,
             states,
+            acks,
             options,
             next_seq,
             epoch,
@@ -198,7 +204,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::MANIFEST_NAME;
     use incgraph_algos::{IncrementalState, QueryClass, Session};
-    use incgraph_graph::UpdateBatch;
+    use incgraph_graph::{DynamicGraph, UpdateBatch};
     use std::fs;
     use std::path::PathBuf;
 

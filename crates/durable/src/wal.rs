@@ -7,11 +7,23 @@
 //! ```
 //!
 //! where `crc` is the CRC-32 of `seq || payload` and `payload` encodes the
-//! batch's unit updates. Records carry strictly consecutive sequence
-//! numbers starting at 1; the log is append-only and never compacted (the
-//! genesis checkpoint plus a full replay must always be able to
-//! reconstruct the present — see the recovery ladder in
-//! [`recover`](crate::recover)).
+//! batch's unit updates, optionally followed by the batch's client
+//! [`Origin`]:
+//!
+//! ```text
+//! [count: u32][update]*  [client_seq: u64][token_len: u16][token]     (origin optional)
+//! ```
+//!
+//! A record without an origin is the batch alone, so records written
+//! without one keep their bytes. Trailing bytes that are not exactly one
+//! well-formed origin make the record invalid, like any other damage.
+//! The origins along the log are the exactly-once ack table's history:
+//! recovery folds them over the newest checkpoint's table.
+//!
+//! Records carry strictly consecutive sequence numbers starting at 1;
+//! the log is append-only and never compacted (the genesis checkpoint
+//! plus a full replay must always be able to reconstruct the present —
+//! see the recovery ladder in [`recover`](crate::recover)).
 //!
 //! **Commit protocol**: a batch is durable once its record is fully
 //! written *and* fsynced. [`Wal::append`] does exactly that before
@@ -29,7 +41,7 @@ use std::path::{Path, PathBuf};
 
 use incgraph_graph::{Update, UpdateBatch};
 
-use crate::bytes::{put_u32, put_u64, put_u8, Reader};
+use crate::bytes::{put_u16, put_u32, put_u64, put_u8, Reader};
 use crate::crc::crc32;
 use crate::{CrashPoint, DurableError};
 
@@ -39,8 +51,40 @@ pub const WAL_MAGIC: &[u8; 8] = b"IWAL0001";
 /// First sequence number a log hands out.
 pub const FIRST_SEQ: u64 = 1;
 
-/// Encodes a batch payload: unit count, then tagged unit updates.
-fn encode_batch(batch: &UpdateBatch) -> Vec<u8> {
+/// The client identity a batch committed under: its retry token and the
+/// client's sequence number. A record that carries one makes a retry of
+/// `(token, client_seq)` a duplicate.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Origin {
+    /// Client retry identity, at most `u16::MAX` bytes.
+    pub token: String,
+    /// Client-supplied sequence number.
+    pub client_seq: u64,
+}
+
+/// Appends an origin as `client_seq, token_len: u16, token`.
+pub(crate) fn put_origin(out: &mut Vec<u8>, token: &str, client_seq: u64) {
+    let len = u16::try_from(token.len()).expect("an origin token is at most u16::MAX bytes");
+    put_u64(out, client_seq);
+    put_u16(out, len);
+    out.extend_from_slice(token.as_bytes());
+}
+
+/// Reads an origin written by [`put_origin`].
+pub(crate) fn read_origin(r: &mut Reader<'_>) -> Result<Origin, DurableError> {
+    let client_seq = r.u64()?;
+    let len = r.u16()? as usize;
+    let token = std::str::from_utf8(r.take(len)?)
+        .map_err(|_| DurableError::Corrupt("origin token is not UTF-8".into()))?;
+    Ok(Origin {
+        token: token.to_string(),
+        client_seq,
+    })
+}
+
+/// Encodes a record payload: unit count, tagged unit updates, then the
+/// origin if there is one.
+fn encode_payload(batch: &UpdateBatch, origin: Option<&Origin>) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, batch.len() as u32);
     for u in batch.updates() {
@@ -58,10 +102,13 @@ fn encode_batch(batch: &UpdateBatch) -> Vec<u8> {
             }
         }
     }
+    if let Some(o) = origin {
+        put_origin(&mut out, &o.token, o.client_seq);
+    }
     out
 }
 
-fn decode_batch(payload: &[u8]) -> Result<UpdateBatch, DurableError> {
+fn decode_payload(payload: &[u8]) -> Result<(UpdateBatch, Option<Origin>), DurableError> {
     let mut r = Reader::new(payload);
     let count = r.u32()? as usize;
     let mut updates = Vec::with_capacity(count.min(payload.len()));
@@ -81,13 +128,24 @@ fn decode_batch(payload: &[u8]) -> Result<UpdateBatch, DurableError> {
             t => return Err(DurableError::Corrupt(format!("unknown update tag {t}"))),
         }
     }
+    let origin = if r.at_end() {
+        None
+    } else {
+        Some(read_origin(&mut r)?)
+    };
     r.finish()?;
-    Ok(UpdateBatch::from_updates(updates))
+    Ok((UpdateBatch::from_updates(updates), origin))
 }
 
-/// Encodes one full WAL record for `batch` with sequence number `seq`.
+/// Encodes one full WAL record for `batch` with sequence number `seq`
+/// and no origin.
 pub fn encode_record(seq: u64, batch: &UpdateBatch) -> Vec<u8> {
-    let payload = encode_batch(batch);
+    encode_record_with(seq, batch, None)
+}
+
+/// [`encode_record`] with the batch's client origin, if any.
+pub fn encode_record_with(seq: u64, batch: &UpdateBatch, origin: Option<&Origin>) -> Vec<u8> {
+    let payload = encode_payload(batch, origin);
     let mut sum = Vec::with_capacity(8 + payload.len());
     put_u64(&mut sum, seq);
     sum.extend_from_slice(&payload);
@@ -110,6 +168,15 @@ pub struct ScannedRecord {
     pub offset: usize,
     /// The decoded batch.
     pub batch: UpdateBatch,
+    /// The client origin the batch committed under, if it carries one.
+    pub origin: Option<Origin>,
+}
+
+impl ScannedRecord {
+    /// The record's bytes, as the log holds them.
+    pub fn encode(&self) -> Vec<u8> {
+        encode_record_with(self.seq, &self.batch, self.origin.as_ref())
+    }
 }
 
 /// Result of scanning a WAL body (the bytes after the file magic).
@@ -151,13 +218,14 @@ pub fn scan_records(body: &[u8], first_seq: u64) -> Scan {
         if seq != expected {
             break; // hole or replayed tail: ordering is part of validity
         }
-        let Ok(batch) = decode_batch(payload) else {
+        let Ok((batch, origin)) = decode_payload(payload) else {
             break; // CRC-clean but semantically malformed: treat as tail
         };
         records.push(ScannedRecord {
             seq,
             offset: pos,
             batch,
+            origin,
         });
         pos += total;
         expected += 1;
@@ -270,8 +338,9 @@ impl Wal {
         self.end
     }
 
-    /// Appends and fsyncs one record. On success the batch is durable:
-    /// the record is fully on stable storage before this returns.
+    /// Appends and fsyncs one record of `batch` and its `origin`. On
+    /// success the batch is durable: the record is fully on stable
+    /// storage before this returns.
     ///
     /// `crash` injects a failure for the crash-recovery harness:
     /// [`CrashPoint::WalPreFsync`] writes a torn prefix of the record and
@@ -283,9 +352,10 @@ impl Wal {
         &mut self,
         seq: u64,
         batch: &UpdateBatch,
+        origin: Option<&Origin>,
         crash: Option<CrashPoint>,
     ) -> Result<(), DurableError> {
-        let record = encode_record(seq, batch);
+        let record = encode_record_with(seq, batch, origin);
         match crash {
             Some(CrashPoint::WalPreFsync) => {
                 // Torn write: half the record reaches the file, no fsync.
@@ -367,8 +437,8 @@ mod tests {
 
         {
             let mut open = Wal::open(&path).unwrap();
-            open.wal.append(1, &batch(0), None).unwrap();
-            open.wal.append(2, &batch(1), None).unwrap();
+            open.wal.append(1, &batch(0), None, None).unwrap();
+            open.wal.append(2, &batch(1), None, None).unwrap();
         }
         // Simulate a crash mid-append: a third record, half-written.
         let torn = encode_record(3, &batch(2));
@@ -386,7 +456,7 @@ mod tests {
         );
         // The recovered log accepts the next append cleanly.
         let mut wal = open.wal;
-        wal.append(3, &batch(2), None).unwrap();
+        wal.append(3, &batch(2), None, None).unwrap();
         let reopened = Wal::open(&path).unwrap();
         assert_eq!(reopened.records.len(), 3);
         assert_eq!(reopened.truncated_bytes, 0);

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use incgraph_algos::dfs::ROOT;
 use incgraph_algos::{DfsState, IncrementalState, QueryClass, Session};
 use incgraph_durable::{
-    checkpoint, recover, update_states, DurableError, DurableOptions, DurableSession,
+    checkpoint, recover, update_states, Acks, DurableError, DurableOptions, DurableSession,
 };
 use incgraph_graph::rng::SplitMix64;
 use incgraph_graph::{DynamicGraph, Pattern, UpdateBatch};
@@ -235,7 +235,8 @@ fn a_dfs_blob_that_disagrees_with_the_forest_is_refused_as_corrupt() {
 
     // A CRC-clean checkpoint holding it fails the open; recovery does not
     // step down to genesis around it.
-    checkpoint::write_checkpoint(&dir, 1, &graph, blobs.iter().cloned(), None).unwrap();
+    let acks = Acks::new();
+    checkpoint::write_checkpoint(&dir, 1, &graph, blobs.iter().cloned(), &acks, None).unwrap();
     match recover(&dir, DurableOptions::default()) {
         Err(DurableError::Corrupt(msg)) => assert!(msg.contains("dfs"), "{msg}"),
         Err(e) => panic!("expected Corrupt, got {e}"),
@@ -244,7 +245,7 @@ fn a_dfs_blob_that_disagrees_with_the_forest_is_refused_as_corrupt() {
 
     // A shipped snapshot holding it is refused before the replica's store
     // is touched.
-    let payload = checkpoint::encode_payload(1, &graph, blobs.into_iter());
+    let payload = checkpoint::encode_payload(1, &graph, blobs.into_iter(), &acks);
     let replica =
         DurableSession::create(&dst, g0.clone(), pair(&g0), DurableOptions::default()).unwrap();
     assert!(matches!(

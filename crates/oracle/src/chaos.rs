@@ -28,8 +28,11 @@
 //!    acked, so every committed record ends up acked; a double-apply or a
 //!    foreign batch shows up as a committed-unacked record, a lost write
 //!    as acked-but-lost.
-//! 2. **The dedup table agrees**: each client token's last ack is its
-//!    final sequence (shipped identities survived promotion).
+//! 2. **The ack table agrees**: [`fold_origins`] over the WAL finds each
+//!    client token's `client_seq` strictly increasing and its last ack at
+//!    the client's final sequence (shipped origins survived promotion),
+//!    and the recovered session's table — the one a server answers
+//!    retries from — equals that fold.
 //! 3. **Recovery equals genesis replay**: the essence
 //!    ([`IncrementalState::save_state`]) of every one of the seven query
 //!    classes after real recovery is byte-identical to a fresh state fed
@@ -39,13 +42,14 @@
 //!
 //! [`IncrementalState::save_state`]: incgraph_algos::IncrementalState::save_state
 
-use crate::walcheck::{audit_wal, batch_fingerprint, wal_records, AckedBatch, WalAuditFailure};
+use crate::walcheck::{
+    audit_wal, batch_fingerprint, fold_origins, wal_records, AckedBatch, WalAuditFailure,
+};
 use incgraph_algos::IncrementalState;
 use incgraph_durable::{update_states, CrashPoint, DurableError, DurableOptions};
 use incgraph_graph::rng::SplitMix64;
 use incgraph_graph::{DynamicGraph, NodeId, UpdateBatch};
 use incgraph_service::client::{Client, ClientError};
-use incgraph_service::dedup;
 use incgraph_service::server::{Server, ServerConfig, ServerHandle};
 use incgraph_service::store::{standing_states, Store, StoreLimits, DURABLE_PATTERN_SEED};
 use std::fmt::Display;
@@ -129,9 +133,10 @@ pub struct ChaosReport {
 pub enum ChaosFailure {
     /// The surviving WAL breaks exactly-once for the clients' ledger.
     Wal(WalAuditFailure),
-    /// The dedup table's last ack for a client token is not the client's
-    /// final sequence (0: the token is absent).
-    DedupMismatch {
+    /// The ack table folded from the WAL's origins holds, for a client
+    /// token, a last sequence other than the client's final one (0: the
+    /// token is absent).
+    AckMismatch {
         /// Client token.
         token: String,
         /// Last client sequence the table holds.
@@ -139,6 +144,8 @@ pub enum ChaosFailure {
         /// Sequence the client finished at.
         want: u64,
     },
+    /// The recovered session's ack table differs from the WAL's fold.
+    RecoveredAcks,
     /// A server refused a client's batch with an error exactly-once
     /// rules out (`seq-gap` on a retry: it lost the client's identity).
     Refused {
@@ -166,10 +173,13 @@ impl std::fmt::Display for ChaosFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ChaosFailure::Wal(e) => write!(f, "{e}"),
-            ChaosFailure::DedupMismatch { token, last, want } => write!(
+            ChaosFailure::AckMismatch { token, last, want } => write!(
                 f,
-                "dedup table for {token}: last ack {last}, client finished at {want}"
+                "ack table for {token}: last ack {last}, client finished at {want}"
             ),
+            ChaosFailure::RecoveredAcks => {
+                write!(f, "recovered ack table differs from the WAL's origins")
+            }
             ChaosFailure::Refused {
                 client,
                 batch,
@@ -752,24 +762,21 @@ fn audit(
     let records = wal_records(dir).map_err(ChaosFailure::Wal)?;
     report.wal_batches += records.len();
 
-    let last_seq = records.last().map_or(0, |r| r.seq);
-    let entries = dedup::scan_entries(dir, last_seq).map_err(harness("dedup scan"))?;
+    let acks = fold_origins(&records).map_err(ChaosFailure::Wal)?;
     let want = cfg.batches_per_client as u64;
     for i in 0..cfg.clients {
         let token = token(cycle, i);
-        let last = entries
-            .iter()
-            .filter(|e| e.token == token)
-            .map(|e| e.client_seq)
-            .max()
-            .unwrap_or(0);
+        let last = acks.get(&token).map_or(0, |a| a.client_seq);
         if last != want {
-            return Err(ChaosFailure::DedupMismatch { token, last, want });
+            return Err(ChaosFailure::AckMismatch { token, last, want });
         }
     }
 
     let (mut session, _) =
         incgraph_durable::recover(dir, durable_options()).map_err(harness("recover"))?;
+    if session.acks() != &acks {
+        return Err(ChaosFailure::RecoveredAcks);
+    }
     let mut graph = DynamicGraph::new(false, graph_nodes(cfg));
     let mut states = standing_states(&graph, DURABLE_PATTERN_SEED);
     for rec in &records {

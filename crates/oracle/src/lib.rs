@@ -29,8 +29,9 @@
 //!   under one of two schedules — kill/restart cycles behind a
 //!   byte-cutting proxy, or a crash-point kill of a replicated primary
 //!   followed by promotion and client redirect — and every store left
-//!   behind is audited by [`walcheck`], its dedup table, and recovered
-//!   per-class essences byte-for-byte against genesis replay.
+//!   behind is audited by [`walcheck`] (the acks and the origin fold),
+//!   the recovered ack table, and recovered per-class essences
+//!   byte-for-byte against genesis replay.
 //!
 //! The `incgraph fuzz` / `incgraph replay` subcommands (crates/bench) are
 //! thin CLI shells over this crate; the corpus-replay integration test

@@ -17,13 +17,21 @@
 //! failover schedules leave behind: there each client records its `ACK`s,
 //! a dup `ACK` names the original sequence, and clients retry until
 //! acked, so it audits with no committed-unacked record allowed.
+//!
+//! The exactly-once ack table is itself a fold over the log: each record
+//! may carry the client origin `(token, client_seq)` its batch committed
+//! under. [`fold_origins`] replays that fold and checks that no origin
+//! could make a retry ambiguous: per token, `client_seq` strictly
+//! increases along the WAL, so no `(token, client_seq)` names two
+//! records. The chaos oracle and `incgraph verify-store` run it on every
+//! store they audit.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
 use incgraph_durable::crc::crc32;
-use incgraph_durable::{encode_record, ScannedRecord, Wal, FIRST_SEQ, WAL_NAME};
+use incgraph_durable::{encode_record, AckRecord, Acks, ScannedRecord, Wal, FIRST_SEQ, WAL_NAME};
 use incgraph_graph::UpdateBatch;
 
 /// Sequence-independent content fingerprint of a batch: the CRC of its
@@ -72,6 +80,15 @@ pub enum WalAuditFailure {
     ContentMismatch { seq: u64, expected: u32, found: u32 },
     /// More unacked records than crashes could have stranded in flight.
     ExcessUnacked { count: usize, limit: usize },
+    /// The record at `seq` carries a `client_seq` for `token` that is not
+    /// above the one an earlier record carries (`last`): the same client
+    /// batch committed twice, or a retry could resolve to either record.
+    OriginNotIncreasing {
+        seq: u64,
+        token: String,
+        client_seq: u64,
+        last: u64,
+    },
 }
 
 impl fmt::Display for WalAuditFailure {
@@ -98,6 +115,15 @@ impl fmt::Display for WalAuditFailure {
             WalAuditFailure::ExcessUnacked { count, limit } => write!(
                 f,
                 "{count} committed-unacked wal records exceed the in-flight limit {limit}"
+            ),
+            WalAuditFailure::OriginNotIncreasing {
+                seq,
+                token,
+                client_seq,
+                last,
+            } => write!(
+                f,
+                "wal record {seq} carries {token} seq {client_seq}, not above its earlier {last}"
             ),
         }
     }
@@ -168,6 +194,31 @@ pub fn audit_wal(
     Ok(report)
 }
 
+/// Folds the origins of `records` (WAL order) into the ack table they
+/// define — each token's last `(client_seq, wal_seq)` — and fails at the
+/// first record whose `client_seq` does not strictly exceed its token's
+/// previous one.
+pub fn fold_origins(records: &[ScannedRecord]) -> Result<Acks, WalAuditFailure> {
+    let mut acks = Acks::new();
+    for r in records {
+        let Some(origin) = &r.origin else { continue };
+        let last = acks.entry(origin.token.clone()).or_default();
+        if origin.client_seq <= last.client_seq {
+            return Err(WalAuditFailure::OriginNotIncreasing {
+                seq: r.seq,
+                token: origin.token.clone(),
+                client_seq: origin.client_seq,
+                last: last.client_seq,
+            });
+        }
+        *last = AckRecord {
+            client_seq: origin.client_seq,
+            wal_seq: r.seq,
+        };
+    }
+    Ok(acks)
+}
+
 /// The valid records of the WAL under `dir`, in sequence order (a torn
 /// tail is cut, as recovery would).
 pub(crate) fn wal_records(dir: &Path) -> Result<Vec<ScannedRecord>, WalAuditFailure> {
@@ -178,7 +229,7 @@ pub(crate) fn wal_records(dir: &Path) -> Result<Vec<ScannedRecord>, WalAuditFail
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incgraph_durable::{DurableOptions, DurableSession};
+    use incgraph_durable::{DurableOptions, DurableSession, Origin};
     use incgraph_graph::DynamicGraph;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -273,6 +324,61 @@ mod tests {
             audit_wal(&dir, &acked, 0),
             Err(WalAuditFailure::DuplicateAck { seq: 1 })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn origins_fold_to_the_table_and_a_repeat_is_caught() {
+        let dir = scratch("origins");
+        let mut s = DurableSession::create(
+            &dir,
+            DynamicGraph::new(true, 64),
+            Vec::new(),
+            Default::default(),
+        )
+        .unwrap();
+        let origin = |token: &str, client_seq| {
+            Some(Origin {
+                token: token.into(),
+                client_seq,
+            })
+        };
+        let origins = [origin("a", 1), None, origin("b", 1), origin("a", 2)];
+        for (k, o) in origins.into_iter().enumerate() {
+            s.apply_with(&batch(k as u32, k as u32 + 1, 1), o, |_| {})
+                .unwrap();
+        }
+        let live = s.acks().clone();
+        drop(s);
+        let records = wal_records(&dir).unwrap();
+        assert_eq!(fold_origins(&records).unwrap(), live);
+        assert_eq!(
+            live["a"],
+            AckRecord {
+                client_seq: 2,
+                wal_seq: 4
+            }
+        );
+
+        // A record that repeats an earlier origin, or goes back.
+        for client_seq in [2, 1] {
+            let mut bad = records.clone();
+            bad.push(ScannedRecord {
+                seq: 5,
+                offset: 0,
+                batch: batch(9, 10, 1),
+                origin: origin("a", client_seq),
+            });
+            assert_eq!(
+                fold_origins(&bad),
+                Err(WalAuditFailure::OriginNotIncreasing {
+                    seq: 5,
+                    token: "a".into(),
+                    client_seq,
+                    last: 2,
+                })
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

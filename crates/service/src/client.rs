@@ -330,7 +330,7 @@ impl Client {
 
     /// Sends one `UPDATE` batch under `client_seq` and waits for the
     /// `ACK`. `BUSY` and `ERR` surface as [`ClientError`]; retry with the
-    /// **same** `client_seq` — the server's dedup table makes that safe.
+    /// **same** `client_seq` — the server's ack table makes that safe.
     pub fn update(
         &mut self,
         graph: &str,

@@ -1,42 +1,26 @@
-//! Durable exactly-once intent log.
+//! The exactly-once intent log of stores written before WAL records
+//! carried their client origin, and the one-time migration off it.
 //!
-//! The service acks an `UPDATE` only after the batch's WAL record is
-//! fsynced. A client whose ack was lost (cut connection, dropped bytes)
-//! retries the same `(token, client_seq)` — possibly against a restarted
-//! server — and the retry must be applied **exactly once**. The WAL
-//! itself cannot answer "was this client batch already committed?"
-//! because its records carry no client identity; this sidecar log does.
+//! Such a store kept a sidecar `dedup.log` beside its WAL: one
+//! CRC-framed intent `(wal_seq, client_seq, token)` per committed client
+//! batch, appended and fsynced *before* the WAL record. An intent whose
+//! WAL sequence never committed (a crash between the two fsyncs) is an
+//! orphan, and [`DedupLog::open`] physically truncates the log at the
+//! first one: its WAL sequence is reused by the next commit, so a kept
+//! orphan would alias into a false ack on a later open.
 //!
-//! One record per committed batch: `(wal_seq, client_seq, token)`,
-//! CRC-framed like the WAL. The commit protocol (enforced through
-//! [`DurableSession::apply_with`](incgraph_durable::DurableSession::apply_with))
-//! is *intent first*:
-//!
-//! 1. append + fsync the intent, naming the WAL sequence the batch is
-//!    about to take;
-//! 2. append + fsync the WAL record (the commit point);
-//! 3. ack the client.
-//!
-//! A crash between 1 and 2 leaves an intent whose WAL sequence was never
-//! committed; [`DedupLog::open`] *physically truncates* the log at the
-//! first intent with `wal_seq > last committed WAL sequence` (intents
-//! are appended in WAL order, so uncommitted ones are a suffix). The
-//! orphan must not merely be skipped: its WAL sequence will be reused by
-//! the next committed batch, and a retained orphan would then alias into
-//! a false ack on a later open. With it gone, the client's retry
-//! re-applies cleanly. A crash between 2 and 3 leaves both records, so
-//! the retry is recognized and re-acked without re-applying. A WAL
-//! append that fails with a *real* I/O error flips the graph into
-//! degraded read-only mode (no further commits for the life of the
-//! process), which keeps the orphaned intent's WAL sequence from ever
-//! being claimed by a different batch.
+//! A WAL record carries its batch's origin itself
+//! ([`incgraph_durable::Origin`]), and the durable session folds the ack
+//! table from the log ([`DurableSession::acks`]). [`migrate`] moves an
+//! old store over once, when it is opened: it folds the intent log up to
+//! the WAL's last sequence, checkpoints the table, and removes the log
+//! before any new commit.
 
 use incgraph_durable::crc::crc32;
-use incgraph_durable::DurableError;
-use std::collections::HashMap;
+use incgraph_durable::{AckRecord, Acks, DurableError, DurableSession};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name of the intent log inside a graph's durable directory.
 pub const DEDUP_NAME: &str = "dedup.log";
@@ -44,42 +28,17 @@ pub const DEDUP_NAME: &str = "dedup.log";
 /// File magic.
 pub const DEDUP_MAGIC: &[u8; 8] = b"IDUP0001";
 
-/// Last acknowledged batch of one client token on one graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct AckRecord {
-    /// Client-supplied sequence number (strictly increasing from 1).
-    pub client_seq: u64,
-    /// WAL sequence the batch committed under.
-    pub wal_seq: u64,
-}
-
-/// One decoded intent, in log (= WAL-sequence) order. Used by the
-/// replication catch-up path (which ships each committed record's client
-/// identity alongside the WAL bytes) and by the failover oracle's
-/// offline exactly-once audit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DedupEntry {
-    /// WAL sequence the batch committed under.
-    pub wal_seq: u64,
-    /// Client-supplied sequence number.
-    pub client_seq: u64,
-    /// Client retry identity.
-    pub token: String,
-}
-
 /// An open, append-position intent log.
 pub struct DedupLog {
     file: File,
-    path: PathBuf,
 }
 
-/// Parses the valid committed prefix of a dedup-log *body* (the bytes
-/// after the magic): entries in order plus the byte length of that
-/// prefix. Stops at the first torn/corrupt record or the first intent
-/// past `committed_wal_seq` — the same longest-valid-prefix rule
-/// [`DedupLog::open`] truncates by.
-fn parse_body(body: &[u8], committed_wal_seq: u64) -> (Vec<DedupEntry>, usize) {
-    let mut entries = Vec::new();
+/// Folds the valid committed prefix of a dedup-log *body* (the bytes
+/// after the magic) into a token → last-ack index, plus the byte length
+/// of that prefix. Stops at the first torn/corrupt record or the first
+/// intent past `committed_wal_seq`.
+fn parse_body(body: &[u8], committed_wal_seq: u64) -> (Acks, usize) {
+    let mut index = Acks::new();
     let mut pos = 0usize;
     while body.len() - pos >= 8 {
         let len = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
@@ -103,37 +62,16 @@ fn parse_body(body: &[u8], committed_wal_seq: u64) -> (Vec<DedupEntry>, usize) {
         if wal_seq > committed_wal_seq {
             break;
         }
-        entries.push(DedupEntry {
-            wal_seq,
-            client_seq,
-            token: token.to_string(),
-        });
+        let rec = index.entry(token.to_string()).or_default();
+        if client_seq >= rec.client_seq {
+            *rec = AckRecord {
+                client_seq,
+                wal_seq,
+            };
+        }
         pos = end;
     }
-    (entries, pos)
-}
-
-/// Read-only scan of the intent log in `dir`: the committed entries in
-/// WAL order, without opening the log for append or truncating anything.
-/// A missing log reads as empty. Safe on a store another process holds
-/// the `LOCK` on — nothing is mutated.
-pub fn scan_entries(dir: &Path, committed_wal_seq: u64) -> Result<Vec<DedupEntry>, DurableError> {
-    let path = dir.join(DEDUP_NAME);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.is_empty() {
-        return Ok(Vec::new());
-    }
-    if bytes.len() < 8 || &bytes[..8] != DEDUP_MAGIC {
-        return Err(DurableError::Corrupt(format!(
-            "{}: bad dedup log magic",
-            path.display()
-        )));
-    }
-    Ok(parse_body(&bytes[8..], committed_wal_seq).0)
+    (index, pos)
 }
 
 fn encode_entry(token: &str, client_seq: u64, wal_seq: u64) -> Vec<u8> {
@@ -155,10 +93,7 @@ impl DedupLog {
     /// prefix into a token → last-ack index. Intents beyond
     /// `committed_wal_seq` were never committed and are discarded; a torn
     /// tail is truncated so subsequent appends extend a clean log.
-    pub fn open(
-        dir: &Path,
-        committed_wal_seq: u64,
-    ) -> Result<(DedupLog, HashMap<String, AckRecord>), DurableError> {
+    pub fn open(dir: &Path, committed_wal_seq: u64) -> Result<(DedupLog, Acks), DurableError> {
         let path = dir.join(DEDUP_NAME);
         let mut file = OpenOptions::new()
             .read(true)
@@ -185,68 +120,54 @@ impl DedupLog {
         // truncation below physically discards that suffix: an orphan
         // merely skipped but kept in the file could alias into a false
         // ack once its WAL sequence is reused by a later batch.
-        let (entries, pos) = parse_body(body, committed_wal_seq);
-        let mut index: HashMap<String, AckRecord> = HashMap::new();
-        for e in entries {
-            let rec = index.entry(e.token).or_default();
-            if e.client_seq >= rec.client_seq {
-                *rec = AckRecord {
-                    client_seq: e.client_seq,
-                    wal_seq: e.wal_seq,
-                };
-            }
-        }
-        // Truncate the torn/uncommitted tail so the next append starts at
-        // a record boundary.
+        let (index, pos) = parse_body(body, committed_wal_seq);
         let valid_end = 8 + pos as u64;
         file.set_len(valid_end)?;
         file.sync_data()?;
         file.seek(SeekFrom::Start(valid_end))?;
-        Ok((DedupLog { file, path }, index))
+        Ok((DedupLog { file }, index))
     }
 
-    /// Appends and fsyncs one intent. Called from the pre-commit hook:
-    /// after this returns, the intent is durable and the WAL append may
-    /// proceed.
+    /// Appends and fsyncs one intent.
     pub fn append(
         &mut self,
         token: &str,
         client_seq: u64,
         wal_seq: u64,
     ) -> Result<(), DurableError> {
-        let _span = incgraph_obs::span("service.intent");
         let entry = encode_entry(token, client_seq, wal_seq);
         self.file.write_all(&entry)?;
         self.file.sync_data()?;
         Ok(())
     }
+}
 
-    /// Rewrites the log from scratch with the given entries (WAL order)
-    /// and fsyncs. Snapshot adoption uses this: the shipped ack table
-    /// replaces whatever local history the old log described, which is
-    /// dead once the store's world is the primary's snapshot.
-    pub fn reset(&mut self, entries: &[DedupEntry]) -> Result<(), DurableError> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut bytes: Vec<u8> = Vec::with_capacity(8 + entries.len() * 32);
-        bytes.extend_from_slice(DEDUP_MAGIC);
-        for e in entries {
-            bytes.extend_from_slice(&encode_entry(&e.token, e.client_seq, e.wal_seq));
-        }
-        self.file.write_all(&bytes)?;
-        self.file.sync_data()?;
-        Ok(())
+/// Moves the store `session` holds off its intent log, if it still has
+/// one: folds the log up to the WAL's last sequence (which discards
+/// orphan intents) into the session's ack table, writes a checkpoint
+/// that carries the table, then removes the log and makes the removal
+/// durable. A crash before the removal leaves the log in place and the
+/// next open folds it again to the same table, since no commit ran in
+/// between; a crash after it finds the table in the checkpoint. A store
+/// without a log is left as it is.
+pub fn migrate(session: &mut DurableSession) -> Result<(), DurableError> {
+    let path = session.dir().join(DEDUP_NAME);
+    if !path.exists() {
+        return Ok(());
     }
-
-    /// The log's path (diagnostics and tests).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
+    let (log, acks) = DedupLog::open(session.dir(), session.last_seq())?;
+    drop(log);
+    session.adopt_acks(acks);
+    session.checkpoint()?;
+    std::fs::remove_file(&path)?;
+    File::open(session.dir())?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("incgraph-dedup-{tag}-{}", std::process::id()));

@@ -15,8 +15,9 @@
 //!   WAL-durable), standing queries, the single-writer commit path
 //!   with exactly-once client retries, and degraded read-only mode after
 //!   a WAL write failure.
-//! - [`dedup`]: the durable intent log that makes retried batches apply
-//!   exactly once across crashes.
+//! - [`dedup`]: the one-time migration of a store that kept its
+//!   exactly-once intents in a sidecar log; a WAL record carries its
+//!   batch's client origin instead.
 //! - [`server`]: the threaded TCP server — configuration, roles, the
 //!   acceptor, the writer thread, graceful drain and abrupt death. Three
 //!   private modules hold the rest of it: `session` (each connection's
@@ -53,9 +54,9 @@ pub mod store;
 pub(crate) mod writer;
 
 pub use client::{Client, ClientError, Reply};
-pub use dedup::{AckRecord, DedupEntry, DedupLog, DEDUP_NAME};
+pub use dedup::{DedupLog, DEDUP_NAME};
 pub use load::{run_load, ClassPercentiles, LoadConfig, LoadReport};
 pub use outbound::{OutMsg, Outbound};
 pub use protocol::{Command, Delta, ErrCode, MAX_LINE_BYTES, WIRE_VERSION};
 pub use server::{Role, Server, ServerConfig, ServerHandle};
-pub use store::{record_crc_of, standing_states, ReplInfo, Store, StoreLimits};
+pub use store::{standing_states, ReplInfo, Store, StoreLimits};

@@ -56,10 +56,9 @@
 //!
 //! ```text
 //! OK SYNC tail <epoch> <last_seq>           (then SHIP from from_seq+1)
-//! OK SYNC snap <epoch> <snap_seq>           (then SNAP/SNAPACK/SNAPEND)
-//! SHIP <seq> <token|-> <client_seq> <hex-record>
+//! OK SYNC snap <epoch> <snap_seq>           (then SNAP/SNAPEND)
+//! SHIP <seq> <hex-record>
 //! SNAP <i> <n> <hex-chunk>
-//! SNAPACK <token> <client_seq> <wal_seq>
 //! SNAPEND <seq> <crc>
 //! DIGEST <seq> <digest>
 //! ```
@@ -67,10 +66,11 @@
 //! `SHIP` carries the *full WAL record bytes* (hex) — self-validating
 //! through the record's own CRC and sequence number, decoded with the
 //! same [`scan_records`](incgraph_durable::scan_records) the recovery
-//! path uses. `SNAP` chunks a checkpoint payload
-//! ([`DurableSession::encode_snapshot`](incgraph_durable::DurableSession::encode_snapshot));
-//! `SNAPACK` transfers the exactly-once ack table so client retries
-//! survive failover; `DIGEST` is the periodic divergence probe.
+//! path uses, client origin included, so client retries survive
+//! failover. `SNAP` chunks a checkpoint payload
+//! ([`DurableSession::encode_snapshot`](incgraph_durable::DurableSession::encode_snapshot)),
+//! whose ack table does the same for a bootstrapped replica; `DIGEST`
+//! is the periodic divergence probe.
 
 use incgraph_graph::{NodeId, UpdateBatch, Weight};
 use std::collections::BTreeMap;
@@ -756,27 +756,14 @@ pub fn format_sync(
 /// helpers below — the one authority both ends share.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplMsg {
-    /// One fsynced WAL record: the full record bytes (self-validating
-    /// via the record's own CRC + seq) plus the exactly-once identity
-    /// it was committed under (`token = None` for identity-less
-    /// records, e.g. replayed history with no dedup entry).
-    Ship {
-        seq: u64,
-        token: Option<String>,
-        client_seq: u64,
-        record: Vec<u8>,
-    },
+    /// One fsynced WAL record: the full record bytes, self-validating
+    /// via the record's own CRC + seq, with the client origin it carries.
+    Ship { seq: u64, record: Vec<u8> },
     /// One chunk (`index` of `total`) of a checkpoint payload.
     Snap {
         index: usize,
         total: usize,
         chunk: Vec<u8>,
-    },
-    /// One exactly-once ack-table entry shipped with a snapshot.
-    SnapAck {
-        token: String,
-        client_seq: u64,
-        wal_seq: u64,
     },
     /// End of snapshot: the seq it covers and the CRC of the whole
     /// reassembled payload.
@@ -786,22 +773,13 @@ pub enum ReplMsg {
 }
 
 /// Formats a `SHIP` line from raw WAL record bytes.
-pub fn format_ship(seq: u64, identity: Option<(&str, u64)>, record: &[u8]) -> String {
-    let (token, client_seq) = match identity {
-        Some((t, c)) => (t.to_string(), c),
-        None => ("-".to_string(), 0),
-    };
-    format!("SHIP {seq} {token} {client_seq} {}", to_hex(record))
+pub fn format_ship(seq: u64, record: &[u8]) -> String {
+    format!("SHIP {seq} {}", to_hex(record))
 }
 
 /// Formats a `SNAP` chunk line.
 pub fn format_snap(index: usize, total: usize, chunk: &[u8]) -> String {
     format!("SNAP {index} {total} {}", to_hex(chunk))
-}
-
-/// Formats a `SNAPACK` ack-table entry line.
-pub fn format_snapack(token: &str, client_seq: u64, wal_seq: u64) -> String {
-    format!("SNAPACK {token} {client_seq} {wal_seq}")
 }
 
 /// Formats the `SNAPEND` terminator line.
@@ -826,25 +804,11 @@ pub fn parse_repl(line: &str) -> Result<Option<ReplMsg>, CommandError> {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| bad("SHIP needs a seq"))?;
-            let token = match it.next().ok_or_else(|| bad("SHIP needs a token or -"))? {
-                "-" => None,
-                t if ident_ok(t) => Some(t.to_string()),
-                _ => return Err(bad("SHIP token must be a short identifier")),
-            };
-            let client_seq: u64 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad("SHIP needs a client seq"))?;
             let record = it
                 .next()
                 .and_then(from_hex)
                 .ok_or_else(|| bad("SHIP needs a hex record"))?;
-            ReplMsg::Ship {
-                seq,
-                token,
-                client_seq,
-                record,
-            }
+            ReplMsg::Ship { seq, record }
         }
         Some("SNAP") => {
             let index: usize = it
@@ -866,26 +830,6 @@ pub fn parse_repl(line: &str) -> Result<Option<ReplMsg>, CommandError> {
                 index,
                 total,
                 chunk,
-            }
-        }
-        Some("SNAPACK") => {
-            let token = it
-                .next()
-                .filter(|t| ident_ok(t))
-                .ok_or_else(|| bad("SNAPACK needs a token"))?
-                .to_string();
-            let client_seq: u64 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad("SNAPACK needs a client seq"))?;
-            let wal_seq: u64 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad("SNAPACK needs a wal seq"))?;
-            ReplMsg::SnapAck {
-                token,
-                client_seq,
-                wal_seq,
             }
         }
         Some("SNAPEND") => {
@@ -1142,22 +1086,15 @@ mod tests {
     #[test]
     fn repl_lines_round_trip() {
         let rec = vec![0x12, 0x34, 0xff];
-        let line = format_ship(7, Some(("alice", 3)), &rec);
-        assert_eq!(line, "SHIP 7 alice 3 1234ff");
+        let line = format_ship(7, &rec);
+        assert_eq!(line, "SHIP 7 1234ff");
         assert_eq!(
             parse_repl(&line).unwrap(),
             Some(ReplMsg::Ship {
                 seq: 7,
-                token: Some("alice".into()),
-                client_seq: 3,
                 record: rec.clone()
             })
         );
-        let line = format_ship(8, None, &rec);
-        assert!(matches!(
-            parse_repl(&line).unwrap(),
-            Some(ReplMsg::Ship { token: None, .. })
-        ));
 
         let line = format_snap(0, 2, &[0xab]);
         assert_eq!(
@@ -1166,15 +1103,6 @@ mod tests {
                 index: 0,
                 total: 2,
                 chunk: vec![0xab]
-            })
-        );
-        let line = format_snapack("bob", 5, 40);
-        assert_eq!(
-            parse_repl(&line).unwrap(),
-            Some(ReplMsg::SnapAck {
-                token: "bob".into(),
-                client_seq: 5,
-                wal_seq: 40
             })
         );
         let line = format_snapend(40, 0xcafe0042);
@@ -1198,8 +1126,9 @@ mod tests {
         assert_eq!(parse_repl("OK SYNC tail 1 7").unwrap(), None);
         assert_eq!(parse_repl("ERR stale-epoch deposed").unwrap(), None);
         for line in [
-            "SHIP x alice 3 ab",
-            "SHIP 7 - 0 xyz",
+            "SHIP x ab",
+            "SHIP 7 xyz",
+            "SHIP 7 ab cd",
             "SNAP 2 2 ab",
             "SNAPEND 4",
             "DIGEST 4 0012abcd extra",

@@ -194,7 +194,6 @@ fn recv_within(conn: &mut Client, deadline: Duration) -> Option<String> {
 /// CRC.
 fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut Client, epoch: u64) -> Option<u64> {
     let mut chunks: Vec<Option<Vec<u8>>> = Vec::new();
-    let mut acks = Vec::new();
     let deadline = Duration::from_secs(60);
     loop {
         if !shared.is_running() || shared.status.role() != Role::Replica {
@@ -215,15 +214,6 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut Client, epoch: u64) -
                 }
                 chunks[index] = Some(chunk);
             }
-            Ok(Some(ReplMsg::SnapAck {
-                token,
-                client_seq,
-                wal_seq,
-            })) => acks.push(crate::dedup::DedupEntry {
-                wal_seq,
-                client_seq,
-                token,
-            }),
             Ok(Some(ReplMsg::SnapEnd { seq, crc })) => {
                 let mut payload = Vec::new();
                 for c in chunks {
@@ -237,7 +227,6 @@ fn bootstrap(shared: &Arc<Shared>, graph: &str, conn: &mut Client, epoch: u64) -
                     graph: graph.to_string(),
                     payload,
                     epoch,
-                    acks,
                     done,
                 };
                 let Some(Ok(adopted)) = ask_writer(shared, Duration::from_secs(60), adopt) else {
@@ -268,26 +257,22 @@ fn tail(shared: &Arc<Shared>, graph: &str, conn: &mut Client, mut applied: u64) 
             Err(_) => return StreamEnd::Reconnect,
         };
         match protocol::parse_repl(&line) {
-            Ok(Some(ReplMsg::Ship {
-                seq,
-                token,
-                client_seq,
-                record,
-            })) => {
+            Ok(Some(ReplMsg::Ship { seq, record })) => {
                 // The record bytes are self-validating: the scan accepts
                 // them only with an intact CRC and the exact sequence.
+                // Their origin is logged again with the batch, so this
+                // WAL holds the primary's bytes.
                 let scan = scan_records(&record, seq);
                 if scan.records.len() != 1 || scan.valid_len != record.len() {
                     incgraph_obs::counter("repl.ship_corrupt", 1);
                     return StreamEnd::Resync;
                 }
-                let batch = scan.records.into_iter().next().expect("one record").batch;
-                let identity = token.map(|t| (t, client_seq));
+                let r = scan.records.into_iter().next().expect("one record");
                 let apply = |done| Job::ReplApply {
                     graph: graph.to_string(),
                     seq,
-                    identity,
-                    batch,
+                    origin: r.origin,
+                    batch: r.batch,
                     done,
                 };
                 match ask_writer(shared, Duration::from_secs(30), apply) {

@@ -15,7 +15,7 @@
 //!   `max_pending` jobs, new write commands are shed with
 //!   `BUSY <retry-after-ms>` instead of growing the queue without bound.
 //!   A shed `UPDATE` was not applied; the client retries the same
-//!   sequence number and the dedup table keeps it exactly-once.
+//!   sequence number and the ack table keeps it exactly-once.
 
 use crate::outbound::Outbound;
 use crate::protocol::{self, Command, ErrCode, LineRead, WIRE_VERSION};

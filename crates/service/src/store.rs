@@ -34,25 +34,26 @@
 //! **Exactly-once**: clients stamp each batch with a per-token sequence
 //! number. The store acks `seq == last` as a duplicate (the retry case)
 //! without re-applying, admits `seq == last + 1`, and rejects anything
-//! else as a gap. For durable graphs the `(token, seq → WAL seq)` intent
-//! is fsynced through [`DedupLog`] *before* the WAL commit (via
-//! [`DurableSession::apply_with`]), so the ack table survives crashes
-//! with the same once-only semantics — see the [`dedup`](crate::dedup)
-//! module docs for the crash analysis.
+//! else as a gap. For durable graphs the batch's WAL record carries its
+//! `(token, seq)` origin ([`DurableSession::apply_with`]), so the one
+//! fsync that commits the batch also commits its ack, and the ack table
+//! is the session's fold of the log ([`DurableSession::acks`]): a crash
+//! before the fsync loses both, and the retry re-applies; a crash after
+//! it keeps both, and the retry is a duplicate.
 
-use crate::dedup::{self, AckRecord, DedupEntry, DedupLog};
+use crate::dedup;
 use crate::outbound::Outbound;
 use crate::protocol::{format_view_rows, ErrCode, ViewRow};
 use incgraph_algos::{IncrementalState, OutputDelta, QueryClass, Session, SessionError};
 use incgraph_dataflow::{Plan, PlanDag};
 use incgraph_durable::{
-    encode_record, recover, scan_records, CrashPoint, DurableError, DurableOptions, DurableSession,
-    ScannedRecord, WAL_NAME,
+    recover, scan_records, AckRecord, Acks, CrashPoint, DurableError, DurableOptions,
+    DurableSession, Origin, ScannedRecord, WAL_NAME,
 };
 use incgraph_graph::{AppliedBatch, DynamicGraph, NodeId, UpdateBatch};
 use incgraph_workloads::random_pattern;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -210,13 +211,15 @@ struct StandingPlan {
 // collection — boxing would only add a pointer chase to the hot path.
 #[allow(clippy::large_enum_variant)]
 enum Backend {
-    /// Wire-created, lives and dies with the process.
-    Memory { graph: DynamicGraph, seq: u64 },
-    /// WAL-durable with an exactly-once intent log.
-    Durable {
-        session: DurableSession,
-        dedup: DedupLog,
+    /// Wire-created, lives and dies with the process, and so does its
+    /// ack table.
+    Memory {
+        graph: DynamicGraph,
+        seq: u64,
+        acks: Acks,
     },
+    /// WAL-durable; the session keeps the ack table.
+    Durable { session: DurableSession },
 }
 
 impl Backend {
@@ -233,12 +236,19 @@ impl Backend {
             Backend::Durable { session, .. } => session.last_seq(),
         }
     }
+
+    /// The last acked batch of client `token` (zeros for none yet).
+    fn ack(&self, token: &str) -> AckRecord {
+        let acks = match self {
+            Backend::Memory { acks, .. } => acks,
+            Backend::Durable { session, .. } => session.acks(),
+        };
+        acks.get(token).copied().unwrap_or_default()
+    }
 }
 
 struct GraphEntry {
     backend: Backend,
-    /// token → last acked batch.
-    acks: HashMap<String, AckRecord>,
     /// The maintained class views the subscriptions below hold.
     views: BTreeMap<ViewKey, View>,
     /// The sequence `views` (and the plans' DAGs) reflect: the last
@@ -254,11 +264,10 @@ struct GraphEntry {
 }
 
 impl GraphEntry {
-    fn new(backend: Backend, acks: HashMap<String, AckRecord>) -> GraphEntry {
+    fn new(backend: Backend) -> GraphEntry {
         GraphEntry {
             views_seq: backend.seq(),
             backend,
-            acks,
             views: BTreeMap::new(),
             queries: BTreeMap::new(),
             plans: BTreeMap::new(),
@@ -389,12 +398,12 @@ fn wal_tail(session: &DurableSession) -> std::io::Result<Vec<ScannedRecord>> {
     Ok(scan_records(body, session.base_seq() + 1).records)
 }
 
-/// A durable graph's session, dedup log and ack table, lent apart.
-type DurableParts<'a> = (
-    &'a mut DurableSession,
-    &'a mut DedupLog,
-    &'a mut HashMap<String, AckRecord>,
-);
+/// CRC of a WAL record as stored on disk, origin included: the
+/// [`encode`](ScannedRecord::encode)d record holds it at bytes 12..16.
+fn record_crc(r: &ScannedRecord) -> u32 {
+    let bytes = r.encode();
+    u32::from_le_bytes(bytes[12..16].try_into().expect("record header"))
+}
 
 /// The service's shared state. See the module docs.
 pub struct Store {
@@ -402,8 +411,8 @@ pub struct Store {
     limits: StoreLimits,
     /// Set on the first real WAL I/O failure; durable writes are refused
     /// (`ERR readonly`) for the life of the process while reads keep
-    /// working. Process-lifetime by design: it also guarantees an
-    /// orphaned intent's WAL sequence is never reused (see [`DedupLog`]).
+    /// working. Process-lifetime by design: once an fsync failed, the
+    /// process can no longer trust what its log holds.
     degraded: bool,
     /// Cores a notify pass may fan its views out over, read once here:
     /// `available_parallelism` reads cgroup files, which costs as much
@@ -424,9 +433,9 @@ impl Store {
     }
 
     /// Recovers the durable store in `dir` and mounts it as graph `name`
-    /// of a fresh store, reopening its intent log; `nodes`/`directed` are
-    /// then ignored. Without a store in `dir`, this is
-    /// [`create_durable`](Self::create_durable) over the empty graph.
+    /// of a fresh store; `nodes`/`directed` are then ignored. Without a
+    /// store in `dir`, this is [`create_durable`](Self::create_durable)
+    /// over the empty graph.
     pub fn open_durable(
         dir: &Path,
         name: &str,
@@ -464,23 +473,19 @@ impl Store {
     }
 
     /// Mounts an already-open durable session as graph `name` of a fresh
-    /// store, opening the exactly-once intent log that lives beside its
-    /// WAL. [`open_durable`](Self::open_durable) ends here; callers that
-    /// build the session themselves choose the states it tracks.
+    /// store, first moving a store written with a sidecar intent log onto
+    /// the one log ([`dedup::migrate`]). [`open_durable`](Self::open_durable)
+    /// ends here; callers that build the session themselves choose the
+    /// states it tracks.
     pub fn mount_durable(
         name: &str,
-        session: DurableSession,
+        mut session: DurableSession,
         limits: StoreLimits,
     ) -> Result<Self, DurableError> {
-        let (dedup, index) = DedupLog::open(session.dir(), session.last_seq())?;
+        dedup::migrate(&mut session)?;
         let mut store = Store::new(limits);
-        store.graphs.insert(
-            name.to_string(),
-            GraphEntry::new(
-                Backend::Durable { session, dedup },
-                index.into_iter().collect(),
-            ),
-        );
+        let entry = GraphEntry::new(Backend::Durable { session });
+        store.graphs.insert(name.to_string(), entry);
         Ok(store)
     }
 
@@ -526,13 +531,11 @@ impl Store {
         }
         self.graphs.insert(
             name.to_string(),
-            GraphEntry::new(
-                Backend::Memory {
-                    graph: DynamicGraph::new(directed, nodes),
-                    seq: 0,
-                },
-                HashMap::new(),
-            ),
+            GraphEntry::new(Backend::Memory {
+                graph: DynamicGraph::new(directed, nodes),
+                seq: 0,
+                acks: Acks::new(),
+            }),
         );
         incgraph_obs::counter("service.graphs_created", 1);
         Ok(())
@@ -748,8 +751,9 @@ impl Store {
     }
 
     /// The commit half of [`apply_update`]: dedup/gap check, graph
-    /// mutation, WAL + dedup-intent fsync, ack bookkeeping — everything
-    /// the exactly-once protocol depends on — but **no** standing-query
+    /// mutation, the WAL fsync of the batch and its origin, ack
+    /// bookkeeping — everything the exactly-once protocol depends on —
+    /// but **no** standing-query
     /// notification. The caller owns the returned effective ΔG and must
     /// eventually hand it (alone or merged with later batches) to
     /// [`notify_queries`](Self::notify_queries). Returns `None` ops for
@@ -799,7 +803,7 @@ impl Store {
                 format!("batch caps at {} units", self.limits.max_batch_units),
             ));
         }
-        let last = entry.acks.get(token).copied().unwrap_or_default();
+        let last = entry.backend.ack(token);
         if client_seq == last.client_seq {
             // The retry of an acked batch: re-ack, never re-apply.
             incgraph_obs::counter("service.dedup_hits", 1);
@@ -825,7 +829,11 @@ impl Store {
         }
         let _span = incgraph_obs::span("service.apply");
         let (wal_seq, applied) = match &mut entry.backend {
-            Backend::Memory { graph: g, seq } => {
+            Backend::Memory {
+                graph: g,
+                seq,
+                acks,
+            } => {
                 let applied = batch
                     .apply_validated(g)
                     .map_err(|e| wire(ErrCode::InvalidBatch, e.to_string()))?;
@@ -836,11 +844,15 @@ impl Store {
                     client_seq,
                     wal_seq,
                 };
-                entry.acks.insert(token.to_string(), ack);
+                acks.insert(token.to_string(), ack);
                 (wal_seq, applied)
             }
             Backend::Durable { .. } => {
-                self.commit_durable(graph, Some((token, client_seq)), batch, committed)?
+                let origin = Origin {
+                    token: token.to_string(),
+                    client_seq,
+                };
+                self.commit_durable(graph, Some(origin), batch, committed)?
             }
         };
         incgraph_obs::counter("service.batches", 1);
@@ -856,15 +868,15 @@ impl Store {
     }
 
     /// The durable commit client batches and shipped records share: the
-    /// degraded check, then [`DurableSession::apply_with`] with the
-    /// dedup intent of `identity` (the client's, or the one a ship
-    /// carries) fsynced before the WAL record, then the ack-table entry.
+    /// degraded check, then [`DurableSession::apply_with`] of `batch` and
+    /// its `origin` (the client's, or the one a shipped record carries)
+    /// in one WAL record, which also enters the origin in the ack table.
     /// `committed` is `apply_with`'s commit-point hook. Returns the
     /// batch's WAL sequence and effective ΔG.
     fn commit_durable(
         &mut self,
         graph: &str,
-        identity: Option<(&str, u64)>,
+        origin: Option<Origin>,
         batch: &UpdateBatch,
         committed: impl FnOnce(u64),
     ) -> Result<(u64, AppliedBatch), UpdateError> {
@@ -874,23 +886,9 @@ impl Store {
                 "store is in degraded read-only mode after a WAL failure".into(),
             ));
         }
-        let (session, dedup, acks) = self.durable_mut(graph)?;
-        let pre_commit = |wal_seq| match identity {
-            Some((token, client_seq)) => dedup.append(token, client_seq, wal_seq),
-            None => Ok(()),
-        };
-        match session.apply_with(batch, pre_commit, committed) {
-            Ok((_, applied)) => {
-                let wal_seq = session.last_seq();
-                if let Some((token, client_seq)) = identity {
-                    let ack = AckRecord {
-                        client_seq,
-                        wal_seq,
-                    };
-                    acks.insert(token.to_string(), ack);
-                }
-                Ok((wal_seq, applied))
-            }
+        let session = self.durable_mut(graph)?;
+        match session.apply_with(batch, origin, committed) {
+            Ok((_, applied)) => Ok((session.last_seq(), applied)),
             Err(DurableError::InvalidBatch(e)) => {
                 Err(UpdateError::Wire(ErrCode::InvalidBatch, e.to_string()))
             }
@@ -1030,32 +1028,27 @@ impl Store {
 
     // --- replication -----------------------------------------------------
 
-    /// The durable graph `graph`'s session and ack table, or the refusal
-    /// of an unknown or in-memory name.
-    pub(crate) fn durable(
-        &self,
-        graph: &str,
-    ) -> Result<(&DurableSession, &HashMap<String, AckRecord>), WireError> {
+    /// The durable graph `graph`'s session, or the refusal of an unknown
+    /// or in-memory name.
+    pub(crate) fn durable(&self, graph: &str) -> Result<&DurableSession, WireError> {
         match self.graphs.get(graph) {
             Some(GraphEntry {
-                backend: Backend::Durable { session, .. },
-                acks,
+                backend: Backend::Durable { session },
                 ..
-            }) => Ok((session, acks)),
+            }) => Ok(session),
             Some(_) => Err((ErrCode::BadCommand, format!("{graph} is not durable"))),
             None => Err((ErrCode::UnknownGraph, format!("no graph {graph}"))),
         }
     }
 
-    /// [`durable`](Self::durable) for writing, with the dedup log.
-    fn durable_mut(&mut self, graph: &str) -> Result<DurableParts<'_>, WireError> {
+    /// [`durable`](Self::durable) for writing.
+    fn durable_mut(&mut self, graph: &str) -> Result<&mut DurableSession, WireError> {
         self.durable(graph)?;
         match self.graphs.get_mut(graph) {
             Some(GraphEntry {
-                backend: Backend::Durable { session, dedup },
-                acks,
+                backend: Backend::Durable { session },
                 ..
-            }) => Ok((session, dedup, acks)),
+            }) => Ok(session),
             _ => unreachable!("checked above"),
         }
     }
@@ -1063,7 +1056,7 @@ impl Store {
     /// Replication-facing view of the durable graph `name`; `None` for
     /// unknown or non-durable graphs.
     pub fn repl_info(&self, graph: &str) -> Option<ReplInfo> {
-        self.durable(graph).ok().map(|(s, _)| ReplInfo::of(s))
+        self.durable(graph).ok().map(ReplInfo::of)
     }
 
     /// `(last_seq, digest)` of the durable graph — the divergence probe's
@@ -1071,7 +1064,7 @@ impl Store {
     /// built-in states, so it catches them up first
     /// ([`DurableSession::catch_up`]).
     pub fn repl_digest(&mut self, graph: &str) -> Option<(u64, String)> {
-        let (session, ..) = self.durable_mut(graph).ok()?;
+        let session = self.durable_mut(graph).ok()?;
         Some((session.last_seq(), session.digest()))
     }
 
@@ -1079,17 +1072,17 @@ impl Store {
     /// ([`DurableSession::catch_up`]); a no-op for an in-memory or
     /// unknown graph.
     pub fn catch_up(&mut self, graph: &str) {
-        if let Ok((session, ..)) = self.durable_mut(graph) {
+        if let Ok(session) = self.durable_mut(graph) {
             session.catch_up();
         }
     }
 
-    /// CRC of the WAL record at `seq` (recomputed from the scanned
-    /// batch), or `None` when `seq` precedes the retained tail or was
-    /// never logged. Both the replica (announcing its position in `SYNC`)
-    /// and the primary (validating that announcement) use this.
+    /// CRC of the WAL record at `seq`, origin included, or `None` when
+    /// `seq` precedes the retained tail or was never logged. Both the
+    /// replica (announcing its position in `SYNC`) and the primary
+    /// (validating that announcement) use this.
     pub fn record_crc(&self, graph: &str, seq: u64) -> Option<u32> {
-        let (session, _) = self.durable(graph).ok()?;
+        let session = self.durable(graph).ok()?;
         if seq <= session.base_seq() || seq > session.last_seq() {
             return None;
         }
@@ -1097,12 +1090,12 @@ impl Store {
             .ok()?
             .iter()
             .find(|r| r.seq == seq)
-            .map(|r| record_crc_of(r.seq, &r.batch))
+            .map(record_crc)
     }
 
     /// Promotion's commit point: durably bumps the durable graph's epoch.
     pub fn bump_epoch(&mut self, graph: &str) -> Result<u64, WireError> {
-        let (session, ..) = self.durable_mut(graph)?;
+        let session = self.durable_mut(graph)?;
         session
             .bump_epoch()
             .map_err(|e| (ErrCode::Store, e.to_string()))
@@ -1110,77 +1103,53 @@ impl Store {
 
     /// Adopts a primary's (higher) epoch on a tailing replica.
     pub fn adopt_epoch(&mut self, graph: &str, epoch: u64) -> Result<(), WireError> {
-        let (session, ..) = self.durable_mut(graph)?;
+        let session = self.durable_mut(graph)?;
         session
             .adopt_epoch(epoch)
             .map_err(|e| (ErrCode::Store, e.to_string()))
     }
 
-    /// Encodes the durable graph's live world as a bootstrap snapshot:
-    /// the checkpoint payload covering `last_seq` plus the current ack
-    /// table (latest entry per token, WAL order) for `SNAPACK` shipping.
-    pub fn encode_snapshot(&mut self, graph: &str) -> Option<(u64, Vec<u8>, Vec<DedupEntry>)> {
-        let (session, _, acks) = self.durable_mut(graph).ok()?;
-        let mut acks: Vec<DedupEntry> = acks
-            .iter()
-            .map(|(token, rec)| DedupEntry {
-                wal_seq: rec.wal_seq,
-                client_seq: rec.client_seq,
-                token: token.clone(),
-            })
-            .collect();
-        acks.sort_by_key(|e| e.wal_seq);
-        Some((session.last_seq(), session.encode_snapshot(), acks))
+    /// Encodes the durable graph's live world, its ack table included,
+    /// as a bootstrap snapshot: the checkpoint payload covering the
+    /// returned `last_seq`.
+    pub fn encode_snapshot(&mut self, graph: &str) -> Option<(u64, Vec<u8>)> {
+        let session = self.durable_mut(graph).ok()?;
+        Some((session.last_seq(), session.encode_snapshot()))
     }
 
     /// Reads the catch-up tail for a replica at `from_seq`: every
-    /// retained WAL record with `seq > from_seq` (raw record bytes, ready
-    /// for `SHIP`), each joined with the client identity its dedup intent
-    /// recorded, plus the CRC of the record *at* `from_seq` so the caller
-    /// can validate the replica's announced position.
+    /// retained WAL record with `seq > from_seq` (whose
+    /// [`encode`](ScannedRecord::encode)d bytes a `SHIP` carries), plus
+    /// the CRC of the record *at* `from_seq` so the caller can validate
+    /// the replica's announced position.
     pub fn wal_catchup(
         &self,
         graph: &str,
         from_seq: u64,
-    ) -> Result<(Option<u32>, Vec<ShipRecord>), WireError> {
-        let (session, _) = self.durable(graph)?;
-        let records = wal_tail(session).map_err(|e| (ErrCode::Store, format!("wal read: {e}")))?;
-        let identities: HashMap<u64, (String, u64)> =
-            dedup::scan_entries(session.dir(), session.last_seq())
-                .map_err(|e| (ErrCode::Store, format!("dedup scan: {e}")))?
-                .into_iter()
-                .map(|e| (e.wal_seq, (e.token, e.client_seq)))
-                .collect();
-        let mut crc_at_from = None;
-        let mut ships = Vec::new();
-        for r in &records {
-            if r.seq == from_seq {
-                crc_at_from = Some(record_crc_of(r.seq, &r.batch));
-            } else if r.seq > from_seq {
-                ships.push(ShipRecord {
-                    seq: r.seq,
-                    identity: identities.get(&r.seq).cloned(),
-                    record: encode_record(r.seq, &r.batch),
-                });
-            }
-        }
-        Ok((crc_at_from, ships))
+    ) -> Result<(Option<u32>, Vec<ScannedRecord>), WireError> {
+        let session = self.durable(graph)?;
+        let mut records =
+            wal_tail(session).map_err(|e| (ErrCode::Store, format!("wal read: {e}")))?;
+        let crc_at_from = records.iter().find(|r| r.seq == from_seq).map(record_crc);
+        records.retain(|r| r.seq > from_seq);
+        Ok((crc_at_from, records))
     }
 
     /// Applies one shipped record on a replica, through the same
     /// validated/WAL-fsynced path client updates take. `seq` must be
     /// exactly the next expected sequence (ships arrive in order; a gap
     /// means the stream is broken and the replica must resync). The
-    /// shipped client identity lands in the dedup log and ack table so
-    /// client retries stay exactly-once across failover.
+    /// record's client `origin` is logged with it and enters the ack
+    /// table, so the replica's WAL holds the primary's bytes and client
+    /// retries stay exactly-once across failover.
     pub fn apply_replicated(
         &mut self,
         graph: &str,
         seq: u64,
-        identity: Option<(&str, u64)>,
+        origin: Option<Origin>,
         batch: &UpdateBatch,
     ) -> Result<AppliedBatch, UpdateError> {
-        let last = self.durable(graph)?.0.last_seq();
+        let last = self.durable(graph)?.last_seq();
         if seq != last + 1 {
             return Err(UpdateError::Wire(
                 ErrCode::SeqGap,
@@ -1188,16 +1157,16 @@ impl Store {
             ));
         }
         let _span = incgraph_obs::span("repl.apply");
-        let (_, applied) = self.commit_durable(graph, identity, batch, |_| {})?;
+        let (_, applied) = self.commit_durable(graph, origin, batch, |_| {})?;
         incgraph_obs::counter("repl.ship_records", 1);
         Ok(applied)
     }
 
     /// Replaces the durable graph's world with a shipped snapshot
-    /// (bootstrap or divergence resync): installs the payload as the new
-    /// base, adopts `epoch`, resets the dedup log and ack table to the
-    /// shipped entries, and rebuilds every standing query from scratch
-    /// over the new graph, pushing each a `resync` DELTA.
+    /// (bootstrap or divergence resync): installs the payload, ack table
+    /// included, as the new base, adopts `epoch`, and rebuilds every
+    /// standing query from scratch over the new graph, pushing each a
+    /// `resync` DELTA.
     ///
     /// On failure the graph is unmounted and the store degraded — the
     /// half-installed world must not serve.
@@ -1206,19 +1175,13 @@ impl Store {
         graph: &str,
         payload: &[u8],
         epoch: u64,
-        acks: &[DedupEntry],
     ) -> Result<u64, WireError> {
         self.durable(graph)?;
         let mut entry = self.graphs.remove(graph).expect("checked above");
-        let Backend::Durable { session, mut dedup } = entry.backend else {
+        let Backend::Durable { session } = entry.backend else {
             unreachable!("checked above");
         };
-        let mut sorted: Vec<DedupEntry> = acks.to_vec();
-        sorted.sort_by_key(|e| e.wal_seq);
-        let session = match session
-            .install_snapshot(payload, epoch)
-            .and_then(|s| dedup.reset(&sorted).map(|()| s))
-        {
+        let session = match session.install_snapshot(payload, epoch) {
             Ok(s) => s,
             Err(e) => {
                 // The old session was consumed; there is no world to go
@@ -1228,18 +1191,6 @@ impl Store {
             }
         };
         let covered = session.last_seq();
-        entry.acks = sorted
-            .into_iter()
-            .map(|e| {
-                (
-                    e.token,
-                    AckRecord {
-                        client_seq: e.client_seq,
-                        wal_seq: e.wal_seq,
-                    },
-                )
-            })
-            .collect();
         // Rebuild every view once over the new world; its old incremental
         // state describes dead history. Each subscriber is then told to
         // resync: a query by a `resync` DELTA, a plan by its full view.
@@ -1267,7 +1218,7 @@ impl Store {
                 p.dag = dag;
             }
         }
-        entry.backend = Backend::Durable { session, dedup };
+        entry.backend = Backend::Durable { session };
         entry.view_gauges();
         self.graphs.insert(graph.to_string(), entry);
         Ok(covered)
@@ -1300,25 +1251,6 @@ impl ReplInfo {
             nodes: session.graph().node_count(),
         }
     }
-}
-
-/// One catch-up record ready to ship: raw WAL record bytes plus the
-/// client identity its dedup intent recorded (if any).
-#[derive(Clone, Debug)]
-pub struct ShipRecord {
-    /// WAL sequence.
-    pub seq: u64,
-    /// `(token, client_seq)` the batch committed under.
-    pub identity: Option<(String, u64)>,
-    /// Full encoded WAL record (self-validating).
-    pub record: Vec<u8>,
-}
-
-/// CRC of the WAL record `(seq, batch)` as stored on disk — recomputed
-/// through [`encode_record`], whose layout places it at bytes 12..16.
-pub fn record_crc_of(seq: u64, batch: &UpdateBatch) -> u32 {
-    let bytes = encode_record(seq, batch);
-    u32::from_le_bytes(bytes[12..16].try_into().expect("record header"))
 }
 
 /// Pattern seed the durable store's built-in states use; the chaos

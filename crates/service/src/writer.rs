@@ -10,12 +10,11 @@
 //! writer runs it: the `SYNC` handshake, the attached sinks, semi-sync
 //! ack gating and the broadcast of shipped records and `DIGEST` probes.
 
-use crate::dedup::DedupEntry;
 use crate::outbound::Outbound;
 use crate::protocol::{self, ErrCode, WriteCmd};
 use crate::server::{Role, ServerConfig};
 use crate::store::{ReplInfo, Store, UpdateError, WireError};
-use incgraph_durable::encode_record;
+use incgraph_durable::{encode_record_with, Origin};
 use incgraph_graph::UpdateBatch;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -49,7 +48,7 @@ pub(crate) enum Job {
     ReplApply {
         graph: String,
         seq: u64,
-        identity: Option<(String, u64)>,
+        origin: Option<Origin>,
         batch: UpdateBatch,
         done: mpsc::Sender<Result<u64, String>>,
     },
@@ -65,7 +64,6 @@ pub(crate) enum Job {
         graph: String,
         payload: Vec<u8>,
         epoch: u64,
-        acks: Vec<DedupEntry>,
         done: mpsc::Sender<Result<u64, String>>,
     },
     /// Replica-side: adopt the primary's (higher) epoch on tail sync;
@@ -225,9 +223,12 @@ impl WriterCore {
                         // crashed append never reach this hook, and the single
                         // writer keeps ship order equal to WAL order.
                         if replicated {
-                            let record = encode_record(wal_seq, &batch);
-                            let identity = Some((token.as_str(), client_seq));
-                            self.broadcast(&protocol::format_ship(wal_seq, identity, &record));
+                            let origin = Origin {
+                                token: token.clone(),
+                                client_seq,
+                            };
+                            let record = encode_record_with(wal_seq, &batch, Some(&origin));
+                            self.broadcast(&protocol::format_ship(wal_seq, &record));
                         }
                     });
                 match committed {
@@ -294,33 +295,29 @@ impl WriterCore {
             Job::ReplApply {
                 graph,
                 seq,
-                identity,
+                origin,
                 batch,
                 done,
-            } => {
-                let identity_ref = identity.as_ref().map(|(t, c)| (t.as_str(), *c));
-                match store.apply_replicated(&graph, seq, identity_ref, &batch) {
-                    Ok(applied) => {
-                        let _ = done.send(Ok(seq));
-                        store.notify_queries(&graph, std::slice::from_ref(&applied));
-                    }
-                    Err(UpdateError::Wire(c, d)) => {
-                        let _ = done.send(Err(format!("{c} {d}")));
-                    }
-                    Err(UpdateError::Crashed(p)) => {
-                        let _ = done.send(Err(format!("{} injected crash", ErrCode::Store)));
-                        return crashed(p);
-                    }
+            } => match store.apply_replicated(&graph, seq, origin, &batch) {
+                Ok(applied) => {
+                    let _ = done.send(Ok(seq));
+                    store.notify_queries(&graph, std::slice::from_ref(&applied));
                 }
-            }
+                Err(UpdateError::Wire(c, d)) => {
+                    let _ = done.send(Err(format!("{c} {d}")));
+                }
+                Err(UpdateError::Crashed(p)) => {
+                    let _ = done.send(Err(format!("{} injected crash", ErrCode::Store)));
+                    return crashed(p);
+                }
+            },
             Job::ReplAdopt {
                 graph,
                 payload,
                 epoch,
-                acks,
                 done,
             } => {
-                let adopted = store.adopt_snapshot(&graph, &payload, epoch, &acks);
+                let adopted = store.adopt_snapshot(&graph, &payload, epoch);
                 let _ = done.send(adopted.map_err(|(c, d)| format!("{c} {d}")));
             }
             Job::AdoptEpoch { graph, epoch, done } => {
@@ -444,9 +441,7 @@ impl WriterCore {
                 format!("{graph} is not replicated on this server"),
             ));
         }
-        let info = store
-            .durable(&graph)
-            .map(|(session, _)| ReplInfo::of(session))?;
+        let info = store.durable(&graph).map(ReplInfo::of)?;
         let role = self.status.role();
         if epoch > info.epoch {
             // The requester has seen a later epoch than ours: we were
@@ -512,7 +507,7 @@ impl WriterCore {
             }
         }
         let watermark = if snap {
-            let Some((snap_seq, payload, acks)) = store.encode_snapshot(&graph) else {
+            let Some((snap_seq, payload)) = store.encode_snapshot(&graph) else {
                 return Err((ErrCode::Store, format!("{graph} cannot be snapshotted")));
             };
             out.push_line(format!("OK SYNC snap {} {snap_seq}", info.epoch));
@@ -526,9 +521,6 @@ impl WriterCore {
             if payload.is_empty() {
                 out.push_line(protocol::format_snap(0, 1, &[]));
             }
-            for e in &acks {
-                out.push_line(protocol::format_snapack(&e.token, e.client_seq, e.wal_seq));
-            }
             out.push_line(protocol::format_snapend(
                 snap_seq,
                 incgraph_durable::crc::crc32(&payload),
@@ -537,9 +529,8 @@ impl WriterCore {
             snap_seq
         } else {
             out.push_line(format!("OK SYNC tail {} {}", info.epoch, info.last_seq));
-            for ship in &tail_ships {
-                let identity = ship.identity.as_ref().map(|(t, c)| (t.as_str(), *c));
-                out.push_line(protocol::format_ship(ship.seq, identity, &ship.record));
+            for r in &tail_ships {
+                out.push_line(protocol::format_ship(r.seq, &r.encode()));
             }
             from_seq
         };
@@ -720,7 +711,18 @@ mod tests {
         assert_eq!(drain(&sink), ["OK SYNC tail 1 0"]);
 
         core.step(&mut store, t0, update(1, &writer));
-        assert!(drain(&sink)[0].starts_with("SHIP 1 t 1 "));
+        // The shipped record carries the client's origin.
+        let ship = drain(&sink).remove(0);
+        let Ok(Some(protocol::ReplMsg::Ship { seq: 1, record })) = protocol::parse_repl(&ship)
+        else {
+            panic!("not a SHIP of seq 1: {ship}")
+        };
+        let shipped = incgraph_durable::scan_records(&record, 1).records.remove(0);
+        let want = Origin {
+            token: "t".into(),
+            client_seq: 1,
+        };
+        assert_eq!(shipped.origin, Some(want));
         core.tick(t0 + timeout - ms);
         assert!(writer.is_empty(), "held until the watermark or the timeout");
         core.step(&mut store, t0 + ms, Job::Watermark { sid: 9, seq: 1 });
@@ -752,7 +754,7 @@ mod tests {
         let apply = Job::ReplApply {
             graph: GRAPH.into(),
             seq: 1,
-            identity: None,
+            origin: None,
             batch,
             done,
         };

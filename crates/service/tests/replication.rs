@@ -240,7 +240,7 @@ fn snapshot_bootstrap_when_replica_lags_past_threshold() {
         let s = rc.status().unwrap();
         status_field(&s, "repl_seq").as_deref() == Some("10")
     });
-    // Dedup state rode the snapshot: the primary's acked batches are
+    // The ack table rode the snapshot: the primary's acked batches are
     // known to the replica (matters after promotion).
     pc.register("q1", GRAPH, "sssp", 0, None).unwrap();
     rc.register("q1", GRAPH, "sssp", 0, None).unwrap();

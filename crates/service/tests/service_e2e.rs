@@ -212,11 +212,11 @@ fn kill_then_restart_preserves_acked_batches_and_dedup() {
     {
         let mut server = durable_server(&dir, quick_cfg());
         let mut c = Client::connect(server.addr(), "frank").unwrap();
-        // Dedup state survived: retrying the last acked batch is a dup.
+        // The ack table survived: retrying the last acked batch is a dup.
         let mut b2 = UpdateBatch::new();
         b2.insert(2, 3, 1);
         let ack = c.update("g0", 2, &b2).unwrap();
-        assert!(ack.dup, "recovered dedup log must re-ack, not re-apply");
+        assert!(ack.dup, "the recovered ack table must re-ack, not re-apply");
         assert_eq!(ack.wal_seq, 2);
         // Recovered state answers the same standing query identically.
         c.register("q2", "g0", "sssp", 0, None).unwrap();
@@ -227,6 +227,8 @@ fn kill_then_restart_preserves_acked_batches_and_dedup() {
         assert_eq!(c.update("g0", 3, &b3).unwrap().wal_seq, 3);
         server.shutdown();
     }
+    // The acks live in the WAL: the store holds no second log.
+    assert!(!dir.join(incgraph_service::DEDUP_NAME).exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -302,10 +302,10 @@ fn duplicate_subscribers_see_the_bytes_they_would_alone() {
                     .apply_update(GRAPH, "w", client_seq, &batch)
                     .unwrap();
             }
-            let (_, payload, acks) = primary.encode_snapshot(GRAPH).unwrap();
+            let (_, payload) = primary.encode_snapshot(GRAPH).unwrap();
             let epoch = primary.repl_info(GRAPH).unwrap().epoch;
             for store in solos.iter_mut().chain([&mut shared]) {
-                covered = store.adopt_snapshot(GRAPH, &payload, epoch, &acks).unwrap();
+                covered = store.adopt_snapshot(GRAPH, &payload, epoch).unwrap();
             }
         }
         client_seq += 1;
