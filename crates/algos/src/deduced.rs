@@ -115,15 +115,6 @@ fn run_batch<C: Deducible>(class: &C, g: &DynamicGraph) -> (Status<C::Value>, En
     (status, engine, stats)
 }
 
-/// Vertex insertions are edge updates plus fresh `⊥` variables (§4).
-fn grow<S: FixpointSpec>(spec: &S, status: &mut Status<S::Value>, engine: &mut Engine) {
-    let n = spec.num_vars();
-    if n > status.len() {
-        status.extend_to(n, |x| spec.bottom(x));
-        *engine = Engine::new(n);
-    }
-}
-
 impl<C: Deducible> Deduced<C> {
     /// Runs the batch fixpoint of `class` on `g`.
     pub fn new(class: C, g: &DynamicGraph) -> (Self, RunStats) {
@@ -160,7 +151,6 @@ impl<C: Deducible> Deduced<C> {
     /// step function is resumed from `H⁰`.
     pub fn update(&mut self, g: &DynamicGraph, applied: &AppliedBatch) -> BoundednessReport {
         let spec = self.class.spec(g);
-        grow(&spec, &mut self.status, &mut self.engine);
         let scratch = &mut self.scratch;
         scratch.touched.clear();
         for op in applied.ops() {
@@ -186,7 +176,6 @@ impl<C: Deducible> Deduced<C> {
         applied: &AppliedBatch,
     ) -> BoundednessReport {
         let spec = self.class.spec(g);
-        grow(&spec, &mut self.status, &mut self.engine);
         let scratch = &mut self.scratch;
         scratch.touched.clear();
         for op in applied.ops() {

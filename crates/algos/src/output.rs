@@ -191,13 +191,15 @@ pub struct OutputChange {
     pub new: u64,
 }
 
-/// One node whose σ_x changed.
+/// One node whose σ_x changed. The vertex set is fixed when the graph
+/// is built and `ΔG` only inserts and deletes edges (paper §2), so every
+/// node had a value before the update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeChange {
     /// The node.
     pub node: u32,
-    /// Value before the update; `None` when the node did not exist yet.
-    pub old: Option<u64>,
+    /// Value before the update (at the previous drain point).
+    pub old: u64,
     /// Current value.
     pub new: u64,
 }
@@ -207,17 +209,21 @@ pub struct NodeChange {
 /// current one. Produced by `Session::take_delta` /
 /// `Session::update_guarded` from the state's write journal, never by
 /// diffing full digests.
+///
+/// A graph's vertex set and labels are fixed at construction and `ΔG` is
+/// edge insertions and deletions (paper §2), so the per-node part of the
+/// digest never changes length; only BC's bridge tail can.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OutputDelta {
     /// Entry-level changes, sorted by index. Empty when
     /// [`resync`](Self::resync) is set — a digest whose *length* changed
-    /// (node growth, BC bridge churn) has no stable index mapping.
+    /// (BC's bridge list grew or shrank) has no stable index mapping.
     pub changes: Vec<OutputChange>,
     /// Node-level changes, sorted by node. Always precise, including
-    /// across resyncs (new nodes appear with `old: None`).
+    /// across resyncs.
     pub nodes: Vec<NodeChange>,
-    /// Set (to the new digest length) when the digest geometry changed;
-    /// entry-diff consumers must refetch the full snapshot.
+    /// Set (to the new digest length) when BC's bridge list changed
+    /// length; entry-diff consumers must refetch the full snapshot.
     pub resync: Option<usize>,
 }
 

@@ -256,7 +256,6 @@ impl SessionBuilder {
             QueryClass::Bc => Box::new(BcState::batch(g).0),
         };
         state.set_journal(true);
-        let drained_nodes = state.nodes();
         Ok(Session {
             class: self.class,
             exec: ExecOptions {
@@ -264,7 +263,6 @@ impl SessionBuilder {
                 audit: self.audit,
             },
             state,
-            drained_nodes,
         })
     }
 }
@@ -279,8 +277,6 @@ pub struct Session {
     class: QueryClass,
     exec: ExecOptions,
     state: Box<dyn ClassOutput>,
-    /// Node count at the last drain point; nodes past it are new.
-    drained_nodes: usize,
 }
 
 impl Session {
@@ -350,7 +346,6 @@ impl Session {
         Ok(Session {
             class,
             exec: ExecOptions::default(),
-            drained_nodes: state.nodes(),
             state,
         })
     }
@@ -372,11 +367,10 @@ impl Session {
         let mut changes = Vec::new();
         let tail_resized = self.state.drain(&mut changes);
         let out = self.output();
-        let (now, stride) = (out.nodes(), out.stride());
-        let known = self.drained_nodes.min(now);
-        // The changes, a run per node that existed at the drain point.
-        let mut rest = &changes[..changes.partition_point(|c| (c.index as usize) < known * stride)];
-        let mut nodes = Vec::with_capacity(rest.len().min(known) + now - known);
+        let (n, stride) = (out.nodes(), out.stride());
+        // The per-node changes, a run per node.
+        let mut rest = &changes[..changes.partition_point(|c| (c.index as usize) < n * stride)];
+        let mut nodes = Vec::with_capacity(rest.len().min(n));
         let rows = std::iter::from_fn(move || {
             let v = rest.first()?.index as usize / stride;
             let end = rest
@@ -391,21 +385,15 @@ impl Session {
             if old != new {
                 nodes.push(NodeChange {
                     node: v as u32,
-                    old: Some(old),
+                    old,
                     new,
                 });
             }
         }
-        nodes.extend((known..now).map(|v| NodeChange {
-            node: v as u32,
-            old: None,
-            new: out.node_value(v),
-        }));
-        let resync = (known < now || tail_resized).then(|| out.digest_len());
+        let resync = tail_resized.then(|| out.digest_len());
         if resync.is_some() {
             changes = Vec::new();
         }
-        self.drained_nodes = now;
         OutputDelta {
             changes,
             nodes,
@@ -549,6 +537,43 @@ mod tests {
                     "{}",
                     class.name()
                 );
+            }
+        }
+    }
+
+    /// The vertex set is fixed at construction, so a node that joins the
+    /// graph is one that was isolated until a batch attached it. Node 4
+    /// is attached by the second batch and cut loose again by the third;
+    /// node 5 is touched by none. Both carry the label of Sim's pattern
+    /// node 0, which needs a neighbour labelled 1: a match only while
+    /// attached.
+    #[test]
+    fn isolated_nodes_track_batch_in_every_class() {
+        let mut g = DynamicGraph::with_labels(false, vec![0, 1, 0, 1, 0, 0]);
+        for (u, v) in [(0, 1), (1, 2), (2, 3)] {
+            g.insert_edge(u, v, 1);
+        }
+        let build = |class: QueryClass, g: &DynamicGraph| {
+            let mut b = Session::builder(class);
+            if class.source_rooted() {
+                b = b.source(0);
+            }
+            if class == QueryClass::Sim {
+                b = b.pattern(Pattern::new(vec![0, 1], &[(0, 1)]));
+            }
+            b.build(g).expect("build")
+        };
+        let mut sessions: Vec<Session> = QueryClass::ALL.map(|c| build(c, &g)).into();
+        let mut attach = UpdateBatch::new();
+        attach.insert(3, 4, 2).insert(4, 0, 1);
+        let mut detach = UpdateBatch::new();
+        detach.delete(3, 4).delete(4, 0);
+        for (round, batch) in [UpdateBatch::new(), attach, detach].iter().enumerate() {
+            let applied = batch.apply(&mut g);
+            for s in &mut sessions {
+                s.update(&g, &applied);
+                let fresh = build(s.class(), &g);
+                assert_eq!(s.digest(&g), fresh.digest(&g), "{} round {round}", s.name());
             }
         }
     }

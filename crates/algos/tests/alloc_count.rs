@@ -94,7 +94,13 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// chords — enough structure that edge churn moves SSSP distances and
 /// forces CC reconfirmation walks.
 fn chord_ring(n: usize) -> DynamicGraph {
-    let mut g = DynamicGraph::new(false, n);
+    labelled_chord_ring(vec![0; n])
+}
+
+/// [`chord_ring`] over one node per label.
+fn labelled_chord_ring(labels: Vec<u32>) -> DynamicGraph {
+    let n = labels.len();
+    let mut g = DynamicGraph::with_labels(false, labels);
     for i in 0..n {
         g.insert_edge(i as u32, ((i + 1) % n) as u32, 1);
     }
@@ -176,10 +182,7 @@ fn reach_steady_state_update_is_allocation_free() {
 fn sim_steady_state_update_is_allocation_free() {
     // A cyclic pattern over the ring's alternating labels, so the churned
     // edge (16, 17) retracts and restores matches around it every round.
-    let mut g = chord_ring(N);
-    for v in 0..N as u32 {
-        g.set_label(v, v % 2);
-    }
+    let g = labelled_chord_ring((0..N as u32).map(|v| v % 2).collect());
     let q = Pattern::new(vec![0, 1], &[(0, 1), (1, 0)]);
     let (state, _) = SimState::batch(&g, q);
     steady_state_is_allocation_free(g, state, churn_round);
@@ -266,9 +269,10 @@ fn warm_session_update_allocates_only_its_delta(
 const ARM: u32 = 128;
 
 /// Two undirected paths hanging off node 0 — the left arm `1..=ARM`, the
-/// right arm `ARM+1..=2·ARM` — each attached through its first edge.
-fn seesaw() -> DynamicGraph {
-    let mut g = DynamicGraph::new(false, 2 * ARM as usize + 1);
+/// right arm `ARM+1..=2·ARM` — each attached through its first edge, then
+/// `isolated` nodes with no edge.
+fn seesaw(isolated: usize) -> DynamicGraph {
+    let mut g = DynamicGraph::new(false, 2 * ARM as usize + 1 + isolated);
     for v in (1..ARM).chain(ARM + 1..2 * ARM) {
         g.insert_edge(v, v + 1, 1);
     }
@@ -370,21 +374,21 @@ fn session(class: QueryClass, g: &DynamicGraph) -> Session {
 /// `BTreeMap`s, one node allocation per changed entry.
 #[test]
 fn sssp_warm_session_update_allocates_only_its_delta() {
-    let g = seesaw();
+    let g = seesaw(0);
     let s = session(QueryClass::Sssp, &g);
     warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
 }
 
 #[test]
 fn cc_warm_session_update_allocates_only_its_delta() {
-    let g = seesaw();
+    let g = seesaw(0);
     let s = session(QueryClass::Cc, &g);
     warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
 }
 
 #[test]
 fn reach_warm_session_update_allocates_only_its_delta() {
-    let g = seesaw();
+    let g = seesaw(0);
     let s = session(QueryClass::Reach, &g);
     warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
 }
@@ -417,8 +421,7 @@ fn bc_warm_session_update_allocates_only_its_delta() {
 /// [`ladder`].
 #[test]
 fn bc_warm_session_tail_update_allocates_only_its_delta() {
-    let mut g = seesaw();
-    g.add_node(0);
+    let g = seesaw(1);
     let s = session(QueryClass::Bc, &g);
     warm_session_update_allocates_only_its_delta(g, s, seesaw_round);
 }

@@ -66,7 +66,6 @@ impl DynDfs {
     /// Applies one unit update; `g` must already reflect it. Returns the
     /// number of nodes re-traversed (0 for the no-op cases).
     pub fn apply_unit(&mut self, g: &DynamicGraph, inserted: bool, u: NodeId, v: NodeId) -> usize {
-        self.ensure_size(g);
         if inserted {
             // Valid unless the new edge is forward-cross: for directed
             // graphs `u.last < v.first`; for undirected graphs any
@@ -155,16 +154,6 @@ impl DynDfs {
         self.parent[v as usize] = p;
         self.visited_mark[v as usize] = epoch;
         *time += 1;
-    }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        let n = g.node_count();
-        if n > self.first.len() {
-            self.first.resize(n, u32::MAX);
-            self.last.resize(n, u32::MAX);
-            self.parent.resize(n, ROOT);
-            self.visited_mark.resize(n, 0);
-        }
     }
 }
 

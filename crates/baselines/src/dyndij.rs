@@ -53,7 +53,6 @@ impl DynDij {
     /// Processes a whole batch. `g` must already be `G ⊕ ΔG`.
     pub fn apply_batch(&mut self, g: &DynamicGraph, applied: &AppliedBatch) {
         let _span = incgraph_obs::span("baseline.update");
-        self.ensure_size(g);
 
         // 1) Suspect roots: heads of deleted SPT tree edges.
         let mut suspects: Vec<NodeId> = Vec::new();
@@ -169,13 +168,6 @@ impl DynDij {
                     heap.push(Reverse((nd, y)));
                 }
             }
-        }
-    }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        if g.node_count() > self.dist.len() {
-            self.dist.resize(g.node_count(), INF_DIST);
-            self.parent.resize(g.node_count(), NONE);
         }
     }
 }

@@ -73,7 +73,6 @@ impl DynLcc {
         v: NodeId,
         _w: Weight,
     ) {
-        self.ensure_size(g);
         let nu = g.out_neighbors(u);
         let nv = g.out_neighbors(v);
         let mut common = Vec::new();
@@ -101,13 +100,6 @@ impl DynLcc {
     /// Resident bytes (Fig. 8).
     pub fn space_bytes(&self) -> usize {
         (self.degree.capacity() + self.triangles.capacity()) * 8
-    }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        if g.node_count() > self.degree.len() {
-            self.degree.resize(g.node_count(), 0);
-            self.triangles.resize(g.node_count(), 0);
-        }
     }
 }
 
@@ -229,10 +221,6 @@ impl BloomLcc {
         v: NodeId,
         _w: Weight,
     ) {
-        if g.node_count() > self.degree.len() {
-            self.degree.resize(g.node_count(), 0);
-            self.triangles.resize(g.node_count(), 0);
-        }
         let nu = g.out_neighbors(u);
         let nv = g.out_neighbors(v);
         // Filter over the smaller list, probe with the larger.

@@ -49,7 +49,6 @@ impl IncMatch {
     /// the updated graph.
     pub fn apply_batch(&mut self, g: &DynamicGraph, applied: &AppliedBatch) {
         let _span = incgraph_obs::span("baseline.update");
-        self.ensure_size(g);
         let nq = self.q.node_count();
 
         // ---- Deletion phase: false-propagation. ----
@@ -182,35 +181,6 @@ impl IncMatch {
             }
         }
     }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        let need = g.node_count() * self.q.node_count();
-        if need > self.matches.len() {
-            let nq = self.q.node_count();
-            let old = self.matches.len();
-            self.matches.resize(need, false);
-            for x in old..need {
-                self.matches[x] = g.label((x / nq) as NodeId) == self.q.label(x % nq);
-            }
-            // Fresh label-matching rows start optimistic; tighten them.
-            let mut queue: VecDeque<usize> = (old..need).filter(|&x| self.matches[x]).collect();
-            while let Some(x) = queue.pop_front() {
-                if !self.matches[x] || self.condition(g, x) {
-                    continue;
-                }
-                self.matches[x] = false;
-                let (v, u) = (x / nq, x % nq);
-                for &(vp, _) in g.in_neighbors(v as NodeId) {
-                    for &up in self.q.in_neighbors(u) {
-                        let y = vp as usize * nq + up;
-                        if self.matches[y] {
-                            queue.push_back(y);
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -329,17 +299,25 @@ mod tests {
         }
     }
 
+    /// The vertex set is fixed at construction: node 2, labelled `c`, is
+    /// isolated until the first batch attaches it and the second cuts it
+    /// loose again; node 3, labelled `b`, is touched by neither.
     #[test]
-    fn vertex_growth_is_supported() {
-        let mut g = DynamicGraph::with_labels(true, vec![0, 1]);
+    fn isolated_nodes_track_batch() {
+        let mut g = DynamicGraph::with_labels(true, vec![0, 1, 2, 1]);
         g.insert_edge(0, 1, 1);
-        let mut s = IncMatch::new(&g, tri_pattern());
-        let v = g.add_node(2);
-        let mut batch = UpdateBatch::new();
-        batch.insert(1, v, 1).insert(v, 1, 1);
-        let applied = batch.apply(&mut g);
-        s.apply_batch(&g, &applied);
-        assert_eq!(s.relation(), reference(&g, &tri_pattern()).as_slice());
-        assert!(s.matches(0, 0));
+        let q = tri_pattern();
+        let mut s = IncMatch::new(&g, q.clone());
+        assert!(!s.matches(0, 0));
+        let mut attach = UpdateBatch::new();
+        attach.insert(1, 2, 1).insert(2, 1, 1);
+        let mut detach = UpdateBatch::new();
+        detach.delete(2, 1);
+        for (batch, matched) in [(attach, true), (detach, false)] {
+            let applied = batch.apply(&mut g);
+            s.apply_batch(&g, &applied);
+            assert_eq!(s.relation(), reference(&g, &q).as_slice());
+            assert_eq!(s.matches(0, 0), matched, "b has a c-successor cycle");
+        }
     }
 }

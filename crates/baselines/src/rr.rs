@@ -60,7 +60,6 @@ impl RrSssp {
         v: NodeId,
         w: Weight,
     ) {
-        self.ensure_size(g);
         if inserted {
             self.inserted(g, u, v, w);
             if !g.is_directed() {
@@ -77,12 +76,6 @@ impl RrSssp {
     /// Resident bytes (Fig. 8).
     pub fn space_bytes(&self) -> usize {
         self.dist.capacity() * 8
-    }
-
-    fn ensure_size(&mut self, g: &DynamicGraph) {
-        if g.node_count() > self.dist.len() {
-            self.dist.resize(g.node_count(), INF_DIST);
-        }
     }
 
     /// Lowering phase after inserting `(u, v, w)`.

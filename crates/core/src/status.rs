@@ -34,15 +34,10 @@ impl<V: Copy + PartialEq> Journal<V> {
     /// stops and releases the memory.
     pub fn switch(&mut self, on: bool, vars: usize) {
         *self = Journal::default();
-        self.on = on;
-        self.grow(vars);
-    }
-
-    /// Covers `vars` variables (vertex insertions).
-    pub fn grow(&mut self, vars: usize) {
-        if self.on && vars > self.vars {
+        if on {
+            self.on = true;
             self.vars = vars;
-            self.logged.resize(vars.div_ceil(64), 0);
+            self.logged = vec![0; vars.div_ceil(64)];
         }
     }
 
@@ -232,29 +227,13 @@ impl<V: Copy + PartialEq> Status<V> {
     }
 
     /// Takes over the journal of `prev`, the status this one replaces
-    /// (a recompute or a load), and records every value that differs, so
-    /// the journal still describes the change since its last drain.
+    /// (a recompute or a load, over the same variables), and records
+    /// every value that differs, so the journal still describes the
+    /// change since its last drain.
     pub fn carry_journal(&mut self, prev: Status<V>) {
         let mut journal = prev.journal;
-        journal.grow(self.vals.len());
         journal.record_changes(prev.vals, self.vals.iter().copied());
         self.journal = journal;
-    }
-
-    /// Extends the status to `n` variables, initializing fresh ones with
-    /// `bottom(i)` and stamp 0 (fresh variables sit at `⊥`, which is
-    /// always feasible). Used for vertex insertions (§4); a no-op when the
-    /// status is already at least that large.
-    pub fn extend_to(&mut self, n: usize, mut bottom: impl FnMut(usize) -> V) {
-        let old = self.vals.len();
-        if n <= old {
-            return;
-        }
-        self.vals.extend((old..n).map(&mut bottom));
-        if !self.stamps.is_empty() {
-            self.stamps.resize(n, 0);
-        }
-        self.journal.grow(n);
     }
 
     /// Whether timestamps are tracked.

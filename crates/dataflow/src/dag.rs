@@ -39,8 +39,6 @@ pub struct PlanDag {
     /// The binding whose buffer receives the `labels` rows, if the plan
     /// reads them.
     labels_at: Option<usize>,
-    /// Nodes already emitted by the `labels` source.
-    label_nodes: usize,
     states: Vec<OpState>,
     /// Binding → the buffer holding its output: its own, except that a
     /// source named by several bindings is held once, by the first.
@@ -80,7 +78,6 @@ impl PlanDag {
             plan,
             members,
             labels_at,
-            label_nodes: 0,
             home,
             view: Coll::new(),
         }
@@ -116,8 +113,19 @@ impl PlanDag {
                     rows.push(v as u64, out.node_value(v), 1);
                 }
             }
-            self.label_rows(g, hi);
+            if let Some(at) = self.labels_at {
+                let rows = &mut self.bufs[at];
+                rows.clear();
+                for v in lo..hi {
+                    rows.push(v as u64, g.label(v as u32) as u64, 1);
+                }
+            }
             self.propagate();
+        }
+        // Labels are fixed when the graph is built: they enter once, here,
+        // and no tick carries a `labels` row.
+        if let Some(at) = self.labels_at {
+            self.bufs[at].clear();
         }
         incgraph_obs::gauge("dataflow.state_bytes", self.state_bytes() as u64);
     }
@@ -126,11 +134,7 @@ impl PlanDag {
     /// member, in [`members`](Self::members) order) and propagates them
     /// through the DAG; returns the root view's delta (empty when the
     /// view did not move), valid until the next tick.
-    pub fn tick<D: Borrow<OutputDelta>>(
-        &mut self,
-        g: &DynamicGraph,
-        deltas: impl IntoIterator<Item = D>,
-    ) -> &Rows {
+    pub fn tick<D: Borrow<OutputDelta>>(&mut self, deltas: impl IntoIterator<Item = D>) -> &Rows {
         let _span = incgraph_obs::span("dataflow.tick");
         incgraph_obs::counter("dataflow.ticks", 1);
         let mut fed = 0;
@@ -141,22 +145,17 @@ impl PlanDag {
             // ascending and the lower value first: canonical as pushed.
             for nc in &delta.borrow().nodes {
                 let node = nc.node as u64;
-                match nc.old {
-                    Some(old) if old < nc.new => {
-                        rows.push(node, old, -1);
-                        rows.push(node, nc.new, 1);
-                    }
-                    Some(old) => {
-                        rows.push(node, nc.new, 1);
-                        rows.push(node, old, -1);
-                    }
-                    None => rows.push(node, nc.new, 1),
+                if nc.old < nc.new {
+                    rows.push(node, nc.old, -1);
+                    rows.push(node, nc.new, 1);
+                } else {
+                    rows.push(node, nc.new, 1);
+                    rows.push(node, nc.old, -1);
                 }
             }
             fed += 1;
         }
         assert_eq!(fed, self.members.len(), "one delta per member");
-        self.label_rows(g, g.node_count());
         self.propagate()
     }
 
@@ -176,19 +175,6 @@ impl PlanDag {
             + self.bufs.iter().map(Rows::space_bytes).sum::<usize>()
             + self.home.capacity() * size_of::<usize>()
             + self.view.space_bytes()
-    }
-
-    /// `labels` source delta: rows for the nodes below `upto` that
-    /// appeared since the last pass (labels are fixed at node creation;
-    /// ΔG is edge-only).
-    fn label_rows(&mut self, g: &DynamicGraph, upto: usize) {
-        let Some(at) = self.labels_at else { return };
-        let rows = &mut self.bufs[at];
-        rows.clear();
-        for v in self.label_nodes..upto {
-            rows.push(v as u64, g.label(v as u32) as u64, 1);
-        }
-        self.label_nodes = upto;
     }
 
     /// Evaluates every operator once over the source rows already in

@@ -119,7 +119,7 @@ impl DataflowSession {
             .members
             .iter_mut()
             .map(|s| s.update_guarded(g, applied).delta);
-        self.dag.tick(g, deltas)
+        self.dag.tick(deltas)
     }
 
     /// The materialized root view: sorted `(key, value, multiplicity)`

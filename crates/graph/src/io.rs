@@ -235,8 +235,7 @@ mod tests {
 
     #[test]
     fn graph_roundtrip() {
-        let mut g = DynamicGraph::new(true, 5);
-        g.set_label(2, 7);
+        let mut g = DynamicGraph::with_labels(true, vec![0, 0, 7, 0, 0]);
         g.insert_edge(0, 1, 3);
         g.insert_edge(4, 2, 9);
         let mut buf = Vec::new();

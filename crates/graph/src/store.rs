@@ -19,6 +19,12 @@ use crate::ids::{Label, NodeId, Weight};
 /// counted once by [`edge_count`](Self::edge_count). Parallel edges are not
 /// representable: inserting an existing edge is a no-op (returns `false`),
 /// matching the simple-graph model of the paper.
+///
+/// The vertex set and its labels are fixed when the graph is built
+/// ([`new`](Self::new), [`with_labels`](Self::with_labels),
+/// [`from_edges`](Self::from_edges)); afterwards only edges change. `ΔG`
+/// is a batch of edge insertions and deletions (paper §2), so every
+/// class state is sized once, at its batch run.
 #[derive(Clone, Debug)]
 pub struct DynamicGraph {
     directed: bool,
@@ -157,22 +163,6 @@ impl DynamicGraph {
     #[inline]
     pub fn label(&self, v: NodeId) -> Label {
         self.labels[v as usize]
-    }
-
-    /// Sets the label of node `v`.
-    pub fn set_label(&mut self, v: NodeId, l: Label) {
-        self.labels[v as usize] = l;
-    }
-
-    /// Adds an isolated node and returns its id.
-    pub fn add_node(&mut self, label: Label) -> NodeId {
-        let id = self.labels.len() as NodeId;
-        self.labels.push(label);
-        self.out.push(Vec::new());
-        if self.directed {
-            self.inn.push(Vec::new());
-        }
-        id
     }
 
     /// Outgoing neighbors of `v` as `(target, weight)`, sorted by target.
@@ -389,15 +379,6 @@ mod tests {
         }
         let targets: Vec<_> = g.out_neighbors(0).iter().map(|&(t, _)| t).collect();
         assert_eq!(targets, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn add_node_extends_graph() {
-        let mut g = DynamicGraph::new(true, 1);
-        let v = g.add_node(7);
-        assert_eq!(v, 1);
-        assert_eq!(g.label(v), 7);
-        assert!(g.insert_edge(0, v, 2));
     }
 
     #[test]

@@ -304,9 +304,9 @@ fn check_delta(
     }
     for nc in &delta.nodes {
         let v = nc.node as usize;
-        if nc.old != prev_nodes.get(v).copied() || Some(&nc.new) != now_nodes.get(v) {
+        if Some(&nc.old) != prev_nodes.get(v) || Some(&nc.new) != now_nodes.get(v) {
             return Err(format!(
-                "node {v} listed {:?} -> {}, outputs hold {:?} -> {:?}",
+                "node {v} listed {} -> {}, outputs hold {:?} -> {:?}",
                 nc.old,
                 nc.new,
                 prev_nodes.get(v),
@@ -669,7 +669,7 @@ mod tests {
         assert!(check(&dropped).is_err(), "a dropped change slipped through");
 
         let mut wrong_old = delta.clone();
-        wrong_old.nodes[0].old = wrong_old.nodes[0].old.map(|v| v ^ 1);
+        wrong_old.nodes[0].old ^= 1;
         assert!(
             check(&wrong_old).is_err(),
             "a wrong node `old` slipped through"

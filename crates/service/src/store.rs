@@ -170,8 +170,8 @@ impl ViewKey {
     }
 
     /// Runs the view's batch fixpoint on `g`. The Sim pattern is a
-    /// function of the seed and the graph's labels, which never change
-    /// while the graph lives, so one key always names one pattern.
+    /// function of the seed and the graph's labels, which are fixed when
+    /// the graph is built, so one key always names one pattern.
     fn build(self, g: &DynamicGraph) -> Result<Session, SessionError> {
         let mut builder = Session::builder(self.class);
         if self.class.source_rooted() {
@@ -968,7 +968,7 @@ impl Store {
         // `VDELTA` of weighted view rows (empty ticks stay silent, like
         // unchanged digests).
         for ((_, qid), p) in entry.plans.iter_mut() {
-            let delta = p.dag.tick(g, p.members.iter().map(|k| &deltas[k]));
+            let delta = p.dag.tick(p.members.iter().map(|k| &deltas[k]));
             if delta.is_empty() {
                 continue;
             }
